@@ -473,9 +473,10 @@ def stage_sysmat(ws: Workspace) -> dict:
             block=cfg.integer("sysmat", "block"))
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
-        sysmat.save_system_matrix(sm, ws.path(f"sysmat_{axis}.mat"))
-        print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, "
-              f"nnz {sm.nnz}, hash {sm.config_hash}")
+        path = ws.path(f"sysmat_{axis}.mat")
+        sysmat.save_system_matrix(sm, path)
+        print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
+              f"{path.stat().st_size / 1e6:.1f} MB, hash {sm.config_hash}")
         matrices.append(sm)
     return {"matrices": matrices}
 

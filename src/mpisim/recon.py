@@ -37,7 +37,9 @@ class LsqrResult:
 
 
 def _as_operator(a):
-    """Accept a SystemMatrix, scipy sparse matrix or dense array."""
+    """Accept a SystemMatrix, an object with .matrix, a sparse or dense array."""
+    if hasattr(a, "operator"):
+        return a.operator()
     return a.matrix if hasattr(a, "matrix") else a
 
 
@@ -134,17 +136,11 @@ def nrmse(recon, reference) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def _flat_values(obj) -> np.ndarray:
-    # ndarrays also expose a (non-callable) .flat, so key on the grid API
-    if hasattr(obj, "flat") and hasattr(obj, "meta_matches"):
-        return obj.flat()
-    return np.asarray(obj, dtype=float).ravel()
-
-
 def optimal_scale(recon, reference) -> float:
     """Least-squares intensity factor alpha minimizing ||alpha*recon - ref||."""
-    a = _flat_values(recon)
-    b = _flat_values(reference)
+    # ndarrays also expose a (non-callable) .flat, so key on the grid API
+    a, b = (v.flat() if hasattr(v, "meta_matches") else
+            np.asarray(v, dtype=float).ravel() for v in (recon, reference))
     denom = float(a @ a)
     return float(a @ b) / denom if denom > 0 else 0.0
 

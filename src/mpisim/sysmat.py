@@ -4,7 +4,7 @@ Entry (j, k) holds -mu0 <rho, dB/dt(r_k, t_j)> mbar'_N(|B(r_k, t_j)|) vol_k,
 optionally averaged over a subsampled cell, so a row times the flat
 concentration reproduces simulate_piecewise at that sample.  Cells outside
 every staircase interval (|B| >= b) contribute exact zeros, which is what
-makes the matrix sparse.
+makes the matrix sparse.  It is stored sparse; filtered on application.
 """
 
 from __future__ import annotations
@@ -18,19 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, HashMismatchError, MissingInputError, ResourceCapError
-from .fields import MU0, FieldEvaluator, FieldModel, eval_field_dt
+from .fields import MU0, FieldEvaluator, FieldModel
+from .forward import highpass_mask
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
 _DEFAULT_BLOCK = 256
 DEFAULT_NNZ_CAP = 50_000_000
-
-
-def kernel(model: FieldModel, coil, r, t):
-    """K(r, t) = -mu0 <rho, dB/dt(r, t)>, the matrix kernel without mbar'_N."""
-    rho = np.asarray(coil.vector if hasattr(coil, "vector") else coil, dtype=float)
-    bdot = eval_field_dt(model, r, t)
-    return -MU0 * np.einsum("...j,j->...", bdot, rho)
 
 
 class CellQuadrature:
@@ -76,7 +70,8 @@ class SystemMatrix:
     """CSR system matrix plus the acquisition metadata it was built under.
 
     Rows are grouped by coil: rows_per_coil consecutive rows per entry of
-    coil_indices, time-ordered inside each group.
+    coil_indices, time-ordered inside each group.  matrix is the unfiltered
+    S, stored sparse; highpass is filtered on application by operator().
     """
 
     matrix: sp.csr_matrix
@@ -98,6 +93,25 @@ class SystemMatrix:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
+
+    def operator(self):
+        """matrix, or F S as a LinearOperator when highpass is set.
+
+        F is the highpass_mask DFT projector on each rows_per_coil block, so
+        stacked coils never mix.  The mask is real and symmetric: F^T = F.
+        """
+        if self.highpass is None:
+            return self.matrix
+        from scipy.sparse.linalg import LinearOperator  # lazy: a 0.2 s import
+
+        mask = highpass_mask(self.rows_per_coil, self.sample_rate, self.highpass)
+
+        def f(y):
+            y = np.reshape(y, (-1, self.rows_per_coil))
+            return np.real(np.fft.ifft(np.fft.fft(y) * mask)).ravel()
+
+        return LinearOperator(self.shape, matvec=lambda x: f(self.matrix @ x),
+                              rmatvec=lambda y: self.matrix.T @ f(y), dtype=float)
 
     def grid_meta_matches(self, grid: ConcentrationGrid, tol: float = 1e-9) -> bool:
         return (self.grid_dims == grid.dims
@@ -239,26 +253,14 @@ def chain_highpass_hash(digest: str, cutoff: float) -> str:
 
 
 def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
-    """Apply the data high-pass to the operator's time axis, per coil block.
+    """Mark sm for the data high-pass on its time axis, per coil block.
 
-    The same DFT mask multiplies each cell's time series, so filtering
-    commutes with the matrix-vector product: filtered(S) @ c equals
-    filtered(S @ c).  The result is effectively dense and stored CSR.
+    Filtering commutes with the matrix-vector product, so operator() @ c
+    equals the filtered S @ c.  Stored sparse; filtered on application.
     """
-    from .forward import highpass_mask
-
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
-    n = sm.rows_per_coil
-    mask = highpass_mask(n, sm.sample_rate, cutoff)
-    blocks = []
-    for i in range(len(sm.coil_indices)):
-        dense = sm.matrix[i * n:(i + 1) * n].toarray()
-        filtered = np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
-                                       * mask[:, None], axis=0))
-        blocks.append(sp.csr_matrix(filtered))
-    return replace(sm, matrix=sp.vstack(blocks, format="csr"),
-                   config_hash=chain_highpass_hash(sm.config_hash, cutoff),
+    return replace(sm, config_hash=chain_highpass_hash(sm.config_hash, cutoff),
                    highpass=cutoff)
 
 

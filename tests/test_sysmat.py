@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mpisim import magnetization as mag
 from mpisim.errors import (
@@ -15,6 +16,7 @@ from mpisim.forward import (
     AcquisitionConfig,
     apply_highpass,
     coil_along,
+    highpass_mask,
     simulate_piecewise,
 )
 from mpisim.phantom import build_disc_phantom
@@ -27,6 +29,26 @@ from mpisim.sysmat import (
     save_system_matrix,
     stack_coils,
 )
+
+
+def _densified_highpass(sm, cutoff):
+    """Oracle: filter every column of each coil block through the DFT mask.
+
+    This is the dense, explicit F S that SystemMatrix.operator() applies
+    matrix-free.
+    """
+    n = sm.rows_per_coil
+    mask = highpass_mask(n, sm.sample_rate, cutoff)
+    blocks = []
+    for i in range(len(sm.coil_indices)):
+        dense = sm.matrix[i * n:(i + 1) * n].toarray()
+        blocks.append(np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
+                                          * mask[:, None], axis=0)))
+    return np.vstack(blocks)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 @pytest.fixture(scope="module")
@@ -182,13 +204,72 @@ def test_highpass_rows_commutes(scene, matrix_x):
     assert filtered.highpass == cutoff
     assert filtered.config_hash == chain_highpass_hash(matrix_x.config_hash,
                                                        cutoff)
+    assert filtered.matrix is matrix_x.matrix  # stored sparse, unfiltered
+    assert matrix_x.operator() is matrix_x.matrix
     pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
                             subsampling=2)
     via_trace = apply_highpass(pw, cutoff).samples
-    via_rows = filtered.matrix @ grid.flat()
+    via_rows = filtered.operator() @ grid.flat()
     assert np.allclose(via_rows, via_trace, atol=1e-12 * max(1.0, pw.rms))
     with pytest.raises(ConfigError):
         apply_highpass_rows(matrix_x, 0.0)
+
+
+def test_highpass_operator_matches_densified_oracle(matrix_x):
+    cutoff = 35e3
+    op = apply_highpass_rows(matrix_x, cutoff).operator()
+    oracle = _densified_highpass(matrix_x, cutoff)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=op.shape[1])
+    y = rng.normal(size=op.shape[0])
+    assert op.shape == oracle.shape
+    assert _rel_err(op @ x, oracle @ x) < 1e-12
+    assert _rel_err(op.T @ y, oracle.T @ y) < 1e-12
+
+
+def test_highpass_operator_adjoint_identity(matrix_x):
+    op = apply_highpass_rows(matrix_x, 35e3).operator()
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=op.shape[1])
+    y = rng.normal(size=op.shape[0])
+    fsx, stfy = op @ x, op.T @ y
+    lhs, rhs = fsx @ y, x @ stfy
+    scale = np.linalg.norm(fsx) * np.linalg.norm(y)
+    assert abs(lhs - rhs) < 1e-12 * scale
+
+
+def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
+    model, grid, config, approx = scene
+    cutoff = 35e3
+    my = build_system_matrix(model, approx, coil_along("y"), config.times(),
+                             grid, subsampling=2)
+    singles = [apply_highpass_rows(m, cutoff) for m in (matrix_x, my)]
+    stacked, _ = stack_coils(singles, [np.zeros(config.n_samples)] * 2)
+    op = stacked.operator()
+    n = config.n_samples
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=grid.n_cells)
+    y = rng.normal(size=2 * n)
+    fx, fty = op @ x, op.T @ y
+    for i, single in enumerate(singles):
+        block = slice(i * n, (i + 1) * n)
+        assert _rel_err(fx[block], single.operator() @ x) < 1e-12
+    want = sum(single.operator().T @ y[i * n:(i + 1) * n]
+               for i, single in enumerate(singles))
+    assert _rel_err(fty, want) < 1e-12
+
+
+def test_highpass_save_load_round_trip(matrix_x, tmp_path):
+    filtered = apply_highpass_rows(matrix_x, 35e3)
+    path = tmp_path / "sm_hp.bin"
+    save_system_matrix(filtered, path)
+    back = load_system_matrix(path, expected_hash=filtered.config_hash)
+    assert back.highpass == filtered.highpass
+    assert back.config_hash == filtered.config_hash
+    assert back.nnz == matrix_x.nnz
+    assert sp.issparse(back.matrix)
+    x = np.random.default_rng(7).normal(size=filtered.shape[1])
+    assert np.array_equal(back.operator() @ x, filtered.operator() @ x)
 
 
 def test_stack_rejects_mixed_filtering(scene, matrix_x):
