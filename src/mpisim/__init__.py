@@ -9,10 +9,9 @@ from .fields import (MU0, FieldEvaluator, FieldModel, LineLocus, SHTerm,
                      ffl_locus, ffp_position, lfv_mask, load_field_coefficients,
                      perturb_field, write_field_coefficients)
 from .magnetization import (LangevinParams, MagnetizationApprox, build_approx,
-                            eval_approx, eval_approx_antiderivative, langevin,
-                            langevin_derivative, l1_functional, mbar,
-                            mbar_prime, nodes_equidistant, nodes_l1_optimal,
-                            sup_second_derivative)
+                            langevin, langevin_derivative, l1_functional, mbar,
+                            mbar_prime, mbar_second, nodes_equidistant,
+                            nodes_l1_optimal, sup_second_derivative)
 from .phantom import (ConcentrationGrid, build_disc_phantom, empty_grid,
                       line_profile, load_grid, save_grid, save_pgm)
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, add_noise,

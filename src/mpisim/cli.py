@@ -594,10 +594,9 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> di
     ws.prepare()
     results = {}
     for stage in order:
-        if stage == "lsqr":
-            results[stage] = stage_lsqr(ws, force=force)
-        else:
-            results[stage] = globals()[f"stage_{stage}"](ws)
+        # looked up in the module namespace at call time, so wrapped stages run
+        run = globals()[f"stage_{stage}"]
+        results[stage] = run(ws, force=force) if stage == "lsqr" else run(ws)
     return results
 
 
@@ -763,11 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SINGLE_STAGE = {"phantom": stage_phantom, "simulate": stage_simulate,
-                 "filter": stage_filter, "sysmat": stage_sysmat,
-                 "fbp": stage_fbp}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -776,15 +770,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(getattr(args, "config", None),
                              getattr(args, "set", []))
-        if args.command in _SINGLE_STAGE:
-            ws = Workspace(cfg, args.outdir)
-            ws.prepare()
-            _SINGLE_STAGE[args.command](ws)
-        elif args.command == "lsqr":
-            ws = Workspace(cfg, args.outdir)
-            ws.prepare()
-            stage_lsqr(ws, force=args.force)
-        elif args.command == "run":
+        if args.command == "run":
             stages = [s.strip() for s in args.stages.split(",") if s.strip()]
             run_pipeline(cfg, stages, outdir=args.outdir, force=args.force)
         elif args.command == "sweep":
@@ -795,6 +781,9 @@ def main(argv=None) -> int:
             _compare_files(args.grid_a, args.grid_b, args.scale)
         elif args.command == "field-info":
             _field_info(cfg, save=args.save)
+        else:  # a single stage
+            run_pipeline(cfg, [args.command], outdir=args.outdir,
+                         force=getattr(args, "force", False))
     except MpiSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -9,14 +9,18 @@ and zero beyond the threshold b.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
+log = logging.getLogger(__name__)
+
 _SERIES_CUTOFF = 1e-4
+_SECOND_SERIES_CUTOFF = 0.05  # below it the closed form of L'' cancels; use its series
+_GRAD_TOL = 1e-10  # nodes_l1_optimal stops at max |grad F| <= _GRAD_TOL * m0 * lam
 
 
 def langevin(x):
@@ -84,6 +88,19 @@ def mbar_over_b(params: LangevinParams, b):
         params.lam * np.asarray(b, dtype=float))
 
 
+def mbar_second(params: LangevinParams, b):
+    """d^2 mbar / dB^2 at field magnitude b; odd, zero at b = 0."""
+    x = params.lam * np.asarray(b, dtype=float)
+    ax = np.abs(x)  # evaluated at |x| and signed, so exactly odd
+    small = ax < _SECOND_SERIES_CUTOFF
+    xs = np.where(small, 1.0, ax)
+    t = np.exp(-2.0 * xs)  # 2 cosh/sinh^3 = 8 t (1 + t) / (1 - t)^3 cannot overflow
+    out = -2.0 / xs ** 3 + 8.0 * t * (1.0 + t) / (1.0 - t) ** 3
+    series = ax * (-2.0 / 15.0 + x * x * (8.0 / 189.0 - 2.0 * x * x / 225.0))
+    return (params.m0 * params.lam ** 2 * np.sign(x)
+            * np.where(small, series, out))[()]
+
+
 @dataclass(frozen=True)
 class MagnetizationApprox:
     """Piecewise-constant approximation of mbar' on [0, b), even in its argument.
@@ -96,10 +113,6 @@ class MagnetizationApprox:
     slopes: tuple
     scheme: str
     threshold: float
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.slopes)
 
     def eval(self, x):
         """mbar'_N(|x|); zero for |x| >= threshold."""
@@ -123,14 +136,6 @@ class MagnetizationApprox:
         base = cum[idx] + padded_slope[idx] * (np.minimum(ax, self.threshold)
                                                - ladder[np.minimum(idx, len(slopes))])
         return (np.sign(x) * base)[()]
-
-
-def eval_approx(approx: MagnetizationApprox, x):
-    return approx.eval(x)
-
-
-def eval_approx_antiderivative(approx: MagnetizationApprox, x):
-    return approx.eval_antiderivative(x)
 
 
 def _validate_nodes(nodes, b: float) -> np.ndarray:
@@ -176,110 +181,104 @@ def nodes_equidistant(n: int, b: float) -> np.ndarray:
     return b * np.arange(1, n + 1) / (n + 1)
 
 
-def l1_functional(params: LangevinParams, nodes, b: float) -> float:
-    """Closed-form L1 error of the tangent staircase.
+def _interval_l1(params: LangevinParams, lo: np.ndarray, hi: np.ndarray,
+                 scheme: str):
+    """Per-interval L1 error of the staircase on [lo, hi] and its derivatives in lo, hi.
 
-    Equals the integral of |mbar' - mbar'_N| over [0, b] when mbar' is
-    positive and strictly decreasing, since the tangent value at each
-    interval midpoint splits the interval into one over- and one
-    under-shooting half.
+    mbar' is decreasing on [0, b], so it crosses the slope s once, at x*, and
+    the error is 2 mbar(x*) - mbar(lo) - mbar(hi) - s (2 x* - lo - hi).  The
+    tangent slope puts x* at the midpoint; for the secant slope the mean
+    value theorem puts it inside the interval, where bisection finds it.
+    """
+    if scheme == "tangent":
+        cross = (lo + hi) / 2.0
+        slope = mbar_prime(params, cross)
+    elif scheme == "secant":
+        slope = (mbar(params, hi) - mbar(params, lo)) / (hi - lo)
+        cross, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        for _ in range(60):  # enough halvings to reach the spacing of doubles
+            half /= 2.0
+            cross += np.where(mbar_prime(params, cross) > slope, half, -half)
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    error = (2.0 * mbar(params, cross) - mbar(params, lo) - mbar(params, hi)
+             - slope * (2.0 * cross - lo - hi))
+    d_lo = 2.0 * (slope - mbar_prime(params, lo)) * (hi - cross) / (hi - lo)
+    d_hi = 2.0 * (slope - mbar_prime(params, hi)) * (cross - lo) / (hi - lo)
+    return error, d_lo, d_hi
+
+
+def l1_functional(params: LangevinParams, nodes, b: float,
+                  scheme: str = "tangent") -> float:
+    """Closed-form L1 error of the staircase: the integral of |mbar' - mbar'_N| on [0, b].
+
+    The tangent scheme here uses the midpoint value on every interval;
+    build_approx instead uses mbar'(0) on [0, x_1].
     """
     ladder = _validate_nodes(nodes, b)
+    return float(np.sum(_interval_l1(params, ladder[:-1], ladder[1:], scheme)[0]))
+
+
+def _l1_gradient(params: LangevinParams, ladder: np.ndarray,
+                 scheme: str) -> np.ndarray:
+    """Gradient of l1_functional with respect to the interior nodes."""
+    _, d_lo, d_hi = _interval_l1(params, ladder[:-1], ladder[1:], scheme)
+    return d_hi[:-1] + d_lo[1:]
+
+
+def _l1_jacobian(params: LangevinParams, ladder: np.ndarray,
+                 scheme: str) -> np.ndarray:
+    """Symmetric tridiagonal Jacobian of _l1_gradient by central differences."""
     lo, hi = ladder[:-1], ladder[1:]
-    return float(np.sum(2.0 * mbar(params, (lo + hi) / 2.0)
-                        - mbar(params, hi) - mbar(params, lo)))
-
-
-def _l1_gradient(params: LangevinParams, ladder: np.ndarray) -> np.ndarray:
-    mids = (ladder[:-1] + ladder[1:]) / 2.0
-    dmid = mbar_prime(params, mids)
-    return dmid[:-1] + dmid[1:] - 2.0 * mbar_prime(params, ladder[1:-1])
-
-
-def _sampled_l1_error(params: LangevinParams, ladder: np.ndarray, scheme: str,
-                      xs: np.ndarray, dtrue: np.ndarray) -> float:
-    approx = build_approx(params, ladder[1:-1], ladder[-1], scheme)
-    return float(np.trapezoid(np.abs(dtrue - approx.eval(xs)), xs))
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+    h = 1e-4 * np.min(hi - lo)
+    _, lo_up, hi_up = _interval_l1(params, lo, hi + h, scheme)
+    _, lo_down, hi_down = _interval_l1(params, lo, hi - h, scheme)
+    lo_lo = (_interval_l1(params, lo + h, hi, scheme)[1]
+             - _interval_l1(params, lo - h, hi, scheme)[1]) / (2.0 * h)
+    hi_hi, lo_hi = (hi_up - hi_down) / (2.0 * h), (lo_up - lo_down) / (2.0 * h)
+    return (np.diag(hi_hi[:-1] + lo_lo[1:])
+            + np.diag(lo_hi[1:-1], 1) + np.diag(lo_hi[1:-1], -1))
 
 
 def nodes_l1_optimal(n: int, b: float, params: LangevinParams,
-                     scheme: str = "tangent", grad_tol: float = 1e-10,
-                     max_sweeps: int = 400) -> np.ndarray:
+                     scheme: str = "tangent") -> np.ndarray:
     """Interior nodes minimizing the L1 error of the staircase on [0, b].
 
-    Projected coordinate descent with golden-section line searches, started
-    from the equidistant nodes.  For the tangent scheme the objective is the
-    closed-form functional and the stop rule is the analytic gradient norm
-    (grad_tol, relative to the natural scale m0*lam); the secant scheme
-    minimizes a densely sampled L1 error and stops on objective stagnation.
+    Damped Newton on grad l1_functional = 0, from the nodes that split the
+    integral of |mbar''|^(1/2) (the asymptotically L1-optimal density) into
+    equal parts.  The tridiagonal Jacobian is a central difference of the
+    analytic gradient; a step is halved until the nodes stay increasing and
+    max |grad| drops.  Stops at max |grad| <= 1e-10 m0 lam; on a stall it
+    logs a warning and returns the best nodes reached.
     """
-    if scheme not in ("tangent", "secant"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    ladder = np.concatenate([[0.0], nodes_equidistant(n, b), [b]])
-    scale = params.m0 * params.lam
-    gap_tol = 1e-12 * b
-
-    if scheme == "secant":
-        xs = np.linspace(0.0, b, 20001)
-        dtrue = mbar_prime(params, xs)
-
-        def objective(lad):
-            return _sampled_l1_error(params, lad, "secant", xs, dtrue)
-    else:
-        def objective(lad):
-            return l1_functional(params, lad[1:-1], b)
-
-    prev = objective(ladder)
-    for _ in range(max_sweeps):
-        for i in range(1, n + 1):
-            lo = ladder[i - 1] + gap_tol
-            hi = ladder[i + 1] - gap_tol
-
-            def line(x, i=i):
-                trial = ladder.copy()
-                trial[i] = x
-                return objective(trial)
-
-            ladder[i] = _golden_min(line, lo, hi, tol=1e-12 * b)
-        current = objective(ladder)
-        if scheme == "tangent":
-            if np.max(np.abs(_l1_gradient(params, ladder))) < grad_tol * scale:
-                break
-        elif prev - current <= 1e-14 * max(prev, 1e-300):
+    xs = np.linspace(0.0, b, 1001)
+    density = np.sqrt(np.abs(mbar_second(params, xs)))
+    mass = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
+    start = np.interp(nodes_equidistant(n, b) / b * mass[-1], mass, xs)
+    ladder = np.concatenate([[0.0], start, [b]])
+    grad = _l1_gradient(params, ladder, scheme)
+    for _ in range(50):
+        norm = np.max(np.abs(grad))
+        if norm <= _GRAD_TOL * params.m0 * params.lam:
+            return ladder[1:-1]
+        jac = _l1_jacobian(params, ladder, scheme)
+        step = np.pad(np.linalg.lstsq(jac, -grad, rcond=None)[0], 1)  # J may be singular
+        for _ in range(40):
+            trial = ladder + step
+            if np.all(np.diff(trial) > 0):
+                trial_grad = _l1_gradient(params, trial, scheme)
+                if np.max(np.abs(trial_grad)) < norm:
+                    break
+            step /= 2.0
+        else:
             break
-        prev = current
+        ladder, grad = trial, trial_grad
+    log.warning("nodes_l1_optimal(%d, %s) stalled at max |grad F| = %.3g m0 lam",
+                n, scheme, np.max(np.abs(grad)) / (params.m0 * params.lam))
     return ladder[1:-1]
 
 
 def sup_second_derivative(params: LangevinParams, b: float,
                           samples: int = 100001) -> float:
     """Dense-sampling estimate of sup |mbar''| on [0, b]."""
-    xs = np.linspace(0.0, b, samples)
-    lam = params.lam
-    x = lam * xs
-    small = np.abs(x) < _SERIES_CUTOFF
-    xs_safe = np.where(small, 1.0, x)
-    second = -2.0 / xs_safe ** 3 + 2.0 * np.cosh(xs_safe) / np.sinh(xs_safe) ** 3
-    series = -2.0 * x / 15.0 + 8.0 * x ** 3 / 189.0
-    second = np.where(small, series, second)
-    return float(np.max(np.abs(params.m0 * lam * lam * second)))
+    return float(np.max(np.abs(mbar_second(params, np.linspace(0.0, b, samples)))))

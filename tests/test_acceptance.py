@@ -136,8 +136,7 @@ def test_criterion_4_staircase_error_bounds():
     for n in (4, 8, 16, 32):
         node_sets = (
             magnetization.nodes_equidistant(n, b),
-            magnetization.nodes_l1_optimal(n, b, params, scheme="tangent",
-                                           max_sweeps=8),
+            magnetization.nodes_l1_optimal(n, b, params, scheme="tangent"),
         )
         for nodes in node_sets:
             gaps = np.diff(np.concatenate([[0.0], nodes, [b]]))
@@ -151,8 +150,7 @@ def test_criterion_4_staircase_error_bounds():
                 worst2 = max(worst2, err2 / bound2)
 
     f_opt = magnetization.l1_functional(
-        params, magnetization.nodes_l1_optimal(8, b, params, scheme="tangent",
-                                               max_sweeps=8), b)
+        params, magnetization.nodes_l1_optimal(8, b, params, scheme="tangent"), b)
     f_eq = magnetization.l1_functional(params, magnetization.nodes_equidistant(8, b), b)
     ok = worst1 <= 1.0 and worst2 <= 1.0 and f_opt <= f_eq
     _report(4, ok, f"sup|m'-m'_N| <= {worst1:.2f}x bound, sup|m-m_N| <= "

@@ -163,6 +163,29 @@ def test_exit_codes(pipeline_dir, tmp_path):
                      "--set", "field.g=1.1 T/m", "--force"]) == 0
 
 
+def test_single_stage_commands(tmp_path, monkeypatch):
+    # each command looks its stage up on the module, as run does, so a
+    # wrapped stage is the one that runs
+    ini = write_tiny(tmp_path)
+    calls = []
+    for name in ("sysmat", "lsqr"):
+        def wrapped(ws, real=getattr(cli, f"stage_{name}"), name=name, **kw):
+            calls.append((name, kw))
+            return real(ws, **kw)
+        monkeypatch.setattr(cli, f"stage_{name}", wrapped)
+    stage_dir = tmp_path / "stages"
+    for name in ("phantom", "simulate", "filter", "sysmat"):
+        assert cli.main([name, "-c", str(ini), "-o", str(stage_dir)]) == 0
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(stage_dir), "--force"]) == 0
+    assert calls == [("sysmat", {}), ("lsqr", {"force": True})]
+    # one stage at a time reproduces the pipeline run
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "-c", str(ini), "-o", str(run_dir),
+                     "--stages", "phantom,simulate,filter,sysmat,lsqr"]) == 0
+    assert ((stage_dir / "recon_lsqr.grid").read_bytes()
+            == (run_dir / "recon_lsqr.grid").read_bytes())
+
+
 def test_compare_command(pipeline_dir, capsys, tmp_path):
     tmp, ini, out = pipeline_dir
     rc = cli.main(["compare", str(out / "recon_lsqr.grid"),
