@@ -133,15 +133,20 @@ def radon_transform(grid: ConcentrationGrid, angles, displacements,
 
 
 def _wrap_angle(theta: float):
-    """Map a normal angle into [0, pi); returns (angle, flip_sign_of_s)."""
-    flip = False
-    while theta < 0:
-        theta += math.pi
-        flip = not flip
-    while theta >= math.pi:
-        theta -= math.pi
-        flip = not flip
-    return theta, flip
+    """Map a normal angle into [0, pi); returns (angle, flip_sign_of_s).
+
+    angle = theta - n pi for the integer n that lands it in [0, pi); each
+    half turn reverses the normal, so the sign of s flips when n is odd.
+    """
+    angle = math.fmod(theta, math.pi)  # exact, with the sign of theta
+    n = round((theta - angle) / math.pi)
+    if angle < 0:
+        angle += math.pi
+        n -= 1
+    if angle >= math.pi:  # a remainder of -tiny rounds up to pi
+        angle -= math.pi
+        n += 1
+    return angle, n % 2 == 1
 
 
 def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,

@@ -201,8 +201,10 @@ def eval_harmonic_polynomial(l: int, m: int, points):
 class FieldEvaluator:
     """Field and time-derivative evaluation for a fixed point set.
 
-    The spatial polynomials are evaluated once at construction; each call
-    for a block of times is then three small matrix products per component.
+    The spatial polynomials are evaluated once at construction: polys[j]
+    holds one column per term of component j (None without terms) and
+    harmonics[j] their (degree, order).  Each call for a block of times is
+    then one matrix product per component, polys[j] @ factors(times)[j].
     """
 
     def __init__(self, model: FieldModel, points):
@@ -217,29 +219,43 @@ class FieldEvaluator:
             log.warning("%d of %d evaluation points lie outside the validity "
                         "sphere (radius %g m)", outside, len(pts),
                         model.validity_radius)
-        self._polys = [None, None, None]
+        self.polys = [None, None, None]
+        self.harmonics = [(), (), ()]
         self._mods = [[], [], []]
         self._coeffs = [None, None, None]
         for j in (1, 2, 3):
             terms = [t for t in model.terms if t.component == j]
             self._mods[j - 1] = [t.modulation for t in terms]
             self._coeffs[j - 1] = np.array([t.coefficient for t in terms])
+            self.harmonics[j - 1] = tuple((t.degree, t.order) for t in terms)
             if terms:
                 cols = [eval_harmonic_polynomial(t.degree, t.order, pts) for t in terms]
-                self._polys[j - 1] = np.column_stack(cols)
+                self.polys[j - 1] = np.column_stack(cols)
+
+    def factors(self, times, use_dt: bool = False):
+        """Per component, c_i h_i(t) of its terms, shape (n_terms_j, len(times)).
+
+        With use_dt the modulations are differentiated: c_i h_i'(t).  None
+        for a component without terms.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        out = [None, None, None]
+        for j in range(3):
+            mods = self._mods[j]
+            if not mods:
+                continue
+            mvals = np.empty((len(mods), times.size))
+            for i, mod in enumerate(mods):
+                mvals[i] = mod.eval_dt(times) if use_dt else mod.eval(times)
+            out[j] = self._coeffs[j][:, None] * mvals
+        return out
 
     def _accumulate(self, times, use_dt: bool):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.zeros((3, self.points.shape[0], times.size))
-        for j in range(3):
-            poly = self._polys[j]
-            if poly is None:
-                continue
-            mods = self._mods[j]
-            mvals = np.empty((len(mods), times.size))
-            for i, mod in enumerate(mods):
-                mvals[i] = mod.eval_dt(times) if use_dt else mod.eval(times)
-            out[j] = poly @ (self._coeffs[j][:, None] * mvals)
+        for j, fac in enumerate(self.factors(times, use_dt)):
+            if fac is not None:
+                out[j] = self.polys[j] @ fac
         return out
 
     def field(self, times):
@@ -249,6 +265,19 @@ class FieldEvaluator:
     def field_dt(self, times):
         """dB/dt at all points for the given times, shape (3, K, len(times))."""
         return self._accumulate(times, use_dt=True)
+
+
+def harmonic_gradient_bound(l: int, radius: float) -> float:
+    """G_l: a bound on |grad p_lm| over the ball |r| <= radius, for every m.
+
+    p_1m are x, z and y, so G_1 = 1 and G_0 = 0.  For l >= 2 the addition
+    theorem sum_m p_lm^2 = |r|^(2l) of the Schmidt harmonics, with every
+    p_lm harmonic, gives sum_m |grad p_lm|^2 = l (2l + 1) |r|^(2l - 2), so
+    G_l = sqrt(l (2l + 1)) * radius^(l - 1).
+    """
+    if l <= 1:
+        return float(l)
+    return math.sqrt(l * (2 * l + 1)) * radius ** (l - 1)
 
 
 def eval_field(model: FieldModel, r, t):

@@ -4,12 +4,19 @@ Entry (j, k) holds -mu0 <rho, dB/dt(r_k, t_j)> mbar'_N(|B(r_k, t_j)|) vol_k,
 optionally averaged over a subsampled cell, so a row times the flat
 concentration reproduces simulate_piecewise at that sample.  Cells outside
 every staircase interval (|B| >= b) contribute exact zeros, which is what
-makes the matrix sparse.  It is stored sparse; filtered on application.
+makes the matrix sparse.  Assembly uses that: B is evaluated at the cell
+centers first, and only cells whose center lies within b + L(t) r of the
+low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
+coefficients, r the center-to-sub-point reach) get their sub-points
+evaluated; see CellQuadrature.  It is stored sparse; filtered on
+application.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -18,17 +25,32 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, HashMismatchError, MissingInputError, ResourceCapError
-from .fields import MU0, FieldEvaluator, FieldModel
+from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
+                     harmonic_gradient_bound)
 from .forward import highpass_mask
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
 _DEFAULT_BLOCK = 256
 DEFAULT_NNZ_CAP = 50_000_000
+# relative margin on the pruning limit, so rounding never drops a live entry
+_SAFETY = 1.0 + 1e-9
 
 
 class CellQuadrature:
-    """Midpoint (or subsampled) cell quadrature bound to one model and grid."""
+    """Midpoint (or subsampled) cell quadrature bound to one model and grid.
+
+    weights() evaluates every sub-point of every cell; sparse_weights()
+    gives the same entries but first prunes the (cell, time) pairs that
+    cannot reach the low-field volume |B| < b.  Every sub-point of a cell
+    lies within reach r of its center, so |B(sub)| >= |B(center)| - L(t) r,
+    L(t) being a Lipschitz bound on B(., t) over the ball of radius R that
+    holds every center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the
+    distinct harmonics p_k, F_jk summing c_i h_i(t) of component j's terms
+    on p_k; with G_l from fields.harmonic_gradient_bound, L(t) is the
+    2-norm over j of sum_k |F_jk(t)| G_l_k(R).  It is exact for the
+    degree-1 ideal topologies, whose gradients are constant.
+    """
 
     def __init__(self, model: FieldModel, grid: ConcentrationGrid,
                  subsampling: int = 1):
@@ -46,14 +68,34 @@ class CellQuadrature:
                 else:
                     axes.append(np.zeros(1))
             offsets = [np.array(o) for o in product(axes[0], axes[1], axes[2])]
+        offsets = np.asarray(offsets)
         self.n_sub = len(offsets)
         self.n_cells = grid.n_cells
         self.cell_volume = grid.cell_volume
-        pts = (centers[:, None, :] + np.asarray(offsets)[None, :, :]).reshape(-1, 3)
+        pts = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
         self.evaluator = FieldEvaluator(model, pts)
+        self.reach = float(np.max(np.linalg.norm(offsets, axis=1)))
+        radius = max(np.max(np.linalg.norm(pts, axis=1)),
+                     np.max(np.linalg.norm(centers, axis=1)))
+        # one column per distinct harmonic p_lm; a term names its column
+        columns = {}
+        for polys, harmonics in zip(self.evaluator.polys, self.evaluator.harmonics):
+            for i, lm in enumerate(harmonics):
+                columns.setdefault(lm, polys[:, i])
+        self._columns = {lm: k for k, lm in enumerate(columns)}
+        self._grad = np.array([harmonic_gradient_bound(l, radius)
+                               for l, _ in columns])
+        self._center_polys = np.array(
+            [eval_harmonic_polynomial(l, m, centers) for l, m in columns]).T
+        # (cell, sub-point, harmonic): one row per cell gathers its sub-points
+        self._sub_polys = np.reshape(np.transpose(list(columns.values())),
+                                     (self.n_cells, self.n_sub, len(columns)))
 
     def weights(self, approx: MagnetizationApprox, rho, times) -> np.ndarray:
-        """Matrix entries for a block of times, shape (n_cells, len(times))."""
+        """Matrix entries for a block of times, shape (n_cells, len(times)).
+
+        Unpruned: every sub-point of every cell is evaluated.
+        """
         rho = np.asarray(rho, dtype=float)
         b = self.evaluator.field(times)
         bdot = self.evaluator.field_dt(times)
@@ -63,6 +105,63 @@ class CellQuadrature:
         if self.n_sub > 1:
             w = w.reshape(self.n_cells, self.n_sub, -1).mean(axis=1)
         return w * self.cell_volume
+
+    def _merged(self, times, use_dt: bool = False) -> np.ndarray:
+        """F[j, k, t]: the time factors of component j's terms on harmonic k."""
+        out = np.zeros((3, len(self._columns), times.size))
+        for j, fac in enumerate(self.evaluator.factors(times, use_dt)):
+            if fac is not None:
+                for lm, f in zip(self.evaluator.harmonics[j], fac):
+                    out[j, self._columns[lm]] += f
+        return out
+
+    def lipschitz(self, times) -> np.ndarray:
+        """L(t) = sqrt(sum_j (sum_k |F_jk(t)| G_l_k(R))^2) for a block of times."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return np.sqrt(np.sum((self._grad @ np.abs(self._merged(times))) ** 2, axis=0))
+
+    def sparse_weights(self, approx: MagnetizationApprox, rho,
+                       times) -> sp.csr_matrix:
+        """The entries of weights(...).T as CSR, shape (len(times), n_cells).
+
+        B is evaluated at the cell centers first; a pair with |B(center, t)|
+        >= (b + L(t) r)(1 + 1e-9) has |B| >= b at every sub-point and hence
+        a zero entry.  Sub-point B and <rho, dB/dt> are evaluated for the
+        surviving pairs only, and exact zeros are dropped, so the pattern
+        equals that of the dense weights.
+        """
+        rho = np.asarray(rho, dtype=float)
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        fac = self._merged(times)
+        b_c = self._center_polys @ fac
+        mag_c = np.sqrt(np.einsum("jpt,jpt->tp", b_c, b_c))
+        limit = (approx.threshold + self.lipschitz(times) * self.reach) * _SAFETY
+        tidx, cells = np.nonzero(mag_c < limit[:, None])
+        # per time, one product gives B and <rho, dB/dt> at the survivors'
+        # sub-points: coef[t] maps the harmonics to (B_x, B_y, B_z, <rho, dB/dt>)
+        fac_dt = self._merged(times, use_dt=True)
+        rho_dt = rho[0] * fac_dt[0] + rho[1] * fac_dt[1] + rho[2] * fac_dt[2]
+        coef = np.stack([*fac, rho_dt], axis=-1).transpose(1, 0, 2).copy()
+        bounds = _row_starts(tidx, times.size)
+        n_sub = self.n_sub
+        at_sub = np.empty((cells.size * n_sub, 4))
+        for t in np.flatnonzero(np.diff(bounds)):
+            lo, hi = bounds[t], bounds[t + 1]
+            rows = self._sub_polys[cells[lo:hi]].reshape(-1, coef.shape[1])
+            at_sub[lo * n_sub:hi * n_sub] = rows @ coef[t]
+        bx, by, bz, proj = (at_sub[:, j].reshape(-1, n_sub) for j in range(4))
+        w = -MU0 * proj * approx.eval(np.sqrt(bx * bx + by * by + bz * bz))
+        # sub-points summed in a fixed order: no value depends on the block
+        vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
+        keep = vals != 0
+        return sp.csr_matrix(
+            (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
+            shape=(times.size, self.n_cells))
+
+
+def _row_starts(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR indptr of sorted row indices: rows[indptr[t]:indptr[t + 1]] == t."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
 
 
 @dataclass
@@ -153,9 +252,8 @@ def estimate_nnz(quad: CellQuadrature, approx: MagnetizationApprox, rho,
                  times: np.ndarray, probes: int = 8) -> int:
     """Extrapolate the nonzero count from a few probe times."""
     idx = np.unique(np.linspace(0, times.size - 1, min(probes, times.size)).astype(int))
-    w = quad.weights(approx, rho, times[idx])
-    per_time = np.count_nonzero(w, axis=0)
-    return int(np.ceil(per_time.mean() * times.size))
+    probe = quad.sparse_weights(approx, rho, times[idx])
+    return int(np.ceil(probe.nnz / idx.size * times.size))
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
@@ -164,10 +262,16 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
                         block: int = _DEFAULT_BLOCK) -> SystemMatrix:
     """Assemble the matrix row block by row block (time-parallel).
 
-    Blocks are independent and may be computed by worker threads; the merge
-    concatenates them in block order so the result does not depend on the
-    worker count.  The estimated nonzero count is checked against nnz_cap
-    before any assembly starts.
+    Each block is CellQuadrature.sparse_weights: (cell, time) pairs that the
+    Lipschitz bound places outside the low-field volume are skipped, and
+    the CSR block is built from the surviving entries.  Its pattern equals
+    that of the dense quadrature; values agree to the rounding of the
+    reordered term sum.  Blocks are independent and may be computed by
+    worker threads; the merge concatenates them in block order, and the
+    entries of one time never depend on the rest of its block, so the
+    result does not depend on the worker count or block size.  The
+    estimated nonzero count is checked against nnz_cap before any assembly
+    starts.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 1:
@@ -193,8 +297,7 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
 
     def assemble(span):
         lo, hi = span
-        w = quad.weights(approx, rho, times[lo:hi])
-        return sp.csr_matrix(w.T)
+        return quad.sparse_weights(approx, rho, times[lo:hi])
 
     if n_workers <= 1:
         blocks = [assemble(s) for s in spans]
@@ -265,7 +368,11 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
 
 
 def save_system_matrix(sm: SystemMatrix, path):
-    """Four ASCII header lines, then COO triplet arrays (int64, int64, float64)."""
+    """Four ASCII header lines, then COO triplet arrays (int64, int64, float64).
+
+    The bytes go to a temporary file beside path, which then replaces path,
+    so an interrupted write never leaves a partial matrix behind.
+    """
     coo = sm.matrix.tocoo()
     hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
     lines = [
@@ -277,49 +384,80 @@ def save_system_matrix(sm: SystemMatrix, path):
                   *(f"{s:.17g}" for s in sm.grid_spacing),
                   *(f"{o:.17g}" for o in sm.grid_origin)]),
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(coo.row.astype("<i8").tobytes())
-        fh.write(coo.col.astype("<i8").tobytes())
-        fh.write(coo.data.astype("<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            fh.write(coo.row.astype("<i8").tobytes())
+            fh.write(coo.col.astype("<i8").tobytes())
+            fh.write(coo.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _parse_header(lines):
+    """The four header lines of a stored matrix; ValueError when malformed."""
+    rows, cols, nnz, digest = lines[0].decode("ascii").split()
+    rows, cols, nnz = int(rows), int(cols), int(nnz)
+    if min(rows, cols, nnz) < 0:
+        raise ValueError("negative shape or nonzero count")
+    rate, t0, per_coil, hp = lines[1].decode("ascii").split()
+    indices, vectors = [], []
+    for field in lines[2].decode("ascii").split():
+        idx, vec = field.split(":")
+        vec = tuple(float(x) for x in vec.split(","))
+        if len(vec) != 3:
+            raise ValueError(f"coil vector {field!r} needs 3 components")
+        indices.append(int(idx))
+        vectors.append(vec)
+    grid_fields = lines[3].decode("ascii").split()
+    if len(grid_fields) != 9:
+        raise ValueError(f"grid line needs 9 fields, got {len(grid_fields)}")
+    return dict(shape=(rows, cols), nnz=nnz, config_hash=digest,
+                sample_rate=float(rate), t0=float(t0), rows_per_coil=int(per_coil),
+                highpass=None if hp == "none" else float(hp),
+                coil_indices=tuple(indices), coil_vectors=tuple(vectors),
+                grid_dims=tuple(int(x) for x in grid_fields[:3]),
+                grid_spacing=tuple(float(x) for x in grid_fields[3:6]),
+                grid_origin=tuple(float(x) for x in grid_fields[6:9]))
 
 
 def load_system_matrix(path, expected_hash: str | None = None,
                        force: bool = False) -> SystemMatrix:
-    """Load a stored matrix; validates the config hash unless force is set."""
+    """Load a stored matrix; validates the config hash unless force is set.
+
+    A malformed header, a truncated payload, an index outside the stored
+    shape or a non-finite value raises ConfigError.
+    """
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise MissingInputError(f"system matrix file not found: {path}") from None
     with fh:
-        rows, cols, nnz, digest = fh.readline().decode("ascii").split()
-        rows, cols, nnz = int(rows), int(cols), int(nnz)
-        rate, t0, per_coil, hp = fh.readline().decode("ascii").split()
-        coil_fields = fh.readline().decode("ascii").split()
-        grid_fields = fh.readline().decode("ascii").split()
+        lines = [fh.readline() for _ in range(4)]
         raw = fh.read()
+    try:
+        meta = _parse_header(lines)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed header: {exc}") from None
+    digest = meta["config_hash"]
     if expected_hash is not None and digest != expected_hash and not force:
         raise HashMismatchError(
             f"{path}: stored config hash {digest} does not match expected "
             f"{expected_hash}; pass force to override")
-    need = nnz * (8 + 8 + 8)
-    if len(raw) != need:
+    nnz = meta.pop("nnz")
+    rows, cols = shape = meta.pop("shape")
+    if len(raw) != nnz * (8 + 8 + 8):
         raise ConfigError(f"{path}: triplet payload truncated")
     r = np.frombuffer(raw[:8 * nnz], dtype="<i8")
     c = np.frombuffer(raw[8 * nnz:16 * nnz], dtype="<i8")
     v = np.frombuffer(raw[16 * nnz:], dtype="<f8")
-    matrix = sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr()
-    indices, vectors = [], []
-    for field in coil_fields:
-        idx, vec = field.split(":")
-        indices.append(int(idx))
-        vectors.append(tuple(float(x) for x in vec.split(",")))
-    dims = tuple(int(x) for x in grid_fields[:3])
-    spacing = tuple(float(x) for x in grid_fields[3:6])
-    origin = tuple(float(x) for x in grid_fields[6:9])
-    return SystemMatrix(matrix=matrix, sample_rate=float(rate), t0=float(t0),
-                        rows_per_coil=int(per_coil), coil_indices=tuple(indices),
-                        coil_vectors=tuple(vectors), grid_dims=dims,
-                        grid_spacing=spacing, grid_origin=origin,
-                        config_hash=digest,
-                        highpass=None if hp == "none" else float(hp))
+    if nnz and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
+        raise ConfigError(f"{path}: triplet index outside the {rows}x{cols} shape")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{path}: non-finite matrix values")
+    matrix = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+    return SystemMatrix(matrix=matrix, **meta)

@@ -1,6 +1,7 @@
 """Config parsing, the pipeline driver, and command exit codes."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ def test_exit_codes(pipeline_dir, tmp_path):
     # force overrides the hash check and reconstructs anyway
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
                      "--set", "field.g=1.1 T/m", "--force"]) == 0
+
+
+def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    path = work / "sysmat_x.mat"
+    lines = path.read_bytes().split(b"\n", 4)
+    lines[0] = b"garbled"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    # force skips the hash check, not the validation of the file
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed header" in err and "Traceback" not in err
 
 
 def test_single_stage_commands(tmp_path, monkeypatch):

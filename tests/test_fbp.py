@@ -9,6 +9,7 @@ from mpisim import magnetization as mag
 from mpisim.errors import ConfigError
 from mpisim.fbp import (
     ScanGeometry,
+    _wrap_angle,
     Sinogram,
     fbp_reconstruct,
     load_sinogram_csv,
@@ -22,6 +23,37 @@ from mpisim.fields import build_topology
 from mpisim.forward import AcquisitionConfig, coil_along, simulate_parallel
 from mpisim.phantom import build_disc_phantom, empty_grid
 from mpisim.recon import nrmse, optimal_scale
+
+
+def _wrap_angle_loop(theta):
+    """Reference: shift by pi one half turn at a time, flipping each time."""
+    flip = False
+    while theta < 0:
+        theta += math.pi
+        flip = not flip
+    while theta >= math.pi:
+        theta -= math.pi
+        flip = not flip
+    return theta, flip
+
+
+def test_wrap_angle_matches_loop():
+    thetas = [*np.linspace(-1e3, 1e3, 4001),
+              *np.random.default_rng(9).uniform(-20.0, 20.0, 500),
+              *(k * math.pi for k in range(-9, 10)),
+              -0.0, -1e-300, math.nextafter(math.pi, 0.0), -math.pi / 2]
+    for theta in thetas:
+        angle, flip = _wrap_angle(theta)
+        ref_angle, ref_flip = _wrap_angle_loop(theta)
+        assert 0.0 <= angle < math.pi, theta
+        # the loop rounds once per half turn; the constant-time form once
+        tol = (abs(theta) / math.pi + 2) * 2.0 ** -52 * max(abs(theta), math.pi)
+        if flip == ref_flip:
+            assert abs(angle - ref_angle) <= tol, theta
+        else:  # the same normal line, landed on either side of the wrap
+            assert min(angle, ref_angle) <= tol, theta
+            assert max(angle, ref_angle) >= math.pi - tol, theta
+    assert _wrap_angle(1e6) == (math.fmod(1e6, math.pi), 318309 % 2 == 1)
 
 
 def disc_grid(radius=0.015, fov=0.05, spacing=0.05 / 64):

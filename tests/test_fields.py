@@ -23,7 +23,7 @@ from mpisim import (
     write_field_coefficients,
     empty_grid,
 )
-from mpisim.fields import assoc_legendre, ffl_half_angle
+from mpisim.fields import assoc_legendre, ffl_half_angle, harmonic_gradient_bound
 
 
 def test_assoc_legendre_against_scipy():
@@ -35,6 +35,40 @@ def test_assoc_legendre_against_scipy():
             np.testing.assert_allclose(
                 assoc_legendre(l, m, xs), expect, rtol=1e-12, atol=1e-12,
                 err_msg=f"l={l} m={m}")
+
+
+def _harmonic_gradients(l, m, pts, step):
+    """Central-difference gradient of p_lm at pts, shape (len(pts), 3)."""
+    grad = np.empty_like(pts)
+    for a in range(3):
+        e = np.zeros(3)
+        e[a] = step
+        grad[:, a] = (eval_harmonic_polynomial(l, m, pts + e)
+                      - eval_harmonic_polynomial(l, m, pts - e)) / (2 * step)
+    return grad
+
+
+def test_harmonic_gradient_bound():
+    radius = 0.07
+    assert harmonic_gradient_bound(0, radius) == 0.0
+    assert harmonic_gradient_bound(1, radius) == 1.0
+    dirs = np.random.default_rng(8).normal(size=(4000, 3))
+    sphere = radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    for l in range(1, 5):
+        bound = harmonic_gradient_bound(l, radius)
+        sq = np.zeros(len(sphere))
+        sup = 0.0
+        for m in range(-l, l + 1):
+            norms = np.linalg.norm(_harmonic_gradients(l, m, sphere, 1e-5 * radius),
+                                   axis=1)
+            assert norms.max() <= bound * (1 + 1e-8), (l, m)
+            sq += norms ** 2
+            sup = max(sup, norms.max())
+        # the identity behind the bound, and how loose it is: the sampled
+        # sup is l R^(l-1), a factor sqrt((2l+1)/l) below G_l for l >= 2
+        np.testing.assert_allclose(sq, l * (2 * l + 1) * radius ** (2 * l - 2),
+                                   rtol=1e-8)
+        assert sup >= 0.99 * l * radius ** (l - 1)
 
 
 def test_spherical_harmonic_low_degree_closed_forms():

@@ -1,5 +1,7 @@
 """System-matrix assembly, hashing, persistence, and row filtering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from mpisim.errors import (
     MissingInputError,
     ResourceCapError,
 )
-from mpisim.fields import build_topology
+from mpisim.fields import FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
     apply_highpass,
@@ -19,8 +21,10 @@ from mpisim.forward import (
     highpass_mask,
     simulate_piecewise,
 )
-from mpisim.phantom import build_disc_phantom
+from mpisim.phantom import build_disc_phantom, empty_grid
 from mpisim.sysmat import (
+    CellQuadrature,
+    SystemMatrix,
     apply_highpass_rows,
     build_system_matrix,
     chain_highpass_hash,
@@ -49,6 +53,36 @@ def _densified_highpass(sm, cutoff):
 
 def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _desk_ffl(magnitude=0.0):
+    """The desk scanner: rotating FFL, 1 T/m, 0.1 T drive at 25 kHz, 1 kHz."""
+    model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3,
+                           validity_radius=0.1)
+    return perturb_field(model, seed=1, magnitude=magnitude)
+
+
+def _desk_approx(b=10e-3):
+    return mag.build_approx(mag.LangevinParams(m0=1.0, lam=1600.0),
+                            mag.nodes_equidistant(30, b), b, scheme="secant")
+
+
+def _assert_matches_unpruned(model, approx, coil, times, grid, subsampling):
+    """Pruned assembly against the dense quadrature it replaces.
+
+    The pattern must be identical.  Values may differ by the reordered
+    term sum only: at most 1e-12 of the largest entry, since entries that
+    cancel to far below it carry the rounding of their summands.
+    """
+    sm = build_system_matrix(model, approx, coil, times, grid, subsampling)
+    quad = CellQuadrature(model, grid, subsampling)
+    oracle = sp.csr_matrix(quad.weights(approx, coil.vector, times).T)
+    assert oracle.nnz > 0
+    assert np.array_equal(sm.matrix.indptr, oracle.indptr)
+    assert np.array_equal(sm.matrix.indices, oracle.indices)
+    scale = np.max(np.abs(oracle.data))
+    assert np.max(np.abs(sm.matrix.data - oracle.data)) <= 1e-12 * scale
+    return sm
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +122,71 @@ def test_matrix_vector_product_equals_piecewise(scene, matrix_x):
     pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
                             subsampling=2)
     assert np.max(np.abs(matrix_x.matrix @ grid.flat() - pw.samples)) < 1e-12
+
+
+def test_pruned_matches_unpruned_static_ffl(scene):
+    model, grid, config, approx = scene
+    _assert_matches_unpruned(model, approx, coil_along("x"), config.times(),
+                             grid, subsampling=2)
+
+
+def test_pruned_matches_unpruned_subsampling_1(scene):
+    model, grid, config, approx = scene
+    for axis in "xy":
+        _assert_matches_unpruned(model, approx, coil_along(axis),
+                                 config.times(), grid, subsampling=1)
+
+
+def test_pruned_matches_unpruned_perturbed_rotating_ffl():
+    # degree 2..4 terms on every coil: the Lipschitz bound is no longer exact
+    model = _desk_ffl(magnitude=0.35)
+    assert {t.degree for t in model.terms} >= {2, 3, 4}
+    times = np.arange(500) * 2e-6
+    grid = empty_grid(0.1, 0.1 / 32)
+    for b in (4e-3, 10e-3):
+        _assert_matches_unpruned(model, _desk_approx(b), coil_along("y"),
+                                 times, grid, subsampling=2)
+
+
+def test_pruned_matches_unpruned_3d_lissajous(scene):
+    model = build_topology("lissajous_ffp", g=1.0, d=(0.012, 0.012, 0.012),
+                           f=(25e3, 26e3, 27e3))
+    grid = empty_grid(0.03, 0.03 / 12, nz=4, z_spacing=2.5e-3)
+    assert CellQuadrature(model, grid, 2).n_sub == 8
+    _assert_matches_unpruned(model, scene[3], coil_along("z"),
+                             np.arange(400) * 2.5e-7, grid, subsampling=2)
+
+
+def test_lipschitz_bound_covers_center_to_sub_point_steps():
+    # strong degree 2..4 terms: a bound from the degree-1 terms alone fails
+    model = _desk_ffl(magnitude=3.0)
+    grid = empty_grid(0.1, 0.1 / 16)
+    quad = CellQuadrature(model, grid, 2)
+    times = np.arange(100) * 1e-5
+    sub = quad.evaluator.field(times).reshape(3, quad.n_cells, quad.n_sub, -1)
+    center = FieldEvaluator(model, grid.centers()).field(times)[:, :, None, :]
+    step = np.sqrt(np.sum((sub - center) ** 2, axis=0)).max(axis=(0, 1))
+    assert quad.reach == pytest.approx(np.sqrt(2) * 0.1 / 16 / 4)
+    assert np.all(step <= quad.lipschitz(times) * quad.reach)
+
+
+def test_pruned_assembly_staircases_few_values(monkeypatch):
+    # a silent fall-back to dense assembly would pass every value through
+    counted = []
+    real_eval = mag.MagnetizationApprox.eval
+
+    def counting_eval(self, x):
+        counted.append(np.size(x))
+        return real_eval(self, x)
+
+    monkeypatch.setattr(mag.MagnetizationApprox, "eval", counting_eval)
+    grid = empty_grid(0.1, 0.1 / 64)
+    times = np.arange(0, 4000, 10) * 2.5e-7
+    sm = build_system_matrix(_desk_ffl(), _desk_approx(), coil_along("x"), times,
+                             grid, subsampling=2)
+    assert sm.nnz > 0
+    dense_values = grid.n_cells * 4 * times.size
+    assert sum(counted) <= 0.2 * dense_values
 
 
 def test_worker_count_does_not_change_matrix(scene, matrix_x):
@@ -169,6 +268,118 @@ def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
     (tmp_path / "cut.bin").write_bytes(data[:-8])
     with pytest.raises(ConfigError):
         load_system_matrix(tmp_path / "cut.bin")
+
+
+def _tiny_matrix():
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+    return SystemMatrix(matrix=sp.csr_matrix(dense), sample_rate=1e6, t0=0.0,
+                        rows_per_coil=3, coil_indices=(0,),
+                        coil_vectors=((1.0, 0.0, 0.0),), grid_dims=(3, 1, 1),
+                        grid_spacing=(1e-3, 1e-3, 1e-3), grid_origin=(0.0, 0.0, 0.0),
+                        config_hash="0123456789abcdef")
+
+
+def _rewrite(path, header=None, row=None, col=None, val=None):
+    """Replace header lines (by index) or triplet arrays of a saved matrix."""
+    lines = path.read_bytes().split(b"\n", 4)
+    payload = lines.pop()
+    for i, text in (header or {}).items():
+        lines[i] = text
+    nnz = len(payload) // 24
+    arrays = [np.frombuffer(payload[k * 8 * nnz:(k + 1) * 8 * nnz], dtype=dt).copy()
+              for k, dt in enumerate(("<i8", "<i8", "<f8"))]
+    for array, new in zip(arrays, (row, col, val)):
+        if new is not None:
+            array[0] = new
+    path.write_bytes(b"\n".join(lines) + b"\n" + b"".join(a.tobytes() for a in arrays))
+
+
+@pytest.mark.parametrize("header", [
+    {0: b"3 3 four 0123456789abcdef"},
+    {0: b"3 3 4"},
+    {0: b"-3 3 4 0123456789abcdef"},
+    {1: b"1e6 0 3"},
+    {1: b"fast 0 3 none"},
+    {2: b"0:1,0"},
+    {2: b"0=1,0,0"},
+    {3: b"3 1 1 0.001 0.001 0.001 0 0"},
+    {0: b"\xff\xfe 3 4 0123456789abcdef"},
+])
+def test_load_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path)
+    _rewrite(path, header=header)
+    with pytest.raises(ConfigError, match="malformed header"):
+        load_system_matrix(path)
+
+
+@pytest.mark.parametrize("triplet", [
+    {"row": 99}, {"row": -1}, {"col": 3}, {"col": -2},
+])
+def test_load_rejects_out_of_range_indices(tmp_path, triplet):
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path)
+    _rewrite(path, **triplet)
+    with pytest.raises(ConfigError, match="outside the 3x3 shape"):
+        load_system_matrix(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path)
+    _rewrite(path, val=value)
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_system_matrix(path)
+
+
+def test_rewrite_helper_keeps_a_valid_file(tmp_path):
+    path = tmp_path / "sm.mat"
+    tiny = _tiny_matrix()
+    save_system_matrix(tiny, path)
+    _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, val=1.0)
+    back = load_system_matrix(path, expected_hash=tiny.config_hash)
+    assert back.matrix.nnz == 4 and (back.matrix != tiny.matrix).nnz == 0
+
+
+class _FailingCoo:
+    """COO triplets whose values fail to arrive, after rows and cols did."""
+
+    def __init__(self, coo, on_fail):
+        self.nnz, self.row, self.col = coo.nnz, coo.row, coo.col
+        self._on_fail = on_fail
+
+    @property
+    def data(self):
+        self._on_fail()
+        raise OSError("no space left on device")
+
+
+def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
+    path = tmp_path / "sm.mat"
+    during = []
+
+    class FailingMatrix:
+        shape = matrix_x.shape
+
+        def tocoo(self):
+            return _FailingCoo(matrix_x.matrix.tocoo(),
+                               lambda: during.append(sorted(tmp_path.iterdir())))
+
+    broken = replace(matrix_x, matrix=FailingMatrix())
+    with pytest.raises(OSError):
+        save_system_matrix(broken, path)
+    # the bytes went to a temporary file beside the target, now removed
+    assert len(during[0]) == 1 and during[0][0].parent == tmp_path
+    assert during[0][0] != path
+    assert list(tmp_path.iterdir()) == []
+    # an existing matrix survives a failed overwrite untouched
+    save_system_matrix(matrix_x, path)
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        save_system_matrix(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_stack_coils(scene, matrix_x):
