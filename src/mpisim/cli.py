@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
+from .artifacts import atomic_open
 from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
                      MpiSimError)
 
@@ -91,7 +92,7 @@ DEFAULTS = {
         "subsampling": "2",
         "nnz_cap": "50000000",
         "workers": "4",
-        "block": "256",
+        "block": "64",
     },
     "solver": {
         "iterations": "20",
@@ -332,7 +333,7 @@ class Workspace:
 
     def prepare(self):
         self.dir.mkdir(parents=True, exist_ok=True)
-        with open(self.path("config.resolved.ini"), "w") as fh:
+        with atomic_open(self.path("config.resolved.ini"), "w") as fh:
             fh.write(f"# config {self.digest}\n")
             fh.write(self.cfg.resolved_text())
 
@@ -373,7 +374,7 @@ def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
     for axis, label in (("horizontal", "h"), ("vertical", "v")):
         prof = phantom.line_profile(grid, axis, 0.0)
         coords = grid.axis_coords(0 if axis == "horizontal" else 1)
-        with open(ws.path(f"profile_{name}_{label}.csv"), "w") as fh:
+        with atomic_open(ws.path(f"profile_{name}_{label}.csv"), "w") as fh:
             fh.write(f"# config {ws.digest}\n")
             fh.write("coord,value\n")
             for c, v in zip(coords, prof):
@@ -515,7 +516,7 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     grid = make_grid(cfg, "recon")
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "recon_lsqr", image)
-    with open(ws.path("lsqr_residuals.csv"), "w") as fh:
+    with atomic_open(ws.path("lsqr_residuals.csv"), "w") as fh:
         fh.write(f"# config {ws.digest}\n")
         fh.write("iteration,residual\n")
         for i, r in enumerate(result.residuals):
@@ -571,7 +572,7 @@ def stage_compare(ws: Workspace) -> dict:
         rows.append((name, plain, scaled))
     if not rows:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
-    with open(ws.path("compare.csv"), "w") as fh:
+    with atomic_open(ws.path("compare.csv"), "w") as fh:
         fh.write(f"# config {ws.digest}\n")
         fh.write("reconstruction,nrmse,nrmse_scaled\n")
         for name, plain, scaled in rows:
@@ -657,14 +658,14 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None,
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():
-                    sub.path(f"trace_{axis}{suffix}.bin").write_bytes(
-                        src.read_bytes())
+                    with atomic_open(sub.path(f"trace_{axis}{suffix}.bin")) as fh:
+                        fh.write(src.read_bytes())
         stage_sysmat(sub)
         result = stage_lsqr(sub, force=force)
         value_nrmse = recon.nrmse(result["image"], reference)
         summary.append((value, value_nrmse))
         print(f"sweep {parameter}={value.strip()}: nrmse {value_nrmse:.6g}")
-    with open(ws.path(f"sweep_{parameter}.csv"), "w") as fh:
+    with atomic_open(ws.path(f"sweep_{parameter}.csv"), "w") as fh:
         fh.write(f"# config {ws.digest}\n")
         fh.write(f"{parameter},nrmse\n")
         for value, err in summary:

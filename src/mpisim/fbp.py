@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import atomic_open, open_input
 from .errors import ConfigError
 from .fields import MU0
 from .magnetization import LangevinParams, mbar_prime
@@ -332,7 +333,7 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
 
 
 def save_sinogram_csv(sino: Sinogram, path):
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(f"# sinogram {sino.angles.size} {sino.displacements.size}\n")
         fh.write("# angles " + " ".join(f"{a:.17g}" for a in sino.angles) + "\n")
         fh.write("# displacements "
@@ -341,13 +342,24 @@ def save_sinogram_csv(sino: Sinogram, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _axis_line(fh, label: str) -> np.ndarray:
+    fields = fh.readline().split()
+    if fields[:2] != ["#", label]:
+        raise ValueError(f"expected a '# {label}' line")
+    return np.array([float(v) for v in fields[2:]])
+
+
 def load_sinogram_csv(path) -> Sinogram:
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 4 or head[1] != "sinogram":
-            raise ConfigError(f"{path}: not a sinogram file")
-        angles = np.array([float(v) for v in fh.readline().split()[2:]])
-        disp = np.array([float(v) for v in fh.readline().split()[2:]])
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """Inverse of save_sinogram_csv; a malformed file raises ConfigError."""
+    with open_input(path, "r") as fh:
+        try:
+            head = fh.readline().split()
+            if len(head) != 4 or head[1] != "sinogram":
+                raise ConfigError(f"{path}: not a sinogram file")
+            angles = _axis_line(fh, "angles")
+            disp = _axis_line(fh, "displacements")
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed sinogram: {exc}") from None
     return Sinogram(values=values, angles=angles, displacements=disp,
                     meta={"kind": "loaded"})

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ConfigError, UnsupportedTopologyError
 
 log = logging.getLogger(__name__)
@@ -202,9 +203,12 @@ class FieldEvaluator:
     """Field and time-derivative evaluation for a fixed point set.
 
     The spatial polynomials are evaluated once at construction: polys[j]
-    holds one column per term of component j (None without terms) and
+    holds one row per term of component j (None without terms) and
     harmonics[j] their (degree, order).  Each call for a block of times is
-    then one matrix product per component, polys[j] @ factors(times)[j].
+    then one product per component, polys[j].T @ factors(times)[j], summed
+    by einsum term by term in term order for every (point, time).  A BLAS
+    product would pick its kernel, and with it the summation order, by the
+    number of times, so values would depend on how the times are blocked.
     """
 
     def __init__(self, model: FieldModel, points):
@@ -229,8 +233,8 @@ class FieldEvaluator:
             self._coeffs[j - 1] = np.array([t.coefficient for t in terms])
             self.harmonics[j - 1] = tuple((t.degree, t.order) for t in terms)
             if terms:
-                cols = [eval_harmonic_polynomial(t.degree, t.order, pts) for t in terms]
-                self.polys[j - 1] = np.column_stack(cols)
+                self.polys[j - 1] = np.array(
+                    [eval_harmonic_polynomial(t.degree, t.order, pts) for t in terms])
 
     def factors(self, times, use_dt: bool = False):
         """Per component, c_i h_i(t) of its terms, shape (n_terms_j, len(times)).
@@ -255,7 +259,7 @@ class FieldEvaluator:
         out = np.zeros((3, self.points.shape[0], times.size))
         for j, fac in enumerate(self.factors(times, use_dt)):
             if fac is not None:
-                out[j] = self.polys[j] @ fac
+                np.einsum("ik,it->kt", self.polys[j], fac, out=out[j])
         return out
 
     def field(self, times):
@@ -478,7 +482,7 @@ def perturb_field(model: FieldModel, seed: int, magnitude: float) -> FieldModel:
 
 def write_field_coefficients(model: FieldModel, path):
     """Plain text table, one term per line: j l m c kind f1 f2 phase scale."""
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write("# component degree order coefficient kind f1 f2 phase scale\n")
         for t in model.terms:
             mod = t.modulation

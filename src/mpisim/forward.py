@@ -17,11 +17,13 @@ Three simulators of decreasing generality:
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import atomic_open, open_input
 from .errors import ConfigError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
@@ -117,6 +119,12 @@ class SignalTrace:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ConfigError("trace samples must be 1-D")
+        if not np.all(np.isfinite(self.samples)):
+            raise ConfigError("trace samples must be finite")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigError("trace sample rate must be positive and finite")
+        if not math.isfinite(self.t0):
+            raise ConfigError("trace t0 must be finite")
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
@@ -146,15 +154,38 @@ def _run_blocks(times: np.ndarray, worker, n_workers: int, block: int) -> np.nda
     return out
 
 
+def _filled_cells(model: FieldModel, grid: ConcentrationGrid):
+    """Field evaluator on the cells that hold particles, and their weights.
+
+    A cell with c = 0 adds exactly nothing to the quadrature sum, so B is
+    evaluated only where c != 0; negative and NaN cells are kept, so they
+    still reach the sum.  Returns (FieldEvaluator, c_k * cell volume).
+    """
+    flat = grid.flat()
+    keep = np.flatnonzero(flat)
+    return (FieldEvaluator(model, grid.centers()[keep]),
+            flat[keep] * grid.cell_volume)
+
+
+def _cell_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] values[k, t] for each time t of a block.
+
+    A BLAS product sums the cells in an order that depends on the number
+    of times in the block; a pairwise sum over each time's contiguous row
+    does not, so traces do not depend on the block size.
+    """
+    return np.ascontiguousarray((weights[:, None] * values).T).sum(axis=1)
+
+
 def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
                       config: AcquisitionConfig, params: LangevinParams,
                       n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> SignalTrace:
     """Voltage under the parallel-velocity-field model.
 
-    u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol.
+    u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol,
+    summed over the filled cells only (see _filled_cells).
     """
-    ev = FieldEvaluator(model, grid.centers())
-    weights = grid.flat() * grid.cell_volume
+    ev, weights = _filled_cells(model, grid)
     rho = coil.vector
 
     def worker(tblock):
@@ -162,7 +193,7 @@ def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveC
         bdot = ev.field_dt(tblock)
         mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
         proj = np.einsum("j,jkt->kt", rho, bdot)
-        return -MU0 * (weights @ (proj * mbar_prime(params, mag)))
+        return -MU0 * _cell_sum(weights, proj * mbar_prime(params, mag))
 
     samples = _run_blocks(config.times(), worker, n_workers, block)
     return SignalTrace(samples=samples, sample_rate=config.sample_rate,
@@ -177,9 +208,9 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCo
     The magnetization integral I(t) = int <rho, mbar(|B|) B/|B|> c dr is
     evaluated at the sample times extended by one step on each side and
     differentiated by central differences, so the trace keeps full length.
+    The field is evaluated at the filled cells only (see _filled_cells).
     """
-    ev = FieldEvaluator(model, grid.centers())
-    weights = grid.flat() * grid.cell_volume
+    ev, weights = _filled_cells(model, grid)
     rho = coil.vector
     dt = 1.0 / config.sample_rate
 
@@ -187,7 +218,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCo
         b = ev.field(tblock)
         mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
         proj = np.einsum("j,jkt->kt", rho, b)
-        return weights @ (proj * mbar_over_b(params, mag))
+        return _cell_sum(weights, proj * mbar_over_b(params, mag))
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
@@ -243,7 +274,7 @@ def add_noise(trace: SignalTrace, sigma: float, seed: int) -> SignalTrace:
 
 
 def save_trace_csv(trace: SignalTrace, path, comments=()):
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("t,volts\n")
@@ -273,19 +304,25 @@ def save_trace_bin(trace: SignalTrace, path):
     """ASCII header 'T sample_rate t0 coil', then float64 samples."""
     header = (f"{trace.samples.size} {trace.sample_rate:.17g} "
               f"{trace.t0:.17g} {trace.coil_index}\n")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(trace.samples.astype("<f8").tobytes())
 
 
 def load_trace_bin(path) -> SignalTrace:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+    """Inverse of save_trace_bin; a malformed or truncated file raises ConfigError."""
+    with open_input(path) as fh:
+        line = fh.readline()
+        raw = fh.read()
+    try:
+        header = line.decode("ascii").split()
         if len(header) != 4:
-            raise ConfigError(f"{path}: malformed trace header")
-        n = int(header[0])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n:
-        raise ConfigError(f"{path}: expected {n} samples, got {data.size}")
-    return SignalTrace(samples=data.copy(), sample_rate=float(header[1]),
-                       t0=float(header[2]), coil_index=int(header[3]))
+            raise ValueError(f"expected 4 fields, got {len(header)}")
+        n, rate, t0, coil = (int(header[0]), float(header[1]), float(header[2]),
+                             int(header[3]))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed trace header: {exc}") from None
+    if len(raw) != 8 * n:
+        raise ConfigError(f"{path}: expected {n} samples, got {len(raw) / 8:g}")
+    return SignalTrace(samples=np.frombuffer(raw, dtype="<f8").copy(),
+                       sample_rate=rate, t0=t0, coil_index=coil)

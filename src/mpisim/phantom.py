@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, open_input
 from .errors import ConfigError
 
 _HEADER_FIELDS = 9
@@ -40,8 +41,10 @@ class ConcentrationGrid:
         self.origin = tuple(float(o) for o in self.origin)
         if len(self.spacing) != 3 or len(self.origin) != 3:
             raise ConfigError("spacing and origin must have length 3")
-        if any(s <= 0 for s in self.spacing):
+        if not all(s > 0 for s in self.spacing):
             raise ConfigError("grid spacing must be positive")
+        if not all(math.isfinite(v) for v in self.spacing + self.origin):
+            raise ConfigError("grid spacing and origin must be finite")
 
     @property
     def dims(self) -> tuple:
@@ -182,7 +185,7 @@ def save_grid(grid: ConcentrationGrid, path, comments=()):
     header = (f"{nx} {ny} {nz} "
               f"{grid.spacing[0]:.17g} {grid.spacing[1]:.17g} {grid.spacing[2]:.17g} "
               f"{grid.origin[0]:.17g} {grid.origin[1]:.17g} {grid.origin[2]:.17g}\n")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         for line in comments:
             fh.write(f"# {line}\n".encode("ascii"))
         fh.write(header.encode("ascii"))
@@ -190,19 +193,26 @@ def save_grid(grid: ConcentrationGrid, path, comments=()):
 
 
 def load_grid(path) -> ConcentrationGrid:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        while header and header[0].startswith("#"):
+    """Inverse of save_grid; a malformed or truncated file raises ConfigError."""
+    with open_input(path) as fh:
+        try:
             header = fh.readline().decode("ascii").split()
-        if len(header) != _HEADER_FIELDS:
-            raise ConfigError(f"{path}: malformed grid header")
-        nx, ny, nz = (int(v) for v in header[:3])
-        sx, sy, sz = (float(v) for v in header[3:6])
-        ox, oy, oz = (float(v) for v in header[6:9])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != nx * ny * nz:
-        raise ConfigError(f"{path}: expected {nx * ny * nz} cells, got {data.size}")
-    values = data.reshape((nx, ny, nz), order="F")
+            while header and header[0].startswith("#"):
+                header = fh.readline().decode("ascii").split()
+            if len(header) != _HEADER_FIELDS:
+                raise ValueError(f"expected {_HEADER_FIELDS} fields, got {len(header)}")
+            nx, ny, nz = (int(v) for v in header[:3])
+            sx, sy, sz = (float(v) for v in header[3:6])
+            ox, oy, oz = (float(v) for v in header[6:9])
+            if min(nx, ny, nz) < 1:
+                raise ValueError("grid dimensions must be positive")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed grid header: {exc}") from None
+        raw = fh.read()
+    n = nx * ny * nz
+    if len(raw) != 8 * n:
+        raise ConfigError(f"{path}: expected {n} cells, got {len(raw) / 8:g}")
+    values = np.frombuffer(raw, dtype="<f8").reshape((nx, ny, nz), order="F")
     return ConcentrationGrid(values=values, spacing=(sx, sy, sz),
                              origin=(ox, oy, oz))
 
@@ -225,6 +235,6 @@ def save_pgm(path, plane, vmin: float = 0.0, vmax: float | None = None):
     norm = np.clip((plane - vmin) / (vmax - vmin), 0.0, 1.0)
     img = np.round(norm * 65535.0).astype(">u2")
     img = img.T[::-1]
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii"))
         fh.write(img.tobytes())

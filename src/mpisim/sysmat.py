@@ -14,9 +14,7 @@ application.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -24,14 +22,19 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, HashMismatchError, MissingInputError, ResourceCapError
+from .artifacts import atomic_open, open_input
+from .errors import ConfigError, HashMismatchError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
 from .forward import highpass_mask
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
-_DEFAULT_BLOCK = 256
+# times per assembly block: a block's temporaries (B at every cell center,
+# 3 x n_cells x block floats) stay a few MB, so what worker threads free is
+# reused instead of piling up in their malloc arenas and making peak memory
+# vary from run to run
+_DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
@@ -81,7 +84,7 @@ class CellQuadrature:
         columns = {}
         for polys, harmonics in zip(self.evaluator.polys, self.evaluator.harmonics):
             for i, lm in enumerate(harmonics):
-                columns.setdefault(lm, polys[:, i])
+                columns.setdefault(lm, polys[i])
         self._columns = {lm: k for k, lm in enumerate(columns)}
         self._grad = np.array([harmonic_gradient_bound(l, radius)
                                for l, _ in columns])
@@ -384,18 +387,11 @@ def save_system_matrix(sm: SystemMatrix, path):
                   *(f"{s:.17g}" for s in sm.grid_spacing),
                   *(f"{o:.17g}" for o in sm.grid_origin)]),
     ]
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
-            fh.write(coo.row.astype("<i8").tobytes())
-            fh.write(coo.col.astype("<i8").tobytes())
-            fh.write(coo.data.astype("<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(coo.row.astype("<i8").tobytes())
+        fh.write(coo.col.astype("<i8").tobytes())
+        fh.write(coo.data.astype("<f8").tobytes())
 
 
 def _parse_header(lines):
@@ -432,11 +428,7 @@ def load_system_matrix(path, expected_hash: str | None = None,
     A malformed header, a truncated payload, an index outside the stored
     shape or a non-finite value raises ConfigError.
     """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingInputError(f"system matrix file not found: {path}") from None
-    with fh:
+    with open_input(path) as fh:
         lines = [fh.readline() for _ in range(4)]
         raw = fh.read()
     try:

@@ -1,0 +1,142 @@
+"""Artifact files: atomic writes, and loaders that fail only with typed errors."""
+
+import types
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mpisim.artifacts import atomic_open
+from mpisim.errors import ConfigError, MissingInputError
+from mpisim.fbp import Sinogram, load_sinogram_csv, save_sinogram_csv
+from mpisim.forward import SignalTrace, load_trace_bin, save_trace_bin, save_trace_csv
+from mpisim.phantom import build_disc_phantom, load_grid, save_grid
+
+
+def _grid():
+    return build_disc_phantom(0.01, [0.004], 0.01 / 4, centers=[(0.0, 0.0)])
+
+
+def _trace():
+    return SignalTrace(samples=np.linspace(-1.0, 1.0, 5), sample_rate=1e6,
+                       t0=1e-6, coil_index=1)
+
+
+def _sinogram():
+    return Sinogram(values=np.arange(6.0).reshape(2, 3), angles=[0.0, 1.5],
+                    displacements=[-1e-3, 0.0, 1e-3], meta={})
+
+
+def _interrupting_comments():
+    yield "config 0123"
+    raise KeyboardInterrupt
+
+
+class _InterruptingSamples:
+    size = 5
+
+    def astype(self, dtype):
+        raise KeyboardInterrupt
+
+
+def _interrupted_trace_bin(path):
+    trace = types.SimpleNamespace(samples=_InterruptingSamples(), sample_rate=1e6,
+                                  t0=0.0, coil_index=0)
+    save_trace_bin(trace, path)
+
+
+# each writer is interrupted after it has written part of the file
+WRITERS = {
+    "grid": (lambda p: save_grid(_grid(), p),
+             lambda p: save_grid(_grid(), p, comments=_interrupting_comments())),
+    "trace_bin": (lambda p: save_trace_bin(_trace(), p), _interrupted_trace_bin),
+    "trace_csv": (lambda p: save_trace_csv(_trace(), p),
+                  lambda p: save_trace_csv(_trace(), p,
+                                           comments=_interrupting_comments())),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_interrupted_write_keeps_the_old_file(tmp_path, writer):
+    write, interrupted = WRITERS[writer]
+    path = tmp_path / "artifact"
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        interrupted(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("killed")
+    assert path.read_bytes() == b"old"
+    with atomic_open(path, "w") as fh:
+        fh.write("new")
+    assert path.read_text() == "new"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_loaders_report_a_missing_file(tmp_path):
+    for load in (load_grid, load_trace_bin, load_sinogram_csv):
+        with pytest.raises(MissingInputError):
+            load(tmp_path / "absent")
+
+
+# --- fuzzing: truncated, garbled and random files ----------------------------
+
+LOADERS = {
+    "grid": (load_grid, lambda p: save_grid(_grid(), p, comments=["config 0123"])),
+    "trace_bin": (load_trace_bin, lambda p: save_trace_bin(_trace(), p)),
+    "sinogram": (load_sinogram_csv, lambda p: save_sinogram_csv(_sinogram(), p)),
+}
+
+_field = st.one_of(
+    st.integers(min_value=-10**20, max_value=10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "#", "sinogram",
+                     "angles", "displacements", "", "0x10", "1_0", ","]),
+    st.text(max_size=6),
+)
+_header = st.lists(_field, max_size=12).map(" ".join)
+
+
+@st.composite
+def _corrupted(draw, valid: bytes) -> bytes:
+    """A valid file truncated, with one line replaced, or random bytes."""
+    kind = draw(st.sampled_from(["truncate", "line", "random"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "random":
+        return draw(st.binary(max_size=96))
+    lines = valid.split(b"\n")
+    i = draw(st.integers(0, min(len(lines) - 1, 3)))
+    lines[i] = draw(_header).encode("utf-8", "surrogatepass")
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_raise_only_typed_errors(tmp_path_factory, loader):
+    load, save = LOADERS[loader]
+    tmp_dir = tmp_path_factory.mktemp(f"fuzz_{loader}")
+    save(tmp_dir / "valid")
+    valid = (tmp_dir / "valid").read_bytes()
+    path = tmp_dir / "case"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=_corrupted(valid))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            load(path)
+        except (ConfigError, MissingInputError):
+            pass
+
+    check()

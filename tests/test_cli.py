@@ -179,6 +179,48 @@ def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
     assert "malformed header" in err and "Traceback" not in err
 
 
+def _replace_header(path, header: bytes):
+    """Overwrite the first line of an artifact that is not a '#' comment."""
+    lines = path.read_bytes().split(b"\n")
+    first = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+    lines[first] = header
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("argv, name, header", [
+    (["simulate"], "phantom.grid", b"a b c 1 1 1 0 0 0"),
+    (["lsqr", "--force"], "trace_x_filtered.bin", b"x 1e6 0 0"),
+])
+def test_garbled_artifact_header_exits_2(pipeline_dir, tmp_path, capsys,
+                                         argv, name, header):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    _replace_header(work / name, header)
+    capsys.readouterr()
+    assert cli.main([*argv, "-c", str(ini), "-o", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and name in err and "Traceback" not in err
+
+
+def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    path = work / "phantom.grid"
+    data = path.read_bytes()
+    n = load_grid(path).n_cells
+    # NaN in the first cell of the payload, which follows the header
+    path.write_bytes(data[:-8 * n] + np.array([np.nan], "<f8").tobytes()
+                     + data[-8 * n + 8:])
+    before = (work / "trace_x.bin").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["simulate", "-c", str(ini), "-o", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert (work / "trace_x.bin").read_bytes() == before
+
+
 def test_single_stage_commands(tmp_path, monkeypatch):
     # each command looks its stage up on the module, as run does, so a
     # wrapped stage is the one that runs

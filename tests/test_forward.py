@@ -1,11 +1,15 @@
 """Receive chain: coils, acquisition timing, the three simulators, filtering."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from mpisim import forward
 from mpisim import magnetization as mag
 from mpisim.errors import ConfigError
-from mpisim.fields import build_topology
+from mpisim.fields import MU0, FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
     ReceiveCoil,
@@ -75,6 +79,18 @@ def test_trace_rms():
     assert tr.rms == 3.0
     with pytest.raises(ConfigError):
         SignalTrace(samples=np.zeros((4, 2)), sample_rate=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        SignalTrace(samples=np.array([0.0, bad, 1.0]), sample_rate=1e6)
+    with pytest.raises(ConfigError, match="sample rate"):
+        SignalTrace(samples=np.zeros(3), sample_rate=bad)
+    with pytest.raises(ConfigError, match="t0"):
+        SignalTrace(samples=np.zeros(3), sample_rate=1e6, t0=bad)
+    with pytest.raises(ConfigError, match="sample rate"):
+        SignalTrace(samples=np.zeros(3), sample_rate=0.0)
 
 
 def test_add_noise_seeded():
@@ -172,10 +188,149 @@ def test_piecewise_tracks_parallel():
     assert np.linalg.norm(pw.samples - par.samples) / scale < 0.03
 
 
+# --- quadrature simulators on the filled cells --------------------------------
+
+def _full_grid_trace(simulate, model, grid, coil, config, params):
+    """The quadrature sum over every cell of the grid, empty ones included.
+
+    The oracle for the simulators, which evaluate the field at the filled
+    cells only: the same formulas, one BLAS product over all cells.
+    """
+    ev = FieldEvaluator(model, grid.centers())
+    weights = grid.flat() * grid.cell_volume
+    rho = coil.vector
+    dt = 1.0 / config.sample_rate
+    times = config.times()
+    if simulate is simulate_parallel:
+        b, bdot = ev.field(times), ev.field_dt(times)
+        mag_b = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
+        proj = np.einsum("j,jkt->kt", rho, bdot)
+        return -MU0 * (weights @ (proj * mag.mbar_prime(params, mag_b)))
+    extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
+    b = ev.field(extended)
+    mag_b = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
+    proj = np.einsum("j,jkt->kt", rho, b)
+    ivals = weights @ (proj * mag.mbar_over_b(params, mag_b))
+    return -MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt)
+
+
+def _desk_ffl_scene(magnitude=0.0):
+    """Rotating FFL of the desk scanner over one rotation, on a 24x24 grid."""
+    model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3,
+                           validity_radius=0.1)
+    if magnitude:
+        model = perturb_field(model, seed=1, magnitude=magnitude)
+    grid = build_disc_phantom(0.06, [0.02, 0.012], 0.06 / 24)
+    config = AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=1e-3, f_rot=1e3)
+    return model, grid, config, mag.LangevinParams(m0=1.0, lam=1600.0)
+
+
+def _lissajous_3d_scene():
+    """3-D Lissajous FFP over a 12x12x4 grid with a disc in every plane."""
+    model = build_topology("lissajous_ffp", g=1.0, d=(0.012, 0.012, 0.012),
+                           f=(25e3, 26e3, 27e3))
+    grid = build_disc_phantom(0.03, [0.012], 0.03 / 12, centers=[(0.002, -0.001)],
+                              nz=4, z_spacing=2.5e-3)
+    config = AcquisitionConfig(f_d=27e3, sample_rate=2e6, duration=2e-4)
+    return model, grid, config, mag.LangevinParams(m0=1.0, lam=2500.0)
+
+
+def _signed_scene():
+    """Perturbed desk field over a grid of fractional and negative cells."""
+    model, grid, config, params = _desk_ffl_scene(magnitude=0.35)
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1.0, 2.0, grid.n_cells) * (rng.random(grid.n_cells) < 0.2)
+    assert np.any(values < 0) and np.any((values > 0) & (values != 1))
+    return model, grid.with_values(values), config, params
+
+
+SCENES = {
+    "ideal_rotating_ffl": lambda: _desk_ffl_scene(),
+    "perturbed_rotating_ffl": lambda: _desk_ffl_scene(magnitude=0.35),
+    "lissajous_3d": _lissajous_3d_scene,
+    "signed_values": _signed_scene,
+}
+
+
+@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("scene", sorted(SCENES))
+def test_filled_cell_simulators_match_full_grid_oracle(scene, simulate):
+    model, grid, config, params = SCENES[scene]()
+    assert 0 < np.count_nonzero(grid.flat()) < grid.n_cells
+    oracle = _full_grid_trace(simulate, model, grid, coil_along("x"), config, params)
+    got = simulate(model, grid, coil_along("x"), config, params).samples
+    scale = np.max(np.abs(oracle))
+    assert scale > 0
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+def test_empty_phantom_gives_zero_trace(simulate):
+    model, grid, config, params = _desk_ffl_scene()
+    empty = grid.with_values(np.zeros(grid.dims))
+    trace = simulate(model, empty, coil_along("x"), config, params)
+    assert trace.samples.size == config.n_samples
+    assert np.all(trace.samples == 0.0)
+
+
+@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+def test_simulators_evaluate_the_field_at_the_filled_cells_only(simulate,
+                                                                monkeypatch):
+    model, grid, config, params = _signed_scene()
+    built = []
+
+    class RecordingEvaluator(FieldEvaluator):
+        def __init__(self, model, points):
+            super().__init__(model, points)
+            built.append(self.points)
+
+    monkeypatch.setattr(forward, "FieldEvaluator", RecordingEvaluator)
+    simulate(model, grid, coil_along("x"), config, params)
+    filled = np.flatnonzero(grid.flat())
+    assert len(built) == 1
+    assert np.array_equal(built[0], grid.centers()[filled])
+
+
+@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+def test_non_finite_cell_reaches_the_trace_check(simulate):
+    # an empty corner cell turned NaN behind the grid's own finite check:
+    # it is nonzero, so it reaches the sum and the trace is rejected
+    model, grid, config, params = _desk_ffl_scene()
+    values = grid.values.copy()
+    assert values[0, 0, 0] == 0.0
+    values[0, 0, 0] = np.nan
+    grid.values = values
+    with pytest.raises(ConfigError, match="finite"):
+        simulate(model, grid, coil_along("x"), config, params)
+
+
+@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+def test_validity_warning_counts_filled_cells_only(simulate, caplog):
+    # the sphere holds the disc at the center; the grid corners lie outside
+    model = build_topology("static_ffl", g=1.0, d=0.02, f_d=25e3, alpha=0.4,
+                           validity_radius=0.005)
+    _, grid, config, params = small_scene(sample_rate=1e6)
+    assert np.max(np.linalg.norm(grid.centers(), axis=1)) > 0.005
+    inside = build_disc_phantom(0.010, [0.008], 0.010 / 16, centers=[(0.0, 0.0)])
+    with caplog.at_level(logging.WARNING, logger="mpisim.fields"):
+        simulate(model, inside, coil_along("x"), config, params)
+    assert not any("validity" in rec.message for rec in caplog.records)
+    corner = inside.values.copy()
+    corner[0, 0, 0] = 0.5
+    with caplog.at_level(logging.WARNING, logger="mpisim.fields"):
+        simulate(model, inside.with_values(corner), coil_along("x"), config, params)
+    assert any("1 of" in rec.message and "validity" in rec.message
+               for rec in caplog.records)
+
+
 def test_workers_and_blocks_do_not_change_results():
-    model, grid, config, params = small_scene(sample_rate=1e6)
+    model, grid, config, params = _signed_scene()
+    config = dataclasses.replace(config, duration=2e-4, f_rot=0.0)
     coil = coil_along("y")
-    base = simulate_parallel(model, grid, coil, config, params)
-    split = simulate_parallel(model, grid, coil, config, params,
-                              n_workers=3, block=7)
-    assert np.allclose(split.samples, base.samples, atol=1e-18)
+    for simulate in (simulate_general, simulate_parallel):
+        base = simulate(model, grid, coil, config, params).samples
+        for workers in (1, 2, 3):
+            for block in (1, 7, 256):
+                split = simulate(model, grid, coil, config, params,
+                                 n_workers=workers, block=block)
+                assert np.array_equal(split.samples, base), (simulate, workers, block)
