@@ -2,7 +2,8 @@
 
 Writers go through atomic_open, so an interrupted stage never leaves a
 partial file for the next one; loaders open through open_input, so a
-missing file raises MissingInputError rather than FileNotFoundError.
+missing file raises MissingInputError rather than FileNotFoundError and a
+directory ConfigError rather than IsADirectoryError.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import MissingInputError
+from .errors import ConfigError, MissingInputError
 
 
 @contextlib.contextmanager
@@ -32,8 +33,10 @@ def atomic_open(path, mode: str = "wb"):
 
 
 def open_input(path, mode: str = "rb"):
-    """open(path, mode) for reading; a missing file raises MissingInputError."""
+    """open(path, mode) for reading, with typed errors for a missing file or a directory."""
     try:
         return open(path, mode)
     except FileNotFoundError:
         raise MissingInputError(f"input file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{path} is a directory, not a file") from None

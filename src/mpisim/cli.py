@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
-from .artifacts import atomic_open
+from .artifacts import atomic_open, open_input
 from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
                      MpiSimError)
 
@@ -86,13 +86,11 @@ DEFAULTS = {
         "model": "general",
         "subsampling": "2",
         "workers": "4",
-        "block": "256",
     },
     "sysmat": {
         "subsampling": "2",
         "nnz_cap": "50000000",
         "workers": "4",
-        "block": "64",
     },
     "solver": {
         "iterations": "20",
@@ -109,7 +107,6 @@ DEFAULTS = {
         "baseline": "auto",
         "cos_guard": "0.05",
     },
-    "sweep": {"data_model": "general"},
     "output": {"directory": "out"},
 }
 
@@ -141,11 +138,9 @@ class RunConfig:
             parser = configparser.ConfigParser(interpolation=None)
             parser.optionxform = str
             try:
-                with open(path) as fh:
+                with open_input(path, "r") as fh:
                     parser.read_file(fh)
-            except FileNotFoundError:
-                raise MissingInputError(f"config file not found: {path}") from None
-            except configparser.Error as exc:
+            except (UnicodeDecodeError, configparser.Error) as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
             for sec in parser.sections():
                 if sec not in sections:
@@ -405,7 +400,6 @@ def stage_simulate(ws: Workspace) -> dict:
     coils = make_coils(cfg)
     kind = cfg.text("forward", "model")
     workers = cfg.integer("forward", "workers")
-    block = cfg.integer("forward", "block")
     noise_level = cfg.qty("acquisition", "noise_level")
     noise_seed = cfg.integer("acquisition", "noise_seed")
     traces = []
@@ -413,16 +407,16 @@ def stage_simulate(ws: Workspace) -> dict:
         if kind == "parallel":
             trace = forward.simulate_parallel(model, grid, coil, acq,
                                               make_params(cfg),
-                                              n_workers=workers, block=block)
+                                              n_workers=workers)
         elif kind == "general":
             trace = forward.simulate_general(model, grid, coil, acq,
                                              make_params(cfg),
-                                             n_workers=workers, block=block)
+                                             n_workers=workers)
         elif kind == "piecewise":
             trace = forward.simulate_piecewise(
                 model, grid, coil, acq, make_approx(cfg),
                 subsampling=cfg.integer("forward", "subsampling"),
-                n_workers=workers, block=block)
+                n_workers=workers)
         else:
             raise ConfigError(f"unknown forward model {kind!r}")
         if noise_level > 0:
@@ -470,8 +464,7 @@ def stage_sysmat(ws: Workspace) -> dict:
             model, approx, coil, times, grid,
             subsampling=cfg.integer("sysmat", "subsampling"),
             nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-            n_workers=cfg.integer("sysmat", "workers"),
-            block=cfg.integer("sysmat", "block"))
+            n_workers=cfg.integer("sysmat", "workers"))
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
         path = ws.path(f"sysmat_{axis}.mat")
@@ -510,8 +503,8 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     stacked, rhs = sysmat.stack_coils(matrices, traces)
     options = recon.LsqrOptions(
         max_iterations=cfg.integer("solver", "iterations"),
-        atol=float(cfg.text("solver", "atol")),
-        btol=float(cfg.text("solver", "btol")))
+        atol=cfg.qty("solver", "atol"),
+        btol=cfg.qty("solver", "btol"))
     result = recon.lsqr_solve(stacked, rhs, options)
     grid = make_grid(cfg, "recon")
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
@@ -537,9 +530,9 @@ def stage_fbp(ws: Workspace) -> dict:
         n_bins=cfg.integer("fbp", "bins"),
         deconvolve=deconvolve,
         params=make_params(cfg) if deconvolve else None,
-        nsr=float(cfg.text("fbp", "nsr")),
+        nsr=cfg.qty("fbp", "nsr"),
         decimate=cfg.integer("fbp", "decimate"),
-        cos_guard=float(cfg.text("fbp", "cos_guard")))
+        cos_guard=cfg.qty("fbp", "cos_guard"))
     baseline = cfg.text("fbp", "baseline").lower()
     if baseline not in ("auto", "on", "off"):
         raise ConfigError(f"fbp.baseline must be auto, on or off, not {baseline!r}")
@@ -632,18 +625,14 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None,
               force: bool = False) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
-    The voltage data is simulated once from the base config (with the
-    data_model forward model, so it does not depend on the staircase being
-    swept); each value then rebuilds the staircase, the system matrix and
-    the LSQR reconstruction, and the summary records NRMSE against the
-    phantom on the reconstruction grid.
+    The voltage data is simulated once from the base config with its
+    forward.model; each value then rebuilds the staircase, the system
+    matrix and the LSQR reconstruction, and the summary records NRMSE
+    against the phantom on the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base_sections = copy.deepcopy(cfg.sections)
-    base_sections["forward"]["model"] = cfg.text("sweep", "data_model")
-    base = RunConfig(base_sections)
-    ws = Workspace(base, outdir)
+    ws = Workspace(cfg, outdir)
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)
@@ -651,10 +640,10 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None,
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
     summary = []
     for value in values:
-        variant = _sweep_variant(base, parameter, value)
+        variant = _sweep_variant(cfg, parameter, value)
         sub = Workspace(variant, ws.dir / f"{parameter}_{_slug(value)}")
         sub.prepare()
-        for axis in _axis_names(base):
+        for axis in _axis_names(cfg):
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():

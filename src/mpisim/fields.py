@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, open_input
 from .errors import ConfigError, UnsupportedTopologyError
 
 log = logging.getLogger(__name__)
@@ -495,25 +495,30 @@ def load_field_coefficients(path, validity_radius: float = 0.05) -> FieldModel:
     """Read a coefficient table written by write_field_coefficients.
 
     Lines starting with '#' and blank lines are skipped.  Malformed rows
-    raise ConfigError with the 1-based line number.
+    raise ConfigError with the 1-based line number, as does a file that is
+    not text; a missing file raises MissingInputError.
     """
+    with open_input(path, "r") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     terms = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 9:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 9 fields, got {len(fields)}")
-            try:
-                j, l, m = int(fields[0]), int(fields[1]), int(fields[2])
-                c = float(fields[3])
-                kind = fields[4]
-                f1, f2, phase, scale = (float(v) for v in fields[5:9])
-                mod = TimeModulation(kind, f1=f1, f2=f2, phase=phase, scale=scale)
-                terms.append(SHTerm(j, l, m, c, mod))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 9:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 9 fields, got {len(fields)}")
+        try:
+            j, l, m = int(fields[0]), int(fields[1]), int(fields[2])
+            c = float(fields[3])
+            kind = fields[4]
+            f1, f2, phase, scale = (float(v) for v in fields[5:9])
+            mod = TimeModulation(kind, f1=f1, f2=f2, phase=phase, scale=scale)
+            terms.append(SHTerm(j, l, m, c, mod))
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return FieldModel(terms=tuple(terms), validity_radius=validity_radius)

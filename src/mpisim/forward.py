@@ -134,24 +134,17 @@ class SignalTrace:
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
 
-def _time_blocks(n: int, block: int):
-    for start in range(0, n, block):
-        yield start, min(start + block, n)
+def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int) -> list:
+    """[fn(times[lo:lo + block]) for each consecutive span], in span order.
 
-
-def _run_blocks(times: np.ndarray, worker, n_workers: int, block: int) -> np.ndarray:
-    """Fill a result vector block by block; merge order is by block index."""
-    out = np.empty(times.size)
-    spans = list(_time_blocks(times.size, block))
-    if n_workers <= 1:
-        for lo, hi in spans:
-            out[lo:hi] = worker(times[lo:hi])
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(lo, hi, pool.submit(worker, times[lo:hi])) for lo, hi in spans]
-            for lo, hi, fut in futures:
-                out[lo:hi] = fut.result()
-    return out
+    Spans run on a thread pool when n_workers > 1 and there is more than
+    one of them, serially otherwise.
+    """
+    spans = [times[lo:lo + block] for lo in range(0, times.size, block)]
+    if n_workers <= 1 or len(spans) <= 1:
+        return [fn(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, spans))
 
 
 def _filled_cells(model: FieldModel, grid: ConcentrationGrid):
@@ -195,7 +188,8 @@ def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveC
         proj = np.einsum("j,jkt->kt", rho, bdot)
         return -MU0 * _cell_sum(weights, proj * mbar_prime(params, mag))
 
-    samples = _run_blocks(config.times(), worker, n_workers, block)
+    samples = np.concatenate(
+        map_time_blocks(worker, config.times(), n_workers, block))
     return SignalTrace(samples=samples, sample_rate=config.sample_rate,
                        t0=config.t0, coil_index=coil.index)
 
@@ -222,7 +216,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCo
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    ivals = _run_blocks(extended, integral, n_workers, block)
+    ivals = np.concatenate(map_time_blocks(integral, extended, n_workers, block))
     samples = -MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt)
     return SignalTrace(samples=samples, sample_rate=config.sample_rate,
                        t0=config.t0, coil_index=coil.index)
@@ -245,7 +239,8 @@ def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coil: Receive
     def worker(tblock):
         return quad.weights(approx, coil.vector, tblock).T @ c
 
-    samples = _run_blocks(config.times(), worker, n_workers, block)
+    samples = np.concatenate(
+        map_time_blocks(worker, config.times(), n_workers, block))
     return SignalTrace(samples=samples, sample_rate=config.sample_rate,
                        t0=config.t0, coil_index=coil.index)
 
@@ -284,13 +279,16 @@ def save_trace_csv(trace: SignalTrace, path, comments=()):
 
 def load_trace_csv(path, sample_rate: float | None = None,
                    coil_index: int = 0) -> SignalTrace:
-    skip = 1
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            skip += 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip)
+    """Inverse of save_trace_csv; a malformed file raises ConfigError."""
+    with open_input(path, "r") as fh:
+        try:
+            line = fh.readline()
+            while line.startswith("#"):
+                line = fh.readline()
+            # line is the 't,volts' header; the samples follow
+            data = np.loadtxt(fh, delimiter=",")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed trace CSV: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"{path}: expected two CSV columns t,volts")
     t = data[:, 0]

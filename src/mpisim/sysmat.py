@@ -15,7 +15,6 @@ application.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -26,7 +25,7 @@ from .artifacts import atomic_open, open_input
 from .errors import ConfigError, HashMismatchError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
-from .forward import highpass_mask
+from .forward import highpass_mask, map_time_blocks
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
@@ -294,19 +293,8 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
             f"estimated {est} nonzeros exceeds the cap of {nnz_cap}; raise the "
             f"cap, shrink the grid, or lower the threshold b")
 
-    if block > times.size:
-        block = times.size
-    spans = [(lo, min(lo + block, times.size)) for lo in range(0, times.size, block)]
-
-    def assemble(span):
-        lo, hi = span
-        return quad.sparse_weights(approx, rho, times[lo:hi])
-
-    if n_workers <= 1:
-        blocks = [assemble(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(assemble, spans))
+    blocks = map_time_blocks(lambda span: quad.sparse_weights(approx, rho, span),
+                             times, n_workers, block)
     total = sum(b.nnz for b in blocks)
     if total > nnz_cap:
         raise ResourceCapError(f"assembled {total} nonzeros exceeds the cap "

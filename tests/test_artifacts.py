@@ -8,9 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpisim.artifacts import atomic_open
-from mpisim.errors import ConfigError, MissingInputError
+from mpisim.cli import RunConfig
+from mpisim.errors import ConfigError, MissingInputError, MpiSimError
 from mpisim.fbp import Sinogram, load_sinogram_csv, save_sinogram_csv
-from mpisim.forward import SignalTrace, load_trace_bin, save_trace_bin, save_trace_csv
+from mpisim.fields import build_topology, load_field_coefficients, write_field_coefficients
+from mpisim.forward import (SignalTrace, load_trace_bin, load_trace_csv, save_trace_bin,
+                            save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
 
 
@@ -26,6 +29,16 @@ def _trace():
 def _sinogram():
     return Sinogram(values=np.arange(6.0).reshape(2, 3), angles=[0.0, 1.5],
                     displacements=[-1e-3, 0.0, 1e-3], meta={})
+
+
+def _write_coefficients(path):
+    model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
+    write_field_coefficients(model, path)
+
+
+def _write_ini(path):
+    path.write_text("# desk scene\n[magnetization]\nb = 4 mT\nn_intervals = 8\n\n"
+                    "[solver]\natol = 1e-6\n")
 
 
 def _interrupting_comments():
@@ -84,7 +97,7 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
 
 
 def test_loaders_report_a_missing_file(tmp_path):
-    for load in (load_grid, load_trace_bin, load_sinogram_csv):
+    for load, _ in LOADERS.values():
         with pytest.raises(MissingInputError):
             load(tmp_path / "absent")
 
@@ -95,13 +108,25 @@ LOADERS = {
     "grid": (load_grid, lambda p: save_grid(_grid(), p, comments=["config 0123"])),
     "trace_bin": (load_trace_bin, lambda p: save_trace_bin(_trace(), p)),
     "sinogram": (load_sinogram_csv, lambda p: save_sinogram_csv(_sinogram(), p)),
+    "trace_csv": (load_trace_csv,
+                  lambda p: save_trace_csv(_trace(), p, comments=["config 0123"])),
+    "coefficients": (load_field_coefficients, _write_coefficients),
+    "ini": (RunConfig.load, _write_ini),
 }
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_reject_a_directory(tmp_path, loader):
+    load, _ = LOADERS[loader]
+    with pytest.raises(ConfigError, match="directory"):
+        load(tmp_path)
 
 _field = st.one_of(
     st.integers(min_value=-10**20, max_value=10**20).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "#", "sinogram",
-                     "angles", "displacements", "", "0x10", "1_0", ","]),
+                     "angles", "displacements", "", "0x10", "1_0", ",", "t,volts",
+                     "sin", "sinsin", "const", "[solver]", "[sweep]", "=", "b ="]),
     st.text(max_size=6),
 )
 _header = st.lists(_field, max_size=12).map(" ".join)
@@ -136,7 +161,7 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, loader):
         path.write_bytes(data)
         try:
             load(path)
-        except (ConfigError, MissingInputError):
+        except MpiSimError:
             pass
 
     check()

@@ -221,6 +221,49 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
     assert (work / "trace_x.bin").read_bytes() == before
 
 
+# {work}: a copy of the tiny pipeline's outputs; {bytes}: a file that is not
+# UTF-8; {dir}: a directory
+@pytest.mark.parametrize("argv, code, message", [
+    (["lsqr", "--set", "solver.atol=abc"], 2, "quantity"),
+    (["lsqr", "--set", "solver.btol=1e-8 parsec"], 2, "unit"),
+    (["fbp", "--set", "fbp.nsr=1e-2x"], 2, "unit"),
+    (["fbp", "--set", "fbp.cos_guard=zz"], 2, "quantity"),
+    (["field-info", "-c", "{bytes}"], 2, "decode"),
+    (["field-info", "-c", "{dir}"], 2, "directory"),
+    (["field-info", "--set", "field.coefficients={work}/absent"], 3, "not found"),
+    (["field-info", "--set", "field.coefficients={bytes}"], 2, "decode"),
+    (["field-info", "--set", "field.coefficients={dir}"], 2, "directory"),
+])
+def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
+                                    argv, code, message):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\x80\x81")
+    paths = {"work": work, "bytes": undecodable, "dir": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    if "-c" not in argv:
+        argv += ["-c", str(ini)]
+    capsys.readouterr()
+    assert cli.main([*argv, "-o", str(work)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
+                                      "sweep.data_model=general"])
+def test_removed_config_keys_exit_2(capsys, override):
+    assert cli.main(["field-info", "--set", override]) == 2
+    assert "unknown config entry" in capsys.readouterr().err
+
+
+def test_sweep_section_is_unknown(tmp_path, capsys):
+    ini = write_tiny(tmp_path, extra="\n[sweep]\ndata_model = general\n")
+    assert cli.main(["field-info", "-c", str(ini)]) == 2
+    assert "unknown section [sweep]" in capsys.readouterr().err
+
+
 def test_single_stage_commands(tmp_path, monkeypatch):
     # each command looks its stage up on the module, as run does, so a
     # wrapped stage is the one that runs

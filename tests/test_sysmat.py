@@ -191,10 +191,16 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
 
 def test_worker_count_does_not_change_matrix(scene, matrix_x):
     model, grid, config, approx = scene
-    split = build_system_matrix(model, approx, coil_along("x"), config.times(),
-                                grid, subsampling=2, n_workers=3, block=7)
-    assert (split.matrix != matrix_x.matrix).nnz == 0
-    assert split.config_hash == matrix_x.config_hash
+    base = matrix_x.matrix
+    for workers in (1, 2, 3):
+        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+            split = build_system_matrix(model, approx, coil_along("x"),
+                                        config.times(), grid, subsampling=2,
+                                        n_workers=workers, **block)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(split.matrix, part),
+                                      getattr(base, part)), (workers, block, part)
+            assert split.config_hash == matrix_x.config_hash
 
 
 def test_config_hash_sensitivity(scene):
