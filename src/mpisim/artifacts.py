@@ -33,7 +33,7 @@ def atomic_open(path, mode: str = "wb"):
 
 
 def open_input(path, mode: str = "rb"):
-    """open(path, mode) for reading; a missing file or a directory raises a typed error."""
+    """open(path, mode) for reading; a missing path or a directory is a typed error."""
     try:
         return open(path, mode)
     except FileNotFoundError:

@@ -11,7 +11,8 @@ from mpisim.artifacts import atomic_open
 from mpisim.cli import RunConfig
 from mpisim.errors import ConfigError, MissingInputError, MpiSimError
 from mpisim.fbp import Sinogram, load_sinogram_csv, save_sinogram_csv
-from mpisim.fields import build_topology, load_field_coefficients, write_field_coefficients
+from mpisim.fields import (build_topology, load_field_coefficients,
+                           write_field_coefficients)
 from mpisim.forward import (SignalTrace, load_trace_bin, load_trace_csv, save_trace_bin,
                             save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
