@@ -3,7 +3,9 @@
 Writers go through atomic_open, so an interrupted stage never leaves a
 partial file for the next one; loaders open through open_input, so a
 missing file raises MissingInputError rather than FileNotFoundError and a
-directory ConfigError rather than IsADirectoryError.
+directory ConfigError rather than IsADirectoryError.  CSV loaders hand
+np.loadtxt only data_lines, so an empty body is a ConfigError rather than
+numpy's "input contained no data" warning.
 """
 
 from __future__ import annotations
@@ -40,3 +42,11 @@ def open_input(path, mode: str = "rb"):
         raise MissingInputError(f"input file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"{path} is a directory, not a file") from None
+
+
+def data_lines(fh, path) -> list:
+    """The rest of fh without blank and '#' comment lines; none is a ConfigError."""
+    lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ConfigError(f"{path}: no data rows")
+    return lines

@@ -23,10 +23,7 @@ import numpy as np
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
 from .artifacts import atomic_open, open_input
-from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
-                     MpiSimError)
-
-log = logging.getLogger(__name__)
+from .errors import ConfigError, EXIT_OK, MissingInputError, MpiSimError
 
 UNIT_SCALES = {
     "": 1.0,
@@ -247,10 +244,10 @@ def make_acquisition(cfg: RunConfig) -> forward.AcquisitionConfig:
 
 
 def highpass_cutoff(cfg: RunConfig) -> float | None:
-    raw = cfg.text("acquisition", "highpass").strip().lower()
-    if raw in ("none", "off", ""):
+    raw = cfg.text("acquisition", "highpass").strip()
+    if raw.lower() in ("none", "off", ""):
         return None
-    if raw == "auto":
+    if raw.lower() == "auto":
         return 1.4 * cfg.qty("acquisition", "f_d")
     value = parse_quantity(raw)
     return value if value > 0 else None
@@ -291,10 +288,22 @@ def make_phantom(cfg: RunConfig, which: str) -> phantom.ConcentrationGrid:
 
 
 def make_coils(cfg: RunConfig) -> list:
-    axes = [a.strip() for a in cfg.text("coils", "axes").split(",") if a.strip()]
+    """(axis, ReceiveCoil) pairs in coils.axes order, one per distinct axis."""
+    raw = cfg.text("coils", "axes")
+    axes = [a.strip() for a in raw.split(",") if a.strip()]
     if not axes:
         raise ConfigError("need at least one receive coil axis")
-    return [forward.coil_along(axis, index=i) for i, axis in enumerate(axes)]
+    if len(set(axes)) != len(axes):
+        raise ConfigError(f"coils.axes names an axis twice: {raw!r}")
+    return [(axis, forward.coil_along(axis, index=i)) for i, axis in enumerate(axes)]
+
+
+def make_matrix_recipe(cfg: RunConfig) -> dict:
+    """What every coil's matrix and its config hash are built from."""
+    return {"model": make_field_model(cfg), "approx": make_approx(cfg),
+            "times": make_acquisition(cfg).times(),
+            "grid": make_grid(cfg, "recon"),
+            "subsampling": cfg.integer("sysmat", "subsampling")}
 
 
 def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
@@ -343,24 +352,19 @@ class Workspace:
         return p
 
 
-def _axis_names(cfg: RunConfig) -> list:
-    return [a.strip() for a in cfg.text("coils", "axes").split(",") if a.strip()]
-
-
-def _trace_paths(ws: Workspace, filtered: bool) -> list:
-    suffix = "_filtered" if filtered else ""
-    return [ws.path(f"trace_{axis}{suffix}.bin")
-            for axis in _axis_names(ws.cfg)]
-
-
 def _load_traces(ws: Workspace, filtered: bool) -> list:
-    traces = []
-    for p in _trace_paths(ws, filtered):
-        if not p.exists():
-            raise MissingInputError(
-                f"missing input {p}; run the producing stage first")
-        traces.append(forward.load_trace_bin(p))
-    return traces
+    suffix = "_filtered" if filtered else ""
+    return [forward.load_trace_bin(ws.require(f"trace_{axis}{suffix}.bin"))
+            for axis, _ in make_coils(ws.cfg)]
+
+
+def _write_csv(ws: Workspace, name: str, header: str, rows):
+    """The '# config' line, the header, then one line per row; numbers as .17g."""
+    with atomic_open(ws.path(name), "w") as fh:
+        fh.write(f"# config {ws.digest}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
+                              for v in row) + "\n")
 
 
 def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
@@ -369,11 +373,8 @@ def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
     for axis, label in (("horizontal", "h"), ("vertical", "v")):
         prof = phantom.line_profile(grid, axis, 0.0)
         coords = grid.axis_coords(0 if axis == "horizontal" else 1)
-        with atomic_open(ws.path(f"profile_{name}_{label}.csv"), "w") as fh:
-            fh.write(f"# config {ws.digest}\n")
-            fh.write("coord,value\n")
-            for c, v in zip(coords, prof):
-                fh.write(f"{c:.17g},{v:.17g}\n")
+        _write_csv(ws, f"profile_{name}_{label}.csv", "coord,value",
+                   zip(coords, prof))
 
 
 # --- stages -----------------------------------------------------------------
@@ -397,21 +398,17 @@ def stage_simulate(ws: Workspace) -> dict:
     model = make_field_model(cfg)
     acq = make_acquisition(cfg)
     grid = phantom.load_grid(ws.require("phantom.grid"))
-    coils = make_coils(cfg)
     kind = cfg.text("forward", "model")
     workers = cfg.integer("forward", "workers")
     noise_level = cfg.qty("acquisition", "noise_level")
     noise_seed = cfg.integer("acquisition", "noise_seed")
     traces = []
-    for axis, coil in zip(_axis_names(cfg), coils):
-        if kind == "parallel":
-            trace = forward.simulate_parallel(model, grid, coil, acq,
-                                              make_params(cfg),
-                                              n_workers=workers)
-        elif kind == "general":
-            trace = forward.simulate_general(model, grid, coil, acq,
-                                             make_params(cfg),
-                                             n_workers=workers)
+    for axis, coil in make_coils(cfg):
+        if kind in ("general", "parallel"):
+            simulate = (forward.simulate_general if kind == "general"
+                        else forward.simulate_parallel)
+            trace = simulate(model, grid, coil, acq, make_params(cfg),
+                             n_workers=workers)
         elif kind == "piecewise":
             trace = forward.simulate_piecewise(
                 model, grid, coil, acq, make_approx(cfg),
@@ -438,7 +435,7 @@ def stage_filter(ws: Workspace) -> dict:
         print("filter: high-pass disabled, nothing to do")
         return {}
     traces = []
-    for axis in _axis_names(cfg):
+    for axis, _ in make_coils(cfg):
         trace = forward.load_trace_bin(ws.require(f"trace_{axis}.bin"))
         filtered = forward.apply_highpass(trace, cutoff)
         forward.save_trace_bin(filtered, ws.path(f"trace_{axis}_filtered.bin"))
@@ -452,17 +449,12 @@ def stage_filter(ws: Workspace) -> dict:
 
 def stage_sysmat(ws: Workspace) -> dict:
     cfg = ws.cfg
-    model = make_field_model(cfg)
-    approx = make_approx(cfg)
-    acq = make_acquisition(cfg)
-    grid = make_grid(cfg, "recon")
+    recipe = make_matrix_recipe(cfg)
     cutoff = highpass_cutoff(cfg)
-    times = acq.times()
     matrices = []
-    for axis, coil in zip(_axis_names(cfg), make_coils(cfg)):
+    for axis, coil in make_coils(cfg):
         sm = sysmat.build_system_matrix(
-            model, approx, coil, times, grid,
-            subsampling=cfg.integer("sysmat", "subsampling"),
+            coil=coil, **recipe,
             nnz_cap=cfg.integer("sysmat", "nnz_cap"),
             n_workers=cfg.integer("sysmat", "workers"))
         if cutoff is not None:
@@ -475,45 +467,29 @@ def stage_sysmat(ws: Workspace) -> dict:
     return {"matrices": matrices}
 
 
-def _expected_hashes(cfg: RunConfig):
-    model = make_field_model(cfg)
-    approx = make_approx(cfg)
-    times = make_acquisition(cfg).times()
-    grid = make_grid(cfg, "recon")
-    cutoff = highpass_cutoff(cfg)
-    out = []
-    for coil in make_coils(cfg):
-        digest = sysmat.config_hash(model, approx, grid, times, coil,
-                                    cfg.integer("sysmat", "subsampling"))
-        if cutoff is not None:
-            digest = sysmat.chain_highpass_hash(digest, cutoff)
-        out.append(digest)
-    return out
-
-
 def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     cfg = ws.cfg
     cutoff = highpass_cutoff(cfg)
     traces = _load_traces(ws, filtered=cutoff is not None)
+    recipe = make_matrix_recipe(cfg)
     matrices = []
-    for axis, expected in zip(_axis_names(cfg), _expected_hashes(cfg)):
-        sm = sysmat.load_system_matrix(ws.require(f"sysmat_{axis}.mat"),
-                                       expected_hash=expected, force=force)
-        matrices.append(sm)
+    for axis, coil in make_coils(cfg):
+        expected = sysmat.config_hash(coil=coil, **recipe)
+        if cutoff is not None:
+            expected = sysmat.chain_highpass_hash(expected, cutoff)
+        matrices.append(sysmat.load_system_matrix(
+            ws.require(f"sysmat_{axis}.mat"), expected_hash=expected, force=force))
     stacked, rhs = sysmat.stack_coils(matrices, traces)
     options = recon.LsqrOptions(
         max_iterations=cfg.integer("solver", "iterations"),
         atol=cfg.qty("solver", "atol"),
         btol=cfg.qty("solver", "btol"))
     result = recon.lsqr_solve(stacked, rhs, options)
-    grid = make_grid(cfg, "recon")
+    grid = recipe["grid"]
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "recon_lsqr", image)
-    with atomic_open(ws.path("lsqr_residuals.csv"), "w") as fh:
-        fh.write(f"# config {ws.digest}\n")
-        fh.write("iteration,residual\n")
-        for i, r in enumerate(result.residuals):
-            fh.write(f"{i},{r:.17g}\n")
+    _write_csv(ws, "lsqr_residuals.csv", "iteration,residual",
+               enumerate(result.residuals))
     print(f"lsqr: {result.iterations} iterations, stop {result.stop_reason}, "
           f"final residual {result.residuals[-1]:.6g}")
     return {"image": image, "result": result}
@@ -526,7 +502,7 @@ def stage_fbp(ws: Workspace) -> dict:
     traces = _load_traces(ws, filtered=cutoff is not None)
     deconvolve = cfg.boolean("fbp", "deconvolve")
     sino = fbp_mod.signal_to_sinogram(
-        traces, make_coils(cfg), geometry,
+        traces, [coil for _, coil in make_coils(cfg)], geometry,
         n_bins=cfg.integer("fbp", "bins"),
         deconvolve=deconvolve,
         params=make_params(cfg) if deconvolve else None,
@@ -565,12 +541,9 @@ def stage_compare(ws: Workspace) -> dict:
         rows.append((name, plain, scaled))
     if not rows:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
-    with atomic_open(ws.path("compare.csv"), "w") as fh:
-        fh.write(f"# config {ws.digest}\n")
-        fh.write("reconstruction,nrmse,nrmse_scaled\n")
-        for name, plain, scaled in rows:
-            fh.write(f"{name},{plain:.17g},{scaled:.17g}\n")
-            print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")
+    _write_csv(ws, "compare.csv", "reconstruction,nrmse,nrmse_scaled", rows)
+    for name, plain, scaled in rows:
+        print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")
     return {"rows": rows}
 
 
@@ -621,8 +594,7 @@ def _slug(value: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]+", "_", value.strip()).strip("_")
 
 
-def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None,
-              force: bool = False) -> list:
+def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
     The voltage data is simulated once from the base config with its
@@ -643,22 +615,19 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None,
         variant = _sweep_variant(cfg, parameter, value)
         sub = Workspace(variant, ws.dir / f"{parameter}_{_slug(value)}")
         sub.prepare()
-        for axis in _axis_names(cfg):
+        for axis, _ in make_coils(cfg):
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():
                     with atomic_open(sub.path(f"trace_{axis}{suffix}.bin")) as fh:
                         fh.write(src.read_bytes())
         stage_sysmat(sub)
-        result = stage_lsqr(sub, force=force)
+        result = stage_lsqr(sub)
         value_nrmse = recon.nrmse(result["image"], reference)
         summary.append((value, value_nrmse))
         print(f"sweep {parameter}={value.strip()}: nrmse {value_nrmse:.6g}")
-    with atomic_open(ws.path(f"sweep_{parameter}.csv"), "w") as fh:
-        fh.write(f"# config {ws.digest}\n")
-        fh.write(f"{parameter},nrmse\n")
-        for value, err in summary:
-            fh.write(f"{value.strip()},{err:.17g}\n")
+    _write_csv(ws, f"sweep_{parameter}.csv", f"{parameter},nrmse",
+               [(value.strip(), err) for value, err in summary])
     return summary
 
 
@@ -742,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("threshold_b", "node_count", "scheme"))
     p.add_argument("--values", required=True,
                    help="comma-separated values, e.g. '4 mT,10 mT'")
-    p.add_argument("--force", action="store_true")
     p = sub.add_parser("compare", parents=[common],
                        help="NRMSE between two stored grids")
     p.add_argument("grid_a")
@@ -765,8 +733,7 @@ def main(argv=None) -> int:
             run_pipeline(cfg, stages, outdir=args.outdir, force=args.force)
         elif args.command == "sweep":
             values = [v for v in args.values.split(",") if v.strip()]
-            run_sweep(cfg, args.parameter, values, outdir=args.outdir,
-                      force=args.force)
+            run_sweep(cfg, args.parameter, values, outdir=args.outdir)
         elif args.command == "compare":
             _compare_files(args.grid_a, args.grid_b, args.scale)
         elif args.command == "field-info":

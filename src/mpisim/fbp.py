@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, open_input
+from .artifacts import atomic_open, data_lines, open_input
 from .errors import ConfigError
 from .fields import MU0
 from .magnetization import LangevinParams, mbar_prime
@@ -358,7 +358,7 @@ def load_sinogram_csv(path) -> Sinogram:
                 raise ConfigError(f"{path}: not a sinogram file")
             angles = _axis_line(fh, "angles")
             disp = _axis_line(fh, "displacements")
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+            values = np.loadtxt(data_lines(fh, path), delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed sinogram: {exc}") from None
     return Sinogram(values=values, angles=angles, displacements=disp,

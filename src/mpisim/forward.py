@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, open_input
+from .artifacts import atomic_open, data_lines, open_input
 from .errors import ConfigError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
@@ -74,9 +74,6 @@ class AcquisitionConfig:
     duration: float
     f_rot: float = 0.0
     t0: float = 0.0
-    highpass_cutoff: float | None = None
-    noise_sigma: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         if not (self.f_d > 0 and self.sample_rate > 0 and self.duration > 0):
@@ -97,10 +94,6 @@ class AcquisitionConfig:
     @property
     def n_samples(self) -> int:
         return int(round(self.duration * self.sample_rate))
-
-    @property
-    def cutoff(self) -> float:
-        return 1.4 * self.f_d if self.highpass_cutoff is None else self.highpass_cutoff
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_samples) / self.sample_rate
@@ -286,7 +279,7 @@ def load_trace_csv(path, sample_rate: float | None = None,
             while line.startswith("#"):
                 line = fh.readline()
             # line is the 't,volts' header; the samples follow
-            data = np.loadtxt(fh, delimiter=",")
+            data = np.loadtxt(data_lines(fh, path), delimiter=",")
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed trace CSV: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:

@@ -122,6 +122,18 @@ def test_loaders_reject_a_directory(tmp_path, loader):
     with pytest.raises(ConfigError, match="directory"):
         load(tmp_path)
 
+@pytest.mark.parametrize("load, text", [
+    (load_trace_csv, "# config 0123\nt,volts\n\n# no samples\n"),
+    (load_sinogram_csv,
+     "# sinogram 2 3\n# angles 0 1.5\n# displacements -1e-3 0 1e-3\n\n# no rows\n"),
+])
+def test_csv_loaders_reject_an_empty_body(tmp_path, load, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="no data rows"):
+        load(path)
+
+
 _field = st.one_of(
     st.integers(min_value=-10**20, max_value=10**20).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

@@ -9,6 +9,7 @@ import pytest
 from mpisim import cli
 from mpisim.errors import ConfigError, MissingInputError
 from mpisim.fields import load_field_coefficients
+from mpisim.forward import apply_highpass, load_trace_bin
 from mpisim.phantom import load_grid
 
 
@@ -262,6 +263,50 @@ def test_sweep_section_is_unknown(tmp_path, capsys):
     ini = write_tiny(tmp_path, extra="\n[sweep]\ndata_model = general\n")
     assert cli.main(["field-info", "-c", str(ini)]) == 2
     assert "unknown section [sweep]" in capsys.readouterr().err
+
+
+def test_repeated_coil_axis_exits_2(tmp_path, capsys):
+    # a second x coil would overwrite the first one's trace and matrix
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "-o", str(out),
+                     "--set", "coils.axes=x, y, x"]) == 2
+    assert "names an axis twice" in capsys.readouterr().err
+    assert not (out / "trace_x.bin").exists()
+
+
+def test_sweep_takes_no_force(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--parameter", "threshold_b", "--values", "4 mT",
+                  "--force"])
+    assert exc.value.code == 2
+    assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("highpass, cutoff", [
+    ("auto", 1.4 * 25e3),  # 1.4 f_d at the default 25 kHz drive
+    ("40 kHz", 40e3),
+    ("none", None),
+])
+def test_highpass_setting(pipeline_dir, tmp_path, capsys, highpass, cutoff):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    work.mkdir()
+    for axis in "xy":
+        shutil.copy(out / f"trace_{axis}.bin", work)
+    capsys.readouterr()
+    assert cli.main(["filter", "-c", str(ini), "-o", str(work),
+                     "--set", f"acquisition.highpass={highpass}"]) == 0
+    printed = capsys.readouterr().out
+    if cutoff is None:
+        assert "high-pass disabled" in printed
+        assert list(work.glob("*_filtered.bin")) == []
+        return
+    assert f"high-pass at {cutoff:.6g} Hz" in printed
+    for axis in "xy":
+        want = apply_highpass(load_trace_bin(work / f"trace_{axis}.bin"), cutoff)
+        got = load_trace_bin(work / f"trace_{axis}_filtered.bin")
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_single_stage_commands(tmp_path, monkeypatch):

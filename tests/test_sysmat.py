@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpisim import magnetization as mag
 from mpisim.errors import (
@@ -122,6 +124,43 @@ def test_matrix_vector_product_equals_piecewise(scene, matrix_x):
     pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
                             subsampling=2)
     assert np.max(np.abs(matrix_x.matrix @ grid.flat() - pw.samples)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(topology=st.sampled_from(["rotating_ffl", "lissajous_ffp"]),
+       perturbed=st.booleans(), cells=st.integers(2, 8), nz=st.sampled_from([1, 2]),
+       subsampling=st.sampled_from([1, 2]), n_times=st.integers(40, 200),
+       axis=st.sampled_from("xy"), b=st.floats(4e-3, 10e-3),
+       intervals=st.integers(4, 30), scheme=st.sampled_from(["secant", "tangent"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_matrix_vector_product_equals_piecewise_on_random_scenes(
+        topology, perturbed, cells, nz, subsampling, n_times, axis, b, intervals,
+        scheme, seed):
+    # S c and the piecewise simulator share one quadrature and differ only
+    # in the order of the term sum.  The zero locus starts at the center of
+    # the 10 mm grid, within b of a cell center, so u is never zero.
+    rng = np.random.default_rng(seed)
+    if topology == "rotating_ffl":
+        model = build_topology(topology, g=1.0, d=0.02, f_d=25e3, f_rot=1e3,
+                               validity_radius=0.1)
+    else:
+        model = build_topology(topology, g=1.0, d=(0.012, 0.012, 0.012),
+                               f=(25e3, 26e3, 27e3), validity_radius=0.1)
+    if perturbed:
+        model = perturb_field(model, seed=int(rng.integers(1000)), magnitude=0.35)
+    grid = empty_grid(0.01, 0.01 / cells, nz=nz, z_spacing=1e-3)
+    grid = grid.with_values(rng.uniform(0.0, 1.0, grid.n_cells))
+    config = AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=n_times * 1e-6)
+    approx = mag.build_approx(mag.LangevinParams(m0=1.0, lam=1600.0),
+                              mag.nodes_equidistant(intervals - 1, b), b,
+                              scheme=scheme)
+    coil = coil_along(axis)
+    sm = build_system_matrix(model, approx, coil, config.times(), grid, subsampling)
+    u = simulate_piecewise(model, grid, coil, config, approx,
+                           subsampling=subsampling).samples
+    scale = np.max(np.abs(u))
+    assert scale > 0
+    assert np.max(np.abs(sm.matrix @ grid.flat() - u)) <= 1e-12 * scale
 
 
 def test_pruned_matches_unpruned_static_ffl(scene):
