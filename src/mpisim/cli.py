@@ -250,7 +250,10 @@ def highpass_cutoff(cfg: RunConfig) -> float | None:
     if raw.lower() == "auto":
         return 1.4 * cfg.qty("acquisition", "f_d")
     value = parse_quantity(raw)
-    return value if value > 0 else None
+    if not value > 0:
+        raise ConfigError(f"acquisition.highpass must be positive, not {raw!r}; "
+                          f"none or off disables the filter")
+    return value
 
 
 def make_params(cfg: RunConfig) -> magnetization.LangevinParams:

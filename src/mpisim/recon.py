@@ -37,7 +37,11 @@ class LsqrResult:
 
 
 def _as_operator(a):
-    """Accept a SystemMatrix, an object with .matrix, a sparse or dense array."""
+    """The operator of a SystemMatrix (or .matrix of a holder), else a itself.
+
+    Whatever comes back needs only shape, @ and .T: a sparse or dense
+    array, or sysmat.FilteredOperator.
+    """
     if hasattr(a, "operator"):
         return a.operator()
     return a.matrix if hasattr(a, "matrix") else a
@@ -49,7 +53,9 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
     Starts from x = 0 and records ||A x_i - b|| after every iteration via
     the phibar recurrence, which is non-increasing by construction.  A zero
     operator (or zero rhs) returns the zero solution with a warning flag
-    instead of iterating.
+    instead of iterating.  a is used through shape, a @ v and a.T @ u
+    only (see _as_operator); scipy is loaded only where sysmat builds,
+    stacks or loads a matrix.
     """
     opts = options or LsqrOptions()
     a = _as_operator(a)

@@ -10,6 +10,13 @@ low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
 coefficients, r the center-to-sub-point reach) get their sub-points
 evaluated; see CellQuadrature.  It is stored sparse; filtered on
 application.
+
+scipy.sparse is imported inside the functions that build, stack or load
+CSR (CellQuadrature.sparse_weights, build_system_matrix, stack_coils,
+load_system_matrix), so importing this module, and the stages that never
+touch a matrix, load numpy alone.  An operator handed to recon.lsqr_solve
+needs only shape, @ and .T: the CSR matrix itself, or the filtered
+operator of SystemMatrix.operator().
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifacts import atomic_open, open_input
 from .errors import ConfigError, HashMismatchError, ResourceCapError
@@ -28,6 +35,9 @@ from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
 from .forward import highpass_mask, map_time_blocks
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # times per assembly block: a block's temporaries (B at every cell center,
 # 3 x n_cells x block floats) stay a few MB, so what worker threads free is
@@ -132,6 +142,8 @@ class CellQuadrature:
         surviving pairs only, and exact zeros are dropped, so the pattern
         equals that of the dense weights.
         """
+        import scipy.sparse as sp
+
         rho = np.asarray(rho, dtype=float)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         fac = self._merged(times)
@@ -166,6 +178,39 @@ def _row_starts(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
 
 
+@dataclass(frozen=True, eq=False)
+class FilteredOperator:
+    """F S without forming it: op @ x = F(S x) and op.T @ y = S^T(F y).
+
+    F filters each len(mask) block of rows through the real, symmetric DFT
+    mask, so F^T = F.  Only shape, @ on a 1-D vector and .T are provided.
+    S is held as csr, not matrix, so recon.lsqr_solve never mistakes this
+    for a holder of an unfiltered .matrix.
+    """
+
+    csr: sp.csr_matrix
+    mask: np.ndarray
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple:
+        rows, cols = self.csr.shape
+        return (cols, rows) if self.transposed else (rows, cols)
+
+    @property
+    def T(self) -> FilteredOperator:
+        return replace(self, transposed=not self.transposed)
+
+    def _filter(self, y: np.ndarray) -> np.ndarray:
+        y = np.reshape(y, (-1, self.mask.size))
+        return np.real(np.fft.ifft(np.fft.fft(y) * self.mask)).ravel()
+
+    def __matmul__(self, x) -> np.ndarray:
+        if self.transposed:
+            return self.csr.T @ self._filter(x)
+        return self._filter(self.csr @ x)
+
+
 @dataclass
 class SystemMatrix:
     """CSR system matrix plus the acquisition metadata it was built under.
@@ -196,23 +241,17 @@ class SystemMatrix:
         return int(self.matrix.nnz)
 
     def operator(self):
-        """matrix, or F S as a LinearOperator when highpass is set.
+        """matrix, or the FilteredOperator F S when highpass is set.
 
-        F is the highpass_mask DFT projector on each rows_per_coil block, so
-        stacked coils never mix.  The mask is real and symmetric: F^T = F.
+        Either one is all recon.lsqr_solve needs: shape, @ and .T.  F is the
+        highpass_mask DFT projector on each rows_per_coil block, so stacked
+        coils never mix.  Nothing here imports scipy: only the matrix build,
+        stack and load functions do.
         """
         if self.highpass is None:
             return self.matrix
-        from scipy.sparse.linalg import LinearOperator  # lazy: a 0.2 s import
-
-        mask = highpass_mask(self.rows_per_coil, self.sample_rate, self.highpass)
-
-        def f(y):
-            y = np.reshape(y, (-1, self.rows_per_coil))
-            return np.real(np.fft.ifft(np.fft.fft(y) * mask)).ravel()
-
-        return LinearOperator(self.shape, matvec=lambda x: f(self.matrix @ x),
-                              rmatvec=lambda y: self.matrix.T @ f(y), dtype=float)
+        return FilteredOperator(self.matrix, highpass_mask(
+            self.rows_per_coil, self.sample_rate, self.highpass))
 
     def grid_meta_matches(self, grid: ConcentrationGrid, tol: float = 1e-9) -> bool:
         return (self.grid_dims == grid.dims
@@ -275,6 +314,8 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
     estimated nonzero count is checked against nnz_cap before any assembly
     starts.
     """
+    import scipy.sparse as sp
+
     times = np.asarray(times, dtype=float)
     if times.size < 1:
         raise ConfigError("need at least one sample time")
@@ -315,6 +356,8 @@ def stack_coils(matrices, traces):
     Returns (SystemMatrix, samples) where samples concatenates the traces
     in matrix order.  All matrices must share grid and time metadata.
     """
+    import scipy.sparse as sp
+
     if not matrices or len(matrices) != len(traces):
         raise ConfigError("need one trace per matrix")
     first = matrices[0]
@@ -416,6 +459,8 @@ def load_system_matrix(path, expected_hash: str | None = None,
     A malformed header, a truncated payload, an index outside the stored
     shape or a non-finite value raises ConfigError.
     """
+    import scipy.sparse as sp
+
     with open_input(path) as fh:
         lines = [fh.readline() for _ in range(4)]
         raw = fh.read()

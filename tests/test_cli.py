@@ -1,11 +1,17 @@
 """Config parsing, the pipeline driver, and command exit codes."""
 
+import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpisim
 from mpisim import cli
 from mpisim.errors import ConfigError, MissingInputError
 from mpisim.fields import load_field_coefficients
@@ -287,6 +293,9 @@ def test_sweep_takes_no_force(capsys):
     ("auto", 1.4 * 25e3),  # 1.4 f_d at the default 25 kHz drive
     ("40 kHz", 40e3),
     ("none", None),
+    # zero or below is a typo, not a way to switch the filter off
+    ("-5 kHz", ConfigError),
+    ("0 Hz", ConfigError),
 ])
 def test_highpass_setting(pipeline_dir, tmp_path, capsys, highpass, cutoff):
     tmp, ini, out = pipeline_dir
@@ -295,9 +304,14 @@ def test_highpass_setting(pipeline_dir, tmp_path, capsys, highpass, cutoff):
     for axis in "xy":
         shutil.copy(out / f"trace_{axis}.bin", work)
     capsys.readouterr()
-    assert cli.main(["filter", "-c", str(ini), "-o", str(work),
-                     "--set", f"acquisition.highpass={highpass}"]) == 0
-    printed = capsys.readouterr().out
+    rc = cli.main(["filter", "-c", str(ini), "-o", str(work),
+                   "--set", f"acquisition.highpass={highpass}"])
+    printed, err = capsys.readouterr()
+    if cutoff is ConfigError:
+        assert rc == 2 and "none or off disables the filter" in err
+        assert list(work.glob("*_filtered.bin")) == []
+        return
+    assert rc == 0
     if cutoff is None:
         assert "high-pass disabled" in printed
         assert list(work.glob("*_filtered.bin")) == []
@@ -342,6 +356,53 @@ def test_compare_command(pipeline_dir, capsys, tmp_path):
     assert 0.0 < float(printed.split()[1]) < 2.0
     assert cli.main(["compare", str(tmp_path / "nope.grid"),
                      str(out / "phantom_recon.grid")]) == 3
+
+
+# Run in a fresh interpreter: prints, after each step, the scipy modules
+# loaded so far.  The matrix stages come last, since a module stays loaded.
+_SCIPY_PROBE = """\
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+ini, out = sys.argv[1:]
+seen = {}
+import mpisim
+seen["import mpisim"] = scipy_modules()
+from mpisim import cli
+seen["import mpisim.cli"] = scipy_modules()
+for label, argv in [
+        ("run", ["run", "-c", ini, "-o", out,
+                 "--stages", "phantom,simulate,filter,fbp,compare"]),
+        ("compare", ["compare", out + "/recon_fbp.grid",
+                     out + "/phantom_recon.grid"]),
+        ("field-info", ["field-info", "-c", ini]),
+        ("sysmat,lsqr", ["run", "-c", ini, "-o", out,
+                         "--stages", "sysmat,lsqr"])]:
+    assert cli.main(argv) == 0, argv
+    seen[label] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_stages_without_a_matrix_never_import_scipy(tmp_path):
+    ini = write_tiny(tmp_path)
+    src = str(Path(mpisim.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(ini), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import mpisim", "import mpisim.cli", "run",
+                          "compare", "field-info", "sysmat,lsqr"]
+    for step in list(seen)[:-1]:
+        assert seen[step] == [], step
+    # control: the probe does see scipy once a stage builds a matrix, and
+    # the filtered LSQR still needs no scipy.sparse.linalg
+    assert "scipy.sparse" in seen["sysmat,lsqr"]
+    assert not any(m.startswith("scipy.sparse.linalg")
+                   for m in seen["sysmat,lsqr"])
 
 
 def test_field_info(capsys, tmp_path):

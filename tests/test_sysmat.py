@@ -24,8 +24,10 @@ from mpisim.forward import (
     simulate_piecewise,
 )
 from mpisim.phantom import build_disc_phantom, empty_grid
+from mpisim.recon import LsqrOptions, lsqr_solve
 from mpisim.sysmat import (
     CellQuadrature,
+    FilteredOperator,
     SystemMatrix,
     apply_highpass_rows,
     build_system_matrix,
@@ -513,6 +515,52 @@ def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
     want = sum(single.operator().T @ y[i * n:(i + 1) * n]
                for i, single in enumerate(singles))
     assert _rel_err(fty, want) < 1e-12
+
+
+def _linear_operator_oracle(sm):
+    """Oracle: F S as the scipy LinearOperator that FilteredOperator replaces.
+
+    Same mask, same FFT calls in the same order, so results are bit-equal.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    mask = highpass_mask(sm.rows_per_coil, sm.sample_rate, sm.highpass)
+
+    def f(y):
+        y = np.reshape(y, (-1, sm.rows_per_coil))
+        return np.real(np.fft.ifft(np.fft.fft(y) * mask)).ravel()
+
+    return LinearOperator(sm.shape, matvec=lambda x: f(sm.matrix @ x),
+                          rmatvec=lambda y: sm.matrix.T @ f(y), dtype=float)
+
+
+@pytest.mark.parametrize("n_coils", [1, 2])
+def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
+                                                           n_coils):
+    model, grid, config, approx = scene
+    filtered = apply_highpass_rows(matrix_x, 35e3)
+    if n_coils == 2:
+        my = build_system_matrix(model, approx, coil_along("y"),
+                                 config.times(), grid, subsampling=2)
+        filtered, _ = stack_coils(
+            [filtered, apply_highpass_rows(my, 35e3)],
+            [np.zeros(config.n_samples)] * 2)
+    op, oracle = filtered.operator(), _linear_operator_oracle(filtered)
+    assert isinstance(op, FilteredOperator)
+    assert op.shape == oracle.shape and op.T.shape == oracle.T.shape
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=op.shape[1])
+    y = rng.normal(size=op.shape[0])
+    assert np.array_equal(op @ x, oracle @ x)
+    assert np.array_equal(op.T @ y, oracle.T @ y)
+    # LSQR sees only shape, @ and .T, so both operators take the same steps
+    rhs = oracle @ grid.flat()
+    got = lsqr_solve(op, rhs, LsqrOptions(max_iterations=20))
+    want = lsqr_solve(oracle, rhs, LsqrOptions(max_iterations=20))
+    assert got.iterations == want.iterations > 0
+    assert np.array_equal(got.residuals, want.residuals)
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(lsqr_solve(filtered, rhs).x, want.x)
 
 
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
