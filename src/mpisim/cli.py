@@ -483,12 +483,17 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
         matrices.append(sysmat.load_system_matrix(
             ws.require(f"sysmat_{axis}.mat"), expected_hash=expected, force=force))
     stacked, rhs = sysmat.stack_coils(matrices, traces)
+    grid = recipe["grid"]
+    if not stacked.grid_meta_matches(grid):
+        raise ConfigError(
+            f"stored matrices are for a {stacked.grid_dims} grid, spacing "
+            f"{stacked.grid_spacing}, origin {stacked.grid_origin}; the recon "
+            f"grid is {grid.dims}, spacing {grid.spacing}, origin {grid.origin}")
     options = recon.LsqrOptions(
         max_iterations=cfg.integer("solver", "iterations"),
         atol=cfg.qty("solver", "atol"),
         btol=cfg.qty("solver", "btol"))
-    result = recon.lsqr_solve(stacked, rhs, options)
-    grid = recipe["grid"]
+    result = recon.lsqr_solve(stacked.operator(), rhs, options)
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "recon_lsqr", image)
     _write_csv(ws, "lsqr_residuals.csv", "iteration,residual",
@@ -664,9 +669,6 @@ def _field_info(cfg: RunConfig, save=None):
 
 
 def _compare_files(path_a, path_b, scale: bool):
-    for p in (path_a, path_b):
-        if not Path(p).exists():
-            raise MissingInputError(f"grid file not found: {p}")
     image = phantom.load_grid(path_a)
     reference = phantom.load_grid(path_b)
     if scale:
@@ -726,11 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = RunConfig.load(getattr(args, "config", None),
-                             getattr(args, "set", []))
+        cfg = RunConfig.load(args.config, args.set)
         if args.command == "run":
             stages = [s.strip() for s in args.stages.split(",") if s.strip()]
             run_pipeline(cfg, stages, outdir=args.outdir, force=args.force)

@@ -244,13 +244,17 @@ def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:
     return (np.abs(freqs) >= cutoff).astype(float)
 
 
+def apply_dft_mask(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Real part of the inverse DFT of fft(y) * mask, along y's last axis."""
+    return np.real(np.fft.ifft(np.fft.fft(y) * mask))
+
+
 def apply_highpass(trace: SignalTrace, cutoff: float) -> SignalTrace:
     """Ideal DFT brick-wall high-pass; removes every bin below cutoff."""
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
     mask = highpass_mask(trace.samples.size, trace.sample_rate, cutoff)
-    filtered = np.real(np.fft.ifft(np.fft.fft(trace.samples) * mask))
-    return replace(trace, samples=filtered)
+    return replace(trace, samples=apply_dft_mask(trace.samples, mask))
 
 
 def add_noise(trace: SignalTrace, sigma: float, seed: int) -> SignalTrace:

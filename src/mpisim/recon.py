@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .phantom import ConcentrationGrid, line_profile
 
 log = logging.getLogger(__name__)
 
@@ -36,29 +37,16 @@ class LsqrResult:
     warning: str | None = None
 
 
-def _as_operator(a):
-    """The operator of a SystemMatrix (or .matrix of a holder), else a itself.
-
-    Whatever comes back needs only shape, @ and .T: a sparse or dense
-    array, or sysmat.FilteredOperator.
-    """
-    if hasattr(a, "operator"):
-        return a.operator()
-    return a.matrix if hasattr(a, "matrix") else a
-
-
 def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
     """Golub-Kahan bidiagonalization least squares (Paige and Saunders 1982).
 
     Starts from x = 0 and records ||A x_i - b|| after every iteration via
     the phibar recurrence, which is non-increasing by construction.  A zero
     operator (or zero rhs) returns the zero solution with a warning flag
-    instead of iterating.  a is used through shape, a @ v and a.T @ u
-    only (see _as_operator); scipy is loaded only where sysmat builds,
-    stacks or loads a matrix.
+    instead of iterating.  a is an operator, used through shape, a @ v and
+    a.T @ u only: a dense or sparse array, or SystemMatrix.operator().
     """
     opts = options or LsqrOptions()
-    a = _as_operator(a)
     b = np.asarray(b, dtype=float).ravel()
     m, n = a.shape
     if b.size != m:
@@ -120,22 +108,26 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
                       stop_reason=stop_reason)
 
 
+def _flat(v) -> np.ndarray:
+    """The flat float values of a ConcentrationGrid or an array."""
+    if isinstance(v, ConcentrationGrid):
+        return v.flat()
+    return np.asarray(v, dtype=float).ravel()
+
+
 def nrmse(recon, reference) -> float:
     """||recon - reference||_2 / ||reference||_2 over flat values.
 
     Accepts arrays or ConcentrationGrid objects; grids must agree on
     geometry, arrays on shape.
     """
-    if hasattr(recon, "flat") and hasattr(recon, "meta_matches"):
-        if not (hasattr(reference, "meta_matches")
+    a, b = _flat(recon), _flat(reference)
+    if isinstance(recon, ConcentrationGrid):
+        if not (isinstance(reference, ConcentrationGrid)
                 and recon.meta_matches(reference)):
             raise ConfigError("grids disagree on geometry")
-        a, b = recon.flat(), reference.flat()
-    else:
-        a = np.asarray(recon, dtype=float).ravel()
-        b = np.asarray(reference, dtype=float).ravel()
-        if a.shape != b.shape:
-            raise ConfigError("shape mismatch")
+    elif a.shape != b.shape:
+        raise ConfigError("shape mismatch")
     denom = float(np.linalg.norm(b))
     if denom == 0.0:
         raise ConfigError("reference has zero norm")
@@ -144,17 +136,13 @@ def nrmse(recon, reference) -> float:
 
 def optimal_scale(recon, reference) -> float:
     """Least-squares intensity factor alpha minimizing ||alpha*recon - ref||."""
-    # ndarrays also expose a (non-callable) .flat, so key on the grid API
-    a, b = (v.flat() if hasattr(v, "meta_matches") else
-            np.asarray(v, dtype=float).ravel() for v in (recon, reference))
+    a, b = _flat(recon), _flat(reference)
     denom = float(a @ a)
     return float(a @ b) / denom if denom > 0 else 0.0
 
 
 def profile_compare(recon, reference, axis: str, offset: float):
     """Paired line profiles through both grids: (positions, recon, reference)."""
-    from .phantom import line_profile
-
     if not recon.meta_matches(reference):
         raise ConfigError("grids disagree on geometry")
     positions = recon.axis_coords(0 if axis == "horizontal" else 1)

@@ -22,6 +22,7 @@ operator of SystemMatrix.operator().
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import TYPE_CHECKING
@@ -32,7 +33,8 @@ from .artifacts import atomic_open, open_input
 from .errors import ConfigError, HashMismatchError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
-from .forward import highpass_mask, map_time_blocks
+from .forward import (ReceiveCoil, SignalTrace, apply_dft_mask, highpass_mask,
+                      map_time_blocks)
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
@@ -184,8 +186,6 @@ class FilteredOperator:
 
     F filters each len(mask) block of rows through the real, symmetric DFT
     mask, so F^T = F.  Only shape, @ on a 1-D vector and .T are provided.
-    S is held as csr, not matrix, so recon.lsqr_solve never mistakes this
-    for a holder of an unfiltered .matrix.
     """
 
     csr: sp.csr_matrix
@@ -202,8 +202,8 @@ class FilteredOperator:
         return replace(self, transposed=not self.transposed)
 
     def _filter(self, y: np.ndarray) -> np.ndarray:
-        y = np.reshape(y, (-1, self.mask.size))
-        return np.real(np.fft.ifft(np.fft.fft(y) * self.mask)).ravel()
+        return apply_dft_mask(np.reshape(y, (-1, self.mask.size)),
+                              self.mask).ravel()
 
     def __matmul__(self, x) -> np.ndarray:
         if self.transposed:
@@ -260,7 +260,7 @@ class SystemMatrix:
 
 
 def config_hash(model: FieldModel, approx: MagnetizationApprox,
-                grid: ConcentrationGrid, times: np.ndarray, coil,
+                grid: ConcentrationGrid, times: np.ndarray, coil: ReceiveCoil,
                 subsampling: int = 1) -> str:
     """Deterministic 16-hex digest of everything the matrix depends on."""
     h = hashlib.sha256()
@@ -283,8 +283,7 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     times = np.asarray(times)
     dt = times[1] - times[0] if times.size > 1 else 0.0
     put(times.size, f"{times[0]:.17g}", f"{dt:.17g}")
-    rho = coil.vector if hasattr(coil, "vector") else np.asarray(coil, dtype=float)
-    put(*(f"{v:.17g}" for v in rho))
+    put(*(f"{v:.17g}" for v in coil.vector))
     put(subsampling)
     return h.hexdigest()[:16]
 
@@ -297,8 +296,9 @@ def estimate_nnz(quad: CellQuadrature, approx: MagnetizationApprox, rho,
     return int(np.ceil(probe.nnz / idx.size * times.size))
 
 
-def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
-                        times, grid: ConcentrationGrid, subsampling: int = 1,
+def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
+                        coil: ReceiveCoil, times, grid: ConcentrationGrid,
+                        subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                         block: int = _DEFAULT_BLOCK) -> SystemMatrix:
     """Assemble the matrix row block by row block (time-parallel).
@@ -326,7 +326,7 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
         dt = float(steps[0])
     else:
         dt = 0.0
-    rho = coil.vector if hasattr(coil, "vector") else np.asarray(coil, dtype=float)
+    rho = coil.vector
     quad = CellQuadrature(model, grid, subsampling)
     est = estimate_nnz(quad, approx, rho, times)
     if est > nnz_cap:
@@ -341,20 +341,24 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox, coil,
         raise ResourceCapError(f"assembled {total} nonzeros exceeds the cap "
                                f"of {nnz_cap}")
     matrix = sp.vstack(blocks, format="csr")
-    coil_index = getattr(coil, "index", 0)
     digest = config_hash(model, approx, grid, times, coil, subsampling)
     return SystemMatrix(matrix=matrix, sample_rate=1.0 / dt if dt else 0.0,
                         t0=float(times[0]), rows_per_coil=times.size,
-                        coil_indices=(coil_index,), coil_vectors=(tuple(rho),),
+                        coil_indices=(coil.index,), coil_vectors=(tuple(rho),),
                         grid_dims=grid.dims, grid_spacing=grid.spacing,
                         grid_origin=grid.origin, config_hash=digest)
 
 
-def stack_coils(matrices, traces):
-    """Stack per-coil matrices and traces into one joint system.
+def _geometry(sm: SystemMatrix) -> tuple:
+    return sm.grid_dims, sm.grid_spacing, sm.grid_origin
+
+
+def stack_coils(matrices, traces: list[SignalTrace]):
+    """Stack per-coil matrices and their traces into one joint system.
 
     Returns (SystemMatrix, samples) where samples concatenates the traces
-    in matrix order.  All matrices must share grid and time metadata.
+    in matrix order.  All matrices must share the grid geometry exactly and
+    the time metadata.
     """
     import scipy.sparse as sp
 
@@ -362,19 +366,15 @@ def stack_coils(matrices, traces):
         raise ConfigError("need one trace per matrix")
     first = matrices[0]
     for m in matrices[1:]:
-        if m.grid_dims != first.grid_dims or m.rows_per_coil != first.rows_per_coil:
+        if _geometry(m) != _geometry(first) or m.rows_per_coil != first.rows_per_coil:
             raise ConfigError("matrices disagree on grid or time axis")
         if not (np.isclose(m.sample_rate, first.sample_rate)
                 and np.isclose(m.t0, first.t0) and m.highpass == first.highpass):
             raise ConfigError("matrices disagree on sampling metadata")
-    for m, tr in zip(matrices, traces):
-        n = tr.samples.size if hasattr(tr, "samples") else len(tr)
-        if n != m.rows_per_coil:
-            raise ConfigError("trace length does not match matrix rows")
+    if any(tr.samples.size != m.rows_per_coil for m, tr in zip(matrices, traces)):
+        raise ConfigError("trace length does not match matrix rows")
     stacked = sp.vstack([m.matrix for m in matrices], format="csr")
-    samples = np.concatenate([
-        tr.samples if hasattr(tr, "samples") else np.asarray(tr, dtype=float)
-        for tr in traces])
+    samples = np.concatenate([tr.samples for tr in traces])
     digest = hashlib.sha256(
         "|".join(m.config_hash for m in matrices).encode()).hexdigest()[:16]
     return (replace(first, matrix=stacked,
@@ -397,6 +397,8 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     """
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
+    if sm.sample_rate <= 0:
+        raise ConfigError("a high-pass needs a positive sample rate")
     return replace(sm, config_hash=chain_highpass_hash(sm.config_hash, cutoff),
                    highpass=cutoff)
 
@@ -426,30 +428,52 @@ def save_system_matrix(sm: SystemMatrix, path):
 
 
 def _parse_header(lines):
-    """The four header lines of a stored matrix; ValueError when malformed."""
+    """The four header lines of a stored matrix.
+
+    ValueError when a line is malformed or its metadata impossible: every
+    rate, time, cut-off, vector, spacing and origin must be finite, a
+    high-pass needs a positive sample rate, and the shape must match
+    rows_per_coil times the coils and the grid dims.
+    """
     rows, cols, nnz, digest = lines[0].decode("ascii").split()
     rows, cols, nnz = int(rows), int(cols), int(nnz)
     if min(rows, cols, nnz) < 0:
         raise ValueError("negative shape or nonzero count")
     rate, t0, per_coil, hp = lines[1].decode("ascii").split()
+    rate, t0, per_coil = float(rate), float(t0), int(per_coil)
+    highpass = None if hp == "none" else float(hp)
+    if not (0 <= rate < math.inf and math.isfinite(t0)):
+        raise ValueError("sample rate and t0 must be finite, the rate >= 0")
+    if highpass is not None and not (rate > 0 and 0 < highpass < math.inf):
+        raise ValueError("a high-pass needs a finite positive cut-off and "
+                         "a positive sample rate")
     indices, vectors = [], []
     for field in lines[2].decode("ascii").split():
         idx, vec = field.split(":")
         vec = tuple(float(x) for x in vec.split(","))
-        if len(vec) != 3:
-            raise ValueError(f"coil vector {field!r} needs 3 components")
+        if len(vec) != 3 or not all(map(math.isfinite, vec)):
+            raise ValueError(f"coil vector {field!r} needs 3 finite components")
         indices.append(int(idx))
         vectors.append(vec)
+    if per_coil < 1 or not indices or rows != per_coil * len(indices):
+        raise ValueError(f"{rows} rows are not {len(indices)} coil(s) of "
+                         f"{per_coil} >= 1 rows")
     grid_fields = lines[3].decode("ascii").split()
     if len(grid_fields) != 9:
         raise ValueError(f"grid line needs 9 fields, got {len(grid_fields)}")
+    dims = tuple(int(x) for x in grid_fields[:3])
+    spacing = tuple(float(x) for x in grid_fields[3:6])
+    origin = tuple(float(x) for x in grid_fields[6:9])
+    if min(dims) < 1 or math.prod(dims) != cols:
+        raise ValueError(f"grid dims {dims} do not make {cols} columns")
+    if not (all(0 < s < math.inf for s in spacing)
+            and all(map(math.isfinite, origin))):
+        raise ValueError("grid spacing must be finite and positive, origin finite")
     return dict(shape=(rows, cols), nnz=nnz, config_hash=digest,
-                sample_rate=float(rate), t0=float(t0), rows_per_coil=int(per_coil),
-                highpass=None if hp == "none" else float(hp),
-                coil_indices=tuple(indices), coil_vectors=tuple(vectors),
-                grid_dims=tuple(int(x) for x in grid_fields[:3]),
-                grid_spacing=tuple(float(x) for x in grid_fields[3:6]),
-                grid_origin=tuple(float(x) for x in grid_fields[6:9]))
+                sample_rate=rate, t0=t0, rows_per_coil=per_coil,
+                highpass=highpass, coil_indices=tuple(indices),
+                coil_vectors=tuple(vectors), grid_dims=dims,
+                grid_spacing=spacing, grid_origin=origin)
 
 
 def load_system_matrix(path, expected_hash: str | None = None,

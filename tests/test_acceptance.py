@@ -348,7 +348,7 @@ class _DeskScan:
                         self.CUTOFF)
                     for coil in self.coils]
             stacked, rhs = sysmat.stack_coils(mats, self.traces(which))
-            result = recon.lsqr_solve(stacked, rhs,
+            result = recon.lsqr_solve(stacked.operator(), rhs,
                                       recon.LsqrOptions(max_iterations=20))
             self.lsqr_results.append(result)
             image = self.template.with_values(

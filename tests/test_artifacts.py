@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from mpisim.fields import (build_topology, load_field_coefficients,
 from mpisim.forward import (SignalTrace, load_trace_bin, load_trace_csv, save_trace_bin,
                             save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
+from mpisim.sysmat import SystemMatrix, load_system_matrix, save_system_matrix
 
 
 def _grid():
@@ -35,6 +37,15 @@ def _sinogram():
 def _write_coefficients(path):
     model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
     write_field_coefficients(model, path)
+
+
+def _save_matrix(path):
+    save_system_matrix(SystemMatrix(
+        matrix=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])),
+        sample_rate=1e6, t0=0.0, rows_per_coil=2, coil_indices=(0,),
+        coil_vectors=((1.0, 0.0, 0.0),), grid_dims=(2, 1, 1),
+        grid_spacing=(1e-3, 1e-3, 1e-3), grid_origin=(0.0, 0.0, 0.0),
+        config_hash="0123456789abcdef", highpass=35e3), path)
 
 
 def _write_ini(path):
@@ -113,6 +124,7 @@ LOADERS = {
                   lambda p: save_trace_csv(_trace(), p, comments=["config 0123"])),
     "coefficients": (load_field_coefficients, _write_coefficients),
     "ini": (RunConfig.load, _write_ini),
+    "sysmat": (load_system_matrix, _save_matrix),
 }
 
 

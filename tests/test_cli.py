@@ -186,6 +186,39 @@ def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
     assert "malformed header" in err and "Traceback" not in err
 
 
+def test_lsqr_rejects_zero_sample_rate_with_a_highpass(pipeline_dir, tmp_path,
+                                                       capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    for axis in "xy":
+        path = work / f"sysmat_{axis}.mat"
+        lines = path.read_bytes().split(b"\n", 4)
+        assert not lines[1].endswith(b" none")
+        lines[1] = b" ".join([b"0", *lines[1].split()[1:]])
+        path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    # the hash line is intact, so no --force is needed to reach the header
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed header" in err and "Traceback" not in err
+
+
+def test_forced_lsqr_on_another_recon_grid_exits_2(pipeline_dir, tmp_path,
+                                                   capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    before = (work / "recon_lsqr.grid").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force",
+                     "--set", "grid.recon.spacing=2 mm"]) == 2
+    err = capsys.readouterr().err
+    assert "(8, 8, 1)" in err and "(10, 10, 1)" in err
+    assert "Traceback" not in err
+    assert (work / "recon_lsqr.grid").read_bytes() == before
+
+
 def _replace_header(path, header: bytes):
     """Overwrite the first line of an artifact that is not a '#' comment."""
     lines = path.read_bytes().split(b"\n")

@@ -64,12 +64,6 @@ def test_sparse_and_wrapper_inputs():
     sparse = lsqr_solve(sp.csr_matrix(a), b, opts)
     assert np.allclose(dense.x, sparse.x, atol=1e-12)
 
-    class Wrapper:
-        matrix = sp.csr_matrix(a)
-
-    wrapped = lsqr_solve(Wrapper(), b, opts)
-    assert np.allclose(wrapped.x, dense.x, atol=1e-12)
-
 
 def test_zero_rhs_and_zero_operator():
     res = lsqr_solve(np.zeros((5, 3)), np.zeros(5))

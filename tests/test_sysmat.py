@@ -19,6 +19,7 @@ from mpisim.fields import FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
     apply_highpass,
+    SignalTrace,
     coil_along,
     highpass_mask,
     simulate_piecewise,
@@ -53,6 +54,10 @@ def _densified_highpass(sm, cutoff):
         blocks.append(np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
                                           * mask[:, None], axis=0)))
     return np.vstack(blocks)
+
+
+def _zero_trace(config):
+    return SignalTrace(np.zeros(config.n_samples), config.sample_rate)
 
 
 def _rel_err(got, want):
@@ -351,6 +356,34 @@ def _rewrite(path, header=None, row=None, col=None, val=None):
     {2: b"0=1,0,0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0"},
     {0: b"\xff\xfe 3 4 0123456789abcdef"},
+    # impossible metadata: sample rate, t0 and high-pass
+    {1: b"nan 0 3 none"},
+    {1: b"inf 0 3 none"},
+    {1: b"-1e6 0 3 none"},
+    {1: b"1e6 nan 3 none"},
+    {1: b"1e6 -inf 3 none"},
+    {1: b"1e6 0 3 nan"},
+    {1: b"1e6 0 3 inf"},
+    {1: b"1e6 0 3 0"},
+    {1: b"1e6 0 3 -35000"},
+    {1: b"0 0 3 35000"},
+    # rows against rows_per_coil and the coils
+    {0: b"4 3 4 0123456789abcdef"},
+    {0: b"0 3 4 0123456789abcdef", 1: b"1e6 0 0 none"},
+    {1: b"1e6 0 2 none"},
+    {2: b"0:1,0,0 1:0,1,0"},
+    {2: b""},
+    {2: b"0:nan,0,0"},
+    {2: b"0:1,inf,0"},
+    # grid dims against the columns, spacing and origin
+    {3: b"-3 -1 1 0.001 0.001 0.001 0 0 0"},
+    {3: b"2 1 1 0.001 0.001 0.001 0 0 0"},
+    {3: b"3 1 1 0 0.001 0.001 0 0 0"},
+    {3: b"3 1 1 0.001 -0.001 0.001 0 0 0"},
+    {3: b"3 1 1 0.001 0.001 nan 0 0 0"},
+    {3: b"3 1 1 0.001 0.001 inf 0 0 0"},
+    {3: b"3 1 1 0.001 0.001 0.001 nan 0 0"},
+    {3: b"3 1 1 0.001 0.001 0.001 0 0 -inf"},
 ])
 def test_load_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "sm.mat"
@@ -378,6 +411,13 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     _rewrite(path, val=value)
     with pytest.raises(ConfigError, match="non-finite"):
         load_system_matrix(path)
+
+
+def test_load_accepts_an_unfiltered_zero_sample_rate(tmp_path):
+    # what a one-sample build stores
+    path = tmp_path / "sm.mat"
+    save_system_matrix(replace(_tiny_matrix(), sample_rate=0.0), path)
+    assert load_system_matrix(path).sample_rate == 0.0
 
 
 def test_rewrite_helper_keeps_a_valid_file(tmp_path):
@@ -471,6 +511,8 @@ def test_highpass_rows_commutes(scene, matrix_x):
     assert np.allclose(via_rows, via_trace, atol=1e-12 * max(1.0, pw.rms))
     with pytest.raises(ConfigError):
         apply_highpass_rows(matrix_x, 0.0)
+    with pytest.raises(ConfigError, match="sample rate"):
+        apply_highpass_rows(replace(matrix_x, sample_rate=0.0), cutoff)
 
 
 def test_highpass_operator_matches_densified_oracle(matrix_x):
@@ -502,7 +544,7 @@ def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
     my = build_system_matrix(model, approx, coil_along("y"), config.times(),
                              grid, subsampling=2)
     singles = [apply_highpass_rows(m, cutoff) for m in (matrix_x, my)]
-    stacked, _ = stack_coils(singles, [np.zeros(config.n_samples)] * 2)
+    stacked, _ = stack_coils(singles, [_zero_trace(config)] * 2)
     op = stacked.operator()
     n = config.n_samples
     rng = np.random.default_rng(6)
@@ -544,7 +586,7 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
                                  config.times(), grid, subsampling=2)
         filtered, _ = stack_coils(
             [filtered, apply_highpass_rows(my, 35e3)],
-            [np.zeros(config.n_samples)] * 2)
+            [_zero_trace(config)] * 2)
     op, oracle = filtered.operator(), _linear_operator_oracle(filtered)
     assert isinstance(op, FilteredOperator)
     assert op.shape == oracle.shape and op.T.shape == oracle.T.shape
@@ -560,7 +602,6 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
     assert got.iterations == want.iterations > 0
     assert np.array_equal(got.residuals, want.residuals)
     assert np.array_equal(got.x, want.x)
-    assert np.array_equal(lsqr_solve(filtered, rhs).x, want.x)
 
 
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
@@ -586,3 +627,14 @@ def test_stack_rejects_mixed_filtering(scene, matrix_x):
                             subsampling=2)
     with pytest.raises(ConfigError):
         stack_coils([apply_highpass_rows(matrix_x, 35e3), my], [tx, ty])
+
+
+@pytest.mark.parametrize("field, shift", [("grid_spacing", 1e-3),
+                                          ("grid_origin", 5e-3)])
+def test_stack_rejects_mixed_grid_geometry(scene, matrix_x, field, shift):
+    config = scene[2]
+    other = replace(matrix_x, **{
+        field: tuple(v + shift for v in getattr(matrix_x, field))})
+    assert other.grid_dims == matrix_x.grid_dims
+    with pytest.raises(ConfigError, match="grid"):
+        stack_coils([matrix_x, other], [_zero_trace(config)] * 2)
