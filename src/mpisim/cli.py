@@ -119,7 +119,10 @@ def parse_quantity(text: str) -> float:
     value, unit = m.group(1), m.group(2)
     if unit not in UNIT_SCALES:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
-    return float(value) * UNIT_SCALES[unit]
+    result = float(value) * UNIT_SCALES[unit]
+    if not math.isfinite(result):
+        raise ConfigError(f"quantity {text!r} is not finite")
+    return result
 
 
 class RunConfig:
@@ -404,6 +407,8 @@ def stage_simulate(ws: Workspace) -> dict:
     kind = cfg.text("forward", "model")
     workers = cfg.integer("forward", "workers")
     noise_level = cfg.qty("acquisition", "noise_level")
+    if noise_level < 0:
+        raise ConfigError(f"acquisition.noise_level must be >= 0, got {noise_level:g}")
     noise_seed = cfg.integer("acquisition", "noise_seed")
     traces = []
     for axis, coil in make_coils(cfg):

@@ -166,6 +166,12 @@ def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
     """
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
+    if n_bins < 2 or decimate < 1:
+        raise ConfigError(f"need n_bins >= 2 and decimate >= 1, got n_bins="
+                          f"{n_bins} and decimate={decimate}")
+    if not (0 <= cos_guard < 1 and nsr >= 0):
+        raise ConfigError(f"need 0 <= cos_guard < 1 and nsr >= 0, got "
+                          f"cos_guard={cos_guard:g} and nsr={nsr:g}")
     if deconvolve and params is None:
         raise ConfigError("deconvolution needs Langevin parameters")
     first = traces[0]

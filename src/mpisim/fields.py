@@ -98,14 +98,14 @@ class SHTerm:
 
     def __post_init__(self):
         if self.component not in (1, 2, 3):
-            raise ValueError(f"component must be 1..3, got {self.component}")
+            raise ConfigError(f"component must be 1..3, got {self.component}")
         if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+            raise ConfigError(f"degree must be >= 0, got {self.degree}")
         if abs(self.order) > self.degree:
-            raise ValueError(
+            raise ConfigError(
                 f"|order| must not exceed degree, got l={self.degree} m={self.order}")
         if not math.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
+            raise ConfigError(f"coefficient must be finite, got {self.coefficient}")
 
 
 @dataclass
@@ -202,13 +202,15 @@ def eval_harmonic_polynomial(l: int, m: int, points):
 class FieldEvaluator:
     """Field and time-derivative evaluation for a fixed point set.
 
-    The spatial polynomials are evaluated once at construction: polys[j]
-    holds one row per term of component j (None without terms) and
-    harmonics[j] their (degree, order).  Each call for a block of times is
-    then one product per component, polys[j].T @ factors(times)[j], summed
-    by einsum term by term in term order for every (point, time).  A BLAS
-    product would pick its kernel, and with it the summation order, by the
-    number of times, so values would depend on how the times are blocked.
+    The model is laid out as one table of distinct solid harmonics:
+    harmonics lists each (degree, order) once, in component-major first-use
+    order, and polys[k] holds harmonic k at every point, evaluated once at
+    construction.  factors(times)[j, k] sums c_i h_i(t) over the terms of
+    component j on harmonic k, so B_j = sum_k F[j, k] p_k.  Each call for a
+    block of times is one einsum per component over the harmonics that
+    component uses, summed in harmonic order for every (point, time).  A
+    BLAS product would pick its kernel, and with it the summation order, by
+    the number of times, so values would depend on how the times are blocked.
     """
 
     def __init__(self, model: FieldModel, points):
@@ -223,43 +225,38 @@ class FieldEvaluator:
             log.warning("%d of %d evaluation points lie outside the validity "
                         "sphere (radius %g m)", outside, len(pts),
                         model.validity_radius)
-        self.polys = [None, None, None]
-        self.harmonics = [(), (), ()]
-        self._mods = [[], [], []]
-        self._coeffs = [None, None, None]
-        for j in (1, 2, 3):
-            terms = [t for t in model.terms if t.component == j]
-            self._mods[j - 1] = [t.modulation for t in terms]
-            self._coeffs[j - 1] = np.array([t.coefficient for t in terms])
-            self.harmonics[j - 1] = tuple((t.degree, t.order) for t in terms)
-            if terms:
-                self.polys[j - 1] = np.array(
-                    [eval_harmonic_polynomial(t.degree, t.order, pts) for t in terms])
+        terms = sorted(model.terms, key=lambda t: t.component)
+        column = {}
+        for t in terms:
+            column.setdefault((t.degree, t.order), len(column))
+        self.harmonics = tuple(column)
+        self.polys = np.reshape(
+            [eval_harmonic_polynomial(l, m, pts) for l, m in self.harmonics],
+            (len(column), len(pts)))
+        # (component, harmonic, coefficient, modulation) in term order
+        self._terms = [(t.component - 1, column[t.degree, t.order],
+                        t.coefficient, t.modulation) for t in terms]
+        self._used = [sorted({k for j, k, _, _ in self._terms if j == c})
+                      for c in range(3)]
 
-    def factors(self, times, use_dt: bool = False):
-        """Per component, c_i h_i(t) of its terms, shape (n_terms_j, len(times)).
+    def factors(self, times, use_dt: bool = False) -> np.ndarray:
+        """F[j, k, t]: c_i h_i(t) of component j's terms on harmonic k.
 
-        With use_dt the modulations are differentiated: c_i h_i'(t).  None
-        for a component without terms.
+        Shape (3, n_harmonics, len(times)), added up in term order.  With
+        use_dt the modulations are differentiated: c_i h_i'(t).
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = [None, None, None]
-        for j in range(3):
-            mods = self._mods[j]
-            if not mods:
-                continue
-            mvals = np.empty((len(mods), times.size))
-            for i, mod in enumerate(mods):
-                mvals[i] = mod.eval_dt(times) if use_dt else mod.eval(times)
-            out[j] = self._coeffs[j][:, None] * mvals
+        out = np.zeros((3, len(self.harmonics), times.size))
+        for j, k, c, mod in self._terms:
+            out[j, k] += c * (mod.eval_dt(times) if use_dt else mod.eval(times))
         return out
 
     def _accumulate(self, times, use_dt: bool):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.zeros((3, self.points.shape[0], times.size))
-        for j, fac in enumerate(self.factors(times, use_dt)):
-            if fac is not None:
-                np.einsum("ik,it->kt", self.polys[j], fac, out=out[j])
+        fac = self.factors(times, use_dt)
+        out = np.zeros((3, self.points.shape[0], fac.shape[-1]))
+        for j, used in enumerate(self._used):
+            if used:
+                np.einsum("kp,kt->pt", self.polys[used], fac[j, used], out=out[j])
         return out
 
     def field(self, times):
@@ -496,7 +493,7 @@ def load_field_coefficients(path, validity_radius: float = 0.05) -> FieldModel:
 
     Lines starting with '#' and blank lines are skipped.  Malformed rows
     raise ConfigError with the 1-based line number, as does a file that is
-    not text; a missing file raises MissingInputError.
+    not text or holds no term; a missing file raises MissingInputError.
     """
     with open_input(path, "r") as fh:
         try:
@@ -521,4 +518,6 @@ def load_field_coefficients(path, validity_radius: float = 0.05) -> FieldModel:
             terms.append(SHTerm(j, l, m, c, mod))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    if not terms:
+        raise ConfigError(f"{path}: no terms")
     return FieldModel(terms=tuple(terms), validity_radius=validity_radius)

@@ -239,9 +239,18 @@ def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coil: Receive
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:
-    """DFT-bin keep mask: bins with |frequency| < cutoff are dropped."""
+    """DFT-bin keep mask: bins with |frequency| < cutoff are dropped.
+
+    A cut-off above every bin (at or above Nyquist) would zero the whole
+    signal and raises ConfigError.
+    """
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    return (np.abs(freqs) >= cutoff).astype(float)
+    mask = (np.abs(freqs) >= cutoff).astype(float)
+    if not mask.any():
+        raise ConfigError(
+            f"a high-pass at {cutoff:.6g} Hz keeps no DFT bin of {n} samples "
+            f"at {sample_rate:.6g} Hz (Nyquist {sample_rate / 2:.6g} Hz)")
+    return mask
 
 
 def apply_dft_mask(y: np.ndarray, mask: np.ndarray) -> np.ndarray:

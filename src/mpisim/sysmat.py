@@ -60,10 +60,11 @@ class CellQuadrature:
     lies within reach r of its center, so |B(sub)| >= |B(center)| - L(t) r,
     L(t) being a Lipschitz bound on B(., t) over the ball of radius R that
     holds every center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the
-    distinct harmonics p_k, F_jk summing c_i h_i(t) of component j's terms
-    on p_k; with G_l from fields.harmonic_gradient_bound, L(t) is the
-    2-norm over j of sum_k |F_jk(t)| G_l_k(R).  It is exact for the
-    degree-1 ideal topologies, whose gradients are constant.
+    distinct harmonics p_k of the FieldEvaluator table, F = its factors();
+    with G_l from fields.harmonic_gradient_bound, L(t) is the 2-norm over j
+    of sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
+    topologies, whose gradients are constant.  The sub-point rows are the
+    evaluator's polys, read in place as (cell, sub-point, harmonic).
     """
 
     def __init__(self, model: FieldModel, grid: ConcentrationGrid,
@@ -91,19 +92,14 @@ class CellQuadrature:
         self.reach = float(np.max(np.linalg.norm(offsets, axis=1)))
         radius = max(np.max(np.linalg.norm(pts, axis=1)),
                      np.max(np.linalg.norm(centers, axis=1)))
-        # one column per distinct harmonic p_lm; a term names its column
-        columns = {}
-        for polys, harmonics in zip(self.evaluator.polys, self.evaluator.harmonics):
-            for i, lm in enumerate(harmonics):
-                columns.setdefault(lm, polys[i])
-        self._columns = {lm: k for k, lm in enumerate(columns)}
+        harmonics = self.evaluator.harmonics
         self._grad = np.array([harmonic_gradient_bound(l, radius)
-                               for l, _ in columns])
+                               for l, _ in harmonics])
         self._center_polys = np.array(
-            [eval_harmonic_polynomial(l, m, centers) for l, m in columns]).T
+            [eval_harmonic_polynomial(l, m, centers) for l, m in harmonics]).T
         # (cell, sub-point, harmonic): one row per cell gathers its sub-points
-        self._sub_polys = np.reshape(np.transpose(list(columns.values())),
-                                     (self.n_cells, self.n_sub, len(columns)))
+        self._sub_polys = self.evaluator.polys.T.reshape(
+            self.n_cells, self.n_sub, len(harmonics))
 
     def weights(self, approx: MagnetizationApprox, rho, times) -> np.ndarray:
         """Matrix entries for a block of times, shape (n_cells, len(times)).
@@ -120,19 +116,10 @@ class CellQuadrature:
             w = w.reshape(self.n_cells, self.n_sub, -1).mean(axis=1)
         return w * self.cell_volume
 
-    def _merged(self, times, use_dt: bool = False) -> np.ndarray:
-        """F[j, k, t]: the time factors of component j's terms on harmonic k."""
-        out = np.zeros((3, len(self._columns), times.size))
-        for j, fac in enumerate(self.evaluator.factors(times, use_dt)):
-            if fac is not None:
-                for lm, f in zip(self.evaluator.harmonics[j], fac):
-                    out[j, self._columns[lm]] += f
-        return out
-
     def lipschitz(self, times) -> np.ndarray:
         """L(t) = sqrt(sum_j (sum_k |F_jk(t)| G_l_k(R))^2) for a block of times."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.sqrt(np.sum((self._grad @ np.abs(self._merged(times))) ** 2, axis=0))
+        fac = self.evaluator.factors(times)
+        return np.sqrt(np.sum((self._grad @ np.abs(fac)) ** 2, axis=0))
 
     def sparse_weights(self, approx: MagnetizationApprox, rho,
                        times) -> sp.csr_matrix:
@@ -148,14 +135,14 @@ class CellQuadrature:
 
         rho = np.asarray(rho, dtype=float)
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        fac = self._merged(times)
+        fac = self.evaluator.factors(times)
         b_c = self._center_polys @ fac
         mag_c = np.sqrt(np.einsum("jpt,jpt->tp", b_c, b_c))
         limit = (approx.threshold + self.lipschitz(times) * self.reach) * _SAFETY
         tidx, cells = np.nonzero(mag_c < limit[:, None])
         # per time, one product gives B and <rho, dB/dt> at the survivors'
         # sub-points: coef[t] maps the harmonics to (B_x, B_y, B_z, <rho, dB/dt>)
-        fac_dt = self._merged(times, use_dt=True)
+        fac_dt = self.evaluator.factors(times, use_dt=True)
         rho_dt = rho[0] * fac_dt[0] + rho[1] * fac_dt[1] + rho[2] * fac_dt[2]
         coef = np.stack([*fac, rho_dt], axis=-1).transpose(1, 0, 2).copy()
         bounds = _row_starts(tidx, times.size)
@@ -394,11 +381,13 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
 
     Filtering commutes with the matrix-vector product, so operator() @ c
     equals the filtered S @ c.  Stored sparse; filtered on application.
+    A cut-off that keeps no DFT bin of a coil block raises ConfigError.
     """
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
     if sm.sample_rate <= 0:
         raise ConfigError("a high-pass needs a positive sample rate")
+    highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
     return replace(sm, config_hash=chain_highpass_hash(sm.config_hash, cutoff),
                    highpass=cutoff)
 
@@ -481,7 +470,8 @@ def load_system_matrix(path, expected_hash: str | None = None,
     """Load a stored matrix; validates the config hash unless force is set.
 
     A malformed header, a truncated payload, an index outside the stored
-    shape or a non-finite value raises ConfigError.
+    shape or a non-finite value raises ConfigError; a shape too large to
+    allocate raises ResourceCapError.
     """
     import scipy.sparse as sp
 
@@ -508,5 +498,9 @@ def load_system_matrix(path, expected_hash: str | None = None,
         raise ConfigError(f"{path}: triplet index outside the {rows}x{cols} shape")
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{path}: non-finite matrix values")
-    matrix = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+    try:
+        matrix = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+    except MemoryError:
+        raise ResourceCapError(f"{path}: a {rows}x{cols} matrix does not fit "
+                               f"in memory") from None
     return SystemMatrix(matrix=matrix, **meta)

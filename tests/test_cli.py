@@ -70,7 +70,7 @@ def test_parse_quantity():
     }
     for text, expect in cases.items():
         assert cli.parse_quantity(text) == pytest.approx(expect), text
-    for bad in ("10 parsec", "banana", "", "1 2 3"):
+    for bad in ("10 parsec", "banana", "", "1 2 3", "1e999 s"):
         with pytest.raises(ConfigError):
             cli.parse_quantity(bad)
 
@@ -262,7 +262,7 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
 
 
 # {work}: a copy of the tiny pipeline's outputs; {bytes}: a file that is not
-# UTF-8; {dir}: a directory
+# UTF-8; {dir}: a directory; {empty}: a coefficient table without terms
 @pytest.mark.parametrize("argv, code, message", [
     (["lsqr", "--set", "solver.atol=abc"], 2, "quantity"),
     (["lsqr", "--set", "solver.btol=1e-8 parsec"], 2, "unit"),
@@ -273,6 +273,7 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
     (["field-info", "--set", "field.coefficients={work}/absent"], 3, "not found"),
     (["field-info", "--set", "field.coefficients={bytes}"], 2, "decode"),
     (["field-info", "--set", "field.coefficients={dir}"], 2, "directory"),
+    (["run", "--set", "field.coefficients={empty}"], 2, "no terms"),
 ])
 def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
                                     argv, code, message):
@@ -281,7 +282,9 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
     shutil.copytree(out, work)
     undecodable = tmp_path / "undecodable"
     undecodable.write_bytes(b"\x80\x81")
-    paths = {"work": work, "bytes": undecodable, "dir": tmp_path}
+    empty = tmp_path / "empty.coeffs"
+    empty.write_text("# component degree order coefficient kind f1 f2 phase scale\n")
+    paths = {"work": work, "bytes": undecodable, "dir": tmp_path, "empty": empty}
     argv = [arg.format(**paths) for arg in argv]
     if "-c" not in argv:
         argv += ["-c", str(ini)]
@@ -354,6 +357,67 @@ def test_highpass_setting(pipeline_dir, tmp_path, capsys, highpass, cutoff):
         want = apply_highpass(load_trace_bin(work / f"trace_{axis}.bin"), cutoff)
         got = load_trace_bin(work / f"trace_{axis}_filtered.bin")
         assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("override", [
+    "acquisition.duration=1e999 s",  # parses to inf
+    "phantom.fov=1e999 mm",
+    "field.g=1e308 T/m",  # finite, but the 2g selection coefficient is not
+])
+def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
+    ini = write_tiny(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(tmp_path / "out"),
+                     "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["fbp.decimate=0"],
+    ["fbp.bins=0"],
+    ["fbp.bins=1"],
+    ["fbp.cos_guard=2"],
+    ["fbp.nsr=-1", "fbp.deconvolve=true"],
+])
+def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "phantom,simulate,filter,fbp", *sets]) == 2
+    err = capsys.readouterr().err
+    assert "need" in err and "Traceback" not in err
+    assert not (out / "sinogram.csv").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "acquisition.highpass=3 MHz",  # above the 1 MHz Nyquist of the tiny scan
+    "acquisition.sample_rate=60 kHz",  # auto: 1.4 f_d = 35 kHz > 30 kHz Nyquist
+])
+def test_highpass_that_keeps_no_bin_exits_2(tmp_path, capsys, override):
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    args = ["-c", str(ini), "-o", str(out), "--set", override]
+    assert cli.main(["run", "--stages", "phantom,simulate", *args]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert cli.main(["filter", *args]) == 2
+    err = capsys.readouterr().err
+    assert "keeps no DFT bin" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_negative_noise_level_exits_2(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "phantom,simulate", "--set", "acquisition.noise_level=-1"]) == 2
+    err = capsys.readouterr().err
+    assert "acquisition.noise_level" in err and "Traceback" not in err
+    assert list(out.glob("trace_*")) == []
 
 
 def test_single_stage_commands(tmp_path, monkeypatch):

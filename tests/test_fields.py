@@ -23,7 +23,14 @@ from mpisim import (
     write_field_coefficients,
     empty_grid,
 )
-from mpisim.fields import assoc_legendre, ffl_half_angle, harmonic_gradient_bound
+from mpisim.fields import (
+    FieldModel,
+    SHTerm,
+    TimeModulation,
+    assoc_legendre,
+    ffl_half_angle,
+    harmonic_gradient_bound,
+)
 
 
 def test_assoc_legendre_against_scipy():
@@ -216,6 +223,46 @@ def test_eval_field_point_matches_evaluator():
     np.testing.assert_allclose(eval_field_dt(model, r, t), ev.field_dt(t)[:, 0, 0])
 
 
+def _perturbed_rotating_ffl():
+    return perturb_field(
+        build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3,
+                       validity_radius=0.1),
+        seed=1, magnitude=0.35)
+
+
+def _z_only_table():
+    return FieldModel(terms=(
+        SHTerm(3, 1, 0, 2.0, TimeModulation("const")),
+        SHTerm(3, 2, 1, 0.3, TimeModulation("sin", f1=25e3, phase=0.2)),
+        SHTerm(3, 1, 0, 0.1, TimeModulation("sincos", f1=25e3, f2=1e3)),
+    ), validity_radius=0.1)
+
+
+@pytest.mark.parametrize("make_model", [_perturbed_rotating_ffl, _z_only_table])
+def test_evaluator_matches_term_by_term_sum(make_model):
+    model = make_model()
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-0.05, 0.05, (30, 3))
+    times = rng.uniform(0.0, 1e-3, 7)
+    want_b = np.zeros((3, len(pts), times.size))
+    want_dt = np.zeros_like(want_b)
+    for t in model.terms:
+        p = eval_harmonic_polynomial(t.degree, t.order, pts)
+        want_b[t.component - 1] += t.coefficient * np.outer(p, t.modulation.eval(times))
+        want_dt[t.component - 1] += t.coefficient * np.outer(
+            p, t.modulation.eval_dt(times))
+    ev = FieldEvaluator(model, pts)
+    for got, want in ((ev.field(times), want_b), (ev.field_dt(times), want_dt)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    distinct = {(t.degree, t.order) for t in model.terms}
+    assert len(ev.harmonics) == len(distinct) == len(ev.polys)
+    # a harmonic repeats within a component, so the table merges terms
+    per_component = [[(t.degree, t.order) for t in model.terms if t.component == j]
+                     for j in (1, 2, 3)]
+    assert any(len(set(lms)) < len(lms) for lms in per_component)
+
+
 def test_validity_radius_warning(caplog):
     model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3,
                            validity_radius=0.02)
@@ -267,6 +314,16 @@ def test_lfv_mask_matches_direct_magnitude():
     assert idx.size > 0
     with pytest.raises(ConfigError):
         lfv_mask(model, t, grid, 0.005, 0.001)
+
+
+@pytest.mark.parametrize("row", [
+    (4, 1, 0, 1.0),  # no such component
+    (1, 1, 2, 1.0),  # |order| above the degree
+    (1, 1, 0, math.inf),
+])
+def test_invalid_term_raises_config_error(row):
+    with pytest.raises(ConfigError):
+        SHTerm(*row, TimeModulation("const"))
 
 
 def test_coefficient_file_round_trip(tmp_path):

@@ -1,6 +1,10 @@
 """System-matrix assembly, hashing, persistence, and row filtering."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpisim
 from mpisim import magnetization as mag
 from mpisim.errors import (
     ConfigError,
@@ -411,6 +416,38 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     _rewrite(path, val=value)
     with pytest.raises(ConfigError, match="non-finite"):
         load_system_matrix(path)
+
+
+def test_load_maps_an_unallocatable_shape_to_the_resource_cap(tmp_path):
+    # a consistent header for 10^12 rows: the CSR row pointer alone needs
+    # 7.28 TiB.  The address-space limit applies to the child process only,
+    # so the allocation fails there instead of being overcommitted.
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path)
+    rows = 10 ** 12
+    _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef".encode(),
+                           1: f"1000000 0 {rows} none".encode()})
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+             "from mpisim.errors import ResourceCapError\n"
+             "from mpisim.sysmat import load_system_matrix\n"
+             "try:\n"
+             "    load_system_matrix(sys.argv[1])\n"
+             "except ResourceCapError as exc:\n"
+             "    print(f'exit {exc.exit_code}: {exc}')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("exit 5: ") and "memory" in proc.stdout
+
+
+def test_highpass_rows_reject_a_cutoff_that_keeps_no_bin():
+    # 3 rows at 1 MHz: the bins sit at 0 and +-333 kHz
+    with pytest.raises(ConfigError, match="keeps no DFT bin"):
+        apply_highpass_rows(_tiny_matrix(), 4e5)
+    assert apply_highpass_rows(_tiny_matrix(), 3e5).highpass == 3e5
 
 
 def test_load_accepts_an_unfiltered_zero_sample_rate(tmp_path):
