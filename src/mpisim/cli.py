@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import functools
 import hashlib
 import logging
 import math
@@ -341,6 +342,11 @@ class Workspace:
     def path(self, name: str) -> Path:
         return self.dir / name
 
+    @functools.cached_property
+    def recipe(self) -> dict:
+        """make_matrix_recipe(cfg), built once: L1 nodes are placed once."""
+        return make_matrix_recipe(self.cfg)
+
     def prepare(self):
         self.dir.mkdir(parents=True, exist_ok=True)
         with atomic_open(self.path("config.resolved.ini"), "w") as fh:
@@ -410,6 +416,7 @@ def stage_simulate(ws: Workspace) -> dict:
     if noise_level < 0:
         raise ConfigError(f"acquisition.noise_level must be >= 0, got {noise_level:g}")
     noise_seed = cfg.integer("acquisition", "noise_seed")
+    approx = make_approx(cfg) if kind == "piecewise" else None
     traces = []
     for axis, coil in make_coils(cfg):
         if kind in ("general", "parallel"):
@@ -419,7 +426,7 @@ def stage_simulate(ws: Workspace) -> dict:
                              n_workers=workers)
         elif kind == "piecewise":
             trace = forward.simulate_piecewise(
-                model, grid, coil, acq, make_approx(cfg),
+                model, grid, coil, acq, approx,
                 subsampling=cfg.integer("forward", "subsampling"),
                 n_workers=workers)
         else:
@@ -456,30 +463,34 @@ def stage_filter(ws: Workspace) -> dict:
 
 
 def stage_sysmat(ws: Workspace) -> dict:
+    """Build every coil's matrix in one pass, then save one file per coil.
+
+    Each file holds a view of that coil's rows, high-passed when the
+    filter is on; the return value is the unfiltered coil-stacked matrix.
+    """
     cfg = ws.cfg
-    recipe = make_matrix_recipe(cfg)
     cutoff = highpass_cutoff(cfg)
-    matrices = []
-    for axis, coil in make_coils(cfg):
-        sm = sysmat.build_system_matrix(
-            coil=coil, **recipe,
-            nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-            n_workers=cfg.integer("sysmat", "workers"))
+    coils = make_coils(cfg)
+    stacked = sysmat.build_system_matrix(
+        coils=[coil for _, coil in coils], **ws.recipe,
+        nnz_cap=cfg.integer("sysmat", "nnz_cap"),
+        n_workers=cfg.integer("sysmat", "workers"))
+    for i, (axis, coil) in enumerate(coils):
+        sm = stacked.coil_block(i, sysmat.config_hash(coil=coil, **ws.recipe))
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
         path = ws.path(f"sysmat_{axis}.mat")
         sysmat.save_system_matrix(sm, path)
         print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
               f"{path.stat().st_size / 1e6:.1f} MB, hash {sm.config_hash}")
-        matrices.append(sm)
-    return {"matrices": matrices}
+    return {"matrix": stacked}
 
 
 def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     cfg = ws.cfg
     cutoff = highpass_cutoff(cfg)
     traces = _load_traces(ws, filtered=cutoff is not None)
-    recipe = make_matrix_recipe(cfg)
+    recipe = ws.recipe
     matrices = []
     for axis, coil in make_coils(cfg):
         expected = sysmat.config_hash(coil=coil, **recipe)

@@ -8,15 +8,17 @@ makes the matrix sparse.  Assembly uses that: B is evaluated at the cell
 centers first, and only cells whose center lies within b + L(t) r of the
 low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
 coefficients, r the center-to-sub-point reach) get their sub-points
-evaluated; see CellQuadrature.  It is stored sparse; filtered on
-application.
+evaluated; see CellQuadrature.  Only rho depends on the receive coil, so
+one pass serves every coil: B, the pruning and the staircase are computed
+once, and each coil keeps its own <rho, dB/dt> and drops its own exact
+zeros.  It is stored sparse; filtered on application.
 
 scipy.sparse is imported inside the functions that build, stack or load
-CSR (CellQuadrature.sparse_weights, build_system_matrix, stack_coils,
-load_system_matrix), so importing this module, and the stages that never
-touch a matrix, load numpy alone.  An operator handed to recon.lsqr_solve
-needs only shape, @ and .T: the CSR matrix itself, or the filtered
-operator of SystemMatrix.operator().
+CSR (CellQuadrature.sparse_weights, build_system_matrix,
+SystemMatrix.coil_block, stack_coils, load_system_matrix), so importing
+this module, and the stages that never touch a matrix, load numpy alone.
+An operator handed to recon.lsqr_solve needs only shape, @ and .T: the CSR
+matrix itself, or the filtered operator of SystemMatrix.operator().
 """
 
 from __future__ import annotations
@@ -54,15 +56,16 @@ _SAFETY = 1.0 + 1e-9
 class CellQuadrature:
     """Midpoint (or subsampled) cell quadrature bound to one model and grid.
 
-    weights() evaluates every sub-point of every cell; sparse_weights()
-    gives the same entries but first prunes the (cell, time) pairs that
-    cannot reach the low-field volume |B| < b.  Every sub-point of a cell
-    lies within reach r of its center, so |B(sub)| >= |B(center)| - L(t) r,
-    L(t) being a Lipschitz bound on B(., t) over the ball of radius R that
-    holds every center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the
-    distinct harmonics p_k of the FieldEvaluator table, F = its factors();
-    with G_l from fields.harmonic_gradient_bound, L(t) is the 2-norm over j
-    of sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
+    weights() evaluates every sub-point of every cell for one coil;
+    sparse_weights() gives the same entries for any number of coils from
+    one pass, but first prunes the (cell, time) pairs that cannot reach the
+    low-field volume |B| < b.  Every sub-point of a cell lies within reach r
+    of its center, so |B(sub)| >= |B(center)| - L(t) r, L(t) being a
+    Lipschitz bound on B(., t) over the ball of radius R that holds every
+    center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the distinct
+    harmonics p_k of the FieldEvaluator table, F = its factors(); with G_l
+    from fields.harmonic_gradient_bound, L(t) is the 2-norm over j of
+    sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
     topologies, whose gradients are constant.  The sub-point rows are the
     evaluator's polys, read in place as (cell, sub-point, harmonic).
     """
@@ -121,45 +124,55 @@ class CellQuadrature:
         fac = self.evaluator.factors(times)
         return np.sqrt(np.sum((self._grad @ np.abs(fac)) ** 2, axis=0))
 
-    def sparse_weights(self, approx: MagnetizationApprox, rho,
-                       times) -> sp.csr_matrix:
-        """The entries of weights(...).T as CSR, shape (len(times), n_cells).
+    def sparse_weights(self, approx: MagnetizationApprox, rhos,
+                       times) -> list:
+        """The entries of weights(approx, rho_k, times).T as CSR, one per coil.
 
-        B is evaluated at the cell centers first; a pair with |B(center, t)|
-        >= (b + L(t) r)(1 + 1e-9) has |B| >= b at every sub-point and hence
-        a zero entry.  Sub-point B and <rho, dB/dt> are evaluated for the
-        surviving pairs only, and exact zeros are dropped, so the pattern
-        equals that of the dense weights.
+        rhos holds K coil vectors; each CSR has shape (len(times), n_cells).
+        Everything but <rho_k, dB/dt> is the field's alone and is computed
+        once for all coils: B is evaluated at the cell centers first, and a
+        pair with |B(center, t)| >= (b + L(t) r)(1 + 1e-9) has |B| >= b at
+        every sub-point and hence a zero entry.  Sub-point B, the staircase
+        and each <rho_k, dB/dt> are evaluated for the surviving pairs only.
+        Each coil drops its own exact zeros, so each pattern equals that of
+        its dense weights.
         """
         import scipy.sparse as sp
 
-        rho = np.asarray(rho, dtype=float)
+        rhos = np.asarray(rhos, dtype=float).reshape(-1, 3)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         fac = self.evaluator.factors(times)
         b_c = self._center_polys @ fac
         mag_c = np.sqrt(np.einsum("jpt,jpt->tp", b_c, b_c))
         limit = (approx.threshold + self.lipschitz(times) * self.reach) * _SAFETY
         tidx, cells = np.nonzero(mag_c < limit[:, None])
-        # per time, one product gives B and <rho, dB/dt> at the survivors'
-        # sub-points: coef[t] maps the harmonics to (B_x, B_y, B_z, <rho, dB/dt>)
+        # per time, one product gives B and each <rho_k, dB/dt> at the
+        # survivors' sub-points: coef[t] maps the harmonics to
+        # (B_x, B_y, B_z, <rho_1, dB/dt>, ..., <rho_K, dB/dt>)
         fac_dt = self.evaluator.factors(times, use_dt=True)
-        rho_dt = rho[0] * fac_dt[0] + rho[1] * fac_dt[1] + rho[2] * fac_dt[2]
-        coef = np.stack([*fac, rho_dt], axis=-1).transpose(1, 0, 2).copy()
+        rho_dt = [rho[0] * fac_dt[0] + rho[1] * fac_dt[1] + rho[2] * fac_dt[2]
+                  for rho in rhos]
+        coef = np.stack([*fac, *rho_dt], axis=-1).transpose(1, 0, 2).copy()
         bounds = _row_starts(tidx, times.size)
         n_sub = self.n_sub
-        at_sub = np.empty((cells.size * n_sub, 4))
+        at_sub = np.empty((cells.size * n_sub, coef.shape[2]))
         for t in np.flatnonzero(np.diff(bounds)):
             lo, hi = bounds[t], bounds[t + 1]
             rows = self._sub_polys[cells[lo:hi]].reshape(-1, coef.shape[1])
             at_sub[lo * n_sub:hi * n_sub] = rows @ coef[t]
-        bx, by, bz, proj = (at_sub[:, j].reshape(-1, n_sub) for j in range(4))
-        w = -MU0 * proj * approx.eval(np.sqrt(bx * bx + by * by + bz * bz))
-        # sub-points summed in a fixed order: no value depends on the block
-        vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
-        keep = vals != 0
-        return sp.csr_matrix(
-            (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
-            shape=(times.size, self.n_cells))
+        bx, by, bz, *projs = (at_sub[:, j].reshape(-1, n_sub)
+                              for j in range(coef.shape[2]))
+        stair = approx.eval(np.sqrt(bx * bx + by * by + bz * bz))
+        out = []
+        for proj in projs:
+            w = -MU0 * proj * stair
+            # sub-points summed in a fixed order: no value depends on the block
+            vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
+            keep = vals != 0
+            out.append(sp.csr_matrix(
+                (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
+                shape=(times.size, self.n_cells)))
+        return out
 
 
 def _row_starts(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -227,6 +240,23 @@ class SystemMatrix:
     def nnz(self) -> int:
         return int(self.matrix.nnz)
 
+    def coil_block(self, i: int, config_hash: str) -> SystemMatrix:
+        """The rows of the i-th coil as a one-coil matrix with its own hash.
+
+        Its data and indices are views into this matrix, not copies.
+        """
+        import scipy.sparse as sp
+
+        n = self.rows_per_coil
+        indptr = self.matrix.indptr[i * n:(i + 1) * n + 1]
+        lo, hi = indptr[0], indptr[-1]
+        rows = sp.csr_matrix((self.matrix.data[lo:hi], self.matrix.indices[lo:hi],
+                              indptr - lo), shape=(n, self.shape[1]), copy=False)
+        return replace(self, matrix=rows,
+                       coil_indices=self.coil_indices[i:i + 1],
+                       coil_vectors=self.coil_vectors[i:i + 1],
+                       config_hash=config_hash)
+
     def operator(self):
         """matrix, or the FilteredOperator F S when highpass is set.
 
@@ -275,34 +305,42 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     return h.hexdigest()[:16]
 
 
-def estimate_nnz(quad: CellQuadrature, approx: MagnetizationApprox, rho,
+def estimate_nnz(quad: CellQuadrature, approx: MagnetizationApprox, rhos,
                  times: np.ndarray, probes: int = 8) -> int:
-    """Extrapolate the nonzero count from a few probe times."""
+    """Extrapolate the largest coil's nonzero count from a few probe times."""
     idx = np.unique(np.linspace(0, times.size - 1, min(probes, times.size)).astype(int))
-    probe = quad.sparse_weights(approx, rho, times[idx])
-    return int(np.ceil(probe.nnz / idx.size * times.size))
+    probe = max(m.nnz for m in quad.sparse_weights(approx, rhos, times[idx]))
+    return int(np.ceil(probe / idx.size * times.size))
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
-                        coil: ReceiveCoil, times, grid: ConcentrationGrid,
+                        coils, times, grid: ConcentrationGrid,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                         block: int = _DEFAULT_BLOCK) -> SystemMatrix:
-    """Assemble the matrix row block by row block (time-parallel).
+    """Assemble the coil-stacked matrix of a sequence of ReceiveCoils.
 
-    Each block is CellQuadrature.sparse_weights: (cell, time) pairs that the
-    Lipschitz bound places outside the low-field volume are skipped, and
-    the CSR block is built from the surviving entries.  Its pattern equals
-    that of the dense quadrature; values agree to the rounding of the
-    reordered term sum.  Blocks are independent and may be computed by
-    worker threads; the merge concatenates them in block order, and the
-    entries of one time never depend on the rest of its block, so the
-    result does not depend on the worker count or block size.  The
-    estimated nonzero count is checked against nnz_cap before any assembly
-    starts.
+    One pass serves every coil: each row block is one
+    CellQuadrature.sparse_weights call, which evaluates B, prunes the
+    (cell, time) pairs that the Lipschitz bound places outside the
+    low-field volume and staircases |B| once, and splits only
+    <rho_k, dB/dt> by coil, dropping each coil's exact zeros.  Each coil's
+    pattern equals that of its dense quadrature; values agree to the
+    rounding of the reordered term sum.  Blocks are independent and may be
+    computed by worker threads; the merge concatenates them in block order,
+    and the entries of one time never depend on the rest of its block, so
+    the result does not depend on the worker count or block size.
+
+    Rows are grouped by coil in the given order, and config_hash is the
+    stack_coils digest of the per-coil config_hash values, so a single coil
+    gets its own.  nnz_cap limits each coil: the estimated count is checked
+    before any assembly starts, the assembled count after it.
     """
     import scipy.sparse as sp
 
+    coils = list(coils)
+    if not coils:
+        raise ConfigError("need at least one receive coil")
     times = np.asarray(times, dtype=float)
     if times.size < 1:
         raise ConfigError("need at least one sample time")
@@ -313,25 +351,28 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
         dt = float(steps[0])
     else:
         dt = 0.0
-    rho = coil.vector
+    rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
-    est = estimate_nnz(quad, approx, rho, times)
+    est = estimate_nnz(quad, approx, rhos, times)
     if est > nnz_cap:
         raise ResourceCapError(
-            f"estimated {est} nonzeros exceeds the cap of {nnz_cap}; raise the "
-            f"cap, shrink the grid, or lower the threshold b")
+            f"estimated {est} nonzeros for one coil exceeds the cap of "
+            f"{nnz_cap}; raise the cap, shrink the grid, or lower the threshold b")
 
-    blocks = map_time_blocks(lambda span: quad.sparse_weights(approx, rho, span),
+    blocks = map_time_blocks(lambda span: quad.sparse_weights(approx, rhos, span),
                              times, n_workers, block)
-    total = sum(b.nnz for b in blocks)
+    per_coil = list(zip(*blocks))
+    total = max(sum(b.nnz for b in parts) for parts in per_coil)
     if total > nnz_cap:
-        raise ResourceCapError(f"assembled {total} nonzeros exceeds the cap "
-                               f"of {nnz_cap}")
-    matrix = sp.vstack(blocks, format="csr")
-    digest = config_hash(model, approx, grid, times, coil, subsampling)
+        raise ResourceCapError(f"assembled {total} nonzeros for one coil "
+                               f"exceeds the cap of {nnz_cap}")
+    matrix = sp.vstack([b for parts in per_coil for b in parts], format="csr")
+    digest = _stacked_hash([config_hash(model, approx, grid, times, coil,
+                                        subsampling) for coil in coils])
     return SystemMatrix(matrix=matrix, sample_rate=1.0 / dt if dt else 0.0,
                         t0=float(times[0]), rows_per_coil=times.size,
-                        coil_indices=(coil.index,), coil_vectors=(tuple(rho),),
+                        coil_indices=tuple(coil.index for coil in coils),
+                        coil_vectors=tuple(tuple(rho) for rho in rhos),
                         grid_dims=grid.dims, grid_spacing=grid.spacing,
                         grid_origin=grid.origin, config_hash=digest)
 
@@ -362,13 +403,18 @@ def stack_coils(matrices, traces: list[SignalTrace]):
         raise ConfigError("trace length does not match matrix rows")
     stacked = sp.vstack([m.matrix for m in matrices], format="csr")
     samples = np.concatenate([tr.samples for tr in traces])
-    digest = hashlib.sha256(
-        "|".join(m.config_hash for m in matrices).encode()).hexdigest()[:16]
     return (replace(first, matrix=stacked,
                     coil_indices=tuple(i for m in matrices for i in m.coil_indices),
                     coil_vectors=tuple(v for m in matrices for v in m.coil_vectors),
-                    config_hash=digest),
+                    config_hash=_stacked_hash([m.config_hash for m in matrices])),
             samples)
+
+
+def _stacked_hash(digests) -> str:
+    """Config hash of coil-stacked matrices; one matrix keeps its own."""
+    if len(digests) == 1:
+        return digests[0]
+    return hashlib.sha256("|".join(digests).encode()).hexdigest()[:16]
 
 
 def chain_highpass_hash(digest: str, cutoff: float) -> str:

@@ -175,7 +175,7 @@ def test_criterion_5_model_chain_equivalence():
     par = forward.simulate_parallel(model, grid, coil, acq, params)
     gen = forward.simulate_general(model, grid, coil, acq, params)
     pw = forward.simulate_piecewise(model, grid, coil, acq, approx, subsampling=1)
-    sm = sysmat.build_system_matrix(model, approx, coil, acq.times(), grid,
+    sm = sysmat.build_system_matrix(model, approx, [coil], acq.times(), grid,
                                     subsampling=1)
     scale = np.linalg.norm(par.samples)
     gen_rel = float(np.linalg.norm(gen.samples - par.samples) / scale)
@@ -341,13 +341,12 @@ class _DeskScan:
                 interior = magnetization.nodes_equidistant(n - 1, b)
             approx = magnetization.build_approx(self.params, interior, b,
                                                 scheme=scheme)
-            mats = [sysmat.apply_highpass_rows(
-                        sysmat.build_system_matrix(
-                            self.model(which), approx, coil, self.acq.times(),
-                            self.template, subsampling=2, n_workers=4),
-                        self.CUTOFF)
-                    for coil in self.coils]
-            stacked, rhs = sysmat.stack_coils(mats, self.traces(which))
+            stacked = sysmat.apply_highpass_rows(
+                sysmat.build_system_matrix(
+                    self.model(which), approx, self.coils, self.acq.times(),
+                    self.template, subsampling=2, n_workers=4),
+                self.CUTOFF)
+            rhs = np.concatenate([tr.samples for tr in self.traces(which)])
             result = recon.lsqr_solve(stacked.operator(), rhs,
                                       recon.LsqrOptions(max_iterations=20))
             self.lsqr_results.append(result)

@@ -17,6 +17,7 @@ from mpisim.errors import ConfigError, MissingInputError
 from mpisim.fields import load_field_coefficients
 from mpisim.forward import apply_highpass, load_trace_bin
 from mpisim.phantom import load_grid
+from mpisim.sysmat import load_system_matrix
 
 
 TINY_INI = """\
@@ -546,3 +547,45 @@ def test_sweep_scheme_variant_parsing():
         cli._sweep_variant(cfg, "scheme", "cubic")
     with pytest.raises(ConfigError):
         cli._sweep_variant(cfg, "warp", "1")
+
+
+def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
+    # the benchmark's tracer wraps sysmat.build_system_matrix by name and
+    # counts the nonzeros of what it returns; this runs its traced child on
+    # the tiny two-coil scan, leaving the benchmark's files as they are
+    root = Path(__file__).resolve().parents[1]
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    result = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(result),
+         "trace", "--", "run", "-c", str(ini), "-o", str(out)],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    traced = json.loads(result.read_text())
+    assert traced["exit_code"] == 0
+    saved = [load_system_matrix(out / f"sysmat_{axis}.mat").nnz for axis in "xy"]
+    assert min(saved) > 0
+    assert traced["counts"]["sysmat.nnz"] == sum(saved)
+    assert "sysmat.build_system_matrix" in {span[1] for span in traced["spans"]}
+
+
+def test_l1_nodes_are_placed_once_per_workspace(tmp_path, monkeypatch):
+    # simulate (piecewise, two coils), sysmat and lsqr all use one staircase
+    calls = []
+    real = cli.magnetization.nodes_l1_optimal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.magnetization, "nodes_l1_optimal", counting)
+    ini = write_tiny(tmp_path)
+    assert cli.main(["run", "-c", str(ini), "-o", str(tmp_path / "out"),
+                     "--stages", "phantom,simulate,filter,sysmat,lsqr",
+                     "--set", "magnetization.nodes=l1",
+                     "--set", "magnetization.n_intervals=8",
+                     "--set", "forward.model=piecewise"]) == 0
+    assert len(calls) == 2  # stage_simulate's, then the workspace recipe's

@@ -88,7 +88,7 @@ def _assert_matches_unpruned(model, approx, coil, times, grid, subsampling):
     term sum only: at most 1e-12 of the largest entry, since entries that
     cancel to far below it carry the rounding of their summands.
     """
-    sm = build_system_matrix(model, approx, coil, times, grid, subsampling)
+    sm = build_system_matrix(model, approx, [coil], times, grid, subsampling)
     quad = CellQuadrature(model, grid, subsampling)
     oracle = sp.csr_matrix(quad.weights(approx, coil.vector, times).T)
     assert oracle.nnz > 0
@@ -114,7 +114,7 @@ def scene():
 @pytest.fixture(scope="module")
 def matrix_x(scene):
     model, grid, config, approx = scene
-    return build_system_matrix(model, approx, coil_along("x"), config.times(),
+    return build_system_matrix(model, approx, [coil_along("x")], config.times(),
                                grid, subsampling=2)
 
 
@@ -167,7 +167,8 @@ def test_matrix_vector_product_equals_piecewise_on_random_scenes(
                               mag.nodes_equidistant(intervals - 1, b), b,
                               scheme=scheme)
     coil = coil_along(axis)
-    sm = build_system_matrix(model, approx, coil, config.times(), grid, subsampling)
+    sm = build_system_matrix(model, approx, [coil], config.times(), grid,
+                             subsampling)
     u = simulate_piecewise(model, grid, coil, config, approx,
                            subsampling=subsampling).samples
     scale = np.max(np.abs(u))
@@ -233,7 +234,7 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
     monkeypatch.setattr(mag.MagnetizationApprox, "eval", counting_eval)
     grid = empty_grid(0.1, 0.1 / 64)
     times = np.arange(0, 4000, 10) * 2.5e-7
-    sm = build_system_matrix(_desk_ffl(), _desk_approx(), coil_along("x"), times,
+    sm = build_system_matrix(_desk_ffl(), _desk_approx(), [coil_along("x")], times,
                              grid, subsampling=2)
     assert sm.nnz > 0
     dense_values = grid.n_cells * 4 * times.size
@@ -245,13 +246,83 @@ def test_worker_count_does_not_change_matrix(scene, matrix_x):
     base = matrix_x.matrix
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
-            split = build_system_matrix(model, approx, coil_along("x"),
+            split = build_system_matrix(model, approx, [coil_along("x")],
                                         config.times(), grid, subsampling=2,
                                         n_workers=workers, **block)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(split.matrix, part),
                                       getattr(base, part)), (workers, block, part)
             assert split.config_hash == matrix_x.config_hash
+
+
+def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
+    # oracle: one build per coil, stacked
+    model, grid, config, approx = scene
+    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+                             grid, subsampling=2)
+    assert matrix_x.nnz > 0 and my.nnz > 0
+    oracle, _ = stack_coils([matrix_x, my], [_zero_trace(config)] * 2)
+    for workers in (1, 2, 3):
+        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+            both = build_system_matrix(model, approx,
+                                       [coil_along("x"), coil_along("y")],
+                                       config.times(), grid, subsampling=2,
+                                       n_workers=workers, **block)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(both.matrix, part),
+                                      getattr(oracle.matrix, part)), (
+                    workers, block, part)
+            assert both.config_hash == oracle.config_hash
+            assert both.coil_indices == (0, 1)
+            assert both.coil_vectors == oracle.coil_vectors
+    # coil_block undoes the stacking, hash included
+    for i, single in enumerate((matrix_x, my)):
+        block = both.coil_block(i, single.config_hash)
+        assert (block.matrix != single.matrix).nnz == 0
+        assert block.shape == single.shape
+        assert block.coil_indices == single.coil_indices
+        assert block.coil_vectors == single.coil_vectors
+        assert block.config_hash == single.config_hash
+
+
+def test_coil_without_signal_gets_an_empty_block():
+    # the ideal desk FFL rotates in the z = 0 plane: <rho_z, dB/dt> is 0
+    # there, so z's rows hold no entry while x's keep their own
+    model, approx = _desk_ffl(), _desk_approx()
+    grid = empty_grid(0.1, 0.1 / 32)
+    times = np.arange(500) * 2e-6
+    alone = build_system_matrix(model, approx, [coil_along("x")], times, grid,
+                                subsampling=2)
+    both = build_system_matrix(model, approx, [coil_along("x"), coil_along("z")],
+                               times, grid, subsampling=2)
+    n = times.size
+    assert alone.nnz > 0
+    assert both.matrix[n:].nnz == 0
+    x_rows = both.matrix[:n]
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(x_rows, part), getattr(alone.matrix, part))
+
+
+def test_empty_coil_list_is_rejected(scene):
+    model, grid, config, approx = scene
+    with pytest.raises(ConfigError, match="coil"):
+        build_system_matrix(model, approx, [], config.times(), grid)
+
+
+def test_nnz_cap_is_per_coil(scene, matrix_x):
+    model, grid, config, approx = scene
+    coils = [coil_along("x"), coil_along("y")]
+    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+                             grid, subsampling=2)
+    largest, total = max(matrix_x.nnz, my.nnz), matrix_x.nnz + my.nnz
+    cap = total - 1  # above each coil's count and estimate, below their sum
+    assert largest < cap
+    both = build_system_matrix(model, approx, coils, config.times(), grid,
+                               subsampling=2, nnz_cap=cap)
+    assert both.nnz == total > cap
+    with pytest.raises(ResourceCapError, match="one coil"):
+        build_system_matrix(model, approx, coils, config.times(), grid,
+                            subsampling=2, nnz_cap=min(matrix_x.nnz, my.nnz) - 1)
 
 
 def test_config_hash_sensitivity(scene):
@@ -286,7 +357,7 @@ def test_config_hash_sensitivity(scene):
 def test_nnz_cap(scene):
     model, grid, config, approx = scene
     with pytest.raises(ResourceCapError):
-        build_system_matrix(model, approx, coil_along("x"), config.times(),
+        build_system_matrix(model, approx, [coil_along("x")], config.times(),
                             grid, subsampling=2, nnz_cap=100)
 
 
@@ -294,9 +365,9 @@ def test_times_validation(scene):
     model, grid, config, approx = scene
     bad = np.array([0.0, 1e-6, 3e-6])
     with pytest.raises(ConfigError):
-        build_system_matrix(model, approx, coil_along("x"), bad, grid)
+        build_system_matrix(model, approx, [coil_along("x")], bad, grid)
     with pytest.raises(ConfigError):
-        build_system_matrix(model, approx, coil_along("x"), np.array([]), grid)
+        build_system_matrix(model, approx, [coil_along("x")], np.array([]), grid)
 
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
@@ -508,7 +579,7 @@ def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
 
 def test_stack_coils(scene, matrix_x):
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, coil_along("y"), config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
                              grid, subsampling=2)
     tx = simulate_piecewise(model, grid, coil_along("x"), config, approx,
                             subsampling=2)
@@ -578,7 +649,7 @@ def test_highpass_operator_adjoint_identity(matrix_x):
 def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
     model, grid, config, approx = scene
     cutoff = 35e3
-    my = build_system_matrix(model, approx, coil_along("y"), config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
                              grid, subsampling=2)
     singles = [apply_highpass_rows(m, cutoff) for m in (matrix_x, my)]
     stacked, _ = stack_coils(singles, [_zero_trace(config)] * 2)
@@ -619,7 +690,7 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
     model, grid, config, approx = scene
     filtered = apply_highpass_rows(matrix_x, 35e3)
     if n_coils == 2:
-        my = build_system_matrix(model, approx, coil_along("y"),
+        my = build_system_matrix(model, approx, [coil_along("y")],
                                  config.times(), grid, subsampling=2)
         filtered, _ = stack_coils(
             [filtered, apply_highpass_rows(my, 35e3)],
@@ -656,7 +727,7 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
 
 def test_stack_rejects_mixed_filtering(scene, matrix_x):
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, coil_along("y"), config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
                              grid, subsampling=2)
     ty = simulate_piecewise(model, grid, coil_along("y"), config, approx,
                             subsampling=2)
