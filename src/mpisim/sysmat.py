@@ -11,7 +11,10 @@ coefficients, r the center-to-sub-point reach) get their sub-points
 evaluated; see CellQuadrature.  Only rho depends on the receive coil, so
 one pass serves every coil: B, the pruning and the staircase are computed
 once, and each coil keeps its own <rho, dB/dt> and drops its own exact
-zeros.  It is stored sparse; filtered on application.
+zeros.  It is stored sparse; filtered on application.  One sparse layout
+serves from assembly to LSQR: the CSR that sparse_weights builds is what
+save_system_matrix writes (indptr, indices, data) and load_system_matrix
+reads back without conversion.
 
 scipy.sparse is imported inside the functions that build, stack or load
 CSR (CellQuadrature.sparse_weights, build_system_matrix,
@@ -439,15 +442,17 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
 
 
 def save_system_matrix(sm: SystemMatrix, path):
-    """Four ASCII header lines, then COO triplet arrays (int64, int64, float64).
+    """Four ASCII header lines, then the CSR arrays of sm.matrix.
 
-    The bytes go to a temporary file beside path, which then replaces path,
-    so an interrupted write never leaves a partial matrix behind.
+    Header line 0 ends in the layout token csr.  The payload is indptr
+    (<i8, rows + 1 entries), indices (<i4) and data (<f8), nnz entries
+    each, written from the matrix as it is held.  The bytes go to a
+    temporary file beside path, which then replaces path, so an
+    interrupted write never leaves a partial matrix behind.
     """
-    coo = sm.matrix.tocoo()
     hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
     lines = [
-        f"{sm.shape[0]} {sm.shape[1]} {coo.nnz} {sm.config_hash}",
+        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {sm.config_hash} csr",
         f"{sm.sample_rate:.17g} {sm.t0:.17g} {sm.rows_per_coil} {hp}",
         " ".join(f"{i}:{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}"
                  for i, v in zip(sm.coil_indices, sm.coil_vectors)),
@@ -457,20 +462,23 @@ def save_system_matrix(sm: SystemMatrix, path):
     ]
     with atomic_open(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(coo.row.astype("<i8").tobytes())
-        fh.write(coo.col.astype("<i8").tobytes())
-        fh.write(coo.data.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(sm.matrix.indptr, dtype="<i8"))
+        fh.write(np.ascontiguousarray(sm.matrix.indices, dtype="<i4"))
+        fh.write(np.ascontiguousarray(sm.matrix.data, dtype="<f8"))
 
 
 def _parse_header(lines):
     """The four header lines of a stored matrix.
 
-    ValueError when a line is malformed or its metadata impossible: every
-    rate, time, cut-off, vector, spacing and origin must be finite, a
-    high-pass needs a positive sample rate, and the shape must match
-    rows_per_coil times the coils and the grid dims.
+    ValueError when a line is malformed or its metadata impossible: line 0
+    must end in the csr layout token, every rate, time, cut-off, vector,
+    spacing and origin must be finite, a high-pass needs a positive sample
+    rate, and the shape must match rows_per_coil times the coils and the
+    grid dims.
     """
-    rows, cols, nnz, digest = lines[0].decode("ascii").split()
+    rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
+    if layout != ["csr"]:
+        raise ValueError("written in the old triplet layout; re-run `mpisim sysmat`")
     rows, cols, nnz = int(rows), int(cols), int(nnz)
     if min(rows, cols, nnz) < 0:
         raise ValueError("negative shape or nonzero count")
@@ -515,9 +523,10 @@ def load_system_matrix(path, expected_hash: str | None = None,
                        force: bool = False) -> SystemMatrix:
     """Load a stored matrix; validates the config hash unless force is set.
 
-    A malformed header, a truncated payload, an index outside the stored
-    shape or a non-finite value raises ConfigError; a shape too large to
-    allocate raises ResourceCapError.
+    A malformed header, a payload that is not 8 (rows + 1) + 12 nnz bytes,
+    a row pointer that does not run from 0 up to nnz without decreasing,
+    an index outside the stored shape or a non-finite value raises
+    ConfigError.  indices and data are read-only views of the file bytes.
     """
     import scipy.sparse as sp
 
@@ -535,18 +544,17 @@ def load_system_matrix(path, expected_hash: str | None = None,
             f"{expected_hash}; pass force to override")
     nnz = meta.pop("nnz")
     rows, cols = shape = meta.pop("shape")
-    if len(raw) != nnz * (8 + 8 + 8):
-        raise ConfigError(f"{path}: triplet payload truncated")
-    r = np.frombuffer(raw[:8 * nnz], dtype="<i8")
-    c = np.frombuffer(raw[8 * nnz:16 * nnz], dtype="<i8")
-    v = np.frombuffer(raw[16 * nnz:], dtype="<f8")
-    if nnz and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
-        raise ConfigError(f"{path}: triplet index outside the {rows}x{cols} shape")
-    if not np.all(np.isfinite(v)):
+    ptr_end = 8 * (rows + 1)
+    if len(raw) != ptr_end + 12 * nnz:
+        raise ConfigError(f"{path}: CSR payload truncated")
+    indptr = np.frombuffer(raw, "<i8", rows + 1)
+    indices = np.frombuffer(raw, "<i4", nnz, ptr_end)
+    data = np.frombuffer(raw, "<f8", nnz, ptr_end + 4 * nnz)
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ConfigError(f"{path}: CSR row pointer must rise from 0 to {nnz}")
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise ConfigError(f"{path}: column index outside the {rows}x{cols} shape")
+    if not np.all(np.isfinite(data)):
         raise ConfigError(f"{path}: non-finite matrix values")
-    try:
-        matrix = sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
-    except MemoryError:
-        raise ResourceCapError(f"{path}: a {rows}x{cols} matrix does not fit "
-                               f"in memory") from None
-    return SystemMatrix(matrix=matrix, **meta)
+    return SystemMatrix(matrix=sp.csr_matrix((data, indices, indptr), shape=shape),
+                        **meta)

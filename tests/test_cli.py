@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mpisim
-from mpisim import cli
+from mpisim import cli, sysmat
 from mpisim.errors import ConfigError, MissingInputError
 from mpisim.fields import load_field_coefficients
 from mpisim.forward import apply_highpass, load_trace_bin
@@ -185,6 +185,58 @@ def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force"]) == 2
     err = capsys.readouterr().err
     assert "malformed header" in err and "Traceback" not in err
+
+
+def _csr_payload(path):
+    """Header lines, indptr, indices and data of a stored matrix, read here."""
+    lines = path.read_bytes().split(b"\n", 4)
+    payload = lines.pop()
+    rows, _, nnz = (int(x) for x in lines[0].split()[:3])
+    indptr = np.frombuffer(payload, "<i8", rows + 1)
+    indices = np.frombuffer(payload, "<i4", nnz, 8 * (rows + 1))
+    data = np.frombuffer(payload, "<f8", nnz, 8 * (rows + 1) + 4 * nnz)
+    return lines, indptr, indices, data
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
+def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
+                                                         capsys, force):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    # the layout before CSR: no layout token, then int64 rows, int64 cols
+    # and float64 values of the COO triplets
+    path = work / "sysmat_x.mat"
+    lines, indptr, indices, data = _csr_payload(path)
+    lines[0] = lines[0].rsplit(b" ", 1)[0]
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    path.write_bytes(b"\n".join(lines) + b"\n" + rows.astype("<i8").tobytes()
+                     + indices.astype("<i8").tobytes() + data.tobytes())
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
+    err = capsys.readouterr().err
+    assert "malformed header" in err and "old triplet layout" in err
+    assert "re-run `mpisim sysmat`" in err and "Traceback" not in err
+
+
+def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
+    tmp, ini, out = pipeline_dir
+    cfg = cli.RunConfig.load(ini)
+    recipe = cli.make_matrix_recipe(cfg)
+    coils = cli.make_coils(cfg)
+    fresh = sysmat.build_system_matrix(coils=[coil for _, coil in coils], **recipe)
+    for i, (axis, coil) in enumerate(coils):
+        path = out / f"sysmat_{axis}.mat"
+        lines, indptr, indices, data = _csr_payload(path)
+        header = sum(len(line) + 1 for line in lines)
+        rows, nnz = indptr.size - 1, indices.size
+        assert path.stat().st_size == header + 8 * (rows + 1) + 12 * nnz
+        block = fresh.coil_block(i, sysmat.config_hash(coil=coil, **recipe)).matrix
+        loaded = load_system_matrix(path).matrix
+        for name in ("indptr", "indices", "data"):
+            ref = getattr(block, name)
+            got = getattr(loaded, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 def test_lsqr_rejects_zero_sample_rate_with_a_highpass(pipeline_dir, tmp_path,

@@ -381,6 +381,12 @@ def test_save_load_round_trip(scene, matrix_x, tmp_path):
     assert back.coil_vectors == matrix_x.coil_vectors
     assert back.grid_dims == matrix_x.grid_dims
     assert back.highpass is None
+    # a matrix with no nonzeros is a row pointer of zeros and nothing else
+    empty = replace(matrix_x, matrix=sp.csr_matrix(matrix_x.shape))
+    save_system_matrix(empty, path)
+    back = load_system_matrix(path)
+    assert back.shape == matrix_x.shape and back.nnz == 0
+    assert np.array_equal(back.matrix.indptr, np.zeros(matrix_x.shape[0] + 1))
 
 
 def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
@@ -407,31 +413,39 @@ def _tiny_matrix():
                         config_hash="0123456789abcdef")
 
 
-def _rewrite(path, header=None, row=None, col=None, val=None):
-    """Replace header lines (by index) or triplet arrays of a saved matrix."""
+def _rewrite(path, header=None, indptr=None, col=None, val=None):
+    """Replace header lines (by index), indptr, or the first index or value.
+
+    The payload is split by the header the matrix was saved with.
+    """
     lines = path.read_bytes().split(b"\n", 4)
     payload = lines.pop()
+    rows, _, nnz = (int(x) for x in lines[0].split()[:3])
     for i, text in (header or {}).items():
         lines[i] = text
-    nnz = len(payload) // 24
-    arrays = [np.frombuffer(payload[k * 8 * nnz:(k + 1) * 8 * nnz], dtype=dt).copy()
-              for k, dt in enumerate(("<i8", "<i8", "<f8"))]
-    for array, new in zip(arrays, (row, col, val)):
+    sizes = [(rows + 1, "<i8"), (nnz, "<i4"), (nnz, "<f8")]
+    arrays, offset = [], 0
+    for count, dt in sizes:
+        arrays.append(np.frombuffer(payload, dt, count, offset).copy())
+        offset += arrays[-1].nbytes
+    if indptr is not None:
+        arrays[0][:] = indptr
+    for array, new in zip(arrays[1:], (col, val)):
         if new is not None:
             array[0] = new
     path.write_bytes(b"\n".join(lines) + b"\n" + b"".join(a.tobytes() for a in arrays))
 
 
 @pytest.mark.parametrize("header", [
-    {0: b"3 3 four 0123456789abcdef"},
+    {0: b"3 3 four 0123456789abcdef csr"},
     {0: b"3 3 4"},
-    {0: b"-3 3 4 0123456789abcdef"},
+    {0: b"-3 3 4 0123456789abcdef csr"},
     {1: b"1e6 0 3"},
     {1: b"fast 0 3 none"},
     {2: b"0:1,0"},
     {2: b"0=1,0,0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0"},
-    {0: b"\xff\xfe 3 4 0123456789abcdef"},
+    {0: b"\xff\xfe 3 4 0123456789abcdef csr"},
     # impossible metadata: sample rate, t0 and high-pass
     {1: b"nan 0 3 none"},
     {1: b"inf 0 3 none"},
@@ -444,8 +458,8 @@ def _rewrite(path, header=None, row=None, col=None, val=None):
     {1: b"1e6 0 3 -35000"},
     {1: b"0 0 3 35000"},
     # rows against rows_per_coil and the coils
-    {0: b"4 3 4 0123456789abcdef"},
-    {0: b"0 3 4 0123456789abcdef", 1: b"1e6 0 0 none"},
+    {0: b"4 3 4 0123456789abcdef csr"},
+    {0: b"0 3 4 0123456789abcdef csr", 1: b"1e6 0 0 none"},
     {1: b"1e6 0 2 none"},
     {2: b"0:1,0,0 1:0,1,0"},
     {2: b""},
@@ -460,6 +474,9 @@ def _rewrite(path, header=None, row=None, col=None, val=None):
     {3: b"3 1 1 0.001 0.001 inf 0 0 0"},
     {3: b"3 1 1 0.001 0.001 0.001 nan 0 0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0 -inf"},
+    # line 0 without the csr layout token: the old triplet layout, or another
+    {0: b"3 3 4 0123456789abcdef"},
+    {0: b"3 3 4 0123456789abcdef coo"},
 ])
 def test_load_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "sm.mat"
@@ -469,14 +486,23 @@ def test_load_rejects_malformed_header(tmp_path, header):
         load_system_matrix(path)
 
 
-@pytest.mark.parametrize("triplet", [
-    {"row": 99}, {"row": -1}, {"col": 3}, {"col": -2},
-])
-def test_load_rejects_out_of_range_indices(tmp_path, triplet):
+@pytest.mark.parametrize("col", [3, -1])
+def test_load_rejects_out_of_range_indices(tmp_path, col):
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path)
-    _rewrite(path, **triplet)
+    _rewrite(path, col=col)
     with pytest.raises(ConfigError, match="outside the 3x3 shape"):
+        load_system_matrix(path)
+
+
+# the tiny matrix has indptr [0, 2, 3, 4]
+@pytest.mark.parametrize("indptr", [[1, 2, 3, 4], [0, 3, 2, 4], [0, 2, 3, 3]],
+                         ids=["starts_at_1", "decreasing", "ends_below_nnz"])
+def test_load_rejects_a_bad_row_pointer(tmp_path, indptr):
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path)
+    _rewrite(path, indptr=indptr)
+    with pytest.raises(ConfigError, match="row pointer"):
         load_system_matrix(path)
 
 
@@ -489,29 +515,33 @@ def test_load_rejects_non_finite_values(tmp_path, value):
         load_system_matrix(path)
 
 
-def test_load_maps_an_unallocatable_shape_to_the_resource_cap(tmp_path):
-    # a consistent header for 10^12 rows: the CSR row pointer alone needs
-    # 7.28 TiB.  The address-space limit applies to the child process only,
-    # so the allocation fails there instead of being overcommitted.
+def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
+    # a consistent header for 10^12 rows: the CSR row pointer alone would
+    # need 7.28 TiB, but it is read from the file, so the payload length
+    # check rejects it before anything shape-sized is allocated.  The
+    # address-space limit applies to the child process only, so an
+    # allocation from the header would fail there instead of being
+    # overcommitted.
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path)
     rows = 10 ** 12
-    _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef".encode(),
+    _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef csr".encode(),
                            1: f"1000000 0 {rows} none".encode()})
     probe = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
-             "from mpisim.errors import ResourceCapError\n"
+             "from mpisim.errors import MpiSimError\n"
              "from mpisim.sysmat import load_system_matrix\n"
              "try:\n"
              "    load_system_matrix(sys.argv[1])\n"
-             "except ResourceCapError as exc:\n"
+             "except MpiSimError as exc:\n"
              "    print(f'exit {exc.exit_code}: {exc}')\n")
     env = {**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1]),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", probe, str(path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("exit 5: ") and "memory" in proc.stdout
+    assert proc.stdout.startswith("exit 2: ") and "truncated" in proc.stdout
+    assert "MemoryError" not in proc.stdout + proc.stderr
 
 
 def test_highpass_rows_reject_a_cutoff_that_keeps_no_bin():
@@ -537,29 +567,20 @@ def test_rewrite_helper_keeps_a_valid_file(tmp_path):
     assert back.matrix.nnz == 4 and (back.matrix != tiny.matrix).nnz == 0
 
 
-class _FailingCoo:
-    """COO triplets whose values fail to arrive, after rows and cols did."""
-
-    def __init__(self, coo, on_fail):
-        self.nnz, self.row, self.col = coo.nnz, coo.row, coo.col
-        self._on_fail = on_fail
-
-    @property
-    def data(self):
-        self._on_fail()
-        raise OSError("no space left on device")
-
-
 def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
     path = tmp_path / "sm.mat"
     during = []
 
     class FailingMatrix:
-        shape = matrix_x.shape
+        """CSR arrays whose values fail to arrive, after indptr and indices did."""
 
-        def tocoo(self):
-            return _FailingCoo(matrix_x.matrix.tocoo(),
-                               lambda: during.append(sorted(tmp_path.iterdir())))
+        shape, nnz = matrix_x.shape, matrix_x.nnz
+        indptr, indices = matrix_x.matrix.indptr, matrix_x.matrix.indices
+
+        @property
+        def data(self):
+            during.append(sorted(tmp_path.iterdir()))
+            raise OSError("no space left on device")
 
     broken = replace(matrix_x, matrix=FailingMatrix())
     with pytest.raises(OSError):
