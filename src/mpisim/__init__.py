@@ -19,8 +19,8 @@ from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, add_noise,
                       load_trace_csv, save_trace_bin, save_trace_csv,
                       simulate_general, simulate_parallel, simulate_piecewise)
 from .sysmat import (SystemMatrix, apply_highpass_rows, build_system_matrix,
-                     config_hash, load_system_matrix, save_system_matrix,
-                     stack_coils)
+                     build_system_matrices, config_hash, load_system_matrix,
+                     save_system_matrix, stack_coils)
 from .recon import (LsqrOptions, LsqrResult, lsqr_solve, nrmse, optimal_scale,
                     profile_compare)
 from .fbp import (ScanGeometry, Sinogram, fbp_reconstruct, radon_transform,

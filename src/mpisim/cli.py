@@ -465,17 +465,26 @@ def stage_filter(ws: Workspace) -> dict:
 def stage_sysmat(ws: Workspace) -> dict:
     """Build every coil's matrix in one pass, then save one file per coil.
 
-    Each file holds a view of that coil's rows, high-passed when the
-    filter is on; the return value is the unfiltered coil-stacked matrix.
+    The return value is the unfiltered coil-stacked matrix.
     """
     cfg = ws.cfg
     cutoff = highpass_cutoff(cfg)
-    coils = make_coils(cfg)
     stacked = sysmat.build_system_matrix(
-        coils=[coil for _, coil in coils], **ws.recipe,
+        coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
         n_workers=cfg.integer("sysmat", "workers"))
-    for i, (axis, coil) in enumerate(coils):
+    _save_matrices(ws, stacked, cutoff)
+    return {"matrix": stacked}
+
+
+def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix,
+                   cutoff: float | None):
+    """Save each coil's rows of stacked as sysmat_<axis>.mat.
+
+    Each file holds a view of that coil's rows, high-passed when cutoff is
+    set, under the config hash of ws.recipe.
+    """
+    for i, (axis, coil) in enumerate(make_coils(ws.cfg)):
         sm = stacked.coil_block(i, sysmat.config_hash(coil=coil, **ws.recipe))
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
@@ -483,7 +492,6 @@ def stage_sysmat(ws: Workspace) -> dict:
         sysmat.save_system_matrix(sm, path)
         print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
               f"{path.stat().st_size / 1e6:.1f} MB, hash {sm.config_hash}")
-    return {"matrix": stacked}
 
 
 def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
@@ -621,31 +629,50 @@ def _slug(value: str) -> str:
 def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
-    The voltage data is simulated once from the base config with its
-    forward.model; each value then rebuilds the staircase, the system
-    matrix and the LSQR reconstruction, and the summary records NRMSE
-    against the phantom on the reconstruction grid.
+    Every value's config and staircase are built first, so a bad value, or
+    two values that would share a sub-directory, stops the sweep before
+    anything is written.  The voltage data is simulated once from the base
+    config with its forward.model.  The sweep parameters change only the
+    staircase, so one assembly pass on the base field, times and grid
+    builds every value's system matrix; each value then saves its matrix
+    and runs its LSQR reconstruction, and the summary records NRMSE against
+    the phantom on the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
     ws = Workspace(cfg, outdir)
+    subs = {}
+    for value in values:
+        name = f"{parameter}_{_slug(value)}"
+        if name in subs:
+            raise ConfigError(f"sweep values {subs[name][0].strip()!r} and "
+                              f"{value.strip()!r} would share the directory {name}")
+        subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
+                                       ws.dir / name))
+    approxes = [sub.recipe["approx"] for _, sub in subs.values()]
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)
     stage_filter(ws)
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
+    coils = make_coils(cfg)
+    matrices = sysmat.build_system_matrices(
+        make_field_model(cfg), approxes, [coil for _, coil in coils],
+        make_acquisition(cfg).times(), make_grid(cfg, "recon"),
+        cfg.integer("sysmat", "subsampling"),
+        nnz_cap=cfg.integer("sysmat", "nnz_cap"),
+        n_workers=cfg.integer("sysmat", "workers"))
     summary = []
-    for value in values:
-        variant = _sweep_variant(cfg, parameter, value)
-        sub = Workspace(variant, ws.dir / f"{parameter}_{_slug(value)}")
+    for i, (value, sub) in enumerate(subs.values()):
         sub.prepare()
-        for axis, _ in make_coils(cfg):
+        for axis, _ in coils:
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():
                     with atomic_open(sub.path(f"trace_{axis}{suffix}.bin")) as fh:
                         fh.write(src.read_bytes())
-        stage_sysmat(sub)
+        _save_matrices(sub, matrices[i], highpass_cutoff(sub.cfg))
+        matrices[i] = None  # saved: stage_lsqr reads it back from the file
         result = stage_lsqr(sub)
         value_nrmse = recon.nrmse(result["image"], reference)
         summary.append((value, value_nrmse))

@@ -8,16 +8,17 @@ makes the matrix sparse.  Assembly uses that: B is evaluated at the cell
 centers first, and only cells whose center lies within b + L(t) r of the
 low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
 coefficients, r the center-to-sub-point reach) get their sub-points
-evaluated; see CellQuadrature.  Only rho depends on the receive coil, so
-one pass serves every coil: B, the pruning and the staircase are computed
-once, and each coil keeps its own <rho, dB/dt> and drops its own exact
-zeros.  It is stored sparse; filtered on application.  One sparse layout
-serves from assembly to LSQR: the CSR that sparse_weights builds is what
-save_system_matrix writes (indptr, indices, data) and load_system_matrix
-reads back without conversion.
+evaluated; see CellQuadrature.  Only rho depends on the receive coil and
+only mbar'_N on the staircase, so one pass serves every coil and
+staircase: B, the pruning (at the largest b) and the sub-point |B| are
+computed once, and each (staircase, coil) keeps its own entries and drops
+its own exact zeros.  It is stored sparse; filtered on application.  One
+sparse layout serves from assembly to LSQR: the CSR that sparse_weights
+builds is what save_system_matrix writes (indptr, indices, data) and
+load_system_matrix reads back without conversion.
 
 scipy.sparse is imported inside the functions that build, stack or load
-CSR (CellQuadrature.sparse_weights, build_system_matrix,
+CSR (CellQuadrature.sparse_weights, build_system_matrices,
 SystemMatrix.coil_block, stack_coils, load_system_matrix), so importing
 this module, and the stages that never touch a matrix, load numpy alone.
 An operator handed to recon.lsqr_solve needs only shape, @ and .T: the CSR
@@ -60,9 +61,9 @@ class CellQuadrature:
     """Midpoint (or subsampled) cell quadrature bound to one model and grid.
 
     weights() evaluates every sub-point of every cell for one coil;
-    sparse_weights() gives the same entries for any number of coils from
-    one pass, but first prunes the (cell, time) pairs that cannot reach the
-    low-field volume |B| < b.  Every sub-point of a cell lies within reach r
+    sparse_weights() gives the same entries for any number of staircases
+    and coils from one pass, but first prunes the (cell, time) pairs that
+    cannot reach the low-field volume |B| < b.  Every sub-point of a cell lies within reach r
     of its center, so |B(sub)| >= |B(center)| - L(t) r, L(t) being a
     Lipschitz bound on B(., t) over the ball of radius R that holds every
     center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the distinct
@@ -127,18 +128,20 @@ class CellQuadrature:
         fac = self.evaluator.factors(times)
         return np.sqrt(np.sum((self._grad @ np.abs(fac)) ** 2, axis=0))
 
-    def sparse_weights(self, approx: MagnetizationApprox, rhos,
-                       times) -> list:
-        """The entries of weights(approx, rho_k, times).T as CSR, one per coil.
+    def sparse_weights(self, approxes, rhos, times) -> list:
+        """The entries of weights(approx_i, rho_k, times).T as CSR.
 
-        rhos holds K coil vectors; each CSR has shape (len(times), n_cells).
-        Everything but <rho_k, dB/dt> is the field's alone and is computed
-        once for all coils: B is evaluated at the cell centers first, and a
+        approxes holds the staircases, rhos K coil vectors; out[i][k] is the
+        CSR of staircase i and coil k, shape (len(times), n_cells).
+        Everything but the staircase and <rho_k, dB/dt> is the field's alone
+        and is computed once: B is evaluated at the cell centers first, and a
         pair with |B(center, t)| >= (b + L(t) r)(1 + 1e-9) has |B| >= b at
-        every sub-point and hence a zero entry.  Sub-point B, the staircase
-        and each <rho_k, dB/dt> are evaluated for the surviving pairs only.
-        Each coil drops its own exact zeros, so each pattern equals that of
-        its dense weights.
+        every sub-point and hence a zero entry.  The pruning uses the largest
+        b: the limit rises with b, so its survivors hold every staircase's.
+        Sub-point B and each <rho_k, dB/dt> are evaluated for the surviving
+        pairs only, then each staircase evaluates the shared sub-point |B|.
+        Each (staircase, coil) drops its own exact zeros, so each pattern
+        equals that of its dense weights.
         """
         import scipy.sparse as sp
 
@@ -147,7 +150,8 @@ class CellQuadrature:
         fac = self.evaluator.factors(times)
         b_c = self._center_polys @ fac
         mag_c = np.sqrt(np.einsum("jpt,jpt->tp", b_c, b_c))
-        limit = (approx.threshold + self.lipschitz(times) * self.reach) * _SAFETY
+        threshold = max(approx.threshold for approx in approxes)
+        limit = (threshold + self.lipschitz(times) * self.reach) * _SAFETY
         tidx, cells = np.nonzero(mag_c < limit[:, None])
         # per time, one product gives B and each <rho_k, dB/dt> at the
         # survivors' sub-points: coef[t] maps the harmonics to
@@ -165,16 +169,20 @@ class CellQuadrature:
             at_sub[lo * n_sub:hi * n_sub] = rows @ coef[t]
         bx, by, bz, *projs = (at_sub[:, j].reshape(-1, n_sub)
                               for j in range(coef.shape[2]))
-        stair = approx.eval(np.sqrt(bx * bx + by * by + bz * bz))
+        mag = np.sqrt(bx * bx + by * by + bz * bz)
         out = []
-        for proj in projs:
-            w = -MU0 * proj * stair
-            # sub-points summed in a fixed order: no value depends on the block
-            vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
-            keep = vals != 0
-            out.append(sp.csr_matrix(
-                (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
-                shape=(times.size, self.n_cells)))
+        for approx in approxes:
+            stair = approx.eval(mag)
+            per_coil = []
+            for proj in projs:
+                w = -MU0 * proj * stair
+                # sub-points summed in a fixed order: no value depends on the block
+                vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
+                keep = vals != 0
+                per_coil.append(sp.csr_matrix(
+                    (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
+                    shape=(times.size, self.n_cells)))
+            out.append(per_coil)
         return out
 
 
@@ -308,11 +316,13 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     return h.hexdigest()[:16]
 
 
-def estimate_nnz(quad: CellQuadrature, approx: MagnetizationApprox, rhos,
-                 times: np.ndarray, probes: int = 8) -> int:
-    """Extrapolate the largest coil's nonzero count from a few probe times."""
+def estimate_nnz(quad: CellQuadrature, approxes, rhos, times: np.ndarray,
+                 probes: int = 8) -> int:
+    """Extrapolate the largest (staircase, coil) nonzero count from a few
+    probe times."""
     idx = np.unique(np.linspace(0, times.size - 1, min(probes, times.size)).astype(int))
-    probe = max(m.nnz for m in quad.sparse_weights(approx, rhos, times[idx]))
+    probe = max(m.nnz for per_coil in quad.sparse_weights(approxes, rhos, times[idx])
+                for m in per_coil)
     return int(np.ceil(probe / idx.size * times.size))
 
 
@@ -321,26 +331,41 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                         block: int = _DEFAULT_BLOCK) -> SystemMatrix:
-    """Assemble the coil-stacked matrix of a sequence of ReceiveCoils.
+    """The coil-stacked matrix of one staircase: build_system_matrices([approx])."""
+    return build_system_matrices(model, [approx], coils, times, grid, subsampling,
+                                 nnz_cap, n_workers, block)[0]
 
-    One pass serves every coil: each row block is one
+
+def build_system_matrices(model: FieldModel, approxes, coils, times,
+                          grid: ConcentrationGrid, subsampling: int = 1,
+                          nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
+                          block: int = _DEFAULT_BLOCK) -> list:
+    """Assemble the coil-stacked matrix of each staircase in approxes.
+
+    One pass serves every staircase and coil: each row block is one
     CellQuadrature.sparse_weights call, which evaluates B, prunes the
     (cell, time) pairs that the Lipschitz bound places outside the
-    low-field volume and staircases |B| once, and splits only
-    <rho_k, dB/dt> by coil, dropping each coil's exact zeros.  Each coil's
-    pattern equals that of its dense quadrature; values agree to the
-    rounding of the reordered term sum.  Blocks are independent and may be
-    computed by worker threads; the merge concatenates them in block order,
-    and the entries of one time never depend on the rest of its block, so
-    the result does not depend on the worker count or block size.
+    low-field volume of the largest threshold b and evaluates sub-point |B|
+    once, then staircases |B| per staircase and splits <rho_k, dB/dt> by
+    coil, dropping each (staircase, coil)'s exact zeros.  So each matrix is
+    that of its own one-staircase build, and each coil's pattern equals
+    that of its dense quadrature; values agree to the rounding of the
+    reordered term sum.  Blocks are independent and may be computed by
+    worker threads; the merge concatenates them in block order, and the
+    entries of one time never depend on the rest of its block, so the
+    result does not depend on the worker count or block size.
 
-    Rows are grouped by coil in the given order, and config_hash is the
-    stack_coils digest of the per-coil config_hash values, so a single coil
-    gets its own.  nnz_cap limits each coil: the estimated count is checked
-    before any assembly starts, the assembled count after it.
+    Returns one SystemMatrix per staircase, in order.  Rows are grouped by
+    coil in the given order, and config_hash is the stack_coils digest of
+    the per-coil config_hash values, so a single coil gets its own.
+    nnz_cap limits each (staircase, coil): the estimated count is checked
+    before any assembly starts, the assembled counts after it.
     """
     import scipy.sparse as sp
 
+    approxes = list(approxes)
+    if not approxes:
+        raise ConfigError("need at least one staircase")
     coils = list(coils)
     if not coils:
         raise ConfigError("need at least one receive coil")
@@ -356,28 +381,35 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
         dt = 0.0
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
-    est = estimate_nnz(quad, approx, rhos, times)
+    est = estimate_nnz(quad, approxes, rhos, times)
     if est > nnz_cap:
         raise ResourceCapError(
             f"estimated {est} nonzeros for one coil exceeds the cap of "
             f"{nnz_cap}; raise the cap, shrink the grid, or lower the threshold b")
 
-    blocks = map_time_blocks(lambda span: quad.sparse_weights(approx, rhos, span),
+    blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
                              times, n_workers, block)
-    per_coil = list(zip(*blocks))
-    total = max(sum(b.nnz for b in parts) for parts in per_coil)
+    total = max(sum(parts[i][k].nnz for parts in blocks)
+                for i in range(len(approxes)) for k in range(len(coils)))
     if total > nnz_cap:
         raise ResourceCapError(f"assembled {total} nonzeros for one coil "
                                f"exceeds the cap of {nnz_cap}")
-    matrix = sp.vstack([b for parts in per_coil for b in parts], format="csr")
-    digest = _stacked_hash([config_hash(model, approx, grid, times, coil,
-                                        subsampling) for coil in coils])
-    return SystemMatrix(matrix=matrix, sample_rate=1.0 / dt if dt else 0.0,
-                        t0=float(times[0]), rows_per_coil=times.size,
-                        coil_indices=tuple(coil.index for coil in coils),
-                        coil_vectors=tuple(tuple(rho) for rho in rhos),
-                        grid_dims=grid.dims, grid_spacing=grid.spacing,
-                        grid_origin=grid.origin, config_hash=digest)
+    out = []
+    for i, approx in enumerate(approxes):
+        pieces = [parts[i][k] for k in range(len(coils)) for parts in blocks]
+        for parts in blocks:
+            parts[i] = None  # each block piece is freed once it is stacked
+        matrix = sp.vstack(pieces, format="csr")
+        digest = _stacked_hash([config_hash(model, approx, grid, times, coil,
+                                            subsampling) for coil in coils])
+        out.append(SystemMatrix(
+            matrix=matrix, sample_rate=1.0 / dt if dt else 0.0,
+            t0=float(times[0]), rows_per_coil=times.size,
+            coil_indices=tuple(coil.index for coil in coils),
+            coil_vectors=tuple(tuple(rho) for rho in rhos),
+            grid_dims=grid.dims, grid_spacing=grid.spacing,
+            grid_origin=grid.origin, config_hash=digest))
+    return out
 
 
 def _geometry(sm: SystemMatrix) -> tuple:
@@ -389,7 +421,7 @@ def stack_coils(matrices, traces: list[SignalTrace]):
 
     Returns (SystemMatrix, samples) where samples concatenates the traces
     in matrix order.  All matrices must share the grid geometry exactly and
-    the time metadata.
+    the time metadata.  A lone matrix is returned as it is, not copied.
     """
     import scipy.sparse as sp
 
@@ -404,7 +436,10 @@ def stack_coils(matrices, traces: list[SignalTrace]):
             raise ConfigError("matrices disagree on sampling metadata")
     if any(tr.samples.size != m.rows_per_coil for m, tr in zip(matrices, traces)):
         raise ConfigError("trace length does not match matrix rows")
-    stacked = sp.vstack([m.matrix for m in matrices], format="csr")
+    if len(matrices) == 1:
+        stacked = first.matrix
+    else:
+        stacked = sp.vstack([m.matrix for m in matrices], format="csr")
     samples = np.concatenate([tr.samples for tr in traces])
     return (replace(first, matrix=stacked,
                     coil_indices=tuple(i for m in matrices for i in m.coil_indices),

@@ -332,28 +332,37 @@ class _DeskScan:
 
     def lsqr_nrmse(self, which="ideal", n=30, b=B, scheme="secant",
                    l1_nodes=False) -> float:
-        key = (which, n, b, scheme, l1_nodes)
-        if key not in self._cache:
+        self.prebuild(which, [(n, b, scheme, l1_nodes)])
+        return self._cache[(which, n, b, scheme, l1_nodes)]
+
+    def prebuild(self, which, settings):
+        """Reconstruct every (n, b, scheme, l1_nodes) of settings not yet
+        cached; their matrices come from one assembly pass."""
+        todo = [s for s in dict.fromkeys(settings) if (which, *s) not in self._cache]
+        if not todo:
+            return
+        approxes = []
+        for n, b, scheme, l1_nodes in todo:
             if l1_nodes:
                 interior = magnetization.nodes_l1_optimal(n - 1, b, self.params,
                                                           scheme=scheme)
             else:
                 interior = magnetization.nodes_equidistant(n - 1, b)
-            approx = magnetization.build_approx(self.params, interior, b,
-                                                scheme=scheme)
-            stacked = sysmat.apply_highpass_rows(
-                sysmat.build_system_matrix(
-                    self.model(which), approx, self.coils, self.acq.times(),
-                    self.template, subsampling=2, n_workers=4),
-                self.CUTOFF)
-            rhs = np.concatenate([tr.samples for tr in self.traces(which)])
+            approxes.append(magnetization.build_approx(self.params, interior, b,
+                                                       scheme=scheme))
+        matrices = sysmat.build_system_matrices(
+            self.model(which), approxes, self.coils, self.acq.times(),
+            self.template, subsampling=2, n_workers=4)
+        rhs = np.concatenate([tr.samples for tr in self.traces(which)])
+        for i, setting in enumerate(todo):
+            stacked = sysmat.apply_highpass_rows(matrices[i], self.CUTOFF)
+            matrices[i] = None
             result = recon.lsqr_solve(stacked.operator(), rhs,
                                       recon.LsqrOptions(max_iterations=20))
             self.lsqr_results.append(result)
             image = self.template.with_values(
                 result.x.reshape(self.template.dims, order="F"))
-            self._cache[key] = self.scaled_nrmse(image)
-        return self._cache[key]
+            self._cache[(which, *setting)] = self.scaled_nrmse(image)
 
     def fbp_nrmse(self, which: str) -> float:
         key = ("fbp", which)
@@ -397,6 +406,10 @@ def test_criterion_8_desk_scale_ordering():
 def test_criterion_9_sweep_reproductions():
     t0 = time.time()
     desk = desk_scan()
+    # the six matrices below, from one assembly pass
+    desk.prebuild("ideal", [(30, b, "secant", False) for b in (0.004, 0.007, 0.010)]
+                  + [(8, 0.010, "secant", False), (30, 0.010, "tangent", False),
+                     (30, 0.010, "tangent", True)])
     bs = [desk.lsqr_nrmse(b=0.004), desk.lsqr_nrmse(b=0.007),
           desk.lsqr_nrmse(b=0.010)]
     spread = (max(bs) - min(bs)) / min(bs)

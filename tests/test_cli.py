@@ -1,5 +1,6 @@
 """Config parsing, the pipeline driver, and command exit codes."""
 
+import filecmp
 import json
 import math
 import os
@@ -584,6 +585,53 @@ def test_sweep_command(tmp_path):
     a = load_grid(out / "threshold_b_8_mT" / "recon_lsqr.grid")
     b = load_grid(out / "threshold_b_10_mT" / "recon_lsqr.grid")
     assert not np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("parameter, values, settings", [
+    ("threshold_b", "6 mT,10 mT",
+     [["magnetization.b=6 mT"], ["magnetization.b=10 mT"]]),
+    ("node_count", "8,30",
+     [["magnetization.n_intervals=8"], ["magnetization.n_intervals=30"]]),
+    ("scheme", "secant,tangent-l1",
+     [["magnetization.scheme=secant"],
+      ["magnetization.scheme=tangent", "magnetization.nodes=l1"]]),
+])
+def test_sweep_matrices_equal_single_runs(tmp_path, parameter, values, settings):
+    # one assembly pass builds every value's matrices; each must be the file
+    # a plain run with that value set writes
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "-c", str(ini), "-o", str(out),
+                     "--parameter", parameter, "--values", values]) == 0
+    for value, sets in zip(values.split(","), settings):
+        single = tmp_path / f"single_{cli._slug(value)}"
+        argv = ["run", "-c", str(ini), "-o", str(single),
+                "--stages", "phantom,simulate,filter,sysmat"]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        for axis in "xy":
+            name = f"sysmat_{axis}.mat"
+            assert filecmp.cmp(out / f"{parameter}_{cli._slug(value)}" / name,
+                               single / name, shallow=False), (value, axis)
+
+
+def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "-c", str(ini), "-o", str(out),
+                     "--parameter", "threshold_b", "--values", "4 mT,4  mT"]) == 2
+    assert "threshold_b_4_mT" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_sweep_value_exits_2_before_any_matrix(tmp_path, capsys):
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "-c", str(ini), "-o", str(out),
+                     "--parameter", "threshold_b", "--values", "10 mT,-1 mT"]) == 2
+    assert "threshold b must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("sysmat_*.mat"))
 
 
 def test_sweep_scheme_variant_parsing():

@@ -36,6 +36,7 @@ from mpisim.sysmat import (
     FilteredOperator,
     SystemMatrix,
     apply_highpass_rows,
+    build_system_matrices,
     build_system_matrix,
     chain_highpass_hash,
     config_hash,
@@ -323,6 +324,73 @@ def test_nnz_cap_is_per_coil(scene, matrix_x):
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrix(model, approx, coils, config.times(), grid,
                             subsampling=2, nnz_cap=min(matrix_x.nnz, my.nnz) - 1)
+
+
+def _sweep_staircases():
+    """Staircases that differ in b, N, scheme and node placement; the
+    largest b is not first."""
+    params = mag.LangevinParams(m0=1.0, lam=1600.0)
+    return [
+        mag.build_approx(params, mag.nodes_equidistant(29, 4e-3), 4e-3),
+        mag.build_approx(params, mag.nodes_equidistant(7, 10e-3), 10e-3),
+        mag.build_approx(params, mag.nodes_equidistant(29, 7e-3), 7e-3,
+                         scheme="tangent"),
+        mag.build_approx(params, mag.nodes_l1_optimal(7, 10e-3, params,
+                                                      scheme="tangent"),
+                         10e-3, scheme="tangent"),
+    ]
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 0.35])  # ideal, perturbed desk field
+def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
+    # oracle: one build_system_matrix per staircase
+    model, approxes = _desk_ffl(magnitude), _sweep_staircases()
+    grid = empty_grid(0.1, 0.1 / 32)
+    times = np.arange(0, 4000, 40) * 2.5e-7
+    coils = [coil_along("x"), coil_along("y")]
+    fresh = [build_system_matrix(model, approx, coils, times, grid, subsampling=2)
+             for approx in approxes]
+    assert len({sm.config_hash for sm in fresh}) == len(fresh)
+    assert min(sm.nnz for sm in fresh) > 0
+    for workers in (1, 2, 3):
+        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+            many = build_system_matrices(model, approxes, coils, times, grid,
+                                         subsampling=2, n_workers=workers,
+                                         **block)
+            assert len(many) == len(fresh)
+            for i, (got, want) in enumerate(zip(many, fresh)):
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got.matrix, part),
+                                          getattr(want.matrix, part)), (
+                        workers, block, i, part)
+                assert got.config_hash == want.config_hash
+                assert got.coil_indices == want.coil_indices
+                assert got.coil_vectors == want.coil_vectors
+
+
+def test_empty_staircase_list_is_rejected(scene):
+    model, grid, config, approx = scene
+    with pytest.raises(ConfigError, match="staircase"):
+        build_system_matrices(model, [], [coil_along("x")], config.times(), grid)
+
+
+def test_nnz_cap_is_per_staircase_and_coil():
+    model, approxes = _desk_ffl(), _sweep_staircases()[:2]  # 4 mT and 10 mT
+    grid = empty_grid(0.1, 0.1 / 32)
+    times = np.arange(0, 4000, 8) * 2.5e-7
+    coils = [coil_along("x"), coil_along("y")]
+    counts = [build_system_matrix(model, approx, [coil], times, grid,
+                                  subsampling=2).nnz
+              for approx in approxes for coil in coils]
+    # above every (staircase, coil) count, below any sum of two of them
+    cap = max(counts) + min(counts) - 1
+    many = build_system_matrices(model, approxes, coils, times, grid,
+                                 subsampling=2, nnz_cap=cap)
+    assert [sm.nnz for sm in many] == [counts[0] + counts[1],
+                                       counts[2] + counts[3]]
+    with pytest.raises(ResourceCapError, match="one coil"):
+        build_system_matrices(model, approxes, coils, times, grid,
+                              subsampling=2, nnz_cap=min(counts) - 1)
 
 
 def test_config_hash_sensitivity(scene):
@@ -622,6 +690,17 @@ def test_stack_coils(scene, matrix_x):
         approx, subsampling=2)
     with pytest.raises(ConfigError):
         stack_coils([matrix_x, my], [tx, short])
+
+
+def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path):
+    model, grid, config, approx = scene
+    path = tmp_path / "x.mat"
+    save_system_matrix(matrix_x, path)
+    for single in (matrix_x, load_system_matrix(path)):
+        stacked, rhs = stack_coils([single], [_zero_trace(config)])
+        assert np.shares_memory(stacked.matrix.data, single.matrix.data)
+        assert stacked.config_hash == single.config_hash
+        assert rhs.size == config.n_samples
 
 
 def test_highpass_rows_commutes(scene, matrix_x):
