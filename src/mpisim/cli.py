@@ -465,49 +465,51 @@ def stage_filter(ws: Workspace) -> dict:
 def stage_sysmat(ws: Workspace) -> dict:
     """Build every coil's matrix in one pass, then save one file per coil.
 
-    The return value is the unfiltered coil-stacked matrix.
+    No matrix is returned: stage_lsqr reads the files back, and the stacked
+    matrix is freed before it does.
     """
     cfg = ws.cfg
-    cutoff = highpass_cutoff(cfg)
     stacked = sysmat.build_system_matrix(
         coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
         n_workers=cfg.integer("sysmat", "workers"))
-    _save_matrices(ws, stacked, cutoff)
-    return {"matrix": stacked}
+    _save_matrices(ws, stacked)
+    return {}
 
 
-def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix,
-                   cutoff: float | None):
+def _matrix_hash(ws: Workspace, coil: forward.ReceiveCoil) -> str:
+    """The config hash a coil's stored matrix is saved and checked under."""
+    return sysmat.config_hash(coil=coil, highpass=highpass_cutoff(ws.cfg),
+                              **ws.recipe)
+
+
+def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
     """Save each coil's rows of stacked as sysmat_<axis>.mat.
 
-    Each file holds a view of that coil's rows, high-passed when cutoff is
-    set, under the config hash of ws.recipe.
+    Each file holds a view of that coil's rows, high-passed when the config
+    sets a cut-off, under _matrix_hash.
     """
+    cutoff = highpass_cutoff(ws.cfg)
     for i, (axis, coil) in enumerate(make_coils(ws.cfg)):
-        sm = stacked.coil_block(i, sysmat.config_hash(coil=coil, **ws.recipe))
+        sm = stacked.coil_block(i)
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
+        digest = _matrix_hash(ws, coil)
         path = ws.path(f"sysmat_{axis}.mat")
-        sysmat.save_system_matrix(sm, path)
+        sysmat.save_system_matrix(sm, path, digest)
         print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
-              f"{path.stat().st_size / 1e6:.1f} MB, hash {sm.config_hash}")
+              f"{path.stat().st_size / 1e6:.1f} MB, hash {digest}")
 
 
 def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     cfg = ws.cfg
-    cutoff = highpass_cutoff(cfg)
-    traces = _load_traces(ws, filtered=cutoff is not None)
-    recipe = ws.recipe
-    matrices = []
-    for axis, coil in make_coils(cfg):
-        expected = sysmat.config_hash(coil=coil, **recipe)
-        if cutoff is not None:
-            expected = sysmat.chain_highpass_hash(expected, cutoff)
-        matrices.append(sysmat.load_system_matrix(
-            ws.require(f"sysmat_{axis}.mat"), expected_hash=expected, force=force))
+    traces = _load_traces(ws, filtered=highpass_cutoff(cfg) is not None)
+    grid = ws.recipe["grid"]
+    matrices = [sysmat.load_system_matrix(ws.require(f"sysmat_{axis}.mat"),
+                                          expected_hash=_matrix_hash(ws, coil),
+                                          force=force)
+                for axis, coil in make_coils(cfg)]
     stacked, rhs = sysmat.stack_coils(matrices, traces)
-    grid = recipe["grid"]
     if not stacked.grid_meta_matches(grid):
         raise ConfigError(
             f"stored matrices are for a {stacked.grid_dims} grid, spacing "
@@ -549,10 +551,11 @@ def stage_fbp(ws: Workspace) -> dict:
     pad = cfg.qty("fbp", "pad")
     if pad > geometry.amplitude:
         sino = fbp_mod.zero_pad(sino, pad)
-    fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
-    phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
+    # reconstruct before saving anything, so a bad window writes no file
     image = fbp_mod.fbp_reconstruct(sino, make_grid(cfg, "recon"),
                                     window=cfg.text("fbp", "window"))
+    fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
+    phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
     _save_recon(ws, "recon_fbp", image)
     print(f"fbp: {sino.angles.size} projections x "
           f"{sino.displacements.size} bins")
@@ -671,7 +674,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                 if src.exists():
                     with atomic_open(sub.path(f"trace_{axis}{suffix}.bin")) as fh:
                         fh.write(src.read_bytes())
-        _save_matrices(sub, matrices[i], highpass_cutoff(sub.cfg))
+        _save_matrices(sub, matrices[i])
         matrices[i] = None  # saved: stage_lsqr reads it back from the file
         result = stage_lsqr(sub)
         value_nrmse = recon.nrmse(result["image"], reference)

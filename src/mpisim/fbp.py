@@ -307,7 +307,7 @@ def _ramp_filter(row: np.ndarray, ds: float, window: str) -> np.ndarray:
         fmax = np.abs(freqs).max()
         filt = filt * 0.5 * (1.0 + np.cos(math.pi * freqs / fmax))
     elif window != "ramlak":
-        raise ConfigError(f"unknown filter window {window!r}")
+        raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
     padded = np.zeros(nfft)
     padded[:n] = row
     return np.real(np.fft.ifft(np.fft.fft(padded) * filt))[:n]

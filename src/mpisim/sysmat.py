@@ -226,21 +226,21 @@ class FilteredOperator:
 class SystemMatrix:
     """CSR system matrix plus the acquisition metadata it was built under.
 
-    Rows are grouped by coil: rows_per_coil consecutive rows per entry of
-    coil_indices, time-ordered inside each group.  matrix is the unfiltered
-    S, stored sparse; highpass is filtered on application by operator().
+    Rows are grouped by coil: rows_per_coil consecutive rows per ReceiveCoil
+    in coils, time-ordered inside each group.  matrix is the unfiltered S,
+    stored sparse; highpass is filtered on application by operator().  The
+    config hash that identifies a stored matrix is not held here: it is
+    written by save_system_matrix and checked by load_system_matrix.
     """
 
     matrix: sp.csr_matrix
     sample_rate: float
     t0: float
     rows_per_coil: int
-    coil_indices: tuple
-    coil_vectors: tuple
+    coils: tuple
     grid_dims: tuple
     grid_spacing: tuple
     grid_origin: tuple
-    config_hash: str
     highpass: float | None = None
 
     @property
@@ -251,8 +251,8 @@ class SystemMatrix:
     def nnz(self) -> int:
         return int(self.matrix.nnz)
 
-    def coil_block(self, i: int, config_hash: str) -> SystemMatrix:
-        """The rows of the i-th coil as a one-coil matrix with its own hash.
+    def coil_block(self, i: int) -> SystemMatrix:
+        """The rows of the i-th coil as a one-coil matrix.
 
         Its data and indices are views into this matrix, not copies.
         """
@@ -263,10 +263,7 @@ class SystemMatrix:
         lo, hi = indptr[0], indptr[-1]
         rows = sp.csr_matrix((self.matrix.data[lo:hi], self.matrix.indices[lo:hi],
                               indptr - lo), shape=(n, self.shape[1]), copy=False)
-        return replace(self, matrix=rows,
-                       coil_indices=self.coil_indices[i:i + 1],
-                       coil_vectors=self.coil_vectors[i:i + 1],
-                       config_hash=config_hash)
+        return replace(self, matrix=rows, coils=self.coils[i:i + 1])
 
     def operator(self):
         """matrix, or the FilteredOperator F S when highpass is set.
@@ -289,8 +286,11 @@ class SystemMatrix:
 
 def config_hash(model: FieldModel, approx: MagnetizationApprox,
                 grid: ConcentrationGrid, times: np.ndarray, coil: ReceiveCoil,
-                subsampling: int = 1) -> str:
-    """Deterministic 16-hex digest of everything the matrix depends on."""
+                subsampling: int = 1, highpass: float | None = None) -> str:
+    """Deterministic 16-hex digest of everything the matrix depends on.
+
+    A high-pass cut-off is chained onto the digest of the unfiltered matrix.
+    """
     h = hashlib.sha256()
 
     def put(*parts):
@@ -313,7 +313,10 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     put(times.size, f"{times[0]:.17g}", f"{dt:.17g}")
     put(*(f"{v:.17g}" for v in coil.vector))
     put(subsampling)
-    return h.hexdigest()[:16]
+    digest = h.hexdigest()[:16]
+    if highpass is None:
+        return digest
+    return hashlib.sha256(f"{digest}|hp:{highpass:.17g}".encode()).hexdigest()[:16]
 
 
 def estimate_nnz(quad: CellQuadrature, approxes, rhos, times: np.ndarray,
@@ -355,18 +358,18 @@ def build_system_matrices(model: FieldModel, approxes, coils, times,
     entries of one time never depend on the rest of its block, so the
     result does not depend on the worker count or block size.
 
-    Returns one SystemMatrix per staircase, in order.  Rows are grouped by
-    coil in the given order, and config_hash is the stack_coils digest of
-    the per-coil config_hash values, so a single coil gets its own.
-    nnz_cap limits each (staircase, coil): the estimated count is checked
-    before any assembly starts, the assembled counts after it.
+    Returns one SystemMatrix per staircase, in order, whose coils are the
+    given ReceiveCoils with rows grouped in that order.  No config hash is
+    computed: save_system_matrix takes one.  nnz_cap limits each
+    (staircase, coil): the estimated count is checked before any assembly
+    starts, the assembled counts after it.
     """
     import scipy.sparse as sp
 
     approxes = list(approxes)
     if not approxes:
         raise ConfigError("need at least one staircase")
-    coils = list(coils)
+    coils = tuple(coils)
     if not coils:
         raise ConfigError("need at least one receive coil")
     times = np.asarray(times, dtype=float)
@@ -399,16 +402,11 @@ def build_system_matrices(model: FieldModel, approxes, coils, times,
         pieces = [parts[i][k] for k in range(len(coils)) for parts in blocks]
         for parts in blocks:
             parts[i] = None  # each block piece is freed once it is stacked
-        matrix = sp.vstack(pieces, format="csr")
-        digest = _stacked_hash([config_hash(model, approx, grid, times, coil,
-                                            subsampling) for coil in coils])
         out.append(SystemMatrix(
-            matrix=matrix, sample_rate=1.0 / dt if dt else 0.0,
-            t0=float(times[0]), rows_per_coil=times.size,
-            coil_indices=tuple(coil.index for coil in coils),
-            coil_vectors=tuple(tuple(rho) for rho in rhos),
-            grid_dims=grid.dims, grid_spacing=grid.spacing,
-            grid_origin=grid.origin, config_hash=digest))
+            matrix=sp.vstack(pieces, format="csr"),
+            sample_rate=1.0 / dt if dt else 0.0, t0=float(times[0]),
+            rows_per_coil=times.size, coils=coils, grid_dims=grid.dims,
+            grid_spacing=grid.spacing, grid_origin=grid.origin))
     return out
 
 
@@ -419,9 +417,10 @@ def _geometry(sm: SystemMatrix) -> tuple:
 def stack_coils(matrices, traces: list[SignalTrace]):
     """Stack per-coil matrices and their traces into one joint system.
 
-    Returns (SystemMatrix, samples) where samples concatenates the traces
-    in matrix order.  All matrices must share the grid geometry exactly and
-    the time metadata.  A lone matrix is returned as it is, not copied.
+    Returns (SystemMatrix, samples): the matrix holds every matrix's coils
+    in order, and samples concatenates the traces in the same order.  All
+    matrices must share the grid geometry exactly and the time metadata.
+    A lone matrix is returned as it is, not copied.
     """
     import scipy.sparse as sp
 
@@ -442,22 +441,8 @@ def stack_coils(matrices, traces: list[SignalTrace]):
         stacked = sp.vstack([m.matrix for m in matrices], format="csr")
     samples = np.concatenate([tr.samples for tr in traces])
     return (replace(first, matrix=stacked,
-                    coil_indices=tuple(i for m in matrices for i in m.coil_indices),
-                    coil_vectors=tuple(v for m in matrices for v in m.coil_vectors),
-                    config_hash=_stacked_hash([m.config_hash for m in matrices])),
+                    coils=tuple(c for m in matrices for c in m.coils)),
             samples)
-
-
-def _stacked_hash(digests) -> str:
-    """Config hash of coil-stacked matrices; one matrix keeps its own."""
-    if len(digests) == 1:
-        return digests[0]
-    return hashlib.sha256("|".join(digests).encode()).hexdigest()[:16]
-
-
-def chain_highpass_hash(digest: str, cutoff: float) -> str:
-    """Config hash of a matrix after apply_highpass_rows at this cutoff."""
-    return hashlib.sha256(f"{digest}|hp:{cutoff:.17g}".encode()).hexdigest()[:16]
 
 
 def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
@@ -472,25 +457,25 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     if sm.sample_rate <= 0:
         raise ConfigError("a high-pass needs a positive sample rate")
     highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
-    return replace(sm, config_hash=chain_highpass_hash(sm.config_hash, cutoff),
-                   highpass=cutoff)
+    return replace(sm, highpass=cutoff)
 
 
-def save_system_matrix(sm: SystemMatrix, path):
+def save_system_matrix(sm: SystemMatrix, path, digest: str):
     """Four ASCII header lines, then the CSR arrays of sm.matrix.
 
-    Header line 0 ends in the layout token csr.  The payload is indptr
-    (<i8, rows + 1 entries), indices (<i4) and data (<f8), nnz entries
-    each, written from the matrix as it is held.  The bytes go to a
+    Header line 0 holds digest, the config_hash of what sm was built from,
+    and ends in the layout token csr.  The payload is indptr (<i8, rows + 1
+    entries), indices (<i4) and data (<f8), nnz entries each, written from
+    the matrix as it is held.  The bytes go to a
     temporary file beside path, which then replaces path, so an
     interrupted write never leaves a partial matrix behind.
     """
     hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
     lines = [
-        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {sm.config_hash} csr",
+        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} csr",
         f"{sm.sample_rate:.17g} {sm.t0:.17g} {sm.rows_per_coil} {hp}",
-        " ".join(f"{i}:{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}"
-                 for i, v in zip(sm.coil_indices, sm.coil_vectors)),
+        " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
+                 for c in sm.coils),
         " ".join([*(str(d) for d in sm.grid_dims),
                   *(f"{s:.17g}" for s in sm.grid_spacing),
                   *(f"{o:.17g}" for o in sm.grid_origin)]),
@@ -509,7 +494,8 @@ def _parse_header(lines):
     must end in the csr layout token, every rate, time, cut-off, vector,
     spacing and origin must be finite, a high-pass needs a positive sample
     rate, and the shape must match rows_per_coil times the coils and the
-    grid dims.
+    grid dims.  ConfigError when ReceiveCoil rejects a coil vector: it must
+    have 3 components, not all zero.
     """
     rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
     if layout != ["csr"]:
@@ -525,16 +511,15 @@ def _parse_header(lines):
     if highpass is not None and not (rate > 0 and 0 < highpass < math.inf):
         raise ValueError("a high-pass needs a finite positive cut-off and "
                          "a positive sample rate")
-    indices, vectors = [], []
+    coils = []
     for field in lines[2].decode("ascii").split():
         idx, vec = field.split(":")
         vec = tuple(float(x) for x in vec.split(","))
-        if len(vec) != 3 or not all(map(math.isfinite, vec)):
-            raise ValueError(f"coil vector {field!r} needs 3 finite components")
-        indices.append(int(idx))
-        vectors.append(vec)
-    if per_coil < 1 or not indices or rows != per_coil * len(indices):
-        raise ValueError(f"{rows} rows are not {len(indices)} coil(s) of "
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"coil vector {field!r} must be finite")
+        coils.append(ReceiveCoil(vec, int(idx)))
+    if per_coil < 1 or not coils or rows != per_coil * len(coils):
+        raise ValueError(f"{rows} rows are not {len(coils)} coil(s) of "
                          f"{per_coil} >= 1 rows")
     grid_fields = lines[3].decode("ascii").split()
     if len(grid_fields) != 9:
@@ -549,14 +534,15 @@ def _parse_header(lines):
         raise ValueError("grid spacing must be finite and positive, origin finite")
     return dict(shape=(rows, cols), nnz=nnz, config_hash=digest,
                 sample_rate=rate, t0=t0, rows_per_coil=per_coil,
-                highpass=highpass, coil_indices=tuple(indices),
-                coil_vectors=tuple(vectors), grid_dims=dims,
+                highpass=highpass, coils=tuple(coils), grid_dims=dims,
                 grid_spacing=spacing, grid_origin=origin)
 
 
 def load_system_matrix(path, expected_hash: str | None = None,
                        force: bool = False) -> SystemMatrix:
-    """Load a stored matrix; validates the config hash unless force is set.
+    """Load a stored matrix; checks its config hash unless force is set.
+
+    The stored hash is compared with expected_hash and then dropped.
 
     A malformed header, a payload that is not 8 (rows + 1) + 12 nnz bytes,
     a row pointer that does not run from 0 up to nnz without decreasing,
@@ -570,9 +556,9 @@ def load_system_matrix(path, expected_hash: str | None = None,
         raw = fh.read()
     try:
         meta = _parse_header(lines)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc}") from None
-    digest = meta["config_hash"]
+    digest = meta.pop("config_hash")
     if expected_hash is not None and digest != expected_hash and not force:
         raise HashMismatchError(
             f"{path}: stored config hash {digest} does not match expected "

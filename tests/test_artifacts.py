@@ -14,8 +14,8 @@ from mpisim.errors import ConfigError, MissingInputError, MpiSimError
 from mpisim.fbp import Sinogram, load_sinogram_csv, save_sinogram_csv
 from mpisim.fields import (build_topology, load_field_coefficients,
                            write_field_coefficients)
-from mpisim.forward import (SignalTrace, load_trace_bin, load_trace_csv, save_trace_bin,
-                            save_trace_csv)
+from mpisim.forward import (SignalTrace, coil_along, load_trace_bin, load_trace_csv,
+                            save_trace_bin, save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
 from mpisim.sysmat import SystemMatrix, load_system_matrix, save_system_matrix
 
@@ -42,10 +42,9 @@ def _write_coefficients(path):
 def _save_matrix(path):
     save_system_matrix(SystemMatrix(
         matrix=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])),
-        sample_rate=1e6, t0=0.0, rows_per_coil=2, coil_indices=(0,),
-        coil_vectors=((1.0, 0.0, 0.0),), grid_dims=(2, 1, 1),
-        grid_spacing=(1e-3, 1e-3, 1e-3), grid_origin=(0.0, 0.0, 0.0),
-        config_hash="0123456789abcdef", highpass=35e3), path)
+        sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along("x"),),
+        grid_dims=(2, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
+        grid_origin=(0.0, 0.0, 0.0), highpass=35e3), path, "0123456789abcdef")
 
 
 def _write_ini(path):

@@ -168,6 +168,9 @@ def test_exit_codes(pipeline_dir, tmp_path):
     # 4: stored matrices were built under a different field configuration
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
                      "--set", "field.g=1.1 T/m"]) == 4
+    # 4: stored matrices were filtered at the auto cut-off (35 kHz), not 40 kHz
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
+                     "--set", "acquisition.highpass=40 kHz"]) == 4
     # force overrides the hash check and reconstructs anyway
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
                      "--set", "field.g=1.1 T/m", "--force"]) == 0
@@ -222,18 +225,18 @@ def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
 
 def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     tmp, ini, out = pipeline_dir
-    cfg = cli.RunConfig.load(ini)
-    recipe = cli.make_matrix_recipe(cfg)
-    coils = cli.make_coils(cfg)
-    fresh = sysmat.build_system_matrix(coils=[coil for _, coil in coils], **recipe)
+    ws = cli.Workspace(cli.RunConfig.load(ini), out)
+    coils = cli.make_coils(ws.cfg)
+    fresh = sysmat.build_system_matrix(coils=[coil for _, coil in coils], **ws.recipe)
     for i, (axis, coil) in enumerate(coils):
         path = out / f"sysmat_{axis}.mat"
         lines, indptr, indices, data = _csr_payload(path)
         header = sum(len(line) + 1 for line in lines)
         rows, nnz = indptr.size - 1, indices.size
         assert path.stat().st_size == header + 8 * (rows + 1) + 12 * nnz
-        block = fresh.coil_block(i, sysmat.config_hash(coil=coil, **recipe)).matrix
-        loaded = load_system_matrix(path).matrix
+        block = fresh.coil_block(i).matrix
+        loaded = load_system_matrix(
+            path, expected_hash=cli._matrix_hash(ws, coil)).matrix
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
             got = getattr(loaded, name)
@@ -433,6 +436,7 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
     ["fbp.bins=1"],
     ["fbp.cos_guard=2"],
     ["fbp.nsr=-1", "fbp.deconvolve=true"],
+    ["fbp.window=boxcar"],
 ])
 def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     ini = write_tiny(tmp_path)

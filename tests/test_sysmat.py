@@ -38,7 +38,6 @@ from mpisim.sysmat import (
     apply_highpass_rows,
     build_system_matrices,
     build_system_matrix,
-    chain_highpass_hash,
     config_hash,
     load_system_matrix,
     save_system_matrix,
@@ -55,7 +54,7 @@ def _densified_highpass(sm, cutoff):
     n = sm.rows_per_coil
     mask = highpass_mask(n, sm.sample_rate, cutoff)
     blocks = []
-    for i in range(len(sm.coil_indices)):
+    for i in range(len(sm.coils)):
         dense = sm.matrix[i * n:(i + 1) * n].toarray()
         blocks.append(np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
                                           * mask[:, None], axis=0)))
@@ -112,6 +111,10 @@ def scene():
     return model, grid, config, approx
 
 
+# config_hash of matrix_x, unfiltered and high-passed at 35 kHz
+_X_HASH, _X_HP_HASH = "0487af29816cfbdf", "dd6fe44b5c65ee05"
+
+
 @pytest.fixture(scope="module")
 def matrix_x(scene):
     model, grid, config, approx = scene
@@ -125,8 +128,7 @@ def test_matrix_shape_and_metadata(scene, matrix_x):
     assert sm.shape == (config.n_samples, grid.n_cells)
     assert sm.rows_per_coil == config.n_samples
     assert sm.sample_rate == pytest.approx(config.sample_rate)
-    assert sm.coil_indices == (0,)
-    assert sm.coil_vectors == ((1.0, 0.0, 0.0),)
+    assert sm.coils == (coil_along("x"),)
     assert sm.grid_meta_matches(grid)
     assert sm.highpass is None
     assert 0 < sm.nnz < sm.shape[0] * sm.shape[1]  # staircase support is local
@@ -253,7 +255,6 @@ def test_worker_count_does_not_change_matrix(scene, matrix_x):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(split.matrix, part),
                                       getattr(base, part)), (workers, block, part)
-            assert split.config_hash == matrix_x.config_hash
 
 
 def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
@@ -273,17 +274,13 @@ def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
                 assert np.array_equal(getattr(both.matrix, part),
                                       getattr(oracle.matrix, part)), (
                     workers, block, part)
-            assert both.config_hash == oracle.config_hash
-            assert both.coil_indices == (0, 1)
-            assert both.coil_vectors == oracle.coil_vectors
-    # coil_block undoes the stacking, hash included
+            assert both.coils == oracle.coils == (coil_along("x"), coil_along("y"))
+    # coil_block undoes the stacking
     for i, single in enumerate((matrix_x, my)):
-        block = both.coil_block(i, single.config_hash)
+        block = both.coil_block(i)
         assert (block.matrix != single.matrix).nnz == 0
         assert block.shape == single.shape
-        assert block.coil_indices == single.coil_indices
-        assert block.coil_vectors == single.coil_vectors
-        assert block.config_hash == single.config_hash
+        assert block.coils == single.coils
 
 
 def test_coil_without_signal_gets_an_empty_block():
@@ -350,7 +347,8 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
     coils = [coil_along("x"), coil_along("y")]
     fresh = [build_system_matrix(model, approx, coils, times, grid, subsampling=2)
              for approx in approxes]
-    assert len({sm.config_hash for sm in fresh}) == len(fresh)
+    assert len({config_hash(model, approx, grid, times, coils[0], 2)
+                for approx in approxes}) == len(approxes)
     assert min(sm.nnz for sm in fresh) > 0
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
@@ -363,9 +361,7 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
                     assert np.array_equal(getattr(got.matrix, part),
                                           getattr(want.matrix, part)), (
                         workers, block, i, part)
-                assert got.config_hash == want.config_hash
-                assert got.coil_indices == want.coil_indices
-                assert got.coil_vectors == want.coil_vectors
+                assert got.coils == want.coils
 
 
 def test_empty_staircase_list_is_rejected(scene):
@@ -420,6 +416,21 @@ def test_config_hash_sensitivity(scene):
     other_approx = mag.build_approx(params, mag.nodes_equidistant(19, 10e-3),
                                     10e-3, scheme="secant")
     assert config_hash(model, other_approx, grid, times, coil, 2) != base
+    assert config_hash(model, approx, grid, times, coil, 2, highpass=35e3) != base
+
+
+# digests stored in the headers of existing files: if one moves, every
+# matrix saved before the change fails its hash check
+@pytest.mark.parametrize("axis, highpass, digest", [
+    ("x", None, _X_HASH),
+    ("x", 35e3, _X_HP_HASH),
+    ("y", None, "b5de8c9370cb8d96"),
+    ("y", 35e3, "2bfa5283063b95f7"),
+])
+def test_config_hash_digests_are_pinned(scene, axis, highpass, digest):
+    model, grid, config, approx = scene
+    assert config_hash(model, approx, grid, config.times(), coil_along(axis), 2,
+                       highpass=highpass) == digest
 
 
 def test_nnz_cap(scene):
@@ -440,18 +451,16 @@ def test_times_validation(scene):
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
     path = tmp_path / "sm.bin"
-    save_system_matrix(matrix_x, path)
-    back = load_system_matrix(path, expected_hash=matrix_x.config_hash)
+    save_system_matrix(matrix_x, path, _X_HASH)
+    back = load_system_matrix(path, expected_hash=_X_HASH)
     assert (back.matrix != matrix_x.matrix).nnz == 0
-    assert back.config_hash == matrix_x.config_hash
     assert back.rows_per_coil == matrix_x.rows_per_coil
-    assert back.coil_indices == matrix_x.coil_indices
-    assert back.coil_vectors == matrix_x.coil_vectors
+    assert back.coils == matrix_x.coils
     assert back.grid_dims == matrix_x.grid_dims
     assert back.highpass is None
     # a matrix with no nonzeros is a row pointer of zeros and nothing else
     empty = replace(matrix_x, matrix=sp.csr_matrix(matrix_x.shape))
-    save_system_matrix(empty, path)
+    save_system_matrix(empty, path, _X_HASH)
     back = load_system_matrix(path)
     assert back.shape == matrix_x.shape and back.nnz == 0
     assert np.array_equal(back.matrix.indptr, np.zeros(matrix_x.shape[0] + 1))
@@ -459,11 +468,11 @@ def test_save_load_round_trip(scene, matrix_x, tmp_path):
 
 def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
     path = tmp_path / "sm.bin"
-    save_system_matrix(matrix_x, path)
-    with pytest.raises(HashMismatchError):
+    save_system_matrix(matrix_x, path, _X_HASH)
+    with pytest.raises(HashMismatchError, match=_X_HASH):
         load_system_matrix(path, expected_hash="0" * 16)
     forced = load_system_matrix(path, expected_hash="0" * 16, force=True)
-    assert forced.config_hash == matrix_x.config_hash
+    assert (forced.matrix != matrix_x.matrix).nnz == 0
     with pytest.raises(MissingInputError):
         load_system_matrix(tmp_path / "absent.bin")
     data = path.read_bytes()
@@ -472,13 +481,15 @@ def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
         load_system_matrix(tmp_path / "cut.bin")
 
 
+_TINY_HASH = "0123456789abcdef"
+
+
 def _tiny_matrix():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
     return SystemMatrix(matrix=sp.csr_matrix(dense), sample_rate=1e6, t0=0.0,
-                        rows_per_coil=3, coil_indices=(0,),
-                        coil_vectors=((1.0, 0.0, 0.0),), grid_dims=(3, 1, 1),
-                        grid_spacing=(1e-3, 1e-3, 1e-3), grid_origin=(0.0, 0.0, 0.0),
-                        config_hash="0123456789abcdef")
+                        rows_per_coil=3, coils=(coil_along("x"),),
+                        grid_dims=(3, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
+                        grid_origin=(0.0, 0.0, 0.0))
 
 
 def _rewrite(path, header=None, indptr=None, col=None, val=None):
@@ -533,6 +544,7 @@ def _rewrite(path, header=None, indptr=None, col=None, val=None):
     {2: b""},
     {2: b"0:nan,0,0"},
     {2: b"0:1,inf,0"},
+    {2: b"0:0,0,0"},
     # grid dims against the columns, spacing and origin
     {3: b"-3 -1 1 0.001 0.001 0.001 0 0 0"},
     {3: b"2 1 1 0.001 0.001 0.001 0 0 0"},
@@ -548,7 +560,7 @@ def _rewrite(path, header=None, indptr=None, col=None, val=None):
 ])
 def test_load_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "sm.mat"
-    save_system_matrix(_tiny_matrix(), path)
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     _rewrite(path, header=header)
     with pytest.raises(ConfigError, match="malformed header"):
         load_system_matrix(path)
@@ -557,7 +569,7 @@ def test_load_rejects_malformed_header(tmp_path, header):
 @pytest.mark.parametrize("col", [3, -1])
 def test_load_rejects_out_of_range_indices(tmp_path, col):
     path = tmp_path / "sm.mat"
-    save_system_matrix(_tiny_matrix(), path)
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     _rewrite(path, col=col)
     with pytest.raises(ConfigError, match="outside the 3x3 shape"):
         load_system_matrix(path)
@@ -568,7 +580,7 @@ def test_load_rejects_out_of_range_indices(tmp_path, col):
                          ids=["starts_at_1", "decreasing", "ends_below_nnz"])
 def test_load_rejects_a_bad_row_pointer(tmp_path, indptr):
     path = tmp_path / "sm.mat"
-    save_system_matrix(_tiny_matrix(), path)
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     _rewrite(path, indptr=indptr)
     with pytest.raises(ConfigError, match="row pointer"):
         load_system_matrix(path)
@@ -577,7 +589,7 @@ def test_load_rejects_a_bad_row_pointer(tmp_path, indptr):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "sm.mat"
-    save_system_matrix(_tiny_matrix(), path)
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     _rewrite(path, val=value)
     with pytest.raises(ConfigError, match="non-finite"):
         load_system_matrix(path)
@@ -591,7 +603,7 @@ def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
     # allocation from the header would fail there instead of being
     # overcommitted.
     path = tmp_path / "sm.mat"
-    save_system_matrix(_tiny_matrix(), path)
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     rows = 10 ** 12
     _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef csr".encode(),
                            1: f"1000000 0 {rows} none".encode()})
@@ -622,16 +634,16 @@ def test_highpass_rows_reject_a_cutoff_that_keeps_no_bin():
 def test_load_accepts_an_unfiltered_zero_sample_rate(tmp_path):
     # what a one-sample build stores
     path = tmp_path / "sm.mat"
-    save_system_matrix(replace(_tiny_matrix(), sample_rate=0.0), path)
+    save_system_matrix(replace(_tiny_matrix(), sample_rate=0.0), path, _TINY_HASH)
     assert load_system_matrix(path).sample_rate == 0.0
 
 
 def test_rewrite_helper_keeps_a_valid_file(tmp_path):
     path = tmp_path / "sm.mat"
     tiny = _tiny_matrix()
-    save_system_matrix(tiny, path)
+    save_system_matrix(tiny, path, _TINY_HASH)
     _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, val=1.0)
-    back = load_system_matrix(path, expected_hash=tiny.config_hash)
+    back = load_system_matrix(path, expected_hash=_TINY_HASH)
     assert back.matrix.nnz == 4 and (back.matrix != tiny.matrix).nnz == 0
 
 
@@ -652,16 +664,16 @@ def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
 
     broken = replace(matrix_x, matrix=FailingMatrix())
     with pytest.raises(OSError):
-        save_system_matrix(broken, path)
+        save_system_matrix(broken, path, _X_HASH)
     # the bytes went to a temporary file beside the target, now removed
     assert len(during[0]) == 1 and during[0][0].parent == tmp_path
     assert during[0][0] != path
     assert list(tmp_path.iterdir()) == []
     # an existing matrix survives a failed overwrite untouched
-    save_system_matrix(matrix_x, path)
+    save_system_matrix(matrix_x, path, _X_HASH)
     before = path.read_bytes()
     with pytest.raises(OSError):
-        save_system_matrix(broken, path)
+        save_system_matrix(broken, path, _X_HASH)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
@@ -677,7 +689,7 @@ def test_stack_coils(scene, matrix_x):
     stacked, rhs = stack_coils([matrix_x, my], [tx, ty])
     n = config.n_samples
     assert stacked.shape == (2 * n, grid.n_cells)
-    assert stacked.coil_indices == (0, 1)
+    assert stacked.coils == (coil_along("x"), coil_along("y"))
     assert np.array_equal(rhs[:n], tx.samples)
     assert np.array_equal(rhs[n:], ty.samples)
     assert (stacked.matrix[:n] != matrix_x.matrix).nnz == 0
@@ -695,11 +707,11 @@ def test_stack_coils(scene, matrix_x):
 def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path):
     model, grid, config, approx = scene
     path = tmp_path / "x.mat"
-    save_system_matrix(matrix_x, path)
+    save_system_matrix(matrix_x, path, _X_HASH)
     for single in (matrix_x, load_system_matrix(path)):
         stacked, rhs = stack_coils([single], [_zero_trace(config)])
         assert np.shares_memory(stacked.matrix.data, single.matrix.data)
-        assert stacked.config_hash == single.config_hash
+        assert stacked.coils == single.coils
         assert rhs.size == config.n_samples
 
 
@@ -708,8 +720,6 @@ def test_highpass_rows_commutes(scene, matrix_x):
     cutoff = 35e3
     filtered = apply_highpass_rows(matrix_x, cutoff)
     assert filtered.highpass == cutoff
-    assert filtered.config_hash == chain_highpass_hash(matrix_x.config_hash,
-                                                       cutoff)
     assert filtered.matrix is matrix_x.matrix  # stored sparse, unfiltered
     assert matrix_x.operator() is matrix_x.matrix
     pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
@@ -815,10 +825,9 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     filtered = apply_highpass_rows(matrix_x, 35e3)
     path = tmp_path / "sm_hp.bin"
-    save_system_matrix(filtered, path)
-    back = load_system_matrix(path, expected_hash=filtered.config_hash)
+    save_system_matrix(filtered, path, _X_HP_HASH)
+    back = load_system_matrix(path, expected_hash=_X_HP_HASH)
     assert back.highpass == filtered.highpass
-    assert back.config_hash == filtered.config_hash
     assert back.nnz == matrix_x.nnz
     assert sp.issparse(back.matrix)
     x = np.random.default_rng(7).normal(size=filtered.shape[1])
