@@ -82,7 +82,6 @@ DEFAULTS = {
     "coils": {"axes": "x, y"},
     "forward": {
         "model": "general",
-        "subsampling": "2",
         "workers": "4",
     },
     "sysmat": {
@@ -306,9 +305,8 @@ def make_coils(cfg: RunConfig) -> list:
 
 
 def make_matrix_recipe(cfg: RunConfig) -> dict:
-    """What every coil's matrix and its config hash are built from."""
-    return {"model": make_field_model(cfg), "approx": make_approx(cfg),
-            "times": make_acquisition(cfg).times(),
+    """The matrix builders' and config_hash's inputs but the staircase."""
+    return {"model": make_field_model(cfg), "acq": make_acquisition(cfg),
             "grid": make_grid(cfg, "recon"),
             "subsampling": cfg.integer("sysmat", "subsampling")}
 
@@ -344,8 +342,13 @@ class Workspace:
 
     @functools.cached_property
     def recipe(self) -> dict:
-        """make_matrix_recipe(cfg), built once: L1 nodes are placed once."""
+        """make_matrix_recipe(cfg), built once."""
         return make_matrix_recipe(self.cfg)
+
+    @functools.cached_property
+    def approx(self) -> magnetization.MagnetizationApprox:
+        """make_approx(cfg), built once: L1 nodes are placed once."""
+        return make_approx(self.cfg)
 
     def prepare(self):
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -407,8 +410,7 @@ def stage_phantom(ws: Workspace) -> dict:
 
 def stage_simulate(ws: Workspace) -> dict:
     cfg = ws.cfg
-    model = make_field_model(cfg)
-    acq = make_acquisition(cfg)
+    model, acq = ws.recipe["model"], ws.recipe["acq"]
     grid = phantom.load_grid(ws.require("phantom.grid"))
     kind = cfg.text("forward", "model")
     workers = cfg.integer("forward", "workers")
@@ -416,7 +418,6 @@ def stage_simulate(ws: Workspace) -> dict:
     if noise_level < 0:
         raise ConfigError(f"acquisition.noise_level must be >= 0, got {noise_level:g}")
     noise_seed = cfg.integer("acquisition", "noise_seed")
-    approx = make_approx(cfg) if kind == "piecewise" else None
     traces = []
     for axis, coil in make_coils(cfg):
         if kind in ("general", "parallel"):
@@ -426,9 +427,8 @@ def stage_simulate(ws: Workspace) -> dict:
                              n_workers=workers)
         elif kind == "piecewise":
             trace = forward.simulate_piecewise(
-                model, grid, coil, acq, approx,
-                subsampling=cfg.integer("forward", "subsampling"),
-                n_workers=workers)
+                model, grid, coil, acq, ws.approx,
+                subsampling=ws.recipe["subsampling"], n_workers=workers)
         else:
             raise ConfigError(f"unknown forward model {kind!r}")
         if noise_level > 0:
@@ -470,7 +470,7 @@ def stage_sysmat(ws: Workspace) -> dict:
     """
     cfg = ws.cfg
     stacked = sysmat.build_system_matrix(
-        coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
+        approx=ws.approx, coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
         n_workers=cfg.integer("sysmat", "workers"))
     _save_matrices(ws, stacked)
@@ -479,8 +479,8 @@ def stage_sysmat(ws: Workspace) -> dict:
 
 def _matrix_hash(ws: Workspace, coil: forward.ReceiveCoil) -> str:
     """The config hash a coil's stored matrix is saved and checked under."""
-    return sysmat.config_hash(coil=coil, highpass=highpass_cutoff(ws.cfg),
-                              **ws.recipe)
+    return sysmat.config_hash(approx=ws.approx, coil=coil,
+                              highpass=highpass_cutoff(ws.cfg), **ws.recipe)
 
 
 def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
@@ -636,10 +636,10 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     two values that would share a sub-directory, stops the sweep before
     anything is written.  The voltage data is simulated once from the base
     config with its forward.model.  The sweep parameters change only the
-    staircase, so one assembly pass on the base field, times and grid
-    builds every value's system matrix; each value then saves its matrix
-    and runs its LSQR reconstruction, and the summary records NRMSE against
-    the phantom on the reconstruction grid.
+    staircase, so one assembly pass on the base config's recipe builds
+    every value's system matrix; each value then saves its matrix and runs
+    its LSQR reconstruction, and the summary records NRMSE against the
+    phantom on the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -652,7 +652,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
-    approxes = [sub.recipe["approx"] for _, sub in subs.values()]
+    approxes = [sub.approx for _, sub in subs.values()]
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)
@@ -660,9 +660,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
     coils = make_coils(cfg)
     matrices = sysmat.build_system_matrices(
-        make_field_model(cfg), approxes, [coil for _, coil in coils],
-        make_acquisition(cfg).times(), make_grid(cfg, "recon"),
-        cfg.integer("sysmat", "subsampling"),
+        approxes=approxes, coils=[coil for _, coil in coils], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
         n_workers=cfg.integer("sysmat", "workers"))
     summary = []

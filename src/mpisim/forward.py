@@ -13,6 +13,10 @@ Three simulators of decreasing generality:
 - simulate_piecewise: the parallel model with mbar' replaced by its
   staircase approximation; shares its quadrature with the system matrix
   so that the trace equals the matrix-vector product.
+
+AcquisitionConfig is the sampled time axis.  The simulators sample it and
+sysmat's builders take it as the matrix's row axis, so a trace and a
+matrix built from one AcquisitionConfig share sample rate, t0 and length.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ class AcquisitionConfig:
 
     f_rot = 0 means a non-rotating scan (static line or point drive).  When
     f_rot > 0 the duration must cover an integer number of line rotation
-    periods 1/f_rot so spectra resolve on the rotation grid.
+    periods 1/f_rot so spectra resolve on the rotation grid.  It must hold
+    at least one sample.
     """
 
     f_d: float
@@ -85,6 +90,8 @@ class AcquisitionConfig:
         n = self.duration * self.sample_rate
         if abs(n - round(n)) > 1e-6:
             raise ConfigError("duration must be an integer number of samples")
+        if self.n_samples < 1:
+            raise ConfigError("duration must cover at least one sample")
         if self.f_rot > 0:
             k = self.duration * self.f_rot
             if abs(k - round(k)) > 1e-9:

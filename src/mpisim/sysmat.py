@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import TYPE_CHECKING
@@ -39,8 +40,8 @@ from .artifacts import atomic_open, open_input
 from .errors import ConfigError, HashMismatchError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
-from .forward import (ReceiveCoil, SignalTrace, apply_dft_mask, highpass_mask,
-                      map_time_blocks)
+from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
+                      highpass_mask, map_time_blocks)
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid
 
@@ -226,6 +227,7 @@ class FilteredOperator:
 class SystemMatrix:
     """CSR system matrix plus the acquisition metadata it was built under.
 
+    sample_rate, t0 and rows_per_coil are those of its AcquisitionConfig.
     Rows are grouped by coil: rows_per_coil consecutive rows per ReceiveCoil
     in coils, time-ordered inside each group.  matrix is the unfiltered S,
     stored sparse; highpass is filtered on application by operator().  The
@@ -285,10 +287,11 @@ class SystemMatrix:
 
 
 def config_hash(model: FieldModel, approx: MagnetizationApprox,
-                grid: ConcentrationGrid, times: np.ndarray, coil: ReceiveCoil,
+                grid: ConcentrationGrid, acq: AcquisitionConfig, coil: ReceiveCoil,
                 subsampling: int = 1, highpass: float | None = None) -> str:
     """Deterministic 16-hex digest of everything the matrix depends on.
 
+    The time axis enters as its sample count, t0 and spacing 1/sample_rate.
     A high-pass cut-off is chained onto the digest of the unfiltered matrix.
     """
     h = hashlib.sha256()
@@ -308,9 +311,7 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     put(*(f"{s:.17g}" for s in approx.slopes))
     put(*grid.dims, *(f"{s:.17g}" for s in grid.spacing),
         *(f"{o:.17g}" for o in grid.origin))
-    times = np.asarray(times)
-    dt = times[1] - times[0] if times.size > 1 else 0.0
-    put(times.size, f"{times[0]:.17g}", f"{dt:.17g}")
+    put(acq.n_samples, f"{acq.t0:.17g}", f"{1 / acq.sample_rate:.17g}")
     put(*(f"{v:.17g}" for v in coil.vector))
     put(subsampling)
     digest = h.hexdigest()[:16]
@@ -330,22 +331,24 @@ def estimate_nnz(quad: CellQuadrature, approxes, rhos, times: np.ndarray,
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
-                        coils, times, grid: ConcentrationGrid,
+                        coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                         block: int = _DEFAULT_BLOCK) -> SystemMatrix:
     """The coil-stacked matrix of one staircase: build_system_matrices([approx])."""
-    return build_system_matrices(model, [approx], coils, times, grid, subsampling,
+    return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
                                  nnz_cap, n_workers, block)[0]
 
 
-def build_system_matrices(model: FieldModel, approxes, coils, times,
-                          grid: ConcentrationGrid, subsampling: int = 1,
+def build_system_matrices(model: FieldModel, approxes, coils,
+                          acq: AcquisitionConfig, grid: ConcentrationGrid,
+                          subsampling: int = 1,
                           nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                           block: int = _DEFAULT_BLOCK) -> list:
     """Assemble the coil-stacked matrix of each staircase in approxes.
 
-    One pass serves every staircase and coil: each row block is one
+    Each coil's rows are the sample times of acq.  One pass serves every
+    staircase and coil: each row block is one
     CellQuadrature.sparse_weights call, which evaluates B, prunes the
     (cell, time) pairs that the Lipschitz bound places outside the
     low-field volume of the largest threshold b and evaluates sub-point |B|
@@ -372,16 +375,7 @@ def build_system_matrices(model: FieldModel, approxes, coils, times,
     coils = tuple(coils)
     if not coils:
         raise ConfigError("need at least one receive coil")
-    times = np.asarray(times, dtype=float)
-    if times.size < 1:
-        raise ConfigError("need at least one sample time")
-    if times.size > 1:
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise ConfigError("sample times must be uniform")
-        dt = float(steps[0])
-    else:
-        dt = 0.0
+    times = acq.times()
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
     est = estimate_nnz(quad, approxes, rhos, times)
@@ -404,8 +398,8 @@ def build_system_matrices(model: FieldModel, approxes, coils, times,
             parts[i] = None  # each block piece is freed once it is stacked
         out.append(SystemMatrix(
             matrix=sp.vstack(pieces, format="csr"),
-            sample_rate=1.0 / dt if dt else 0.0, t0=float(times[0]),
-            rows_per_coil=times.size, coils=coils, grid_dims=grid.dims,
+            sample_rate=acq.sample_rate, t0=acq.t0,
+            rows_per_coil=acq.n_samples, coils=coils, grid_dims=grid.dims,
             grid_spacing=grid.spacing, grid_origin=grid.origin))
     return out
 
@@ -419,22 +413,23 @@ def stack_coils(matrices, traces: list[SignalTrace]):
 
     Returns (SystemMatrix, samples): the matrix holds every matrix's coils
     in order, and samples concatenates the traces in the same order.  All
-    matrices must share the grid geometry exactly and the time metadata.
-    A lone matrix is returned as it is, not copied.
+    matrices must share the grid geometry exactly and the time metadata,
+    which each trace must match.  A lone matrix is returned as it is.
     """
     import scipy.sparse as sp
 
     if not matrices or len(matrices) != len(traces):
         raise ConfigError("need one trace per matrix")
     first = matrices[0]
-    for m in matrices[1:]:
+    for m, tr in zip(matrices, traces):
         if _geometry(m) != _geometry(first) or m.rows_per_coil != first.rows_per_coil:
             raise ConfigError("matrices disagree on grid or time axis")
         if not (np.isclose(m.sample_rate, first.sample_rate)
                 and np.isclose(m.t0, first.t0) and m.highpass == first.highpass):
             raise ConfigError("matrices disagree on sampling metadata")
-    if any(tr.samples.size != m.rows_per_coil for m, tr in zip(matrices, traces)):
-        raise ConfigError("trace length does not match matrix rows")
+        if not (tr.samples.size == m.rows_per_coil
+                and np.isclose(tr.sample_rate, m.sample_rate) and np.isclose(tr.t0, m.t0)):
+            raise ConfigError("trace length, sample rate or t0 does not match its matrix")
     if len(matrices) == 1:
         stacked = first.matrix
     else:
@@ -454,8 +449,6 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     """
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
-    if sm.sample_rate <= 0:
-        raise ConfigError("a high-pass needs a positive sample rate")
     highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
     return replace(sm, highpass=cutoff)
 
@@ -492,8 +485,8 @@ def _parse_header(lines):
 
     ValueError when a line is malformed or its metadata impossible: line 0
     must end in the csr layout token, every rate, time, cut-off, vector,
-    spacing and origin must be finite, a high-pass needs a positive sample
-    rate, and the shape must match rows_per_coil times the coils and the
+    spacing and origin must be finite, the sample rate and a cut-off
+    positive, and the shape must match rows_per_coil times the coils and the
     grid dims.  ConfigError when ReceiveCoil rejects a coil vector: it must
     have 3 components, not all zero.
     """
@@ -506,11 +499,10 @@ def _parse_header(lines):
     rate, t0, per_coil, hp = lines[1].decode("ascii").split()
     rate, t0, per_coil = float(rate), float(t0), int(per_coil)
     highpass = None if hp == "none" else float(hp)
-    if not (0 <= rate < math.inf and math.isfinite(t0)):
-        raise ValueError("sample rate and t0 must be finite, the rate >= 0")
-    if highpass is not None and not (rate > 0 and 0 < highpass < math.inf):
-        raise ValueError("a high-pass needs a finite positive cut-off and "
-                         "a positive sample rate")
+    if not (0 < rate < math.inf and math.isfinite(t0)):
+        raise ValueError("sample rate and t0 must be finite, the rate positive")
+    if highpass is not None and not 0 < highpass < math.inf:
+        raise ValueError("a high-pass needs a finite positive cut-off")
     coils = []
     for field in lines[2].decode("ascii").split():
         idx, vec = field.split(":")
@@ -547,30 +539,30 @@ def load_system_matrix(path, expected_hash: str | None = None,
     A malformed header, a payload that is not 8 (rows + 1) + 12 nnz bytes,
     a row pointer that does not run from 0 up to nnz without decreasing,
     an index outside the stored shape or a non-finite value raises
-    ConfigError.  indices and data are read-only views of the file bytes.
+    ConfigError.  indptr, indices and data are read from the file into one
+    array each, with no intermediate copy of the payload.
     """
     import scipy.sparse as sp
 
     with open_input(path) as fh:
         lines = [fh.readline() for _ in range(4)]
-        raw = fh.read()
-    try:
-        meta = _parse_header(lines)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: malformed header: {exc}") from None
-    digest = meta.pop("config_hash")
-    if expected_hash is not None and digest != expected_hash and not force:
-        raise HashMismatchError(
-            f"{path}: stored config hash {digest} does not match expected "
-            f"{expected_hash}; pass force to override")
-    nnz = meta.pop("nnz")
-    rows, cols = shape = meta.pop("shape")
-    ptr_end = 8 * (rows + 1)
-    if len(raw) != ptr_end + 12 * nnz:
-        raise ConfigError(f"{path}: CSR payload truncated")
-    indptr = np.frombuffer(raw, "<i8", rows + 1)
-    indices = np.frombuffer(raw, "<i4", nnz, ptr_end)
-    data = np.frombuffer(raw, "<f8", nnz, ptr_end + 4 * nnz)
+        try:
+            meta = _parse_header(lines)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}: malformed header: {exc}") from None
+        digest = meta.pop("config_hash")
+        if expected_hash is not None and digest != expected_hash and not force:
+            raise HashMismatchError(
+                f"{path}: stored config hash {digest} does not match expected "
+                f"{expected_hash}; pass force to override")
+        nnz = meta.pop("nnz")
+        rows, cols = shape = meta.pop("shape")
+        # checked against the file before anything header-sized is allocated
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * (rows + 1) + 12 * nnz:
+            raise ConfigError(f"{path}: CSR payload truncated")
+        indptr = np.fromfile(fh, "<i8", rows + 1)
+        indices = np.fromfile(fh, "<i4", nnz)
+        data = np.fromfile(fh, "<f8", nnz)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise ConfigError(f"{path}: CSR row pointer must rise from 0 to {nnz}")
     if nnz and (indices.min() < 0 or indices.max() >= cols):

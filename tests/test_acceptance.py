@@ -175,7 +175,7 @@ def test_criterion_5_model_chain_equivalence():
     par = forward.simulate_parallel(model, grid, coil, acq, params)
     gen = forward.simulate_general(model, grid, coil, acq, params)
     pw = forward.simulate_piecewise(model, grid, coil, acq, approx, subsampling=1)
-    sm = sysmat.build_system_matrix(model, approx, [coil], acq.times(), grid,
+    sm = sysmat.build_system_matrix(model, approx, [coil], acq, grid,
                                     subsampling=1)
     scale = np.linalg.norm(par.samples)
     gen_rel = float(np.linalg.norm(gen.samples - par.samples) / scale)
@@ -351,7 +351,7 @@ class _DeskScan:
             approxes.append(magnetization.build_approx(self.params, interior, b,
                                                        scheme=scheme))
         matrices = sysmat.build_system_matrices(
-            self.model(which), approxes, self.coils, self.acq.times(),
+            self.model(which), approxes, self.coils, self.acq,
             self.template, subsampling=2, n_workers=4)
         rhs = np.concatenate([tr.samples for tr in self.traces(which)])
         for i, setting in enumerate(todo):

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,7 +41,6 @@ d = 0.04 T
 
 [forward]
 workers = 1
-subsampling = 1
 
 [sysmat]
 workers = 1
@@ -227,7 +227,8 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     tmp, ini, out = pipeline_dir
     ws = cli.Workspace(cli.RunConfig.load(ini), out)
     coils = cli.make_coils(ws.cfg)
-    fresh = sysmat.build_system_matrix(coils=[coil for _, coil in coils], **ws.recipe)
+    fresh = sysmat.build_system_matrix(approx=ws.approx,
+                                       coils=[coil for _, coil in coils], **ws.recipe)
     for i, (axis, coil) in enumerate(coils):
         path = out / f"sysmat_{axis}.mat"
         lines, indptr, indices, data = _csr_payload(path)
@@ -331,6 +332,8 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
     (["field-info", "--set", "field.coefficients={bytes}"], 2, "decode"),
     (["field-info", "--set", "field.coefficients={dir}"], 2, "directory"),
     (["run", "--set", "field.coefficients={empty}"], 2, "no terms"),
+    # 1e-13 s at 2 MHz rounds to zero samples
+    (["run", "--set", "acquisition.duration=1e-13 s"], 2, "at least one sample"),
 ])
 def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
                                     argv, code, message):
@@ -352,10 +355,31 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
-                                      "sweep.data_model=general"])
+                                      "sweep.data_model=general",
+                                      "forward.subsampling=2"])
 def test_removed_config_keys_exit_2(capsys, override):
     assert cli.main(["field-info", "--set", override]) == 2
     assert "unknown config entry" in capsys.readouterr().err
+
+
+# cfg.text("section", "key") and its siblings; the section may be an
+# f-string such as f"grid.{which}"
+_CONFIG_READER = re.compile(
+    r'\.(?:text|qty|qty_list|integer|boolean)\(f?"([^"]+)", "([^"]+)"\)')
+
+
+def test_every_default_key_has_a_reader():
+    # a key that no reader in cli.py names can be set but changes nothing
+    source = Path(cli.__file__).read_text()
+    reads = set(_CONFIG_READER.findall(source))
+    assert ("output", "directory") in reads  # the pattern sees the readers
+    # make_grid and make_phantom read grid.<which>, which their callers name
+    which = set(re.findall(r'make_(?:grid|phantom)\(cfg, "(\w+)"\)', source))
+    reads |= {(f"grid.{w}", key) for section, key in reads
+              if section == "grid.{which}" for w in which}
+    dead = [f"{section}.{key}" for section, keys in cli.DEFAULTS.items()
+            for key in keys if (section, key) not in reads]
+    assert dead == []
 
 
 def test_sweep_section_is_unknown(tmp_path, capsys):
@@ -448,6 +472,19 @@ def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert "need" in err and "Traceback" not in err
     assert not (out / "sinogram.csv").exists()
+
+
+# the tiny scan sweeps +-40 mm (d / g), so a 60 mm pad zero-pads the sinogram
+@pytest.mark.parametrize("override", ["fbp.decimate=2", "fbp.pad=60 mm"])
+def test_fbp_settings_change_the_image(pipeline_dir, tmp_path, override):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    assert cli.main(["fbp", "-c", str(ini), "-o", str(work),
+                     "--set", override]) == 0
+    image = load_grid(work / "recon_fbp.grid").values
+    assert np.all(np.isfinite(image))
+    assert not np.array_equal(image, load_grid(out / "recon_fbp.grid").values)
 
 
 @pytest.mark.parametrize("override", [
@@ -692,4 +729,11 @@ def test_l1_nodes_are_placed_once_per_workspace(tmp_path, monkeypatch):
                      "--set", "magnetization.nodes=l1",
                      "--set", "magnetization.n_intervals=8",
                      "--set", "forward.model=piecewise"]) == 0
-    assert len(calls) == 2  # stage_simulate's, then the workspace recipe's
+    assert len(calls) == 1  # the workspace's staircase serves every stage
+    # a sweep places each value's staircase once, and the base config's none
+    calls.clear()
+    assert cli.main(["sweep", "-c", str(ini), "-o", str(tmp_path / "sweep"),
+                     "--parameter", "threshold_b", "--values", "8 mT,10 mT",
+                     "--set", "magnetization.nodes=l1",
+                     "--set", "magnetization.n_intervals=8"]) == 0
+    assert [args[1] for args in calls] == pytest.approx([8e-3, 10e-3])

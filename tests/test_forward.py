@@ -70,6 +70,15 @@ def test_acquisition_config():
         AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=2.5e-4, f_rot=1e3)
 
 
+def test_acquisition_needs_one_sample():
+    # 1e-13 s at 4 MHz is 4e-7 samples: an integer count, within the
+    # rounding tolerance, but zero of them
+    with pytest.raises(ConfigError, match="at least one sample"):
+        AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=1e-13)
+    one = AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=2.5e-7)
+    assert one.n_samples == 1 and np.array_equal(one.times(), [0.0])
+
+
 def test_trace_rms():
     tr = SignalTrace(samples=np.array([3.0, -3.0, 3.0, -3.0]), sample_rate=1.0)
     assert tr.rms == 3.0

@@ -81,16 +81,16 @@ def _desk_approx(b=10e-3):
                             mag.nodes_equidistant(30, b), b, scheme="secant")
 
 
-def _assert_matches_unpruned(model, approx, coil, times, grid, subsampling):
+def _assert_matches_unpruned(model, approx, coil, acq, grid, subsampling):
     """Pruned assembly against the dense quadrature it replaces.
 
     The pattern must be identical.  Values may differ by the reordered
     term sum only: at most 1e-12 of the largest entry, since entries that
     cancel to far below it carry the rounding of their summands.
     """
-    sm = build_system_matrix(model, approx, [coil], times, grid, subsampling)
+    sm = build_system_matrix(model, approx, [coil], acq, grid, subsampling)
     quad = CellQuadrature(model, grid, subsampling)
-    oracle = sp.csr_matrix(quad.weights(approx, coil.vector, times).T)
+    oracle = sp.csr_matrix(quad.weights(approx, coil.vector, acq.times()).T)
     assert oracle.nnz > 0
     assert np.array_equal(sm.matrix.indptr, oracle.indptr)
     assert np.array_equal(sm.matrix.indices, oracle.indices)
@@ -118,7 +118,7 @@ _X_HASH, _X_HP_HASH = "0487af29816cfbdf", "dd6fe44b5c65ee05"
 @pytest.fixture(scope="module")
 def matrix_x(scene):
     model, grid, config, approx = scene
-    return build_system_matrix(model, approx, [coil_along("x")], config.times(),
+    return build_system_matrix(model, approx, [coil_along("x")], config,
                                grid, subsampling=2)
 
 
@@ -170,7 +170,7 @@ def test_matrix_vector_product_equals_piecewise_on_random_scenes(
                               mag.nodes_equidistant(intervals - 1, b), b,
                               scheme=scheme)
     coil = coil_along(axis)
-    sm = build_system_matrix(model, approx, [coil], config.times(), grid,
+    sm = build_system_matrix(model, approx, [coil], config, grid,
                              subsampling)
     u = simulate_piecewise(model, grid, coil, config, approx,
                            subsampling=subsampling).samples
@@ -181,7 +181,7 @@ def test_matrix_vector_product_equals_piecewise_on_random_scenes(
 
 def test_pruned_matches_unpruned_static_ffl(scene):
     model, grid, config, approx = scene
-    _assert_matches_unpruned(model, approx, coil_along("x"), config.times(),
+    _assert_matches_unpruned(model, approx, coil_along("x"), config,
                              grid, subsampling=2)
 
 
@@ -189,18 +189,18 @@ def test_pruned_matches_unpruned_subsampling_1(scene):
     model, grid, config, approx = scene
     for axis in "xy":
         _assert_matches_unpruned(model, approx, coil_along(axis),
-                                 config.times(), grid, subsampling=1)
+                                 config, grid, subsampling=1)
 
 
 def test_pruned_matches_unpruned_perturbed_rotating_ffl():
     # degree 2..4 terms on every coil: the Lipschitz bound is no longer exact
     model = _desk_ffl(magnitude=0.35)
     assert {t.degree for t in model.terms} >= {2, 3, 4}
-    times = np.arange(500) * 2e-6
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=500e3, duration=1e-3)
     grid = empty_grid(0.1, 0.1 / 32)
     for b in (4e-3, 10e-3):
         _assert_matches_unpruned(model, _desk_approx(b), coil_along("y"),
-                                 times, grid, subsampling=2)
+                                 acq, grid, subsampling=2)
 
 
 def test_pruned_matches_unpruned_3d_lissajous(scene):
@@ -208,8 +208,9 @@ def test_pruned_matches_unpruned_3d_lissajous(scene):
                            f=(25e3, 26e3, 27e3))
     grid = empty_grid(0.03, 0.03 / 12, nz=4, z_spacing=2.5e-3)
     assert CellQuadrature(model, grid, 2).n_sub == 8
-    _assert_matches_unpruned(model, scene[3], coil_along("z"),
-                             np.arange(400) * 2.5e-7, grid, subsampling=2)
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=1e-4)
+    _assert_matches_unpruned(model, scene[3], coil_along("z"), acq, grid,
+                             subsampling=2)
 
 
 def test_lipschitz_bound_covers_center_to_sub_point_steps():
@@ -236,11 +237,11 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
 
     monkeypatch.setattr(mag.MagnetizationApprox, "eval", counting_eval)
     grid = empty_grid(0.1, 0.1 / 64)
-    times = np.arange(0, 4000, 10) * 2.5e-7
-    sm = build_system_matrix(_desk_ffl(), _desk_approx(), [coil_along("x")], times,
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=400e3, duration=1e-3)
+    sm = build_system_matrix(_desk_ffl(), _desk_approx(), [coil_along("x")], acq,
                              grid, subsampling=2)
     assert sm.nnz > 0
-    dense_values = grid.n_cells * 4 * times.size
+    dense_values = grid.n_cells * 4 * acq.n_samples
     assert sum(counted) <= 0.2 * dense_values
 
 
@@ -250,7 +251,7 @@ def test_worker_count_does_not_change_matrix(scene, matrix_x):
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
             split = build_system_matrix(model, approx, [coil_along("x")],
-                                        config.times(), grid, subsampling=2,
+                                        config, grid, subsampling=2,
                                         n_workers=workers, **block)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(split.matrix, part),
@@ -260,7 +261,7 @@ def test_worker_count_does_not_change_matrix(scene, matrix_x):
 def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
     # oracle: one build per coil, stacked
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     assert matrix_x.nnz > 0 and my.nnz > 0
     oracle, _ = stack_coils([matrix_x, my], [_zero_trace(config)] * 2)
@@ -268,7 +269,7 @@ def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
             both = build_system_matrix(model, approx,
                                        [coil_along("x"), coil_along("y")],
-                                       config.times(), grid, subsampling=2,
+                                       config, grid, subsampling=2,
                                        n_workers=workers, **block)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(both.matrix, part),
@@ -288,12 +289,12 @@ def test_coil_without_signal_gets_an_empty_block():
     # there, so z's rows hold no entry while x's keep their own
     model, approx = _desk_ffl(), _desk_approx()
     grid = empty_grid(0.1, 0.1 / 32)
-    times = np.arange(500) * 2e-6
-    alone = build_system_matrix(model, approx, [coil_along("x")], times, grid,
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=500e3, duration=1e-3)
+    alone = build_system_matrix(model, approx, [coil_along("x")], acq, grid,
                                 subsampling=2)
     both = build_system_matrix(model, approx, [coil_along("x"), coil_along("z")],
-                               times, grid, subsampling=2)
-    n = times.size
+                               acq, grid, subsampling=2)
+    n = acq.n_samples
     assert alone.nnz > 0
     assert both.matrix[n:].nnz == 0
     x_rows = both.matrix[:n]
@@ -304,22 +305,22 @@ def test_coil_without_signal_gets_an_empty_block():
 def test_empty_coil_list_is_rejected(scene):
     model, grid, config, approx = scene
     with pytest.raises(ConfigError, match="coil"):
-        build_system_matrix(model, approx, [], config.times(), grid)
+        build_system_matrix(model, approx, [], config, grid)
 
 
 def test_nnz_cap_is_per_coil(scene, matrix_x):
     model, grid, config, approx = scene
     coils = [coil_along("x"), coil_along("y")]
-    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     largest, total = max(matrix_x.nnz, my.nnz), matrix_x.nnz + my.nnz
     cap = total - 1  # above each coil's count and estimate, below their sum
     assert largest < cap
-    both = build_system_matrix(model, approx, coils, config.times(), grid,
+    both = build_system_matrix(model, approx, coils, config, grid,
                                subsampling=2, nnz_cap=cap)
     assert both.nnz == total > cap
     with pytest.raises(ResourceCapError, match="one coil"):
-        build_system_matrix(model, approx, coils, config.times(), grid,
+        build_system_matrix(model, approx, coils, config, grid,
                             subsampling=2, nnz_cap=min(matrix_x.nnz, my.nnz) - 1)
 
 
@@ -343,16 +344,16 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
     # oracle: one build_system_matrix per staircase
     model, approxes = _desk_ffl(magnitude), _sweep_staircases()
     grid = empty_grid(0.1, 0.1 / 32)
-    times = np.arange(0, 4000, 40) * 2.5e-7
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
     coils = [coil_along("x"), coil_along("y")]
-    fresh = [build_system_matrix(model, approx, coils, times, grid, subsampling=2)
+    fresh = [build_system_matrix(model, approx, coils, acq, grid, subsampling=2)
              for approx in approxes]
-    assert len({config_hash(model, approx, grid, times, coils[0], 2)
+    assert len({config_hash(model, approx, grid, acq, coils[0], 2)
                 for approx in approxes}) == len(approxes)
     assert min(sm.nnz for sm in fresh) > 0
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
-            many = build_system_matrices(model, approxes, coils, times, grid,
+            many = build_system_matrices(model, approxes, coils, acq, grid,
                                          subsampling=2, n_workers=workers,
                                          **block)
             assert len(many) == len(fresh)
@@ -367,56 +368,60 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
 def test_empty_staircase_list_is_rejected(scene):
     model, grid, config, approx = scene
     with pytest.raises(ConfigError, match="staircase"):
-        build_system_matrices(model, [], [coil_along("x")], config.times(), grid)
+        build_system_matrices(model, [], [coil_along("x")], config, grid)
 
 
 def test_nnz_cap_is_per_staircase_and_coil():
     model, approxes = _desk_ffl(), _sweep_staircases()[:2]  # 4 mT and 10 mT
     grid = empty_grid(0.1, 0.1 / 32)
-    times = np.arange(0, 4000, 8) * 2.5e-7
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=500e3, duration=1e-3)
     coils = [coil_along("x"), coil_along("y")]
-    counts = [build_system_matrix(model, approx, [coil], times, grid,
+    counts = [build_system_matrix(model, approx, [coil], acq, grid,
                                   subsampling=2).nnz
               for approx in approxes for coil in coils]
     # above every (staircase, coil) count, below any sum of two of them
     cap = max(counts) + min(counts) - 1
-    many = build_system_matrices(model, approxes, coils, times, grid,
+    many = build_system_matrices(model, approxes, coils, acq, grid,
                                  subsampling=2, nnz_cap=cap)
     assert [sm.nnz for sm in many] == [counts[0] + counts[1],
                                        counts[2] + counts[3]]
     with pytest.raises(ResourceCapError, match="one coil"):
-        build_system_matrices(model, approxes, coils, times, grid,
+        build_system_matrices(model, approxes, coils, acq, grid,
                               subsampling=2, nnz_cap=min(counts) - 1)
 
 
 def test_config_hash_sensitivity(scene):
     model, grid, config, approx = scene
-    times = config.times()
     coil = coil_along("x")
-    base = config_hash(model, approx, grid, times, coil, subsampling=2)
-    assert base == config_hash(model, approx, grid, times.copy(), coil, 2)
+    base = config_hash(model, approx, grid, config, coil, subsampling=2)
+    assert base == config_hash(
+        model, approx, grid,
+        AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=4e-5), coil, 2)
     assert len(base) == 16
+    # grids with identical geometry hash alike regardless of cell values
+    assert config_hash(model, approx,
+                       build_disc_phantom(0.010, [0.006], 0.010 / 16,
+                                          centers=[(0.0, 0.0)]),
+                       config, coil, 2) == base
+    # everything else must move the digest: the time axis by its sample
+    # count, its spacing and its t0
     other_model = build_topology("static_ffl", g=1.0, d=0.02, f_d=25e3,
                                  alpha=0.41)
     changed = [
-        config_hash(other_model, approx, grid, times, coil, 2),
-        config_hash(model, approx, grid, times, coil_along("y"), 2),
-        config_hash(model, approx, grid, times[:-1], coil, 2),
-        config_hash(model, approx, grid, times, coil, 1),
-        config_hash(model, approx,
-                    build_disc_phantom(0.010, [0.006], 0.010 / 16,
-                                       centers=[(0.0, 0.0)]),
-                    times, coil, 2),
+        config_hash(other_model, approx, grid, config, coil, 2),
+        config_hash(model, approx, grid, config, coil_along("y"), 2),
+        config_hash(model, approx, grid, replace(config, duration=3.9e-5), coil, 2),
+        config_hash(model, approx, grid,
+                    replace(config, sample_rate=2e6, duration=2e-5), coil, 2),
+        config_hash(model, approx, grid, replace(config, t0=1e-6), coil, 2),
+        config_hash(model, approx, grid, config, coil, 1),
     ]
-    # grids with identical geometry hash alike regardless of cell values;
-    # everything else must move the digest
-    assert changed[4] == base
-    assert len(set(changed[:4] + [base])) == 5
+    assert len(set(changed + [base])) == len(changed) + 1
     params = mag.LangevinParams(m0=1.0, lam=2500.0)
     other_approx = mag.build_approx(params, mag.nodes_equidistant(19, 10e-3),
                                     10e-3, scheme="secant")
-    assert config_hash(model, other_approx, grid, times, coil, 2) != base
-    assert config_hash(model, approx, grid, times, coil, 2, highpass=35e3) != base
+    assert config_hash(model, other_approx, grid, config, coil, 2) != base
+    assert config_hash(model, approx, grid, config, coil, 2, highpass=35e3) != base
 
 
 # digests stored in the headers of existing files: if one moves, every
@@ -429,24 +434,15 @@ def test_config_hash_sensitivity(scene):
 ])
 def test_config_hash_digests_are_pinned(scene, axis, highpass, digest):
     model, grid, config, approx = scene
-    assert config_hash(model, approx, grid, config.times(), coil_along(axis), 2,
+    assert config_hash(model, approx, grid, config, coil_along(axis), 2,
                        highpass=highpass) == digest
 
 
 def test_nnz_cap(scene):
     model, grid, config, approx = scene
     with pytest.raises(ResourceCapError):
-        build_system_matrix(model, approx, [coil_along("x")], config.times(),
+        build_system_matrix(model, approx, [coil_along("x")], config,
                             grid, subsampling=2, nnz_cap=100)
-
-
-def test_times_validation(scene):
-    model, grid, config, approx = scene
-    bad = np.array([0.0, 1e-6, 3e-6])
-    with pytest.raises(ConfigError):
-        build_system_matrix(model, approx, [coil_along("x")], bad, grid)
-    with pytest.raises(ConfigError):
-        build_system_matrix(model, approx, [coil_along("x")], np.array([]), grid)
 
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
@@ -536,6 +532,7 @@ def _rewrite(path, header=None, indptr=None, col=None, val=None):
     {1: b"1e6 0 3 0"},
     {1: b"1e6 0 3 -35000"},
     {1: b"0 0 3 35000"},
+    {1: b"0 0 3 none"},
     # rows against rows_per_coil and the coils
     {0: b"4 3 4 0123456789abcdef csr"},
     {0: b"0 3 4 0123456789abcdef csr", 1: b"1e6 0 0 none"},
@@ -631,11 +628,37 @@ def test_highpass_rows_reject_a_cutoff_that_keeps_no_bin():
     assert apply_highpass_rows(_tiny_matrix(), 3e5).highpass == 3e5
 
 
-def test_load_accepts_an_unfiltered_zero_sample_rate(tmp_path):
-    # what a one-sample build stores
+def test_one_sample_acquisition(scene, tmp_path):
+    # the matrix stores the acquisition's rate, not one worked out from a
+    # sample spacing that a single sample does not have
+    model, grid, config, approx = scene
+    one = replace(config, duration=1 / config.sample_rate)
+    sm = build_system_matrix(model, approx, [coil_along("x")], one, grid,
+                             subsampling=2)
+    assert sm.shape == (1, grid.n_cells)
+    assert sm.rows_per_coil == 1 and sm.sample_rate == config.sample_rate
     path = tmp_path / "sm.mat"
-    save_system_matrix(replace(_tiny_matrix(), sample_rate=0.0), path, _TINY_HASH)
-    assert load_system_matrix(path).sample_rate == 0.0
+    save_system_matrix(sm, path, _TINY_HASH)
+    back = load_system_matrix(path, expected_hash=_TINY_HASH)
+    assert back.sample_rate == config.sample_rate and back.highpass is None
+    assert (back.matrix != sm.matrix).nnz == 0
+    # the only DFT bin of one sample is 0 Hz
+    with pytest.raises(ConfigError, match="keeps no DFT bin"):
+        apply_highpass_rows(sm, 35e3)
+
+
+def test_header_stores_the_exact_sample_rate(scene, tmp_path):
+    # 1 / (1 / 7 MHz) is 7000000.000000001: the rate is not recovered from
+    # the sample spacing
+    model, grid, config, approx = scene
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=7e6, duration=4e-6)
+    assert 1 / (acq.times()[1] - acq.times()[0]) != 7e6
+    sm = build_system_matrix(model, approx, [coil_along("x")], acq, grid)
+    assert sm.sample_rate == 7e6
+    path = tmp_path / "sm.mat"
+    save_system_matrix(sm, path, _TINY_HASH)
+    assert path.read_bytes().split(b"\n")[1].split()[0] == b"7000000"
+    assert load_system_matrix(path).sample_rate == 7e6
 
 
 def test_rewrite_helper_keeps_a_valid_file(tmp_path):
@@ -680,7 +703,7 @@ def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
 
 def test_stack_coils(scene, matrix_x):
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     tx = simulate_piecewise(model, grid, coil_along("x"), config, approx,
                             subsampling=2)
@@ -702,6 +725,11 @@ def test_stack_coils(scene, matrix_x):
         approx, subsampling=2)
     with pytest.raises(ConfigError):
         stack_coils([matrix_x, my], [tx, short])
+    # same length, other sample rate or t0
+    for other in (replace(ty, sample_rate=2e6), replace(ty, t0=1e-3)):
+        assert other.samples.size == n
+        with pytest.raises(ConfigError, match="sample rate or t0"):
+            stack_coils([matrix_x, my], [tx, other])
 
 
 def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path):
@@ -729,8 +757,6 @@ def test_highpass_rows_commutes(scene, matrix_x):
     assert np.allclose(via_rows, via_trace, atol=1e-12 * max(1.0, pw.rms))
     with pytest.raises(ConfigError):
         apply_highpass_rows(matrix_x, 0.0)
-    with pytest.raises(ConfigError, match="sample rate"):
-        apply_highpass_rows(replace(matrix_x, sample_rate=0.0), cutoff)
 
 
 def test_highpass_operator_matches_densified_oracle(matrix_x):
@@ -759,7 +785,7 @@ def test_highpass_operator_adjoint_identity(matrix_x):
 def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
     model, grid, config, approx = scene
     cutoff = 35e3
-    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     singles = [apply_highpass_rows(m, cutoff) for m in (matrix_x, my)]
     stacked, _ = stack_coils(singles, [_zero_trace(config)] * 2)
@@ -801,7 +827,7 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
     filtered = apply_highpass_rows(matrix_x, 35e3)
     if n_coils == 2:
         my = build_system_matrix(model, approx, [coil_along("y")],
-                                 config.times(), grid, subsampling=2)
+                                 config, grid, subsampling=2)
         filtered, _ = stack_coils(
             [filtered, apply_highpass_rows(my, 35e3)],
             [_zero_trace(config)] * 2)
@@ -836,7 +862,7 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
 
 def test_stack_rejects_mixed_filtering(scene, matrix_x):
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, [coil_along("y")], config.times(),
+    my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     ty = simulate_piecewise(model, grid, coil_along("y"), config, approx,
                             subsampling=2)
