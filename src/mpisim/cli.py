@@ -311,6 +311,22 @@ def make_matrix_recipe(cfg: RunConfig) -> dict:
             "subsampling": cfg.integer("sysmat", "subsampling")}
 
 
+def make_workers(cfg: RunConfig) -> dict:
+    """forward.workers and sysmat.workers by section; each must be >= 1."""
+    workers = {"forward": cfg.integer("forward", "workers"),
+               "sysmat": cfg.integer("sysmat", "workers")}
+    for section, n in workers.items():
+        if n < 1:
+            raise ConfigError(f"{section}.workers must be >= 1, got {n}")
+    return workers
+
+
+def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
+    return recon.LsqrOptions(max_iterations=cfg.integer("solver", "iterations"),
+                             atol=cfg.qty("solver", "atol"),
+                             btol=cfg.qty("solver", "btol"))
+
+
 def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
     kind = cfg.text("field", "topology")
     if kind == "rotating_ffl":
@@ -413,7 +429,7 @@ def stage_simulate(ws: Workspace) -> dict:
     model, acq = ws.recipe["model"], ws.recipe["acq"]
     grid = phantom.load_grid(ws.require("phantom.grid"))
     kind = cfg.text("forward", "model")
-    workers = cfg.integer("forward", "workers")
+    workers = make_workers(cfg)["forward"]
     noise_level = cfg.qty("acquisition", "noise_level")
     if noise_level < 0:
         raise ConfigError(f"acquisition.noise_level must be >= 0, got {noise_level:g}")
@@ -472,7 +488,7 @@ def stage_sysmat(ws: Workspace) -> dict:
     stacked = sysmat.build_system_matrix(
         approx=ws.approx, coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-        n_workers=cfg.integer("sysmat", "workers"))
+        n_workers=make_workers(cfg)["sysmat"])
     _save_matrices(ws, stacked)
     return {}
 
@@ -515,11 +531,7 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
             f"stored matrices are for a {stacked.grid_dims} grid, spacing "
             f"{stacked.grid_spacing}, origin {stacked.grid_origin}; the recon "
             f"grid is {grid.dims}, spacing {grid.spacing}, origin {grid.origin}")
-    options = recon.LsqrOptions(
-        max_iterations=cfg.integer("solver", "iterations"),
-        atol=cfg.qty("solver", "atol"),
-        btol=cfg.qty("solver", "btol"))
-    result = recon.lsqr_solve(stacked.operator(), rhs, options)
+    result = recon.lsqr_solve(stacked.operator(), rhs, make_lsqr_options(cfg))
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "recon_lsqr", image)
     _write_csv(ws, "lsqr_residuals.csv", "iteration,residual",
@@ -593,6 +605,10 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> di
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
     ws = Workspace(cfg, outdir)
+    # settings a later stage reads, checked before the first stage writes
+    make_workers(cfg)
+    if "lsqr" in order:
+        make_lsqr_options(cfg)
     ws.prepare()
     results = {}
     for stage in order:
@@ -632,14 +648,15 @@ def _slug(value: str) -> str:
 def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
-    Every value's config and staircase are built first, so a bad value, or
-    two values that would share a sub-directory, stops the sweep before
-    anything is written.  The voltage data is simulated once from the base
-    config with its forward.model.  The sweep parameters change only the
-    staircase, so one assembly pass on the base config's recipe builds
-    every value's system matrix; each value then saves its matrix and runs
-    its LSQR reconstruction, and the summary records NRMSE against the
-    phantom on the reconstruction grid.
+    Every value's config and staircase, the worker counts and the LSQR
+    options are built first, so a bad setting or value, or two values that
+    would share a sub-directory, stops the sweep before anything is written.
+    The voltage data is simulated once from the base config with its
+    forward.model.  The sweep parameters change only the staircase, so one
+    assembly pass on the base config's recipe builds every value's system
+    matrix; each value then saves its matrix and runs its LSQR
+    reconstruction, and the summary records NRMSE against the phantom on
+    the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -653,6 +670,8 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
     approxes = [sub.approx for _, sub in subs.values()]
+    make_workers(cfg)
+    make_lsqr_options(cfg)
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)
@@ -662,7 +681,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     matrices = sysmat.build_system_matrices(
         approxes=approxes, coils=[coil for _, coil in coils], **ws.recipe,
         nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-        n_workers=cfg.integer("sysmat", "workers"))
+        n_workers=make_workers(cfg)["sysmat"])
     summary = []
     for i, (value, sub) in enumerate(subs.values()):
         sub.prepare()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, data_lines, open_input
+from .artifacts import atomic_open
 from .errors import ConfigError
 from .fields import MU0
 from .magnetization import LangevinParams, mbar_prime
@@ -346,26 +346,3 @@ def save_sinogram_csv(sino: Sinogram, path):
                  + " ".join(f"{s:.17g}" for s in sino.displacements) + "\n")
         for row in sino.values:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _axis_line(fh, label: str) -> np.ndarray:
-    fields = fh.readline().split()
-    if fields[:2] != ["#", label]:
-        raise ValueError(f"expected a '# {label}' line")
-    return np.array([float(v) for v in fields[2:]])
-
-
-def load_sinogram_csv(path) -> Sinogram:
-    """Inverse of save_sinogram_csv; a malformed file raises ConfigError."""
-    with open_input(path, "r") as fh:
-        try:
-            head = fh.readline().split()
-            if len(head) != 4 or head[1] != "sinogram":
-                raise ConfigError(f"{path}: not a sinogram file")
-            angles = _axis_line(fh, "angles")
-            disp = _axis_line(fh, "displacements")
-            values = np.loadtxt(data_lines(fh, path), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed sinogram: {exc}") from None
-    return Sinogram(values=values, angles=angles, displacements=disp,
-                    meta={"kind": "loaded"})

@@ -289,14 +289,6 @@ def eval_field(model: FieldModel, r, t):
     return b[0] if single else b.reshape(pts.shape)
 
 
-def eval_field_dt(model: FieldModel, r, t):
-    """dB/dt(r, t), analytic in time, same shapes as eval_field."""
-    pts = np.asarray(r, dtype=float)
-    single = pts.ndim == 1
-    b = FieldEvaluator(model, pts.reshape(-1, 3)).field_dt(float(t))[:, :, 0].T
-    return b[0] if single else b.reshape(pts.shape)
-
-
 def _check_positive(**kw):
     for name, value in kw.items():
         if not value > 0:
@@ -426,15 +418,6 @@ def ffl_locus(model: FieldModel, t) -> LineLocus:
     normal = np.array([math.sin(beta), -math.cos(beta), 0.0])
     direction = np.array([math.cos(beta), math.sin(beta), 0.0])
     return LineLocus(direction=direction, point=s * normal)
-
-
-def lfv_mask(model: FieldModel, t, grid, lo: float, hi: float):
-    """Flat indices (x-fastest) of grid cells whose center has |B| in [lo, hi)."""
-    if not 0 <= lo < hi:
-        raise ConfigError(f"need 0 <= lo < hi, got lo={lo} hi={hi}")
-    b = FieldEvaluator(model, grid.centers()).field(float(t))[:, :, 0]
-    mag = np.sqrt(np.sum(b * b, axis=0))
-    return np.flatnonzero((mag >= lo) & (mag < hi))
 
 
 def perturb_field(model: FieldModel, seed: int, magnitude: float) -> FieldModel:

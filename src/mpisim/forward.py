@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, data_lines, open_input
+from .artifacts import atomic_open, open_input
 from .errors import ConfigError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
@@ -288,27 +288,6 @@ def save_trace_csv(trace: SignalTrace, path, comments=()):
         fh.write("t,volts\n")
         for t, v in zip(trace.times(), trace.samples):
             fh.write(f"{t:.17g},{v:.17g}\n")
-
-
-def load_trace_csv(path, sample_rate: float | None = None,
-                   coil_index: int = 0) -> SignalTrace:
-    """Inverse of save_trace_csv; a malformed file raises ConfigError."""
-    with open_input(path, "r") as fh:
-        try:
-            line = fh.readline()
-            while line.startswith("#"):
-                line = fh.readline()
-            # line is the 't,volts' header; the samples follow
-            data = np.loadtxt(data_lines(fh, path), delimiter=",")
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed trace CSV: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise ConfigError(f"{path}: expected two CSV columns t,volts")
-    t = data[:, 0]
-    if sample_rate is None:
-        sample_rate = 1.0 / (t[1] - t[0])
-    return SignalTrace(samples=data[:, 1], sample_rate=sample_rate,
-                       t0=float(t[0]), coil_index=coil_index)
 
 
 def save_trace_bin(trace: SignalTrace, path):

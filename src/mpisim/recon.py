@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .phantom import ConcentrationGrid, line_profile
+from .phantom import ConcentrationGrid
 
 log = logging.getLogger(__name__)
 
@@ -139,12 +139,3 @@ def optimal_scale(recon, reference) -> float:
     a, b = _flat(recon), _flat(reference)
     denom = float(a @ a)
     return float(a @ b) / denom if denom > 0 else 0.0
-
-
-def profile_compare(recon, reference, axis: str, offset: float):
-    """Paired line profiles through both grids: (positions, recon, reference)."""
-    if not recon.meta_matches(reference):
-        raise ConfigError("grids disagree on geometry")
-    positions = recon.axis_coords(0 if axis == "horizontal" else 1)
-    return positions, line_profile(recon, axis, offset), line_profile(
-        reference, axis, offset)

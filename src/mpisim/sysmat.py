@@ -72,7 +72,8 @@ class CellQuadrature:
     from fields.harmonic_gradient_bound, L(t) is the 2-norm over j of
     sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
     topologies, whose gradients are constant.  The sub-point rows are the
-    evaluator's polys, read in place as (cell, sub-point, harmonic).
+    evaluator's polys, copied once into a C-contiguous (cell, sub-point,
+    harmonic) table so that gathering a cell reads one run of memory.
     """
 
     def __init__(self, model: FieldModel, grid: ConcentrationGrid,
@@ -105,9 +106,10 @@ class CellQuadrature:
                                for l, _ in harmonics])
         self._center_polys = np.array(
             [eval_harmonic_polynomial(l, m, centers) for l, m in harmonics]).T
-        # (cell, sub-point, harmonic): one row per cell gathers its sub-points
-        self._sub_polys = self.evaluator.polys.T.reshape(
-            self.n_cells, self.n_sub, len(harmonics))
+        # (cell, sub-point, harmonic), contiguous: a transposed view would
+        # read one cache line per harmonic value on every gather
+        self._sub_polys = np.ascontiguousarray(self.evaluator.polys.T.reshape(
+            self.n_cells, self.n_sub, len(harmonics)))
 
     def weights(self, approx: MagnetizationApprox, rho, times) -> np.ndarray:
         """Matrix entries for a block of times, shape (n_cells, len(times)).

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from mpisim.artifacts import atomic_open
 from mpisim.cli import RunConfig
 from mpisim.errors import ConfigError, MissingInputError, MpiSimError
-from mpisim.fbp import Sinogram, load_sinogram_csv, save_sinogram_csv
 from mpisim.fields import (build_topology, load_field_coefficients,
                            write_field_coefficients)
-from mpisim.forward import (SignalTrace, coil_along, load_trace_bin, load_trace_csv,
-                            save_trace_bin, save_trace_csv)
+from mpisim.forward import (SignalTrace, coil_along, load_trace_bin, save_trace_bin,
+                            save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
 from mpisim.sysmat import SystemMatrix, load_system_matrix, save_system_matrix
 
@@ -27,11 +26,6 @@ def _grid():
 def _trace():
     return SignalTrace(samples=np.linspace(-1.0, 1.0, 5), sample_rate=1e6,
                        t0=1e-6, coil_index=1)
-
-
-def _sinogram():
-    return Sinogram(values=np.arange(6.0).reshape(2, 3), angles=[0.0, 1.5],
-                    displacements=[-1e-3, 0.0, 1e-3], meta={})
 
 
 def _write_coefficients(path):
@@ -118,9 +112,6 @@ def test_loaders_report_a_missing_file(tmp_path):
 LOADERS = {
     "grid": (load_grid, lambda p: save_grid(_grid(), p, comments=["config 0123"])),
     "trace_bin": (load_trace_bin, lambda p: save_trace_bin(_trace(), p)),
-    "sinogram": (load_sinogram_csv, lambda p: save_sinogram_csv(_sinogram(), p)),
-    "trace_csv": (load_trace_csv,
-                  lambda p: save_trace_csv(_trace(), p, comments=["config 0123"])),
     "coefficients": (load_field_coefficients, _write_coefficients),
     "ini": (RunConfig.load, _write_ini),
     "sysmat": (load_system_matrix, _save_matrix),
@@ -132,18 +123,6 @@ def test_loaders_reject_a_directory(tmp_path, loader):
     load, _ = LOADERS[loader]
     with pytest.raises(ConfigError, match="directory"):
         load(tmp_path)
-
-@pytest.mark.parametrize("load, text", [
-    (load_trace_csv, "# config 0123\nt,volts\n\n# no samples\n"),
-    (load_sinogram_csv,
-     "# sinogram 2 3\n# angles 0 1.5\n# displacements -1e-3 0 1e-3\n\n# no rows\n"),
-])
-def test_csv_loaders_reject_an_empty_body(tmp_path, load, text):
-    path = tmp_path / "empty.csv"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match="no data rows"):
-        load(path)
-
 
 _field = st.one_of(
     st.integers(min_value=-10**20, max_value=10**20).map(str),

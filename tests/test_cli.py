@@ -398,6 +398,40 @@ def test_repeated_coil_axis_exits_2(tmp_path, capsys):
     assert not (out / "trace_x.bin").exists()
 
 
+@pytest.mark.parametrize("setting", ["forward.workers=0", "sysmat.workers=-3"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
+                                                       setting, command):
+    # unchecked, a count below 1 would run serially and exit 0
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "-c", str(ini), "-o", str(out), "--set", setting]
+    if command == "sweep":
+        argv += ["--parameter", "threshold_b", "--values", "4 mT"]
+    assert cli.main(argv) == 2
+    section = setting.split(".")[0]
+    assert f"{section}.workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_iterations_exit_2_before_any_matrix(tmp_path, capsys, command):
+    # lsqr reads the solver settings only after sysmat has saved its files
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "-c", str(ini), "-o", str(out),
+            "--set", "solver.iterations=-2"]
+    if command == "sweep":
+        argv += ["--parameter", "threshold_b", "--values", "4 mT"]
+    assert cli.main(argv) == 2
+    assert "max_iterations must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("sysmat_*.mat"))
+    assert not out.exists()
+    # a run without lsqr does not read the solver settings
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
+                     "--set", "solver.iterations=-2"]) == 0
+
+
 def test_sweep_takes_no_force(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--parameter", "threshold_b", "--values", "4 mT",

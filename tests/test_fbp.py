@@ -12,7 +12,6 @@ from mpisim.fbp import (
     _wrap_angle,
     Sinogram,
     fbp_reconstruct,
-    load_sinogram_csv,
     radon_transform,
     save_sinogram_csv,
     signal_to_sinogram,
@@ -256,11 +255,11 @@ def test_sinogram_csv_round_trip(tmp_path, point_scan):
     sino = signal_to_sinogram(traces, coils, geometry, n_bins=32)
     path = tmp_path / "sino.csv"
     save_sinogram_csv(sino, path)
-    back = load_sinogram_csv(path)
-    assert np.allclose(back.values, sino.values, atol=1e-15)
-    assert np.allclose(back.angles, sino.angles, atol=1e-17)
-    assert np.allclose(back.displacements, sino.displacements, atol=1e-17)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("just,numbers\n1,2\n")
-    with pytest.raises(ConfigError):
-        load_sinogram_csv(bad)
+    # .17g text: the header lines and a plain CSV reader give every number back
+    head, angles, disp = (line.split() for line in path.read_text().splitlines()[:3])
+    assert head == ["#", "sinogram", str(sino.angles.size),
+                    str(sino.displacements.size)]
+    assert angles[:2] == ["#", "angles"] and disp[:2] == ["#", "displacements"]
+    assert np.array_equal(np.array(angles[2:], dtype=float), sino.angles)
+    assert np.array_equal(np.array(disp[2:], dtype=float), sino.displacements)
+    assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), sino.values)

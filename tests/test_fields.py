@@ -12,16 +12,13 @@ from mpisim import (
     FieldEvaluator,
     build_topology,
     eval_field,
-    eval_field_dt,
     eval_harmonic_polynomial,
     eval_spherical_harmonic,
     ffl_locus,
     ffp_position,
-    lfv_mask,
     load_field_coefficients,
     perturb_field,
     write_field_coefficients,
-    empty_grid,
 )
 from mpisim.fields import (
     FieldModel,
@@ -220,7 +217,6 @@ def test_eval_field_point_matches_evaluator():
     r, t = np.array([0.01, -0.02, 0.005]), 3.7e-5
     ev = FieldEvaluator(model, r.reshape(1, 3))
     np.testing.assert_allclose(eval_field(model, r, t), ev.field(t)[:, 0, 0])
-    np.testing.assert_allclose(eval_field_dt(model, r, t), ev.field_dt(t)[:, 0, 0])
 
 
 def _perturbed_rotating_ffl():
@@ -300,20 +296,6 @@ def test_perturbation_magnitude_bounds_added_field():
     # reference scale: largest degree-1 coefficient contribution at the radius
     ref = max(abs(t.coefficient) * 0.1 for t in base.terms if t.degree == 1)
     assert np.abs(dev).max() <= mag * ref * (1 + 1e-9)
-
-
-def test_lfv_mask_matches_direct_magnitude():
-    model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3,
-                           validity_radius=0.1)
-    grid = empty_grid(0.08, 0.005)
-    t = 1.725e-5
-    idx = lfv_mask(model, t, grid, 0.0, 0.002)
-    ev = FieldEvaluator(model, grid.centers())
-    mag = np.linalg.norm(ev.field(t)[:, :, 0], axis=0)
-    np.testing.assert_array_equal(idx, np.flatnonzero(mag < 0.002))
-    assert idx.size > 0
-    with pytest.raises(ConfigError):
-        lfv_mask(model, t, grid, 0.005, 0.001)
 
 
 @pytest.mark.parametrize("row", [

@@ -19,7 +19,6 @@ from mpisim.forward import (
     coil_along,
     highpass_mask,
     load_trace_bin,
-    load_trace_csv,
     save_trace_bin,
     save_trace_csv,
     simulate_general,
@@ -131,16 +130,11 @@ def test_trace_csv_round_trip(tmp_path):
                      t0=1e-6, coil_index=1)
     path = tmp_path / "trace.csv"
     save_trace_csv(tr, path, comments=["coil y"])
-    back = load_trace_csv(path, coil_index=1)
-    assert back.sample_rate == pytest.approx(2e6)
-    assert back.t0 == pytest.approx(1e-6)
-    assert back.coil_index == 1
-    assert np.allclose(back.samples, tr.samples, atol=1e-15)
     assert path.read_text().startswith("# coil y\nt,volts\n")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,volts\n0.0,1.0\n")
-    with pytest.raises(ConfigError):
-        load_trace_csv(bad)
+    # .17g columns: a plain CSV reader gets every time and sample back exactly
+    t, volts = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
+    assert np.array_equal(t, tr.times())
+    assert np.array_equal(volts, tr.samples)
 
 
 def test_trace_bin_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from mpisim.recon import (
     lsqr_solve,
     nrmse,
     optimal_scale,
-    profile_compare,
 )
 
 
@@ -120,21 +119,6 @@ def test_nrmse_on_grids():
     other = empty_grid(0.01, 0.002)
     with pytest.raises(ConfigError):
         nrmse(other.with_values(np.ones(other.n_cells)), ref)
-
-
-def test_profile_compare():
-    g = empty_grid(0.01, 0.001)
-    vals = np.zeros(g.dims)
-    vals[:, 3, 0] = 2.0
-    rec = g.with_values(vals)
-    ref = g.with_values(np.ones(g.dims))
-    y3 = g.axis_coords(1)[3]
-    pos, pr, pf = profile_compare(rec, ref, "horizontal", y3)
-    assert np.array_equal(pos, g.axis_coords(0))
-    assert np.all(pr == 2.0) and np.all(pf == 1.0)
-    with pytest.raises(ConfigError):
-        profile_compare(rec, empty_grid(0.02, 0.001).with_values(
-            np.ones((20, 20, 1))), "horizontal", 0.0)
 
 
 def test_result_defaults():

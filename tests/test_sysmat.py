@@ -365,6 +365,29 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
                 assert got.coils == want.coils
 
 
+def test_contiguous_sub_point_table_equals_the_strided_view():
+    # oracle: the evaluator's polys read in place through a transposed view
+    model = _desk_ffl(0.35)
+    grid = empty_grid(0.1, 0.1 / 32)
+    times = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3).times()
+    quad = CellQuadrature(model, grid, subsampling=2)
+    table = quad._sub_polys
+    assert table.flags.c_contiguous
+    approxes = _sweep_staircases()[:2]
+    rhos = [coil_along("x").vector, coil_along("y").vector]
+    fast = quad.sparse_weights(approxes, rhos, times)
+    quad._sub_polys = quad.evaluator.polys.T.reshape(
+        quad.n_cells, quad.n_sub, len(quad.evaluator.harmonics))
+    assert not quad._sub_polys.flags.c_contiguous
+    assert np.array_equal(quad._sub_polys, table)
+    slow = quad.sparse_weights(approxes, rhos, times)
+    for i, k in np.ndindex(len(approxes), len(rhos)):
+        assert fast[i][k].nnz > 0
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(fast[i][k], part),
+                                  getattr(slow[i][k], part)), (i, k, part)
+
+
 def test_empty_staircase_list_is_rejected(scene):
     model, grid, config, approx = scene
     with pytest.raises(ConfigError, match="staircase"):
