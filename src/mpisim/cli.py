@@ -327,6 +327,20 @@ def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
                              btol=cfg.qty("solver", "btol"))
 
 
+def make_fbp_settings(cfg: RunConfig) -> dict:
+    """Every fbp setting stage_fbp reads, checked by fbp.check_settings."""
+    settings = {"n_bins": cfg.integer("fbp", "bins"),
+                "decimate": cfg.integer("fbp", "decimate"),
+                "cos_guard": cfg.qty("fbp", "cos_guard"),
+                "nsr": cfg.qty("fbp", "nsr"),
+                "window": cfg.text("fbp", "window"),
+                "baseline": cfg.text("fbp", "baseline").lower()}
+    fbp_mod.check_settings(**settings)
+    return {**settings, "geometry": make_geometry(cfg),
+            "deconvolve": cfg.boolean("fbp", "deconvolve"),
+            "pad": cfg.qty("fbp", "pad")}
+
+
 def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
     kind = cfg.text("field", "topology")
     if kind == "rotating_ffl":
@@ -429,24 +443,15 @@ def stage_simulate(ws: Workspace) -> dict:
     model, acq = ws.recipe["model"], ws.recipe["acq"]
     grid = phantom.load_grid(ws.require("phantom.grid"))
     kind = cfg.text("forward", "model")
+    simulate = getattr(forward, SIMULATORS[kind])
+    args = ((ws.approx, ws.recipe["subsampling"]) if kind == "piecewise"
+            else (make_params(cfg),))
     workers = make_workers(cfg)["forward"]
     noise_level = cfg.qty("acquisition", "noise_level")
-    if noise_level < 0:
-        raise ConfigError(f"acquisition.noise_level must be >= 0, got {noise_level:g}")
     noise_seed = cfg.integer("acquisition", "noise_seed")
     traces = []
     for axis, coil in make_coils(cfg):
-        if kind in ("general", "parallel"):
-            simulate = (forward.simulate_general if kind == "general"
-                        else forward.simulate_parallel)
-            trace = simulate(model, grid, coil, acq, make_params(cfg),
-                             n_workers=workers)
-        elif kind == "piecewise":
-            trace = forward.simulate_piecewise(
-                model, grid, coil, acq, ws.approx,
-                subsampling=ws.recipe["subsampling"], n_workers=workers)
-        else:
-            raise ConfigError(f"unknown forward model {kind!r}")
+        trace = simulate(model, grid, coil, acq, *args, n_workers=workers)
         if noise_level > 0:
             trace = forward.add_noise(trace, noise_level * trace.rms,
                                       noise_seed + coil.index)
@@ -544,28 +549,19 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
 def stage_fbp(ws: Workspace) -> dict:
     cfg = ws.cfg
     cutoff = highpass_cutoff(cfg)
-    geometry = make_geometry(cfg)
+    fs = make_fbp_settings(cfg)
     traces = _load_traces(ws, filtered=cutoff is not None)
-    deconvolve = cfg.boolean("fbp", "deconvolve")
     sino = fbp_mod.signal_to_sinogram(
-        traces, [coil for _, coil in make_coils(cfg)], geometry,
-        n_bins=cfg.integer("fbp", "bins"),
-        deconvolve=deconvolve,
-        params=make_params(cfg) if deconvolve else None,
-        nsr=cfg.qty("fbp", "nsr"),
-        decimate=cfg.integer("fbp", "decimate"),
-        cos_guard=cfg.qty("fbp", "cos_guard"))
-    baseline = cfg.text("fbp", "baseline").lower()
-    if baseline not in ("auto", "on", "off"):
-        raise ConfigError(f"fbp.baseline must be auto, on or off, not {baseline!r}")
-    if baseline == "on" or (baseline == "auto" and cutoff is not None):
+        traces, [coil for _, coil in make_coils(cfg)], fs["geometry"],
+        n_bins=fs["n_bins"], deconvolve=fs["deconvolve"],
+        params=make_params(cfg) if fs["deconvolve"] else None, nsr=fs["nsr"],
+        decimate=fs["decimate"], cos_guard=fs["cos_guard"])
+    if fs["baseline"] == "on" or (fs["baseline"] == "auto" and cutoff is not None):
         sino = fbp_mod.subtract_edge_baseline(sino)
-    pad = cfg.qty("fbp", "pad")
-    if pad > geometry.amplitude:
-        sino = fbp_mod.zero_pad(sino, pad)
-    # reconstruct before saving anything, so a bad window writes no file
+    if fs["pad"] > fs["geometry"].amplitude:
+        sino = fbp_mod.zero_pad(sino, fs["pad"])
     image = fbp_mod.fbp_reconstruct(sino, make_grid(cfg, "recon"),
-                                    window=cfg.text("fbp", "window"))
+                                    window=fs["window"])
     fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
     phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
     _save_recon(ws, "recon_fbp", image)
@@ -594,6 +590,35 @@ def stage_compare(ws: Workspace) -> dict:
     return {"rows": rows}
 
 
+# forward.model -> the name of its simulator in forward, looked up at call
+# time so that a wrapped simulator runs
+SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
+              "piecewise": "simulate_piecewise"}
+
+
+def check_stage_settings(cfg: RunConfig, stages):
+    """Check what the given stages read before the first stage writes a file.
+
+    The worker counts are always checked, the rest only for a stage that
+    reads them.  The stages read forward.model, acquisition.noise_level and
+    sysmat.nnz_cap unchecked: both drivers call this first.
+    """
+    make_workers(cfg)
+    if "simulate" in stages:
+        kind = cfg.text("forward", "model")
+        if kind not in SIMULATORS:
+            raise ConfigError(f"unknown forward model {kind!r}; need one of "
+                              f"{', '.join(SIMULATORS)}")
+        if cfg.qty("acquisition", "noise_level") < 0:
+            raise ConfigError("acquisition.noise_level must be >= 0")
+    if "sysmat" in stages and cfg.integer("sysmat", "nnz_cap") < 1:
+        raise ConfigError("sysmat.nnz_cap must be >= 1")
+    if "lsqr" in stages:
+        make_lsqr_options(cfg)
+    if "fbp" in stages:
+        make_fbp_settings(cfg)
+
+
 PIPELINE_STAGES = ("phantom", "simulate", "filter", "sysmat", "lsqr", "fbp",
                    "compare")
 
@@ -605,10 +630,7 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> di
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
     ws = Workspace(cfg, outdir)
-    # settings a later stage reads, checked before the first stage writes
-    make_workers(cfg)
-    if "lsqr" in order:
-        make_lsqr_options(cfg)
+    check_stage_settings(cfg, order)
     ws.prepare()
     results = {}
     for stage in order:
@@ -648,9 +670,10 @@ def _slug(value: str) -> str:
 def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
-    Every value's config and staircase, the worker counts and the LSQR
-    options are built first, so a bad setting or value, or two values that
-    would share a sub-directory, stops the sweep before anything is written.
+    Every value's config and staircase are built and the settings of the
+    stages it runs checked first, so a bad setting or value, or two values
+    that would share a sub-directory, stops the sweep before anything is
+    written.
     The voltage data is simulated once from the base config with its
     forward.model.  The sweep parameters change only the staircase, so one
     assembly pass on the base config's recipe builds every value's system
@@ -670,8 +693,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
     approxes = [sub.approx for _, sub in subs.values()]
-    make_workers(cfg)
-    make_lsqr_options(cfg)
+    check_stage_settings(cfg, ("simulate", "sysmat", "lsqr"))
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)

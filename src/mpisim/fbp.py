@@ -150,6 +150,25 @@ def _wrap_angle(theta: float):
     return angle, n % 2 == 1
 
 
+def check_settings(n_bins: int = 80, decimate: int = 1, cos_guard: float = 0.05,
+                   nsr: float = 1e-2, window: str = "ramlak", baseline: str = "auto"):
+    """Raise ConfigError unless every FBP setting is usable.
+
+    signal_to_sinogram and fbp_reconstruct check their settings here;
+    baseline is a driver's edge-baseline mode: auto, on or off.
+    """
+    if n_bins < 2 or decimate < 1:
+        raise ConfigError(f"need n_bins >= 2 and decimate >= 1, got n_bins="
+                          f"{n_bins} and decimate={decimate}")
+    if not (0 <= cos_guard < 1 and nsr >= 0):
+        raise ConfigError(f"need 0 <= cos_guard < 1 and nsr >= 0, got "
+                          f"cos_guard={cos_guard:g} and nsr={nsr:g}")
+    if window not in ("ramlak", "hann"):
+        raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
+    if baseline not in ("auto", "on", "off"):
+        raise ConfigError(f"need baseline auto, on or off, got {baseline!r}")
+
+
 def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
                        deconvolve: bool = False,
                        params: LangevinParams | None = None, nsr: float = 1e-2,
@@ -166,12 +185,7 @@ def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
     """
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
-    if n_bins < 2 or decimate < 1:
-        raise ConfigError(f"need n_bins >= 2 and decimate >= 1, got n_bins="
-                          f"{n_bins} and decimate={decimate}")
-    if not (0 <= cos_guard < 1 and nsr >= 0):
-        raise ConfigError(f"need 0 <= cos_guard < 1 and nsr >= 0, got "
-                          f"cos_guard={cos_guard:g} and nsr={nsr:g}")
+    check_settings(n_bins=n_bins, decimate=decimate, cos_guard=cos_guard, nsr=nsr)
     if deconvolve and params is None:
         raise ConfigError("deconvolution needs Langevin parameters")
     first = traces[0]
@@ -306,8 +320,6 @@ def _ramp_filter(row: np.ndarray, ds: float, window: str) -> np.ndarray:
     if window == "hann":
         fmax = np.abs(freqs).max()
         filt = filt * 0.5 * (1.0 + np.cos(math.pi * freqs / fmax))
-    elif window != "ramlak":
-        raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
     padded = np.zeros(nfft)
     padded[:n] = row
     return np.real(np.fft.ifft(np.fft.fft(padded) * filt))[:n]
@@ -321,6 +333,7 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
     circular wrap), back-projected with linear interpolation along the
     displacement axis, and the angle sum is scaled by pi / n_angles.
     """
+    check_settings(window=window)
     if sino.displacements.size < 2:
         raise ConfigError("sinogram needs at least two displacement bins")
     ds = sino.displacements[1] - sino.displacements[0]

@@ -11,8 +11,11 @@ Three simulators of decreasing generality:
   and for one-dimensional field-free-point drives; a good approximation
   for slowly rotating lines (f_d >> f_rot).
 - simulate_piecewise: the parallel model with mbar' replaced by its
-  staircase approximation; shares its quadrature with the system matrix
-  so that the trace equals the matrix-vector product.
+  staircase approximation, on the system matrix's cell sub-points, so that
+  the trace equals the matrix-vector product.
+
+All three are one quadrature (_quadrature) that evaluates the field at the
+cells with c != 0 only; the integrand is the only difference.
 
 AcquisitionConfig is the sampled time axis.  The simulators sample it and
 sysmat's builders take it as the matrix's row axis, so a trace and a
@@ -31,7 +34,7 @@ from .artifacts import atomic_open, open_input
 from .errors import ConfigError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
-from .phantom import ConcentrationGrid
+from .phantom import ConcentrationGrid, cell_offsets
 
 _DEFAULT_BLOCK = 256
 
@@ -147,27 +150,50 @@ def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int) -> list:
         return list(pool.map(fn, spans))
 
 
-def _filled_cells(model: FieldModel, grid: ConcentrationGrid):
-    """Field evaluator on the cells that hold particles, and their weights.
+def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
+    """Field evaluator on the sub-points of the cells that hold particles.
 
     A cell with c = 0 adds exactly nothing to the quadrature sum, so B is
     evaluated only where c != 0; negative and NaN cells are kept, so they
-    still reach the sum.  Returns (FieldEvaluator, c_k * cell volume).
+    still reach the sum.  A cell's sub-points (phantom.cell_offsets) are
+    consecutive.  Returns (FieldEvaluator, c_k * cell volume / n_sub).
     """
     flat = grid.flat()
     keep = np.flatnonzero(flat)
-    return (FieldEvaluator(model, grid.centers()[keep]),
-            flat[keep] * grid.cell_volume)
+    offsets = cell_offsets(grid, subsampling)
+    points = grid.centers()[keep][:, None, :] + offsets
+    weights = np.repeat(flat[keep] * grid.cell_volume / len(offsets), len(offsets))
+    return FieldEvaluator(model, points.reshape(-1, 3)), weights
 
 
-def _cell_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] values[k, t] for each time t of a block.
+def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
+                integrand, subsampling: int, n_workers: int, block: int) -> np.ndarray:
+    """sum_k w_k integrand(ev, times)[k, t], ev and w_k from _filled_cells.
 
-    A BLAS product sums the cells in an order that depends on the number
-    of times in the block; a pairwise sum over each time's contiguous row
-    does not, so traces do not depend on the block size.
+    A BLAS product sums the points in an order that depends on the number
+    of times in a block; a pairwise sum over each time's contiguous row
+    does not, so the result does not depend on the block size.
     """
-    return np.ascontiguousarray((weights[:, None] * values).T).sum(axis=1)
+    ev, weights = _filled_cells(model, grid, subsampling)
+
+    def worker(tblock):
+        values = weights[:, None] * integrand(ev, tblock)
+        return np.ascontiguousarray(values.T).sum(axis=1)
+
+    return np.concatenate(map_time_blocks(worker, times, n_workers, block))
+
+
+def _parallel_trace(model, grid, coil, config, slope, subsampling, n_workers,
+                    block) -> SignalTrace:
+    """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
+    def integrand(ev, tblock):
+        b = ev.field(tblock)
+        mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
+        return np.einsum("j,jkt->kt", coil.vector, ev.field_dt(tblock)) * slope(mag)
+
+    samples = -MU0 * _quadrature(model, grid, config.times(), integrand,
+                                 subsampling, n_workers, block)
+    return SignalTrace(samples, config.sample_rate, config.t0, coil.index)
 
 
 def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
@@ -178,20 +204,8 @@ def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveC
     u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol,
     summed over the filled cells only (see _filled_cells).
     """
-    ev, weights = _filled_cells(model, grid)
-    rho = coil.vector
-
-    def worker(tblock):
-        b = ev.field(tblock)
-        bdot = ev.field_dt(tblock)
-        mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
-        proj = np.einsum("j,jkt->kt", rho, bdot)
-        return -MU0 * _cell_sum(weights, proj * mbar_prime(params, mag))
-
-    samples = np.concatenate(
-        map_time_blocks(worker, config.times(), n_workers, block))
-    return SignalTrace(samples=samples, sample_rate=config.sample_rate,
-                       t0=config.t0, coil_index=coil.index)
+    return _parallel_trace(model, grid, coil, config,
+                           lambda mag: mbar_prime(params, mag), 1, n_workers, block)
 
 
 def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
@@ -204,45 +218,31 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCo
     differentiated by central differences, so the trace keeps full length.
     The field is evaluated at the filled cells only (see _filled_cells).
     """
-    ev, weights = _filled_cells(model, grid)
-    rho = coil.vector
     dt = 1.0 / config.sample_rate
 
-    def integral(tblock):
+    def integrand(ev, tblock):
         b = ev.field(tblock)
         mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
-        proj = np.einsum("j,jkt->kt", rho, b)
-        return _cell_sum(weights, proj * mbar_over_b(params, mag))
+        return np.einsum("j,jkt->kt", coil.vector, b) * mbar_over_b(params, mag)
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    ivals = np.concatenate(map_time_blocks(integral, extended, n_workers, block))
+    ivals = _quadrature(model, grid, extended, integrand, 1, n_workers, block)
     samples = -MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt)
-    return SignalTrace(samples=samples, sample_rate=config.sample_rate,
-                       t0=config.t0, coil_index=coil.index)
+    return SignalTrace(samples, config.sample_rate, config.t0, coil.index)
 
 
 def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
                        config: AcquisitionConfig, approx: MagnetizationApprox,
                        subsampling: int = 1, n_workers: int = 1,
                        block: int = _DEFAULT_BLOCK) -> SignalTrace:
-    """Parallel model with the staircase mbar'; quadrature shared with sysmat.
+    """simulate_parallel with the staircase mbar'_N, averaged over sub-points.
 
-    With the same grid and subsampling this equals the system matrix times
-    the flat concentration, up to summation order.
+    With sysmat's grid and subsampling (phantom.cell_offsets) this equals
+    the system matrix times the flat concentration, up to summation order.
     """
-    from . import sysmat
-
-    quad = sysmat.CellQuadrature(model, grid, subsampling)
-    c = grid.flat()
-
-    def worker(tblock):
-        return quad.weights(approx, coil.vector, tblock).T @ c
-
-    samples = np.concatenate(
-        map_time_blocks(worker, config.times(), n_workers, block))
-    return SignalTrace(samples=samples, sample_rate=config.sample_rate,
-                       t0=config.t0, coil_index=coil.index)
+    return _parallel_trace(model, grid, coil, config, approx.eval, subsampling,
+                           n_workers, block)
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -85,6 +86,20 @@ class ConcentrationGrid:
         return (self.dims == other.dims
                 and np.allclose(self.spacing, other.spacing, rtol=0, atol=tol)
                 and np.allclose(self.origin, other.origin, rtol=0, atol=tol))
+
+
+def cell_offsets(grid: ConcentrationGrid, subsampling: int = 1) -> np.ndarray:
+    """Sub-point offsets from a cell center, shape (n_sub, 3), x slowest.
+
+    Each axis with more than one cell is split into subsampling equal
+    parts, whose midpoints are the sub-points; a one-cell axis keeps the
+    center.  subsampling 1 gives the center alone.
+    """
+    if subsampling < 1:
+        raise ConfigError("subsampling must be >= 1")
+    axes = [(np.arange(subsampling) + 0.5) / subsampling - 0.5 if n > 1
+            else np.zeros(1) for n in grid.dims]
+    return np.array(list(product(*axes))) * grid.spacing
 
 
 def empty_grid(fov: float, spacing: float, nz: int = 1,

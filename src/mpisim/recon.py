@@ -26,6 +26,9 @@ class LsqrOptions:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
+        if not (self.atol >= 0 and self.btol >= 0):
+            raise ConfigError(f"need atol >= 0 and btol >= 0, got atol="
+                              f"{self.atol:g} and btol={self.btol:g}")
 
 
 @dataclass

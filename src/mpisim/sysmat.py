@@ -1,12 +1,12 @@
 """Sparse system matrix assembly for the piecewise magnetization model.
 
 Entry (j, k) holds -mu0 <rho, dB/dt(r_k, t_j)> mbar'_N(|B(r_k, t_j)|) vol_k,
-optionally averaged over a subsampled cell, so a row times the flat
-concentration reproduces simulate_piecewise at that sample.  Cells outside
-every staircase interval (|B| >= b) contribute exact zeros, which is what
-makes the matrix sparse.  Assembly uses that: B is evaluated at the cell
-centers first, and only cells whose center lies within b + L(t) r of the
-low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
+optionally averaged over the sub-points of phantom.cell_offsets, so a row
+times the flat concentration reproduces simulate_piecewise at that sample.
+Cells outside every staircase interval (|B| >= b) contribute exact zeros,
+which is what makes the matrix sparse.  Assembly uses that: B is evaluated
+at the cell centers first, and only cells whose center lies within b + L(t) r
+of the low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
 coefficients, r the center-to-sub-point reach) get their sub-points
 evaluated; see CellQuadrature.  Only rho depends on the receive coil and
 only mbar'_N on the staircase, so one pass serves every coil and
@@ -31,7 +31,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +42,7 @@ from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
                       highpass_mask, map_time_blocks)
 from .magnetization import MagnetizationApprox
-from .phantom import ConcentrationGrid
+from .phantom import ConcentrationGrid, cell_offsets
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -61,7 +60,7 @@ _SAFETY = 1.0 + 1e-9
 class CellQuadrature:
     """Midpoint (or subsampled) cell quadrature bound to one model and grid.
 
-    weights() evaluates every sub-point of every cell for one coil;
+    weights(), the test oracle, evaluates every sub-point of every cell;
     sparse_weights() gives the same entries for any number of staircases
     and coils from one pass, but first prunes the (cell, time) pairs that
     cannot reach the low-field volume |B| < b.  Every sub-point of a cell lies within reach r
@@ -78,21 +77,8 @@ class CellQuadrature:
 
     def __init__(self, model: FieldModel, grid: ConcentrationGrid,
                  subsampling: int = 1):
-        if subsampling < 1:
-            raise ConfigError("subsampling must be >= 1")
         centers = grid.centers()
-        offsets = [np.zeros(3)]
-        if subsampling > 1:
-            axes = []
-            for a in range(3):
-                if grid.dims[a] > 1:
-                    step = grid.spacing[a]
-                    axes.append(((np.arange(subsampling) + 0.5) / subsampling - 0.5)
-                                * step)
-                else:
-                    axes.append(np.zeros(1))
-            offsets = [np.array(o) for o in product(axes[0], axes[1], axes[2])]
-        offsets = np.asarray(offsets)
+        offsets = cell_offsets(grid, subsampling)
         self.n_sub = len(offsets)
         self.n_cells = grid.n_cells
         self.cell_volume = grid.cell_volume

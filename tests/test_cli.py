@@ -414,6 +414,37 @@ def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+# settings that stages after the first one read; unchecked, each wrote files
+# before exiting (nnz_cap with the resource-cap code 5) or ran to the end
+LATE_SETTINGS = {
+    "sysmat.nnz_cap=-5": "sysmat.nnz_cap must be >= 1",
+    "sysmat.nnz_cap=0": "sysmat.nnz_cap must be >= 1",
+    "forward.model=bogus": "unknown forward model 'bogus'",
+    "acquisition.noise_level=-1": "acquisition.noise_level must be >= 0",
+    "solver.atol=-1": "atol >= 0 and btol >= 0",
+    "solver.btol=-1": "atol >= 0 and btol >= 0",
+}
+
+
+@pytest.mark.parametrize("setting", LATE_SETTINGS)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting):
+    message = LATE_SETTINGS[setting]
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "-c", str(ini), "-o", str(out), "--set", setting]
+    if command == "sweep":
+        argv += ["--parameter", "threshold_b", "--values", "4 mT"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+    # a run of the phantom stage alone does not read it
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
+                     "--set", setting]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_negative_iterations_exit_2_before_any_matrix(tmp_path, capsys, command):
     # lsqr reads the solver settings only after sysmat has saved its files
@@ -505,7 +536,32 @@ def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
                      "phantom,simulate,filter,fbp", *sets]) == 2
     err = capsys.readouterr().err
     assert "need" in err and "Traceback" not in err
-    assert not (out / "sinogram.csv").exists()
+    assert not out.exists()
+
+
+LATE_FBP_SETTINGS = {
+    "fbp.baseline=sometimes": "baseline",
+    "fbp.deconvolve=maybe": "fbp.deconvolve must be a boolean",
+    "fbp.pad=2 parsec": "unit",
+    "field.topology=lissajous_ffp": "needs an FFL topology",
+}
+
+
+@pytest.mark.parametrize("override", LATE_FBP_SETTINGS)
+def test_fbp_settings_are_checked_before_the_first_stage(tmp_path, capsys,
+                                                         override):
+    message = LATE_FBP_SETTINGS[override]
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out),
+                     "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+    # a run without fbp does not read them
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "phantom", "--set", override]) == 0
 
 
 # the tiny scan sweeps +-40 mm (d / g), so a 60 mm pad zero-pads the sinogram

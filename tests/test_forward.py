@@ -25,7 +25,8 @@ from mpisim.forward import (
     simulate_parallel,
     simulate_piecewise,
 )
-from mpisim.phantom import build_disc_phantom
+from mpisim.phantom import build_disc_phantom, cell_offsets
+from mpisim.sysmat import CellQuadrature
 
 
 def small_scene(sample_rate=1e7):
@@ -189,12 +190,33 @@ def test_piecewise_tracks_parallel():
 
 # --- quadrature simulators on the filled cells --------------------------------
 
+def _staircase(params):
+    b = 10e-3
+    return mag.build_approx(params, mag.nodes_equidistant(29, b), b, scheme="secant")
+
+
+def simulate_piecewise_sub2(model, grid, coil, config, params, **kwargs):
+    """simulate_piecewise on a 30-interval secant staircase, subsampling 2."""
+    return simulate_piecewise(model, grid, coil, config, _staircase(params),
+                              subsampling=2, **kwargs)
+
+
+SIMULATORS = [simulate_general, simulate_parallel, simulate_piecewise_sub2]
+SUBSAMPLING = {simulate_piecewise_sub2: 2}
+
+
 def _full_grid_trace(simulate, model, grid, coil, config, params):
     """The quadrature sum over every cell of the grid, empty ones included.
 
     The oracle for the simulators, which evaluate the field at the filled
-    cells only: the same formulas, one BLAS product over all cells.
+    cells only: the same formulas, one BLAS product over all cells.  For
+    the piecewise model it is the dense system matrix entries of
+    sysmat.CellQuadrature.weights times the flat concentration.
     """
+    if simulate is simulate_piecewise_sub2:
+        quad = CellQuadrature(model, grid, SUBSAMPLING[simulate])
+        return (quad.weights(_staircase(params), coil.vector, config.times()).T
+                @ grid.flat())
     ev = FieldEvaluator(model, grid.centers())
     weights = grid.flat() * grid.cell_volume
     rho = coil.vector
@@ -251,7 +273,7 @@ SCENES = {
 }
 
 
-@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_filled_cell_simulators_match_full_grid_oracle(scene, simulate):
     model, grid, config, params = SCENES[scene]()
@@ -263,7 +285,7 @@ def test_filled_cell_simulators_match_full_grid_oracle(scene, simulate):
     assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_empty_phantom_gives_zero_trace(simulate):
     model, grid, config, params = _desk_ffl_scene()
     empty = grid.with_values(np.zeros(grid.dims))
@@ -272,7 +294,7 @@ def test_empty_phantom_gives_zero_trace(simulate):
     assert np.all(trace.samples == 0.0)
 
 
-@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_simulators_evaluate_the_field_at_the_filled_cells_only(simulate,
                                                                 monkeypatch):
     model, grid, config, params = _signed_scene()
@@ -283,14 +305,18 @@ def test_simulators_evaluate_the_field_at_the_filled_cells_only(simulate,
             super().__init__(model, points)
             built.append(self.points)
 
+    # every cell's sub-points, built independently by the system matrix's
+    # quadrature; the filled cells' rows are the ones expected
+    quad = CellQuadrature(model, grid, SUBSAMPLING.get(simulate, 1))
+    per_cell = quad.evaluator.points.reshape(grid.n_cells, quad.n_sub, 3)
     monkeypatch.setattr(forward, "FieldEvaluator", RecordingEvaluator)
     simulate(model, grid, coil_along("x"), config, params)
     filled = np.flatnonzero(grid.flat())
     assert len(built) == 1
-    assert np.array_equal(built[0], grid.centers()[filled])
+    assert np.array_equal(built[0], per_cell[filled].reshape(-1, 3))
 
 
-@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_non_finite_cell_reaches_the_trace_check(simulate):
     # an empty corner cell turned NaN behind the grid's own finite check:
     # it is nonzero, so it reaches the sum and the trace is rejected
@@ -303,7 +329,7 @@ def test_non_finite_cell_reaches_the_trace_check(simulate):
         simulate(model, grid, coil_along("x"), config, params)
 
 
-@pytest.mark.parametrize("simulate", [simulate_general, simulate_parallel])
+@pytest.mark.parametrize("simulate", SIMULATORS)
 def test_validity_warning_counts_filled_cells_only(simulate, caplog):
     # the sphere holds the disc at the center; the grid corners lie outside
     model = build_topology("static_ffl", g=1.0, d=0.02, f_d=25e3, alpha=0.4,
@@ -318,7 +344,9 @@ def test_validity_warning_counts_filled_cells_only(simulate, caplog):
     corner[0, 0, 0] = 0.5
     with caplog.at_level(logging.WARNING, logger="mpisim.fields"):
         simulate(model, inside.with_values(corner), coil_along("x"), config, params)
-    assert any("1 of" in rec.message and "validity" in rec.message
+    # the corner cell's sub-points all lie outside the sphere
+    n_sub = len(cell_offsets(inside, SUBSAMPLING.get(simulate, 1)))
+    assert any(f"{n_sub} of" in rec.message and "validity" in rec.message
                for rec in caplog.records)
 
 
@@ -326,7 +354,7 @@ def test_workers_and_blocks_do_not_change_results():
     model, grid, config, params = _signed_scene()
     config = dataclasses.replace(config, duration=2e-4, f_rot=0.0)
     coil = coil_along("y")
-    for simulate in (simulate_general, simulate_parallel):
+    for simulate in SIMULATORS:
         base = simulate(model, grid, coil, config, params).samples
         for workers in (1, 2, 3):
             for block in (1, 7, 256):

@@ -77,6 +77,14 @@ def test_zero_rhs_and_zero_operator():
         LsqrOptions(max_iterations=-1)
 
 
+@pytest.mark.parametrize("tolerances", [{"atol": -1.0}, {"btol": -1e-8},
+                                        {"atol": np.nan}])
+def test_negative_stopping_tolerance_is_rejected(tolerances):
+    with pytest.raises(ConfigError, match="atol >= 0 and btol >= 0"):
+        LsqrOptions(**tolerances)
+    assert LsqrOptions(atol=0.0, btol=0.0).atol == 0.0
+
+
 def test_lsqr_scale_equivariance():
     a, x_true = well_conditioned(seed=8)
     b = a @ x_true
