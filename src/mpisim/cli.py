@@ -449,9 +449,11 @@ def stage_simulate(ws: Workspace) -> dict:
     workers = make_workers(cfg)["forward"]
     noise_level = cfg.qty("acquisition", "noise_level")
     noise_seed = cfg.integer("acquisition", "noise_seed")
+    coils = make_coils(cfg)
+    clean = simulate(model, grid, [coil for _, coil in coils], acq, *args,
+                     n_workers=workers)
     traces = []
-    for axis, coil in make_coils(cfg):
-        trace = simulate(model, grid, coil, acq, *args, n_workers=workers)
+    for (axis, coil), trace in zip(coils, clean):
         if noise_level > 0:
             trace = forward.add_noise(trace, noise_level * trace.rms,
                                       noise_seed + coil.index)
@@ -596,14 +598,18 @@ SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
               "piecewise": "simulate_piecewise"}
 
 
-def check_stage_settings(cfg: RunConfig, stages):
+def check_stage_settings(ws: Workspace, stages):
     """Check what the given stages read before the first stage writes a file.
 
     The worker counts are always checked, the rest only for a stage that
-    reads them.  The stages read forward.model, acquisition.noise_level and
+    reads them.  The staircase is built into ws.approx, where the stages
+    find it, for sysmat, lsqr and the piecewise simulator.  The stages read
+    forward.model, acquisition.noise_level, acquisition.noise_seed and
     sysmat.nnz_cap unchecked: both drivers call this first.
     """
+    cfg = ws.cfg
     make_workers(cfg)
+    staircase = "sysmat" in stages or "lsqr" in stages
     if "simulate" in stages:
         kind = cfg.text("forward", "model")
         if kind not in SIMULATORS:
@@ -611,6 +617,11 @@ def check_stage_settings(cfg: RunConfig, stages):
                               f"{', '.join(SIMULATORS)}")
         if cfg.qty("acquisition", "noise_level") < 0:
             raise ConfigError("acquisition.noise_level must be >= 0")
+        if cfg.integer("acquisition", "noise_seed") < 0:
+            raise ConfigError("acquisition.noise_seed must be >= 0")
+        staircase = staircase or kind == "piecewise"
+    if staircase:
+        ws.approx  # built and cached here, so a bad setting stops the run
     if "sysmat" in stages and cfg.integer("sysmat", "nnz_cap") < 1:
         raise ConfigError("sysmat.nnz_cap must be >= 1")
     if "lsqr" in stages:
@@ -630,7 +641,7 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> di
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
     ws = Workspace(cfg, outdir)
-    check_stage_settings(cfg, order)
+    check_stage_settings(ws, order)
     ws.prepare()
     results = {}
     for stage in order:
@@ -692,8 +703,10 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
+    check_stage_settings(ws, ("simulate",))
+    for _, sub in subs.values():
+        check_stage_settings(sub, ("sysmat", "lsqr"))
     approxes = [sub.approx for _, sub in subs.values()]
-    check_stage_settings(cfg, ("simulate", "sysmat", "lsqr"))
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)

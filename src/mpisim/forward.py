@@ -15,7 +15,11 @@ Three simulators of decreasing generality:
   the trace equals the matrix-vector product.
 
 All three are one quadrature (_quadrature) that evaluates the field at the
-cells with c != 0 only; the integrand is the only difference.
+cells with c != 0 only; the integrand is the only difference.  Each takes
+a sequence of receive coils and returns one SignalTrace per coil, in
+order: B, |B| and the magnetization factor are evaluated once per time
+block for every coil, and only the projection on each coil's sensitivity
+is per coil, so each trace is bit-equal to a one-coil call.
 
 AcquisitionConfig is the sampled time axis.  The simulators sample it and
 sysmat's builders take it as the matrix's row axis, so a trace and a
@@ -167,51 +171,68 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
 
 
 def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
-                integrand, subsampling: int, n_workers: int, block: int) -> np.ndarray:
-    """sum_k w_k integrand(ev, times)[k, t], ev and w_k from _filled_cells.
+                integrand, coils, subsampling: int, n_workers: int,
+                block: int) -> list:
+    """One sum per coil: sum_k w_k <rho, v(r_k, t)> factor(r_k, t).
 
-    A BLAS product sums the points in an order that depends on the number
-    of times in a block; a pairwise sum over each time's contiguous row
-    does not, so the result does not depend on the block size.
+    integrand(ev, times) returns the vector field v (3, points, times) and
+    the scalar factor (points, times) at the points of _filled_cells, which
+    holds the weights w_k.  Both are evaluated once per time block for all
+    coils; only the projection on each coil's rho is per coil.  A BLAS
+    product sums the points in an order that depends on the number of
+    times in a block; a pairwise sum over each time's contiguous row does
+    not, so the result does not depend on the block size.
     """
+    if not coils:
+        raise ConfigError("need at least one receive coil")
     ev, weights = _filled_cells(model, grid, subsampling)
 
     def worker(tblock):
-        values = weights[:, None] * integrand(ev, tblock)
-        return np.ascontiguousarray(values.T).sum(axis=1)
+        v, factor = integrand(ev, tblock)
+        sums = []
+        for coil in coils:
+            values = weights[:, None] * (np.einsum("j,jkt->kt", coil.vector, v)
+                                         * factor)
+            sums.append(np.ascontiguousarray(values.T).sum(axis=1))
+        return sums
 
-    return np.concatenate(map_time_blocks(worker, times, n_workers, block))
+    blocks = map_time_blocks(worker, times, n_workers, block)
+    return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
-def _parallel_trace(model, grid, coil, config, slope, subsampling, n_workers,
-                    block) -> SignalTrace:
+def _magnitude(b: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("jkt,jkt->kt", b, b))
+
+
+def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers,
+                     block) -> list:
     """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
     def integrand(ev, tblock):
-        b = ev.field(tblock)
-        mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
-        return np.einsum("j,jkt->kt", coil.vector, ev.field_dt(tblock)) * slope(mag)
+        factor = slope(_magnitude(ev.field(tblock)))
+        return ev.field_dt(tblock), factor
 
-    samples = -MU0 * _quadrature(model, grid, config.times(), integrand,
-                                 subsampling, n_workers, block)
-    return SignalTrace(samples, config.sample_rate, config.t0, coil.index)
+    sums = _quadrature(model, grid, config.times(), integrand, coils,
+                       subsampling, n_workers, block)
+    return [SignalTrace(-MU0 * s, config.sample_rate, config.t0, coil.index)
+            for coil, s in zip(coils, sums)]
 
 
-def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
+def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coils,
                       config: AcquisitionConfig, params: LangevinParams,
-                      n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> SignalTrace:
-    """Voltage under the parallel-velocity-field model.
+                      n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> list:
+    """Voltage under the parallel-velocity-field model, one trace per coil.
 
     u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol,
     summed over the filled cells only (see _filled_cells).
     """
-    return _parallel_trace(model, grid, coil, config,
-                           lambda mag: mbar_prime(params, mag), 1, n_workers, block)
+    return _parallel_traces(model, grid, coils, config,
+                            lambda mag: mbar_prime(params, mag), 1, n_workers, block)
 
 
-def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
+def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
                      config: AcquisitionConfig, params: LangevinParams,
-                     n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> SignalTrace:
-    """Faraday-law voltage without any parallelity assumption.
+                     n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> list:
+    """Faraday-law voltage without any parallelity assumption, one trace per coil.
 
     The magnetization integral I(t) = int <rho, mbar(|B|) B/|B|> c dr is
     evaluated at the sample times extended by one step on each side and
@@ -222,27 +243,28 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCo
 
     def integrand(ev, tblock):
         b = ev.field(tblock)
-        mag = np.sqrt(np.einsum("jkt,jkt->kt", b, b))
-        return np.einsum("j,jkt->kt", coil.vector, b) * mbar_over_b(params, mag)
+        return b, mbar_over_b(params, _magnitude(b))
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    ivals = _quadrature(model, grid, extended, integrand, 1, n_workers, block)
-    samples = -MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt)
-    return SignalTrace(samples, config.sample_rate, config.t0, coil.index)
+    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers, block)
+    return [SignalTrace(-MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt),
+                        config.sample_rate, config.t0, coil.index)
+            for coil, ivals in zip(coils, sums)]
 
 
-def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coil: ReceiveCoil,
+def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coils,
                        config: AcquisitionConfig, approx: MagnetizationApprox,
                        subsampling: int = 1, n_workers: int = 1,
-                       block: int = _DEFAULT_BLOCK) -> SignalTrace:
+                       block: int = _DEFAULT_BLOCK) -> list:
     """simulate_parallel with the staircase mbar'_N, averaged over sub-points.
 
-    With sysmat's grid and subsampling (phantom.cell_offsets) this equals
-    the system matrix times the flat concentration, up to summation order.
+    With sysmat's grid and subsampling (phantom.cell_offsets) each trace
+    equals its coil's system matrix times the flat concentration, up to
+    summation order.
     """
-    return _parallel_trace(model, grid, coil, config, approx.eval, subsampling,
-                           n_workers, block)
+    return _parallel_traces(model, grid, coils, config, approx.eval, subsampling,
+                            n_workers, block)
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:
@@ -277,6 +299,8 @@ def add_noise(trace: SignalTrace, sigma: float, seed: int) -> SignalTrace:
     """Additive white Gaussian noise from a seeded generator; sigma 0 is exact."""
     if sigma < 0:
         raise ConfigError("noise sigma must be >= 0")
+    if seed < 0:
+        raise ConfigError(f"noise seed must be >= 0, got {seed}")
     noise = np.random.default_rng(seed).normal(0.0, sigma, trace.samples.size)
     return replace(trace, samples=trace.samples + noise)
 
@@ -286,8 +310,8 @@ def save_trace_csv(trace: SignalTrace, path, comments=()):
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("t,volts\n")
-        for t, v in zip(trace.times(), trace.samples):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+        fh.write("".join(f"{t:.17g},{v:.17g}\n" for t, v in
+                         zip(trace.times().tolist(), trace.samples.tolist())))
 
 
 def save_trace_bin(trace: SignalTrace, path):

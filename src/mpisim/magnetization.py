@@ -28,10 +28,12 @@ def langevin(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUTOFF
     xs = np.where(small, 1.0, x)
-    out = 1.0 / np.tanh(xs) - 1.0 / xs
-    x2 = x * x
-    series = x * (1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0)
-    return np.where(small, series, out)[()]
+    out = np.asarray(1.0 / np.tanh(xs) - 1.0 / xs)
+    # the series only where it is used: on a scan few entries, if any, are small
+    xv = x[small]
+    x2 = xv * xv
+    out[small] = xv * (1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0)
+    return out[()]
 
 
 def langevin_derivative(x):
@@ -41,11 +43,13 @@ def langevin_derivative(x):
     # beyond ~350 sinh(x)^2 overflows; the term is below eps from ~20 on
     big = np.abs(x) > 350.0
     xs = np.where(small | big, 1.0, x)
-    out = 1.0 / (xs * xs) - 1.0 / np.sinh(xs) ** 2
-    out = np.where(big, 1.0 / np.where(big, x * x, 1.0), out)
-    x2 = x * x
-    series = 1.0 / 3.0 - x2 / 15.0 + 2.0 * x2 * x2 / 189.0
-    return np.where(small, series, out)[()]
+    out = np.asarray(1.0 / (xs * xs) - 1.0 / np.sinh(xs) ** 2)
+    xb = x[big]
+    out[big] = 1.0 / (xb * xb)
+    xv = x[small]
+    x2 = xv * xv
+    out[small] = 1.0 / 3.0 - x2 / 15.0 + 2.0 * x2 * x2 / 189.0
+    return out[()]
 
 
 def langevin_over_x(x):
@@ -53,10 +57,11 @@ def langevin_over_x(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUTOFF
     xs = np.where(small, 1.0, x)
-    out = (1.0 / np.tanh(xs) - 1.0 / xs) / xs
-    x2 = x * x
-    series = 1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0
-    return np.where(small, series, out)[()]
+    out = np.asarray((1.0 / np.tanh(xs) - 1.0 / xs) / xs)
+    xv = x[small]
+    x2 = xv * xv
+    out[small] = 1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0
+    return out[()]
 
 
 @dataclass(frozen=True)

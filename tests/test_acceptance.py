@@ -172,9 +172,10 @@ def test_criterion_5_model_chain_equivalence():
         params, magnetization.nodes_equidistant(29, 0.010), 0.010, scheme="secant")
     coil = forward.coil_along("x")
 
-    par = forward.simulate_parallel(model, grid, coil, acq, params)
-    gen = forward.simulate_general(model, grid, coil, acq, params)
-    pw = forward.simulate_piecewise(model, grid, coil, acq, approx, subsampling=1)
+    [par] = forward.simulate_parallel(model, grid, [coil], acq, params)
+    [gen] = forward.simulate_general(model, grid, [coil], acq, params)
+    [pw] = forward.simulate_piecewise(model, grid, [coil], acq, approx,
+                                      subsampling=1)
     sm = sysmat.build_system_matrix(model, approx, [coil], acq, grid,
                                     subsampling=1)
     scale = np.linalg.norm(par.samples)
@@ -229,7 +230,7 @@ def test_criterion_6_closed_form_identities():
         s_k = centers @ e_alpha
         conv = weights @ magnetization.mbar_prime(
             params, 2 * g * np.abs(sweep[None, :] - s_k[:, None]))
-        sim = forward.simulate_parallel(ffl, ph, coil, acq, params)
+        [sim] = forward.simulate_parallel(ffl, ph, [coil], acq, params)
         rel[f"line/{name}"] = float(np.linalg.norm(sim.samples - pre * conv)
                                     / np.linalg.norm(sim.samples))
 
@@ -250,7 +251,7 @@ def test_criterion_6_closed_form_identities():
         arg = np.linalg.norm((r_ffp[None, :, :] - centers[:, None, :]) @ gmat,
                              axis=2)
         conv = weights @ magnetization.mbar_prime(params, arg)
-        sim = forward.simulate_parallel(ffp, ph, coil, acq, params)
+        [sim] = forward.simulate_parallel(ffp, ph, [coil], acq, params)
         rel[f"segment/{name}"] = float(np.linalg.norm(sim.samples - pre2 * conv)
                                        / np.linalg.norm(sim.samples))
 
@@ -315,14 +316,13 @@ class _DeskScan:
 
     def traces(self, which: str):
         if which not in self._traces:
-            out = []
-            for i, coil in enumerate(self.coils):
-                tr = forward.simulate_general(self.model(which),
-                                              self.signal_phantom, coil,
-                                              self.acq, self.params, n_workers=4)
-                tr = forward.add_noise(tr, 1e-3 * tr.rms, 1 + i)
-                out.append(forward.apply_highpass(tr, self.CUTOFF))
-            self._traces[which] = out
+            clean = forward.simulate_general(self.model(which),
+                                             self.signal_phantom, self.coils,
+                                             self.acq, self.params, n_workers=4)
+            self._traces[which] = [
+                forward.apply_highpass(
+                    forward.add_noise(tr, 1e-3 * tr.rms, 1 + i), self.CUTOFF)
+                for i, tr in enumerate(clean)]
         return self._traces[which]
 
     def scaled_nrmse(self, image):

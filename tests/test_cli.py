@@ -415,7 +415,8 @@ def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
 
 
 # settings that stages after the first one read; unchecked, each wrote files
-# before exiting (nnz_cap with the resource-cap code 5) or ran to the end
+# before exiting (nnz_cap with the resource-cap code 5, noise_seed with a
+# traceback) or ran to the end
 LATE_SETTINGS = {
     "sysmat.nnz_cap=-5": "sysmat.nnz_cap must be >= 1",
     "sysmat.nnz_cap=0": "sysmat.nnz_cap must be >= 1",
@@ -423,6 +424,10 @@ LATE_SETTINGS = {
     "acquisition.noise_level=-1": "acquisition.noise_level must be >= 0",
     "solver.atol=-1": "atol >= 0 and btol >= 0",
     "solver.btol=-1": "atol >= 0 and btol >= 0",
+    "acquisition.noise_seed=-1": "acquisition.noise_seed must be >= 0",
+    "magnetization.n_intervals=0": "n_intervals must be >= 2",
+    "magnetization.scheme=bogus": "unknown scheme 'bogus'",
+    "magnetization.nodes=bogus": "unknown node strategy 'bogus'",
 }
 
 

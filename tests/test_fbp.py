@@ -195,7 +195,7 @@ def point_scan():
                                f_rot=1e3)
     params = mag.LangevinParams(m0=1.0, lam=1600.0)
     coils = [coil_along("x"), coil_along("y")]
-    traces = [simulate_parallel(model, grid, c, config, params) for c in coils]
+    traces = simulate_parallel(model, grid, coils, config, params)
     geometry = ScanGeometry(g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
     return traces, coils, geometry, params, point
 

@@ -109,6 +109,8 @@ def test_add_noise_seeded():
     assert np.array_equal(add_noise(tr, 0.0, seed=1).samples, tr.samples)
     with pytest.raises(ConfigError):
         add_noise(tr, -1.0, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        add_noise(tr, 0.5, seed=-1)
 
 
 def test_highpass_brick_wall():
@@ -136,6 +138,13 @@ def test_trace_csv_round_trip(tmp_path):
     t, volts = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
     assert np.array_equal(t, tr.times())
     assert np.array_equal(volts, tr.samples)
+    # the bytes of one line per sample formatted from the numpy scalars
+    for trace in (tr, SignalTrace(samples=[-0.0, 5e-324, -1e300, 1 / 3],
+                                  sample_rate=3e6, t0=-1e-7)):
+        save_trace_csv(trace, path)
+        expected = "".join(f"{ti:.17g},{vi:.17g}\n"
+                           for ti, vi in zip(trace.times(), trace.samples))
+        assert path.read_text() == "t,volts\n" + expected
 
 
 def test_trace_bin_round_trip(tmp_path):
@@ -154,13 +163,13 @@ def test_trace_bin_round_trip(tmp_path):
 def test_parallel_linearity_and_plane_symmetry():
     model, grid, config, params = small_scene(sample_rate=1e6)
     coil = coil_along("x")
-    tr1 = simulate_parallel(model, grid, coil, config, params)
-    tr2 = simulate_parallel(model, grid.with_values(2.0 * grid.values),
-                            coil, config, params)
+    [tr1] = simulate_parallel(model, grid, [coil], config, params)
+    [tr2] = simulate_parallel(model, grid.with_values(2.0 * grid.values),
+                              [coil], config, params)
     assert np.allclose(tr2.samples, 2.0 * tr1.samples, atol=1e-18)
     assert tr1.rms > 0
     # on the z=0 plane the field has no z component, so a z coil sees nothing
-    trz = simulate_parallel(model, grid, coil_along("z"), config, params)
+    [trz] = simulate_parallel(model, grid, [coil_along("z")], config, params)
     assert np.max(np.abs(trz.samples)) < 1e-20
 
 
@@ -170,8 +179,8 @@ def test_general_close_to_parallel_for_static_line():
     # what remains is the finite-difference error of the general simulator
     model, grid, config, params = small_scene()
     coil = coil_along("x")
-    par = simulate_parallel(model, grid, coil, config, params)
-    gen = simulate_general(model, grid, coil, config, params)
+    [par] = simulate_parallel(model, grid, [coil], config, params)
+    [gen] = simulate_general(model, grid, [coil], config, params)
     scale = np.linalg.norm(par.samples)
     assert np.linalg.norm(gen.samples - par.samples) / scale < 0.01
 
@@ -182,8 +191,8 @@ def test_piecewise_tracks_parallel():
     b = 10e-3
     approx = mag.build_approx(params, mag.nodes_equidistant(29, b), b,
                               scheme="secant")
-    par = simulate_parallel(model, grid, coil, config, params)
-    pw = simulate_piecewise(model, grid, coil, config, approx, subsampling=1)
+    [par] = simulate_parallel(model, grid, [coil], config, params)
+    [pw] = simulate_piecewise(model, grid, [coil], config, approx, subsampling=1)
     scale = np.linalg.norm(par.samples)
     assert np.linalg.norm(pw.samples - par.samples) / scale < 0.03
 
@@ -195,9 +204,9 @@ def _staircase(params):
     return mag.build_approx(params, mag.nodes_equidistant(29, b), b, scheme="secant")
 
 
-def simulate_piecewise_sub2(model, grid, coil, config, params, **kwargs):
+def simulate_piecewise_sub2(model, grid, coils, config, params, **kwargs):
     """simulate_piecewise on a 30-interval secant staircase, subsampling 2."""
-    return simulate_piecewise(model, grid, coil, config, _staircase(params),
+    return simulate_piecewise(model, grid, coils, config, _staircase(params),
                               subsampling=2, **kwargs)
 
 
@@ -265,6 +274,13 @@ def _signed_scene():
     return model, grid.with_values(values), config, params
 
 
+def _short_signed_scene():
+    """_signed_scene over 200 samples without rotation."""
+    model, grid, config, params = _signed_scene()
+    config = dataclasses.replace(config, duration=2e-4, f_rot=0.0)
+    return model, grid, config, params
+
+
 SCENES = {
     "ideal_rotating_ffl": lambda: _desk_ffl_scene(),
     "perturbed_rotating_ffl": lambda: _desk_ffl_scene(magnitude=0.35),
@@ -279,7 +295,8 @@ def test_filled_cell_simulators_match_full_grid_oracle(scene, simulate):
     model, grid, config, params = SCENES[scene]()
     assert 0 < np.count_nonzero(grid.flat()) < grid.n_cells
     oracle = _full_grid_trace(simulate, model, grid, coil_along("x"), config, params)
-    got = simulate(model, grid, coil_along("x"), config, params).samples
+    [trace] = simulate(model, grid, [coil_along("x")], config, params)
+    got = trace.samples
     scale = np.max(np.abs(oracle))
     assert scale > 0
     assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
@@ -289,7 +306,7 @@ def test_filled_cell_simulators_match_full_grid_oracle(scene, simulate):
 def test_empty_phantom_gives_zero_trace(simulate):
     model, grid, config, params = _desk_ffl_scene()
     empty = grid.with_values(np.zeros(grid.dims))
-    trace = simulate(model, empty, coil_along("x"), config, params)
+    [trace] = simulate(model, empty, [coil_along("x")], config, params)
     assert trace.samples.size == config.n_samples
     assert np.all(trace.samples == 0.0)
 
@@ -310,7 +327,7 @@ def test_simulators_evaluate_the_field_at_the_filled_cells_only(simulate,
     quad = CellQuadrature(model, grid, SUBSAMPLING.get(simulate, 1))
     per_cell = quad.evaluator.points.reshape(grid.n_cells, quad.n_sub, 3)
     monkeypatch.setattr(forward, "FieldEvaluator", RecordingEvaluator)
-    simulate(model, grid, coil_along("x"), config, params)
+    simulate(model, grid, [coil_along("x")], config, params)
     filled = np.flatnonzero(grid.flat())
     assert len(built) == 1
     assert np.array_equal(built[0], per_cell[filled].reshape(-1, 3))
@@ -326,7 +343,7 @@ def test_non_finite_cell_reaches_the_trace_check(simulate):
     values[0, 0, 0] = np.nan
     grid.values = values
     with pytest.raises(ConfigError, match="finite"):
-        simulate(model, grid, coil_along("x"), config, params)
+        simulate(model, grid, [coil_along("x")], config, params)
 
 
 @pytest.mark.parametrize("simulate", SIMULATORS)
@@ -338,26 +355,68 @@ def test_validity_warning_counts_filled_cells_only(simulate, caplog):
     assert np.max(np.linalg.norm(grid.centers(), axis=1)) > 0.005
     inside = build_disc_phantom(0.010, [0.008], 0.010 / 16, centers=[(0.0, 0.0)])
     with caplog.at_level(logging.WARNING, logger="mpisim.fields"):
-        simulate(model, inside, coil_along("x"), config, params)
+        simulate(model, inside, [coil_along("x")], config, params)
     assert not any("validity" in rec.message for rec in caplog.records)
     corner = inside.values.copy()
     corner[0, 0, 0] = 0.5
     with caplog.at_level(logging.WARNING, logger="mpisim.fields"):
-        simulate(model, inside.with_values(corner), coil_along("x"), config, params)
+        simulate(model, inside.with_values(corner), [coil_along("x")], config,
+                 params)
     # the corner cell's sub-points all lie outside the sphere
     n_sub = len(cell_offsets(inside, SUBSAMPLING.get(simulate, 1)))
     assert any(f"{n_sub} of" in rec.message and "validity" in rec.message
                for rec in caplog.records)
 
 
+THREE_COILS = [coil_along("x"), coil_along("y"),
+               ReceiveCoil((1.0, 2.0, 3.0), index=7)]
+
+
 def test_workers_and_blocks_do_not_change_results():
-    model, grid, config, params = _signed_scene()
-    config = dataclasses.replace(config, duration=2e-4, f_rot=0.0)
-    coil = coil_along("y")
+    # nor does the number of coils: one call on three coils gives each
+    # coil's own one-coil trace, bit for bit
+    model, grid, config, params = _short_signed_scene()
     for simulate in SIMULATORS:
-        base = simulate(model, grid, coil, config, params).samples
+        singles = [simulate(model, grid, [coil], config, params)[0]
+                   for coil in THREE_COILS]
         for workers in (1, 2, 3):
             for block in (1, 7, 256):
-                split = simulate(model, grid, coil, config, params,
-                                 n_workers=workers, block=block)
-                assert np.array_equal(split.samples, base), (simulate, workers, block)
+                traces = simulate(model, grid, THREE_COILS, config, params,
+                                  n_workers=workers, block=block)
+                assert len(traces) == len(THREE_COILS)
+                for coil, got, single in zip(THREE_COILS, traces, singles):
+                    assert got.coil_index == coil.index
+                    assert np.array_equal(got.samples, single.samples), (
+                        simulate, workers, block, coil)
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS)
+def test_empty_coil_list_is_rejected(simulate):
+    model, grid, config, params = _short_signed_scene()
+    with pytest.raises(ConfigError, match="receive coil"):
+        simulate(model, grid, [], config, params)
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS)
+def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
+                                                              monkeypatch):
+    model, grid, config, params = _short_signed_scene()
+    calls = {"field": [], "field_dt": []}
+    for name in calls:
+        def counting(self, times, _real=getattr(FieldEvaluator, name),
+                     _calls=calls[name]):
+            _calls.append(np.size(times))
+            return _real(self, times)
+        monkeypatch.setattr(FieldEvaluator, name, counting)
+    # the general model differentiates over one extra sample at each end
+    n_times = config.n_samples + (2 if simulate is simulate_general else 0)
+    for coils in (THREE_COILS[:1], THREE_COILS):
+        for name in calls:
+            calls[name].clear()
+        simulate(model, grid, coils, config, params, n_workers=2, block=7)
+        assert len(calls["field"]) == -(-n_times // 7)
+        assert sum(calls["field"]) == n_times
+        # the parallel models also take dB/dt once per block; general never
+        expected = 0 if simulate is simulate_general else n_times
+        assert sum(calls["field_dt"]) == expected
+        assert len(calls["field_dt"]) == -(-expected // 7)

@@ -17,7 +17,12 @@ from mpisim import (
     nodes_l1_optimal,
     sup_second_derivative,
 )
-from mpisim.magnetization import _SECOND_SERIES_CUTOFF, _l1_gradient
+from mpisim.magnetization import (
+    _SECOND_SERIES_CUTOFF,
+    _SERIES_CUTOFF,
+    _l1_gradient,
+    langevin_over_x,
+)
 
 # coth(5) - 1/5, evaluated once with mpmath at 30 digits and frozen here
 L_OF_5 = 0.80009080398201938
@@ -38,6 +43,65 @@ def test_langevin_series_matches_direct_form_near_cutoff():
     xs = np.linspace(1e-4, 0.5, 400)
     direct = 1.0 / np.tanh(xs) - 1.0 / xs
     np.testing.assert_allclose(langevin(xs), direct, rtol=0, atol=1e-12)
+
+
+# The three Langevin forms as they were written when every entry got both
+# the closed form and the series, joined by np.where: the oracles of the
+# forms that compute the series only where it is used.
+
+def _langevin_where(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CUTOFF
+    xs = np.where(small, 1.0, x)
+    out = 1.0 / np.tanh(xs) - 1.0 / xs
+    x2 = x * x
+    series = x * (1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0)
+    return np.where(small, series, out)[()]
+
+
+def _langevin_derivative_where(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CUTOFF
+    big = np.abs(x) > 350.0
+    xs = np.where(small | big, 1.0, x)
+    out = 1.0 / (xs * xs) - 1.0 / np.sinh(xs) ** 2
+    out = np.where(big, 1.0 / np.where(big, x * x, 1.0), out)
+    x2 = x * x
+    series = 1.0 / 3.0 - x2 / 15.0 + 2.0 * x2 * x2 / 189.0
+    return np.where(small, series, out)[()]
+
+
+def _langevin_over_x_where(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CUTOFF
+    xs = np.where(small, 1.0, x)
+    out = (1.0 / np.tanh(xs) - 1.0 / xs) / xs
+    x2 = x * x
+    series = 1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0
+    return np.where(small, series, out)[()]
+
+
+@pytest.mark.parametrize("fast, oracle", [
+    (langevin, _langevin_where),
+    (langevin_derivative, _langevin_derivative_where),
+    (langevin_over_x, _langevin_over_x_where),
+])
+def test_series_only_where_used_is_bit_equal(fast, oracle):
+    c = _SERIES_CUTOFF
+    edges = [0.0, -0.0, c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), 0.5 * c,
+             1e-300, 0.3, 2.0, 20.0, 349.5, 350.0, np.nextafter(350.0, 400.0),
+             351.0, 800.0, 1e6]
+    xs = np.array(edges + [-v for v in edges])
+    rng = np.random.default_rng(3)
+    mixed = np.concatenate([xs, rng.normal(0.0, 40.0, 400),
+                            rng.normal(0.0, 2 * c, 256)]).reshape(8, -1)
+    for x in (xs, mixed, mixed.T, xs[:0]):
+        got, want = fast(x), oracle(x)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for v in xs:  # 0-d input gives a numpy scalar, as before
+        got, want = fast(np.float64(v)), oracle(np.float64(v))
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert np.array_equal(fast(float(v)), want)
 
 
 def test_langevin_derivative_at_zero_exact():

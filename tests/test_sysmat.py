@@ -136,8 +136,8 @@ def test_matrix_shape_and_metadata(scene, matrix_x):
 
 def test_matrix_vector_product_equals_piecewise(scene, matrix_x):
     model, grid, config, approx = scene
-    pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
-                            subsampling=2)
+    [pw] = simulate_piecewise(model, grid, [coil_along("x")], config, approx,
+                              subsampling=2)
     assert np.max(np.abs(matrix_x.matrix @ grid.flat() - pw.samples)) < 1e-12
 
 
@@ -172,8 +172,9 @@ def test_matrix_vector_product_equals_piecewise_on_random_scenes(
     coil = coil_along(axis)
     sm = build_system_matrix(model, approx, [coil], config, grid,
                              subsampling)
-    u = simulate_piecewise(model, grid, coil, config, approx,
-                           subsampling=subsampling).samples
+    [trace] = simulate_piecewise(model, grid, [coil], config, approx,
+                                 subsampling=subsampling)
+    u = trace.samples
     scale = np.max(np.abs(u))
     assert scale > 0
     assert np.max(np.abs(sm.matrix @ grid.flat() - u)) <= 1e-12 * scale
@@ -728,10 +729,8 @@ def test_stack_coils(scene, matrix_x):
     model, grid, config, approx = scene
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
-    tx = simulate_piecewise(model, grid, coil_along("x"), config, approx,
-                            subsampling=2)
-    ty = simulate_piecewise(model, grid, coil_along("y"), config, approx,
-                            subsampling=2)
+    tx, ty = simulate_piecewise(model, grid, [coil_along("x"), coil_along("y")],
+                                config, approx, subsampling=2)
     stacked, rhs = stack_coils([matrix_x, my], [tx, ty])
     n = config.n_samples
     assert stacked.shape == (2 * n, grid.n_cells)
@@ -742,8 +741,8 @@ def test_stack_coils(scene, matrix_x):
     assert (stacked.matrix[n:] != my.matrix).nnz == 0
     with pytest.raises(ConfigError):
         stack_coils([matrix_x, my], [tx])
-    short = simulate_piecewise(
-        model, grid, coil_along("x"),
+    [short] = simulate_piecewise(
+        model, grid, [coil_along("x")],
         AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=2e-5),
         approx, subsampling=2)
     with pytest.raises(ConfigError):
@@ -773,8 +772,8 @@ def test_highpass_rows_commutes(scene, matrix_x):
     assert filtered.highpass == cutoff
     assert filtered.matrix is matrix_x.matrix  # stored sparse, unfiltered
     assert matrix_x.operator() is matrix_x.matrix
-    pw = simulate_piecewise(model, grid, coil_along("x"), config, approx,
-                            subsampling=2)
+    [pw] = simulate_piecewise(model, grid, [coil_along("x")], config, approx,
+                              subsampling=2)
     via_trace = apply_highpass(pw, cutoff).samples
     via_rows = filtered.operator() @ grid.flat()
     assert np.allclose(via_rows, via_trace, atol=1e-12 * max(1.0, pw.rms))
@@ -887,10 +886,8 @@ def test_stack_rejects_mixed_filtering(scene, matrix_x):
     model, grid, config, approx = scene
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
-    ty = simulate_piecewise(model, grid, coil_along("y"), config, approx,
-                            subsampling=2)
-    tx = simulate_piecewise(model, grid, coil_along("x"), config, approx,
-                            subsampling=2)
+    tx, ty = simulate_piecewise(model, grid, [coil_along("x"), coil_along("y")],
+                                config, approx, subsampling=2)
     with pytest.raises(ConfigError):
         stack_coils([apply_highpass_rows(matrix_x, 35e3), my], [tx, ty])
 
