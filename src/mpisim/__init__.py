@@ -20,7 +20,7 @@ from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, add_noise,
                       simulate_general, simulate_parallel, simulate_piecewise)
 from .sysmat import (SystemMatrix, apply_highpass_rows, build_system_matrix,
                      build_system_matrices, config_hash, load_system_matrix,
-                     save_system_matrix, stack_coils)
+                     load_system_matrices, save_system_matrix, stack_coils)
 from .recon import LsqrOptions, LsqrResult, lsqr_solve, nrmse, optimal_scale
 from .fbp import (ScanGeometry, Sinogram, fbp_reconstruct, radon_transform,
                   signal_to_sinogram, subtract_edge_baseline, zero_pad)

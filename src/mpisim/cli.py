@@ -229,11 +229,8 @@ def make_field_model(cfg: RunConfig) -> fields.FieldModel:
                 alpha=cfg.qty("field", "alpha"), validity_radius=radius)
         else:
             raise ConfigError(f"unknown topology {kind!r}")
-    magnitude = cfg.qty("field", "perturb_magnitude")
-    if magnitude > 0:
-        model = fields.perturb_field(model, cfg.integer("field", "perturb_seed"),
-                                     magnitude)
-    return model
+    return fields.perturb_field(model, cfg.integer("field", "perturb_seed"),
+                                cfg.qty("field", "perturb_magnitude"))
 
 
 def make_acquisition(cfg: RunConfig) -> forward.AcquisitionConfig:
@@ -306,9 +303,11 @@ def make_coils(cfg: RunConfig) -> list:
 
 def make_matrix_recipe(cfg: RunConfig) -> dict:
     """The matrix builders' and config_hash's inputs but the staircase."""
+    subsampling = cfg.integer("sysmat", "subsampling")
+    if subsampling < 1:
+        raise ConfigError(f"sysmat.subsampling must be >= 1, got {subsampling}")
     return {"model": make_field_model(cfg), "acq": make_acquisition(cfg),
-            "grid": make_grid(cfg, "recon"),
-            "subsampling": cfg.integer("sysmat", "subsampling")}
+            "grid": make_grid(cfg, "recon"), "subsampling": subsampling}
 
 
 def make_workers(cfg: RunConfig) -> dict:
@@ -528,11 +527,11 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
     cfg = ws.cfg
     traces = _load_traces(ws, filtered=highpass_cutoff(cfg) is not None)
     grid = ws.recipe["grid"]
-    matrices = [sysmat.load_system_matrix(ws.require(f"sysmat_{axis}.mat"),
-                                          expected_hash=_matrix_hash(ws, coil),
-                                          force=force)
-                for axis, coil in make_coils(cfg)]
-    stacked, rhs = sysmat.stack_coils(matrices, traces)
+    coils = make_coils(cfg)
+    stacked = sysmat.load_system_matrices(
+        [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils],
+        [_matrix_hash(ws, coil) for _, coil in coils], force=force)
+    rhs = sysmat.stack_coils(stacked, traces)
     if not stacked.grid_meta_matches(grid):
         raise ConfigError(
             f"stored matrices are for a {stacked.grid_dims} grid, spacing "
@@ -602,13 +601,19 @@ def check_stage_settings(ws: Workspace, stages):
     """Check what the given stages read before the first stage writes a file.
 
     The worker counts are always checked, the rest only for a stage that
-    reads them.  The staircase is built into ws.approx, where the stages
-    find it, for sysmat, lsqr and the piecewise simulator.  The stages read
-    forward.model, acquisition.noise_level, acquisition.noise_seed and
+    reads them.  ws.recipe and ws.approx (for sysmat, lsqr and piecewise
+    simulation) are built here, where the stages find them.  The stages
+    read forward.model, acquisition.noise_level, acquisition.noise_seed and
     sysmat.nnz_cap unchecked: both drivers call this first.
     """
     cfg = ws.cfg
     make_workers(cfg)
+    if {"simulate", "filter", "sysmat", "lsqr", "fbp"} & set(stages):
+        make_coils(cfg)
+    if {"filter", "sysmat", "lsqr", "fbp"} & set(stages):
+        highpass_cutoff(cfg)
+    if {"simulate", "sysmat", "lsqr"} & set(stages):
+        ws.recipe  # built and cached here, like the staircase below
     staircase = "sysmat" in stages or "lsqr" in stages
     if "simulate" in stages:
         kind = cfg.text("forward", "model")
@@ -703,7 +708,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
-    check_stage_settings(ws, ("simulate",))
+    check_stage_settings(ws, ("simulate", "filter"))
     for _, sub in subs.values():
         check_stage_settings(sub, ("sysmat", "lsqr"))
     approxes = [sub.approx for _, sub in subs.values()]

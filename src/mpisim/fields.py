@@ -430,8 +430,8 @@ def perturb_field(model: FieldModel, seed: int, magnitude: float) -> FieldModel:
     magnitude times the largest degree-1 coefficient contribution there.
     Harmonicity is preserved since only solid harmonics are added.
     """
-    if magnitude < 0:
-        raise ConfigError("perturbation magnitude must be >= 0")
+    if magnitude < 0 or seed < 0:
+        raise ConfigError("perturbation magnitude and seed must be >= 0")
     if magnitude == 0:
         return model
     radius = model.validity_radius

@@ -137,12 +137,14 @@ def build_disc_phantom(fov: float, disc_diameters, spacing: float,
 
     Cells whose center lies strictly inside a disc get value 1.  Discs are
     sorted by diameter (descending) onto the default ring layout unless
-    explicit centers are given.  Overlapping discs or discs poking out of
-    the FOV circle raise ConfigError.  An empty diameter list yields the
-    all-zero grid.
+    explicit centers are given.  Overlapping discs, discs poking out of the
+    FOV circle and diameters not finite and positive raise ConfigError.  An
+    empty diameter list yields the all-zero grid.
     """
     grid = empty_grid(fov, spacing, nz=nz, z_spacing=z_spacing)
     diameters = sorted((float(d) for d in disc_diameters), reverse=True)
+    if not all(0 < d < math.inf for d in diameters):
+        raise ConfigError(f"disc diameters must be finite and positive: {diameters}")
     if not diameters:
         return grid
     if centers is None:

@@ -13,20 +13,21 @@ only mbar'_N on the staircase, so one pass serves every coil and
 staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
 its own exact zeros.  It is stored sparse; filtered on application.  One
-sparse layout serves from assembly to LSQR: the CSR that sparse_weights
-builds is what save_system_matrix writes (indptr, indices, data) and
-load_system_matrix reads back without conversion.
+CSR layout serves from assembly to LSQR: build_system_matrices
+concatenates each row block's plain arrays once into the indptr, indices
+and data that save_system_matrix writes, and load_system_matrices reads
+each coil file's payload into its slice of one stacked CSR.
 
-scipy.sparse is imported inside the functions that build, stack or load
-CSR (CellQuadrature.sparse_weights, build_system_matrices,
-SystemMatrix.coil_block, stack_coils, load_system_matrix), so importing
-this module, and the stages that never touch a matrix, load numpy alone.
+scipy.sparse is imported only where a CSR is made (build_system_matrices,
+SystemMatrix.coil_block, load_system_matrices), so importing this module,
+and the stages that never touch a matrix, load numpy alone.
 An operator handed to recon.lsqr_solve needs only shape, @ and .T: the CSR
 matrix itself, or the filtered operator of SystemMatrix.operator().
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -112,36 +113,35 @@ class CellQuadrature:
             w = w.reshape(self.n_cells, self.n_sub, -1).mean(axis=1)
         return w * self.cell_volume
 
-    def lipschitz(self, times) -> np.ndarray:
-        """L(t) = sqrt(sum_j (sum_k |F_jk(t)| G_l_k(R))^2) for a block of times."""
-        fac = self.evaluator.factors(times)
+    def lipschitz(self, fac) -> np.ndarray:
+        """L(t) = sqrt(sum_j (sum_k |F_jk(t)| G_l_k(R))^2), F = evaluator.factors(t)."""
         return np.sqrt(np.sum((self._grad @ np.abs(fac)) ** 2, axis=0))
 
     def sparse_weights(self, approxes, rhos, times) -> list:
-        """The entries of weights(approx_i, rho_k, times).T as CSR.
+        """The entries of weights(approx_i, rho_k, times).T as CSR arrays.
 
         approxes holds the staircases, rhos K coil vectors; out[i][k] is the
-        CSR of staircase i and coil k, shape (len(times), n_cells).
+        (data, int32 indices, row lengths) of staircase i and coil k.
         Everything but the staircase and <rho_k, dB/dt> is the field's alone
         and is computed once: B is evaluated at the cell centers first, and a
         pair with |B(center, t)| >= (b + L(t) r)(1 + 1e-9) has |B| >= b at
         every sub-point and hence a zero entry.  The pruning uses the largest
         b: the limit rises with b, so its survivors hold every staircase's.
         Sub-point B and each <rho_k, dB/dt> are evaluated for the surviving
-        pairs only, then each staircase evaluates the shared sub-point |B|.
+        pairs only, then staircase_slopes staircases the shared sub-point |B|.
         Each (staircase, coil) drops its own exact zeros, so each pattern
         equals that of its dense weights.
         """
-        import scipy.sparse as sp
-
         rhos = np.asarray(rhos, dtype=float).reshape(-1, 3)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         fac = self.evaluator.factors(times)
         b_c = self._center_polys @ fac
-        mag_c = np.sqrt(np.einsum("jpt,jpt->tp", b_c, b_c))
+        mag_c = np.sqrt(np.einsum("jpt,jpt->pt", b_c, b_c))
         threshold = max(approx.threshold for approx in approxes)
-        limit = (threshold + self.lipschitz(times) * self.reach) * _SAFETY
-        tidx, cells = np.nonzero(mag_c < limit[:, None])
+        limit = (threshold + self.lipschitz(fac) * self.reach) * _SAFETY
+        # survivors in time order, cells ascending within a time
+        tidx, cells = divmod(np.flatnonzero((mag_c < limit).T), self.n_cells)
+        cells = cells.astype(np.int32)
         # per time, one product gives B and each <rho_k, dB/dt> at the
         # survivors' sub-points: coef[t] maps the harmonics to
         # (B_x, B_y, B_z, <rho_1, dB/dt>, ..., <rho_K, dB/dt>)
@@ -149,7 +149,7 @@ class CellQuadrature:
         rho_dt = [rho[0] * fac_dt[0] + rho[1] * fac_dt[1] + rho[2] * fac_dt[2]
                   for rho in rhos]
         coef = np.stack([*fac, *rho_dt], axis=-1).transpose(1, 0, 2).copy()
-        bounds = _row_starts(tidx, times.size)
+        bounds = np.searchsorted(tidx, np.arange(times.size + 1))
         n_sub = self.n_sub
         at_sub = np.empty((cells.size * n_sub, coef.shape[2]))
         for t in np.flatnonzero(np.diff(bounds)):
@@ -158,26 +158,30 @@ class CellQuadrature:
             at_sub[lo * n_sub:hi * n_sub] = rows @ coef[t]
         bx, by, bz, *projs = (at_sub[:, j].reshape(-1, n_sub)
                               for j in range(coef.shape[2]))
+        out = [[] for _ in approxes]
         mag = np.sqrt(bx * bx + by * by + bz * bz)
-        out = []
-        for approx in approxes:
-            stair = approx.eval(mag)
-            per_coil = []
+        for per_coil, stair in zip(out, staircase_slopes(approxes, mag)):
             for proj in projs:
                 w = -MU0 * proj * stair
                 # sub-points summed in a fixed order: no value depends on the block
                 vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
                 keep = vals != 0
-                per_coil.append(sp.csr_matrix(
-                    (vals[keep], cells[keep], _row_starts(tidx[keep], times.size)),
-                    shape=(times.size, self.n_cells)))
-            out.append(per_coil)
+                per_coil.append((vals[keep], cells[keep],
+                                 np.bincount(tidx[keep], minlength=times.size)))
         return out
 
 
-def _row_starts(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """CSR indptr of sorted row indices: rows[indptr[t]:indptr[t + 1]] == t."""
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+def staircase_slopes(approxes, mag: np.ndarray):
+    """approx.eval(mag) for each approx in approxes, in order, for mag >= 0
+    or NaN; one staircase's array at a time.
+
+    mag is searched once in the sorted union of the ladders.  No ladder has
+    a node inside a union interval, so each staircase's slope there is its
+    eval at the left edge; past the last edge, and at NaN, every eval is 0.
+    """
+    edges = np.unique(np.concatenate([approx.ladder for approx in approxes]))
+    slot = np.searchsorted(edges, mag, side="right") - 1
+    return (approx.eval(edges)[slot] for approx in approxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +224,7 @@ class SystemMatrix:
     in coils, time-ordered inside each group.  matrix is the unfiltered S,
     stored sparse; highpass is filtered on application by operator().  The
     config hash that identifies a stored matrix is not held here: it is
-    written by save_system_matrix and checked by load_system_matrix.
+    written by save_system_matrix and checked by load_system_matrices.
     """
 
     matrix: sp.csr_matrix
@@ -260,8 +264,7 @@ class SystemMatrix:
 
         Either one is all recon.lsqr_solve needs: shape, @ and .T.  F is the
         highpass_mask DFT projector on each rows_per_coil block, so stacked
-        coils never mix.  Nothing here imports scipy: only the matrix build,
-        stack and load functions do.
+        coils never mix.
         """
         if self.highpass is None:
             return self.matrix
@@ -308,16 +311,6 @@ def config_hash(model: FieldModel, approx: MagnetizationApprox,
     return hashlib.sha256(f"{digest}|hp:{highpass:.17g}".encode()).hexdigest()[:16]
 
 
-def estimate_nnz(quad: CellQuadrature, approxes, rhos, times: np.ndarray,
-                 probes: int = 8) -> int:
-    """Extrapolate the largest (staircase, coil) nonzero count from a few
-    probe times."""
-    idx = np.unique(np.linspace(0, times.size - 1, min(probes, times.size)).astype(int))
-    probe = max(m.nnz for per_coil in quad.sparse_weights(approxes, rhos, times[idx])
-                for m in per_coil)
-    return int(np.ceil(probe / idx.size * times.size))
-
-
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
                         subsampling: int = 1,
@@ -336,24 +329,19 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     """Assemble the coil-stacked matrix of each staircase in approxes.
 
     Each coil's rows are the sample times of acq.  One pass serves every
-    staircase and coil: each row block is one
-    CellQuadrature.sparse_weights call, which evaluates B, prunes the
-    (cell, time) pairs that the Lipschitz bound places outside the
-    low-field volume of the largest threshold b and evaluates sub-point |B|
-    once, then staircases |B| per staircase and splits <rho_k, dB/dt> by
-    coil, dropping each (staircase, coil)'s exact zeros.  So each matrix is
-    that of its own one-staircase build, and each coil's pattern equals
-    that of its dense quadrature; values agree to the rounding of the
-    reordered term sum.  Blocks are independent and may be computed by
-    worker threads; the merge concatenates them in block order, and the
-    entries of one time never depend on the rest of its block, so the
-    result does not depend on the worker count or block size.
+    staircase and coil: each row block is one CellQuadrature.sparse_weights
+    call.  So each matrix is that of its own one-staircase build, and each
+    coil's pattern equals that of its dense quadrature; values agree to the
+    rounding of the reordered term sum.  Blocks are independent and may be
+    computed by worker threads; their arrays are concatenated once, in
+    block order, into each matrix's CSR arrays, and the entries of one time
+    never depend on the rest of its block, so the result does not depend
+    on the worker count or block size.
 
     Returns one SystemMatrix per staircase, in order, whose coils are the
-    given ReceiveCoils with rows grouped in that order.  No config hash is
-    computed: save_system_matrix takes one.  nnz_cap limits each
-    (staircase, coil): the estimated count is checked before any assembly
-    starts, the assembled counts after it.
+    given ReceiveCoils with rows grouped in that order.  nnz_cap limits each
+    (staircase, coil): the count extrapolated from 8 probe times is checked
+    before any assembly starts, the assembled counts after it.
     """
     import scipy.sparse as sp
 
@@ -366,7 +354,9 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     times = acq.times()
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
-    est = estimate_nnz(quad, approxes, rhos, times)
+    idx = np.unique(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
+    est = math.ceil(max(vals.size for per_coil in quad.sparse_weights(
+        approxes, rhos, times[idx]) for vals, _, _ in per_coil) / idx.size * times.size)
     if est > nnz_cap:
         raise ResourceCapError(
             f"estimated {est} nonzeros for one coil exceeds the cap of "
@@ -374,58 +364,36 @@ def build_system_matrices(model: FieldModel, approxes, coils,
 
     blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
                              times, n_workers, block)
-    total = max(sum(parts[i][k].nnz for parts in blocks)
+    total = max(sum(parts[i][k][0].size for parts in blocks)
                 for i in range(len(approxes)) for k in range(len(coils)))
     if total > nnz_cap:
         raise ResourceCapError(f"assembled {total} nonzeros for one coil "
                                f"exceeds the cap of {nnz_cap}")
     out = []
-    for i, approx in enumerate(approxes):
-        pieces = [parts[i][k] for k in range(len(coils)) for parts in blocks]
+    for i in range(len(approxes)):
+        # coil-major, block order within a coil: the rows of the stacked CSR
+        data, indices, counts = (np.concatenate(arrays) for arrays in zip(
+            *(parts[i][k] for k in range(len(coils)) for parts in blocks)))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
         for parts in blocks:
-            parts[i] = None  # each block piece is freed once it is stacked
+            parts[i] = None  # each block's pieces are freed once concatenated
         out.append(SystemMatrix(
-            matrix=sp.vstack(pieces, format="csr"),
+            matrix=sp.csr_matrix((data, indices, indptr),
+                                 shape=(len(coils) * acq.n_samples, grid.n_cells)),
             sample_rate=acq.sample_rate, t0=acq.t0,
             rows_per_coil=acq.n_samples, coils=coils, grid_dims=grid.dims,
             grid_spacing=grid.spacing, grid_origin=grid.origin))
     return out
 
 
-def _geometry(sm: SystemMatrix) -> tuple:
-    return sm.grid_dims, sm.grid_spacing, sm.grid_origin
-
-
-def stack_coils(matrices, traces: list[SignalTrace]):
-    """Stack per-coil matrices and their traces into one joint system.
-
-    Returns (SystemMatrix, samples): the matrix holds every matrix's coils
-    in order, and samples concatenates the traces in the same order.  All
-    matrices must share the grid geometry exactly and the time metadata,
-    which each trace must match.  A lone matrix is returned as it is.
-    """
-    import scipy.sparse as sp
-
-    if not matrices or len(matrices) != len(traces):
-        raise ConfigError("need one trace per matrix")
-    first = matrices[0]
-    for m, tr in zip(matrices, traces):
-        if _geometry(m) != _geometry(first) or m.rows_per_coil != first.rows_per_coil:
-            raise ConfigError("matrices disagree on grid or time axis")
-        if not (np.isclose(m.sample_rate, first.sample_rate)
-                and np.isclose(m.t0, first.t0) and m.highpass == first.highpass):
-            raise ConfigError("matrices disagree on sampling metadata")
-        if not (tr.samples.size == m.rows_per_coil
-                and np.isclose(tr.sample_rate, m.sample_rate) and np.isclose(tr.t0, m.t0)):
-            raise ConfigError("trace length, sample rate or t0 does not match its matrix")
-    if len(matrices) == 1:
-        stacked = first.matrix
-    else:
-        stacked = sp.vstack([m.matrix for m in matrices], format="csr")
-    samples = np.concatenate([tr.samples for tr in traces])
-    return (replace(first, matrix=stacked,
-                    coils=tuple(c for m in matrices for c in m.coils)),
-            samples)
+def stack_coils(sm: SystemMatrix, traces: list[SignalTrace]) -> np.ndarray:
+    """sm's right-hand side: one trace per coil, on sm's time axis, concatenated."""
+    if len(traces) != len(sm.coils):
+        raise ConfigError("need one trace per coil of the matrix")
+    if not all(tr.samples.size == sm.rows_per_coil and np.isclose(tr.t0, sm.t0)
+               and np.isclose(tr.sample_rate, sm.sample_rate) for tr in traces):
+        raise ConfigError("trace length, sample rate or t0 does not match its matrix")
+    return np.concatenate([tr.samples for tr in traces])
 
 
 def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
@@ -512,50 +480,75 @@ def _parse_header(lines):
     if not (all(0 < s < math.inf for s in spacing)
             and all(map(math.isfinite, origin))):
         raise ValueError("grid spacing must be finite and positive, origin finite")
-    return dict(shape=(rows, cols), nnz=nnz, config_hash=digest,
-                sample_rate=rate, t0=t0, rows_per_coil=per_coil,
-                highpass=highpass, coils=tuple(coils), grid_dims=dims,
-                grid_spacing=spacing, grid_origin=origin)
+    return (rows, cols), nnz, digest, dict(
+        sample_rate=rate, t0=t0, rows_per_coil=per_coil, highpass=highpass,
+        coils=tuple(coils), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
 
 
 def load_system_matrix(path, expected_hash: str | None = None,
                        force: bool = False) -> SystemMatrix:
-    """Load a stored matrix; checks its config hash unless force is set.
+    """load_system_matrices([path], [expected_hash], force)."""
+    return load_system_matrices([path], [expected_hash], force)
 
-    The stored hash is compared with expected_hash and then dropped.
 
-    A malformed header, a payload that is not 8 (rows + 1) + 12 nnz bytes,
-    a row pointer that does not run from 0 up to nnz without decreasing,
-    an index outside the stored shape or a non-finite value raises
-    ConfigError.  indptr, indices and data are read from the file into one
-    array each, with no intermediate copy of the payload.
+def load_system_matrices(paths: list, expected_hashes: list | None = None,
+                         force: bool = False) -> SystemMatrix:
+    """Load stored matrices as one coil-stacked matrix, rows in path order.
+
+    Every header is checked first: a malformed one, a payload that is not
+    8 (rows + 1) + 12 nnz bytes, or metadata but the coils that differs from
+    the first file's raises ConfigError, a hash other than its non-None
+    expected_hashes entry HashMismatchError unless force is set.  Then each
+    payload is read into its slice of one indptr, indices and data; a row
+    pointer that does not rise from 0 to nnz, an index outside the shape or
+    a non-finite value raises ConfigError.
     """
     import scipy.sparse as sp
 
-    with open_input(path) as fh:
-        lines = [fh.readline() for _ in range(4)]
-        try:
-            meta = _parse_header(lines)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: malformed header: {exc}") from None
-        digest = meta.pop("config_hash")
-        if expected_hash is not None and digest != expected_hash and not force:
-            raise HashMismatchError(
-                f"{path}: stored config hash {digest} does not match expected "
-                f"{expected_hash}; pass force to override")
-        nnz = meta.pop("nnz")
-        rows, cols = shape = meta.pop("shape")
-        # checked against the file before anything header-sized is allocated
-        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * (rows + 1) + 12 * nnz:
-            raise ConfigError(f"{path}: CSR payload truncated")
-        indptr = np.fromfile(fh, "<i8", rows + 1)
-        indices = np.fromfile(fh, "<i4", nnz)
-        data = np.fromfile(fh, "<f8", nnz)
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise ConfigError(f"{path}: CSR row pointer must rise from 0 to {nnz}")
-    if nnz and (indices.min() < 0 or indices.max() >= cols):
-        raise ConfigError(f"{path}: column index outside the {rows}x{cols} shape")
-    if not np.all(np.isfinite(data)):
-        raise ConfigError(f"{path}: non-finite matrix values")
-    return SystemMatrix(matrix=sp.csr_matrix((data, indices, indptr), shape=shape),
-                        **meta)
+    if not paths:
+        raise ConfigError("need at least one matrix file")
+    with contextlib.ExitStack() as stack:
+        heads = []
+        for path, expected in zip(paths, expected_hashes or [None] * len(paths),
+                                  strict=True):
+            fh = stack.enter_context(open_input(path))
+            try:
+                (rows, cols), nnz, digest, meta = _parse_header(
+                    [fh.readline() for _ in range(4)])
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{path}: malformed header: {exc}") from None
+            if expected is not None and digest != expected and not force:
+                raise HashMismatchError(
+                    f"{path}: stored config hash {digest} does not match expected "
+                    f"{expected}; pass force to override")
+            # checked against the file before anything header-sized is allocated
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * (rows + 1) + 12 * nnz:
+                raise ConfigError(f"{path}: CSR payload truncated")
+            first = heads[0][-1] if heads else meta
+            differ = [key for key in meta if key != "coils" and meta[key] != first[key]]
+            if differ:
+                raise ConfigError(f"{path}: {', '.join(differ)} not as in {paths[0]}")
+            heads.append((path, fh, rows, nnz, meta))
+        n_rows = sum(rows for _, _, rows, _, _ in heads)
+        n_nz = sum(nnz for _, _, _, nnz, _ in heads)
+        indptr = np.empty(n_rows + 1, "<i8")
+        indices, data = np.empty(n_nz, "<i4"), np.empty(n_nz, "<f8")
+        row = pos = 0
+        for path, fh, rows, nnz, _ in heads:
+            # the read overwrites indptr[row] == pos; the shift below restores it
+            parts = (indptr[row:row + rows + 1], indices[pos:pos + nnz],
+                     data[pos:pos + nnz])
+            if any(fh.readinto(memoryview(a).cast("B")) != a.nbytes for a in parts):
+                raise ConfigError(f"{path}: CSR payload truncated")
+            ptr, cells, vals = parts
+            if ptr[0] != 0 or ptr[-1] != nnz or np.any(np.diff(ptr) < 0):
+                raise ConfigError(f"{path}: CSR row pointer must rise from 0 to {nnz}")
+            if nnz and (cells.min() < 0 or cells.max() >= cols):
+                raise ConfigError(f"{path}: column index outside the {rows}x{cols} shape")
+            if not np.all(np.isfinite(vals)):
+                raise ConfigError(f"{path}: non-finite matrix values")
+            ptr += pos
+            row, pos = row + rows, pos + nnz
+    coils = tuple(c for *_, meta in heads for c in meta["coils"])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, cols))
+    return SystemMatrix(matrix=matrix, **{**heads[0][-1], "coils": coils})

@@ -16,7 +16,8 @@ from mpisim.fields import (build_topology, load_field_coefficients,
 from mpisim.forward import (SignalTrace, coil_along, load_trace_bin, save_trace_bin,
                             save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
-from mpisim.sysmat import SystemMatrix, load_system_matrix, save_system_matrix
+from mpisim.sysmat import (SystemMatrix, load_system_matrices, load_system_matrix,
+                           save_system_matrix)
 
 
 def _grid():
@@ -39,6 +40,13 @@ def _save_matrix(path):
         sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along("x"),),
         grid_dims=(2, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
         grid_origin=(0.0, 0.0, 0.0), highpass=35e3), path, "0123456789abcdef")
+
+
+def _load_after_a_valid_matrix(path):
+    """The stacked load of a valid coil file, then path."""
+    first = path.with_name(path.name + ".first")
+    _save_matrix(first)
+    return load_system_matrices([first, path])
 
 
 def _write_ini(path):
@@ -115,6 +123,7 @@ LOADERS = {
     "coefficients": (load_field_coefficients, _write_coefficients),
     "ini": (RunConfig.load, _write_ini),
     "sysmat": (load_system_matrix, _save_matrix),
+    "sysmat_stack": (_load_after_a_valid_matrix, _save_matrix),
 }
 
 

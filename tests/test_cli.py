@@ -428,6 +428,16 @@ LATE_SETTINGS = {
     "magnetization.n_intervals=0": "n_intervals must be >= 2",
     "magnetization.scheme=bogus": "unknown scheme 'bogus'",
     "magnetization.nodes=bogus": "unknown node strategy 'bogus'",
+    # read through make_matrix_recipe, make_coils and highpass_cutoff
+    "sysmat.subsampling=0": "sysmat.subsampling must be >= 1",
+    "acquisition.duration=0 ms": "sample_rate and duration must be positive",
+    "acquisition.sample_rate=0 Hz": "sample_rate and duration must be positive",
+    "coils.axes=q": "coil axis must be x, y or z, got 'q'",
+    "coils.axes=x,x": "coils.axes names an axis twice",
+    "acquisition.highpass=-5 kHz": "acquisition.highpass must be positive",
+    "grid.recon.spacing=0 mm": "fov and spacing must be positive",
+    "field.perturb_magnitude=-1": "perturbation magnitude and seed must be >= 0",
+    "field.perturb_seed=-1": "perturbation magnitude and seed must be >= 0",
 }
 
 
@@ -445,9 +455,9 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
-    # a run of the phantom stage alone does not read it
+    # a run of the phantom stage alone reads none of them but the recon grid
     assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
-                     "--set", setting]) == 0
+                     "--set", setting]) == (2 if setting.startswith("grid.") else 0)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -282,6 +282,10 @@ def test_perturb_field_deterministic_and_scaled():
     assert all(t.component in (1, 2) for t in extra)  # z stays ideal
     with pytest.raises(ConfigError):
         perturb_field(base, seed=1, magnitude=-0.1)
+    # numpy's generator takes no negative seed: typed, also at magnitude 0
+    for magnitude in (0.0, 0.35):
+        with pytest.raises(ConfigError, match="seed"):
+            perturb_field(base, seed=-1, magnitude=magnitude)
 
 
 def test_perturbation_magnitude_bounds_added_field():

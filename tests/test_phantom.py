@@ -126,6 +126,16 @@ def test_disc_layout_and_validation():
     assert empty.values.sum() == 0.0
 
 
+@pytest.mark.parametrize("diameter", [-0.003, 0.0, -0.0, math.nan, math.inf])
+def test_disc_diameter_must_be_finite_and_positive(diameter):
+    # the rim test squares r, so -3 mm would fill the 2 cells of +3 mm
+    assert build_disc_phantom(0.02, [0.003], 0.0025).values.sum() == 2
+    with pytest.raises(ConfigError, match="finite and positive"):
+        build_disc_phantom(0.02, [diameter], 0.0025)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        build_disc_phantom(0.02, [0.003, diameter], 0.0025)
+
+
 def test_line_profile():
     g = empty_grid(0.01, 0.001)
     vals = np.zeros(g.dims)

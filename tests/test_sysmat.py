@@ -1,5 +1,6 @@
 """System-matrix assembly, hashing, persistence, and row filtering."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from mpisim.fields import FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
     apply_highpass,
-    SignalTrace,
     coil_along,
     highpass_mask,
     simulate_piecewise,
@@ -39,9 +39,11 @@ from mpisim.sysmat import (
     build_system_matrices,
     build_system_matrix,
     config_hash,
+    load_system_matrices,
     load_system_matrix,
     save_system_matrix,
     stack_coils,
+    staircase_slopes,
 )
 
 
@@ -59,10 +61,6 @@ def _densified_highpass(sm, cutoff):
         blocks.append(np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
                                           * mask[:, None], axis=0)))
     return np.vstack(blocks)
-
-
-def _zero_trace(config):
-    return SignalTrace(np.zeros(config.n_samples), config.sample_rate)
 
 
 def _rel_err(got, want):
@@ -224,19 +222,20 @@ def test_lipschitz_bound_covers_center_to_sub_point_steps():
     center = FieldEvaluator(model, grid.centers()).field(times)[:, :, None, :]
     step = np.sqrt(np.sum((sub - center) ** 2, axis=0)).max(axis=(0, 1))
     assert quad.reach == pytest.approx(np.sqrt(2) * 0.1 / 16 / 4)
-    assert np.all(step <= quad.lipschitz(times) * quad.reach)
+    assert np.all(step <= quad.lipschitz(quad.evaluator.factors(times)) * quad.reach)
 
 
 def test_pruned_assembly_staircases_few_values(monkeypatch):
     # a silent fall-back to dense assembly would pass every value through
+    # the staircase lookup
     counted = []
-    real_eval = mag.MagnetizationApprox.eval
+    real_lookup = mpisim.sysmat.staircase_slopes
 
-    def counting_eval(self, x):
-        counted.append(np.size(x))
-        return real_eval(self, x)
+    def counting_lookup(approxes, mag):
+        counted.append(np.size(mag))
+        return real_lookup(approxes, mag)
 
-    monkeypatch.setattr(mag.MagnetizationApprox, "eval", counting_eval)
+    monkeypatch.setattr(mpisim.sysmat, "staircase_slopes", counting_lookup)
     grid = empty_grid(0.1, 0.1 / 64)
     acq = AcquisitionConfig(f_d=25e3, sample_rate=400e3, duration=1e-3)
     sm = build_system_matrix(_desk_ffl(), _desk_approx(), [coil_along("x")], acq,
@@ -265,7 +264,7 @@ def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     assert matrix_x.nnz > 0 and my.nnz > 0
-    oracle, _ = stack_coils([matrix_x, my], [_zero_trace(config)] * 2)
+    oracle = sp.vstack([matrix_x.matrix, my.matrix], format="csr")
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
             both = build_system_matrix(model, approx,
@@ -274,9 +273,8 @@ def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
                                        n_workers=workers, **block)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(both.matrix, part),
-                                      getattr(oracle.matrix, part)), (
-                    workers, block, part)
-            assert both.coils == oracle.coils == (coil_along("x"), coil_along("y"))
+                                      getattr(oracle, part)), (workers, block, part)
+            assert both.coils == (coil_along("x"), coil_along("y"))
     # coil_block undoes the stacking
     for i, single in enumerate((matrix_x, my)):
         block = both.coil_block(i)
@@ -383,10 +381,71 @@ def test_contiguous_sub_point_table_equals_the_strided_view():
     assert np.array_equal(quad._sub_polys, table)
     slow = quad.sparse_weights(approxes, rhos, times)
     for i, k in np.ndindex(len(approxes), len(rhos)):
-        assert fast[i][k].nnz > 0
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(fast[i][k], part),
-                                  getattr(slow[i][k], part)), (i, k, part)
+        assert fast[i][k][0].size > 0
+        # values, cells and per-time counts
+        for part, (got, want) in enumerate(zip(fast[i][k], slow[i][k])):
+            assert np.array_equal(got, want), (i, k, part)
+
+
+def test_sparse_weights_are_the_csr_of_the_dense_weights():
+    # oracle: the unpruned quadrature; values, int32 cells, per-time counts
+    model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
+    grid = empty_grid(0.1, 0.1 / 16)
+    times = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3).times()
+    quad = CellQuadrature(model, grid, subsampling=2)
+    rhos = [coil_along("x").vector, coil_along("y").vector]
+    pieces = quad.sparse_weights(approxes, rhos, times)
+    for i, k in np.ndindex(len(approxes), len(rhos)):
+        vals, cells, counts = pieces[i][k]
+        oracle = sp.csr_matrix(quad.weights(approxes[i], rhos[k], times).T)
+        assert cells.dtype == np.int32 and counts.size == times.size
+        assert np.array_equal(np.concatenate([[0], np.cumsum(counts)]), oracle.indptr)
+        assert np.array_equal(cells, oracle.indices)
+        assert np.max(np.abs(vals - oracle.data)) <= 1e-12 * np.max(np.abs(oracle.data))
+
+
+def test_staircase_slopes_equal_each_eval():
+    # oracle: each staircase's own eval; the ladders share 0, 10 mT and the
+    # nodes of the coarser 10 mT ladder, which are nodes of the finer one
+    params = mag.LangevinParams(m0=1.0, lam=1600.0)
+    approxes = [*_sweep_staircases(),
+                mag.build_approx(params, mag.nodes_equidistant(3, 10e-3), 10e-3)]
+    ladders = [set(approx.ladder) for approx in approxes]
+    assert len(ladders[1] & ladders[4]) > 2
+    edges = np.unique(np.concatenate([approx.ladder for approx in approxes]))
+    x = np.concatenate([
+        [0.0, np.nan, np.inf, 1.0], edges, np.nextafter(edges, np.inf),
+        np.nextafter(edges[1:], 0.0), [2 * approx.threshold for approx in approxes],
+        np.random.default_rng(3).uniform(0.0, 12e-3, 1001)])
+    for values in (x, x.reshape(-1, 1)):
+        for group in (approxes, approxes[:1], approxes[2:]):
+            got = list(staircase_slopes(group, values))
+            assert len(got) == len(group)
+            for approx, slopes in zip(group, got):
+                assert slopes.shape == values.shape
+                assert np.array_equal(slopes, approx.eval(values))
+
+
+# sha256 of indptr (<i8), indices (<i4) and data (<f8) of both staircases'
+# two-coil matrices, recorded on the assembly that built one scipy CSR per
+# block and coil and stacked them with sp.vstack
+_PINNED_BUILD = "7496a357be6f2ef2d8100d0dc5e46398b91d628cb6b63fc41bef36230a0fef57"
+
+
+def test_assembled_bytes_are_pinned():
+    model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
+    grid = empty_grid(0.1, 0.1 / 32)
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
+    coils = [coil_along("x"), coil_along("y")]
+    for workers, block in ((1, 64), (2, 7)):
+        digest = hashlib.sha256()
+        for sm in build_system_matrices(model, approxes, coils, acq, grid,
+                                        subsampling=2, n_workers=workers,
+                                        block=block):
+            for part, dtype in (("indptr", "<i8"), ("indices", "<i4"), ("data", "<f8")):
+                digest.update(np.ascontiguousarray(getattr(sm.matrix, part),
+                                                   dtype).tobytes())
+        assert digest.hexdigest() == _PINNED_BUILD, (workers, block)
 
 
 def test_empty_staircase_list_is_rejected(scene):
@@ -725,44 +784,122 @@ def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_stack_coils(scene, matrix_x):
+def test_stack_coils(scene):
     model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, [coil_along("y")], config,
-                             grid, subsampling=2)
-    tx, ty = simulate_piecewise(model, grid, [coil_along("x"), coil_along("y")],
-                                config, approx, subsampling=2)
-    stacked, rhs = stack_coils([matrix_x, my], [tx, ty])
+    coils = [coil_along("x"), coil_along("y")]
+    both = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
+    tx, ty = simulate_piecewise(model, grid, coils, config, approx, subsampling=2)
+    rhs = stack_coils(both, [tx, ty])
     n = config.n_samples
-    assert stacked.shape == (2 * n, grid.n_cells)
-    assert stacked.coils == (coil_along("x"), coil_along("y"))
     assert np.array_equal(rhs[:n], tx.samples)
     assert np.array_equal(rhs[n:], ty.samples)
-    assert (stacked.matrix[:n] != matrix_x.matrix).nnz == 0
-    assert (stacked.matrix[n:] != my.matrix).nnz == 0
-    with pytest.raises(ConfigError):
-        stack_coils([matrix_x, my], [tx])
+    assert np.max(np.abs(both.matrix @ grid.flat() - rhs)) < 1e-12
+    with pytest.raises(ConfigError, match="one trace per coil"):
+        stack_coils(both, [tx])
     [short] = simulate_piecewise(
         model, grid, [coil_along("x")],
         AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=2e-5),
         approx, subsampling=2)
     with pytest.raises(ConfigError):
-        stack_coils([matrix_x, my], [tx, short])
+        stack_coils(both, [tx, short])
     # same length, other sample rate or t0
     for other in (replace(ty, sample_rate=2e6), replace(ty, t0=1e-3)):
         assert other.samples.size == n
         with pytest.raises(ConfigError, match="sample rate or t0"):
-            stack_coils([matrix_x, my], [tx, other])
+            stack_coils(both, [tx, other])
 
 
-def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path):
+class _WatchedNumpy:
+    """numpy as sysmat sees it, with each np.empty recorded, or refused."""
+
+    def __init__(self, refuse=False):
+        self.refuse, self.allocated = refuse, []
+
+    def empty(self, *args, **kwargs):
+        if self.refuse:
+            raise AssertionError("a payload array was allocated")
+        self.allocated.append(np.empty(*args, **kwargs))
+        return self.allocated[-1]
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _save_coil_files(tmp_path, matrices):
+    """Save each matrix as coil file i, under digest i; return the paths."""
+    paths = [tmp_path / f"coil{i}.mat" for i in range(len(matrices))]
+    for i, (sm, path) in enumerate(zip(matrices, paths)):
+        save_system_matrix(sm, path, f"{i:016x}")
+    return paths
+
+
+def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path, monkeypatch):
+    # the loaded CSR holds the arrays the payloads were read into: no copy
+    # of the nonzeros, for one file and for a stack of two
     model, grid, config, approx = scene
-    path = tmp_path / "x.mat"
-    save_system_matrix(matrix_x, path, _X_HASH)
-    for single in (matrix_x, load_system_matrix(path)):
-        stacked, rhs = stack_coils([single], [_zero_trace(config)])
-        assert np.shares_memory(stacked.matrix.data, single.matrix.data)
-        assert stacked.coils == single.coils
-        assert rhs.size == config.n_samples
+    my = build_system_matrix(model, approx, [coil_along("y")], config, grid,
+                             subsampling=2)
+    paths = _save_coil_files(tmp_path, [matrix_x, my])
+    for stack in (paths[:1], paths):
+        watch = _WatchedNumpy()
+        monkeypatch.setattr(mpisim.sysmat, "np", watch)
+        back = load_system_matrices(stack)
+        monkeypatch.undo()
+        _, indices, data = watch.allocated
+        assert np.shares_memory(back.matrix.indices, indices)
+        assert np.shares_memory(back.matrix.data, data)
+        assert back.nnz == data.size > 0
+
+
+def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_path):
+    # oracle: one load per file, stacked by scipy; an empty coil in between
+    model, grid, config, approx = scene
+    coils = [coil_along("x"), coil_along("y")]
+    both = apply_highpass_rows(build_system_matrix(model, approx, coils, config,
+                                                   grid, subsampling=2), 35e3)
+    empty = replace(both.coil_block(0), matrix=sp.csr_matrix(matrix_x.shape),
+                    coils=(coil_along("z"),))
+    paths = _save_coil_files(tmp_path, [both.coil_block(0), empty, both.coil_block(1)])
+    stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(3)])
+    oracle = sp.vstack([load_system_matrix(p).matrix for p in paths], format="csr")
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(stacked.matrix, part), getattr(oracle, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want), part
+    assert stacked.coils == (coils[0], coil_along("z"), coils[1])
+    assert stacked.shape == (3 * config.n_samples, grid.n_cells)
+    assert stacked.rows_per_coil == config.n_samples
+    assert stacked.highpass == 35e3 and stacked.grid_meta_matches(grid)
+    # the one-file loader is the stacked loader with one path
+    one = load_system_matrix(paths[0], expected_hash=f"{0:016x}")
+    assert (one.matrix != both.matrix[:config.n_samples]).nnz == 0
+    with pytest.raises(ConfigError, match="at least one"):
+        load_system_matrices([])
+
+
+@pytest.mark.parametrize("flaw", ["truncated", "hash", "rows", "t0"])
+def test_stacked_load_checks_every_header_before_any_payload(
+        scene, matrix_x, tmp_path, monkeypatch, flaw):
+    # the second file fails; no payload array has been allocated by then
+    model, grid, config, approx = scene
+    if flaw == "rows":
+        second = build_system_matrix(model, approx, [coil_along("y")],
+                                     replace(config, duration=2e-5), grid,
+                                     subsampling=2)
+    else:
+        second = replace(matrix_x, coils=(coil_along("y"),),
+                         t0=1e-3 if flaw == "t0" else matrix_x.t0)
+    paths = _save_coil_files(tmp_path, [matrix_x, second])
+    if flaw == "truncated":
+        paths[1].write_bytes(paths[1].read_bytes()[:-8])
+    hashes = [f"{0:016x}", "f" * 16 if flaw == "hash" else f"{1:016x}"]
+    error, message = {"truncated": (ConfigError, "truncated"),
+                      "hash": (HashMismatchError, "does not match"),
+                      "rows": (ConfigError, "rows_per_coil not as in"),
+                      "t0": (ConfigError, "t0 not as in")}[flaw]
+    monkeypatch.setattr(mpisim.sysmat, "np", _WatchedNumpy(refuse=True))
+    with pytest.raises(error, match=message) as exc:
+        load_system_matrices(paths, hashes)
+    assert str(paths[1]) in str(exc.value)
 
 
 def test_highpass_rows_commutes(scene, matrix_x):
@@ -810,8 +947,9 @@ def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     singles = [apply_highpass_rows(m, cutoff) for m in (matrix_x, my)]
-    stacked, _ = stack_coils(singles, [_zero_trace(config)] * 2)
-    op = stacked.operator()
+    both = build_system_matrix(model, approx, [coil_along("x"), coil_along("y")],
+                               config, grid, subsampling=2)
+    op = apply_highpass_rows(both, cutoff).operator()
     n = config.n_samples
     rng = np.random.default_rng(6)
     x = rng.normal(size=grid.n_cells)
@@ -848,11 +986,9 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
     model, grid, config, approx = scene
     filtered = apply_highpass_rows(matrix_x, 35e3)
     if n_coils == 2:
-        my = build_system_matrix(model, approx, [coil_along("y")],
-                                 config, grid, subsampling=2)
-        filtered, _ = stack_coils(
-            [filtered, apply_highpass_rows(my, 35e3)],
-            [_zero_trace(config)] * 2)
+        filtered = apply_highpass_rows(build_system_matrix(
+            model, approx, [coil_along("x"), coil_along("y")], config, grid,
+            subsampling=2), 35e3)
     op, oracle = filtered.operator(), _linear_operator_oracle(filtered)
     assert isinstance(op, FilteredOperator)
     assert op.shape == oracle.shape and op.T.shape == oracle.T.shape
@@ -882,22 +1018,23 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     assert np.array_equal(back.operator() @ x, filtered.operator() @ x)
 
 
-def test_stack_rejects_mixed_filtering(scene, matrix_x):
-    model, grid, config, approx = scene
-    my = build_system_matrix(model, approx, [coil_along("y")], config,
-                             grid, subsampling=2)
-    tx, ty = simulate_piecewise(model, grid, [coil_along("x"), coil_along("y")],
-                                config, approx, subsampling=2)
-    with pytest.raises(ConfigError):
-        stack_coils([apply_highpass_rows(matrix_x, 35e3), my], [tx, ty])
+def test_stack_rejects_mixed_filtering(scene, matrix_x, tmp_path, monkeypatch):
+    # the stacked load checks the second header before any payload
+    paths = _save_coil_files(tmp_path, [apply_highpass_rows(matrix_x, 35e3),
+                                        replace(matrix_x, coils=(coil_along("y"),))])
+    monkeypatch.setattr(mpisim.sysmat, "np", _WatchedNumpy(refuse=True))
+    with pytest.raises(ConfigError, match="highpass not as in"):
+        load_system_matrices(paths)
 
 
 @pytest.mark.parametrize("field, shift", [("grid_spacing", 1e-3),
                                           ("grid_origin", 5e-3)])
-def test_stack_rejects_mixed_grid_geometry(scene, matrix_x, field, shift):
-    config = scene[2]
+def test_stack_rejects_mixed_grid_geometry(scene, matrix_x, field, shift, tmp_path,
+                                           monkeypatch):
     other = replace(matrix_x, **{
         field: tuple(v + shift for v in getattr(matrix_x, field))})
     assert other.grid_dims == matrix_x.grid_dims
-    with pytest.raises(ConfigError, match="grid"):
-        stack_coils([matrix_x, other], [_zero_trace(config)] * 2)
+    paths = _save_coil_files(tmp_path, [matrix_x, other])
+    monkeypatch.setattr(mpisim.sysmat, "np", _WatchedNumpy(refuse=True))
+    with pytest.raises(ConfigError, match=f"{field} not as in"):
+        load_system_matrices(paths)
