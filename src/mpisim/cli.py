@@ -375,6 +375,12 @@ class Workspace:
         return make_matrix_recipe(self.cfg)
 
     @functools.cached_property
+    def phantoms(self) -> tuple:
+        """make_phantom(cfg, which) for the signal and the recon grid, built once."""
+        cfg = self.cfg
+        return make_phantom(cfg, "signal"), make_phantom(cfg, "recon")
+
+    @functools.cached_property
     def approx(self) -> magnetization.MagnetizationApprox:
         """make_approx(cfg), built once: L1 nodes are placed once."""
         return make_approx(self.cfg)
@@ -424,9 +430,7 @@ def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
 # --- stages -----------------------------------------------------------------
 
 def stage_phantom(ws: Workspace) -> dict:
-    cfg = ws.cfg
-    signal = make_phantom(cfg, "signal")
-    reference = make_phantom(cfg, "recon")
+    signal, reference = ws.phantoms
     phantom.save_grid(signal, ws.path("phantom.grid"), comments=ws.comments())
     phantom.save_grid(reference, ws.path("phantom_recon.grid"),
                       comments=ws.comments())
@@ -601,13 +605,16 @@ def check_stage_settings(ws: Workspace, stages):
     """Check what the given stages read before the first stage writes a file.
 
     The worker counts are always checked, the rest only for a stage that
-    reads them.  ws.recipe and ws.approx (for sysmat, lsqr and piecewise
-    simulation) are built here, where the stages find them.  The stages
-    read forward.model, acquisition.noise_level, acquisition.noise_seed and
-    sysmat.nnz_cap unchecked: both drivers call this first.
+    reads them.  ws.phantoms (for phantom), ws.recipe and ws.approx (for
+    sysmat, lsqr and piecewise simulation) are built here, where the stages
+    find them.  The stages read forward.model, acquisition.noise_level,
+    acquisition.noise_seed and sysmat.nnz_cap unchecked: run_pipeline and
+    run_sweep call this first.
     """
     cfg = ws.cfg
     make_workers(cfg)
+    if "phantom" in stages:
+        ws.phantoms  # built and cached here, like the recipe and staircase
     if {"simulate", "filter", "sysmat", "lsqr", "fbp"} & set(stages):
         make_coils(cfg)
     if {"filter", "sysmat", "lsqr", "fbp"} & set(stages):
@@ -708,7 +715,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ws.dir / name))
-    check_stage_settings(ws, ("simulate", "filter"))
+    check_stage_settings(ws, ("phantom", "simulate", "filter"))
     for _, sub in subs.values():
         check_stage_settings(sub, ("sysmat", "lsqr"))
     approxes = [sub.approx for _, sub in subs.values()]

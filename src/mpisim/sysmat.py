@@ -4,11 +4,14 @@ Entry (j, k) holds -mu0 <rho, dB/dt(r_k, t_j)> mbar'_N(|B(r_k, t_j)|) vol_k,
 optionally averaged over the sub-points of phantom.cell_offsets, so a row
 times the flat concentration reproduces simulate_piecewise at that sample.
 Cells outside every staircase interval (|B| >= b) contribute exact zeros,
-which is what makes the matrix sparse.  Assembly uses that: B is evaluated
-at the cell centers first, and only cells whose center lies within b + L(t) r
-of the low-field volume (L(t) a Lipschitz bound on B from the solid-harmonic
-coefficients, r the center-to-sub-point reach) get their sub-points
-evaluated; see CellQuadrature.  Only rho depends on the receive coil and
+which is what makes the matrix sparse.  Assembly uses that: it finds the
+cells whose center lies within b + L(t) r of the low-field volume (L(t) a
+Lipschitz bound on B from the solid-harmonic coefficients, r the
+center-to-sub-point reach), and only those get their sub-points evaluated.
+The centers are tested once per tile of 8 consecutive times, at the tile's
+middle time, with a margin that bounds how far B moves within the tile;
+only the candidates this leaves get their center |B| at every time of the
+tile.  See CellQuadrature.  Only rho depends on the receive coil and
 only mbar'_N on the staircase, so one pass serves every coil and
 staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
@@ -48,12 +51,15 @@ from .phantom import ConcentrationGrid, cell_offsets
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# times per assembly block: a block's temporaries (B at every cell center,
-# 3 x n_cells x block floats) stay a few MB, so what worker threads free is
-# reused instead of piling up in their malloc arenas and making peak memory
-# vary from run to run
+# times per assembly block: a block's temporaries (the survivors' sub-point
+# products, (3 + coils) floats per sub-point) stay a few MB, so what worker
+# threads free is reused instead of piling up in their malloc arenas and
+# making peak memory vary from run to run
 _DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
+# consecutive times whose cell centers are first tested together, at the
+# middle one of them (CellQuadrature.center_survivors)
+_TILE = 8
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
 
@@ -64,15 +70,18 @@ class CellQuadrature:
     weights(), the test oracle, evaluates every sub-point of every cell;
     sparse_weights() gives the same entries for any number of staircases
     and coils from one pass, but first prunes the (cell, time) pairs that
-    cannot reach the low-field volume |B| < b.  Every sub-point of a cell lies within reach r
-    of its center, so |B(sub)| >= |B(center)| - L(t) r, L(t) being a
-    Lipschitz bound on B(., t) over the ball of radius R that holds every
-    center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the distinct
-    harmonics p_k of the FieldEvaluator table, F = its factors(); with G_l
-    from fields.harmonic_gradient_bound, L(t) is the 2-norm over j of
-    sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
-    topologies, whose gradients are constant.  The sub-point rows are the
-    evaluator's polys, copied once into a C-contiguous (cell, sub-point,
+    cannot reach the low-field volume |B| < b.  Every sub-point of a cell
+    lies within reach r of its center, so |B(sub)| >= |B(center)| - L(t) r,
+    L(t) being a Lipschitz bound on B(., t) over the ball of radius R that
+    holds every center and sub-point.  B_j = sum_k F_jk(t) p_k(r) over the
+    distinct harmonics p_k of the FieldEvaluator table, F = its factors();
+    with G_l from fields.harmonic_gradient_bound, L(t) is the 2-norm over j
+    of sum_k |F_jk(t)| G_l_k(R).  It is exact for the degree-1 ideal
+    topologies, whose gradients are constant.  center_survivors finds the
+    pairs with |B(center)| below that limit without evaluating every center
+    at every time: one center test per tile of _TILE times, then exact
+    center |B| only for the cells that test leaves.  The sub-point rows are
+    the evaluator's polys, copied once into a C-contiguous (cell, sub-point,
     harmonic) table so that gathering a cell reads one run of memory.
     """
 
@@ -93,6 +102,7 @@ class CellQuadrature:
                                for l, _ in harmonics])
         self._center_polys = np.array(
             [eval_harmonic_polynomial(l, m, centers) for l, m in harmonics]).T
+        self._center_peak = np.max(np.abs(self._center_polys), axis=0)
         # (cell, sub-point, harmonic), contiguous: a transposed view would
         # read one cache line per harmonic value on every gather
         self._sub_polys = np.ascontiguousarray(self.evaluator.polys.T.reshape(
@@ -117,16 +127,61 @@ class CellQuadrature:
         """L(t) = sqrt(sum_j (sum_k |F_jk(t)| G_l_k(R))^2), F = evaluator.factors(t)."""
         return np.sqrt(np.sum((self._grad @ np.abs(fac)) ** 2, axis=0))
 
+    def center_survivors(self, fac, limit) -> tuple:
+        """The (time, cell) pairs with |B(center, t)| < limit[t], F = fac.
+
+        Returns their time indices and int32 cells, in time order with cells
+        ascending within a time, and the number of center |B| evaluated.
+        The times are cut into tiles of _TILE, and each tile tests every
+        center once, at its middle time t_m.  Since B_j(c, t) - B_j(c, t_m)
+        = sum_k (F_jk(t) - F_jk(t_m)) p_k(c), |B(c, t)| differs from
+        |B(c, t_m)| by at most D(t), the 2-norm over j of
+        sum_k |F_jk(t) - F_jk(t_m)| max_c |p_k(c)|.  So a cell can survive
+        in the tile only if |B(c, t_m)| < (max limit + max D)(1 + 1e-9);
+        only those candidates get their exact |B| at the tile's times.  The
+        bound holds at any times, however far apart.
+        """
+        n_times = fac.shape[2]
+        starts = np.arange(0, n_times, _TILE)
+        mids = (starts + np.minimum(starts + _TILE, n_times) - 1) // 2
+        shift = np.abs(fac - fac[:, :, np.repeat(mids, _TILE)[:n_times]])
+        drift = np.sqrt(np.sum((self._center_peak @ shift) ** 2, axis=0))
+        bound = (np.maximum.reduceat(limit, starts)
+                 + np.maximum.reduceat(drift, starts)) * _SAFETY
+        b_mid = self._center_polys @ fac[:, :, mids]
+        mag_mid = np.sqrt(b_mid[0] ** 2 + b_mid[1] ** 2 + b_mid[2] ** 2)
+        candidates = mag_mid.T < bound[:, None]
+        # (time, component, harmonic): a tile's factors are one contiguous
+        # (tile * 3, harmonic) matrix, and its product rows are time-major
+        fac_t = np.ascontiguousarray(fac.transpose(2, 0, 1))
+        n_evaluated = self.n_cells * starts.size
+        tidx, cells = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for lo, cand in zip(starts, candidates):
+            cand = np.flatnonzero(cand)
+            if not cand.size:
+                continue
+            hi = min(lo + _TILE, n_times)
+            b = (fac_t[lo:hi].reshape(-1, fac.shape[1]) @ self._center_polys[cand].T
+                 ).reshape(hi - lo, 3, cand.size)
+            t, c = np.nonzero(np.sqrt(b[:, 0] ** 2 + b[:, 1] ** 2 + b[:, 2] ** 2)
+                              < limit[lo:hi, None])
+            tidx.append(t + lo)
+            cells.append(cand[c])
+            n_evaluated += cand.size * (hi - lo)
+        return (np.concatenate(tidx), np.concatenate(cells).astype(np.int32),
+                n_evaluated)
+
     def sparse_weights(self, approxes, rhos, times) -> list:
         """The entries of weights(approx_i, rho_k, times).T as CSR arrays.
 
         approxes holds the staircases, rhos K coil vectors; out[i][k] is the
         (data, int32 indices, row lengths) of staircase i and coil k.
         Everything but the staircase and <rho_k, dB/dt> is the field's alone
-        and is computed once: B is evaluated at the cell centers first, and a
-        pair with |B(center, t)| >= (b + L(t) r)(1 + 1e-9) has |B| >= b at
-        every sub-point and hence a zero entry.  The pruning uses the largest
-        b: the limit rises with b, so its survivors hold every staircase's.
+        and is computed once: a pair with |B(center, t)| >= (b + L(t) r)
+        (1 + 1e-9) has |B| >= b at every sub-point and hence a zero entry,
+        and center_survivors keeps the other pairs, testing the centers once
+        per tile of times.  The pruning uses the largest b: the limit rises
+        with b, so its survivors hold every staircase's.
         Sub-point B and each <rho_k, dB/dt> are evaluated for the surviving
         pairs only, then staircase_slopes staircases the shared sub-point |B|.
         Each (staircase, coil) drops its own exact zeros, so each pattern
@@ -135,13 +190,9 @@ class CellQuadrature:
         rhos = np.asarray(rhos, dtype=float).reshape(-1, 3)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         fac = self.evaluator.factors(times)
-        b_c = self._center_polys @ fac
-        mag_c = np.sqrt(np.einsum("jpt,jpt->pt", b_c, b_c))
         threshold = max(approx.threshold for approx in approxes)
         limit = (threshold + self.lipschitz(fac) * self.reach) * _SAFETY
-        # survivors in time order, cells ascending within a time
-        tidx, cells = divmod(np.flatnonzero((mag_c < limit).T), self.n_cells)
-        cells = cells.astype(np.int32)
+        tidx, cells, _ = self.center_survivors(fac, limit)
         # per time, one product gives B and each <rho_k, dB/dt> at the
         # survivors' sub-points: coef[t] maps the harmonics to
         # (B_x, B_y, B_z, <rho_1, dB/dt>, ..., <rho_K, dB/dt>)
@@ -390,8 +441,9 @@ def stack_coils(sm: SystemMatrix, traces: list[SignalTrace]) -> np.ndarray:
     """sm's right-hand side: one trace per coil, on sm's time axis, concatenated."""
     if len(traces) != len(sm.coils):
         raise ConfigError("need one trace per coil of the matrix")
-    if not all(tr.samples.size == sm.rows_per_coil and np.isclose(tr.t0, sm.t0)
-               and np.isclose(tr.sample_rate, sm.sample_rate) for tr in traces):
+    # exact: both headers store the acquisition's rate and t0 at .17g
+    if not all(tr.samples.size == sm.rows_per_coil and tr.t0 == sm.t0
+               and tr.sample_rate == sm.sample_rate for tr in traces):
         raise ConfigError("trace length, sample rate or t0 does not match its matrix")
     return np.concatenate([tr.samples for tr in traces])
 

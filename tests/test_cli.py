@@ -438,6 +438,10 @@ LATE_SETTINGS = {
     "grid.recon.spacing=0 mm": "fov and spacing must be positive",
     "field.perturb_magnitude=-1": "perturbation magnitude and seed must be >= 0",
     "field.perturb_seed=-1": "perturbation magnitude and seed must be >= 0",
+    # read through make_phantom
+    "phantom.discs=-3 mm": "disc diameters must be finite and positive",
+    "phantom.discs=banana": "cannot parse quantity 'banana'",
+    "grid.signal.spacing=0 mm": "fov and spacing must be positive",
 }
 
 
@@ -455,9 +459,11 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
-    # a run of the phantom stage alone reads none of them but the recon grid
+    # a run of the phantom stage alone reads none of them but the grids and
+    # the discs
     assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
-                     "--set", setting]) == (2 if setting.startswith("grid.") else 0)
+                     "--set", setting]) == (
+        2 if setting.startswith(("grid.", "phantom.")) else 0)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

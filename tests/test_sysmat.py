@@ -387,6 +387,102 @@ def test_contiguous_sub_point_table_equals_the_strided_view():
             assert np.array_equal(got, want), (i, k, part)
 
 
+def _all_center_survivors(quad, fac, limit):
+    """Oracle: |B| at every cell center at every time, against limit[t]."""
+    b_c = quad._center_polys @ fac
+    mag_c = np.sqrt(np.einsum("jpt,jpt->pt", b_c, b_c))
+    tidx, cells = divmod(np.flatnonzero((mag_c < limit).T), quad.n_cells)
+    return tidx, cells.astype(np.int32)
+
+
+def _assert_tiles_match_all_centers(quad, approxes, rhos, times):
+    """Tiled center tests against the all-centers oracle: the same survivors
+    in the same order, and bit-equal CSR pieces."""
+    tiled = quad.sparse_weights(approxes, rhos, times)
+    pairs = []
+
+    def all_centers(fac, limit):
+        want = _all_center_survivors(quad, fac, limit)
+        pairs.append((want, CellQuadrature.center_survivors(quad, fac, limit)))
+        return *want, quad.n_cells * fac.shape[2]
+
+    quad.center_survivors = all_centers
+    try:
+        oracle = quad.sparse_weights(approxes, rhos, times)
+    finally:
+        del quad.center_survivors
+    [((want_t, want_c), (got_t, got_c, _))] = pairs
+    assert want_t.size > 0
+    assert np.array_equal(got_t, want_t)
+    assert got_c.dtype == np.int32 and np.array_equal(got_c, want_c)
+    for i, k in np.ndindex(len(approxes), len(rhos)):
+        for part, (got, want) in enumerate(zip(tiled[i][k], oracle[i][k])):
+            assert np.array_equal(got, want), (i, k, part)
+
+
+def _tiling_scene(name, static_scene):
+    """(CellQuadrature, staircases, coil vectors, times) of a named scene."""
+    xy = [coil_along("x").vector, coil_along("y").vector]
+    if name in ("static_ffl", "subsampling_1"):
+        model, grid, config, approx = static_scene
+        quad = CellQuadrature(model, grid, 2 if name == "static_ffl" else 1)
+        return quad, [approx], xy, config.times()
+    if name == "lissajous_3d":
+        model = build_topology("lissajous_ffp", g=1.0, d=(0.012, 0.012, 0.012),
+                               f=(25e3, 26e3, 27e3))
+        grid = empty_grid(0.03, 0.03 / 12, nz=4, z_spacing=2.5e-3)
+        acq = AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=1e-4)
+        return (CellQuadrature(model, grid, 2), [static_scene[3]],
+                [*xy, coil_along("z").vector], acq.times())
+    magnitude = float(name.removeprefix("perturbed_"))
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=500e3, duration=1e-3)
+    return (CellQuadrature(_desk_ffl(magnitude), empty_grid(0.1, 0.1 / 32), 2),
+            _sweep_staircases()[:2], xy, acq.times())
+
+
+@pytest.mark.parametrize("name", ["static_ffl", "subsampling_1", "perturbed_0.35",
+                                  "perturbed_3", "lissajous_3d"])
+def test_tiled_pruning_equals_the_all_centers_test(scene, name):
+    quad, approxes, rhos, times = _tiling_scene(name, scene)
+    _assert_tiles_match_all_centers(quad, approxes, rhos, times)
+
+
+@pytest.mark.parametrize("magnitude", ["0.35", "3"])
+@pytest.mark.parametrize("span", ["one time", "remainder tile", "probe times"])
+def test_tiled_pruning_on_short_and_scattered_spans(scene, magnitude, span):
+    # the probe times are build_system_matrices' nnz estimate: one tile
+    # whose times lie far apart
+    quad, approxes, rhos, times = _tiling_scene(f"perturbed_{magnitude}", scene)
+    if span == "one time":
+        times = times[250:251]
+    elif span == "remainder tile":
+        times = times[240:253]
+    else:
+        times = times[np.unique(np.linspace(0, times.size - 1, 8).astype(int))]
+    _assert_tiles_match_all_centers(quad, approxes, rhos, times)
+
+
+def test_tiled_pruning_evaluates_few_centers(monkeypatch):
+    # the desk scene at its 4 MHz sample rate: one test per tile of 8 plus
+    # the candidates' exact |B| stay below 40% of every center at every time
+    counted = []
+    tiled = CellQuadrature.center_survivors
+
+    def counting(self, fac, limit):
+        out = tiled(self, fac, limit)
+        counted.append(out[2])
+        return out
+
+    monkeypatch.setattr(CellQuadrature, "center_survivors", counting)
+    grid = empty_grid(0.1, 0.1 / 64)
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=2.5e-4)
+    sm = build_system_matrix(_desk_ffl(), _desk_approx(), [coil_along("x")], acq,
+                             grid, subsampling=2)
+    assert sm.nnz > 0
+    assert len(counted) > 1  # the nnz estimate, then the blocks
+    assert sum(counted) <= 0.4 * grid.n_cells * acq.n_samples
+
+
 def test_sparse_weights_are_the_csr_of_the_dense_weights():
     # oracle: the unpruned quadrature; values, int32 cells, per-time counts
     model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
@@ -802,8 +898,12 @@ def test_stack_coils(scene):
         approx, subsampling=2)
     with pytest.raises(ConfigError):
         stack_coils(both, [tx, short])
-    # same length, other sample rate or t0
-    for other in (replace(ty, sample_rate=2e6), replace(ty, t0=1e-3)):
+    # same length, other sample rate or t0; both headers store them at .17g,
+    # so they are compared exactly: 5 ns is 0.5% of a sample here, 20 Hz
+    # 20 ppm of the rate
+    for other in (replace(ty, sample_rate=2e6), replace(ty, t0=1e-3),
+                  replace(ty, t0=ty.t0 + 5e-9),
+                  replace(ty, sample_rate=ty.sample_rate + 20.0)):
         assert other.samples.size == n
         with pytest.raises(ConfigError, match="sample rate or t0"):
             stack_coils(both, [tx, other])
