@@ -2,8 +2,10 @@
 
 Every stage reads one INI-style config (defaults filled in, echoed verbatim
 to the output directory) and communicates with other stages through files
-only, so runs are diffable and restartable.  Exit codes: 0 ok, 2 config
-error, 3 missing input, 4 hash mismatch, 5 resource cap.
+only, so runs are diffable and restartable.  plan_stages reads, checks and
+builds every setting the requested stages use before the first file is
+written, and a stage reads its settings only from that plan.  Exit codes:
+0 ok, 2 config error, 3 missing input, 4 hash mismatch, 5 resource cap.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
-import functools
 import hashlib
 import logging
 import math
@@ -301,25 +302,6 @@ def make_coils(cfg: RunConfig) -> list:
     return [(axis, forward.coil_along(axis, index=i)) for i, axis in enumerate(axes)]
 
 
-def make_matrix_recipe(cfg: RunConfig) -> dict:
-    """The matrix builders' and config_hash's inputs but the staircase."""
-    subsampling = cfg.integer("sysmat", "subsampling")
-    if subsampling < 1:
-        raise ConfigError(f"sysmat.subsampling must be >= 1, got {subsampling}")
-    return {"model": make_field_model(cfg), "acq": make_acquisition(cfg),
-            "grid": make_grid(cfg, "recon"), "subsampling": subsampling}
-
-
-def make_workers(cfg: RunConfig) -> dict:
-    """forward.workers and sysmat.workers by section; each must be >= 1."""
-    workers = {"forward": cfg.integer("forward", "workers"),
-               "sysmat": cfg.integer("sysmat", "workers")}
-    for section, n in workers.items():
-        if n < 1:
-            raise ConfigError(f"{section}.workers must be >= 1, got {n}")
-    return workers
-
-
 def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
     return recon.LsqrOptions(max_iterations=cfg.integer("solver", "iterations"),
                              atol=cfg.qty("solver", "atol"),
@@ -327,7 +309,7 @@ def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
 
 
 def make_fbp_settings(cfg: RunConfig) -> dict:
-    """Every fbp setting stage_fbp reads, checked by fbp.check_settings."""
+    """Every setting stage_fbp reads; fbp.check_settings checks its own."""
     settings = {"n_bins": cfg.integer("fbp", "bins"),
                 "decimate": cfg.integer("fbp", "decimate"),
                 "cos_guard": cfg.qty("fbp", "cos_guard"),
@@ -335,9 +317,11 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
                 "window": cfg.text("fbp", "window"),
                 "baseline": cfg.text("fbp", "baseline").lower()}
     fbp_mod.check_settings(**settings)
-    return {**settings, "geometry": make_geometry(cfg),
-            "deconvolve": cfg.boolean("fbp", "deconvolve"),
-            "pad": cfg.qty("fbp", "pad")}
+    geometry = make_geometry(cfg)
+    deconvolve = cfg.boolean("fbp", "deconvolve")
+    return {**settings, "geometry": geometry, "deconvolve": deconvolve,
+            "params": make_params(cfg) if deconvolve else None,
+            "pad": cfg.qty("fbp", "pad"), "grid": make_grid(cfg, "recon")}
 
 
 def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
@@ -357,39 +341,92 @@ def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
 
 # --- stage plumbing ---------------------------------------------------------
 
-class Workspace:
-    """Output directory plus the resolved config all artifacts reference."""
+# forward.model -> the name of its simulator in forward, looked up at call
+# time so that a wrapped simulator runs
+SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
+              "piecewise": "simulate_piecewise"}
 
-    def __init__(self, cfg: RunConfig, outdir=None):
-        self.cfg = cfg
+
+def _at_least(name: str, value, low):
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def plan_stages(cfg: RunConfig, stages) -> dict:
+    """Read, check and build every setting the given stages use; no I/O.
+
+    A setting no given stage reads is not parsed.  Entries, by the stages
+    that read them: phantoms (phantom); coils (all but phantom and
+    compare); highpass (filter, sysmat, lsqr, fbp); recipe, the matrix
+    builders' and config_hash's inputs but the staircase (simulate, sysmat,
+    lsqr); approx, the staircase, so L1 nodes are placed once per plan
+    (sysmat, lsqr, piecewise simulate); and one entry of its own settings
+    for each of simulate, sysmat, lsqr and fbp.
+    """
+    stages = set(stages)
+    plan = {}
+    if "phantom" in stages:
+        plan["phantoms"] = make_phantom(cfg, "signal"), make_phantom(cfg, "recon")
+    if stages & {"simulate", "filter", "sysmat", "lsqr", "fbp"}:
+        plan["coils"] = make_coils(cfg)
+    if stages & {"filter", "sysmat", "lsqr", "fbp"}:
+        plan["highpass"] = highpass_cutoff(cfg)
+    if stages & {"simulate", "sysmat", "lsqr"}:
+        subsampling = _at_least("sysmat.subsampling",
+                                cfg.integer("sysmat", "subsampling"), 1)
+        plan["recipe"] = {"model": make_field_model(cfg),
+                          "acq": make_acquisition(cfg),
+                          "grid": make_grid(cfg, "recon"),
+                          "subsampling": subsampling}
+    piecewise = False
+    if "simulate" in stages:
+        kind = cfg.text("forward", "model")
+        if kind not in SIMULATORS:
+            raise ConfigError(f"unknown forward model {kind!r}; need one of "
+                              f"{', '.join(SIMULATORS)}")
+        piecewise = kind == "piecewise"
+        plan["simulate"] = {
+            "model": kind,
+            "workers": _at_least("forward.workers",
+                                 cfg.integer("forward", "workers"), 1),
+            "noise_level": _at_least("acquisition.noise_level",
+                                     cfg.qty("acquisition", "noise_level"), 0),
+            "noise_seed": _at_least("acquisition.noise_seed",
+                                    cfg.integer("acquisition", "noise_seed"), 0),
+            "params": make_params(cfg)}
+    if piecewise or stages & {"sysmat", "lsqr"}:
+        plan["approx"] = make_approx(cfg)
+    if "sysmat" in stages:
+        plan["sysmat"] = {
+            "nnz_cap": _at_least("sysmat.nnz_cap", cfg.integer("sysmat", "nnz_cap"), 1),
+            "workers": _at_least("sysmat.workers", cfg.integer("sysmat", "workers"), 1)}
+    if "lsqr" in stages:
+        plan["lsqr"] = make_lsqr_options(cfg)
+    if "fbp" in stages:
+        plan["fbp"] = make_fbp_settings(cfg)
+    return plan
+
+
+class Workspace:
+    """Output directory, the resolved config's digest, and the plan of the
+    stages that run in it."""
+
+    def __init__(self, cfg: RunConfig, stages, outdir=None):
         self.dir = Path(outdir if outdir is not None
                         else cfg.text("output", "directory"))
+        self.resolved = cfg.resolved_text()
         self.digest = cfg.digest()
+        self.plan = plan_stages(cfg, stages)
 
     def path(self, name: str) -> Path:
         return self.dir / name
-
-    @functools.cached_property
-    def recipe(self) -> dict:
-        """make_matrix_recipe(cfg), built once."""
-        return make_matrix_recipe(self.cfg)
-
-    @functools.cached_property
-    def phantoms(self) -> tuple:
-        """make_phantom(cfg, which) for the signal and the recon grid, built once."""
-        cfg = self.cfg
-        return make_phantom(cfg, "signal"), make_phantom(cfg, "recon")
-
-    @functools.cached_property
-    def approx(self) -> magnetization.MagnetizationApprox:
-        """make_approx(cfg), built once: L1 nodes are placed once."""
-        return make_approx(self.cfg)
 
     def prepare(self):
         self.dir.mkdir(parents=True, exist_ok=True)
         with atomic_open(self.path("config.resolved.ini"), "w") as fh:
             fh.write(f"# config {self.digest}\n")
-            fh.write(self.cfg.resolved_text())
+            fh.write(self.resolved)
 
     def comments(self) -> list:
         return [f"config {self.digest}"]
@@ -402,10 +439,11 @@ class Workspace:
         return p
 
 
-def _load_traces(ws: Workspace, filtered: bool) -> list:
-    suffix = "_filtered" if filtered else ""
+def _load_traces(ws: Workspace) -> list:
+    """Each coil's trace, the high-passed one when the plan sets a cut-off."""
+    suffix = "_filtered" if ws.plan["highpass"] is not None else ""
     return [forward.load_trace_bin(ws.require(f"trace_{axis}{suffix}.bin"))
-            for axis, _ in make_coils(ws.cfg)]
+            for axis, _ in ws.plan["coils"]]
 
 
 def _write_csv(ws: Workspace, name: str, header: str, rows):
@@ -430,7 +468,7 @@ def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
 # --- stages -----------------------------------------------------------------
 
 def stage_phantom(ws: Workspace) -> dict:
-    signal, reference = ws.phantoms
+    signal, reference = ws.plan["phantoms"]
     phantom.save_grid(signal, ws.path("phantom.grid"), comments=ws.comments())
     phantom.save_grid(reference, ws.path("phantom_recon.grid"),
                       comments=ws.comments())
@@ -442,24 +480,21 @@ def stage_phantom(ws: Workspace) -> dict:
 
 
 def stage_simulate(ws: Workspace) -> dict:
-    cfg = ws.cfg
-    model, acq = ws.recipe["model"], ws.recipe["acq"]
+    plan, settings = ws.plan, ws.plan["simulate"]
+    recipe, coils = plan["recipe"], plan["coils"]
     grid = phantom.load_grid(ws.require("phantom.grid"))
-    kind = cfg.text("forward", "model")
+    kind = settings["model"]
     simulate = getattr(forward, SIMULATORS[kind])
-    args = ((ws.approx, ws.recipe["subsampling"]) if kind == "piecewise"
-            else (make_params(cfg),))
-    workers = make_workers(cfg)["forward"]
-    noise_level = cfg.qty("acquisition", "noise_level")
-    noise_seed = cfg.integer("acquisition", "noise_seed")
-    coils = make_coils(cfg)
-    clean = simulate(model, grid, [coil for _, coil in coils], acq, *args,
-                     n_workers=workers)
+    args = ((plan["approx"], recipe["subsampling"]) if kind == "piecewise"
+            else (settings["params"],))
+    clean = simulate(recipe["model"], grid, [coil for _, coil in coils],
+                     recipe["acq"], *args, n_workers=settings["workers"])
+    noise_level = settings["noise_level"]
     traces = []
     for (axis, coil), trace in zip(coils, clean):
         if noise_level > 0:
             trace = forward.add_noise(trace, noise_level * trace.rms,
-                                      noise_seed + coil.index)
+                                      settings["noise_seed"] + coil.index)
         forward.save_trace_bin(trace, ws.path(f"trace_{axis}.bin"))
         forward.save_trace_csv(trace, ws.path(f"trace_{axis}.csv"),
                                comments=ws.comments())
@@ -470,13 +505,12 @@ def stage_simulate(ws: Workspace) -> dict:
 
 
 def stage_filter(ws: Workspace) -> dict:
-    cfg = ws.cfg
-    cutoff = highpass_cutoff(cfg)
+    cutoff = ws.plan["highpass"]
     if cutoff is None:
         print("filter: high-pass disabled, nothing to do")
         return {}
     traces = []
-    for axis, _ in make_coils(cfg):
+    for axis, _ in ws.plan["coils"]:
         trace = forward.load_trace_bin(ws.require(f"trace_{axis}.bin"))
         filtered = forward.apply_highpass(trace, cutoff)
         forward.save_trace_bin(filtered, ws.path(f"trace_{axis}_filtered.bin"))
@@ -494,29 +528,30 @@ def stage_sysmat(ws: Workspace) -> dict:
     No matrix is returned: stage_lsqr reads the files back, and the stacked
     matrix is freed before it does.
     """
-    cfg = ws.cfg
+    plan = ws.plan
     stacked = sysmat.build_system_matrix(
-        approx=ws.approx, coils=[coil for _, coil in make_coils(cfg)], **ws.recipe,
-        nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-        n_workers=make_workers(cfg)["sysmat"])
+        approx=plan["approx"], coils=[coil for _, coil in plan["coils"]],
+        **plan["recipe"], nnz_cap=plan["sysmat"]["nnz_cap"],
+        n_workers=plan["sysmat"]["workers"])
     _save_matrices(ws, stacked)
     return {}
 
 
 def _matrix_hash(ws: Workspace, coil: forward.ReceiveCoil) -> str:
     """The config hash a coil's stored matrix is saved and checked under."""
-    return sysmat.config_hash(approx=ws.approx, coil=coil,
-                              highpass=highpass_cutoff(ws.cfg), **ws.recipe)
+    plan = ws.plan
+    return sysmat.config_hash(approx=plan["approx"], coil=coil,
+                              highpass=plan["highpass"], **plan["recipe"])
 
 
 def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
     """Save each coil's rows of stacked as sysmat_<axis>.mat.
 
-    Each file holds a view of that coil's rows, high-passed when the config
+    Each file holds a view of that coil's rows, high-passed when the plan
     sets a cut-off, under _matrix_hash.
     """
-    cutoff = highpass_cutoff(ws.cfg)
-    for i, (axis, coil) in enumerate(make_coils(ws.cfg)):
+    cutoff = ws.plan["highpass"]
+    for i, (axis, coil) in enumerate(ws.plan["coils"]):
         sm = stacked.coil_block(i)
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
@@ -528,10 +563,8 @@ def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
 
 
 def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
-    cfg = ws.cfg
-    traces = _load_traces(ws, filtered=highpass_cutoff(cfg) is not None)
-    grid = ws.recipe["grid"]
-    coils = make_coils(cfg)
+    traces = _load_traces(ws)
+    grid, coils = ws.plan["recipe"]["grid"], ws.plan["coils"]
     stacked = sysmat.load_system_matrices(
         [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils],
         [_matrix_hash(ws, coil) for _, coil in coils], force=force)
@@ -541,7 +574,7 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
             f"stored matrices are for a {stacked.grid_dims} grid, spacing "
             f"{stacked.grid_spacing}, origin {stacked.grid_origin}; the recon "
             f"grid is {grid.dims}, spacing {grid.spacing}, origin {grid.origin}")
-    result = recon.lsqr_solve(stacked.operator(), rhs, make_lsqr_options(cfg))
+    result = recon.lsqr_solve(stacked.operator(), rhs, ws.plan["lsqr"])
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "recon_lsqr", image)
     _write_csv(ws, "lsqr_residuals.csv", "iteration,residual",
@@ -552,21 +585,17 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
 
 
 def stage_fbp(ws: Workspace) -> dict:
-    cfg = ws.cfg
-    cutoff = highpass_cutoff(cfg)
-    fs = make_fbp_settings(cfg)
-    traces = _load_traces(ws, filtered=cutoff is not None)
+    cutoff, fs = ws.plan["highpass"], ws.plan["fbp"]
+    traces = _load_traces(ws)
     sino = fbp_mod.signal_to_sinogram(
-        traces, [coil for _, coil in make_coils(cfg)], fs["geometry"],
-        n_bins=fs["n_bins"], deconvolve=fs["deconvolve"],
-        params=make_params(cfg) if fs["deconvolve"] else None, nsr=fs["nsr"],
-        decimate=fs["decimate"], cos_guard=fs["cos_guard"])
+        traces, [coil for _, coil in ws.plan["coils"]], fs["geometry"],
+        n_bins=fs["n_bins"], deconvolve=fs["deconvolve"], params=fs["params"],
+        nsr=fs["nsr"], decimate=fs["decimate"], cos_guard=fs["cos_guard"])
     if fs["baseline"] == "on" or (fs["baseline"] == "auto" and cutoff is not None):
         sino = fbp_mod.subtract_edge_baseline(sino)
     if fs["pad"] > fs["geometry"].amplitude:
         sino = fbp_mod.zero_pad(sino, fs["pad"])
-    image = fbp_mod.fbp_reconstruct(sino, make_grid(cfg, "recon"),
-                                    window=fs["window"])
+    image = fbp_mod.fbp_reconstruct(sino, fs["grid"], window=fs["window"])
     fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
     phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
     _save_recon(ws, "recon_fbp", image)
@@ -576,12 +605,19 @@ def stage_fbp(ws: Workspace) -> dict:
 
 
 def stage_compare(ws: Workspace) -> dict:
+    """Score the reconstructions written under this config; skip the rest."""
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
+    stamp = f"# config {ws.digest}\n".encode()
     rows = []
     for name in ("recon_lsqr", "recon_fbp"):
         p = ws.path(f"{name}.grid")
         if not p.exists():
             continue
+        with open_input(p) as fh:
+            if fh.readline() != stamp:
+                print(f"compare: skipped {name}, not written under config "
+                      f"{ws.digest}")
+                continue
         image = phantom.load_grid(p)
         plain = recon.nrmse(image, reference)
         scale = recon.optimal_scale(image, reference)
@@ -595,53 +631,6 @@ def stage_compare(ws: Workspace) -> dict:
     return {"rows": rows}
 
 
-# forward.model -> the name of its simulator in forward, looked up at call
-# time so that a wrapped simulator runs
-SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
-              "piecewise": "simulate_piecewise"}
-
-
-def check_stage_settings(ws: Workspace, stages):
-    """Check what the given stages read before the first stage writes a file.
-
-    The worker counts are always checked, the rest only for a stage that
-    reads them.  ws.phantoms (for phantom), ws.recipe and ws.approx (for
-    sysmat, lsqr and piecewise simulation) are built here, where the stages
-    find them.  The stages read forward.model, acquisition.noise_level,
-    acquisition.noise_seed and sysmat.nnz_cap unchecked: run_pipeline and
-    run_sweep call this first.
-    """
-    cfg = ws.cfg
-    make_workers(cfg)
-    if "phantom" in stages:
-        ws.phantoms  # built and cached here, like the recipe and staircase
-    if {"simulate", "filter", "sysmat", "lsqr", "fbp"} & set(stages):
-        make_coils(cfg)
-    if {"filter", "sysmat", "lsqr", "fbp"} & set(stages):
-        highpass_cutoff(cfg)
-    if {"simulate", "sysmat", "lsqr"} & set(stages):
-        ws.recipe  # built and cached here, like the staircase below
-    staircase = "sysmat" in stages or "lsqr" in stages
-    if "simulate" in stages:
-        kind = cfg.text("forward", "model")
-        if kind not in SIMULATORS:
-            raise ConfigError(f"unknown forward model {kind!r}; need one of "
-                              f"{', '.join(SIMULATORS)}")
-        if cfg.qty("acquisition", "noise_level") < 0:
-            raise ConfigError("acquisition.noise_level must be >= 0")
-        if cfg.integer("acquisition", "noise_seed") < 0:
-            raise ConfigError("acquisition.noise_seed must be >= 0")
-        staircase = staircase or kind == "piecewise"
-    if staircase:
-        ws.approx  # built and cached here, so a bad setting stops the run
-    if "sysmat" in stages and cfg.integer("sysmat", "nnz_cap") < 1:
-        raise ConfigError("sysmat.nnz_cap must be >= 1")
-    if "lsqr" in stages:
-        make_lsqr_options(cfg)
-    if "fbp" in stages:
-        make_fbp_settings(cfg)
-
-
 PIPELINE_STAGES = ("phantom", "simulate", "filter", "sysmat", "lsqr", "fbp",
                    "compare")
 
@@ -652,8 +641,9 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> di
     unknown = set(stages) - set(PIPELINE_STAGES)
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
-    ws = Workspace(cfg, outdir)
-    check_stage_settings(ws, order)
+    if not order:
+        raise ConfigError(f"no stage to run; name one of {', '.join(PIPELINE_STAGES)}")
+    ws = Workspace(cfg, order, outdir)
     ws.prepare()
     results = {}
     for stage in order:
@@ -693,20 +683,20 @@ def _slug(value: str) -> str:
 def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
-    Every value's config and staircase are built and the settings of the
-    stages it runs checked first, so a bad setting or value, or two values
-    that would share a sub-directory, stops the sweep before anything is
-    written.
+    The base workspace plans phantom, simulate and filter, and each value's
+    workspace plans sysmat and lsqr, so a bad setting or value, or two
+    values that would share a sub-directory, stops the sweep before
+    anything is written.
     The voltage data is simulated once from the base config with its
     forward.model.  The sweep parameters change only the staircase, so one
-    assembly pass on the base config's recipe builds every value's system
+    assembly pass on the first value's plan builds every value's system
     matrix; each value then saves its matrix and runs its LSQR
     reconstruction, and the summary records NRMSE against the phantom on
     the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    ws = Workspace(cfg, outdir)
+    ws = Workspace(cfg, ("phantom", "simulate", "filter"), outdir)
     subs = {}
     for value in values:
         name = f"{parameter}_{_slug(value)}"
@@ -714,25 +704,22 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
             raise ConfigError(f"sweep values {subs[name][0].strip()!r} and "
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
-                                       ws.dir / name))
-    check_stage_settings(ws, ("phantom", "simulate", "filter"))
-    for _, sub in subs.values():
-        check_stage_settings(sub, ("sysmat", "lsqr"))
-    approxes = [sub.approx for _, sub in subs.values()]
+                                       ("sysmat", "lsqr"), ws.dir / name))
     ws.prepare()
     stage_phantom(ws)
     stage_simulate(ws)
     stage_filter(ws)
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
-    coils = make_coils(cfg)
+    plans = [sub.plan for _, sub in subs.values()]
+    shared = plans[0]
     matrices = sysmat.build_system_matrices(
-        approxes=approxes, coils=[coil for _, coil in coils], **ws.recipe,
-        nnz_cap=cfg.integer("sysmat", "nnz_cap"),
-        n_workers=make_workers(cfg)["sysmat"])
+        approxes=[plan["approx"] for plan in plans],
+        coils=[coil for _, coil in shared["coils"]], **shared["recipe"],
+        nnz_cap=shared["sysmat"]["nnz_cap"], n_workers=shared["sysmat"]["workers"])
     summary = []
     for i, (value, sub) in enumerate(subs.values()):
         sub.prepare()
-        for axis, _ in coils:
+        for axis, _ in shared["coils"]:
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():

@@ -15,7 +15,8 @@ import pytest
 
 import mpisim
 from mpisim import cli, sysmat
-from mpisim.errors import ConfigError, MissingInputError
+from mpisim.errors import (ConfigError, EXIT_CONFIG, EXIT_MISSING_INPUT,
+                           MissingInputError)
 from mpisim.fields import load_field_coefficients
 from mpisim.forward import apply_highpass, load_trace_bin
 from mpisim.phantom import load_grid
@@ -225,10 +226,10 @@ def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
 
 def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     tmp, ini, out = pipeline_dir
-    ws = cli.Workspace(cli.RunConfig.load(ini), out)
-    coils = cli.make_coils(ws.cfg)
-    fresh = sysmat.build_system_matrix(approx=ws.approx,
-                                       coils=[coil for _, coil in coils], **ws.recipe)
+    ws = cli.Workspace(cli.RunConfig.load(ini), ["sysmat"], out)
+    plan, coils = ws.plan, ws.plan["coils"]
+    fresh = sysmat.build_system_matrix(approx=plan["approx"],
+                                       coils=[coil for _, coil in coils], **plan["recipe"])
     for i, (axis, coil) in enumerate(coils):
         path = out / f"sysmat_{axis}.mat"
         lines, indptr, indices, data = _csr_payload(path)
@@ -412,6 +413,9 @@ def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
     section = setting.split(".")[0]
     assert f"{section}.workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+    # the phantom stage reads no worker count
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
+                     "--set", setting]) == 0
 
 
 # settings that stages after the first one read; unchecked, each wrote files
@@ -464,6 +468,25 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
     assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "phantom",
                      "--set", setting]) == (
         2 if setting.startswith(("grid.", "phantom.")) else 0)
+
+
+@pytest.mark.parametrize("key", [f"{section}.{key}"
+                                 for section, keys in cli.DEFAULTS.items()
+                                 for key in keys if section != "output"])
+def test_any_bad_setting_exits_typed_before_writing(tmp_path, capsys, key):
+    # a setting a requested stage reads is checked before the first write;
+    # field.coefficients takes the value as a path, which does not exist
+    code = EXIT_MISSING_INPUT if key == "field.coefficients" else EXIT_CONFIG
+    ini = write_tiny(tmp_path)
+    cases = [("run", value) for value in ("bogus", "-1", "0", "1e999", "nan")]
+    for i, (command, value) in enumerate([*cases, ("sweep", "bogus")]):
+        out = tmp_path / f"out{i}"
+        argv = [command, "-c", str(ini), "-o", str(out), "--set", f"{key}={value}"]
+        if command == "sweep":
+            argv += ["--parameter", "threshold_b", "--values", "4 mT"]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == code and not out.exists()), (command, value, err)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -626,9 +649,31 @@ def test_negative_noise_level_exits_2(tmp_path, capsys):
     assert list(out.glob("trace_*")) == []
 
 
+@pytest.mark.parametrize("stage, setting", [
+    ("fbp", "grid.recon.spacing=0 mm"),  # the grid it reconstructs on
+    ("simulate", "magnetization.m0=bogus"),  # the Langevin parameters
+])
+def test_a_stage_alone_checks_its_settings_before_writing(pipeline_dir, tmp_path,
+                                                          stage, setting):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    assert cli.main([stage, "-c", str(ini), "-o", str(work), "--set", setting]) == 2
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_empty_stage_list_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    for stages in ("", ","):
+        assert cli.main(["run", "-o", str(out), "--stages", stages]) == 2
+        assert "no stage to run" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_single_stage_commands(tmp_path, monkeypatch):
     # each command looks its stage up on the module, as run does, so a
-    # wrapped stage is the one that runs
+    # wrapped stage is the one that runs; each stage runs on its own plan
     ini = write_tiny(tmp_path)
     calls = []
     for name in ("sysmat", "lsqr"):
@@ -640,13 +685,39 @@ def test_single_stage_commands(tmp_path, monkeypatch):
     for name in ("phantom", "simulate", "filter", "sysmat"):
         assert cli.main([name, "-c", str(ini), "-o", str(stage_dir)]) == 0
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(stage_dir), "--force"]) == 0
+    assert cli.main(["fbp", "-c", str(ini), "-o", str(stage_dir)]) == 0
+    assert cli.main(["run", "-c", str(ini), "-o", str(stage_dir),
+                     "--stages", "compare"]) == 0
     assert calls == [("sysmat", {}), ("lsqr", {"force": True})]
     # one stage at a time reproduces the pipeline run
     run_dir = tmp_path / "run"
-    assert cli.main(["run", "-c", str(ini), "-o", str(run_dir),
-                     "--stages", "phantom,simulate,filter,sysmat,lsqr"]) == 0
-    assert ((stage_dir / "recon_lsqr.grid").read_bytes()
-            == (run_dir / "recon_lsqr.grid").read_bytes())
+    assert cli.main(["run", "-c", str(ini), "-o", str(run_dir)]) == 0
+    for name in ("recon_lsqr.grid", "recon_fbp.grid", "compare.csv"):
+        assert ((stage_dir / name).read_bytes()
+                == (run_dir / name).read_bytes()), name
+
+
+def test_compare_skips_reconstructions_of_another_config(pipeline_dir, tmp_path,
+                                                         capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    capsys.readouterr()
+    # recon_lsqr.grid stays from the run under the old discs
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
+                     "phantom,simulate,filter,fbp,compare",
+                     "--set", "phantom.discs=4 mm"]) == 0
+    assert "compare: skipped recon_lsqr" in capsys.readouterr().out
+    stamp = (work / "config.resolved.ini").read_text().splitlines()[0]
+    lines = (work / "compare.csv").read_text().splitlines()
+    assert lines[0] == stamp
+    assert [line.split(",")[0] for line in lines[2:]] == ["recon_fbp"]
+    # no reconstruction of this config left: nothing is scored or written
+    before = (work / "compare.csv").read_bytes()
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare",
+                     "--set", "phantom.discs=3 mm"]) == 3
+    assert "no reconstructions found" in capsys.readouterr().err
+    assert (work / "compare.csv").read_bytes() == before
 
 
 def test_compare_command(pipeline_dir, capsys, tmp_path):
@@ -821,7 +892,10 @@ def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
     saved = [load_system_matrix(out / f"sysmat_{axis}.mat").nnz for axis in "xy"]
     assert min(saved) > 0
     assert traced["counts"]["sysmat.nnz"] == sum(saved)
-    assert "sysmat.build_system_matrix" in {span[1] for span in traced["spans"]}
+    names = {span[1] for span in traced["spans"]}
+    assert "sysmat.build_system_matrix" in names
+    # the benchmark reads every stage's time from the span of its name
+    assert {f"cli.stage_{stage}" for stage in cli.PIPELINE_STAGES} <= names
 
 
 def test_l1_nodes_are_placed_once_per_workspace(tmp_path, monkeypatch):
