@@ -202,34 +202,41 @@ class RunConfig:
 
 # --- builders -------------------------------------------------------------
 
-def make_field_model(cfg: RunConfig) -> fields.FieldModel:
+def make_topology(cfg: RunConfig) -> fields.FieldModel:
+    """The ideal field of field.topology, the scan FBP assumes."""
     radius = cfg.qty("field", "validity_radius")
+    kind = cfg.text("field", "topology")
+    g = cfg.qty("field", "g")
+    if kind == "lissajous_ffp":
+        return fields.build_topology(
+            kind, g=g, d=tuple(cfg.qty_list("field", "d_vec")),
+            f=tuple(cfg.qty_list("field", "f_vec")), validity_radius=radius)
+    if kind == "line_ffp":
+        return fields.build_topology(
+            kind, g=g, d=tuple(cfg.qty_list("field", "d_vec")),
+            f_d=cfg.qty("acquisition", "f_d"), validity_radius=radius)
+    if kind == "rotating_ffl":
+        return fields.build_topology(
+            kind, g=g, d=cfg.qty("field", "d"),
+            f_d=cfg.qty("acquisition", "f_d"),
+            f_rot=cfg.qty("acquisition", "f_rot"), validity_radius=radius)
+    if kind == "static_ffl":
+        return fields.build_topology(
+            kind, g=g, d=cfg.qty("field", "d"),
+            f_d=cfg.qty("acquisition", "f_d"),
+            alpha=cfg.qty("field", "alpha"), validity_radius=radius)
+    raise ConfigError(f"unknown topology {kind!r}")
+
+
+def make_field_model(cfg: RunConfig) -> fields.FieldModel:
+    """The simulated field: the coefficient table, or the ideal field; then
+    the configured perturbation."""
     coeff_path = cfg.text("field", "coefficients")
     if coeff_path:
-        model = fields.load_field_coefficients(coeff_path, validity_radius=radius)
+        model = fields.load_field_coefficients(
+            coeff_path, validity_radius=cfg.qty("field", "validity_radius"))
     else:
-        kind = cfg.text("field", "topology")
-        g = cfg.qty("field", "g")
-        if kind == "lissajous_ffp":
-            model = fields.build_topology(
-                kind, g=g, d=tuple(cfg.qty_list("field", "d_vec")),
-                f=tuple(cfg.qty_list("field", "f_vec")), validity_radius=radius)
-        elif kind == "line_ffp":
-            model = fields.build_topology(
-                kind, g=g, d=tuple(cfg.qty_list("field", "d_vec")),
-                f_d=cfg.qty("acquisition", "f_d"), validity_radius=radius)
-        elif kind == "rotating_ffl":
-            model = fields.build_topology(
-                kind, g=g, d=cfg.qty("field", "d"),
-                f_d=cfg.qty("acquisition", "f_d"),
-                f_rot=cfg.qty("acquisition", "f_rot"), validity_radius=radius)
-        elif kind == "static_ffl":
-            model = fields.build_topology(
-                kind, g=g, d=cfg.qty("field", "d"),
-                f_d=cfg.qty("acquisition", "f_d"),
-                alpha=cfg.qty("field", "alpha"), validity_radius=radius)
-        else:
-            raise ConfigError(f"unknown topology {kind!r}")
+        model = make_topology(cfg)
     return fields.perturb_field(model, cfg.integer("field", "perturb_seed"),
                                 cfg.qty("field", "perturb_magnitude"))
 
@@ -317,26 +324,18 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
                 "window": cfg.text("fbp", "window"),
                 "baseline": cfg.text("fbp", "baseline").lower()}
     fbp_mod.check_settings(**settings)
-    geometry = make_geometry(cfg)
+    model = make_topology(cfg)
+    if model.topology not in ("rotating_ffl", "static_ffl"):
+        raise ConfigError(f"the Radon-domain pipeline needs an FFL topology, "
+                          f"not {model.topology!r}")
+    # signal_to_sinogram needs a sample in every projection; check the first
+    fbp_mod.projection_samples(0, model.params["f_d"],
+                               cfg.qty("acquisition", "sample_rate"),
+                               settings["decimate"], settings["cos_guard"])
     deconvolve = cfg.boolean("fbp", "deconvolve")
-    return {**settings, "geometry": geometry, "deconvolve": deconvolve,
+    return {**settings, "model": model, "deconvolve": deconvolve,
             "params": make_params(cfg) if deconvolve else None,
             "pad": cfg.qty("fbp", "pad"), "grid": make_grid(cfg, "recon")}
-
-
-def make_geometry(cfg: RunConfig) -> fbp_mod.ScanGeometry:
-    kind = cfg.text("field", "topology")
-    if kind == "rotating_ffl":
-        return fbp_mod.ScanGeometry(g=cfg.qty("field", "g"),
-                                    d=cfg.qty("field", "d"),
-                                    f_d=cfg.qty("acquisition", "f_d"),
-                                    f_rot=cfg.qty("acquisition", "f_rot"))
-    if kind == "static_ffl":
-        return fbp_mod.ScanGeometry(g=cfg.qty("field", "g"),
-                                    d=cfg.qty("field", "d"),
-                                    f_d=cfg.qty("acquisition", "f_d"),
-                                    alpha=cfg.qty("field", "alpha"))
-    raise ConfigError(f"the Radon-domain pipeline needs an FFL topology, not {kind!r}")
 
 
 # --- stage plumbing ---------------------------------------------------------
@@ -588,12 +587,12 @@ def stage_fbp(ws: Workspace) -> dict:
     cutoff, fs = ws.plan["highpass"], ws.plan["fbp"]
     traces = _load_traces(ws)
     sino = fbp_mod.signal_to_sinogram(
-        traces, [coil for _, coil in ws.plan["coils"]], fs["geometry"],
+        traces, [coil for _, coil in ws.plan["coils"]], fs["model"],
         n_bins=fs["n_bins"], deconvolve=fs["deconvolve"], params=fs["params"],
         nsr=fs["nsr"], decimate=fs["decimate"], cos_guard=fs["cos_guard"])
     if fs["baseline"] == "on" or (fs["baseline"] == "auto" and cutoff is not None):
         sino = fbp_mod.subtract_edge_baseline(sino)
-    if fs["pad"] > fs["geometry"].amplitude:
+    if fs["pad"] > fields.ffl_amplitude(fs["model"]):
         sino = fbp_mod.zero_pad(sino, fs["pad"])
     image = fbp_mod.fbp_reconstruct(sino, fs["grid"], window=fs["window"])
     fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))

@@ -1,11 +1,13 @@
 """Radon-domain baseline: sinogram extraction and filtered back-projection.
 
-Line-scanner voltages divide by the sweep velocity factor to become
-projection samples; regridding onto uniform displacements and angles gives
-a sinogram that classic Ram-Lak FBP inverts.  The continuous line rotation
-is deliberately not corrected inside a projection window, and the
-magnetization kernel stays in the image unless Wiener deconvolution is
-requested.
+The baseline assumes the ideal field: the scan it inverts is the nominal
+line sweep of an ideal FFL model (fields.build_topology's rotating_ffl or
+static_ffl), whatever field produced the voltages.  Line-scanner voltages
+divide by the sweep velocity factor to become projection samples;
+regridding onto uniform displacements and angles gives a sinogram that
+classic Ram-Lak FBP inverts.  The continuous line rotation is deliberately
+not corrected inside a projection window, and the magnetization kernel
+stays in the image unless Wiener deconvolution is requested.
 """
 
 from __future__ import annotations
@@ -18,51 +20,16 @@ import numpy as np
 
 from .artifacts import atomic_open
 from .errors import ConfigError
-from .fields import MU0
+from .fields import MU0, TWO_PI, FieldModel, ffl_amplitude, ffl_half_angle
 from .magnetization import LangevinParams, mbar_prime
 from .phantom import ConcentrationGrid
 
 log = logging.getLogger(__name__)
 
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ScanGeometry:
-    """Nominal FFL scan parameters used by the Radon-domain pipeline.
-
-    slab_thickness is the extent of the (planar) object along the line
-    direction's perpendicular in z; dividing by it converts the scanner's
-    volume integrals into in-plane line integrals, so scan sinograms share
-    units with radon_transform output.
-    """
-
-    g: float
-    d: float
-    f_d: float
-    f_rot: float = 0.0
-    alpha: float | None = None
-    slab_thickness: float = 1e-3
-
-    def __post_init__(self):
-        if not (self.g > 0 and self.d > 0 and self.f_d > 0):
-            raise ConfigError("g, d and f_d must be positive")
-        if self.f_rot < 0:
-            raise ConfigError("f_rot must be >= 0")
-        if self.f_rot == 0 and self.alpha is None:
-            raise ConfigError("need f_rot > 0 or a static angle alpha")
-        if not self.slab_thickness > 0:
-            raise ConfigError("slab_thickness must be positive")
-
-    @property
-    def amplitude(self) -> float:
-        """Maximal line displacement d / (2 g)."""
-        return self.d / (2.0 * self.g)
-
-    def half_angle(self, t: float) -> float:
-        if self.f_rot > 0:
-            return math.pi * self.f_rot * t
-        return self.alpha / 2.0
+# Extent of the (planar) object along z; dividing by it converts the
+# scanner's volume integrals into in-plane line integrals, so scan sinograms
+# share units with radon_transform output.
+SLAB_THICKNESS = 1e-3
 
 
 @dataclass
@@ -169,20 +136,46 @@ def check_settings(n_bins: int = 80, decimate: int = 1, cos_guard: float = 0.05,
         raise ConfigError(f"need baseline auto, on or off, got {baseline!r}")
 
 
-def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
+def projection_samples(p: int, f_d: float, sample_rate: float, decimate: int = 1,
+                       cos_guard: float = 0.05, n_total: int | None = None):
+    """Sample indices of projection p, their phases 2 pi f_d t and cosines.
+
+    Every decimate-th sample of the monotone half-sweep t in
+    [(p + 1/4)/f_d, (p + 3/4)/f_d), below n_total, where |cos| >= cos_guard.
+    Raises ConfigError when none is left.
+    """
+    j0 = int(np.ceil((p + 0.25) / f_d * sample_rate - 1e-9))
+    j1 = int(np.ceil((p + 0.75) / f_d * sample_rate - 1e-9))
+    if n_total is not None:
+        j1 = min(j1, n_total)
+    idx = np.arange(j0, j1, decimate)
+    phase = TWO_PI * f_d * (idx / sample_rate)
+    cosphi = np.cos(phase)
+    keep = np.abs(cosphi) >= cos_guard
+    if not keep.any():
+        raise ConfigError(f"projection {p} keeps no sample; need a smaller "
+                          f"decimate or cos_guard, got decimate={decimate} and "
+                          f"cos_guard={cos_guard:g}")
+    return idx[keep], phase[keep], cosphi[keep]
+
+
+def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
                        deconvolve: bool = False,
                        params: LangevinParams | None = None, nsr: float = 1e-2,
                        decimate: int = 1, cos_guard: float = 0.05) -> Sinogram:
-    """Regrid line-scanner voltages into a sinogram.
+    """Regrid line-scanner voltages into a sinogram of the nominal scan.
 
-    One projection per drive period, taken from the monotone half-sweep
-    t in [(p + 1/4)/f_d, (p + 3/4)/f_d).  Samples divide by the velocity
-    factor -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e>, are dropped where
-    |cos| < cos_guard, and bin-average onto n_bins uniform displacements in
-    [-d/2g, d/2g].  Multiple coils combine by least squares over their
-    geometric weights <rho, e>.  With deconvolve, each projection is
-    Wiener-deconvolved by the kernel mbar'(|2 g s|).
+    model is the ideal rotating_ffl or static_ffl whose line sweep the
+    projections follow; any other model, a perturbed one included, raises
+    ConfigError.  One projection per drive period, from the samples of
+    projection_samples.  They divide by the velocity factor
+    -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e> and bin-average onto n_bins
+    uniform displacements up to fields.ffl_amplitude either side.  Multiple
+    coils combine by least squares over their geometric weights <rho, e>.
+    With deconvolve, each projection is Wiener-deconvolved by the kernel
+    mbar'(|2 g s|).
     """
+    amp = ffl_amplitude(model)
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
     check_settings(n_bins=n_bins, decimate=decimate, cos_guard=cos_guard, nsr=nsr)
@@ -192,41 +185,33 @@ def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
     for tr in traces:
         if tr.samples.size != first.samples.size or tr.sample_rate != first.sample_rate:
             raise ConfigError("traces disagree on sampling")
+    g, d, f_d = model.params["g"], model.params["d"], model.params["f_d"]
     fs = first.sample_rate
     n_total = first.samples.size
     duration = n_total / fs
-    n_proj = int(round(duration * geometry.f_d))
+    n_proj = int(round(duration * f_d))
     if n_proj < 1:
         raise ConfigError("scan shorter than one drive period")
-    amp = geometry.amplitude
     edges = np.linspace(-amp, amp, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rhos = np.array([c.vector for c in coils])
-    prefactor = (-TWO_PI * geometry.d * MU0 * geometry.f_d
-                 * geometry.slab_thickness)
+    prefactor = -TWO_PI * d * MU0 * f_d * SLAB_THICKNESS
 
     rows = np.zeros((n_proj, n_bins))
     angles = np.empty(n_proj)
     weak = 0
     for p in range(n_proj):
-        t_lo = (p + 0.25) / geometry.f_d
-        t_hi = (p + 0.75) / geometry.f_d
-        j0 = int(np.ceil(t_lo * fs - 1e-9))
-        j1 = int(np.ceil(t_hi * fs - 1e-9))
-        idx = np.arange(j0, min(j1, n_total))[::decimate]
-        t = idx / fs
-        phase = TWO_PI * geometry.f_d * t
-        cosphi = np.cos(phase)
-        keep = np.abs(cosphi) >= cos_guard
-        beta = geometry.half_angle((p + 0.5) / geometry.f_d)
+        idx, phase, cosphi = projection_samples(p, f_d, fs, decimate, cos_guard,
+                                                n_total)
+        beta = ffl_half_angle(model, (p + 0.5) / f_d)
         e = np.array([math.sin(beta), -math.cos(beta), 0.0])
         a = rhos @ e
         denom = float(a @ a)
         if denom < 0.1:
             weak += 1
-        s = amp * np.sin(phase[keep])
-        u = np.stack([traces[k].samples[idx[keep]] for k in range(len(traces))])
-        proj = (a @ u) / (prefactor * cosphi[keep] * max(denom, 1e-12))
+        s = amp * np.sin(phase)
+        u = np.stack([tr.samples[idx] for tr in traces])
+        proj = (a @ u) / (prefactor * cosphi * max(denom, 1e-12))
 
         theta, flip = _wrap_angle(beta - math.pi / 2.0)
         if flip:
@@ -252,9 +237,9 @@ def signal_to_sinogram(traces, coils, geometry: ScanGeometry, n_bins: int = 80,
     rows = rows[order]
     angles = angles[order]
     if deconvolve:
-        rows = _wiener_rows(rows, centers, geometry, params, nsr)
-    meta = {"kind": "scan", "g": geometry.g, "d": geometry.d,
-            "f_d": geometry.f_d, "f_rot": geometry.f_rot,
+        rows = _wiener_rows(rows, centers, g, params, nsr)
+    meta = {"kind": "scan", "g": g, "d": d, "f_d": f_d,
+            "f_rot": model.params.get("f_rot", 0.0),
             "deconvolved": bool(deconvolve)}
     return Sinogram(values=rows, angles=angles, displacements=centers, meta=meta)
 
@@ -263,12 +248,12 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
 
 
-def _wiener_rows(rows, centers, geometry, params, nsr):
+def _wiener_rows(rows, centers, g, params, nsr):
     n = centers.size
     ds = centers[1] - centers[0]
     nfft = _next_pow2(2 * n)
     offsets = ((np.arange(nfft) + nfft // 2) % nfft - nfft // 2) * ds
-    kern = mbar_prime(params, 2.0 * geometry.g * np.abs(offsets)) * ds
+    kern = mbar_prime(params, 2.0 * g * np.abs(offsets)) * ds
     khat = np.fft.fft(kern)
     power = np.abs(khat) ** 2
     floor = nsr * power.max()

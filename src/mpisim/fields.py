@@ -395,14 +395,25 @@ def ffp_position(model: FieldModel, t):
         f"ffp_position needs an ideal FFP topology, model has {model.topology!r}")
 
 
+def _ffl_params(model: FieldModel) -> dict:
+    if model.topology not in ("rotating_ffl", "static_ffl"):
+        raise UnsupportedTopologyError(
+            f"need an ideal FFL topology, model has {model.topology!r}")
+    return model.params
+
+
 def ffl_half_angle(model: FieldModel, t) -> float:
     """Half angle beta: the line direction is (cos beta, sin beta, 0)."""
+    p = _ffl_params(model)
     if model.topology == "rotating_ffl":
-        return math.pi * model.params["f_rot"] * t
-    if model.topology == "static_ffl":
-        return model.params["alpha"] / 2.0
-    raise UnsupportedTopologyError(
-        f"need an ideal FFL topology, model has {model.topology!r}")
+        return math.pi * p["f_rot"] * t
+    return p["alpha"] / 2.0
+
+
+def ffl_amplitude(model: FieldModel) -> float:
+    """Largest offset d/(2g) of an ideal FFL from the origin."""
+    p = _ffl_params(model)
+    return p["d"] / (2.0 * p["g"])
 
 
 def ffl_locus(model: FieldModel, t) -> LineLocus:
@@ -410,11 +421,10 @@ def ffl_locus(model: FieldModel, t) -> LineLocus:
 
     The returned point is the foot of the perpendicular from the origin;
     its signed offset along the unit normal (sin b, -cos b, 0) equals
-    d/(2g) * sin(2 pi f_d t).
+    ffl_amplitude * sin(2 pi f_d t).
     """
     beta = ffl_half_angle(model, t)
-    p = model.params
-    s = p["d"] / (2.0 * p["g"]) * math.sin(TWO_PI * p["f_d"] * t)
+    s = ffl_amplitude(model) * math.sin(TWO_PI * model.params["f_d"] * t)
     normal = np.array([math.sin(beta), -math.cos(beta), 0.0])
     direction = np.array([math.cos(beta), math.sin(beta), 0.0])
     return LineLocus(direction=direction, point=s * normal)

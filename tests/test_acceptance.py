@@ -306,7 +306,6 @@ class _DeskScan:
                                            f_d=25e3, f_rot=1e3,
                                            validity_radius=0.1)
         self.perturbed = fields.perturb_field(self.ideal, seed=1, magnitude=0.35)
-        self.geometry = fbp_mod.ScanGeometry(g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
         self.lsqr_results = []
         self._traces = {}
         self._cache = {}
@@ -368,7 +367,7 @@ class _DeskScan:
         key = ("fbp", which)
         if key not in self._cache:
             sino = fbp_mod.signal_to_sinogram(self.traces(which), self.coils,
-                                              self.geometry, n_bins=128)
+                                              self.ideal, n_bins=128)
             sino = fbp_mod.subtract_edge_baseline(sino)
             image = fbp_mod.fbp_reconstruct(sino, self.template, window="hann")
             self._cache[key] = self.scaled_nrmse(image)

@@ -570,6 +570,8 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
     ["fbp.cos_guard=2"],
     ["fbp.nsr=-1", "fbp.deconvolve=true"],
     ["fbp.window=boxcar"],
+    # 40 samples per half sweep: the one left sits at |cos| = 0 < cos_guard
+    ["fbp.decimate=1000"],
 ])
 def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     ini = write_tiny(tmp_path)
@@ -606,6 +608,16 @@ def test_fbp_settings_are_checked_before_the_first_stage(tmp_path, capsys,
     # a run without fbp does not read them
     assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
                      "phantom", "--set", override]) == 0
+
+
+def test_fbp_plan_holds_the_ideal_field():
+    # FBP inverts the nominal scan, also when the data come from a perturbed
+    # field or a coefficient table
+    cfg = cli.RunConfig.load(overrides=["field.perturb_magnitude=0.35"])
+    model = cli.plan_stages(cfg, ["fbp"])["fbp"]["model"]
+    assert model.topology == "rotating_ffl"
+    assert model == cli.make_topology(cfg)
+    assert cli.make_field_model(cfg).topology == "rotating_ffl_perturbed"
 
 
 # the tiny scan sweeps +-40 mm (d / g), so a 60 mm pad zero-pads the sinogram
@@ -894,6 +906,8 @@ def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
     assert traced["counts"]["sysmat.nnz"] == sum(saved)
     names = {span[1] for span in traced["spans"]}
     assert "sysmat.build_system_matrix" in names
+    # and the FBP layer from the spans of these two, which it wraps by name
+    assert {"fbp.signal_to_sinogram", "fbp.fbp_reconstruct"} <= names
     # the benchmark reads every stage's time from the span of its name
     assert {f"cli.stage_{stage}" for stage in cli.PIPELINE_STAGES} <= names
 

@@ -8,7 +8,6 @@ import pytest
 from mpisim import magnetization as mag
 from mpisim.errors import ConfigError
 from mpisim.fbp import (
-    ScanGeometry,
     _wrap_angle,
     Sinogram,
     fbp_reconstruct,
@@ -18,7 +17,8 @@ from mpisim.fbp import (
     subtract_edge_baseline,
     zero_pad,
 )
-from mpisim.fields import build_topology
+from mpisim.fields import (build_topology, load_field_coefficients,
+                           perturb_field, write_field_coefficients)
 from mpisim.forward import AcquisitionConfig, coil_along, simulate_parallel
 from mpisim.phantom import build_disc_phantom, empty_grid
 from mpisim.recon import nrmse, optimal_scale
@@ -64,21 +64,6 @@ def analytic_disc_sinogram(radius, angles, displacements):
     chord = 2.0 * np.sqrt(np.maximum(radius**2 - s**2, 0.0))
     return Sinogram(values=np.tile(chord, (len(angles), 1)),
                     angles=np.asarray(angles), displacements=s, meta={})
-
-
-def test_scan_geometry():
-    geo = ScanGeometry(g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
-    assert geo.amplitude == pytest.approx(0.05)
-    assert geo.half_angle(0.25e-3) == pytest.approx(math.pi * 0.25)
-    static = ScanGeometry(g=2.0, d=0.1, f_d=25e3, alpha=0.8)
-    assert static.amplitude == pytest.approx(0.025)
-    assert static.half_angle(123.0) == pytest.approx(0.4)
-    with pytest.raises(ConfigError):
-        ScanGeometry(g=1.0, d=0.1, f_d=25e3)  # neither f_rot nor alpha
-    with pytest.raises(ConfigError):
-        ScanGeometry(g=-1.0, d=0.1, f_d=25e3, alpha=0.1)
-    with pytest.raises(ConfigError):
-        ScanGeometry(g=1.0, d=0.1, f_d=25e3, alpha=0.1, slab_thickness=0.0)
 
 
 def test_sinogram_shape_validation():
@@ -196,13 +181,12 @@ def point_scan():
     params = mag.LangevinParams(m0=1.0, lam=1600.0)
     coils = [coil_along("x"), coil_along("y")]
     traces = simulate_parallel(model, grid, coils, config, params)
-    geometry = ScanGeometry(g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
-    return traces, coils, geometry, params, point
+    return traces, coils, model, params, point
 
 
 def test_signal_to_sinogram_geometry(point_scan):
-    traces, coils, geometry, params, point = point_scan
-    sino = signal_to_sinogram(traces, coils, geometry, n_bins=96)
+    traces, coils, model, params, point = point_scan
+    sino = signal_to_sinogram(traces, coils, model, n_bins=96)
     assert sino.values.shape == (25, 96)
     assert np.all((sino.angles >= 0) & (sino.angles < math.pi))
     assert np.all(np.diff(sino.angles) >= 0)
@@ -219,10 +203,10 @@ def test_signal_to_sinogram_geometry(point_scan):
 
 
 def test_signal_to_sinogram_fills_sparse_bins(point_scan):
-    traces, coils, geometry, params, point = point_scan
+    traces, coils, model, params, point = point_scan
     # 128 bins > samples per half sweep, so some bins get no samples and
     # must be bridged by interpolation rather than left at zero
-    sino = signal_to_sinogram(traces, coils, geometry, n_bins=128)
+    sino = signal_to_sinogram(traces, coils, model, n_bins=128)
     assert np.all(np.isfinite(sino.values))
     row = np.abs(sino.values[12])
     support = np.where(row > row.max() * 1e-3)[0]
@@ -230,29 +214,51 @@ def test_signal_to_sinogram_fills_sparse_bins(point_scan):
 
 
 def test_signal_to_sinogram_deconvolve_sharpens(point_scan):
-    traces, coils, geometry, params, point = point_scan
-    plain = signal_to_sinogram(traces, coils, geometry, n_bins=96)
-    sharp = signal_to_sinogram(traces, coils, geometry, n_bins=96,
+    traces, coils, model, params, point = point_scan
+    plain = signal_to_sinogram(traces, coils, model, n_bins=96)
+    sharp = signal_to_sinogram(traces, coils, model, n_bins=96,
                                deconvolve=True, params=params)
     def width(row):
         a = np.abs(row)
         return int(np.sum(a > 0.5 * a.max()))
     assert width(sharp.values[12]) <= width(plain.values[12])
     with pytest.raises(ConfigError):
-        signal_to_sinogram(traces, coils, geometry, deconvolve=True)
+        signal_to_sinogram(traces, coils, model, deconvolve=True)
 
 
 def test_signal_to_sinogram_validation(point_scan):
-    traces, coils, geometry, params, point = point_scan
+    traces, coils, model, params, point = point_scan
     with pytest.raises(ConfigError):
-        signal_to_sinogram(traces, coils[:1], geometry)
+        signal_to_sinogram(traces, coils[:1], model)
     with pytest.raises(ConfigError):
-        signal_to_sinogram([], [], geometry)
+        signal_to_sinogram([], [], model)
+
+
+def test_signal_to_sinogram_needs_the_nominal_scan(tmp_path, point_scan):
+    # the baseline inverts the ideal line sweep; a perturbed or tabulated
+    # field has no closed-form line to regrid along
+    traces, coils, model, params, point = point_scan
+    path = tmp_path / "field.txt"
+    write_field_coefficients(model, path)
+    for other in (perturb_field(model, seed=1, magnitude=0.35),
+                  load_field_coefficients(path)):
+        with pytest.raises(ConfigError):
+            signal_to_sinogram(traces, coils, other)
+
+
+def test_signal_to_sinogram_needs_a_sample_per_projection(point_scan):
+    traces, coils, model, params, point = point_scan
+    # 80 samples per half sweep, the first at |cos| = 0: one is left at
+    # decimate 1000, and at 79 the second has |cos| = 0.039 < cos_guard
+    for decimate in (1000, 79):
+        with pytest.raises(ConfigError, match="keeps no sample"):
+            signal_to_sinogram(traces, coils, model, decimate=decimate)
+    assert signal_to_sinogram(traces, coils, model, decimate=40).angles.size == 25
 
 
 def test_sinogram_csv_round_trip(tmp_path, point_scan):
-    traces, coils, geometry, params, point = point_scan
-    sino = signal_to_sinogram(traces, coils, geometry, n_bins=32)
+    traces, coils, model, params, point = point_scan
+    sino = signal_to_sinogram(traces, coils, model, n_bins=32)
     path = tmp_path / "sino.csv"
     save_sinogram_csv(sino, path)
     # .17g text: the header lines and a plain CSV reader give every number back

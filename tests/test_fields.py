@@ -9,6 +9,7 @@ import scipy.special
 
 from mpisim import (
     ConfigError,
+    UnsupportedTopologyError,
     FieldEvaluator,
     build_topology,
     eval_field,
@@ -25,6 +26,7 @@ from mpisim.fields import (
     SHTerm,
     TimeModulation,
     assoc_legendre,
+    ffl_amplitude,
     ffl_half_angle,
     harmonic_gradient_bound,
 )
@@ -194,6 +196,19 @@ def test_ffl_locus_offset_follows_drive():
     s = 0.1 / 2.0 * math.sin(2 * math.pi * 25e3 * t)
     np.testing.assert_allclose(locus.point, s * normal, atol=1e-15)
     assert abs(np.dot(locus.direction, normal)) < 1e-14
+
+
+def test_ffl_amplitude():
+    rotating = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=25e3, f_rot=1e3)
+    assert ffl_amplitude(rotating) == pytest.approx(0.05)
+    static = build_topology("static_ffl", g=2.0, d=0.1, f_d=25e3, alpha=0.8)
+    assert ffl_amplitude(static) == pytest.approx(0.025)
+    assert ffl_half_angle(static, 123.0) == pytest.approx(0.4)
+    ffp = build_topology("lissajous_ffp", g=1.0, d=(0.01, 0.01, 0.01),
+                         f=(25e3, 26e3, 27e3))
+    for model in (ffp, perturb_field(rotating, seed=1, magnitude=0.35)):
+        with pytest.raises(UnsupportedTopologyError):
+            ffl_amplitude(model)
 
 
 def test_field_dt_matches_finite_difference():
