@@ -102,11 +102,14 @@ DEFAULTS = {
         "nsr": "1e-2",
         "window": "hann",
         "pad": "0 mm",
-        "baseline": "auto",
         "cos_guard": "0.05",
     },
     "output": {"directory": "out"},
 }
+
+# Left out of the config digest: neither worker count changes a trace or a
+# matrix, bit for bit, and the output directory only says where files go.
+UNDIGESTED = {("forward", "workers"), ("sysmat", "workers"), ("output", "directory")}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -197,7 +200,12 @@ class RunConfig:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:16]
+        """16 hex digits of the resolved config, UNDIGESTED entries left out."""
+        kept = {sec: {key: value for key, value in entries.items()
+                      if (sec, key) not in UNDIGESTED}
+                for sec, entries in self.sections.items()}
+        text = RunConfig(kept).resolved_text()
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # --- builders -------------------------------------------------------------
@@ -321,17 +329,16 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
                 "decimate": cfg.integer("fbp", "decimate"),
                 "cos_guard": cfg.qty("fbp", "cos_guard"),
                 "nsr": cfg.qty("fbp", "nsr"),
-                "window": cfg.text("fbp", "window"),
-                "baseline": cfg.text("fbp", "baseline").lower()}
+                "window": cfg.text("fbp", "window")}
     fbp_mod.check_settings(**settings)
     model = make_topology(cfg)
     if model.topology not in ("rotating_ffl", "static_ffl"):
         raise ConfigError(f"the Radon-domain pipeline needs an FFL topology, "
                           f"not {model.topology!r}")
-    # signal_to_sinogram needs a sample in every projection; check the first
-    fbp_mod.projection_samples(0, model.params["f_d"],
-                               cfg.qty("acquisition", "sample_rate"),
-                               settings["decimate"], settings["cos_guard"])
+    # the scan signal_to_sinogram will regrid: every projection keeps a sample
+    acq = make_acquisition(cfg)
+    fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
+                             settings["decimate"], settings["cos_guard"])
     deconvolve = cfg.boolean("fbp", "deconvolve")
     return {**settings, "model": model, "deconvolve": deconvolve,
             "params": make_params(cfg) if deconvolve else None,
@@ -584,13 +591,14 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
 
 
 def stage_fbp(ws: Workspace) -> dict:
-    cutoff, fs = ws.plan["highpass"], ws.plan["fbp"]
+    fs = ws.plan["fbp"]
     traces = _load_traces(ws)
     sino = fbp_mod.signal_to_sinogram(
         traces, [coil for _, coil in ws.plan["coils"]], fs["model"],
         n_bins=fs["n_bins"], deconvolve=fs["deconvolve"], params=fs["params"],
         nsr=fs["nsr"], decimate=fs["decimate"], cos_guard=fs["cos_guard"])
-    if fs["baseline"] == "on" or (fs["baseline"] == "auto" and cutoff is not None):
+    if ws.plan["highpass"] is not None:
+        # undo the per-projection constant the high-pass leaves
         sino = fbp_mod.subtract_edge_baseline(sino)
     if fs["pad"] > fields.ffl_amplitude(fs["model"]):
         sino = fbp_mod.zero_pad(sino, fs["pad"])

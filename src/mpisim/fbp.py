@@ -5,9 +5,11 @@ line sweep of an ideal FFL model (fields.build_topology's rotating_ffl or
 static_ffl), whatever field produced the voltages.  Line-scanner voltages
 divide by the sweep velocity factor to become projection samples;
 regridding onto uniform displacements and angles gives a sinogram that
-classic Ram-Lak FBP inverts.  The continuous line rotation is deliberately
-not corrected inside a projection window, and the magnetization kernel
-stays in the image unless Wiener deconvolution is requested.
+classic Ram-Lak FBP inverts.  scan_projections alone decides the scan's
+projections and their samples, so a driver can check a scan before any
+trace exists.  The continuous line rotation is deliberately not corrected
+inside a projection window, and the magnetization kernel stays in the
+image unless Wiener deconvolution is requested.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class Sinogram:
     values: np.ndarray
     angles: np.ndarray
     displacements: np.ndarray
-    meta: dict
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -75,17 +76,16 @@ def _bilinear_plane(grid: ConcentrationGrid, x, y):
     return out
 
 
-def radon_transform(grid: ConcentrationGrid, angles, displacements,
-                    step_factor: float = 0.5) -> Sinogram:
+def radon_transform(grid: ConcentrationGrid, angles, displacements) -> Sinogram:
     """Sampled line integrals of the z = 0 plane.
 
     For each angle the integration direction is perpendicular to the normal
-    (cos a, sin a); samples are spaced step_factor times the smaller cell
-    side and interpolated bilinearly, zero outside the grid.
+    (cos a, sin a); samples are spaced half the smaller cell side and
+    interpolated bilinearly, zero outside the grid.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     displacements = np.atleast_1d(np.asarray(displacements, dtype=float))
-    step = step_factor * min(grid.spacing[0], grid.spacing[1])
+    step = 0.5 * min(grid.spacing[0], grid.spacing[1])
     nx, ny = grid.dims[0], grid.dims[1]
     half = 0.5 * math.hypot(nx * grid.spacing[0], ny * grid.spacing[1])
     w = np.arange(-half, half + step, step)
@@ -96,8 +96,7 @@ def radon_transform(grid: ConcentrationGrid, angles, displacements,
         x = displacements[:, None] * normal[0] + w[None, :] * tangent[0]
         y = displacements[:, None] * normal[1] + w[None, :] * tangent[1]
         values[i] = _bilinear_plane(grid, x, y).sum(axis=1) * step
-    return Sinogram(values=values, angles=angles, displacements=displacements,
-                    meta={"kind": "radon"})
+    return Sinogram(values=values, angles=angles, displacements=displacements)
 
 
 def _wrap_angle(theta: float):
@@ -118,11 +117,10 @@ def _wrap_angle(theta: float):
 
 
 def check_settings(n_bins: int = 80, decimate: int = 1, cos_guard: float = 0.05,
-                   nsr: float = 1e-2, window: str = "ramlak", baseline: str = "auto"):
+                   nsr: float = 1e-2, window: str = "ramlak"):
     """Raise ConfigError unless every FBP setting is usable.
 
-    signal_to_sinogram and fbp_reconstruct check their settings here;
-    baseline is a driver's edge-baseline mode: auto, on or off.
+    signal_to_sinogram and fbp_reconstruct check their settings here.
     """
     if n_bins < 2 or decimate < 1:
         raise ConfigError(f"need n_bins >= 2 and decimate >= 1, got n_bins="
@@ -132,31 +130,37 @@ def check_settings(n_bins: int = 80, decimate: int = 1, cos_guard: float = 0.05,
                           f"cos_guard={cos_guard:g} and nsr={nsr:g}")
     if window not in ("ramlak", "hann"):
         raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
-    if baseline not in ("auto", "on", "off"):
-        raise ConfigError(f"need baseline auto, on or off, got {baseline!r}")
 
 
-def projection_samples(p: int, f_d: float, sample_rate: float, decimate: int = 1,
-                       cos_guard: float = 0.05, n_total: int | None = None):
-    """Sample indices of projection p, their phases 2 pi f_d t and cosines.
+def scan_projections(f_d: float, sample_rate: float, n_samples: int,
+                     decimate: int = 1, cos_guard: float = 0.05) -> list:
+    """Every projection of a scan of n_samples samples at sample_rate.
 
-    Every decimate-th sample of the monotone half-sweep t in
-    [(p + 1/4)/f_d, (p + 3/4)/f_d), below n_total, where |cos| >= cos_guard.
-    Raises ConfigError when none is left.
+    One projection per whole drive period 1/f_d; projection p holds every
+    decimate-th sample of its monotone half-sweep t in
+    [(p + 1/4)/f_d, (p + 3/4)/f_d) where |cos 2 pi f_d t| >= cos_guard.
+    Returns one (indices, phases 2 pi f_d t, cosines) triple per projection.
+    Raises ConfigError when the scan holds no drive period or a projection
+    keeps no sample.
     """
-    j0 = int(np.ceil((p + 0.25) / f_d * sample_rate - 1e-9))
-    j1 = int(np.ceil((p + 0.75) / f_d * sample_rate - 1e-9))
-    if n_total is not None:
-        j1 = min(j1, n_total)
-    idx = np.arange(j0, j1, decimate)
-    phase = TWO_PI * f_d * (idx / sample_rate)
-    cosphi = np.cos(phase)
-    keep = np.abs(cosphi) >= cos_guard
-    if not keep.any():
-        raise ConfigError(f"projection {p} keeps no sample; need a smaller "
-                          f"decimate or cos_guard, got decimate={decimate} and "
-                          f"cos_guard={cos_guard:g}")
-    return idx[keep], phase[keep], cosphi[keep]
+    n_proj = int(n_samples / sample_rate * f_d + 1e-9)
+    if n_proj < 1:
+        raise ConfigError("scan shorter than one drive period")
+    projections = []
+    for p in range(n_proj):
+        # each half-sweep ends before its drive period, so inside the scan
+        j0 = int(np.ceil((p + 0.25) / f_d * sample_rate - 1e-9))
+        j1 = int(np.ceil((p + 0.75) / f_d * sample_rate - 1e-9))
+        idx = np.arange(j0, j1, decimate)
+        phase = TWO_PI * f_d * (idx / sample_rate)
+        cosphi = np.cos(phase)
+        keep = np.abs(cosphi) >= cos_guard
+        if not keep.any():
+            raise ConfigError(f"projection {p} keeps no sample; need a smaller "
+                              f"decimate or cos_guard, got decimate={decimate} "
+                              f"and cos_guard={cos_guard:g}")
+        projections.append((idx[keep], phase[keep], cosphi[keep]))
+    return projections
 
 
 def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
@@ -167,13 +171,13 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
 
     model is the ideal rotating_ffl or static_ffl whose line sweep the
     projections follow; any other model, a perturbed one included, raises
-    ConfigError.  One projection per drive period, from the samples of
-    projection_samples.  They divide by the velocity factor
-    -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e> and bin-average onto n_bins
-    uniform displacements up to fields.ffl_amplitude either side.  Multiple
-    coils combine by least squares over their geometric weights <rho, e>.
-    With deconvolve, each projection is Wiener-deconvolved by the kernel
-    mbar'(|2 g s|).
+    ConfigError.  Projections and their samples are those scan_projections
+    picks at the traces' sample rate and length.  The samples divide by the
+    velocity factor -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e> and bin-average
+    onto n_bins uniform displacements up to fields.ffl_amplitude either side.
+    Multiple coils combine by least squares over their geometric weights
+    <rho, e>.  With deconvolve, each projection is Wiener-deconvolved by the
+    kernel mbar'(|2 g s|).
     """
     amp = ffl_amplitude(model)
     if not traces or len(traces) != len(coils):
@@ -186,23 +190,17 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
         if tr.samples.size != first.samples.size or tr.sample_rate != first.sample_rate:
             raise ConfigError("traces disagree on sampling")
     g, d, f_d = model.params["g"], model.params["d"], model.params["f_d"]
-    fs = first.sample_rate
-    n_total = first.samples.size
-    duration = n_total / fs
-    n_proj = int(round(duration * f_d))
-    if n_proj < 1:
-        raise ConfigError("scan shorter than one drive period")
+    projections = scan_projections(f_d, first.sample_rate, first.samples.size,
+                                   decimate, cos_guard)
     edges = np.linspace(-amp, amp, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rhos = np.array([c.vector for c in coils])
     prefactor = -TWO_PI * d * MU0 * f_d * SLAB_THICKNESS
 
-    rows = np.zeros((n_proj, n_bins))
-    angles = np.empty(n_proj)
+    rows = np.zeros((len(projections), n_bins))
+    angles = np.empty(len(projections))
     weak = 0
-    for p in range(n_proj):
-        idx, phase, cosphi = projection_samples(p, f_d, fs, decimate, cos_guard,
-                                                n_total)
+    for p, (idx, phase, cosphi) in enumerate(projections):
         beta = ffl_half_angle(model, (p + 0.5) / f_d)
         e = np.array([math.sin(beta), -math.cos(beta), 0.0])
         a = rhos @ e
@@ -230,18 +228,15 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
     if weak:
         log.warning("%d projections have weak coil coverage (<rho, e> near 0)",
                     weak)
-    span = angles.max() - angles.min() if n_proj > 1 else 0.0
-    if n_proj > 1 and span < math.radians(150.0):
+    span = angles.max() - angles.min()
+    if angles.size > 1 and span < math.radians(150.0):
         log.warning("angular coverage spans only %.1f degrees", math.degrees(span))
     order = np.argsort(angles)
     rows = rows[order]
     angles = angles[order]
     if deconvolve:
         rows = _wiener_rows(rows, centers, g, params, nsr)
-    meta = {"kind": "scan", "g": g, "d": d, "f_d": f_d,
-            "f_rot": model.params.get("f_rot", 0.0),
-            "deconvolved": bool(deconvolve)}
-    return Sinogram(values=rows, angles=angles, displacements=centers, meta=meta)
+    return Sinogram(values=rows, angles=angles, displacements=centers)
 
 
 def _next_pow2(n: int) -> int:
@@ -257,27 +252,21 @@ def _wiener_rows(rows, centers, g, params, nsr):
     khat = np.fft.fft(kern)
     power = np.abs(khat) ** 2
     floor = nsr * power.max()
-    out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        padded = np.zeros(nfft)
-        padded[:n] = row
-        rhat = np.fft.fft(padded) * np.conj(khat) / (power + floor)
-        out[i] = np.real(np.fft.ifft(rhat))[:n]
-    return out
+    rhat = np.fft.fft(rows, nfft) * np.conj(khat) / (power + floor)
+    return np.real(np.fft.ifft(rhat))[:, :n]
 
 
-def subtract_edge_baseline(sino: Sinogram, fraction: float = 0.1) -> Sinogram:
+def subtract_edge_baseline(sino: Sinogram) -> Sinogram:
     """Remove per-projection constant offsets, estimated from the edge bins.
 
     A high-pass on the raw voltages deletes their drive-frequency component,
     which after velocity division reappears as one constant per projection.
-    When the object keeps clear of the sweep limits the outermost displacement
-    bins carry no signal, so their mean estimates that constant exactly.
+    When the object keeps clear of the sweep limits the outer tenth of the
+    displacement bins on either side carries no signal, so its mean
+    estimates that constant exactly.  Unfiltered traces leave no constant.
     """
-    if not 0 < fraction < 0.5:
-        raise ConfigError("edge fraction must be in (0, 0.5)")
     n = sino.displacements.size
-    k = max(1, int(round(fraction * n)))
+    k = max(1, int(round(0.1 * n)))
     edges = np.concatenate([sino.values[:, :k], sino.values[:, -k:]], axis=1)
     return replace(sino, values=sino.values - edges.mean(axis=1, keepdims=True))
 
@@ -297,17 +286,15 @@ def zero_pad(sino: Sinogram, half_width: float) -> Sinogram:
                    displacements=np.concatenate([left, s, right]))
 
 
-def _ramp_filter(row: np.ndarray, ds: float, window: str) -> np.ndarray:
-    n = row.size
+def _ramp_filter(rows: np.ndarray, ds: float, window: str) -> np.ndarray:
+    n = rows.shape[1]
     nfft = _next_pow2(2 * n)
     freqs = np.fft.fftfreq(nfft, d=ds)
     filt = np.abs(freqs)
     if window == "hann":
         fmax = np.abs(freqs).max()
         filt = filt * 0.5 * (1.0 + np.cos(math.pi * freqs / fmax))
-    padded = np.zeros(nfft)
-    padded[:n] = row
-    return np.real(np.fft.ifft(np.fft.fft(padded) * filt))[:n]
+    return np.real(np.fft.ifft(np.fft.fft(rows, nfft) * filt))[:, :n]
 
 
 def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
@@ -326,8 +313,8 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
     ys = template.axis_coords(1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     accum = np.zeros_like(gx)
-    for i, a in enumerate(sino.angles):
-        q = _ramp_filter(sino.values[i], ds, window)
+    filtered = _ramp_filter(sino.values, ds, window)
+    for a, q in zip(sino.angles, filtered):
         s = gx * math.cos(a) + gy * math.sin(a)
         accum += np.interp(s, sino.displacements, q, left=0.0, right=0.0)
     accum *= math.pi / sino.angles.size

@@ -464,10 +464,8 @@ def perturb_field(model: FieldModel, seed: int, magnitude: float) -> FieldModel:
                 coeff = amp / (radius ** l * draws_per_component)
                 extra.append(SHTerm(comp, l, m, coeff, mod))
     topo = f"{model.topology}_perturbed" if model.topology else None
-    params = dict(model.params)
-    params.update({"perturb_seed": seed, "perturb_magnitude": magnitude})
     return FieldModel(terms=model.terms + tuple(extra), validity_radius=radius,
-                      topology=topo, params=params)
+                      topology=topo, params=dict(model.params))
 
 
 def write_field_coefficients(model: FieldModel, path):

@@ -37,7 +37,6 @@ class LsqrResult:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
     stop_reason: str = "max_iterations"
-    warning: str | None = None
 
 
 def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
@@ -45,9 +44,10 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
 
     Starts from x = 0 and records ||A x_i - b|| after every iteration via
     the phibar recurrence, which is non-increasing by construction.  A zero
-    operator (or zero rhs) returns the zero solution with a warning flag
-    instead of iterating.  a is an operator, used through shape, a @ v and
-    a.T @ u only: a dense or sparse array, or SystemMatrix.operator().
+    rhs or an operator that annihilates it returns the zero solution with
+    stop_reason zero_rhs or zero_operator instead of iterating.  a is an
+    operator, used through shape, a @ v and a.T @ u only: a dense or sparse
+    array, or SystemMatrix.operator().
     """
     opts = options or LsqrOptions()
     b = np.asarray(b, dtype=float).ravel()
@@ -67,8 +67,7 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
     if alfa == 0.0:
         log.warning("operator annihilates the rhs; returning the zero solution")
         return LsqrResult(x=x, residuals=np.asarray(residuals), iterations=0,
-                          stop_reason="zero_operator",
-                          warning="A.T @ b is zero; no descent direction")
+                          stop_reason="zero_operator")
     v /= alfa
     w = v.copy()
     phibar, rhobar = beta, alfa

@@ -1,6 +1,7 @@
 """Config parsing, the pipeline driver, and command exit codes."""
 
 import filecmp
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import mpisim
-from mpisim import cli, sysmat
+from mpisim import cli, fbp, sysmat
 from mpisim.errors import (ConfigError, EXIT_CONFIG, EXIT_MISSING_INPUT,
                            MissingInputError)
 from mpisim.fields import load_field_coefficients
@@ -357,7 +358,7 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
 
 @pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
                                       "sweep.data_model=general",
-                                      "forward.subsampling=2"])
+                                      "forward.subsampling=2", "fbp.baseline=on"])
 def test_removed_config_keys_exit_2(capsys, override):
     assert cli.main(["field-info", "--set", override]) == 2
     assert "unknown config entry" in capsys.readouterr().err
@@ -572,6 +573,8 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
     ["fbp.window=boxcar"],
     # 40 samples per half sweep: the one left sits at |cos| = 0 < cos_guard
     ["fbp.decimate=1000"],
+    # 76.9 samples per drive period: projections 0-2 keep a sample, 3 none
+    ["acquisition.f_d=26 kHz", "fbp.decimate=38"],
 ])
 def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     ini = write_tiny(tmp_path)
@@ -586,7 +589,6 @@ def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
 
 
 LATE_FBP_SETTINGS = {
-    "fbp.baseline=sometimes": "baseline",
     "fbp.deconvolve=maybe": "fbp.deconvolve must be a boolean",
     "fbp.pad=2 parsec": "unit",
     "field.topology=lissajous_ffp": "needs an FFL topology",
@@ -618,6 +620,33 @@ def test_fbp_plan_holds_the_ideal_field():
     assert model.topology == "rotating_ffl"
     assert model == cli.make_topology(cfg)
     assert cli.make_field_model(cfg).topology == "rotating_ffl_perturbed"
+
+
+def test_edge_baseline_follows_the_highpass(pipeline_dir, tmp_path):
+    # the subtraction undoes the per-projection constant that the high-pass
+    # leaves, so it runs exactly when the traces are high-passed
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    assert cli.main(["fbp", "-c", str(ini), "-o", str(work),
+                     "--set", "acquisition.highpass=none"]) == 0
+    cfg = cli.RunConfig.load(ini)
+    coils = cli.make_coils(cfg)
+
+    def sinogram(directory, suffix):
+        traces = [load_trace_bin(directory / f"trace_{axis}{suffix}.bin")
+                  for axis, _ in coils]
+        return fbp.signal_to_sinogram(traces, [coil for _, coil in coils],
+                                      cli.make_topology(cfg),
+                                      n_bins=cfg.integer("fbp", "bins"))
+
+    def written(directory):
+        return np.loadtxt(directory / "sinogram.csv", delimiter=",", ndmin=2)
+
+    assert np.array_equal(written(work), sinogram(work, "").values)
+    filtered = sinogram(out, "_filtered")
+    assert np.array_equal(written(out), fbp.subtract_edge_baseline(filtered).values)
+    assert not np.array_equal(written(out), filtered.values)
 
 
 # the tiny scan sweeps +-40 mm (d / g), so a 60 mm pad zero-pads the sinogram
@@ -730,6 +759,30 @@ def test_compare_skips_reconstructions_of_another_config(pipeline_dir, tmp_path,
                      "--set", "phantom.discs=3 mm"]) == 3
     assert "no reconstructions found" in capsys.readouterr().err
     assert (work / "compare.csv").read_bytes() == before
+
+
+def test_compare_scores_reconstructions_of_other_workers_or_directory(
+        tmp_path, capsys):
+    # worker counts and the output directory change no reconstruction, so
+    # the config digest leaves them out; config.resolved.ini still lists them
+    ini = write_tiny(tmp_path)
+    work = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "-o", str(work)]) == 0
+    compare = ["run", "-c", str(ini), "-o", str(work), "--stages", "compare"]
+    for setting in ("forward.workers=2", "sysmat.workers=3",
+                    "output.directory=elsewhere"):
+        capsys.readouterr()
+        assert cli.main([*compare, "--set", setting]) == 0
+        printed = capsys.readouterr().out
+        assert "skipped" not in printed
+        assert "compare recon_lsqr" in printed and "compare recon_fbp" in printed
+        target, value = setting.split("=")
+        resolved = (work / "config.resolved.ini").read_text()
+        assert f"{target.split('.')[1]} = {value}" in resolved
+    # a setting that changes a reconstruction still skips it
+    assert cli.main([*compare, "--set", "solver.iterations=5"]) == 3
+    printed = capsys.readouterr().out
+    assert "skipped recon_lsqr" in printed and "skipped recon_fbp" in printed
 
 
 def test_compare_command(pipeline_dir, capsys, tmp_path):
@@ -910,6 +963,27 @@ def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
     assert {"fbp.signal_to_sinogram", "fbp.fbp_reconstruct"} <= names
     # the benchmark reads every stage's time from the span of its name
     assert {f"cli.stage_{stage}" for stage in cli.PIPELINE_STAGES} <= names
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_WORKLOADS = [w["name"] for w in
+              json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_command_lines_plan(tmp_path, monkeypatch, workload):
+    # each benchmark workload's command line parses, and its config plans
+    # every stage: a key it sets that the program no longer knows fails here
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", _ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    args = cli.build_parser().parse_args(
+        run.mpisim_argv(workload, 7, tmp_path / "out", 2))
+    cfg = cli.RunConfig.load(args.config, args.set)
+    cli.plan_stages(cfg, cli.PIPELINE_STAGES)
+    assert not (tmp_path / "out").exists()
 
 
 def test_l1_nodes_are_placed_once_per_workspace(tmp_path, monkeypatch):

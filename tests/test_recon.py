@@ -69,7 +69,6 @@ def test_zero_rhs_and_zero_operator():
     assert res.stop_reason == "zero_rhs" and np.all(res.x == 0)
     res2 = lsqr_solve(np.zeros((5, 3)), np.ones(5))
     assert res2.stop_reason == "zero_operator"
-    assert res2.warning is not None
     assert np.all(res2.x == 0)
     with pytest.raises(ConfigError):
         lsqr_solve(np.eye(4), np.ones(3))
@@ -131,5 +130,5 @@ def test_nrmse_on_grids():
 
 def test_result_defaults():
     r = LsqrResult(x=np.zeros(3))
-    assert r.iterations == 0 and r.warning is None
+    assert r.iterations == 0
     assert r.stop_reason == "max_iterations"
