@@ -23,7 +23,7 @@ from .sysmat import (SystemMatrix, apply_highpass_rows, build_system_matrix,
                      load_system_matrices, save_system_matrix, stack_coils)
 from .recon import LsqrOptions, LsqrResult, lsqr_solve, nrmse, optimal_scale
 from .fbp import (Sinogram, fbp_reconstruct, radon_transform,
-                  signal_to_sinogram, subtract_edge_baseline, zero_pad)
+                  signal_to_sinogram, subtract_edge_baseline)
 
 __version__ = "0.1.0"
 

@@ -97,11 +97,9 @@ DEFAULTS = {
     },
     "fbp": {
         "bins": "128",
-        "decimate": "1",
         "deconvolve": "false",
         "nsr": "1e-2",
         "window": "hann",
-        "pad": "0 mm",
         "cos_guard": "0.05",
     },
     "output": {"directory": "out"},
@@ -326,7 +324,6 @@ def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
 def make_fbp_settings(cfg: RunConfig) -> dict:
     """Every setting stage_fbp reads; fbp.check_settings checks its own."""
     settings = {"n_bins": cfg.integer("fbp", "bins"),
-                "decimate": cfg.integer("fbp", "decimate"),
                 "cos_guard": cfg.qty("fbp", "cos_guard"),
                 "nsr": cfg.qty("fbp", "nsr"),
                 "window": cfg.text("fbp", "window")}
@@ -338,11 +335,11 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
     # the scan signal_to_sinogram will regrid: every projection keeps a sample
     acq = make_acquisition(cfg)
     fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
-                             settings["decimate"], settings["cos_guard"])
+                             settings["cos_guard"])
     deconvolve = cfg.boolean("fbp", "deconvolve")
     return {**settings, "model": model, "deconvolve": deconvolve,
             "params": make_params(cfg) if deconvolve else None,
-            "pad": cfg.qty("fbp", "pad"), "grid": make_grid(cfg, "recon")}
+            "grid": make_grid(cfg, "recon")}
 
 
 # --- stage plumbing ---------------------------------------------------------
@@ -596,12 +593,10 @@ def stage_fbp(ws: Workspace) -> dict:
     sino = fbp_mod.signal_to_sinogram(
         traces, [coil for _, coil in ws.plan["coils"]], fs["model"],
         n_bins=fs["n_bins"], deconvolve=fs["deconvolve"], params=fs["params"],
-        nsr=fs["nsr"], decimate=fs["decimate"], cos_guard=fs["cos_guard"])
+        nsr=fs["nsr"], cos_guard=fs["cos_guard"])
     if ws.plan["highpass"] is not None:
         # undo the per-projection constant the high-pass leaves
         sino = fbp_mod.subtract_edge_baseline(sino)
-    if fs["pad"] > fields.ffl_amplitude(fs["model"]):
-        sino = fbp_mod.zero_pad(sino, fs["pad"])
     image = fbp_mod.fbp_reconstruct(sino, fs["grid"], window=fs["window"])
     fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
     phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
@@ -611,27 +606,41 @@ def stage_fbp(ws: Workspace) -> dict:
     return {"image": image, "sinogram": sino}
 
 
+def _written_here(ws: Workspace, path: Path) -> bool:
+    """Whether the file at path starts with this config's '# config' line."""
+    with open_input(path) as fh:
+        return fh.readline() == f"# config {ws.digest}\n".encode()
+
+
 def stage_compare(ws: Workspace) -> dict:
-    """Score the reconstructions written under this config; skip the rest."""
-    reference = phantom.load_grid(ws.require("phantom_recon.grid"))
-    stamp = f"# config {ws.digest}\n".encode()
-    rows = []
+    """Score the reconstructions written under this config; skip the rest.
+
+    The reference, phantom_recon.grid, must be written under this config.
+    """
+    ref_path = ws.require("phantom_recon.grid")
+    names = []
     for name in ("recon_lsqr", "recon_fbp"):
         p = ws.path(f"{name}.grid")
         if not p.exists():
             continue
-        with open_input(p) as fh:
-            if fh.readline() != stamp:
-                print(f"compare: skipped {name}, not written under config "
-                      f"{ws.digest}")
-                continue
-        image = phantom.load_grid(p)
+        if not _written_here(ws, p):
+            print(f"compare: skipped {name}, not written under config "
+                  f"{ws.digest}")
+            continue
+        names.append(name)
+    if not names:
+        raise MissingInputError("no reconstructions found; run lsqr or fbp first")
+    if not _written_here(ws, ref_path):
+        raise MissingInputError(f"{ref_path} was not written under config "
+                                f"{ws.digest}; run the phantom stage first")
+    reference = phantom.load_grid(ref_path)
+    rows = []
+    for name in names:
+        image = phantom.load_grid(ws.path(f"{name}.grid"))
         plain = recon.nrmse(image, reference)
         scale = recon.optimal_scale(image, reference)
         scaled = recon.nrmse(image.with_values(scale * image.values), reference)
         rows.append((name, plain, scaled))
-    if not rows:
-        raise MissingInputError("no reconstructions found; run lsqr or fbp first")
     _write_csv(ws, "compare.csv", "reconstruction,nrmse,nrmse_scaled", rows)
     for name, plain, scaled in rows:
         print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")

@@ -116,29 +116,30 @@ def _wrap_angle(theta: float):
     return angle, n % 2 == 1
 
 
-def check_settings(n_bins: int = 80, decimate: int = 1, cos_guard: float = 0.05,
-                   nsr: float = 1e-2, window: str = "ramlak"):
+def check_settings(n_bins: int = 80, cos_guard: float = 0.05, nsr: float = 1e-2,
+                   window: str = "ramlak"):
     """Raise ConfigError unless every FBP setting is usable.
 
-    signal_to_sinogram and fbp_reconstruct check their settings here.
+    signal_to_sinogram and fbp_reconstruct check their settings here.  A
+    positive cos_guard is needed: with a multiple of 4 samples per drive
+    period, each half-sweep starts at |cos| ~ 1e-16, a division by zero.
     """
-    if n_bins < 2 or decimate < 1:
-        raise ConfigError(f"need n_bins >= 2 and decimate >= 1, got n_bins="
-                          f"{n_bins} and decimate={decimate}")
-    if not (0 <= cos_guard < 1 and nsr >= 0):
-        raise ConfigError(f"need 0 <= cos_guard < 1 and nsr >= 0, got "
+    if n_bins < 2:
+        raise ConfigError(f"need n_bins >= 2, got n_bins={n_bins}")
+    if not (0 < cos_guard < 1 and nsr >= 0):
+        raise ConfigError(f"need 0 < cos_guard < 1 and nsr >= 0, got "
                           f"cos_guard={cos_guard:g} and nsr={nsr:g}")
     if window not in ("ramlak", "hann"):
         raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
 
 
 def scan_projections(f_d: float, sample_rate: float, n_samples: int,
-                     decimate: int = 1, cos_guard: float = 0.05) -> list:
+                     cos_guard: float = 0.05) -> list:
     """Every projection of a scan of n_samples samples at sample_rate.
 
-    One projection per whole drive period 1/f_d; projection p holds every
-    decimate-th sample of its monotone half-sweep t in
-    [(p + 1/4)/f_d, (p + 3/4)/f_d) where |cos 2 pi f_d t| >= cos_guard.
+    One projection per whole drive period 1/f_d; projection p holds the
+    samples of its monotone half-sweep t in [(p + 1/4)/f_d, (p + 3/4)/f_d)
+    where |cos 2 pi f_d t| >= cos_guard.
     Returns one (indices, phases 2 pi f_d t, cosines) triple per projection.
     Raises ConfigError when the scan holds no drive period or a projection
     keeps no sample.
@@ -151,14 +152,13 @@ def scan_projections(f_d: float, sample_rate: float, n_samples: int,
         # each half-sweep ends before its drive period, so inside the scan
         j0 = int(np.ceil((p + 0.25) / f_d * sample_rate - 1e-9))
         j1 = int(np.ceil((p + 0.75) / f_d * sample_rate - 1e-9))
-        idx = np.arange(j0, j1, decimate)
+        idx = np.arange(j0, j1)
         phase = TWO_PI * f_d * (idx / sample_rate)
         cosphi = np.cos(phase)
         keep = np.abs(cosphi) >= cos_guard
         if not keep.any():
             raise ConfigError(f"projection {p} keeps no sample; need a smaller "
-                              f"decimate or cos_guard, got decimate={decimate} "
-                              f"and cos_guard={cos_guard:g}")
+                              f"cos_guard, got cos_guard={cos_guard:g}")
         projections.append((idx[keep], phase[keep], cosphi[keep]))
     return projections
 
@@ -166,13 +166,14 @@ def scan_projections(f_d: float, sample_rate: float, n_samples: int,
 def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
                        deconvolve: bool = False,
                        params: LangevinParams | None = None, nsr: float = 1e-2,
-                       decimate: int = 1, cos_guard: float = 0.05) -> Sinogram:
+                       cos_guard: float = 0.05) -> Sinogram:
     """Regrid line-scanner voltages into a sinogram of the nominal scan.
 
     model is the ideal rotating_ffl or static_ffl whose line sweep the
     projections follow; any other model, a perturbed one included, raises
     ConfigError.  Projections and their samples are those scan_projections
-    picks at the traces' sample rate and length.  The samples divide by the
+    picks at the traces' sample rate and length: each half-sweep's samples
+    with |cos 2 pi f_d t| >= cos_guard.  The samples divide by the
     velocity factor -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e> and bin-average
     onto n_bins uniform displacements up to fields.ffl_amplitude either side.
     Multiple coils combine by least squares over their geometric weights
@@ -182,7 +183,7 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
     amp = ffl_amplitude(model)
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
-    check_settings(n_bins=n_bins, decimate=decimate, cos_guard=cos_guard, nsr=nsr)
+    check_settings(n_bins=n_bins, cos_guard=cos_guard, nsr=nsr)
     if deconvolve and params is None:
         raise ConfigError("deconvolution needs Langevin parameters")
     first = traces[0]
@@ -191,7 +192,7 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
             raise ConfigError("traces disagree on sampling")
     g, d, f_d = model.params["g"], model.params["d"], model.params["f_d"]
     projections = scan_projections(f_d, first.sample_rate, first.samples.size,
-                                   decimate, cos_guard)
+                                   cos_guard)
     edges = np.linspace(-amp, amp, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rhos = np.array([c.vector for c in coils])
@@ -269,21 +270,6 @@ def subtract_edge_baseline(sino: Sinogram) -> Sinogram:
     k = max(1, int(round(0.1 * n)))
     edges = np.concatenate([sino.values[:, :k], sino.values[:, -k:]], axis=1)
     return replace(sino, values=sino.values - edges.mean(axis=1, keepdims=True))
-
-
-def zero_pad(sino: Sinogram, half_width: float) -> Sinogram:
-    """Extend the displacement axis symmetrically with zeros to half_width."""
-    s = sino.displacements
-    ds = s[1] - s[0]
-    extra = int(np.ceil((half_width - s.max()) / ds))
-    if extra <= 0:
-        return sino
-    left = s[0] - ds * np.arange(extra, 0, -1)
-    right = s[-1] + ds * np.arange(1, extra + 1)
-    values = np.zeros((sino.values.shape[0], s.size + 2 * extra))
-    values[:, extra:extra + s.size] = sino.values
-    return replace(sino, values=values,
-                   displacements=np.concatenate([left, s, right]))
 
 
 def _ramp_filter(rows: np.ndarray, ds: float, window: str) -> np.ndarray:

@@ -162,19 +162,22 @@ def test_pipeline_reproducible(pipeline_dir):
 
 def test_exit_codes(pipeline_dir, tmp_path):
     tmp, ini, out = pipeline_dir
+    # a copy: the forced lsqr below rewrites recon_lsqr.grid
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
     # 2: config error
     assert cli.main(["run", "-c", str(ini), "-o", str(tmp_path / "x"),
                      "--set", "field.warp=1"]) == 2
     # 3: missing input (no traces or matrices in a fresh directory)
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(tmp_path / "y")]) == 3
     # 4: stored matrices were built under a different field configuration
-    assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "field.g=1.1 T/m"]) == 4
     # 4: stored matrices were filtered at the auto cut-off (35 kHz), not 40 kHz
-    assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "acquisition.highpass=40 kHz"]) == 4
     # force overrides the hash check and reconstructs anyway
-    assert cli.main(["lsqr", "-c", str(ini), "-o", str(out),
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "field.g=1.1 T/m", "--force"]) == 0
 
 
@@ -358,7 +361,8 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
 
 @pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
                                       "sweep.data_model=general",
-                                      "forward.subsampling=2", "fbp.baseline=on"])
+                                      "forward.subsampling=2", "fbp.baseline=on",
+                                      "fbp.decimate=2", "fbp.pad=60 mm"])
 def test_removed_config_keys_exit_2(capsys, override):
     assert cli.main(["field-info", "--set", override]) == 2
     assert "unknown config entry" in capsys.readouterr().err
@@ -565,16 +569,17 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("overrides", [
-    ["fbp.decimate=0"],
     ["fbp.bins=0"],
     ["fbp.bins=1"],
     ["fbp.cos_guard=2"],
     ["fbp.nsr=-1", "fbp.deconvolve=true"],
     ["fbp.window=boxcar"],
-    # 40 samples per half sweep: the one left sits at |cos| = 0 < cos_guard
-    ["fbp.decimate=1000"],
-    # 76.9 samples per drive period: projections 0-2 keep a sample, 3 none
-    ["acquisition.f_d=26 kHz", "fbp.decimate=38"],
+    # 74.07 samples per drive period: projections 0-4 keep a sample, 5 none
+    ["acquisition.f_d=27 kHz", "fbp.cos_guard=0.9995"],
+    # 80 samples per drive period: each half sweep starts at |cos| ~ 6e-17,
+    # so a zero guard would divide by it
+    ["fbp.cos_guard=0"],
+    ["fbp.cos_guard=1"],
 ])
 def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     ini = write_tiny(tmp_path)
@@ -590,7 +595,7 @@ def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
 
 LATE_FBP_SETTINGS = {
     "fbp.deconvolve=maybe": "fbp.deconvolve must be a boolean",
-    "fbp.pad=2 parsec": "unit",
+    "fbp.cos_guard=0.05 parsec": "unit",
     "field.topology=lissajous_ffp": "needs an FFL topology",
 }
 
@@ -649,8 +654,7 @@ def test_edge_baseline_follows_the_highpass(pipeline_dir, tmp_path):
     assert not np.array_equal(written(out), filtered.values)
 
 
-# the tiny scan sweeps +-40 mm (d / g), so a 60 mm pad zero-pads the sinogram
-@pytest.mark.parametrize("override", ["fbp.decimate=2", "fbp.pad=60 mm"])
+@pytest.mark.parametrize("override", ["fbp.cos_guard=0.2"])
 def test_fbp_settings_change_the_image(pipeline_dir, tmp_path, override):
     tmp, ini, out = pipeline_dir
     work = tmp_path / "out"
@@ -758,6 +762,22 @@ def test_compare_skips_reconstructions_of_another_config(pipeline_dir, tmp_path,
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare",
                      "--set", "phantom.discs=3 mm"]) == 3
     assert "no reconstructions found" in capsys.readouterr().err
+    assert (work / "compare.csv").read_bytes() == before
+
+
+def test_compare_rejects_a_reference_of_another_config(pipeline_dir, tmp_path,
+                                                      capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    before = (work / "compare.csv").read_bytes()
+    capsys.readouterr()
+    # recon_fbp is rewritten under the new discs, phantom_recon.grid is not
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
+                     "fbp,compare", "--set", "phantom.discs=4 mm"]) == 3
+    err = capsys.readouterr().err
+    assert "phantom_recon.grid" in err and "run the phantom stage" in err
+    assert "Traceback" not in err
     assert (work / "compare.csv").read_bytes() == before
 
 

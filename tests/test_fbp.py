@@ -18,11 +18,11 @@ from mpisim.fbp import (
     scan_projections,
     signal_to_sinogram,
     subtract_edge_baseline,
-    zero_pad,
 )
 from mpisim.fields import (build_topology, load_field_coefficients,
                            perturb_field, write_field_coefficients)
-from mpisim.forward import AcquisitionConfig, coil_along, simulate_parallel
+from mpisim.forward import (AcquisitionConfig, SignalTrace, coil_along,
+                            simulate_parallel)
 from mpisim.phantom import build_disc_phantom, empty_grid
 from mpisim.recon import nrmse, optimal_scale
 
@@ -113,19 +113,6 @@ def test_radon_shift_and_linearity():
     area = a.values[:, :, 0].sum() * spacing**2
     ds = s[1] - s[0]
     assert np.allclose(sino_a.values.sum(axis=1) * ds, area, rtol=0.02)
-
-
-def test_zero_pad():
-    s = np.linspace(-0.01, 0.01, 21)
-    sino = Sinogram(values=np.ones((2, 21)), angles=np.array([0.0, 1.0]),
-                    displacements=s)
-    padded = zero_pad(sino, 0.015)
-    assert padded.displacements[0] < -0.014
-    assert np.allclose(np.diff(padded.displacements), s[1] - s[0])
-    k = (padded.displacements.size - 21) // 2
-    assert np.all(padded.values[:, :k] == 0)
-    assert np.all(padded.values[:, k:k + 21] == 1.0)
-    assert zero_pad(sino, 0.005) is sino
 
 
 def test_subtract_edge_baseline():
@@ -268,22 +255,27 @@ def test_scan_projections():
         assert np.array_equal(phase, 2 * math.pi * 25e3 * (idx / 4e6))
         assert np.array_equal(cosphi, np.cos(phase))
         assert np.all(np.abs(cosphi) >= 0.05)
-    halved = scan_projections(25e3, 4e6, 4000, decimate=2, cos_guard=0.0)
-    assert [idx.size for idx, _, _ in halved] == [40] * 25
+    # 74.07 samples per drive period: the sample nearest cos = +-1 drifts
+    # from period to period; projections 0-4 keep it at cos_guard 0.9995,
+    # but in projection 5 it has |cos| = 0.99940
+    assert len(scan_projections(27e3, 2e6, 371, cos_guard=0.9995)) == 5
+    with pytest.raises(ConfigError, match="projection 5 keeps no sample"):
+        scan_projections(27e3, 2e6, 2000, cos_guard=0.9995)
     # only whole drive periods count
     assert len(scan_projections(25e3, 4e6, 4000 + 159)) == 25
     with pytest.raises(ConfigError, match="shorter than one drive period"):
         scan_projections(25e3, 4e6, 159)
 
 
-def test_signal_to_sinogram_needs_a_sample_per_projection(point_scan):
-    traces, coils, model, params, point = point_scan
-    # 80 samples per half sweep, the first at |cos| = 0: one is left at
-    # decimate 1000, and at 79 the second has |cos| = 0.039 < cos_guard
-    for decimate in (1000, 79):
-        with pytest.raises(ConfigError, match="keeps no sample"):
-            signal_to_sinogram(traces, coils, model, decimate=decimate)
-    assert signal_to_sinogram(traces, coils, model, decimate=40).angles.size == 25
+def test_signal_to_sinogram_needs_a_sample_per_projection():
+    # the desk scan samples cos = +-1 in every projection, so no cos_guard
+    # below 1 empties one; a 27 kHz drive at 2 MHz drifts off those peaks
+    model = build_topology("rotating_ffl", g=1.0, d=0.1, f_d=27e3, f_rot=1e3)
+    coils = [coil_along("x")]
+    traces = [SignalTrace(samples=np.ones(2000), sample_rate=2e6)]
+    with pytest.raises(ConfigError, match="keeps no sample"):
+        signal_to_sinogram(traces, coils, model, cos_guard=0.9995)
+    assert signal_to_sinogram(traces, coils, model).angles.size == 27
 
 
 def test_sinogram_csv_round_trip(tmp_path, point_scan):
