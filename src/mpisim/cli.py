@@ -528,8 +528,9 @@ def stage_filter(ws: Workspace) -> dict:
 def stage_sysmat(ws: Workspace) -> dict:
     """Build every coil's matrix in one pass, then save one file per coil.
 
-    No matrix is returned: stage_lsqr reads the files back, and the stacked
-    matrix is freed before it does.
+    The build holds the matrix once, plus a few row blocks in flight
+    (sysmat.build_system_matrices).  No matrix is returned: stage_lsqr
+    reads the files back, and the stacked matrix is freed before it does.
     """
     plan = ws.plan
     stacked = sysmat.build_system_matrix(

@@ -116,18 +116,26 @@ def _wrap_angle(theta: float):
     return angle, n % 2 == 1
 
 
+# smallest fbp cos_guard: far above the rounding of |cos| at a quarter
+# period (a phase of 1e6 rad rounds by ~1e-10), below sin(2 pi / n), the
+# |cos| of the samples next to it, up to n = 10^6 samples per drive period
+COS_GUARD_MIN = 1e-6
+
+
 def check_settings(n_bins: int = 80, cos_guard: float = 0.05, nsr: float = 1e-2,
                    window: str = "ramlak"):
     """Raise ConfigError unless every FBP setting is usable.
 
-    signal_to_sinogram and fbp_reconstruct check their settings here.  A
-    positive cos_guard is needed: with a multiple of 4 samples per drive
-    period, each half-sweep starts at |cos| ~ 1e-16, a division by zero.
+    signal_to_sinogram and fbp_reconstruct check their settings here.
+    cos_guard must be at least COS_GUARD_MIN: with a multiple of 4 samples
+    per drive period, each half-sweep starts at a sample whose |cos| is not
+    0 but the rounding of the phase, ~1e-16 to 1e-14, and a guard below
+    that keeps it and divides by it.
     """
     if n_bins < 2:
         raise ConfigError(f"need n_bins >= 2, got n_bins={n_bins}")
-    if not (0 < cos_guard < 1 and nsr >= 0):
-        raise ConfigError(f"need 0 < cos_guard < 1 and nsr >= 0, got "
+    if not (COS_GUARD_MIN <= cos_guard < 1 and nsr >= 0):
+        raise ConfigError(f"need {COS_GUARD_MIN:g} <= cos_guard < 1 and nsr >= 0, got "
                           f"cos_guard={cos_guard:g} and nsr={nsr:g}")
     if window not in ("ramlak", "hann"):
         raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")

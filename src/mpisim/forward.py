@@ -29,6 +29,7 @@ matrix built from one AcquisitionConfig share sample rate, t0 and length.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -141,17 +142,32 @@ class SignalTrace:
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
 
-def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int) -> list:
-    """[fn(times[lo:lo + block]) for each consecutive span], in span order.
+def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int):
+    """Yield fn(times[lo:lo + block]) for each consecutive span, in span order.
 
     Spans run on a thread pool when n_workers > 1 and there is more than
-    one of them, serially otherwise.
+    one of them, serially otherwise.  The pool runs at most 2 n_workers
+    spans ahead of the consumer, counting the result it holds, so a
+    consumer that drops each result holds at most that many at once.  An
+    exception in fn reaches the consumer at its span.  When the generator
+    finishes, raises or is closed, the spans not yet started are cancelled
+    and the running ones waited for, so no pool thread outlives it.
     """
     spans = [times[lo:lo + block] for lo in range(0, times.size, block)]
     if n_workers <= 1 or len(spans) <= 1:
-        return [fn(span) for span in spans]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, spans))
+        yield from map(fn, spans)
+        return
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    pending = deque()
+    try:
+        for span in spans:
+            pending.append(pool.submit(fn, span))
+            if len(pending) == 2 * n_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):

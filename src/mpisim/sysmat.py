@@ -16,10 +16,14 @@ only mbar'_N on the staircase, so one pass serves every coil and
 staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
 its own exact zeros.  It is stored sparse; filtered on application.  One
-CSR layout serves from assembly to LSQR: build_system_matrices
-concatenates each row block's plain arrays once into the indptr, indices
-and data that save_system_matrix writes, and load_system_matrices reads
-each coil file's payload into its slice of one stacked CSR.
+CSR layout serves from assembly to LSQR: build_system_matrices copies each
+row block's plain arrays, as the block arrives, into each staircase's
+growing data and indices, one region per coil, and drops the block, so
+the matrix is held once while it is assembled, plus a few blocks in
+flight.  Closing the gaps between the coils' regions in place then gives
+the indptr, indices and data that save_system_matrix writes.
+load_system_matrices reads each coil file's payload into its slice of one
+stacked CSR.
 
 scipy.sparse is imported only where a CSR is made (build_system_matrices,
 SystemMatrix.coil_block, load_system_matrices), so importing this module,
@@ -54,12 +58,17 @@ if TYPE_CHECKING:
 # times per assembly block: a block's temporaries (the survivors' sub-point
 # products, (3 + coils) floats per sub-point) stay a few MB, so what worker
 # threads free is reused instead of piling up in their malloc arenas and
-# making peak memory vary from run to run
+# making peak memory vary from run to run.  At most two blocks per worker
+# are in flight (forward.map_time_blocks), so they are what the build
+# holds beyond the matrix.  32 held about 9 MiB less on the desk scene,
+# but desk_run and l1_sweep ran 7-12% longer end to end.
 _DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
+# entries moved per step when _CoilRows moves a coil's entries
+_CHUNK = 1 << 18
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
 
@@ -372,6 +381,86 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                                  nnz_cap, n_workers, block)[0]
 
 
+def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
+    """The largest (staircase, coil) nonzero count, extrapolated from 8 probe times."""
+    idx = np.unique(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
+    return math.ceil(max(vals.size for per_coil in quad.sparse_weights(
+        approxes, rhos, times[idx]) for vals, _, _ in per_coil) / idx.size * times.size)
+
+
+class _CoilRows:
+    """One staircase's CSR arrays for every coil, filled block by block.
+
+    Coil k's entries go to data and indices from k * capacity on, in row
+    order, and counts[k] holds its row lengths.  np.empty reserves the
+    capacity without touching it, so only the entries written take memory.
+    A coil that outgrows the capacity doubles every coil's (_regrow).
+    stacked() closes the gaps between the coils in place and trims the
+    arrays, so no coil's entries are ever held twice.
+    """
+
+    def __init__(self, n_coils: int, capacity: int, n_rows: int):
+        self.capacity = capacity
+        self.data = np.empty(n_coils * capacity)
+        self.indices = np.empty(n_coils * capacity, np.int32)
+        self.nnz = [0] * n_coils
+        self.counts = np.empty((n_coils, n_rows), np.int64)
+        self.rows = 0
+
+    def append(self, per_coil) -> None:
+        """Add one row block: a (data, indices, row lengths) triple per coil."""
+        need = max(n + vals.size for n, (vals, _, _) in zip(self.nnz, per_coil))
+        if need > self.capacity:
+            self._regrow(max(need, 2 * self.capacity))
+        for k, (vals, cells, counts) in enumerate(per_coil):
+            lo = k * self.capacity + self.nnz[k]
+            self.data[lo:lo + vals.size] = vals
+            self.indices[lo:lo + vals.size] = cells
+            self.counts[k, self.rows:self.rows + counts.size] = counts
+            self.nnz[k] += vals.size
+        self.rows += per_coil[0][2].size
+
+    def _regrow(self, capacity: int) -> None:
+        """Move each coil's entries to its region at the new capacity.
+
+        They leave the old arrays a chunk at a time from the end, and the
+        old arrays shrink in place (realloc) past each chunk; glibc maps a
+        large array on its own and returns such a tail at once.  So the
+        move holds about one chunk twice.
+        """
+        for name in ("data", "indices"):
+            old = getattr(self, name)
+            new = np.empty(len(self.nnz) * capacity, old.dtype)
+            for k in reversed(range(len(self.nnz))):
+                src, dst, n = k * self.capacity, k * capacity, self.nnz[k]
+                while n > 0:
+                    lo = (n - 1) // _CHUNK * _CHUNK
+                    new[dst + lo:dst + n] = old[src + lo:src + n]
+                    old.resize(src + lo, refcheck=False)  # no view of old exists
+                    n = lo
+            setattr(self, name, new)
+        self.capacity = capacity
+
+    def stacked(self) -> tuple:
+        """(data, indices, indptr) of the coils' rows, stacked in coil order.
+
+        Each later coil moves down onto the end of the one before it, a
+        chunk at a time (numpy buffers a chunk that overlaps its target),
+        and the arrays are then trimmed in place.
+        """
+        end = self.nnz[0]
+        for k in range(1, len(self.nnz)):
+            src = k * self.capacity
+            for lo in range(0, self.nnz[k], _CHUNK):
+                hi = min(lo + _CHUNK, self.nnz[k])
+                self.data[end + lo:end + hi] = self.data[src + lo:src + hi]
+                self.indices[end + lo:end + hi] = self.indices[src + lo:src + hi]
+            end += self.nnz[k]
+        self.data.resize(end, refcheck=False)
+        self.indices.resize(end, refcheck=False)
+        return self.data, self.indices, np.concatenate([[0], np.cumsum(self.counts)])
+
+
 def build_system_matrices(model: FieldModel, approxes, coils,
                           acq: AcquisitionConfig, grid: ConcentrationGrid,
                           subsampling: int = 1,
@@ -384,15 +473,17 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     call.  So each matrix is that of its own one-staircase build, and each
     coil's pattern equals that of its dense quadrature; values agree to the
     rounding of the reordered term sum.  Blocks are independent and may be
-    computed by worker threads; their arrays are concatenated once, in
-    block order, into each matrix's CSR arrays, and the entries of one time
-    never depend on the rest of its block, so the result does not depend
-    on the worker count or block size.
+    computed by worker threads.  They are taken in block order as they
+    arrive: each is copied into its staircase's _CoilRows and dropped, and
+    the entries of one time never depend on the rest of its block, so the
+    result does not depend on the worker count or block size.  Each coil's
+    region starts at the estimated count below plus an eighth.
 
     Returns one SystemMatrix per staircase, in order, whose coils are the
     given ReceiveCoils with rows grouped in that order.  nnz_cap limits each
     (staircase, coil): the count extrapolated from 8 probe times is checked
-    before any assembly starts, the assembled counts after it.
+    before any assembly starts, the running count after every block, and
+    the first to pass the cap stops the build and its worker threads.
     """
     import scipy.sparse as sp
 
@@ -405,29 +496,28 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     times = acq.times()
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
-    idx = np.unique(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
-    est = math.ceil(max(vals.size for per_coil in quad.sparse_weights(
-        approxes, rhos, times[idx]) for vals, _, _ in per_coil) / idx.size * times.size)
+    est = _estimate_nnz(quad, approxes, rhos, times)
     if est > nnz_cap:
         raise ResourceCapError(
             f"estimated {est} nonzeros for one coil exceeds the cap of "
             f"{nnz_cap}; raise the cap, shrink the grid, or lower the threshold b")
 
-    blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
-                             times, n_workers, block)
-    total = max(sum(parts[i][k][0].size for parts in blocks)
-                for i in range(len(approxes)) for k in range(len(coils)))
-    if total > nnz_cap:
-        raise ResourceCapError(f"assembled {total} nonzeros for one coil "
-                               f"exceeds the cap of {nnz_cap}")
-    out = []
-    for i in range(len(approxes)):
-        # coil-major, block order within a coil: the rows of the stacked CSR
-        data, indices, counts = (np.concatenate(arrays) for arrays in zip(
-            *(parts[i][k] for k in range(len(coils)) for parts in blocks)))
-        indptr = np.concatenate([[0], np.cumsum(counts)])
+    # the 8 probes read low by 1-4% on the desk scenes: an eighth more
+    # spares the late regrow of nearly the whole matrix
+    matrices = [_CoilRows(len(coils), est + est // 8, times.size) for _ in approxes]
+    with contextlib.closing(map_time_blocks(
+            lambda span: quad.sparse_weights(approxes, rhos, span),
+            times, n_workers, block)) as blocks:
         for parts in blocks:
-            parts[i] = None  # each block's pieces are freed once concatenated
+            for per_coil, rows in zip(parts, matrices):
+                rows.append(per_coil)
+                if max(rows.nnz) > nnz_cap:
+                    raise ResourceCapError(
+                        f"assembled {max(rows.nnz)} nonzeros for one coil by "
+                        f"row {rows.rows} of {times.size}, over the cap of {nnz_cap}")
+    out = []
+    for rows in matrices:
+        data, indices, indptr = rows.stacked()
         out.append(SystemMatrix(
             matrix=sp.csr_matrix((data, indices, indptr),
                                  shape=(len(coils) * acq.n_samples, grid.n_cells)),

@@ -577,9 +577,10 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
     # 74.07 samples per drive period: projections 0-4 keep a sample, 5 none
     ["acquisition.f_d=27 kHz", "fbp.cos_guard=0.9995"],
     # 80 samples per drive period: each half sweep starts at |cos| ~ 6e-17,
-    # so a zero guard would divide by it
+    # so a zero guard, or one below the phase rounding, would divide by it
     ["fbp.cos_guard=0"],
     ["fbp.cos_guard=1"],
+    ["fbp.cos_guard=1e-15"],
 ])
 def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
     ini = write_tiny(tmp_path)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from mpisim.forward import (
     coil_along,
     highpass_mask,
     load_trace_bin,
+    map_time_blocks,
     save_trace_bin,
     save_trace_csv,
     simulate_general,
@@ -420,3 +423,78 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
         expected = 0 if simulate is simulate_general else n_times
         assert sum(calls["field_dt"]) == expected
         assert len(calls["field_dt"]) == -(-expected // 7)
+
+
+def _pool_threads():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_time_blocks_yields_in_span_order(workers):
+    times = np.arange(23.0)
+
+    def late_first(span):
+        # the first spans finish last, so a pool completes them out of order
+        time.sleep(0.002 * (23 - span[0]) / 23)
+        return span.copy()
+
+    got = list(map_time_blocks(late_first, times, workers, 4))
+    assert [g.tolist() for g in got] == [times[lo:lo + 4].tolist()
+                                         for lo in range(0, 23, 4)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_time_blocks_runs_at_most_two_spans_per_worker_ahead(workers):
+    started, lock = [], threading.Lock()
+
+    def record(span):
+        with lock:
+            started.append(int(span[0]))
+        return int(span[0])
+
+    in_flight = []
+    for i, first in enumerate(map_time_blocks(record, np.arange(40.0), workers, 1)):
+        assert first == i
+        time.sleep(0.005)  # a slow consumer: the pool would run on
+        with lock:
+            in_flight.append(max(started) - i + 1)  # this span and those started after it
+    assert max(in_flight) <= 2 * workers
+    if workers > 1:
+        assert max(in_flight) == 2 * workers  # the pool does run ahead
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_time_blocks_raises_a_worker_error(workers):
+    before = _pool_threads()
+
+    def fail_at_5(span):
+        if span[0] == 5:
+            raise ValueError("span 5 failed")
+        return int(span[0])
+
+    blocks = map_time_blocks(fail_at_5, np.arange(12.0), workers, 1)
+    assert [next(blocks) for _ in range(5)] == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="span 5 failed"):
+        next(blocks)
+    assert _pool_threads() <= before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_closing_map_time_blocks_stops_its_pool(workers):
+    before = _pool_threads()
+    calls = []
+
+    def slow(span):
+        calls.append(int(span[0]))
+        time.sleep(0.002)
+        return int(span[0])
+
+    blocks = map_time_blocks(slow, np.arange(100.0), workers, 1)
+    assert next(blocks) == 0
+    blocks.close()
+    assert _pool_threads() <= before
+    n_calls = len(calls)
+    assert n_calls <= 2 * workers
+    time.sleep(0.01)
+    assert len(calls) == n_calls

@@ -4,6 +4,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -567,6 +569,112 @@ def test_nnz_cap_is_per_staircase_and_coil():
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrices(model, approxes, coils, acq, grid,
                               subsampling=2, nnz_cap=min(counts) - 1)
+
+
+def _counting_sparse_weights(monkeypatch):
+    """Count CellQuadrature.sparse_weights calls and the results alive at once.
+
+    A result is alive until its first value array is freed; all of its
+    arrays go together.
+    """
+    real = CellQuadrature.sparse_weights
+    stats = {"calls": 0, "alive": 0, "most": 0}
+    lock = threading.Lock()
+
+    def freed():
+        with lock:
+            stats["alive"] -= 1
+
+    def counting(self, approxes, rhos, times):
+        out = real(self, approxes, rhos, times)
+        with lock:
+            stats["calls"] += 1
+            stats["alive"] += 1
+            stats["most"] = max(stats["most"], stats["alive"])
+        weakref.finalize(out[0][0][0], freed)
+        return out
+
+    monkeypatch.setattr(CellQuadrature, "sparse_weights", counting)
+    return stats
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_assembly_holds_a_window_of_blocks(scene, monkeypatch, workers):
+    model, grid, config, approx = scene
+    coils = [coil_along("x"), coil_along("y")]
+    oracle = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
+    stats = _counting_sparse_weights(monkeypatch)
+    sm = build_system_matrix(model, approx, coils, config, grid, subsampling=2,
+                             n_workers=workers, block=2)
+    assert (sm.matrix != oracle.matrix).nnz == 0
+    assert stats["calls"] == 1 + config.n_samples // 2  # the probe, then 20 blocks
+    # the window of map_time_blocks, plus the block the build still holds
+    assert stats["most"] <= 2 * workers + 1
+    assert stats["alive"] == 0
+
+
+def test_assembly_from_a_one_entry_capacity_is_bit_equal(scene, monkeypatch):
+    model, grid, config, _ = scene
+    approxes, coils = _sweep_staircases()[:2], [coil_along("x"), coil_along("y")]
+    default = build_system_matrices(model, approxes, coils, config, grid,
+                                    subsampling=2, block=7)
+    monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 1)
+    for workers in (1, 2):
+        grown = build_system_matrices(model, approxes, coils, config, grid,
+                                      subsampling=2, n_workers=workers, block=7)
+        for got, want in zip(grown, default, strict=True):
+            assert got.nnz > 100
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got.matrix, part),
+                                      getattr(want.matrix, part)), (workers, part)
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 19, 21, 24, 1000])
+@pytest.mark.parametrize("chunk", [2, 3, 1 << 18])
+def test_coil_rows_stack_like_a_concatenation(monkeypatch, capacity, chunk):
+    # blocks of 3 coils with 0-4 entries per row: whatever the first
+    # capacity (regrown or not) and chunk (a move that overlaps its target
+    # or not), stacked() is the coil-major concatenation
+    monkeypatch.setattr(mpisim.sysmat, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    blocks = []
+    for rows in (2, 1, 3, 2):
+        per_coil = []
+        for _ in range(3):
+            counts = rng.integers(0, 5, rows)
+            per_coil.append((rng.random(counts.sum()),
+                             rng.integers(0, 99, counts.sum()).astype(np.int32),
+                             counts))
+        blocks.append(per_coil)
+    acc = mpisim.sysmat._CoilRows(3, capacity, 8)
+    for per_coil in blocks:
+        acc.append(per_coil)
+    assert acc.nnz == [sum(b[k][0].size for b in blocks) for k in range(3)]
+    data, indices, indptr = acc.stacked()
+    for got, part in ((data, 0), (indices, 1)):
+        want = np.concatenate([b[k][part] for k in range(3) for b in blocks])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    counts = np.concatenate([b[k][2] for k in range(3) for b in blocks])
+    assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(counts)]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypatch,
+                                                      workers):
+    # an estimate under the cap lets assembly start; the count that passes it
+    # stops the build long before its last block, and its pool with it
+    model, grid, config, approx = scene
+    monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    stats = _counting_sparse_weights(monkeypatch)
+    before = {t for t in threading.enumerate()
+              if t.name.startswith("ThreadPoolExecutor")}
+    with pytest.raises(ResourceCapError, match="one coil"):
+        build_system_matrix(model, approx, [coil_along("x")], config, grid,
+                            subsampling=2, nnz_cap=matrix_x.nnz // 2,
+                            n_workers=workers, block=1)
+    assert stats["calls"] < 0.75 * config.n_samples
+    assert {t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")} <= before
 
 
 def test_config_hash_sensitivity(scene):
