@@ -20,8 +20,9 @@ CSR layout serves from assembly to LSQR: build_system_matrices copies each
 row block's plain arrays, as the block arrives, into each staircase's
 growing data and indices, one region per coil, and drops the block, so
 the matrix is held once while it is assembled, plus a few blocks in
-flight.  Closing the gaps between the coils' regions in place then gives
-the indptr, indices and data that save_system_matrix writes.
+flight (and twice for a moment if it outgrows its estimated size).
+Closing the gaps between the coils' regions in place then gives the
+indptr, indices and data that save_system_matrix writes.
 load_system_matrices reads each coil file's payload into its slice of one
 stacked CSR.
 
@@ -67,7 +68,7 @@ DEFAULT_NNZ_CAP = 50_000_000
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
-# entries moved per step when _CoilRows moves a coil's entries
+# entries moved per step when _CoilRows.stacked moves a coil down
 _CHUNK = 1 << 18
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
@@ -394,9 +395,10 @@ class _CoilRows:
     Coil k's entries go to data and indices from k * capacity on, in row
     order, and counts[k] holds its row lengths.  np.empty reserves the
     capacity without touching it, so only the entries written take memory.
-    A coil that outgrows the capacity doubles every coil's (_regrow).
+    A coil that outgrows the capacity doubles every coil's: _regrow
+    copies them into new arrays, so it holds the entries twice for a moment.
     stacked() closes the gaps between the coils in place and trims the
-    arrays, so no coil's entries are ever held twice.
+    arrays, so stacking holds no coil's entries twice.
     """
 
     def __init__(self, n_coils: int, capacity: int, n_rows: int):
@@ -421,23 +423,13 @@ class _CoilRows:
         self.rows += per_coil[0][2].size
 
     def _regrow(self, capacity: int) -> None:
-        """Move each coil's entries to its region at the new capacity.
-
-        They leave the old arrays a chunk at a time from the end, and the
-        old arrays shrink in place (realloc) past each chunk; glibc maps a
-        large array on its own and returns such a tail at once.  So the
-        move holds about one chunk twice.
-        """
+        """Copy each coil's entries to its region at the new capacity."""
         for name in ("data", "indices"):
             old = getattr(self, name)
             new = np.empty(len(self.nnz) * capacity, old.dtype)
-            for k in reversed(range(len(self.nnz))):
-                src, dst, n = k * self.capacity, k * capacity, self.nnz[k]
-                while n > 0:
-                    lo = (n - 1) // _CHUNK * _CHUNK
-                    new[dst + lo:dst + n] = old[src + lo:src + n]
-                    old.resize(src + lo, refcheck=False)  # no view of old exists
-                    n = lo
+            for k, n in enumerate(self.nnz):
+                src, dst = k * self.capacity, k * capacity
+                new[dst:dst + n] = old[src:src + n]
             setattr(self, name, new)
         self.capacity = capacity
 
