@@ -2,10 +2,15 @@
 
 Every stage reads one INI-style config (defaults filled in, echoed verbatim
 to the output directory) and communicates with other stages through files
-only, so runs are diffable and restartable.  plan_stages reads, checks and
-builds every setting the requested stages use before the first file is
-written, and a stage reads its settings only from that plan.  Exit codes:
-0 ok, 2 config error, 3 missing input, 4 hash mismatch, 5 resource cap.
+only, so runs are diffable and restartable.  STAGES names each stage's plan
+entries and input stages; plan_stages reads, checks and builds every
+setting the requested stages and those upstream of them use before the
+first file is written, and a stage reads its settings only from that plan.
+Every artifact carries the stamp of the stage that wrote it.  Exit codes:
+0 ok, 2 config error, 3 missing input, 4 stale input (a phantom.grid that
+simulate, a trace that filter, lsqr or fbp, or a matrix that lsqr reads
+carries another stamp than the plan expects; --force overrides), 5
+resource cap.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
-import hashlib
 import logging
 import math
 import re
@@ -25,7 +29,8 @@ import numpy as np
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError, EXIT_OK, MissingInputError, MpiSimError
+from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
+                     MpiSimError, UnsupportedTopologyError)
 
 UNIT_SCALES = {
     "": 1.0,
@@ -97,21 +102,11 @@ DEFAULTS = {
     },
     "fbp": {
         "bins": "128",
-        "deconvolve": "false",
-        "nsr": "1e-2",
         "window": "hann",
         "cos_guard": "0.05",
     },
     "output": {"directory": "out"},
 }
-
-# Left out of the config digest: neither worker count changes a trace or a
-# matrix, bit for bit, and the output directory only says where files go.
-UNDIGESTED = {("forward", "workers"), ("sysmat", "workers"), ("output", "directory")}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def parse_quantity(text: str) -> float:
     """Number with an optional SI-ish unit suffix ('10 mT', '25 kHz', '0.3')."""
@@ -181,14 +176,6 @@ class RunConfig:
                 f"{section}.{key} must be an integer, got "
                 f"{self.text(section, key)!r}") from None
 
-    def boolean(self, section: str, key: str) -> bool:
-        raw = self.text(section, key).lower()
-        if raw in _TRUE:
-            return True
-        if raw in _FALSE:
-            return False
-        raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
-
     def resolved_text(self) -> str:
         lines = []
         for sec, entries in self.sections.items():
@@ -196,14 +183,6 @@ class RunConfig:
             lines.extend(f"{key} = {value}" for key, value in entries.items())
             lines.append("")
         return "\n".join(lines)
-
-    def digest(self) -> str:
-        """16 hex digits of the resolved config, UNDIGESTED entries left out."""
-        kept = {sec: {key: value for key, value in entries.items()
-                      if (sec, key) not in UNDIGESTED}
-                for sec, entries in self.sections.items()}
-        text = RunConfig(kept).resolved_text()
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # --- builders -------------------------------------------------------------
@@ -292,12 +271,6 @@ def make_approx(cfg: RunConfig) -> magnetization.MagnetizationApprox:
     return magnetization.build_approx(params, nodes, b, scheme=scheme)
 
 
-def make_grid(cfg: RunConfig, which: str) -> phantom.ConcentrationGrid:
-    fov = cfg.qty("phantom", "fov")
-    spacing = cfg.qty(f"grid.{which}", "spacing")
-    return phantom.empty_grid(fov, spacing)
-
-
 def make_phantom(cfg: RunConfig, which: str) -> phantom.ConcentrationGrid:
     fov = cfg.qty("phantom", "fov")
     spacing = cfg.qty(f"grid.{which}", "spacing")
@@ -315,39 +288,47 @@ def make_coils(cfg: RunConfig) -> list:
     return [(axis, forward.coil_along(axis, index=i)) for i, axis in enumerate(axes)]
 
 
-def make_lsqr_options(cfg: RunConfig) -> recon.LsqrOptions:
-    return recon.LsqrOptions(max_iterations=cfg.integer("solver", "iterations"),
-                             atol=cfg.qty("solver", "atol"),
-                             btol=cfg.qty("solver", "btol"))
-
-
 def make_fbp_settings(cfg: RunConfig) -> dict:
     """Every setting stage_fbp reads; fbp.check_settings checks its own."""
     settings = {"n_bins": cfg.integer("fbp", "bins"),
                 "cos_guard": cfg.qty("fbp", "cos_guard"),
-                "nsr": cfg.qty("fbp", "nsr"),
                 "window": cfg.text("fbp", "window")}
     fbp_mod.check_settings(**settings)
     model = make_topology(cfg)
     if model.topology not in ("rotating_ffl", "static_ffl"):
-        raise ConfigError(f"the Radon-domain pipeline needs an FFL topology, "
-                          f"not {model.topology!r}")
+        raise UnsupportedTopologyError(f"the Radon-domain pipeline needs an FFL "
+                                       f"topology, not {model.topology!r}")
     # the scan signal_to_sinogram will regrid: every projection keeps a sample
     acq = make_acquisition(cfg)
     fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
                              settings["cos_guard"])
-    deconvolve = cfg.boolean("fbp", "deconvolve")
-    return {**settings, "model": model, "deconvolve": deconvolve,
-            "params": make_params(cfg) if deconvolve else None,
-            "grid": make_grid(cfg, "recon")}
+    return {**settings, "model": model}
 
 
-# --- stage plumbing ---------------------------------------------------------
+# --- the stage table --------------------------------------------------------
 
 # forward.model -> the name of its simulator in forward, looked up at call
 # time so that a wrapped simulator runs
 SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
               "piecewise": "simulate_piecewise"}
+
+# stage -> (the plan entries it reads, which its stamp covers; the stages
+# whose artifacts it reads), in pipeline order, so a stage's inputs come
+# before it
+STAGES = {
+    "phantom": (("phantoms",), ()),
+    "simulate": (("coils", "field", "acq", "simulate"), ("phantom",)),
+    "filter": (("coils", "highpass"), ("simulate",)),
+    "sysmat": (("coils", "field", "approx", "grid", "acq", "subsampling",
+                "highpass"), ()),
+    "lsqr": (("coils", "highpass", "grid", "lsqr"), ("filter", "sysmat")),
+    "fbp": (("coils", "highpass", "grid", "fbp"), ("filter",)),
+    "compare": ((), ("phantom", "lsqr", "fbp")),
+}
+# plan entries that change no output of the stage that reads them, so they
+# enter no stamp and are planned only for a stage that runs
+UNSTAMPED = {"simulate": ("forward.workers",),
+             "sysmat": ("sysmat.nnz_cap", "sysmat.workers")}
 
 
 def _at_least(name: str, value, low):
@@ -356,71 +337,103 @@ def _at_least(name: str, value, low):
     return value
 
 
-def plan_stages(cfg: RunConfig, stages) -> dict:
-    """Read, check and build every setting the given stages use; no I/O.
-
-    A setting no given stage reads is not parsed.  Entries, by the stages
-    that read them: phantoms (phantom); coils (all but phantom and
-    compare); highpass (filter, sysmat, lsqr, fbp); recipe, the matrix
-    builders' and config_hash's inputs but the staircase (simulate, sysmat,
-    lsqr); approx, the staircase, so L1 nodes are placed once per plan
-    (sysmat, lsqr, piecewise simulate); and one entry of its own settings
-    for each of simulate, sysmat, lsqr and fbp.
-    """
-    stages = set(stages)
-    plan = {}
-    if "phantom" in stages:
-        plan["phantoms"] = make_phantom(cfg, "signal"), make_phantom(cfg, "recon")
-    if stages & {"simulate", "filter", "sysmat", "lsqr", "fbp"}:
-        plan["coils"] = make_coils(cfg)
-    if stages & {"filter", "sysmat", "lsqr", "fbp"}:
-        plan["highpass"] = highpass_cutoff(cfg)
-    if stages & {"simulate", "sysmat", "lsqr"}:
-        subsampling = _at_least("sysmat.subsampling",
-                                cfg.integer("sysmat", "subsampling"), 1)
-        plan["recipe"] = {"model": make_field_model(cfg),
-                          "acq": make_acquisition(cfg),
-                          "grid": make_grid(cfg, "recon"),
-                          "subsampling": subsampling}
-    piecewise = False
-    if "simulate" in stages:
-        kind = cfg.text("forward", "model")
-        if kind not in SIMULATORS:
-            raise ConfigError(f"unknown forward model {kind!r}; need one of "
-                              f"{', '.join(SIMULATORS)}")
-        piecewise = kind == "piecewise"
-        plan["simulate"] = {
-            "model": kind,
-            "workers": _at_least("forward.workers",
-                                 cfg.integer("forward", "workers"), 1),
+def _plan_simulate(cfg: RunConfig, plan: dict) -> dict:
+    # piecewise uses the plan's own staircase: L1 nodes are placed once
+    kind = cfg.text("forward", "model")
+    if kind not in SIMULATORS:
+        raise ConfigError(f"unknown forward model {kind!r}; need one of "
+                          f"{', '.join(SIMULATORS)}")
+    args = ((_entry(cfg, plan, "approx"), _entry(cfg, plan, "subsampling"))
+            if kind == "piecewise" else (make_params(cfg),))
+    return {"model": kind, "args": args,
             "noise_level": _at_least("acquisition.noise_level",
                                      cfg.qty("acquisition", "noise_level"), 0),
             "noise_seed": _at_least("acquisition.noise_seed",
-                                    cfg.integer("acquisition", "noise_seed"), 0),
-            "params": make_params(cfg)}
-    if piecewise or stages & {"sysmat", "lsqr"}:
-        plan["approx"] = make_approx(cfg)
-    if "sysmat" in stages:
-        plan["sysmat"] = {
-            "nnz_cap": _at_least("sysmat.nnz_cap", cfg.integer("sysmat", "nnz_cap"), 1),
-            "workers": _at_least("sysmat.workers", cfg.integer("sysmat", "workers"), 1)}
-    if "lsqr" in stages:
-        plan["lsqr"] = make_lsqr_options(cfg)
-    if "fbp" in stages:
-        plan["fbp"] = make_fbp_settings(cfg)
+                                    cfg.integer("acquisition", "noise_seed"), 0)}
+
+
+# plan entry -> its builder, given the config and the plan built so far
+PLANNERS = {
+    "phantoms": lambda cfg, plan: (make_phantom(cfg, "signal"),
+                                   make_phantom(cfg, "recon")),
+    "coils": lambda cfg, plan: make_coils(cfg),
+    "highpass": lambda cfg, plan: highpass_cutoff(cfg),
+    "field": lambda cfg, plan: make_field_model(cfg),
+    "acq": lambda cfg, plan: make_acquisition(cfg),
+    "grid": lambda cfg, plan: phantom.empty_grid(cfg.qty("phantom", "fov"),
+                                                 cfg.qty("grid.recon", "spacing")),
+    "subsampling": lambda cfg, plan: _at_least(
+        "sysmat.subsampling", cfg.integer("sysmat", "subsampling"), 1),
+    "approx": lambda cfg, plan: make_approx(cfg),
+    "simulate": _plan_simulate,
+    "lsqr": lambda cfg, plan: recon.LsqrOptions(
+        max_iterations=cfg.integer("solver", "iterations"),
+        atol=cfg.qty("solver", "atol"), btol=cfg.qty("solver", "btol")),
+    "fbp": lambda cfg, plan: make_fbp_settings(cfg),
+    "forward.workers": lambda cfg, plan: _at_least(
+        "forward.workers", cfg.integer("forward", "workers"), 1),
+    "sysmat.nnz_cap": lambda cfg, plan: _at_least(
+        "sysmat.nnz_cap", cfg.integer("sysmat", "nnz_cap"), 1),
+    "sysmat.workers": lambda cfg, plan: _at_least(
+        "sysmat.workers", cfg.integer("sysmat", "workers"), 1),
+}
+
+
+def _entry(cfg: RunConfig, plan: dict, name: str):
+    if name not in plan:
+        plan[name] = PLANNERS[name](cfg, plan)
+    return plan[name]
+
+
+def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
+    """Read, check and build every setting the given stages use; no I/O.
+
+    The stamped entries of every stage upstream of them are planned too,
+    up to the stages whose stamps are given, so a bad setting anywhere
+    upstream stops the run before its first write; a setting no planned
+    entry reads is not parsed.  plan["stamps"] maps each of these stages to
+    the stamp of what it writes: a digest of its entries and its inputs'
+    stamps, or for sysmat each coil's config_hash.  An upstream stage that
+    refuses the topology (fbp on an FFP) gets none; compare skips its image.
+    """
+    stamps = dict(given or {})
+    needed = set(stages)
+    for stage in reversed(STAGES):
+        if stage in needed and stage not in stamps:
+            needed.update(STAGES[stage][1])
+    plan = {"stamps": stamps}
+    for stage in [s for s in STAGES if s in needed and s not in stamps]:
+        entries, inputs = STAGES[stage]
+        try:
+            for entry in entries + (UNSTAMPED.get(stage, ()) if stage in stages else ()):
+                _entry(cfg, plan, entry)
+        except UnsupportedTopologyError:
+            if stage in stages:
+                raise
+            continue
+        stamps[stage] = (_matrix_hashes(plan) if stage == "sysmat" else sysmat.stamp(
+            *(plan[e] for e in entries), *(stamps.get(s) for s in inputs)))
     return plan
 
 
-class Workspace:
-    """Output directory, the resolved config's digest, and the plan of the
-    stages that run in it."""
+def _matrix_hashes(plan: dict) -> tuple:
+    return tuple(sysmat.config_hash(plan["field"], plan["approx"], plan["grid"],
+                                    plan["acq"], coil, plan["subsampling"],
+                                    plan["highpass"]) for _, coil in plan["coils"])
 
-    def __init__(self, cfg: RunConfig, stages, outdir=None):
+
+class Workspace:
+    """Output directory, resolved config and plan of the stages that run in
+    it, and whether stale inputs are used anyway (force)."""
+
+    def __init__(self, cfg: RunConfig, stages, outdir=None, force: bool = False,
+                 given=None):
         self.dir = Path(outdir if outdir is not None
                         else cfg.text("output", "directory"))
         self.resolved = cfg.resolved_text()
-        self.digest = cfg.digest()
-        self.plan = plan_stages(cfg, stages)
+        self.force = force
+        self.plan = plan_stages(cfg, stages, given)
+        self.stamps = self.plan["stamps"]
 
     def path(self, name: str) -> Path:
         return self.dir / name
@@ -428,11 +441,10 @@ class Workspace:
     def prepare(self):
         self.dir.mkdir(parents=True, exist_ok=True)
         with atomic_open(self.path("config.resolved.ini"), "w") as fh:
-            fh.write(f"# config {self.digest}\n")
             fh.write(self.resolved)
 
-    def comments(self) -> list:
-        return [f"config {self.digest}"]
+    def comments(self, stage: str) -> list:
+        return [f"stamp {self.stamps[stage]}"]
 
     def require(self, name: str) -> Path:
         p = self.path(name)
@@ -442,136 +454,127 @@ class Workspace:
         return p
 
 
-def _load_traces(ws: Workspace) -> list:
-    """Each coil's trace, the high-passed one when the plan sets a cut-off."""
-    suffix = "_filtered" if ws.plan["highpass"] is not None else ""
-    return [forward.load_trace_bin(ws.require(f"trace_{axis}{suffix}.bin"))
+def _has_stamp(path: Path, stamp) -> bool:
+    """Whether the grid or CSV file at path starts with '# stamp <stamp>'."""
+    with open_input(path) as fh:
+        return fh.readline() == f"# stamp {stamp}\n".encode()
+
+
+def _load_traces(ws: Workspace, stage: str | None = None) -> list:
+    """Each coil's trace as stage wrote it, checked against stage's stamp;
+    by default filter's when the plan sets a cut-off, else simulate's."""
+    if stage is None:
+        stage = "filter" if ws.plan["highpass"] is not None else "simulate"
+    suffix = "_filtered" if stage == "filter" else ""
+    return [forward.load_trace_bin(ws.require(f"trace_{axis}{suffix}.bin"),
+                                   ws.stamps[stage], ws.force)
             for axis, _ in ws.plan["coils"]]
 
 
-def _write_csv(ws: Workspace, name: str, header: str, rows):
-    """The '# config' line, the header, then one line per row; numbers as .17g."""
+def _write_csv(ws: Workspace, name: str, stamp: str, header: str, rows):
+    """The '# stamp' line, the header, then one line per row; numbers as .17g."""
     with atomic_open(ws.path(name), "w") as fh:
-        fh.write(f"# config {ws.digest}\n{header}\n")
+        fh.write(f"# stamp {stamp}\n{header}\n")
         for row in rows:
             fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
                               for v in row) + "\n")
 
 
-def _save_recon(ws: Workspace, name: str, grid: phantom.ConcentrationGrid):
-    phantom.save_grid(grid, ws.path(f"{name}.grid"), comments=ws.comments())
+def _save_recon(ws: Workspace, stage: str, grid: phantom.ConcentrationGrid):
+    name = f"recon_{stage}"
+    phantom.save_grid(grid, ws.path(f"{name}.grid"), comments=ws.comments(stage))
     phantom.save_pgm(ws.path(f"{name}.pgm"), grid.values[:, :, 0], vmin=0.0)
     for axis, label in (("horizontal", "h"), ("vertical", "v")):
         prof = phantom.line_profile(grid, axis, 0.0)
         coords = grid.axis_coords(0 if axis == "horizontal" else 1)
-        _write_csv(ws, f"profile_{name}_{label}.csv", "coord,value",
-                   zip(coords, prof))
+        _write_csv(ws, f"profile_{name}_{label}.csv", ws.stamps[stage],
+                   "coord,value", zip(coords, prof))
 
 
 # --- stages -----------------------------------------------------------------
 
-def stage_phantom(ws: Workspace) -> dict:
+def stage_phantom(ws: Workspace):
     signal, reference = ws.plan["phantoms"]
-    phantom.save_grid(signal, ws.path("phantom.grid"), comments=ws.comments())
+    phantom.save_grid(signal, ws.path("phantom.grid"), comments=ws.comments("phantom"))
     phantom.save_grid(reference, ws.path("phantom_recon.grid"),
-                      comments=ws.comments())
+                      comments=ws.comments("phantom"))
     phantom.save_pgm(ws.path("phantom.pgm"), signal.values[:, :, 0],
                      vmin=0.0, vmax=max(signal.values.max(), 1.0))
     print(f"phantom: {signal.dims[0]}x{signal.dims[1]} grid, "
           f"{int(signal.values.sum())} filled cells")
-    return {"phantom": signal, "reference": reference}
 
 
-def stage_simulate(ws: Workspace) -> dict:
+def stage_simulate(ws: Workspace):
     plan, settings = ws.plan, ws.plan["simulate"]
-    recipe, coils = plan["recipe"], plan["coils"]
-    grid = phantom.load_grid(ws.require("phantom.grid"))
+    path = ws.require("phantom.grid")
+    if not (ws.force or _has_stamp(path, ws.stamps["phantom"])):
+        raise HashMismatchError(f"{path} does not carry the phantom stamp "
+                                f"{ws.stamps['phantom']}; run the phantom stage")
+    grid = phantom.load_grid(path)
     kind = settings["model"]
     simulate = getattr(forward, SIMULATORS[kind])
-    args = ((plan["approx"], recipe["subsampling"]) if kind == "piecewise"
-            else (settings["params"],))
-    clean = simulate(recipe["model"], grid, [coil for _, coil in coils],
-                     recipe["acq"], *args, n_workers=settings["workers"])
-    noise_level = settings["noise_level"]
-    traces = []
-    for (axis, coil), trace in zip(coils, clean):
-        if noise_level > 0:
-            trace = forward.add_noise(trace, noise_level * trace.rms,
+    clean = simulate(plan["field"], grid, [coil for _, coil in plan["coils"]],
+                     plan["acq"], *settings["args"], n_workers=plan["forward.workers"])
+    for (axis, coil), trace in zip(plan["coils"], clean):
+        if settings["noise_level"] > 0:
+            trace = forward.add_noise(trace, settings["noise_level"] * trace.rms,
                                       settings["noise_seed"] + coil.index)
-        forward.save_trace_bin(trace, ws.path(f"trace_{axis}.bin"))
+        forward.save_trace_bin(trace, ws.path(f"trace_{axis}.bin"),
+                               ws.stamps["simulate"])
         forward.save_trace_csv(trace, ws.path(f"trace_{axis}.csv"),
-                               comments=ws.comments())
+                               comments=ws.comments("simulate"))
         print(f"simulate[{kind}] coil {axis}: {trace.samples.size} samples, "
               f"rms {trace.rms:.6g} V")
-        traces.append(trace)
-    return {"traces": traces}
 
 
-def stage_filter(ws: Workspace) -> dict:
+def stage_filter(ws: Workspace):
     cutoff = ws.plan["highpass"]
     if cutoff is None:
         print("filter: high-pass disabled, nothing to do")
-        return {}
-    traces = []
-    for axis, _ in ws.plan["coils"]:
-        trace = forward.load_trace_bin(ws.require(f"trace_{axis}.bin"))
+        return
+    traces = _load_traces(ws, "simulate")
+    for (axis, _), trace in zip(ws.plan["coils"], traces):
         filtered = forward.apply_highpass(trace, cutoff)
-        forward.save_trace_bin(filtered, ws.path(f"trace_{axis}_filtered.bin"))
+        forward.save_trace_bin(filtered, ws.path(f"trace_{axis}_filtered.bin"),
+                               ws.stamps["filter"])
         forward.save_trace_csv(filtered, ws.path(f"trace_{axis}_filtered.csv"),
-                               comments=ws.comments())
-        traces.append(filtered)
+                               comments=ws.comments("filter"))
     print(f"filter: high-pass at {cutoff:.6g} Hz applied to "
           f"{len(traces)} trace(s)")
-    return {"traces": traces}
 
 
-def stage_sysmat(ws: Workspace) -> dict:
-    """Build every coil's matrix in one pass, then save one file per coil.
-
-    The build holds the matrix once, plus a few row blocks in flight
-    (sysmat.build_system_matrices).  No matrix is returned: stage_lsqr
-    reads the files back, and the stacked matrix is freed before it does.
-    """
+def stage_sysmat(ws: Workspace):
+    """Build every coil's matrix in one pass, held once plus a few row blocks
+    in flight, then save one file per coil, which stage_lsqr reads back."""
     plan = ws.plan
     stacked = sysmat.build_system_matrix(
-        approx=plan["approx"], coils=[coil for _, coil in plan["coils"]],
-        **plan["recipe"], nnz_cap=plan["sysmat"]["nnz_cap"],
-        n_workers=plan["sysmat"]["workers"])
+        plan["field"], plan["approx"], [coil for _, coil in plan["coils"]],
+        plan["acq"], plan["grid"], plan["subsampling"],
+        nnz_cap=plan["sysmat.nnz_cap"], n_workers=plan["sysmat.workers"])
     _save_matrices(ws, stacked)
-    return {}
-
-
-def _matrix_hash(ws: Workspace, coil: forward.ReceiveCoil) -> str:
-    """The config hash a coil's stored matrix is saved and checked under."""
-    plan = ws.plan
-    return sysmat.config_hash(approx=plan["approx"], coil=coil,
-                              highpass=plan["highpass"], **plan["recipe"])
 
 
 def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
-    """Save each coil's rows of stacked as sysmat_<axis>.mat.
-
-    Each file holds a view of that coil's rows, high-passed when the plan
-    sets a cut-off, under _matrix_hash.
-    """
+    """Save each coil's rows of stacked, high-passed when the plan sets a
+    cut-off, as sysmat_<axis>.mat under the coil's sysmat stamp."""
     cutoff = ws.plan["highpass"]
-    for i, (axis, coil) in enumerate(ws.plan["coils"]):
+    for i, ((axis, _), digest) in enumerate(zip(ws.plan["coils"],
+                                                ws.stamps["sysmat"])):
         sm = stacked.coil_block(i)
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
-        digest = _matrix_hash(ws, coil)
         path = ws.path(f"sysmat_{axis}.mat")
         sysmat.save_system_matrix(sm, path, digest)
         print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
               f"{path.stat().st_size / 1e6:.1f} MB, hash {digest}")
 
 
-def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
+def stage_lsqr(ws: Workspace):
     traces = _load_traces(ws)
-    grid, coils = ws.plan["recipe"]["grid"], ws.plan["coils"]
+    grid, coils = ws.plan["grid"], ws.plan["coils"]
     stacked = sysmat.load_system_matrices(
         [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils],
-        [_matrix_hash(ws, coil) for _, coil in coils], force=force)
+        list(ws.stamps["sysmat"]), force=ws.force)
     rhs = sysmat.stack_coils(stacked, traces)
     if not stacked.grid_meta_matches(grid):
         raise ConfigError(
@@ -580,60 +583,50 @@ def stage_lsqr(ws: Workspace, force: bool = False) -> dict:
             f"grid is {grid.dims}, spacing {grid.spacing}, origin {grid.origin}")
     result = recon.lsqr_solve(stacked.operator(), rhs, ws.plan["lsqr"])
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
-    _save_recon(ws, "recon_lsqr", image)
-    _write_csv(ws, "lsqr_residuals.csv", "iteration,residual",
+    _save_recon(ws, "lsqr", image)
+    _write_csv(ws, "lsqr_residuals.csv", ws.stamps["lsqr"], "iteration,residual",
                enumerate(result.residuals))
     print(f"lsqr: {result.iterations} iterations, stop {result.stop_reason}, "
           f"final residual {result.residuals[-1]:.6g}")
-    return {"image": image, "result": result}
 
 
-def stage_fbp(ws: Workspace) -> dict:
+def stage_fbp(ws: Workspace):
     fs = ws.plan["fbp"]
     traces = _load_traces(ws)
     sino = fbp_mod.signal_to_sinogram(
         traces, [coil for _, coil in ws.plan["coils"]], fs["model"],
-        n_bins=fs["n_bins"], deconvolve=fs["deconvolve"], params=fs["params"],
-        nsr=fs["nsr"], cos_guard=fs["cos_guard"])
+        n_bins=fs["n_bins"], cos_guard=fs["cos_guard"])
     if ws.plan["highpass"] is not None:
         # undo the per-projection constant the high-pass leaves
         sino = fbp_mod.subtract_edge_baseline(sino)
-    image = fbp_mod.fbp_reconstruct(sino, fs["grid"], window=fs["window"])
+    image = fbp_mod.fbp_reconstruct(sino, ws.plan["grid"], window=fs["window"])
     fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
     phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
-    _save_recon(ws, "recon_fbp", image)
+    _save_recon(ws, "fbp", image)
     print(f"fbp: {sino.angles.size} projections x "
           f"{sino.displacements.size} bins")
-    return {"image": image, "sinogram": sino}
 
 
-def _written_here(ws: Workspace, path: Path) -> bool:
-    """Whether the file at path starts with this config's '# config' line."""
-    with open_input(path) as fh:
-        return fh.readline() == f"# config {ws.digest}\n".encode()
+def stage_compare(ws: Workspace):
+    """Score the reconstructions that carry the stamp this plan expects of
+    them; skip the rest.
 
-
-def stage_compare(ws: Workspace) -> dict:
-    """Score the reconstructions written under this config; skip the rest.
-
-    The reference, phantom_recon.grid, must be written under this config.
+    The reference, phantom_recon.grid, must carry the phantom stage's stamp.
     """
     ref_path = ws.require("phantom_recon.grid")
     names = []
-    for name in ("recon_lsqr", "recon_fbp"):
-        p = ws.path(f"{name}.grid")
-        if not p.exists():
-            continue
-        if not _written_here(ws, p):
-            print(f"compare: skipped {name}, not written under config "
-                  f"{ws.digest}")
-            continue
-        names.append(name)
+    for stage in ("lsqr", "fbp"):
+        p = ws.path(f"recon_{stage}.grid")
+        if p.exists() and stage in ws.stamps and _has_stamp(p, ws.stamps[stage]):
+            names.append(f"recon_{stage}")
+        elif p.exists():
+            print(f"compare: skipped recon_{stage}, not written by this config's "
+                  f"{stage} stage")
     if not names:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
-    if not _written_here(ws, ref_path):
-        raise MissingInputError(f"{ref_path} was not written under config "
-                                f"{ws.digest}; run the phantom stage first")
+    if not _has_stamp(ref_path, ws.stamps["phantom"]):
+        raise MissingInputError(f"{ref_path} was not written by this config's "
+                                f"phantom stage; run the phantom stage first")
     reference = phantom.load_grid(ref_path)
     rows = []
     for name in names:
@@ -642,32 +635,29 @@ def stage_compare(ws: Workspace) -> dict:
         scale = recon.optimal_scale(image, reference)
         scaled = recon.nrmse(image.with_values(scale * image.values), reference)
         rows.append((name, plain, scaled))
-    _write_csv(ws, "compare.csv", "reconstruction,nrmse,nrmse_scaled", rows)
+    _write_csv(ws, "compare.csv", ws.stamps["compare"],
+               "reconstruction,nrmse,nrmse_scaled", rows)
     for name, plain, scaled in rows:
         print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")
-    return {"rows": rows}
 
 
-PIPELINE_STAGES = ("phantom", "simulate", "filter", "sysmat", "lsqr", "fbp",
-                   "compare")
+def _run_stages(ws: Workspace, stages):
+    for stage in stages:
+        # looked up in the module namespace at call time, so wrapped stages run
+        globals()[f"stage_{stage}"](ws)
 
 
-def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False) -> dict:
+def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False):
     """Run the requested stages in pipeline order inside one workspace."""
-    order = [s for s in PIPELINE_STAGES if s in stages]
-    unknown = set(stages) - set(PIPELINE_STAGES)
+    order = [s for s in STAGES if s in stages]
+    unknown = set(stages) - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
     if not order:
-        raise ConfigError(f"no stage to run; name one of {', '.join(PIPELINE_STAGES)}")
-    ws = Workspace(cfg, order, outdir)
+        raise ConfigError(f"no stage to run; name one of {', '.join(STAGES)}")
+    ws = Workspace(cfg, order, outdir, force)
     ws.prepare()
-    results = {}
-    for stage in order:
-        # looked up in the module namespace at call time, so wrapped stages run
-        run = globals()[f"stage_{stage}"]
-        results[stage] = run(ws, force=force) if stage == "lsqr" else run(ws)
-    return results
+    _run_stages(ws, order)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -701,19 +691,20 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     """Reconstruct once per parameter value against shared simulated data.
 
     The base workspace plans phantom, simulate and filter, and each value's
-    workspace plans sysmat and lsqr, so a bad setting or value, or two
-    values that would share a sub-directory, stops the sweep before
-    anything is written.
-    The voltage data is simulated once from the base config with its
-    forward.model.  The sweep parameters change only the staircase, so one
-    assembly pass on the first value's plan builds every value's system
-    matrix; each value then saves its matrix and runs its LSQR
-    reconstruction, and the summary records NRMSE against the phantom on
-    the reconstruction grid.
+    workspace plans sysmat and lsqr on the base workspace's stamps, so a bad
+    setting or value, or two values that would share a sub-directory, stops
+    the sweep before anything is written.  The voltage data is simulated
+    once from the base config with its forward.model, and each value's lsqr
+    checks the traces against the base stamps.  The sweep parameters change
+    only the staircase, so one assembly pass on the first value's plan
+    builds every value's system matrix; each value then saves its matrix
+    and runs its LSQR reconstruction, and the summary records NRMSE against
+    the phantom on the reconstruction grid.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    ws = Workspace(cfg, ("phantom", "simulate", "filter"), outdir)
+    base = ("phantom", "simulate", "filter")
+    ws = Workspace(cfg, base, outdir)
     subs = {}
     for value in values:
         name = f"{parameter}_{_slug(value)}"
@@ -721,18 +712,18 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
             raise ConfigError(f"sweep values {subs[name][0].strip()!r} and "
                               f"{value.strip()!r} would share the directory {name}")
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
-                                       ("sysmat", "lsqr"), ws.dir / name))
+                                       ("sysmat", "lsqr"), ws.dir / name,
+                                       given=ws.stamps))
     ws.prepare()
-    stage_phantom(ws)
-    stage_simulate(ws)
-    stage_filter(ws)
+    _run_stages(ws, base)
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
     plans = [sub.plan for _, sub in subs.values()]
     shared = plans[0]
     matrices = sysmat.build_system_matrices(
-        approxes=[plan["approx"] for plan in plans],
-        coils=[coil for _, coil in shared["coils"]], **shared["recipe"],
-        nnz_cap=shared["sysmat"]["nnz_cap"], n_workers=shared["sysmat"]["workers"])
+        shared["field"], [plan["approx"] for plan in plans],
+        [coil for _, coil in shared["coils"]], shared["acq"], shared["grid"],
+        shared["subsampling"], nnz_cap=shared["sysmat.nnz_cap"],
+        n_workers=shared["sysmat.workers"])
     summary = []
     for i, (value, sub) in enumerate(subs.values()):
         sub.prepare()
@@ -744,11 +735,15 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
                         fh.write(src.read_bytes())
         _save_matrices(sub, matrices[i])
         matrices[i] = None  # saved: stage_lsqr reads it back from the file
-        result = stage_lsqr(sub)
-        value_nrmse = recon.nrmse(result["image"], reference)
+        stage_lsqr(sub)
+        value_nrmse = recon.nrmse(phantom.load_grid(sub.path("recon_lsqr.grid")),
+                                  reference)
         summary.append((value, value_nrmse))
         print(f"sweep {parameter}={value.strip()}: nrmse {value_nrmse:.6g}")
-    _write_csv(ws, f"sweep_{parameter}.csv", f"{parameter},nrmse",
+    # like compare's: a digest of the reference's and the reconstructions' stamps
+    stamp = sysmat.stamp(ws.stamps["phantom"],
+                         *(sub.stamps["lsqr"] for _, sub in subs.values()))
+    _write_csv(ws, f"sweep_{parameter}.csv", stamp, f"{parameter},nrmse",
                [(value.strip(), err) for value, err in summary])
     return summary
 
@@ -818,10 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lsqr", parents=[common],
                        help="reconstruct by early-stopped LSQR")
     p.add_argument("--force", action="store_true",
-                   help="use stored matrices even if their config hash differs")
+                   help="use stored traces and matrices even if their stamp differs")
     p = sub.add_parser("run", parents=[common],
                        help="run the full pipeline (all stages in order)")
-    p.add_argument("--stages", default=",".join(PIPELINE_STAGES),
+    p.add_argument("--stages", default=",".join(STAGES),
                    help="comma-separated stage subset")
     p.add_argument("--force", action="store_true")
     p = sub.add_parser("sweep", parents=[common],

@@ -9,7 +9,7 @@ classic Ram-Lak FBP inverts.  scan_projections alone decides the scan's
 projections and their samples, so a driver can check a scan before any
 trace exists.  The continuous line rotation is deliberately not corrected
 inside a projection window, and the magnetization kernel stays in the
-image unless Wiener deconvolution is requested.
+image.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .artifacts import atomic_open
 from .errors import ConfigError
 from .fields import MU0, TWO_PI, FieldModel, ffl_amplitude, ffl_half_angle
-from .magnetization import LangevinParams, mbar_prime
 from .phantom import ConcentrationGrid
 
 log = logging.getLogger(__name__)
@@ -122,7 +121,7 @@ def _wrap_angle(theta: float):
 COS_GUARD_MIN = 1e-6
 
 
-def check_settings(n_bins: int = 80, cos_guard: float = 0.05, nsr: float = 1e-2,
+def check_settings(n_bins: int = 80, cos_guard: float = 0.05,
                    window: str = "ramlak"):
     """Raise ConfigError unless every FBP setting is usable.
 
@@ -134,9 +133,9 @@ def check_settings(n_bins: int = 80, cos_guard: float = 0.05, nsr: float = 1e-2,
     """
     if n_bins < 2:
         raise ConfigError(f"need n_bins >= 2, got n_bins={n_bins}")
-    if not (COS_GUARD_MIN <= cos_guard < 1 and nsr >= 0):
-        raise ConfigError(f"need {COS_GUARD_MIN:g} <= cos_guard < 1 and nsr >= 0, got "
-                          f"cos_guard={cos_guard:g} and nsr={nsr:g}")
+    if not COS_GUARD_MIN <= cos_guard < 1:
+        raise ConfigError(f"need {COS_GUARD_MIN:g} <= cos_guard < 1, got "
+                          f"cos_guard={cos_guard:g}")
     if window not in ("ramlak", "hann"):
         raise ConfigError(f"unknown filter window {window!r}; need ramlak or hann")
 
@@ -172,8 +171,6 @@ def scan_projections(f_d: float, sample_rate: float, n_samples: int,
 
 
 def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
-                       deconvolve: bool = False,
-                       params: LangevinParams | None = None, nsr: float = 1e-2,
                        cos_guard: float = 0.05) -> Sinogram:
     """Regrid line-scanner voltages into a sinogram of the nominal scan.
 
@@ -185,20 +182,17 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
     velocity factor -2 pi d mu0 f_d cos(2 pi f_d t) <rho, e> and bin-average
     onto n_bins uniform displacements up to fields.ffl_amplitude either side.
     Multiple coils combine by least squares over their geometric weights
-    <rho, e>.  With deconvolve, each projection is Wiener-deconvolved by the
-    kernel mbar'(|2 g s|).
+    <rho, e>.
     """
     amp = ffl_amplitude(model)
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
-    check_settings(n_bins=n_bins, cos_guard=cos_guard, nsr=nsr)
-    if deconvolve and params is None:
-        raise ConfigError("deconvolution needs Langevin parameters")
+    check_settings(n_bins=n_bins, cos_guard=cos_guard)
     first = traces[0]
     for tr in traces:
         if tr.samples.size != first.samples.size or tr.sample_rate != first.sample_rate:
             raise ConfigError("traces disagree on sampling")
-    g, d, f_d = model.params["g"], model.params["d"], model.params["f_d"]
+    d, f_d = model.params["d"], model.params["f_d"]
     projections = scan_projections(f_d, first.sample_rate, first.samples.size,
                                    cos_guard)
     edges = np.linspace(-amp, amp, n_bins + 1)
@@ -243,26 +237,11 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
     order = np.argsort(angles)
     rows = rows[order]
     angles = angles[order]
-    if deconvolve:
-        rows = _wiener_rows(rows, centers, g, params, nsr)
     return Sinogram(values=rows, angles=angles, displacements=centers)
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
-
-
-def _wiener_rows(rows, centers, g, params, nsr):
-    n = centers.size
-    ds = centers[1] - centers[0]
-    nfft = _next_pow2(2 * n)
-    offsets = ((np.arange(nfft) + nfft // 2) % nfft - nfft // 2) * ds
-    kern = mbar_prime(params, 2.0 * g * np.abs(offsets)) * ds
-    khat = np.fft.fft(kern)
-    power = np.abs(khat) ** 2
-    floor = nsr * power.max()
-    rhat = np.fft.fft(rows, nfft) * np.conj(khat) / (power + floor)
-    return np.real(np.fft.ifft(rhat))[:, :n]
 
 
 def subtract_edge_baseline(sino: Sinogram) -> Sinogram:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError
+from .errors import ConfigError, HashMismatchError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
 from .phantom import ConcentrationGrid, cell_offsets
@@ -330,28 +330,40 @@ def save_trace_csv(trace: SignalTrace, path, comments=()):
                          zip(trace.times().tolist(), trace.samples.tolist())))
 
 
-def save_trace_bin(trace: SignalTrace, path):
-    """ASCII header 'T sample_rate t0 coil', then float64 samples."""
+def save_trace_bin(trace: SignalTrace, path, stamp: str):
+    """ASCII header 'T sample_rate t0 coil stamp', then float64 samples."""
     header = (f"{trace.samples.size} {trace.sample_rate:.17g} "
-              f"{trace.t0:.17g} {trace.coil_index}\n")
+              f"{trace.t0:.17g} {trace.coil_index} {stamp}\n")
     with atomic_open(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(trace.samples.astype("<f8").tobytes())
 
 
-def load_trace_bin(path) -> SignalTrace:
-    """Inverse of save_trace_bin; a malformed or truncated file raises ConfigError."""
+def load_trace_bin(path, expected_stamp: str | None = None,
+                   force: bool = False) -> SignalTrace:
+    """Inverse of save_trace_bin.
+
+    A malformed, truncated or unstamped file raises ConfigError; a stamp
+    other than a non-None expected_stamp HashMismatchError unless force.
+    """
     with open_input(path) as fh:
         line = fh.readline()
         raw = fh.read()
     try:
         header = line.decode("ascii").split()
-        if len(header) != 4:
-            raise ValueError(f"expected 4 fields, got {len(header)}")
-        n, rate, t0, coil = (int(header[0]), float(header[1]), float(header[2]),
-                             int(header[3]))
+        if len(header) == 4:
+            raise ValueError("written without a stamp; re-run `mpisim simulate`")
+        if len(header) != 5:
+            raise ValueError(f"expected 5 fields, got {len(header)}")
+        n, rate, t0, coil, stamp = (int(header[0]), float(header[1]), float(header[2]),
+                                    int(header[3]), header[4])
+        if len(stamp) != 16 or set(stamp) - set("0123456789abcdef"):
+            raise ValueError(f"stamp {stamp!r} is not 16 hex digits")
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed trace header: {exc}") from None
+    if expected_stamp not in (None, stamp) and not force:
+        raise HashMismatchError(f"{path}: stored stamp {stamp} does not match "
+                                f"expected {expected_stamp}; pass force to override")
     if len(raw) != 8 * n:
         raise ConfigError(f"{path}: expected {n} samples, got {len(raw) / 8:g}")
     return SignalTrace(samples=np.frombuffer(raw, dtype="<f8").copy(),

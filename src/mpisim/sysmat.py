@@ -36,6 +36,7 @@ matrix itself, or the filtered operator of SystemMatrix.operator().
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import math
 import os
@@ -338,35 +339,46 @@ class SystemMatrix:
                 and np.allclose(self.grid_origin, grid.origin, rtol=0, atol=tol))
 
 
-def config_hash(model: FieldModel, approx: MagnetizationApprox,
-                grid: ConcentrationGrid, acq: AcquisitionConfig, coil: ReceiveCoil,
-                subsampling: int = 1, highpass: float | None = None) -> str:
-    """Deterministic 16-hex digest of everything the matrix depends on.
+def stamp(*parts) -> str:
+    """16 hex digits of sha256 over parts: an artifact's provenance stamp.
 
-    The time axis enters as its sample count, t0 and spacing 1/sample_rate.
-    A high-pass cut-off is chained onto the digest of the unfiltered matrix.
+    A float is written as .17g, an array as its shape and bytes, any other
+    leaf as str, each followed by '|'.  Lists, tuples, dicts (key, value)
+    and dataclasses (field values) write their items in order.
     """
     h = hashlib.sha256()
 
-    def put(*parts):
-        for p in parts:
-            h.update(str(p).encode())
-            h.update(b"|")
+    def put(part):
+        if isinstance(part, np.ndarray):
+            put(part.shape)
+            h.update(np.ascontiguousarray(part).tobytes() + b"|")
+        elif dataclasses.is_dataclass(part):
+            put([getattr(part, f.name) for f in dataclasses.fields(part)])
+        elif isinstance(part, (list, tuple, dict)):
+            for item in (part.items() if isinstance(part, dict) else part):
+                put(item)
+        else:
+            leaf = f"{part:.17g}" if isinstance(part, float) else str(part)
+            h.update(f"{leaf}|".encode())
 
-    for t in model.terms:
-        put(t.component, t.degree, t.order, f"{t.coefficient:.17g}",
-            t.modulation.kind, f"{t.modulation.f1:.17g}", f"{t.modulation.f2:.17g}",
-            f"{t.modulation.phase:.17g}", f"{t.modulation.scale:.17g}")
-    put(f"{model.validity_radius:.17g}")
-    put(approx.scheme, f"{approx.threshold:.17g}")
-    put(*(f"{x:.17g}" for x in approx.ladder))
-    put(*(f"{s:.17g}" for s in approx.slopes))
-    put(*grid.dims, *(f"{s:.17g}" for s in grid.spacing),
-        *(f"{o:.17g}" for o in grid.origin))
-    put(acq.n_samples, f"{acq.t0:.17g}", f"{1 / acq.sample_rate:.17g}")
-    put(*(f"{v:.17g}" for v in coil.vector))
-    put(subsampling)
-    digest = h.hexdigest()[:16]
+    for part in parts:
+        put(part)
+    return h.hexdigest()[:16]
+
+
+def config_hash(model: FieldModel, approx: MagnetizationApprox,
+                grid: ConcentrationGrid, acq: AcquisitionConfig, coil: ReceiveCoil,
+                subsampling: int = 1, highpass: float | None = None) -> str:
+    """The stamp of everything a coil's matrix depends on.
+
+    The grid enters by its geometry alone, the time axis as its sample
+    count, t0 and spacing 1/sample_rate.  A high-pass cut-off is chained
+    onto the digest of the unfiltered matrix.
+    """
+    digest = stamp(model.terms, model.validity_radius, approx.scheme, approx.threshold,
+                   approx.ladder, approx.slopes, grid.dims, grid.spacing, grid.origin,
+                   acq.n_samples, acq.t0, 1 / acq.sample_rate, coil.sensitivity,
+                   subsampling)
     if highpass is None:
         return digest
     return hashlib.sha256(f"{digest}|hp:{highpass:.17g}".encode()).hexdigest()[:16]

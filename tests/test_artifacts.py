@@ -1,5 +1,6 @@
 """Artifact files: atomic writes, and loaders that fail only with typed errors."""
 
+import re
 import types
 
 import numpy as np
@@ -27,6 +28,10 @@ def _grid():
 def _trace():
     return SignalTrace(samples=np.linspace(-1.0, 1.0, 5), sample_rate=1e6,
                        t0=1e-6, coil_index=1)
+
+
+def _save_trace(path):
+    save_trace_bin(_trace(), path, "0123456789abcdef")
 
 
 def _write_coefficients(path):
@@ -69,14 +74,14 @@ class _InterruptingSamples:
 def _interrupted_trace_bin(path):
     trace = types.SimpleNamespace(samples=_InterruptingSamples(), sample_rate=1e6,
                                   t0=0.0, coil_index=0)
-    save_trace_bin(trace, path)
+    save_trace_bin(trace, path, "0123456789abcdef")
 
 
 # each writer is interrupted after it has written part of the file
 WRITERS = {
     "grid": (lambda p: save_grid(_grid(), p),
              lambda p: save_grid(_grid(), p, comments=_interrupting_comments())),
-    "trace_bin": (lambda p: save_trace_bin(_trace(), p), _interrupted_trace_bin),
+    "trace_bin": (_save_trace, _interrupted_trace_bin),
     "trace_csv": (lambda p: save_trace_csv(_trace(), p),
                   lambda p: save_trace_csv(_trace(), p,
                                            comments=_interrupting_comments())),
@@ -119,7 +124,7 @@ def test_loaders_report_a_missing_file(tmp_path):
 
 LOADERS = {
     "grid": (load_grid, lambda p: save_grid(_grid(), p, comments=["config 0123"])),
-    "trace_bin": (load_trace_bin, lambda p: save_trace_bin(_trace(), p)),
+    "trace_bin": (load_trace_bin, _save_trace),
     "coefficients": (load_field_coefficients, _write_coefficients),
     "ini": (RunConfig.load, _write_ini),
     "sysmat": (load_system_matrix, _save_matrix),
@@ -142,16 +147,34 @@ _field = st.one_of(
     st.text(max_size=6),
 )
 _header = st.lists(_field, max_size=12).map(" ".join)
+# stamps that are not 16 lowercase hex digits, and near misses
+_stamp_like = st.one_of(st.text("0123456789abcdef", max_size=20),
+                        st.text("0123456789abcdefABCDEFxz-+_. ", max_size=20))
 
 
 @st.composite
 def _corrupted(draw, valid: bytes) -> bytes:
-    """A valid file truncated, with one line replaced, or random bytes."""
-    kind = draw(st.sampled_from(["truncate", "line", "random"]))
+    """A valid file truncated, with one line replaced, with one field of its
+    first line dropped, replaced or added (a stamp-like one), or random
+    bytes."""
+    kind = draw(st.sampled_from(["truncate", "line", "field", "random"]))
     if kind == "truncate":
         return valid[:draw(st.integers(0, len(valid) - 1))]
     if kind == "random":
         return draw(st.binary(max_size=96))
+    if kind == "field":
+        first, newline, rest = valid.partition(b"\n")
+        fields = first.split(b" ")
+        i = draw(st.integers(0, len(fields) - 1))
+        token = draw(_stamp_like).encode()
+        edit = draw(st.sampled_from(["drop", "replace", "add"]))
+        if edit == "drop":
+            del fields[i]
+        elif edit == "replace":
+            fields[i] = token
+        else:
+            fields.insert(draw(st.integers(0, len(fields))), token)
+        return b" ".join(fields) + newline + rest
     lines = valid.split(b"\n")
     i = draw(st.integers(0, min(len(lines) - 1, 3)))
     lines[i] = draw(_header).encode("utf-8", "surrogatepass")
@@ -177,3 +200,22 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, loader):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"5 1000000 9.9999999999999995e-07 1", "re-run `mpisim simulate`"),
+    (b"5 1000000 9.9999999999999995e-07 1 0123456789abcdeg", "16 hex digits"),
+    (b"5 1000000 9.9999999999999995e-07 1 0123456789ABCDEF", "16 hex digits"),
+    (b"5 1000000 9.9999999999999995e-07 1 0123456789abcde", "16 hex digits"),
+    (b"5 1000000 9.9999999999999995e-07 1 0123456789abcdef0", "16 hex digits"),
+    (b"5 1000000 9.9999999999999995e-07 1 0123456789abcdef 7", "expected 5 fields"),
+    (b"5 1000000 9.9999999999999995e-07", "expected 5 fields"),
+])
+def test_trace_header_needs_one_stamp_of_16_hex_digits(tmp_path, header, message):
+    path = tmp_path / "trace.bin"
+    _save_trace(path)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    assert first.endswith(b" 0123456789abcdef")  # the valid five fields
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_trace_bin(path)

@@ -89,8 +89,12 @@ def test_runconfig_defaults_and_overrides(tmp_path):
         [0.020, 0.015, 0.010, 0.007, 0.004])
     over = cli.RunConfig.load(overrides=["magnetization.b=4 mT"])
     assert over.qty("magnetization", "b") == pytest.approx(0.004)
-    assert over.digest() != cfg.digest()
-    assert cli.RunConfig.load().digest() == cfg.digest()  # stable
+    stamps = cli.plan_stages(cfg, cli.STAGES)["stamps"]
+    moved = cli.plan_stages(over, cli.STAGES)["stamps"]
+    # the staircase moves the matrices and what reads them, not the traces
+    assert [s for s in cli.STAGES if moved[s] != stamps[s]] == [
+        "sysmat", "lsqr", "compare"]
+    assert cli.plan_stages(cli.RunConfig.load(), cli.STAGES)["stamps"] == stamps
     with pytest.raises(ConfigError):
         cli.RunConfig.load(overrides=["nosuch.key=1"])
     with pytest.raises(ConfigError):
@@ -109,13 +113,9 @@ def test_runconfig_defaults_and_overrides(tmp_path):
 
 
 def test_runconfig_coercions():
-    cfg = cli.RunConfig.load(overrides=["solver.iterations=oops",
-                                        "fbp.deconvolve=maybe"])
+    cfg = cli.RunConfig.load(overrides=["solver.iterations=oops"])
     with pytest.raises(ConfigError):
         cfg.integer("solver", "iterations")
-    with pytest.raises(ConfigError):
-        cfg.boolean("fbp", "deconvolve")
-    assert cli.RunConfig.load().boolean("fbp", "deconvolve") is False
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +137,23 @@ def test_pipeline_outputs(pipeline_dir):
                  "compare.csv", "recon_lsqr.pgm", "profile_recon_lsqr_h.csv"):
         assert (out / name).exists(), name
     resolved = (out / "config.resolved.ini").read_text()
-    assert resolved.startswith("# config ")
+    assert resolved.startswith("[field]\n")
     assert "fov = 20 mm" in resolved
+    # every artifact carries the stamp of the stage that wrote it
+    stamps = cli.plan_stages(cli.RunConfig.load(ini), cli.STAGES)["stamps"]
+    for name, stage in (("phantom_recon.grid", "phantom"),
+                        ("trace_x.csv", "simulate"),
+                        ("trace_y_filtered.csv", "filter"),
+                        ("lsqr_residuals.csv", "lsqr"),
+                        ("profile_recon_fbp_v.csv", "fbp"),
+                        ("compare.csv", "compare")):
+        first = (out / name).read_bytes().split(b"\n")[0]
+        assert first == f"# stamp {stamps[stage]}".encode(), name
+    for suffix, stage in (("", "simulate"), ("_filtered", "filter")):
+        header = (out / f"trace_x{suffix}.bin").read_bytes().split(b"\n")[0]
+        assert header.split()[4] == stamps[stage].encode()
+    assert stamps["sysmat"] == tuple(
+        (out / f"sysmat_{axis}.mat").read_bytes().split()[3].decode() for axis in "xy")
     rows = {}
     for line in (out / "compare.csv").read_text().splitlines():
         if line.startswith(("#", "reconstruction")):
@@ -232,17 +247,17 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     tmp, ini, out = pipeline_dir
     ws = cli.Workspace(cli.RunConfig.load(ini), ["sysmat"], out)
     plan, coils = ws.plan, ws.plan["coils"]
-    fresh = sysmat.build_system_matrix(approx=plan["approx"],
-                                       coils=[coil for _, coil in coils], **plan["recipe"])
-    for i, (axis, coil) in enumerate(coils):
+    fresh = sysmat.build_system_matrix(plan["field"], plan["approx"],
+                                       [coil for _, coil in coils], plan["acq"],
+                                       plan["grid"], plan["subsampling"])
+    for i, (axis, _) in enumerate(coils):
         path = out / f"sysmat_{axis}.mat"
         lines, indptr, indices, data = _csr_payload(path)
         header = sum(len(line) + 1 for line in lines)
         rows, nnz = indptr.size - 1, indices.size
         assert path.stat().st_size == header + 8 * (rows + 1) + 12 * nnz
         block = fresh.coil_block(i).matrix
-        loaded = load_system_matrix(
-            path, expected_hash=cli._matrix_hash(ws, coil)).matrix
+        loaded = load_system_matrix(path, expected_hash=ws.stamps["sysmat"][i]).matrix
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
             got = getattr(loaded, name)
@@ -329,7 +344,7 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, message", [
     (["lsqr", "--set", "solver.atol=abc"], 2, "quantity"),
     (["lsqr", "--set", "solver.btol=1e-8 parsec"], 2, "unit"),
-    (["fbp", "--set", "fbp.nsr=1e-2x"], 2, "unit"),
+    (["fbp", "--set", "fbp.cos_guard=0.05x"], 2, "unit"),
     (["fbp", "--set", "fbp.cos_guard=zz"], 2, "quantity"),
     (["field-info", "-c", "{bytes}"], 2, "decode"),
     (["field-info", "-c", "{dir}"], 2, "directory"),
@@ -362,7 +377,8 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
 @pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
                                       "sweep.data_model=general",
                                       "forward.subsampling=2", "fbp.baseline=on",
-                                      "fbp.decimate=2", "fbp.pad=60 mm"])
+                                      "fbp.decimate=2", "fbp.pad=60 mm",
+                                      "fbp.deconvolve=true", "fbp.nsr=1e-2"])
 def test_removed_config_keys_exit_2(capsys, override):
     assert cli.main(["field-info", "--set", override]) == 2
     assert "unknown config entry" in capsys.readouterr().err
@@ -371,7 +387,7 @@ def test_removed_config_keys_exit_2(capsys, override):
 # cfg.text("section", "key") and its siblings; the section may be an
 # f-string such as f"grid.{which}"
 _CONFIG_READER = re.compile(
-    r'\.(?:text|qty|qty_list|integer|boolean)\(f?"([^"]+)", "([^"]+)"\)')
+    r'\.(?:text|qty|qty_list|integer)\(f?"([^"]+)", "([^"]+)"\)')
 
 
 def test_every_default_key_has_a_reader():
@@ -572,7 +588,7 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
     ["fbp.bins=0"],
     ["fbp.bins=1"],
     ["fbp.cos_guard=2"],
-    ["fbp.nsr=-1", "fbp.deconvolve=true"],
+    ["fbp.cos_guard=-0.05"],
     ["fbp.window=boxcar"],
     # 74.07 samples per drive period: projections 0-4 keep a sample, 5 none
     ["acquisition.f_d=27 kHz", "fbp.cos_guard=0.9995"],
@@ -595,7 +611,6 @@ def test_invalid_fbp_settings_exit_2(tmp_path, capsys, overrides):
 
 
 LATE_FBP_SETTINGS = {
-    "fbp.deconvolve=maybe": "fbp.deconvolve must be a boolean",
     "fbp.cos_guard=0.05 parsec": "unit",
     "field.topology=lissajous_ffp": "needs an FFL topology",
 }
@@ -723,9 +738,9 @@ def test_single_stage_commands(tmp_path, monkeypatch):
     ini = write_tiny(tmp_path)
     calls = []
     for name in ("sysmat", "lsqr"):
-        def wrapped(ws, real=getattr(cli, f"stage_{name}"), name=name, **kw):
-            calls.append((name, kw))
-            return real(ws, **kw)
+        def wrapped(ws, real=getattr(cli, f"stage_{name}"), name=name):
+            calls.append((name, ws.force))
+            return real(ws)
         monkeypatch.setattr(cli, f"stage_{name}", wrapped)
     stage_dir = tmp_path / "stages"
     for name in ("phantom", "simulate", "filter", "sysmat"):
@@ -734,7 +749,7 @@ def test_single_stage_commands(tmp_path, monkeypatch):
     assert cli.main(["fbp", "-c", str(ini), "-o", str(stage_dir)]) == 0
     assert cli.main(["run", "-c", str(ini), "-o", str(stage_dir),
                      "--stages", "compare"]) == 0
-    assert calls == [("sysmat", {}), ("lsqr", {"force": True})]
+    assert calls == [("sysmat", False), ("lsqr", True)]
     # one stage at a time reproduces the pipeline run
     run_dir = tmp_path / "run"
     assert cli.main(["run", "-c", str(ini), "-o", str(run_dir)]) == 0
@@ -754,16 +769,28 @@ def test_compare_skips_reconstructions_of_another_config(pipeline_dir, tmp_path,
                      "phantom,simulate,filter,fbp,compare",
                      "--set", "phantom.discs=4 mm"]) == 0
     assert "compare: skipped recon_lsqr" in capsys.readouterr().out
-    stamp = (work / "config.resolved.ini").read_text().splitlines()[0]
+    stamps = cli.plan_stages(cli.RunConfig.load(ini, ["phantom.discs=4 mm"]),
+                             ["compare"])["stamps"]
     lines = (work / "compare.csv").read_text().splitlines()
-    assert lines[0] == stamp
+    assert lines[0] == f"# stamp {stamps['compare']}"
     assert [line.split(",")[0] for line in lines[2:]] == ["recon_fbp"]
+    # a 3 mm disc fills the 4 mm disc's cells: the same phantom, so the same
+    # stamps, and recon_fbp is still scored
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare",
+                     "--set", "phantom.discs=3 mm"]) == 0
+    assert "compare recon_fbp" in capsys.readouterr().out
     # no reconstruction of this config left: nothing is scored or written
     before = (work / "compare.csv").read_bytes()
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare",
-                     "--set", "phantom.discs=3 mm"]) == 3
+                     "--set", "phantom.discs=6 mm"]) == 3
     assert "no reconstructions found" in capsys.readouterr().err
     assert (work / "compare.csv").read_bytes() == before
+
+
+def _files(directory) -> dict:
+    """Every file below directory but config.resolved.ini, by relative path."""
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*")
+            if p.is_file() and p.name != "config.resolved.ini"}
 
 
 def test_compare_rejects_a_reference_of_another_config(pipeline_dir, tmp_path,
@@ -771,21 +798,30 @@ def test_compare_rejects_a_reference_of_another_config(pipeline_dir, tmp_path,
     tmp, ini, out = pipeline_dir
     work = tmp_path / "out"
     shutil.copytree(out, work)
-    before = (work / "compare.csv").read_bytes()
+    before = _files(work)
     capsys.readouterr()
-    # recon_fbp is rewritten under the new discs, phantom_recon.grid is not
+    # the traces fbp would read were simulated from the old discs
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
-                     "fbp,compare", "--set", "phantom.discs=4 mm"]) == 3
+                     "fbp,compare", "--set", "phantom.discs=4 mm"]) == 4
+    err = capsys.readouterr().err
+    assert "trace_x_filtered.bin" in err and "stamp" in err
+    assert "Traceback" not in err
+    assert _files(work) == before
+    # a reference of another phantom exits 3, the reconstructions being current
+    (work / "phantom_recon.grid").write_bytes(
+        b"# stamp 0123456789abcdef\n" + (work / "phantom_recon.grid").read_bytes())
+    assert cli.main(["run", "-c", str(ini), "-o", str(work),
+                     "--stages", "compare"]) == 3
     err = capsys.readouterr().err
     assert "phantom_recon.grid" in err and "run the phantom stage" in err
-    assert "Traceback" not in err
-    assert (work / "compare.csv").read_bytes() == before
+    assert _files(work) == {**before, Path("phantom_recon.grid"):
+                            (work / "phantom_recon.grid").read_bytes()}
 
 
 def test_compare_scores_reconstructions_of_other_workers_or_directory(
         tmp_path, capsys):
     # worker counts and the output directory change no reconstruction, so
-    # the config digest leaves them out; config.resolved.ini still lists them
+    # no stamp covers them; config.resolved.ini still lists them
     ini = write_tiny(tmp_path)
     work = tmp_path / "out"
     assert cli.main(["run", "-c", str(ini), "-o", str(work)]) == 0
@@ -800,10 +836,75 @@ def test_compare_scores_reconstructions_of_other_workers_or_directory(
         target, value = setting.split("=")
         resolved = (work / "config.resolved.ini").read_text()
         assert f"{target.split('.')[1]} = {value}" in resolved
-    # a setting that changes a reconstruction still skips it
-    assert cli.main([*compare, "--set", "solver.iterations=5"]) == 3
+    # a setting that changes one reconstruction skips that one alone
+    assert cli.main([*compare, "--set", "solver.iterations=5"]) == 0
     printed = capsys.readouterr().out
-    assert "skipped recon_lsqr" in printed and "skipped recon_fbp" in printed
+    assert "skipped recon_lsqr" in printed and "skipped recon_fbp" not in printed
+    assert "compare recon_fbp" in printed
+
+
+def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,
+                                                     capsys):
+    # the new phantom moves the stamp the traces must carry
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    before = _files(work)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
+                     "phantom,lsqr,compare", "--set", "phantom.discs=4 mm"]) == 4
+    err = capsys.readouterr().err
+    assert "trace_x_filtered.bin: stored stamp" in err and "Traceback" not in err
+    changed = {name for name, data in _files(work).items() if before[name] != data}
+    assert changed == {Path("phantom.grid"), Path("phantom_recon.grid"),
+                       Path("phantom.pgm")}
+    # simulate checks the phantom it reads the same way
+    assert cli.main(["simulate", "-c", str(ini), "-o", str(work)]) == 4
+    assert "phantom.grid does not carry the phantom stamp" in capsys.readouterr().err
+
+
+def test_an_fbp_setting_keeps_the_other_reconstruction(pipeline_dir, tmp_path,
+                                                       capsys):
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
+                     "fbp,compare", "--set", "fbp.bins=64"]) == 0
+    printed = capsys.readouterr().out
+    assert "skipped" not in printed
+    assert "compare recon_lsqr" in printed and "compare recon_fbp" in printed
+    assert ((work / "recon_lsqr.grid").read_bytes()
+            == (out / "recon_lsqr.grid").read_bytes())
+
+
+def test_a_stage_checks_the_settings_upstream_of_it(tmp_path, capsys):
+    # lsqr reads traces made from the phantom, so the phantom's settings
+    # are checked before anything is written
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "lsqr",
+                     "--set", "phantom.discs=bogus"]) == 2
+    assert "cannot parse quantity 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+    # but not the thread counts upstream, which enter no stamp
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "lsqr",
+                     "--set", "forward.workers=0"]) == 3
+    assert "missing input" in capsys.readouterr().err
+
+
+def test_ffp_runs_lsqr_and_compare_without_fbp(tmp_path, capsys):
+    # compare expects no FBP image on a field FBP refuses, and needs none
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "phantom,simulate,filter,sysmat,lsqr,compare",
+                     "--set", "field.topology=lissajous_ffp"]) == 0
+    assert "compare recon_lsqr" in capsys.readouterr().out
+    stamps = cli.plan_stages(cli.RunConfig.load(
+        ini, ["field.topology=lissajous_ffp"]), ["compare"])["stamps"]
+    assert "fbp" not in stamps and "lsqr" in stamps
 
 
 def test_compare_command(pipeline_dir, capsys, tmp_path):
@@ -925,6 +1026,30 @@ def test_sweep_matrices_equal_single_runs(tmp_path, parameter, values, settings)
                                single / name, shallow=False), (value, axis)
 
 
+def test_sweep_values_check_the_base_trace_stamps(tmp_path):
+    # every value reads the traces simulated from the base config; with
+    # forward.model=piecewise those carry the base staircase's stamp, which
+    # differs from each value's own
+    ini = write_tiny(tmp_path)
+    base = cli.RunConfig.load(ini, ["forward.model=piecewise"])
+    stamps = cli.plan_stages(base, ["filter"])["stamps"]
+    variant = cli._sweep_variant(base, "threshold_b", "8 mT")
+    assert cli.plan_stages(variant, ["filter"])["stamps"]["filter"] != stamps["filter"]
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "-c", str(ini), "-o", str(out), "--set",
+                     "forward.model=piecewise", "--parameter", "threshold_b",
+                     "--values", "8 mT,10 mT"]) == 0
+    for name in ("threshold_b_8_mT", "threshold_b_10_mT"):
+        header = (out / name / "trace_x_filtered.bin").read_bytes().split(b"\n")[0]
+        assert header.split()[4] == stamps["filter"].encode()
+    # general traces read neither the staircase nor the recon grid
+    general = cli.RunConfig.load(ini)
+    shared = cli.plan_stages(general, ["filter"])["stamps"]["filter"]
+    for value in ("4 mT", "8 mT"):
+        variant = cli._sweep_variant(general, "threshold_b", value)
+        assert cli.plan_stages(variant, ["filter"])["stamps"]["filter"] == shared
+
+
 def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys):
     ini = write_tiny(tmp_path)
     out = tmp_path / "sweep_out"
@@ -982,8 +1107,16 @@ def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
     assert "sysmat.build_system_matrix" in names
     # and the FBP layer from the spans of these two, which it wraps by name
     assert {"fbp.signal_to_sinogram", "fbp.fbp_reconstruct"} <= names
-    # the benchmark reads every stage's time from the span of its name
-    assert {f"cli.stage_{stage}" for stage in cli.PIPELINE_STAGES} <= names
+    # the benchmark reads every stage's time from the span of its name: it
+    # patches cli.stage_<name> for each name of its own list, which must be
+    # the stage table's, in order
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  root / "perfbench" / "tracer.py")
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    assert bench_tracer.STAGES == tuple(cli.STAGES)
+    assert all(callable(getattr(cli, f"stage_{stage}", None)) for stage in cli.STAGES)
+    assert {f"cli.stage_{stage}" for stage in cli.STAGES} <= names
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -1003,7 +1136,7 @@ def test_benchmark_command_lines_plan(tmp_path, monkeypatch, workload):
     args = cli.build_parser().parse_args(
         run.mpisim_argv(workload, 7, tmp_path / "out", 2))
     cfg = cli.RunConfig.load(args.config, args.set)
-    cli.plan_stages(cfg, cli.PIPELINE_STAGES)
+    cli.plan_stages(cfg, cli.STAGES)
     assert not (tmp_path / "out").exists()
 
 

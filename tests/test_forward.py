@@ -10,7 +10,7 @@ import pytest
 
 from mpisim import forward
 from mpisim import magnetization as mag
-from mpisim.errors import ConfigError
+from mpisim.errors import ConfigError, HashMismatchError
 from mpisim.fields import MU0, FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
@@ -154,10 +154,23 @@ def test_trace_bin_round_trip(tmp_path):
     tr = SignalTrace(samples=np.linspace(-1, 1, 33), sample_rate=4e6,
                      t0=-2e-6, coil_index=2)
     path = tmp_path / "trace.bin"
-    save_trace_bin(tr, path)
-    back = load_trace_bin(path)
+    save_trace_bin(tr, path, "0123456789abcdef")
+    assert path.read_bytes().startswith(b"33 4000000 -1.9999999999999999e-06 2 "
+                                        b"0123456789abcdef\n")
+    back = load_trace_bin(path, expected_stamp="0123456789abcdef")
     assert np.array_equal(back.samples, tr.samples)
     assert (back.sample_rate, back.t0, back.coil_index) == (4e6, -2e-6, 2)
+    # a stamp other than the expected one, unless forced
+    with pytest.raises(HashMismatchError):
+        load_trace_bin(path, expected_stamp="fedcba9876543210")
+    forced = load_trace_bin(path, expected_stamp="fedcba9876543210", force=True)
+    assert np.array_equal(forced.samples, tr.samples)
+    # a trace saved before the header carried a stamp
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header.rsplit(b" ", 1)[0] + b"\n" + payload)
+    with pytest.raises(ConfigError, match="re-run `mpisim simulate`"):
+        load_trace_bin(path)
+    save_trace_bin(tr, path, "0123456789abcdef")
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ConfigError):
         load_trace_bin(path)
