@@ -9,8 +9,11 @@ first file is written, and a stage reads its settings only from that plan.
 Every artifact carries the stamp of the stage that wrote it.  Exit codes:
 0 ok, 2 config error, 3 missing input, 4 stale input (a phantom.grid that
 simulate, a trace that filter, lsqr or fbp, or a matrix that lsqr reads
-carries another stamp than the plan expects; --force overrides), 5
-resource cap.
+carries another stamp than the plan expects; --force overrides, and what
+a forced stage writes then carries a stamp of the stamps it read, so no
+later check takes it for current), 5 resource cap.  config.resolved.ini
+is written with a run's first artifact, once a stage has passed its input
+checks.
 """
 
 from __future__ import annotations
@@ -424,27 +427,66 @@ def _matrix_hashes(plan: dict) -> tuple:
 
 class Workspace:
     """Output directory, resolved config and plan of the stages that run in
-    it, and whether stale inputs are used anyway (force)."""
+    it, whether stale inputs are used anyway (force), and the stamps such
+    forced inputs carried (found)."""
 
     def __init__(self, cfg: RunConfig, stages, outdir=None, force: bool = False,
                  given=None):
         self.dir = Path(outdir if outdir is not None
                         else cfg.text("output", "directory"))
         self.resolved = cfg.resolved_text()
+        self.echoed = False
         self.force = force
         self.plan = plan_stages(cfg, stages, given)
         self.stamps = self.plan["stamps"]
+        self.found = {}
 
     def path(self, name: str) -> Path:
         return self.dir / name
 
-    def prepare(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
-        with atomic_open(self.path("config.resolved.ini"), "w") as fh:
-            fh.write(self.resolved)
+    def out(self, name: str) -> Path:
+        """The path of an output.  The first call writes config.resolved.ini,
+        so a run that stops before a stage has passed its input checks and
+        written leaves the directory as it was."""
+        if not self.echoed:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            with atomic_open(self.path("config.resolved.ini"), "w") as fh:
+                fh.write(self.resolved)
+            self.echoed = True
+        return self.path(name)
+
+    def check(self, stage: str, paths) -> None:
+        """Check the stamps the inputs at paths carry against stage's.
+
+        A difference raises HashMismatchError unless force is set; then
+        the stamps are kept in found, so that what this run derives from
+        them carries stamp() of them, never the stamp the plan expects.
+        """
+        want = self.stamps[stage]
+        found = tuple(_carried_stamp(p) for p in paths)
+        if not isinstance(want, tuple):  # every coil's file carries one stamp
+            found = found[0] if len(set(found)) == 1 else found
+        if found == want:
+            return
+        if not self.force:
+            raise HashMismatchError(f"{paths[0]} does not carry the {stage} stamp "
+                                    f"{want}; run the {stage} stage")
+        self.found[stage] = found
+
+    def stamp(self, stage: str):
+        """The stamp of what stage writes: the plan's, unless an input that
+        force let through carried another; then sysmat.stamp of its plan
+        entries and the stamps its inputs actually carry."""
+        if stage in self.found:
+            return self.found[stage]
+        entries, inputs = STAGES[stage]
+        carried = [self.stamp(s) for s in inputs]
+        if carried == [self.stamps.get(s) for s in inputs]:
+            return self.stamps.get(stage)
+        return sysmat.stamp(*(self.plan[e] for e in entries), *carried)
 
     def comments(self, stage: str) -> list:
-        return [f"stamp {self.stamps[stage]}"]
+        return [f"stamp {self.stamp(stage)}"]
 
     def require(self, name: str) -> Path:
         p = self.path(name)
@@ -454,10 +496,15 @@ class Workspace:
         return p
 
 
-def _has_stamp(path: Path, stamp) -> bool:
-    """Whether the grid or CSV file at path starts with '# stamp <stamp>'."""
+def _carried_stamp(path: Path) -> str | None:
+    """The stamp the artifact at path carries: the '# stamp' line of a grid
+    or CSV, or the stamp field of a trace (.bin) or matrix (.mat) header."""
     with open_input(path) as fh:
-        return fh.readline() == f"# stamp {stamp}\n".encode()
+        fields = fh.readline().decode("ascii", "replace").split()
+    at = {".bin": 4, ".mat": 3}.get(path.suffix)
+    if at is None:
+        return fields[2] if len(fields) == 3 and fields[:2] == ["#", "stamp"] else None
+    return fields[at] if len(fields) > at else None
 
 
 def _load_traces(ws: Workspace, stage: str | None = None) -> list:
@@ -466,14 +513,15 @@ def _load_traces(ws: Workspace, stage: str | None = None) -> list:
     if stage is None:
         stage = "filter" if ws.plan["highpass"] is not None else "simulate"
     suffix = "_filtered" if stage == "filter" else ""
-    return [forward.load_trace_bin(ws.require(f"trace_{axis}{suffix}.bin"),
-                                   ws.stamps[stage], ws.force)
-            for axis, _ in ws.plan["coils"]]
+    paths = [ws.require(f"trace_{axis}{suffix}.bin") for axis, _ in ws.plan["coils"]]
+    traces = [forward.load_trace_bin(p, ws.stamps[stage], ws.force) for p in paths]
+    ws.check(stage, paths)
+    return traces
 
 
 def _write_csv(ws: Workspace, name: str, stamp: str, header: str, rows):
     """The '# stamp' line, the header, then one line per row; numbers as .17g."""
-    with atomic_open(ws.path(name), "w") as fh:
+    with atomic_open(ws.out(name), "w") as fh:
         fh.write(f"# stamp {stamp}\n{header}\n")
         for row in rows:
             fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
@@ -482,12 +530,12 @@ def _write_csv(ws: Workspace, name: str, stamp: str, header: str, rows):
 
 def _save_recon(ws: Workspace, stage: str, grid: phantom.ConcentrationGrid):
     name = f"recon_{stage}"
-    phantom.save_grid(grid, ws.path(f"{name}.grid"), comments=ws.comments(stage))
-    phantom.save_pgm(ws.path(f"{name}.pgm"), grid.values[:, :, 0], vmin=0.0)
+    phantom.save_grid(grid, ws.out(f"{name}.grid"), comments=ws.comments(stage))
+    phantom.save_pgm(ws.out(f"{name}.pgm"), grid.values[:, :, 0], vmin=0.0)
     for axis, label in (("horizontal", "h"), ("vertical", "v")):
         prof = phantom.line_profile(grid, axis, 0.0)
         coords = grid.axis_coords(0 if axis == "horizontal" else 1)
-        _write_csv(ws, f"profile_{name}_{label}.csv", ws.stamps[stage],
+        _write_csv(ws, f"profile_{name}_{label}.csv", ws.stamp(stage),
                    "coord,value", zip(coords, prof))
 
 
@@ -495,10 +543,10 @@ def _save_recon(ws: Workspace, stage: str, grid: phantom.ConcentrationGrid):
 
 def stage_phantom(ws: Workspace):
     signal, reference = ws.plan["phantoms"]
-    phantom.save_grid(signal, ws.path("phantom.grid"), comments=ws.comments("phantom"))
-    phantom.save_grid(reference, ws.path("phantom_recon.grid"),
+    phantom.save_grid(signal, ws.out("phantom.grid"), comments=ws.comments("phantom"))
+    phantom.save_grid(reference, ws.out("phantom_recon.grid"),
                       comments=ws.comments("phantom"))
-    phantom.save_pgm(ws.path("phantom.pgm"), signal.values[:, :, 0],
+    phantom.save_pgm(ws.out("phantom.pgm"), signal.values[:, :, 0],
                      vmin=0.0, vmax=max(signal.values.max(), 1.0))
     print(f"phantom: {signal.dims[0]}x{signal.dims[1]} grid, "
           f"{int(signal.values.sum())} filled cells")
@@ -507,9 +555,7 @@ def stage_phantom(ws: Workspace):
 def stage_simulate(ws: Workspace):
     plan, settings = ws.plan, ws.plan["simulate"]
     path = ws.require("phantom.grid")
-    if not (ws.force or _has_stamp(path, ws.stamps["phantom"])):
-        raise HashMismatchError(f"{path} does not carry the phantom stamp "
-                                f"{ws.stamps['phantom']}; run the phantom stage")
+    ws.check("phantom", [path])
     grid = phantom.load_grid(path)
     kind = settings["model"]
     simulate = getattr(forward, SIMULATORS[kind])
@@ -519,9 +565,9 @@ def stage_simulate(ws: Workspace):
         if settings["noise_level"] > 0:
             trace = forward.add_noise(trace, settings["noise_level"] * trace.rms,
                                       settings["noise_seed"] + coil.index)
-        forward.save_trace_bin(trace, ws.path(f"trace_{axis}.bin"),
-                               ws.stamps["simulate"])
-        forward.save_trace_csv(trace, ws.path(f"trace_{axis}.csv"),
+        forward.save_trace_bin(trace, ws.out(f"trace_{axis}.bin"),
+                               ws.stamp("simulate"))
+        forward.save_trace_csv(trace, ws.out(f"trace_{axis}.csv"),
                                comments=ws.comments("simulate"))
         print(f"simulate[{kind}] coil {axis}: {trace.samples.size} samples, "
               f"rms {trace.rms:.6g} V")
@@ -535,9 +581,9 @@ def stage_filter(ws: Workspace):
     traces = _load_traces(ws, "simulate")
     for (axis, _), trace in zip(ws.plan["coils"], traces):
         filtered = forward.apply_highpass(trace, cutoff)
-        forward.save_trace_bin(filtered, ws.path(f"trace_{axis}_filtered.bin"),
-                               ws.stamps["filter"])
-        forward.save_trace_csv(filtered, ws.path(f"trace_{axis}_filtered.csv"),
+        forward.save_trace_bin(filtered, ws.out(f"trace_{axis}_filtered.bin"),
+                               ws.stamp("filter"))
+        forward.save_trace_csv(filtered, ws.out(f"trace_{axis}_filtered.csv"),
                                comments=ws.comments("filter"))
     print(f"filter: high-pass at {cutoff:.6g} Hz applied to "
           f"{len(traces)} trace(s)")
@@ -563,7 +609,7 @@ def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
         sm = stacked.coil_block(i)
         if cutoff is not None:
             sm = sysmat.apply_highpass_rows(sm, cutoff)
-        path = ws.path(f"sysmat_{axis}.mat")
+        path = ws.out(f"sysmat_{axis}.mat")
         sysmat.save_system_matrix(sm, path, digest)
         print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
               f"{path.stat().st_size / 1e6:.1f} MB, hash {digest}")
@@ -572,9 +618,10 @@ def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
 def stage_lsqr(ws: Workspace):
     traces = _load_traces(ws)
     grid, coils = ws.plan["grid"], ws.plan["coils"]
-    stacked = sysmat.load_system_matrices(
-        [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils],
-        list(ws.stamps["sysmat"]), force=ws.force)
+    paths = [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils]
+    stacked = sysmat.load_system_matrices(paths, list(ws.stamps["sysmat"]),
+                                          force=ws.force)
+    ws.check("sysmat", paths)
     rhs = sysmat.stack_coils(stacked, traces)
     if not stacked.grid_meta_matches(grid):
         raise ConfigError(
@@ -584,7 +631,7 @@ def stage_lsqr(ws: Workspace):
     result = recon.lsqr_solve(stacked.operator(), rhs, ws.plan["lsqr"])
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "lsqr", image)
-    _write_csv(ws, "lsqr_residuals.csv", ws.stamps["lsqr"], "iteration,residual",
+    _write_csv(ws, "lsqr_residuals.csv", ws.stamp("lsqr"), "iteration,residual",
                enumerate(result.residuals))
     print(f"lsqr: {result.iterations} iterations, stop {result.stop_reason}, "
           f"final residual {result.residuals[-1]:.6g}")
@@ -600,8 +647,8 @@ def stage_fbp(ws: Workspace):
         # undo the per-projection constant the high-pass leaves
         sino = fbp_mod.subtract_edge_baseline(sino)
     image = fbp_mod.fbp_reconstruct(sino, ws.plan["grid"], window=fs["window"])
-    fbp_mod.save_sinogram_csv(sino, ws.path("sinogram.csv"))
-    phantom.save_pgm(ws.path("sinogram.pgm"), sino.values.T)
+    fbp_mod.save_sinogram_csv(sino, ws.out("sinogram.csv"))
+    phantom.save_pgm(ws.out("sinogram.pgm"), sino.values.T)
     _save_recon(ws, "fbp", image)
     print(f"fbp: {sino.angles.size} projections x "
           f"{sino.displacements.size} bins")
@@ -617,14 +664,14 @@ def stage_compare(ws: Workspace):
     names = []
     for stage in ("lsqr", "fbp"):
         p = ws.path(f"recon_{stage}.grid")
-        if p.exists() and stage in ws.stamps and _has_stamp(p, ws.stamps[stage]):
+        if p.exists() and stage in ws.stamps and _carried_stamp(p) == ws.stamps[stage]:
             names.append(f"recon_{stage}")
         elif p.exists():
             print(f"compare: skipped recon_{stage}, not written by this config's "
                   f"{stage} stage")
     if not names:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
-    if not _has_stamp(ref_path, ws.stamps["phantom"]):
+    if _carried_stamp(ref_path) != ws.stamps["phantom"]:
         raise MissingInputError(f"{ref_path} was not written by this config's "
                                 f"phantom stage; run the phantom stage first")
     reference = phantom.load_grid(ref_path)
@@ -635,7 +682,7 @@ def stage_compare(ws: Workspace):
         scale = recon.optimal_scale(image, reference)
         scaled = recon.nrmse(image.with_values(scale * image.values), reference)
         rows.append((name, plain, scaled))
-    _write_csv(ws, "compare.csv", ws.stamps["compare"],
+    _write_csv(ws, "compare.csv", ws.stamp("compare"),
                "reconstruction,nrmse,nrmse_scaled", rows)
     for name, plain, scaled in rows:
         print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")
@@ -655,9 +702,7 @@ def run_pipeline(cfg: RunConfig, stages, outdir=None, force: bool = False):
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
     if not order:
         raise ConfigError(f"no stage to run; name one of {', '.join(STAGES)}")
-    ws = Workspace(cfg, order, outdir, force)
-    ws.prepare()
-    _run_stages(ws, order)
+    _run_stages(Workspace(cfg, order, outdir, force), order)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -714,7 +759,6 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         subs[name] = (value, Workspace(_sweep_variant(cfg, parameter, value),
                                        ("sysmat", "lsqr"), ws.dir / name,
                                        given=ws.stamps))
-    ws.prepare()
     _run_stages(ws, base)
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
     plans = [sub.plan for _, sub in subs.values()]
@@ -726,12 +770,11 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         n_workers=shared["sysmat.workers"])
     summary = []
     for i, (value, sub) in enumerate(subs.values()):
-        sub.prepare()
         for axis, _ in shared["coils"]:
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():
-                    with atomic_open(sub.path(f"trace_{axis}{suffix}.bin")) as fh:
+                    with atomic_open(sub.out(f"trace_{axis}{suffix}.bin")) as fh:
                         fh.write(src.read_bytes())
         _save_matrices(sub, matrices[i])
         matrices[i] = None  # saved: stage_lsqr reads it back from the file

@@ -22,9 +22,12 @@ growing data and indices, one region per coil, and drops the block, so
 the matrix is held once while it is assembled, plus a few blocks in
 flight (and twice for a moment if it outgrows its estimated size).
 Closing the gaps between the coils' regions in place then gives the
-indptr, indices and data that save_system_matrix writes.
-load_system_matrices reads each coil file's payload into its slice of one
-stacked CSR.
+indptr, indices and data of each staircase's matrix.  A stored matrix
+keeps each row's columns as runs of consecutive cells, which is how the
+low-field volume crosses the grid's flat indices: save_system_matrix
+encodes them from the CSR a chunk of rows at a time, and
+load_system_matrices decodes each coil file's runs straight into its slice
+of one stacked CSR, bit-equal to the one saved.
 
 scipy.sparse is imported only where a CSR is made (build_system_matrices,
 SystemMatrix.coil_block, load_system_matrices), so importing this module,
@@ -69,8 +72,10 @@ DEFAULT_NNZ_CAP = 50_000_000
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
-# entries moved per step when _CoilRows.stacked moves a coil down
-_CHUNK = 1 << 18
+# entries moved per step when _CoilRows.stacked moves a coil down, entries
+# encoded per step by save_system_matrix, runs decoded per step by
+# load_system_matrices
+_CHUNK = 1 << 16
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
 
@@ -555,19 +560,56 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     return replace(sm, highpass=cutoff)
 
 
-def save_system_matrix(sm: SystemMatrix, path, digest: str):
-    """Four ASCII header lines, then the CSR arrays of sm.matrix.
+def _row_chunks(indptr):
+    """Consecutive (lo, hi) row ranges of about _CHUNK entries, at least one row each."""
+    lo, rows = 0, indptr.size - 1
+    while lo < rows:
+        hi = int(np.searchsorted(indptr, indptr[lo] + _CHUNK, side="right")) - 1
+        yield lo, max(hi, lo + 1)
+        lo = max(hi, lo + 1)
 
-    Header line 0 holds digest, the config_hash of what sm was built from,
-    and ends in the layout token csr.  The payload is indptr (<i8, rows + 1
-    entries), indices (<i4) and data (<f8), nnz entries each, written from
-    the matrix as it is held.  The bytes go to a
-    temporary file beside path, which then replaces path, so an
-    interrupted write never leaves a partial matrix behind.
+
+def _chunk_runs(indptr, indices, lo, hi) -> tuple:
+    """(starts, lengths, runs per row) of rows lo..hi-1 of a sorted CSR.
+
+    A run is a maximal stretch of consecutive columns within one row.
     """
+    a, b = indptr[lo], indptr[hi]
+    cells = indices[a:b]
+    heads = np.empty(b - a, bool)  # heads[0] is the first row's start
+    np.not_equal(cells[1:] - cells[:-1], 1, out=heads[1:])
+    rows = indptr[lo:hi] - a
+    heads[rows[rows < b - a]] = True
+    at = np.flatnonzero(heads)
+    return (cells[at], np.diff(at, append=b - a),
+            np.diff(np.searchsorted(at, indptr[lo:hi + 1] - a)))
+
+
+def save_system_matrix(sm: SystemMatrix, path, digest: str):
+    """Four ASCII header lines, then sm.matrix's rows as runs of columns.
+
+    A run is a maximal stretch of consecutive columns within one row, so a
+    run starts at least 2 past the previous run's last column and each
+    matrix has one encoding.  Header line 0 holds digest, the config_hash
+    of what sm was built from, and ends in the layout token runs and the
+    run count.  The payload is run_ptr (<i8, rows + 1 entries: the first
+    run of each row), starts and lengths (<i4, one per run) and data (<f8,
+    nnz entries, as held).  sm.matrix must hold sorted column indices, as
+    every assembled or loaded matrix does.  The runs are found a bounded
+    number of rows at a time (_row_chunks): once to count them, then again
+    to write each chunk's starts and lengths at their offsets, so no
+    temporary is nnz-sized.
+    The bytes go to a temporary file beside path, which then replaces
+    path, so an interrupted write never leaves a partial matrix behind.
+    """
+    indptr, indices = sm.matrix.indptr, sm.matrix.indices
+    run_ptr = np.zeros(sm.shape[0] + 1, "<i8")
+    for lo, hi in _row_chunks(indptr):
+        run_ptr[lo + 1:hi + 1] = _chunk_runs(indptr, indices, lo, hi)[2]
+    np.cumsum(run_ptr, out=run_ptr)
     hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
     lines = [
-        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} csr",
+        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} runs {run_ptr[-1]}",
         f"{sm.sample_rate:.17g} {sm.t0:.17g} {sm.rows_per_coil} {hp}",
         " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
                  for c in sm.coils),
@@ -577,8 +619,15 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     ]
     with atomic_open(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(sm.matrix.indptr, dtype="<i8"))
-        fh.write(np.ascontiguousarray(sm.matrix.indices, dtype="<i4"))
+        fh.write(run_ptr)
+        base, n_runs = fh.tell(), int(run_ptr[-1])
+        for lo, hi in _row_chunks(indptr):
+            starts, lengths, _ = _chunk_runs(indptr, indices, lo, hi)
+            fh.seek(base + 4 * int(run_ptr[lo]))
+            fh.write(starts.astype("<i4", copy=False))
+            fh.seek(base + 4 * (n_runs + int(run_ptr[lo])))
+            fh.write(lengths.astype("<i4"))
+        fh.seek(base + 8 * n_runs)
         fh.write(np.ascontiguousarray(sm.matrix.data, dtype="<f8"))
 
 
@@ -586,18 +635,28 @@ def _parse_header(lines):
     """The four header lines of a stored matrix.
 
     ValueError when a line is malformed or its metadata impossible: line 0
-    must end in the csr layout token, every rate, time, cut-off, vector,
-    spacing and origin must be finite, the sample rate and a cut-off
-    positive, and the shape must match rows_per_coil times the coils and the
-    grid dims.  ConfigError when ReceiveCoil rejects a coil vector: it must
-    have 3 components, not all zero.
+    must end in the runs layout token and a run count that can hold the
+    nonzeros, every rate, time, cut-off, vector, spacing and origin must be
+    finite, the sample rate and a cut-off positive, and the shape must
+    match rows_per_coil times the coils and the grid dims.  ConfigError
+    when ReceiveCoil rejects a coil vector: it must have 3 components, not
+    all zero.
     """
     rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
-    if layout != ["csr"]:
-        raise ValueError("written in the old triplet layout; re-run `mpisim sysmat`")
-    rows, cols, nnz = int(rows), int(cols), int(nnz)
-    if min(rows, cols, nnz) < 0:
-        raise ValueError("negative shape or nonzero count")
+    if layout[:1] != ["runs"]:
+        old = {(): "old triplet", ("csr",): "csr"}.get(tuple(layout))
+        if old:
+            raise ValueError(f"written in the {old} layout; re-run `mpisim sysmat`")
+        raise ValueError(f"unknown layout {' '.join(layout)!r}")
+    if len(layout) != 2:
+        raise ValueError("the runs layout token needs one run count")
+    rows, cols, nnz, n_runs = int(rows), int(cols), int(nnz), int(layout[1])
+    if min(rows, cols, nnz, n_runs) < 0:
+        raise ValueError("negative shape, nonzero or run count")
+    if n_runs > nnz or (nnz and not n_runs):
+        raise ValueError(f"{n_runs} runs cannot hold {nnz} nonzeros")
+    if cols > np.iinfo(np.int32).max:
+        raise ValueError(f"int32 column indices cannot address {cols} columns")
     rate, t0, per_coil, hp = lines[1].decode("ascii").split()
     rate, t0, per_coil = float(rate), float(t0), int(per_coil)
     highpass = None if hp == "none" else float(hp)
@@ -626,7 +685,7 @@ def _parse_header(lines):
     if not (all(0 < s < math.inf for s in spacing)
             and all(map(math.isfinite, origin))):
         raise ValueError("grid spacing must be finite and positive, origin finite")
-    return (rows, cols), nnz, digest, dict(
+    return (rows, cols), (n_runs, nnz), digest, dict(
         sample_rate=rate, t0=t0, rows_per_coil=per_coil, highpass=highpass,
         coils=tuple(coils), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
 
@@ -637,17 +696,88 @@ def load_system_matrix(path, expected_hash: str | None = None,
     return load_system_matrices([path], [expected_hash], force)
 
 
+def _read(fh, path, count: int, dtype: str) -> np.ndarray:
+    """The next count values of dtype in fh, as a read-only array."""
+    size = count * np.dtype(dtype).itemsize
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ConfigError(f"{path}: run payload truncated")
+    return np.frombuffer(buf, dtype)
+
+
+def _decode_runs(fh, path, ptr: np.ndarray, out: np.ndarray, cols: int) -> None:
+    """Decode one file's runs into out, its slice of the stacked indices.
+
+    ptr is the file's run_ptr, checked to rise from 0 to the run count; it
+    becomes the row pointer of out in place.  fh is at the first run start
+    and is left at the values.
+    _CHUNK runs are read at a time, their starts and lengths checked, and
+    each run's columns written as a cumulative sum of deltas: 1 within a
+    run, and at a run's first slot the step from the last column before.
+    """
+    n_runs, nnz = int(ptr[-1]), out.size
+    shape = f"{ptr.size - 1}x{cols}"
+    base = fh.tell()
+    row = done = end = 0  # rows and entries decoded, last run's end
+    for k0 in range(0, n_runs, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_runs)
+        fh.seek(base + 4 * k0)
+        starts = _read(fh, path, k1 - k0, "<i4")
+        fh.seek(base + 4 * (n_runs + k0))
+        lengths = _read(fh, path, k1 - k0, "<i4")
+        ends = starts.astype(np.int64)
+        ends += lengths
+        # each run's step from the last column of the run before it
+        steps = np.concatenate(([end], ends[:-1]))
+        np.subtract(starts, steps, out=steps)
+        steps += 1
+        # the first runs of the rows that start in this chunk; each is
+        # exempt from the order check for the span of it
+        heads = row + int(np.searchsorted(ptr[row:], k1))
+        firsts = ptr[row:heads] - k0
+        if lengths.min() < 1:
+            raise ConfigError(f"{path}: run lengths must be at least 1")
+        if starts.min() < 0 or ends.max() > cols:
+            raise ConfigError(f"{path}: a run lies outside the {shape} shape")
+        kept = steps[firsts]
+        steps[firsts] = 2
+        if steps.min() < 2:
+            raise ConfigError(f"{path}: a run does not start at least 2 past "
+                              f"the last column of the run before it in its row")
+        steps[firsts] = kept
+        slots = np.cumsum(lengths, dtype=np.int64)
+        slots -= lengths  # each run's first slot
+        size = int(slots[-1] + lengths[-1])
+        if done + size > nnz:
+            raise ConfigError(f"{path}: run lengths sum to more than {nnz}")
+        ptr[row:heads] = done + slots[firsts]
+        cells = out[done:done + size]
+        cells[:] = 1
+        cells[slots] = steps
+        cells[0] = starts[0]
+        np.cumsum(cells, dtype=cells.dtype, out=cells)
+        row, done, end = heads, done + size, ends[-1]
+    if done != nnz:
+        raise ConfigError(f"{path}: run lengths sum to {done}, not {nnz}")
+    ptr[row:] = nnz
+    fh.seek(base + 8 * n_runs)
+
+
 def load_system_matrices(paths: list, expected_hashes: list | None = None,
                          force: bool = False) -> SystemMatrix:
-    """Load stored matrices as one coil-stacked matrix, rows in path order.
+    """Load stored matrices as one coil-stacked CSR matrix, rows in path order.
 
     Every header is checked first: a malformed one, a payload that is not
-    8 (rows + 1) + 12 nnz bytes, or metadata but the coils that differs from
-    the first file's raises ConfigError, a hash other than its non-None
-    expected_hashes entry HashMismatchError unless force is set.  Then each
-    payload is read into its slice of one indptr, indices and data; a row
-    pointer that does not rise from 0 to nnz, an index outside the shape or
-    a non-finite value raises ConfigError.
+    8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coils that
+    differs from the first file's raises ConfigError, a hash other than its
+    non-None expected_hashes entry HashMismatchError unless force is set.
+    Then each payload is decoded into its slice of one indptr, indices and
+    data, bit-equal to the CSR that was saved: run_ptr is read into indptr
+    and the runs are decoded into indices a chunk of runs at a time
+    (_decode_runs), so no temporary is nnz-sized.  A run_ptr that does not
+    rise from 0 to the run count, a run shorter than 1, outside the shape
+    or not at least 2 past the run before it in its row, lengths that do
+    not sum to nnz or a non-finite value raises ConfigError.
     """
     import scipy.sparse as sp
 
@@ -659,7 +789,7 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
                                   strict=True):
             fh = stack.enter_context(open_input(path))
             try:
-                (rows, cols), nnz, digest, meta = _parse_header(
+                (rows, cols), (n_runs, nnz), digest, meta = _parse_header(
                     [fh.readline() for _ in range(4)])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}: malformed header: {exc}") from None
@@ -668,30 +798,32 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
                     f"{path}: stored config hash {digest} does not match expected "
                     f"{expected}; pass force to override")
             # checked against the file before anything header-sized is allocated
-            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * (rows + 1) + 12 * nnz:
-                raise ConfigError(f"{path}: CSR payload truncated")
+            size = 8 * (rows + 1) + 8 * n_runs + 8 * nnz
+            if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+                raise ConfigError(f"{path}: run payload truncated")
             first = heads[0][-1] if heads else meta
             differ = [key for key in meta if key != "coils" and meta[key] != first[key]]
             if differ:
                 raise ConfigError(f"{path}: {', '.join(differ)} not as in {paths[0]}")
-            heads.append((path, fh, rows, nnz, meta))
-        n_rows = sum(rows for _, _, rows, _, _ in heads)
-        n_nz = sum(nnz for _, _, _, nnz, _ in heads)
+            heads.append((path, fh, rows, n_runs, nnz, meta))
+        n_rows = sum(rows for _, _, rows, *_ in heads)
+        n_nz = sum(nnz for *_, nnz, _ in heads)
         indptr = np.empty(n_rows + 1, "<i8")
         indices, data = np.empty(n_nz, "<i4"), np.empty(n_nz, "<f8")
         row = pos = 0
-        for path, fh, rows, nnz, _ in heads:
+        for path, fh, rows, n_runs, nnz, _ in heads:
             # the read overwrites indptr[row] == pos; the shift below restores it
-            parts = (indptr[row:row + rows + 1], indices[pos:pos + nnz],
-                     data[pos:pos + nnz])
-            if any(fh.readinto(memoryview(a).cast("B")) != a.nbytes for a in parts):
-                raise ConfigError(f"{path}: CSR payload truncated")
-            ptr, cells, vals = parts
-            if ptr[0] != 0 or ptr[-1] != nnz or np.any(np.diff(ptr) < 0):
-                raise ConfigError(f"{path}: CSR row pointer must rise from 0 to {nnz}")
-            if nnz and (cells.min() < 0 or cells.max() >= cols):
-                raise ConfigError(f"{path}: column index outside the {rows}x{cols} shape")
-            if not np.all(np.isfinite(vals)):
+            ptr, vals = indptr[row:row + rows + 1], data[pos:pos + nnz]
+            if fh.readinto(memoryview(ptr).cast("B")) != ptr.nbytes:
+                raise ConfigError(f"{path}: run payload truncated")
+            if ptr[0] != 0 or ptr[-1] != n_runs or np.any(np.diff(ptr) < 0):
+                raise ConfigError(f"{path}: run row pointer must rise from 0 "
+                                  f"to {n_runs}")
+            _decode_runs(fh, path, ptr, indices[pos:pos + nnz], cols)
+            if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
+                raise ConfigError(f"{path}: run payload truncated")
+            if not all(np.isfinite(vals[lo:lo + _CHUNK]).all()
+                       for lo in range(0, nnz, _CHUNK)):
                 raise ConfigError(f"{path}: non-finite matrix values")
             ptr += pos
             row, pos = row + rows, pos + nnz

@@ -211,36 +211,43 @@ def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
     assert "malformed header" in err and "Traceback" not in err
 
 
-def _csr_payload(path):
-    """Header lines, indptr, indices and data of a stored matrix, read here."""
+def _run_payload(path):
+    """Header lines, run_ptr, starts, lengths and data of a stored matrix, read here."""
     lines = path.read_bytes().split(b"\n", 4)
     payload = lines.pop()
-    rows, _, nnz = (int(x) for x in lines[0].split()[:3])
-    indptr = np.frombuffer(payload, "<i8", rows + 1)
-    indices = np.frombuffer(payload, "<i4", nnz, 8 * (rows + 1))
-    data = np.frombuffer(payload, "<f8", nnz, 8 * (rows + 1) + 4 * nnz)
-    return lines, indptr, indices, data
+    rows, _, nnz, _, _, n_runs = lines[0].split()
+    rows, nnz, n_runs = int(rows), int(nnz), int(n_runs)
+    offsets = np.cumsum([0, 8 * (rows + 1), 4 * n_runs, 4 * n_runs])
+    return (lines, np.frombuffer(payload, "<i8", rows + 1),
+            np.frombuffer(payload, "<i4", n_runs, offsets[1]),
+            np.frombuffer(payload, "<i4", n_runs, offsets[2]),
+            np.frombuffer(payload, "<f8", nnz, offsets[3]))
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
 def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
                                                          capsys, force):
+    # both layouts before the runs: CSR (layout token csr, then int64
+    # indptr, int32 indices and float64 values) and the triplets before it
+    # (no layout token, then int64 rows, int64 cols and float64 values)
     tmp, ini, out = pipeline_dir
     work = tmp_path / "out"
     shutil.copytree(out, work)
-    # the layout before CSR: no layout token, then int64 rows, int64 cols
-    # and float64 values of the COO triplets
     path = work / "sysmat_x.mat"
-    lines, indptr, indices, data = _csr_payload(path)
-    lines[0] = lines[0].rsplit(b" ", 1)[0]
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    path.write_bytes(b"\n".join(lines) + b"\n" + rows.astype("<i8").tobytes()
-                     + indices.astype("<i8").tobytes() + data.tobytes())
-    capsys.readouterr()
-    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
-    err = capsys.readouterr().err
-    assert "malformed header" in err and "old triplet layout" in err
-    assert "re-run `mpisim sysmat`" in err and "Traceback" not in err
+    lines = _run_payload(path)[0]
+    csr = load_system_matrix(path).matrix
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    head = b" ".join(lines[0].split()[:4])
+    for name, token, payload in (
+            ("csr", b" csr", [csr.indptr.astype("<i8"), csr.indices.astype("<i4")]),
+            ("old triplet", b"", [rows.astype("<i8"), csr.indices.astype("<i8")])):
+        path.write_bytes(b"\n".join([head + token, *lines[1:]]) + b"\n"
+                         + b"".join(a.tobytes() for a in payload) + csr.data.tobytes())
+        capsys.readouterr()
+        assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
+        err = capsys.readouterr().err
+        assert "malformed header" in err and f"{name} layout" in err
+        assert "re-run `mpisim sysmat`" in err and "Traceback" not in err
 
 
 def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
@@ -248,15 +255,24 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     ws = cli.Workspace(cli.RunConfig.load(ini), ["sysmat"], out)
     plan, coils = ws.plan, ws.plan["coils"]
     fresh = sysmat.build_system_matrix(plan["field"], plan["approx"],
-                                       [coil for _, coil in coils], plan["acq"],
+                                       [coil for _, coil in plan["coils"]], plan["acq"],
                                        plan["grid"], plan["subsampling"])
     for i, (axis, _) in enumerate(coils):
         path = out / f"sysmat_{axis}.mat"
-        lines, indptr, indices, data = _csr_payload(path)
+        lines, run_ptr, starts, lengths, data = _run_payload(path)
         header = sum(len(line) + 1 for line in lines)
-        rows, nnz = indptr.size - 1, indices.size
-        assert path.stat().st_size == header + 8 * (rows + 1) + 12 * nnz
+        rows, n_runs, nnz = run_ptr.size - 1, starts.size, data.size
+        assert path.stat().st_size == header + 8 * (rows + 1) + 8 * n_runs + 8 * nnz
         block = fresh.coil_block(i).matrix
+        # a run starts at each row's first entry and wherever a column is not
+        # one past the column before it
+        heads = [[k for k in range(lo, hi)
+                  if k == lo or block.indices[k] != block.indices[k - 1] + 1]
+                 for lo, hi in zip(block.indptr[:-1], block.indptr[1:])]
+        assert np.array_equal(np.diff(run_ptr), [len(h) for h in heads])
+        firsts = [k for h in heads for k in h]
+        assert np.array_equal(starts, block.indices[firsts])
+        assert np.array_equal(lengths, np.diff([*firsts, nnz]))
         loaded = load_system_matrix(path, expected_hash=ws.stamps["sysmat"][i]).matrix
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
@@ -799,14 +815,17 @@ def test_compare_rejects_a_reference_of_another_config(pipeline_dir, tmp_path,
     work = tmp_path / "out"
     shutil.copytree(out, work)
     before = _files(work)
+    resolved = (work / "config.resolved.ini").read_bytes()
     capsys.readouterr()
-    # the traces fbp would read were simulated from the old discs
+    # the traces fbp would read were simulated from the old discs; no stage
+    # got past its input checks, so the config echo is the old one too
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
                      "fbp,compare", "--set", "phantom.discs=4 mm"]) == 4
     err = capsys.readouterr().err
     assert "trace_x_filtered.bin" in err and "stamp" in err
     assert "Traceback" not in err
     assert _files(work) == before
+    assert (work / "config.resolved.ini").read_bytes() == resolved
     # a reference of another phantom exits 3, the reconstructions being current
     (work / "phantom_recon.grid").write_bytes(
         b"# stamp 0123456789abcdef\n" + (work / "phantom_recon.grid").read_bytes())
@@ -861,6 +880,55 @@ def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,
     # simulate checks the phantom it reads the same way
     assert cli.main(["simulate", "-c", str(ini), "-o", str(work)]) == 4
     assert "phantom.grid does not carry the phantom stamp" in capsys.readouterr().err
+
+
+def test_a_forced_reconstruction_carries_the_stamps_it_read(pipeline_dir, tmp_path,
+                                                           capsys):
+    # lsqr --force on another field reads the old traces and matrices, so
+    # its outputs carry the stamp of those, here that of the old config's
+    # lsqr, and compare under the new field skips the image
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    old = cli.plan_stages(cli.RunConfig.load(ini), ["lsqr"])["stamps"]
+    field = ["--set", "field.g=1.1 T/m"]
+    new = cli.plan_stages(cli.RunConfig.load(ini, field[1:]), ["lsqr"])
+    entries = cli.STAGES["lsqr"][0]
+    forced = sysmat.stamp(*(new[e] for e in entries), old["filter"], old["sysmat"])
+    assert forced == old["lsqr"] != new["stamps"]["lsqr"]
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force", *field]) == 0
+    for name in ("recon_lsqr.grid", "lsqr_residuals.csv", "profile_recon_lsqr_h.csv"):
+        first = (work / name).read_bytes().split(b"\n")[0]
+        assert first == f"# stamp {forced}".encode(), name
+    capsys.readouterr()
+    # fbp's image is of the old field too: nothing is left to score
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare",
+                     *field]) == 3
+    printed = capsys.readouterr()
+    assert "skipped recon_lsqr" in printed.out and "compare recon_lsqr" not in printed.out
+    assert "no reconstructions found" in printed.err
+    # under the old field the forced image is what its lsqr would write
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "compare"]) == 0
+    assert "compare recon_lsqr" in capsys.readouterr().out
+
+
+def test_forced_traces_of_another_phantom_mark_every_stage_after(tmp_path, capsys):
+    # filter --force on traces of other discs writes filtered traces under
+    # a stamp of its own, so lsqr under the new discs still exits 4
+    ini = write_tiny(tmp_path)
+    work = tmp_path / "out"
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
+                     "phantom,simulate,sysmat"]) == 0
+    discs = ["--set", "phantom.discs=4 mm"]
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", "filter",
+                     "--force", *discs]) == 0
+    plan = cli.plan_stages(cli.RunConfig.load(ini, discs[1:]), ["filter"])
+    old = cli.plan_stages(cli.RunConfig.load(ini), ["filter"])["stamps"]
+    header = (work / "trace_x_filtered.bin").read_bytes().split(b"\n")[0]
+    assert header.split()[4].decode() == old["filter"] != plan["stamps"]["filter"]
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *discs]) == 4
+    assert "trace_x_filtered.bin: stored stamp" in capsys.readouterr().err
 
 
 def test_an_fbp_setting_keeps_the_other_reconstruction(pipeline_dir, tmp_path,
@@ -1124,20 +1192,41 @@ _WORKLOADS = [w["name"] for w in
               json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", _WORKLOADS)
-def test_benchmark_command_lines_plan(tmp_path, monkeypatch, workload):
-    # each benchmark workload's command line parses, and its config plans
-    # every stage: a key it sets that the program no longer knows fails here
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py as a module; its verify module is its attribute."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", _ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_command_lines_plan(tmp_path, monkeypatch, workload):
+    # each benchmark workload's command line parses, and its config plans
+    # every stage: a key it sets that the program no longer knows fails here
+    run = _perfbench_run(monkeypatch)
     args = cli.build_parser().parse_args(
         run.mpisim_argv(workload, 7, tmp_path / "out", 2))
     cfg = cli.RunConfig.load(args.config, args.set)
     cli.plan_stages(cfg, cli.STAGES)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_command_lines_write_their_artifacts(tmp_path, monkeypatch,
+                                                       workload):
+    # each benchmark workload's command line runs on the tiny config and
+    # leaves every artifact the benchmark checks: a renamed artifact or a
+    # file the program can no longer read fails here, not as failed
+    # benchmark runs
+    run = _perfbench_run(monkeypatch)
+    out = tmp_path / "out"
+    argv = run.mpisim_argv(workload, 7, out, 1)
+    assert cli.main([*argv, "-c", str(write_tiny(tmp_path))]) == 0
+    assert [name for name in run.verify.ARTIFACTS[workload]
+            if not (out / name).is_file()] == []
 
 
 def test_l1_nodes_are_placed_once_per_workspace(tmp_path, monkeypatch):

@@ -4,15 +4,17 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpisim
@@ -775,39 +777,43 @@ def _tiny_matrix():
                         grid_origin=(0.0, 0.0, 0.0))
 
 
-def _rewrite(path, header=None, indptr=None, col=None, val=None):
-    """Replace header lines (by index), indptr, or the first index or value.
+def _rewrite(path, header=None, **parts):
+    """Replace header lines (by index) and payload arrays of a stored matrix.
 
-    The payload is split by the header the matrix was saved with.
+    parts maps run_ptr, starts, lengths or data to a list, which replaces
+    the whole array, or to a scalar, which replaces its first entry.  The
+    payload is split by the header the matrix was saved with.
     """
     lines = path.read_bytes().split(b"\n", 4)
     payload = lines.pop()
-    rows, _, nnz = (int(x) for x in lines[0].split()[:3])
+    rows, _, nnz, _, _, n_runs = lines[0].split()
     for i, text in (header or {}).items():
         lines[i] = text
-    sizes = [(rows + 1, "<i8"), (nnz, "<i4"), (nnz, "<f8")]
-    arrays, offset = [], 0
-    for count, dt in sizes:
-        arrays.append(np.frombuffer(payload, dt, count, offset).copy())
-        offset += arrays[-1].nbytes
-    if indptr is not None:
-        arrays[0][:] = indptr
-    for array, new in zip(arrays[1:], (col, val)):
-        if new is not None:
-            array[0] = new
-    path.write_bytes(b"\n".join(lines) + b"\n" + b"".join(a.tobytes() for a in arrays))
+    layout = {"run_ptr": (int(rows) + 1, "<i8"), "starts": (int(n_runs), "<i4"),
+              "lengths": (int(n_runs), "<i4"), "data": (int(nnz), "<f8")}
+    arrays, offset = {}, 0
+    for name, (count, dt) in layout.items():
+        arrays[name] = np.frombuffer(payload, dt, count, offset).copy()
+        offset += arrays[name].nbytes
+    for name, new in parts.items():
+        if np.ndim(new):
+            arrays[name] = np.asarray(new, layout[name][1])
+        else:
+            arrays[name][0] = new
+    path.write_bytes(b"\n".join(lines) + b"\n"
+                     + b"".join(a.tobytes() for a in arrays.values()))
 
 
 @pytest.mark.parametrize("header", [
-    {0: b"3 3 four 0123456789abcdef csr"},
+    {0: b"3 3 four 0123456789abcdef runs 4"},
     {0: b"3 3 4"},
-    {0: b"-3 3 4 0123456789abcdef csr"},
+    {0: b"-3 3 4 0123456789abcdef runs 4"},
     {1: b"1e6 0 3"},
     {1: b"fast 0 3 none"},
     {2: b"0:1,0"},
     {2: b"0=1,0,0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0"},
-    {0: b"\xff\xfe 3 4 0123456789abcdef csr"},
+    {0: b"\xff\xfe 3 4 0123456789abcdef runs 4"},
     # impossible metadata: sample rate, t0 and high-pass
     {1: b"nan 0 3 none"},
     {1: b"inf 0 3 none"},
@@ -821,8 +827,8 @@ def _rewrite(path, header=None, indptr=None, col=None, val=None):
     {1: b"0 0 3 35000"},
     {1: b"0 0 3 none"},
     # rows against rows_per_coil and the coils
-    {0: b"4 3 4 0123456789abcdef csr"},
-    {0: b"0 3 4 0123456789abcdef csr", 1: b"1e6 0 0 none"},
+    {0: b"4 3 4 0123456789abcdef runs 4"},
+    {0: b"0 3 4 0123456789abcdef runs 4", 1: b"1e6 0 0 none"},
     {1: b"1e6 0 2 none"},
     {2: b"0:1,0,0 1:0,1,0"},
     {2: b""},
@@ -838,9 +844,20 @@ def _rewrite(path, header=None, indptr=None, col=None, val=None):
     {3: b"3 1 1 0.001 0.001 inf 0 0 0"},
     {3: b"3 1 1 0.001 0.001 0.001 nan 0 0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0 -inf"},
-    # line 0 without the csr layout token: the old triplet layout, or another
+    # line 0 without the runs layout token: the old triplet layout, or another
     {0: b"3 3 4 0123456789abcdef"},
     {0: b"3 3 4 0123456789abcdef coo"},
+    # the csr layout, and run counts that are missing, malformed or impossible
+    {0: b"3 3 4 0123456789abcdef csr"},
+    {0: b"3 3 4 0123456789abcdef runs"},
+    {0: b"3 3 4 0123456789abcdef runs four"},
+    {0: b"3 3 4 0123456789abcdef runs -4"},
+    {0: b"3 3 4 0123456789abcdef runs 4 4"},
+    {0: b"3 3 4 0123456789abcdef runs 5"},
+    {0: b"3 3 4 0123456789abcdef runs 0"},
+    # more columns than int32 indices address
+    {0: b"3 2147483648 4 0123456789abcdef runs 4",
+     3: b"2147483648 1 1 0.001 0.001 0.001 0 0 0"},
 ])
 def test_load_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "sm.mat"
@@ -850,37 +867,109 @@ def test_load_rejects_malformed_header(tmp_path, header):
         load_system_matrix(path)
 
 
+# the tiny matrix is stored as run_ptr [0, 2, 3, 4], starts [0, 2, 1, 2]
+# and lengths [1, 1, 1, 1]
 @pytest.mark.parametrize("col", [3, -1])
 def test_load_rejects_out_of_range_indices(tmp_path, col):
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
-    _rewrite(path, col=col)
+    _rewrite(path, starts=col)
     with pytest.raises(ConfigError, match="outside the 3x3 shape"):
         load_system_matrix(path)
 
 
-# the tiny matrix has indptr [0, 2, 3, 4]
-@pytest.mark.parametrize("indptr", [[1, 2, 3, 4], [0, 3, 2, 4], [0, 2, 3, 3]],
+@pytest.mark.parametrize("run_ptr", [[1, 2, 3, 4], [0, 3, 2, 4], [0, 2, 3, 3]],
                          ids=["starts_at_1", "decreasing", "ends_below_nnz"])
-def test_load_rejects_a_bad_row_pointer(tmp_path, indptr):
+def test_load_rejects_a_bad_row_pointer(tmp_path, run_ptr):
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
-    _rewrite(path, indptr=indptr)
+    _rewrite(path, run_ptr=run_ptr)
     with pytest.raises(ConfigError, match="row pointer"):
         load_system_matrix(path)
+
+
+@pytest.mark.parametrize("parts, message", [
+    ({"lengths": 0}, "at least 1"),
+    ({"lengths": -1}, "at least 1"),
+    ({"starts": -1}, "outside the 3x3 shape"),
+    ({"lengths": [1, 2, 1, 1]}, "outside the 3x3 shape"),
+    ({"starts": [0, 1, 1, 2]}, "at least 2 past"),
+    ({"starts": [2, 0, 1, 2]}, "at least 2 past"),
+    ({"lengths": [1, 1, 2, 1]}, "sum to more than 4"),
+    ({"header": {0: b"3 3 5 0123456789abcdef runs 4"}, "data": [1.0] * 5},
+     "sum to 4, not 5"),
+    ({"run_ptr": [0, 1, 3, 4]}, "at least 2 past"),
+], ids=["length_0", "length_negative", "start", "end", "adjacent", "reversed",
+        "sum_over", "sum_under", "run_ptr"])
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_load_rejects_bad_runs(tmp_path, monkeypatch, parts, message, chunk):
+    # one stored matrix has one encoding: a run is at least 1 long, inside
+    # the shape, and at least 2 past the last column of the run before it
+    # in its row (adjacent runs would be one); the lengths sum to nnz.  The
+    # checks hold across the decoder's chunks of runs.
+    monkeypatch.setattr(mpisim.sysmat, "_CHUNK", chunk)
+    path = tmp_path / "sm.mat"
+    save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
+    _rewrite(path, **parts)
+    with pytest.raises(ConfigError, match=message):
+        load_system_matrix(path)
+
+
+def _runs_oracle(csr) -> int:
+    """The number of runs of consecutive columns in csr's rows, row by row."""
+    return sum(int(np.sum(np.diff(row.indices) != 1)) + 1
+               for row in csr if row.nnz)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["empty", "full", "runs"]), min_size=1,
+                      max_size=12),
+       cols=st.sampled_from([1, 2, 7, 70_000]), chunk=st.sampled_from([1, 2, 3, 1 << 18]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kinds=["empty"] * 3, cols=7, chunk=1, seed=0)
+@example(kinds=["full", "runs", "empty"], cols=1, chunk=2, seed=1)
+@example(kinds=["runs", "full", "empty", "runs"], cols=70_000, chunk=3, seed=2)
+def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
+    # sorted CSRs with empty and full rows, no nonzeros, one column, and
+    # more columns than uint16 indices address; small chunks split rows
+    # and runs across the encoder's and decoder's steps
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((len(kinds), cols), bool)
+    for row, kind in zip(mask, kinds):
+        if kind == "full":
+            row[:] = True
+        elif kind == "runs":
+            for _ in range(rng.integers(1, 6)):
+                lo = rng.integers(cols)
+                row[lo:lo + rng.choice([1, 2, rng.integers(1, cols + 1)])] = True
+    cells = np.nonzero(mask)
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))]).astype(np.int64)
+    sm = replace(_tiny_matrix(), matrix=sp.csr_matrix(
+        (rng.standard_normal(indptr[-1]), cells[1].astype(np.int32), indptr),
+        shape=mask.shape), rows_per_coil=len(kinds), grid_dims=(cols, 1, 1))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(mpisim.sysmat, "_CHUNK", chunk):
+        path = Path(tmp) / "sm.mat"
+        save_system_matrix(sm, path, _TINY_HASH)
+        n_runs = int(path.read_bytes().split(b"\n")[0].split()[-1])
+        back = load_system_matrix(path, expected_hash=_TINY_HASH).matrix
+    assert n_runs == _runs_oracle(sm.matrix)
+    for name in ("indptr", "indices", "data"):
+        want, got = getattr(sm.matrix, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
-    _rewrite(path, val=value)
+    _rewrite(path, data=value)
     with pytest.raises(ConfigError, match="non-finite"):
         load_system_matrix(path)
 
 
 def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
-    # a consistent header for 10^12 rows: the CSR row pointer alone would
+    # a consistent header for 10^12 rows: the run_ptr alone would
     # need 7.28 TiB, but it is read from the file, so the payload length
     # check rejects it before anything shape-sized is allocated.  The
     # address-space limit applies to the child process only, so an
@@ -889,7 +978,7 @@ def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
     path = tmp_path / "sm.mat"
     save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     rows = 10 ** 12
-    _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef csr".encode(),
+    _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef runs 4".encode(),
                            1: f"1000000 0 {rows} none".encode()})
     probe = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
@@ -952,7 +1041,7 @@ def test_rewrite_helper_keeps_a_valid_file(tmp_path):
     path = tmp_path / "sm.mat"
     tiny = _tiny_matrix()
     save_system_matrix(tiny, path, _TINY_HASH)
-    _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, val=1.0)
+    _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, data=1.0)
     back = load_system_matrix(path, expected_hash=_TINY_HASH)
     assert back.matrix.nnz == 4 and (back.matrix != tiny.matrix).nnz == 0
 
