@@ -569,20 +569,16 @@ def _row_chunks(indptr):
         lo = max(hi, lo + 1)
 
 
-def _chunk_runs(indptr, indices, lo, hi) -> tuple:
-    """(starts, lengths, runs per row) of rows lo..hi-1 of a sorted CSR.
-
-    A run is a maximal stretch of consecutive columns within one row.
-    """
+def _chunk_heads(indptr, indices, lo, hi) -> np.ndarray:
+    """Whether each entry of rows lo..hi-1 of a sorted CSR starts a run: it
+    is the first of its row, or not one column past the entry before it."""
     a, b = indptr[lo], indptr[hi]
     cells = indices[a:b]
     heads = np.empty(b - a, bool)  # heads[0] is the first row's start
     np.not_equal(cells[1:] - cells[:-1], 1, out=heads[1:])
     rows = indptr[lo:hi] - a
     heads[rows[rows < b - a]] = True
-    at = np.flatnonzero(heads)
-    return (cells[at], np.diff(at, append=b - a),
-            np.diff(np.searchsorted(at, indptr[lo:hi + 1] - a)))
+    return heads
 
 
 def save_system_matrix(sm: SystemMatrix, path, digest: str):
@@ -596,20 +592,18 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     run of each row), starts and lengths (<i4, one per run) and data (<f8,
     nnz entries, as held).  sm.matrix must hold sorted column indices, as
     every assembled or loaded matrix does.  The runs are found a bounded
-    number of rows at a time (_row_chunks): once to count them, then again
-    to write each chunk's starts and lengths at their offsets, so no
-    temporary is nnz-sized.
+    number of rows at a time (_row_chunks): once to count them for the
+    header, then again to write each chunk's starts and lengths at their
+    offsets and fill run_ptr, so no temporary is nnz-sized.
     The bytes go to a temporary file beside path, which then replaces
     path, so an interrupted write never leaves a partial matrix behind.
     """
     indptr, indices = sm.matrix.indptr, sm.matrix.indices
-    run_ptr = np.zeros(sm.shape[0] + 1, "<i8")
-    for lo, hi in _row_chunks(indptr):
-        run_ptr[lo + 1:hi + 1] = _chunk_runs(indptr, indices, lo, hi)[2]
-    np.cumsum(run_ptr, out=run_ptr)
+    n_runs = sum(np.count_nonzero(_chunk_heads(indptr, indices, lo, hi))
+                 for lo, hi in _row_chunks(indptr))
     hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
     lines = [
-        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} runs {run_ptr[-1]}",
+        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} runs {n_runs}",
         f"{sm.sample_rate:.17g} {sm.t0:.17g} {sm.rows_per_coil} {hp}",
         " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
                  for c in sm.coils),
@@ -617,16 +611,21 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
                   *(f"{s:.17g}" for s in sm.grid_spacing),
                   *(f"{o:.17g}" for o in sm.grid_origin)]),
     ]
+    run_ptr = np.zeros(sm.shape[0] + 1, "<i8")
     with atomic_open(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(run_ptr)
-        base, n_runs = fh.tell(), int(run_ptr[-1])
+        base, k = fh.tell() + run_ptr.nbytes, 0  # where starts begin, runs so far
         for lo, hi in _row_chunks(indptr):
-            starts, lengths, _ = _chunk_runs(indptr, indices, lo, hi)
-            fh.seek(base + 4 * int(run_ptr[lo]))
-            fh.write(starts.astype("<i4", copy=False))
-            fh.seek(base + 4 * (n_runs + int(run_ptr[lo])))
-            fh.write(lengths.astype("<i4"))
+            a, b = indptr[lo], indptr[hi]
+            at = np.flatnonzero(_chunk_heads(indptr, indices, lo, hi))
+            fh.seek(base + 4 * k)
+            fh.write(indices[a:b][at].astype("<i4", copy=False))
+            fh.seek(base + 4 * (n_runs + k))
+            fh.write(np.diff(at, append=b - a).astype("<i4"))
+            run_ptr[lo + 1:hi + 1] = k + np.searchsorted(at, indptr[lo + 1:hi + 1] - a)
+            k += at.size
+        fh.seek(base - run_ptr.nbytes)
+        fh.write(run_ptr)
         fh.seek(base + 8 * n_runs)
         fh.write(np.ascontiguousarray(sm.matrix.data, dtype="<f8"))
 
