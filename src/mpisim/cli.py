@@ -331,7 +331,8 @@ STAGES = {
 # plan entries that change no output of the stage that reads them, so they
 # enter no stamp and are planned only for a stage that runs
 UNSTAMPED = {"simulate": ("forward.workers",),
-             "sysmat": ("sysmat.nnz_cap", "sysmat.workers")}
+             "sysmat": ("sysmat.nnz_cap", "sysmat.workers"),
+             "compare": ("reference",)}
 
 
 def _at_least(name: str, value, low):
@@ -355,10 +356,22 @@ def _plan_simulate(cfg: RunConfig, plan: dict) -> dict:
                                     cfg.integer("acquisition", "noise_seed"), 0)}
 
 
+def _plan_reference(cfg: RunConfig, plan: dict) -> phantom.ConcentrationGrid:
+    # an NRMSE divides by the reference's norm; noise-only traces are fine
+    # for every other stage
+    reference = _entry(cfg, plan, "phantoms")[1]
+    if not np.any(reference.flat()):
+        raise ConfigError(
+            f"phantom.discs = {cfg.text('phantom', 'discs')!r} fills no cell of "
+            f"the reconstruction grid: an NRMSE needs particles in the reference")
+    return reference
+
+
 # plan entry -> its builder, given the config and the plan built so far
 PLANNERS = {
     "phantoms": lambda cfg, plan: (make_phantom(cfg, "signal"),
                                    make_phantom(cfg, "recon")),
+    "reference": _plan_reference,
     "coils": lambda cfg, plan: make_coils(cfg),
     "highpass": lambda cfg, plan: highpass_cutoff(cfg),
     "field": lambda cfg, plan: make_field_model(cfg),
@@ -750,6 +763,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         raise ConfigError("sweep needs at least one value")
     base = ("phantom", "simulate", "filter")
     ws = Workspace(cfg, base, outdir)
+    _entry(cfg, ws.plan, "reference")  # the summary scores each value
     subs = {}
     for value in values:
         name = f"{parameter}_{_slug(value)}"

@@ -206,11 +206,13 @@ class FieldEvaluator:
     harmonics lists each (degree, order) once, in component-major first-use
     order, and polys[k] holds harmonic k at every point, evaluated once at
     construction.  factors(times)[j, k] sums c_i h_i(t) over the terms of
-    component j on harmonic k, so B_j = sum_k F[j, k] p_k.  Each call for a
-    block of times is one einsum per component over the harmonics that
-    component uses, summed in harmonic order for every (point, time).  A
-    BLAS product would pick its kernel, and with it the summation order, by
-    the number of times, so values would depend on how the times are blocked.
+    component j on harmonic k, so B_j = sum_k F[j, k] p_k.  F depends on
+    time alone, so a caller may evaluate it once for all its times and pass
+    each block its slice.  Each call for a block of times is one einsum per
+    component over the harmonics that component uses, summed in harmonic
+    order for every (point, time).  A BLAS product would pick its kernel,
+    and with it the summation order, by the number of times, so values
+    would depend on how the times are blocked.
     """
 
     def __init__(self, model: FieldModel, points):
@@ -251,21 +253,32 @@ class FieldEvaluator:
             out[j, k] += c * (mod.eval_dt(times) if use_dt else mod.eval(times))
         return out
 
-    def _accumulate(self, times, use_dt: bool):
-        fac = self.factors(times, use_dt)
+    def _accumulate(self, times, use_dt: bool, fac):
+        if fac is None:
+            fac = self.factors(times, use_dt)
+        elif fac.shape != (3, len(self.harmonics), np.size(times)):
+            raise ValueError(f"factors of shape {fac.shape} do not match "
+                             f"{len(self.harmonics)} harmonics at {np.size(times)} times")
         out = np.zeros((3, self.points.shape[0], fac.shape[-1]))
         for j, used in enumerate(self._used):
             if used:
                 np.einsum("kp,kt->pt", self.polys[used], fac[j, used], out=out[j])
         return out
 
-    def field(self, times):
-        """B at all points for the given times, shape (3, K, len(times))."""
-        return self._accumulate(times, use_dt=False)
+    def field(self, times, fac=None):
+        """B at all points for the given times, shape (3, K, len(times)).
 
-    def field_dt(self, times):
-        """dB/dt at all points for the given times, shape (3, K, len(times))."""
-        return self._accumulate(times, use_dt=True)
+        fac, if given, is factors(times), for instance a slice of a table
+        the caller evaluated once for a longer run of times.
+        """
+        return self._accumulate(times, False, fac)
+
+    def field_dt(self, times, fac=None):
+        """dB/dt at all points for the given times, shape (3, K, len(times)).
+
+        fac, if given, is factors(times, use_dt=True).
+        """
+        return self._accumulate(times, True, fac)
 
 
 def harmonic_gradient_bound(l: int, radius: float) -> float:

@@ -15,11 +15,16 @@ Three simulators of decreasing generality:
   the trace equals the matrix-vector product.
 
 All three are one quadrature (_quadrature) that evaluates the field at the
-cells with c != 0 only; the integrand is the only difference.  Each takes
-a sequence of receive coils and returns one SignalTrace per coil, in
-order: B, |B| and the magnetization factor are evaluated once per time
-block for every coil, and only the projection on each coil's sensitivity
-is per coil, so each trace is bit-equal to a one-coil call.
+cells with c != 0 only; the integrand is the only difference.  The field's
+time factors c_i h_i(t) depend on time alone, so each pass evaluates them
+once for all its times (one table for B, and one for dB/dt where the
+integrand reads it), and each time block multiplies its slice of the table
+into the harmonics at the points.  Each simulator takes a sequence of
+receive coils and returns one SignalTrace per coil, in order: B, |B| and
+the magnetization factor are evaluated once per time block for every coil,
+and only the projection on each coil's sensitivity is per coil, so each
+trace is bit-equal to a one-coil call.  Neither the block size nor the
+number of worker threads changes a trace.
 
 AcquisitionConfig is the sampled time axis.  The simulators sample it and
 sysmat's builders take it as the matrix's row axis, so a trace and a
@@ -41,7 +46,18 @@ from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
 from .phantom import ConcentrationGrid, cell_offsets
 
-_DEFAULT_BLOCK = 256
+# times per simulate block.  A block's temporaries are about eight
+# (points, times) float arrays per worker thread (B, |B|, the factor and
+# the coil projection), and a worker's malloc arena keeps what its largest
+# block needed, so the block sets most of what a pass holds beyond its
+# factor tables, which cost a block nothing (_quadrature).  On the perturbed
+# desk scene (405 filled cells, 2 workers) simulate_fbp's peak RSS read
+# 45.5 MiB at 128 and 42.4 at 64 (55.1 at 256 with per-block factors), at
+# the same process cpu.  Smaller blocks cost cpu, since einsum's inner loops
+# run over a block's times: in-process, the general model took 40% more cpu
+# at 32 than at 64.  The piecewise model, with 4 sub-points per cell, was
+# fastest at 48-64 and took 50% more cpu at 256.
+_DEFAULT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -188,47 +204,58 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
 
 def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
                 integrand, coils, subsampling: int, n_workers: int,
-                block: int) -> list:
+                block: int, use_dt: bool) -> list:
     """One sum per coil: sum_k w_k <rho, v(r_k, t)> factor(r_k, t).
 
-    integrand(ev, times) returns the vector field v (3, points, times) and
-    the scalar factor (points, times) at the points of _filled_cells, which
-    holds the weights w_k.  Both are evaluated once per time block for all
-    coils; only the projection on each coil's rho is per coil.  A BLAS
-    product sums the points in an order that depends on the number of
-    times in a block; a pairwise sum over each time's contiguous row does
-    not, so the result does not depend on the block size.
+    integrand(ev, times, *fac) returns the vector field v (3, points, times)
+    and the scalar factor (points, times) at the points of _filled_cells,
+    which holds the weights w_k.  fac is the block's slice of ev.factors
+    over all times, and with use_dt also of ev.factors(use_dt=True): both
+    tables are evaluated once per pass.  v and the factor are evaluated
+    once per time block for all coils; only the projection on each coil's
+    rho is per coil, into buffers the block reuses.  A BLAS product sums
+    the points in an order that depends on the number of times in a block;
+    a pairwise sum over each time's contiguous row does not, so the result
+    does not depend on the block size.
     """
     if not coils:
         raise ConfigError("need at least one receive coil")
     ev, weights = _filled_cells(model, grid, subsampling)
+    tables = [ev.factors(times)] + ([ev.factors(times, use_dt=True)] if use_dt else [])
+    column = weights[:, None]
 
-    def worker(tblock):
-        v, factor = integrand(ev, tblock)
+    def worker(span):
+        at = slice(span[0], span[-1] + 1)
+        v, factor = integrand(ev, times[at], *(fac[:, :, at] for fac in tables))
+        values = np.empty_like(factor)
+        rows = np.empty(values.shape[::-1])
         sums = []
         for coil in coils:
-            values = weights[:, None] * (np.einsum("j,jkt->kt", coil.vector, v)
-                                         * factor)
-            sums.append(np.ascontiguousarray(values.T).sum(axis=1))
+            np.einsum("j,jkt->kt", coil.vector, v, out=values)
+            np.multiply(values, factor, out=values)
+            np.multiply(column, values, out=values)
+            np.copyto(rows, values.T)
+            sums.append(rows.sum(axis=1))
         return sums
 
-    blocks = map_time_blocks(worker, times, n_workers, block)
+    blocks = map_time_blocks(worker, np.arange(times.size), n_workers, block)
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
 def _magnitude(b: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("jkt,jkt->kt", b, b))
+    mag = np.einsum("jkt,jkt->kt", b, b)
+    return np.sqrt(mag, out=mag)
 
 
 def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers,
                      block) -> list:
     """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
-    def integrand(ev, tblock):
-        factor = slope(_magnitude(ev.field(tblock)))
-        return ev.field_dt(tblock), factor
+    def integrand(ev, tblock, fac, fac_dt):
+        factor = slope(_magnitude(ev.field(tblock, fac)))
+        return ev.field_dt(tblock, fac_dt), factor
 
     sums = _quadrature(model, grid, config.times(), integrand, coils,
-                       subsampling, n_workers, block)
+                       subsampling, n_workers, block, use_dt=True)
     return [SignalTrace(-MU0 * s, config.sample_rate, config.t0, coil.index)
             for coil, s in zip(coils, sums)]
 
@@ -257,13 +284,14 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
     """
     dt = 1.0 / config.sample_rate
 
-    def integrand(ev, tblock):
-        b = ev.field(tblock)
+    def integrand(ev, tblock, fac):
+        b = ev.field(tblock, fac)
         return b, mbar_over_b(params, _magnitude(b))
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers, block)
+    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers, block,
+                       use_dt=False)
     return [SignalTrace(-MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt),
                         config.sample_rate, config.t0, coil.index)
             for coil, ivals in zip(coils, sums)]

@@ -57,7 +57,11 @@ def langevin_over_x(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUTOFF
     xs = np.where(small, 1.0, x)
-    out = np.asarray((1.0 / np.tanh(xs) - 1.0 / xs) / xs)
+    # (1/tanh(xs) - 1/xs) / xs, in place in the buffer of tanh(xs)
+    out = np.tanh(xs, out=np.empty_like(xs))
+    np.divide(1.0, out, out=out)
+    out -= 1.0 / xs
+    out /= xs
     xv = x[small]
     x2 = xv * xv
     out[small] = 1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0

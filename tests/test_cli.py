@@ -649,6 +649,26 @@ def test_fbp_settings_are_checked_before_the_first_stage(tmp_path, capsys,
                      "phantom", "--set", override]) == 0
 
 
+@pytest.mark.parametrize("discs", ["0.01 mm", ""])
+def test_a_particle_free_reference_exits_2_before_writing(tmp_path, capsys, discs):
+    # compare and the sweep summary divide by the reference's norm
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    sets = ["--set", f"phantom.discs={discs}"]
+    for argv in (["run", "--stages", "phantom,simulate,filter,fbp,compare"],
+                 ["sweep", "--parameter", "threshold_b", "--values", "4 mT,10 mT"]):
+        capsys.readouterr()
+        assert cli.main([*argv, "-c", str(ini), "-o", str(out), *sets]) == 2
+        err = capsys.readouterr().err
+        assert "fills no cell of the reconstruction grid" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    # noise-only traces stay legitimate where nothing is scored
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "phantom,simulate,filter,fbp", *sets]) == 0
+    assert load_grid(out / "phantom_recon.grid").values.max() == 0.0
+
+
 def test_fbp_plan_holds_the_ideal_field():
     # FBP inverts the nominal scan, also when the data come from a perturbed
     # field or a coefficient table

@@ -4,11 +4,12 @@ import dataclasses
 import logging
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mpisim import forward
+from mpisim import cli, forward
 from mpisim import magnetization as mag
 from mpisim.errors import ConfigError, HashMismatchError
 from mpisim.fields import MU0, FieldEvaluator, build_topology, perturb_field
@@ -419,10 +420,10 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
     model, grid, config, params = _short_signed_scene()
     calls = {"field": [], "field_dt": []}
     for name in calls:
-        def counting(self, times, _real=getattr(FieldEvaluator, name),
+        def counting(self, times, *fac, _real=getattr(FieldEvaluator, name),
                      _calls=calls[name]):
             _calls.append(np.size(times))
-            return _real(self, times)
+            return _real(self, times, *fac)
         monkeypatch.setattr(FieldEvaluator, name, counting)
     # the general model differentiates over one extra sample at each end
     n_times = config.n_samples + (2 if simulate is simulate_general else 0)
@@ -436,6 +437,70 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
         expected = 0 if simulate is simulate_general else n_times
         assert sum(calls["field_dt"]) == expected
         assert len(calls["field_dt"]) == -(-expected // 7)
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS)
+def test_factor_tables_are_evaluated_once_per_pass(simulate, monkeypatch):
+    # the time factors of B, and of dB/dt where the integrand reads it, are
+    # one table each over all times, however the times are blocked
+    model, grid, config, params = _short_signed_scene()
+    calls = []
+    real = FieldEvaluator.factors
+
+    def counting(self, times, use_dt=False):
+        calls.append((np.size(times), use_dt))
+        return real(self, times, use_dt)
+
+    monkeypatch.setattr(FieldEvaluator, "factors", counting)
+    n_times = config.n_samples + (2 if simulate is simulate_general else 0)
+    expected = [(n_times, False)] + ([] if simulate is simulate_general
+                                     else [(n_times, True)])
+    for workers in (1, 2, 3):
+        for block in (1, 7, 256):
+            calls.clear()
+            simulate(model, grid, THREE_COILS, config, params,
+                     n_workers=workers, block=block)
+            assert calls == expected, (workers, block)
+
+
+def _desk_simulate_scene(duration="1 ms"):
+    """The simulate_fbp benchmark's scene: the perturbed desk field."""
+    cfg = cli.RunConfig.load(overrides=["field.perturb_magnitude=0.35",
+                                        f"acquisition.duration={duration}"])
+    plan = cli.plan_stages(cfg, ["simulate"])
+    return (plan["field"], plan["phantoms"][0], [coil for _, coil in plan["coils"]],
+            plan["acq"], *plan["simulate"]["args"])
+
+
+def _traced_peak(simulate, *args, **kwargs):
+    """Peak bytes numpy and Python allocate in one call, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulate(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_working_set_is_bounded():
+    scene = _desk_simulate_scene()
+    model, grid, coils, config, params = scene
+    assert np.count_nonzero(grid.flat()) == 405 and config.n_samples + 2 == 4002
+    simulate_general(*scene, n_workers=2)  # first-call allocations
+    # 13.65 MB with a factor evaluation per block of 256 times; 5.2-5.5 MB
+    # with one factor table (1.9 MB) per pass and blocks of 64
+    assert _traced_peak(simulate_general, *scene, n_workers=2) <= 9e6
+    # a longer scan adds the table's columns and a few vectors over the
+    # times (times, block index, block sums, traces): the per-time bytes of
+    # the table and of at most 8 floats.  One worker, so the peak does not
+    # depend on how the threads' blocks overlap.
+    longer = _desk_simulate_scene("2 ms")
+    n_harmonics = len(FieldEvaluator(model, np.zeros((1, 3))).harmonics)
+    extra_times = longer[3].n_samples - config.n_samples
+    grown = (_traced_peak(simulate_general, *longer, n_workers=1)
+             - _traced_peak(simulate_general, *scene, n_workers=1))
+    assert grown <= extra_times * 8 * (3 * n_harmonics + 8)
 
 
 def _pool_threads():
