@@ -603,28 +603,32 @@ def stage_filter(ws: Workspace):
 
 
 def stage_sysmat(ws: Workspace):
-    """Build every coil's matrix in one pass, held once plus a few row blocks
-    in flight, then save one file per coil, which stage_lsqr reads back."""
+    """Build every coil's matrix in one pass, streaming each coil's rows into
+    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held;
+    stage_lsqr reads the files back."""
     plan = ws.plan
-    stacked = sysmat.build_system_matrix(
+    stored = sysmat.build_system_matrix(
         plan["field"], plan["approx"], [coil for _, coil in plan["coils"]],
         plan["acq"], plan["grid"], plan["subsampling"],
-        nnz_cap=plan["sysmat.nnz_cap"], n_workers=plan["sysmat.workers"])
-    _save_matrices(ws, stacked)
+        nnz_cap=plan["sysmat.nnz_cap"], n_workers=plan["sysmat.workers"],
+        files=_matrix_files(ws), highpass=plan["highpass"])
+    _report_matrices(ws, stored)
 
 
-def _save_matrices(ws: Workspace, stacked: sysmat.SystemMatrix):
-    """Save each coil's rows of stacked, high-passed when the plan sets a
-    cut-off, as sysmat_<axis>.mat under the coil's sysmat stamp."""
-    cutoff = ws.plan["highpass"]
-    for i, ((axis, _), digest) in enumerate(zip(ws.plan["coils"],
-                                                ws.stamps["sysmat"])):
-        sm = stacked.coil_block(i)
-        if cutoff is not None:
-            sm = sysmat.apply_highpass_rows(sm, cutoff)
-        path = ws.out(f"sysmat_{axis}.mat")
-        sysmat.save_system_matrix(sm, path, digest)
-        print(f"sysmat coil {axis}: {sm.shape[0]}x{sm.shape[1]}, nnz {sm.nnz}, "
+def _matrix_files(ws: Workspace):
+    """Each coil's sysmat_<axis>.mat and its sysmat stamp.  A generator: the
+    build takes the paths, and ws.out writes config.resolved.ini, only once
+    the estimated count has passed sysmat.nnz_cap."""
+    return ((ws.out(f"sysmat_{axis}.mat"), digest)
+            for (axis, _), digest in zip(ws.plan["coils"], ws.stamps["sysmat"]))
+
+
+def _report_matrices(ws: Workspace, stored: sysmat.StoredMatrix):
+    """Print each coil file's shape, nonzero count, size and stamp."""
+    rows, cols = stored.shape[0] // len(stored.paths), stored.shape[1]
+    for (axis, _), digest, path, nnz in zip(ws.plan["coils"], ws.stamps["sysmat"],
+                                            stored.paths, stored.coil_nnz):
+        print(f"sysmat coil {axis}: {rows}x{cols}, nnz {nnz}, "
               f"{path.stat().st_size / 1e6:.1f} MB, hash {digest}")
 
 
@@ -755,8 +759,8 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     once from the base config with its forward.model, and each value's lsqr
     checks the traces against the base stamps.  The sweep parameters change
     only the staircase, so one assembly pass on the first value's plan
-    builds every value's system matrix; each value then saves its matrix
-    and runs its LSQR reconstruction, and the summary records NRMSE against
+    streams every value's system matrices into its files; each value then
+    runs its LSQR reconstruction, and the summary records NRMSE against
     the phantom on the reconstruction grid.
     """
     if not values:
@@ -777,21 +781,22 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     reference = phantom.load_grid(ws.require("phantom_recon.grid"))
     plans = [sub.plan for _, sub in subs.values()]
     shared = plans[0]
-    matrices = sysmat.build_system_matrices(
+    stored = sysmat.build_system_matrices(
         shared["field"], [plan["approx"] for plan in plans],
         [coil for _, coil in shared["coils"]], shared["acq"], shared["grid"],
         shared["subsampling"], nnz_cap=shared["sysmat.nnz_cap"],
-        n_workers=shared["sysmat.workers"])
+        n_workers=shared["sysmat.workers"],
+        files=[_matrix_files(sub) for _, sub in subs.values()],
+        highpass=shared["highpass"])
     summary = []
-    for i, (value, sub) in enumerate(subs.values()):
+    for (value, sub), matrix in zip(subs.values(), stored):
         for axis, _ in shared["coils"]:
             for suffix in ("", "_filtered"):
                 src = ws.path(f"trace_{axis}{suffix}.bin")
                 if src.exists():
                     with atomic_open(sub.out(f"trace_{axis}{suffix}.bin")) as fh:
                         fh.write(src.read_bytes())
-        _save_matrices(sub, matrices[i])
-        matrices[i] = None  # saved: stage_lsqr reads it back from the file
+        _report_matrices(sub, matrix)
         stage_lsqr(sub)
         value_nrmse = recon.nrmse(phantom.load_grid(sub.path("recon_lsqr.grid")),
                                   reference)

@@ -15,23 +15,27 @@ tile.  See CellQuadrature.  Only rho depends on the receive coil and
 only mbar'_N on the staircase, so one pass serves every coil and
 staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
-its own exact zeros.  It is stored sparse; filtered on application.  One
-CSR layout serves from assembly to LSQR: build_system_matrices copies each
-row block's plain arrays, as the block arrives, into each staircase's
-growing data and indices, one region per coil, and drops the block, so
-the matrix is held once while it is assembled, plus a few blocks in
-flight (and twice for a moment if it outgrows its estimated size).
-Closing the gaps between the coils' regions in place then gives the
-indptr, indices and data of each staircase's matrix.  A stored matrix
-keeps each row's columns as runs of consecutive cells, which is how the
-low-field volume crosses the grid's flat indices: save_system_matrix
-encodes them from the CSR a chunk of rows at a time, and
-load_system_matrices decodes each coil file's runs straight into its slice
-of one stacked CSR, bit-equal to the one saved.
+its own exact zeros.  It is stored sparse; filtered on application.
+build_system_matrices hands each row block's plain arrays, as the block
+arrives, to a sink and drops the block.  For library callers and test
+oracles the sink is in memory: it copies the block into each staircase's
+growing data and indices, one region per coil, so the matrix is held once
+while it is assembled, plus a few blocks in flight (and twice for a moment
+if it outgrows its estimated size); closing the gaps between the coils'
+regions in place then gives the indptr, indices and data of each
+staircase's matrix.  The CLI streams instead: each (staircase, coil) block
+goes straight to that coil's file (_RunWriter), so no matrix is ever held.
+A stored matrix keeps each row's columns as runs of consecutive cells,
+which is how the low-field volume crosses the grid's flat indices:
+_RunWriter encodes them a block of rows at a time, for the build and for
+save_system_matrix alike, and load_system_matrices decodes each coil
+file's runs straight into its slice of one stacked CSR, bit-equal to the
+one saved.
 
-scipy.sparse is imported only where a CSR is made (build_system_matrices,
-SystemMatrix.coil_block, load_system_matrices), so importing this module,
-and the stages that never touch a matrix, load numpy alone.
+scipy.sparse is imported only where a CSR is made (the in-memory
+build_system_matrices, SystemMatrix.coil_block, load_system_matrices), so
+importing this module, the stages that never touch a matrix and the
+streaming sysmat stage load numpy alone.
 An operator handed to recon.lsqr_solve needs only shape, @ and .T: the CSR
 matrix itself, or the filtered operator of SystemMatrix.operator().
 """
@@ -43,6 +47,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import shutil
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -60,22 +65,31 @@ from .phantom import ConcentrationGrid, cell_offsets
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# times per assembly block: a block's temporaries (the survivors' sub-point
-# products, (3 + coils) floats per sub-point) stay a few MB, so what worker
-# threads free is reused instead of piling up in their malloc arenas and
-# making peak memory vary from run to run.  At most two blocks per worker
-# are in flight (forward.map_time_blocks), so they are what the build
-# holds beyond the matrix.  32 held about 9 MiB less on the desk scene,
-# but desk_run and l1_sweep ran 7-12% longer end to end.
+# times per assembly block: a block's temporaries (its survivors' values,
+# and the sub-point products of a chunk of _PAIRS of them) stay a few MB,
+# so what worker threads free is reused instead of piling up in their
+# malloc arenas and making peak memory vary from run to run.  At most two
+# blocks per worker are in flight (forward.map_time_blocks), so they are
+# what the build holds beyond the matrix, or beyond the runs when it
+# streams.  32 held about 9 MiB less on the desk scene, but desk_run and
+# l1_sweep ran 7-12% longer end to end.
 _DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
 # entries moved per step when _CoilRows.stacked moves a coil down, entries
-# encoded per step by save_system_matrix, runs decoded per step by
-# load_system_matrices
+# encoded per step by save_system_matrix, values copied per step by
+# _RunWriter, runs decoded per step by load_system_matrices
 _CHUNK = 1 << 16
+# (time, cell) pairs whose sub-points CellQuadrature.sparse_weights
+# evaluates at once, in whole times.  On the desk scene (about 26 thousand
+# pairs per block of 64 times, 4 sub-points each) one block's tracemalloc
+# peak was 2.4, 3.6 and 5.9 MiB at 4096, 8192 and 16384 pairs, and the warm
+# two-coil build with 2 workers took 0.43-0.47, 0.41-0.43 and 0.40-0.42 s
+# (medians of two sets of 8, 2-core host): smaller chunks make more numpy
+# calls, which contend for the GIL.
+_PAIRS = 8192
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
 
@@ -199,9 +213,11 @@ class CellQuadrature:
         per tile of times.  The pruning uses the largest b: the limit rises
         with b, so its survivors hold every staircase's.
         Sub-point B and each <rho_k, dB/dt> are evaluated for the surviving
-        pairs only, then staircase_slopes staircases the shared sub-point |B|.
-        Each (staircase, coil) drops its own exact zeros, so each pattern
-        equals that of its dense weights.
+        pairs only, then staircase_slopes staircases the shared sub-point |B|,
+        about _PAIRS pairs at a time, so the sub-point temporaries stay
+        bounded however many pairs a block holds.  Each (staircase, coil)
+        drops its own exact zeros, so each pattern equals that of its dense
+        weights.
         """
         rhos = np.asarray(rhos, dtype=float).reshape(-1, 3)
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -217,38 +233,57 @@ class CellQuadrature:
                   for rho in rhos]
         coef = np.stack([*fac, *rho_dt], axis=-1).transpose(1, 0, 2).copy()
         bounds = np.searchsorted(tidx, np.arange(times.size + 1))
-        n_sub = self.n_sub
-        at_sub = np.empty((cells.size * n_sub, coef.shape[2]))
-        for t in np.flatnonzero(np.diff(bounds)):
-            lo, hi = bounds[t], bounds[t + 1]
-            rows = self._sub_polys[cells[lo:hi]].reshape(-1, coef.shape[1])
-            at_sub[lo * n_sub:hi * n_sub] = rows @ coef[t]
-        bx, by, bz, *projs = (at_sub[:, j].reshape(-1, n_sub)
-                              for j in range(coef.shape[2]))
-        out = [[] for _ in approxes]
-        mag = np.sqrt(bx * bx + by * by + bz * bz)
-        for per_coil, stair in zip(out, staircase_slopes(approxes, mag)):
-            for proj in projs:
-                w = -MU0 * proj * stair
-                # sub-points summed in a fixed order: no value depends on the block
-                vals = sum(w[:, s] for s in range(n_sub)) / n_sub * self.cell_volume
-                keep = vals != 0
-                per_coil.append((vals[keep], cells[keep],
-                                 np.bincount(tidx[keep], minlength=times.size)))
-        return out
+        n_sub, n_harm, n_out = self.n_sub, coef.shape[1], coef.shape[2]
+        lookup = staircase_slopes(approxes)
+        # every pair's value for each (staircase, coil), and whether it is kept
+        full = np.empty((len(approxes), len(rhos), tidx.size))
+        nonzero = np.empty(full.shape, bool)
+        # whole times per chunk, so each time's product is the same rows @ coef[t];
+        # one buffer serves every chunk: a buffer per chunk, freed and taken
+        # again, doubled the build's page faults
+        chunks = list(_row_chunks(bounds, _PAIRS))
+        buf = np.empty((max(bounds[t1] - bounds[t0] for t0, t1 in chunks) * n_sub, n_out))
+        for t0, t1 in chunks:
+            lo, hi = bounds[t0], bounds[t1]
+            at_sub = buf[:(hi - lo) * n_sub]
+            for t in range(t0, t1):
+                a, b = bounds[t], bounds[t + 1]
+                np.matmul(self._sub_polys[cells[a:b]].reshape(-1, n_harm), coef[t],
+                          out=at_sub[(a - lo) * n_sub:(b - lo) * n_sub])
+            bx, by, bz, *projs = (at_sub[:, j].reshape(-1, n_sub) for j in range(n_out))
+            mag = np.sqrt(bx * bx + by * by + bz * bz)
+            for i, stair in enumerate(lookup(mag)):
+                for k, proj in enumerate(projs):
+                    w = -MU0 * proj * stair
+                    # sub-points summed in a fixed order: no value depends on
+                    # the block or the chunk
+                    vals = sum(w[:, s] for s in range(n_sub))
+                    vals /= n_sub
+                    np.multiply(vals, self.cell_volume, out=full[i, k, lo:hi])
+                    np.not_equal(full[i, k, lo:hi], 0, out=nonzero[i, k, lo:hi])
+        before = np.zeros((*full.shape[:2], tidx.size + 1), np.int64)
+        np.cumsum(nonzero, axis=2, out=before[:, :, 1:])  # kept pairs before each
+        counts = np.diff(before[:, :, bounds], axis=2)
+        return [[(full[i, k][nonzero[i, k]], cells[nonzero[i, k]], counts[i, k])
+                 for k in range(len(rhos))] for i in range(len(approxes))]
 
 
-def staircase_slopes(approxes, mag: np.ndarray):
-    """approx.eval(mag) for each approx in approxes, in order, for mag >= 0
-    or NaN; one staircase's array at a time.
+def staircase_slopes(approxes):
+    """A lookup that maps mag, >= 0 or NaN, to approx.eval(mag) for each
+    approx in approxes, in order, one staircase's array at a time.
 
     mag is searched once in the sorted union of the ladders.  No ladder has
     a node inside a union interval, so each staircase's slope there is its
     eval at the left edge; past the last edge, and at NaN, every eval is 0.
     """
     edges = np.unique(np.concatenate([approx.ladder for approx in approxes]))
-    slot = np.searchsorted(edges, mag, side="right") - 1
-    return (approx.eval(edges)[slot] for approx in approxes)
+    slopes = [approx.eval(edges) for approx in approxes]
+
+    def lookup(mag):
+        slot = np.searchsorted(edges, mag, side="right") - 1
+        return (table[slot] for table in slopes)
+
+    return lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +428,27 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                        block: int = _DEFAULT_BLOCK) -> SystemMatrix:
-    """The coil-stacked matrix of one staircase: build_system_matrices([approx])."""
+                        block: int = _DEFAULT_BLOCK, files=None,
+                        highpass: float | None = None):
+    """The coil-stacked matrix of one staircase: build_system_matrices([approx]),
+    or with files, one (path, digest) per coil, the StoredMatrix of its files."""
     return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
-                                 nnz_cap, n_workers, block)[0]
+                                 nnz_cap, n_workers, block,
+                                 None if files is None else [files], highpass)[0]
+
+
+@dataclass(frozen=True)
+class StoredMatrix:
+    """What a streamed build wrote for one staircase: each coil's file and
+    nonzero count, and the shape of the coil-stacked matrix they hold."""
+
+    paths: tuple
+    coil_nnz: tuple
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return sum(self.coil_nnz)
 
 
 def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
@@ -470,11 +522,27 @@ class _CoilRows:
         return self.data, self.indices, np.concatenate([[0], np.cumsum(self.counts)])
 
 
+class _CoilFiles:
+    """One staircase's _RunWriter per coil: _CoilRows' appends, streamed to files."""
+
+    def __init__(self, writers: list):
+        self.writers = writers
+
+    @property
+    def nnz(self) -> list:
+        return [writer.nnz for writer in self.writers]
+
+    def append(self, per_coil) -> None:
+        for writer, (vals, cells, counts) in zip(self.writers, per_coil, strict=True):
+            writer.append(vals, cells, counts)
+
+
 def build_system_matrices(model: FieldModel, approxes, coils,
                           acq: AcquisitionConfig, grid: ConcentrationGrid,
                           subsampling: int = 1,
                           nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                          block: int = _DEFAULT_BLOCK) -> list:
+                          block: int = _DEFAULT_BLOCK, files=None,
+                          highpass: float | None = None) -> list:
     """Assemble the coil-stacked matrix of each staircase in approxes.
 
     Each coil's rows are the sample times of acq.  One pass serves every
@@ -483,25 +551,35 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     coil's pattern equals that of its dense quadrature; values agree to the
     rounding of the reordered term sum.  Blocks are independent and may be
     computed by worker threads.  They are taken in block order as they
-    arrive: each is copied into its staircase's _CoilRows and dropped, and
-    the entries of one time never depend on the rest of its block, so the
-    result does not depend on the worker count or block size.  Each coil's
-    region starts at the estimated count below plus an eighth.
+    arrive: each is handed to its staircase's sink and dropped, and the
+    entries of one time never depend on the rest of its block, so the
+    result does not depend on the worker count or block size.
 
-    Returns one SystemMatrix per staircase, in order, whose coils are the
-    given ReceiveCoils with rows grouped in that order.  nnz_cap limits each
-    (staircase, coil): the count extrapolated from 8 probe times is checked
-    before any assembly starts, the running count after every block, and
-    the first to pass the cap stops the build and its worker threads.
+    Without files, the sink is a _CoilRows, whose coil regions start at the
+    estimated count below plus an eighth, and one SystemMatrix per
+    staircase is returned, in order, whose coils are the given ReceiveCoils
+    with rows grouped in that order.  With files, files[i] yields one
+    (path, digest) per coil, and each (staircase i, coil) streams into its
+    own file (_RunWriter), as save_system_matrix would store its rows with
+    digest in the header; one StoredMatrix per staircase is returned, and
+    no matrix is ever held.  Each files[i] is iterated only once the
+    estimated count has passed the cap, and the files are replaced when the
+    build ends; none is touched when it stops.  highpass marks every matrix
+    with that cut-off, as apply_highpass_rows does.
+
+    nnz_cap limits each (staircase, coil): the count extrapolated from 8
+    probe times is checked before any assembly starts, the running count
+    after every block, and the first to pass the cap stops the build and
+    its worker threads.
     """
-    import scipy.sparse as sp
-
     approxes = list(approxes)
     if not approxes:
         raise ConfigError("need at least one staircase")
     coils = tuple(coils)
     if not coils:
         raise ConfigError("need at least one receive coil")
+    if highpass is not None:
+        _check_cutoff(acq.n_samples, acq.sample_rate, highpass)
     times = acq.times()
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
@@ -511,28 +589,44 @@ def build_system_matrices(model: FieldModel, approxes, coils,
             f"estimated {est} nonzeros for one coil exceeds the cap of "
             f"{nnz_cap}; raise the cap, shrink the grid, or lower the threshold b")
 
-    # the 8 probes read low by 1-4% on the desk scenes: an eighth more
-    # spares the late regrow of nearly the whole matrix
-    matrices = [_CoilRows(len(coils), est + est // 8, times.size) for _ in approxes]
-    with contextlib.closing(map_time_blocks(
+    meta = dict(sample_rate=acq.sample_rate, t0=acq.t0, rows_per_coil=acq.n_samples,
+                coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
+                grid_origin=grid.origin, highpass=highpass)
+    with contextlib.ExitStack() as stack:
+        if files is None:
+            # the 8 probes read low by 1-4% on the desk scenes: an eighth more
+            # spares the late regrow of nearly the whole matrix
+            sinks = [_CoilRows(len(coils), est + est // 8, times.size)
+                     for _ in approxes]
+        else:
+            sinks = [_CoilFiles([
+                stack.enter_context(_RunWriter(path, digest, (acq.n_samples, grid.n_cells),
+                                               {**meta, "coils": (coil,)}))
+                for (path, digest), coil in zip(per_coil, coils, strict=True)])
+                for per_coil in files]
+        blocks = stack.enter_context(contextlib.closing(map_time_blocks(
             lambda span: quad.sparse_weights(approxes, rhos, span),
-            times, n_workers, block)) as blocks:
+            times, n_workers, block)))
+        rows = 0
         for parts in blocks:
-            for per_coil, rows in zip(parts, matrices):
-                rows.append(per_coil)
-                if max(rows.nnz) > nnz_cap:
+            rows += parts[0][0][2].size
+            for per_coil, sink in zip(parts, sinks, strict=True):
+                sink.append(per_coil)
+                if max(sink.nnz) > nnz_cap:
                     raise ResourceCapError(
-                        f"assembled {max(rows.nnz)} nonzeros for one coil by "
-                        f"row {rows.rows} of {times.size}, over the cap of {nnz_cap}")
+                        f"assembled {max(sink.nnz)} nonzeros for one coil by "
+                        f"row {rows} of {times.size}, over the cap of {nnz_cap}")
+    shape = (len(coils) * acq.n_samples, grid.n_cells)
+    if files is not None:
+        return [StoredMatrix(tuple(w.path for w in sink.writers), tuple(sink.nnz), shape)
+                for sink in sinks]
+    import scipy.sparse as sp
+
     out = []
-    for rows in matrices:
-        data, indices, indptr = rows.stacked()
-        out.append(SystemMatrix(
-            matrix=sp.csr_matrix((data, indices, indptr),
-                                 shape=(len(coils) * acq.n_samples, grid.n_cells)),
-            sample_rate=acq.sample_rate, t0=acq.t0,
-            rows_per_coil=acq.n_samples, coils=coils, grid_dims=grid.dims,
-            grid_spacing=grid.spacing, grid_origin=grid.origin))
+    for sink in sinks:
+        data, indices, indptr = sink.stacked()
+        out.append(SystemMatrix(matrix=sp.csr_matrix((data, indices, indptr), shape=shape),
+                                **meta))
     return out
 
 
@@ -554,17 +648,22 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     equals the filtered S @ c.  Stored sparse; filtered on application.
     A cut-off that keeps no DFT bin of a coil block raises ConfigError.
     """
-    if cutoff <= 0:
-        raise ConfigError("cutoff must be positive")
-    highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
+    _check_cutoff(sm.rows_per_coil, sm.sample_rate, cutoff)
     return replace(sm, highpass=cutoff)
 
 
-def _row_chunks(indptr):
-    """Consecutive (lo, hi) row ranges of about _CHUNK entries, at least one row each."""
+def _check_cutoff(n_rows: int, sample_rate: float, cutoff: float) -> None:
+    """ConfigError unless cutoff is positive and keeps a DFT bin of n_rows samples."""
+    if cutoff <= 0:
+        raise ConfigError("cutoff must be positive")
+    highpass_mask(n_rows, sample_rate, cutoff)
+
+
+def _row_chunks(indptr, size: int = _CHUNK):
+    """Consecutive (lo, hi) row ranges of at most size entries, or one row."""
     lo, rows = 0, indptr.size - 1
     while lo < rows:
-        hi = int(np.searchsorted(indptr, indptr[lo] + _CHUNK, side="right")) - 1
+        hi = int(np.searchsorted(indptr, indptr[lo] + size, side="right")) - 1
         yield lo, max(hi, lo + 1)
         lo = max(hi, lo + 1)
 
@@ -581,6 +680,75 @@ def _chunk_heads(indptr, indices, lo, hi) -> np.ndarray:
     return heads
 
 
+class _RunWriter:
+    """Streams one matrix file, as save_system_matrix lays it out, row block
+    by row block.
+
+    append takes a block of whole rows as the (values, int columns, row
+    lengths) triple that _CoilRows.append takes, with each row's columns
+    sorted.  Its runs are found at once (_chunk_heads): run_ptr and each
+    run's start and length stay in memory, 8 bytes per run, and the values
+    go to a spill file beside path.  As a context manager: on a clean exit
+    the header, run_ptr, starts and lengths are written to a temporary file
+    beside path, the values are copied after them a chunk at a time, and the
+    file replaces path (atomic_open); on an exception path is left as it
+    was.  The spill file is removed either way.
+    """
+
+    def __init__(self, path, digest: str, shape: tuple, meta: dict):
+        self.path, self.digest, self.shape, self.meta = path, digest, shape, meta
+        self.run_ptr = np.zeros(shape[0] + 1, "<i8")
+        self.starts, self.lengths = [], []
+        self.rows = self.nnz = self.n_runs = 0
+        self.spill_path = f"{os.fspath(path)}.{os.getpid()}.spill"
+
+    def __enter__(self) -> _RunWriter:
+        self.spill = open(self.spill_path, "w+b")
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            if exc_type is None:
+                self._write()
+        finally:
+            self.spill.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.spill_path)
+
+    def append(self, vals, cells, counts) -> None:
+        ptr = np.zeros(counts.size + 1, np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        at = np.flatnonzero(_chunk_heads(ptr, cells, 0, counts.size))
+        self.starts.append(cells[at].astype("<i4", copy=False))
+        self.lengths.append(np.diff(at, append=cells.size).astype("<i4"))
+        self.run_ptr[self.rows + 1:self.rows + 1 + counts.size] = (
+            self.n_runs + np.searchsorted(at, ptr[1:]))
+        self.spill.write(np.ascontiguousarray(vals, dtype="<f8"))
+        self.rows += counts.size
+        self.nnz += cells.size
+        self.n_runs += at.size
+
+    def _write(self) -> None:
+        meta = self.meta
+        hp = "none" if meta["highpass"] is None else f"{meta['highpass']:.17g}"
+        lines = [
+            f"{self.shape[0]} {self.shape[1]} {self.nnz} {self.digest} runs {self.n_runs}",
+            f"{meta['sample_rate']:.17g} {meta['t0']:.17g} {meta['rows_per_coil']} {hp}",
+            " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
+                     for c in meta["coils"]),
+            " ".join([*(str(d) for d in meta["grid_dims"]),
+                      *(f"{s:.17g}" for s in meta["grid_spacing"]),
+                      *(f"{o:.17g}" for o in meta["grid_origin"])]),
+        ]
+        with atomic_open(self.path) as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            fh.write(self.run_ptr)
+            for part in (*self.starts, *self.lengths):
+                fh.write(part)
+            self.spill.seek(0)
+            shutil.copyfileobj(self.spill, fh, 8 * _CHUNK)
+
+
 def save_system_matrix(sm: SystemMatrix, path, digest: str):
     """Four ASCII header lines, then sm.matrix's rows as runs of columns.
 
@@ -591,43 +759,17 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     run count.  The payload is run_ptr (<i8, rows + 1 entries: the first
     run of each row), starts and lengths (<i4, one per run) and data (<f8,
     nnz entries, as held).  sm.matrix must hold sorted column indices, as
-    every assembled or loaded matrix does.  The runs are found a bounded
-    number of rows at a time (_row_chunks): once to count them for the
-    header, then again to write each chunk's starts and lengths at their
-    offsets and fill run_ptr, so no temporary is nnz-sized.
-    The bytes go to a temporary file beside path, which then replaces
-    path, so an interrupted write never leaves a partial matrix behind.
+    every assembled or loaded matrix does.  Its rows go to a _RunWriter a
+    bounded number at a time (_row_chunks), so no temporary is nnz-sized,
+    and an interrupted write never leaves a partial matrix behind.
     """
     indptr, indices = sm.matrix.indptr, sm.matrix.indices
-    n_runs = sum(np.count_nonzero(_chunk_heads(indptr, indices, lo, hi))
-                 for lo, hi in _row_chunks(indptr))
-    hp = "none" if sm.highpass is None else f"{sm.highpass:.17g}"
-    lines = [
-        f"{sm.shape[0]} {sm.shape[1]} {sm.nnz} {digest} runs {n_runs}",
-        f"{sm.sample_rate:.17g} {sm.t0:.17g} {sm.rows_per_coil} {hp}",
-        " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
-                 for c in sm.coils),
-        " ".join([*(str(d) for d in sm.grid_dims),
-                  *(f"{s:.17g}" for s in sm.grid_spacing),
-                  *(f"{o:.17g}" for o in sm.grid_origin)]),
-    ]
-    run_ptr = np.zeros(sm.shape[0] + 1, "<i8")
-    with atomic_open(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        base, k = fh.tell() + run_ptr.nbytes, 0  # where starts begin, runs so far
+    meta = {f.name: getattr(sm, f.name) for f in dataclasses.fields(sm)
+            if f.name != "matrix"}
+    with _RunWriter(path, digest, sm.shape, meta) as writer:
         for lo, hi in _row_chunks(indptr):
             a, b = indptr[lo], indptr[hi]
-            at = np.flatnonzero(_chunk_heads(indptr, indices, lo, hi))
-            fh.seek(base + 4 * k)
-            fh.write(indices[a:b][at].astype("<i4", copy=False))
-            fh.seek(base + 4 * (n_runs + k))
-            fh.write(np.diff(at, append=b - a).astype("<i4"))
-            run_ptr[lo + 1:hi + 1] = k + np.searchsorted(at, indptr[lo + 1:hi + 1] - a)
-            k += at.size
-        fh.seek(base - run_ptr.nbytes)
-        fh.write(run_ptr)
-        fh.seek(base + 8 * n_runs)
-        fh.write(np.ascontiguousarray(sm.matrix.data, dtype="<f8"))
+            writer.append(sm.matrix.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
 
 
 def _parse_header(lines):

@@ -17,8 +17,8 @@ from mpisim.fields import (build_topology, load_field_coefficients,
 from mpisim.forward import (SignalTrace, coil_along, load_trace_bin, save_trace_bin,
                             save_trace_csv)
 from mpisim.phantom import build_disc_phantom, load_grid, save_grid
-from mpisim.sysmat import (SystemMatrix, load_system_matrices, load_system_matrix,
-                           save_system_matrix)
+from mpisim.sysmat import (SystemMatrix, _RunWriter, load_system_matrices,
+                           load_system_matrix, save_system_matrix)
 
 
 def _grid():
@@ -39,12 +39,25 @@ def _write_coefficients(path):
     write_field_coefficients(model, path)
 
 
+_MATRIX_META = dict(sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along("x"),),
+                    grid_dims=(2, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
+                    grid_origin=(0.0, 0.0, 0.0), highpass=35e3)
+
+
 def _save_matrix(path):
     save_system_matrix(SystemMatrix(
-        matrix=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])),
-        sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along("x"),),
-        grid_dims=(2, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
-        grid_origin=(0.0, 0.0, 0.0), highpass=35e3), path, "0123456789abcdef")
+        matrix=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])), **_MATRIX_META),
+        path, "0123456789abcdef")
+
+
+def _stream_matrix(path, interrupt=False):
+    """_save_matrix's matrix, streamed a row at a time; interrupt stops the
+    stream after its first row."""
+    with _RunWriter(path, "0123456789abcdef", (2, 2), _MATRIX_META) as writer:
+        writer.append(np.array([1.0]), np.array([0], np.int32), np.array([1]))
+        if interrupt:
+            raise KeyboardInterrupt
+        writer.append(np.array([2.0]), np.array([1], np.int32), np.array([1]))
 
 
 def _load_after_a_valid_matrix(path):
@@ -85,6 +98,7 @@ WRITERS = {
     "trace_csv": (lambda p: save_trace_csv(_trace(), p),
                   lambda p: save_trace_csv(_trace(), p,
                                            comments=_interrupting_comments())),
+    "sysmat_stream": (_stream_matrix, lambda p: _stream_matrix(p, interrupt=True)),
 }
 
 

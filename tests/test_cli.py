@@ -250,6 +250,36 @@ def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
         assert "re-run `mpisim sysmat`" in err and "Traceback" not in err
 
 
+def test_nnz_cap_stops_a_streamed_build_and_keeps_the_old_files(tmp_path, capsys):
+    # on the desk scene the 8-probe estimate reads low (CHANGES.md), so a cap
+    # at the estimate passes the check before assembly and stops the build
+    # mid-stream; older matrix files stay as they were, and no temporary or
+    # spill file is left
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(write_tiny(tmp_path)), "-o", str(out),
+                     "--stages", "sysmat"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()
+              if p.name.startswith("sysmat_")}
+    listing = sorted(p.name for p in out.iterdir())
+    plan = cli.plan_stages(cli.RunConfig.load(), ["sysmat"])
+    quad = sysmat.CellQuadrature(plan["field"], plan["grid"], plan["subsampling"])
+    est = sysmat._estimate_nnz(quad, [plan["approx"]],
+                               [coil.vector for _, coil in plan["coils"]],
+                               plan["acq"].times())
+    capsys.readouterr()
+    desk = ["run", "--stages", "sysmat", "--set", "sysmat.workers=2"]
+    assert cli.main([*desk, "-o", str(out), "--set", f"sysmat.nnz_cap={est}"]) == 5
+    err = capsys.readouterr().err
+    assert "assembled" in err and "over the cap" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == listing
+    assert {name: (out / name).read_bytes() for name in before} == before
+    # a cap below the estimate stops the stage before it writes anything
+    fresh = tmp_path / "fresh"
+    assert cli.main([*desk, "-o", str(fresh), "--set", f"sysmat.nnz_cap={est - 1}"]) == 5
+    assert "estimated" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
     tmp, ini, out = pipeline_dir
     ws = cli.Workspace(cli.RunConfig.load(ini), ["sysmat"], out)
@@ -1027,6 +1057,7 @@ for label, argv in [
         ("compare", ["compare", out + "/recon_fbp.grid",
                      out + "/phantom_recon.grid"]),
         ("field-info", ["field-info", "-c", ini]),
+        ("sysmat", ["run", "-c", ini, "-o", out, "--stages", "sysmat"]),
         ("sysmat,lsqr", ["run", "-c", ini, "-o", out,
                          "--stages", "sysmat,lsqr"])]:
     assert cli.main(argv) == 0, argv
@@ -1036,6 +1067,7 @@ print(json.dumps(seen))
 
 
 def test_stages_without_a_matrix_never_import_scipy(tmp_path):
+    # the sysmat stage streams its files and builds no scipy matrix
     ini = write_tiny(tmp_path)
     src = str(Path(mpisim.__file__).parents[1])
     proc = subprocess.run(
@@ -1044,7 +1076,7 @@ def test_stages_without_a_matrix_never_import_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": src})
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert list(seen) == ["import mpisim", "import mpisim.cli", "run",
-                          "compare", "field-info", "sysmat,lsqr"]
+                          "compare", "field-info", "sysmat", "sysmat,lsqr"]
     for step in list(seen)[:-1]:
         assert seen[step] == [], step
     # control: the probe does see scipy once a stage builds a matrix, and

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -235,9 +236,14 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
     counted = []
     real_lookup = mpisim.sysmat.staircase_slopes
 
-    def counting_lookup(approxes, mag):
-        counted.append(np.size(mag))
-        return real_lookup(approxes, mag)
+    def counting_lookup(approxes):
+        lookup = real_lookup(approxes)
+
+        def counting(mag):
+            counted.append(np.size(mag))
+            return lookup(mag)
+
+        return counting
 
     monkeypatch.setattr(mpisim.sysmat, "staircase_slopes", counting_lookup)
     grid = empty_grid(0.1, 0.1 / 64)
@@ -519,7 +525,7 @@ def test_staircase_slopes_equal_each_eval():
         np.random.default_rng(3).uniform(0.0, 12e-3, 1001)])
     for values in (x, x.reshape(-1, 1)):
         for group in (approxes, approxes[:1], approxes[2:]):
-            got = list(staircase_slopes(group, values))
+            got = list(staircase_slopes(group)(values))
             assert len(got) == len(group)
             for approx, slopes in zip(group, got):
                 assert slopes.shape == values.shape
@@ -546,6 +552,62 @@ def test_assembled_bytes_are_pinned():
                 digest.update(np.ascontiguousarray(getattr(sm.matrix, part),
                                                    dtype).tobytes())
         assert digest.hexdigest() == _PINNED_BUILD, (workers, block)
+
+
+@pytest.mark.parametrize("subsampling", [1, 2])
+def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
+    # oracle: the in-memory build of the pinned scene, saved coil by coil;
+    # every streamed file loads bit-equal to its CSR rows and is byte-equal
+    # to its saved file, whatever the worker count and block size
+    model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
+    grid = empty_grid(0.1, 0.1 / 32)
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
+    coils = [coil_along("x"), coil_along("y")]
+    held = build_system_matrices(model, approxes, coils, acq, grid, subsampling)
+    digests = [[f"{i}{k}".zfill(16) for k in range(len(coils))] for i in range(len(approxes))]
+    saved = {}
+    for i, sm in enumerate(held):
+        for k in range(len(coils)):
+            saved[i, k] = tmp_path / f"saved_{i}{k}.mat"
+            save_system_matrix(sm.coil_block(k), saved[i, k], digests[i][k])
+    for workers, block in ((1, 64), (2, 7), (1, 7), (2, 64)):
+        files = [[(tmp_path / f"stream_{i}{k}.mat", digest) for k, digest in enumerate(row)]
+                 for i, row in enumerate(digests)]
+        stored = build_system_matrices(model, approxes, coils, acq, grid, subsampling,
+                                       n_workers=workers, block=block, files=files)
+        for i, (sm, record) in enumerate(zip(held, stored)):
+            assert record.shape == sm.shape and record.nnz == sm.nnz
+            paths = [path for path, _ in files[i]]
+            assert list(record.paths) == paths
+            loaded = load_system_matrices(paths, digests[i])
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(loaded.matrix, part), getattr(sm.matrix, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    workers, block, i, part)
+            for k, path in enumerate(paths):
+                assert record.coil_nnz[k] == sm.coil_block(k).nnz
+                assert path.read_bytes() == saved[i, k].read_bytes(), (workers, block, i, k)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [p.name for p in saved.values()] + [p.name for row in files for p, _ in row])
+
+
+def test_streamed_build_holds_no_matrix(tmp_path):
+    # 4000 rows in blocks of 64: holding the matrix, as the in-memory build
+    # does, would take its data and indices at least; streaming holds the
+    # runs and a few blocks
+    acq = AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=4e-3)
+    args = (_desk_ffl(), _desk_approx(20e-3), [coil_along("x")], acq,
+            empty_grid(0.1, 0.1 / 32))
+    path = tmp_path / "sm.mat"
+    tracemalloc.start()
+    try:
+        stored = build_system_matrix(*args, files=[(path, _X_HASH)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = load_system_matrix(path).matrix
+    assert held.nnz == stored.nnz > 500_000
+    assert peak < (held.data.nbytes + held.indices.nbytes) / 2
 
 
 def test_empty_staircase_list_is_rejected(scene):
