@@ -668,15 +668,14 @@ def _row_chunks(indptr, size: int = _CHUNK):
         lo = max(hi, lo + 1)
 
 
-def _chunk_heads(indptr, indices, lo, hi) -> np.ndarray:
-    """Whether each entry of rows lo..hi-1 of a sorted CSR starts a run: it
-    is the first of its row, or not one column past the entry before it."""
-    a, b = indptr[lo], indptr[hi]
-    cells = indices[a:b]
-    heads = np.empty(b - a, bool)  # heads[0] is the first row's start
+def _chunk_heads(ptr, cells) -> np.ndarray:
+    """Whether each entry of a block of sorted rows starts a run: it is the
+    first of its row, or not one column past the entry before it.  ptr is
+    the block's row pointer, rising from 0 to cells.size."""
+    heads = np.empty(cells.size, bool)  # heads[0] is the first row's start
     np.not_equal(cells[1:] - cells[:-1], 1, out=heads[1:])
-    rows = indptr[lo:hi] - a
-    heads[rows[rows < b - a]] = True
+    rows = ptr[:-1]
+    heads[rows[rows < cells.size]] = True
     return heads
 
 
@@ -718,7 +717,7 @@ class _RunWriter:
     def append(self, vals, cells, counts) -> None:
         ptr = np.zeros(counts.size + 1, np.int64)
         np.cumsum(counts, out=ptr[1:])
-        at = np.flatnonzero(_chunk_heads(ptr, cells, 0, counts.size))
+        at = np.flatnonzero(_chunk_heads(ptr, cells))
         self.starts.append(cells[at].astype("<i4", copy=False))
         self.lengths.append(np.diff(at, append=cells.size).astype("<i4"))
         self.run_ptr[self.rows + 1:self.rows + 1 + counts.size] = (

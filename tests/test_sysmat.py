@@ -564,7 +564,8 @@ def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
     acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
     coils = [coil_along("x"), coil_along("y")]
     held = build_system_matrices(model, approxes, coils, acq, grid, subsampling)
-    digests = [[f"{i}{k}".zfill(16) for k in range(len(coils))] for i in range(len(approxes))]
+    digests = [[f"{i}{k}".zfill(16) for k in range(len(coils))]
+               for i in range(len(approxes))]
     saved = {}
     for i, sm in enumerate(held):
         for k in range(len(coils)):
