@@ -522,12 +522,22 @@ def _carried_stamp(path: Path) -> str | None:
 
 def _load_traces(ws: Workspace, stage: str | None = None) -> list:
     """Each coil's trace as stage wrote it, checked against stage's stamp;
-    by default filter's when the plan sets a cut-off, else simulate's."""
+    by default filter's when the plan sets a cut-off, else simulate's.
+
+    A trace whose coil index is not its coil's raises ConfigError, even
+    under force: both coils' files carry one stamp, so only the index tells
+    a swapped pair apart.
+    """
     if stage is None:
         stage = "filter" if ws.plan["highpass"] is not None else "simulate"
     suffix = "_filtered" if stage == "filter" else ""
     paths = [ws.require(f"trace_{axis}{suffix}.bin") for axis, _ in ws.plan["coils"]]
     traces = [forward.load_trace_bin(p, ws.stamps[stage], ws.force) for p in paths]
+    for path, trace, (axis, coil) in zip(paths, traces, ws.plan["coils"]):
+        if trace.coil_index != coil.index:
+            raise ConfigError(f"{path}: holds the trace of coil index "
+                              f"{trace.coil_index}, not of coil {axis}, index "
+                              f"{coil.index}")
     ws.check(stage, paths)
     return traces
 
@@ -636,16 +646,15 @@ def stage_lsqr(ws: Workspace):
     traces = _load_traces(ws)
     grid, coils = ws.plan["grid"], ws.plan["coils"]
     paths = [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils]
-    stacked = sysmat.load_system_matrices(paths, list(ws.stamps["sysmat"]),
-                                          force=ws.force)
+    sm = sysmat.load_system_matrices(paths, list(ws.stamps["sysmat"]), force=ws.force)
     ws.check("sysmat", paths)
-    rhs = sysmat.stack_coils(stacked, traces)
-    if not stacked.grid_meta_matches(grid):
+    rhs = sysmat.stack_coils(sm, traces)
+    if not sm.grid_meta_matches(grid):
         raise ConfigError(
-            f"stored matrices are for a {stacked.grid_dims} grid, spacing "
-            f"{stacked.grid_spacing}, origin {stacked.grid_origin}; the recon "
+            f"stored matrices are for a {sm.grid_dims} grid, spacing "
+            f"{sm.grid_spacing}, origin {sm.grid_origin}; the recon "
             f"grid is {grid.dims}, spacing {grid.spacing}, origin {grid.origin}")
-    result = recon.lsqr_solve(stacked.operator(), rhs, ws.plan["lsqr"])
+    result = recon.lsqr_solve(sm.operator(), rhs, ws.plan["lsqr"])
     image = grid.with_values(result.x.reshape(grid.dims, order="F"))
     _save_recon(ws, "lsqr", image)
     _write_csv(ws, "lsqr_residuals.csv", ws.stamp("lsqr"), "iteration,residual",

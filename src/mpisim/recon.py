@@ -1,7 +1,8 @@
 """Algebraic reconstruction: LSQR with early stopping, plus image metrics.
 
-Twenty LSQR iterations on the stacked coil system act as the only
-regularization; the residual history makes the semi-convergence visible.
+Twenty LSQR iterations on the coils' system, their matrix blocks stacked,
+act as the only regularization; the residual history makes the
+semi-convergence visible.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
     rhs or an operator that annihilates it returns the zero solution with
     stop_reason zero_rhs or zero_operator instead of iterating.  a is an
     operator, used through shape, a @ v and a.T @ u only: a dense or sparse
-    array, or SystemMatrix.operator().
+    array, or SystemMatrix.operator(), which applies the coils' blocks one
+    after another and never stacks them.
     """
     opts = options or LsqrOptions()
     b = np.asarray(b, dtype=float).ravel()

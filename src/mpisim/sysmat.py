@@ -18,26 +18,27 @@ computed once, and each (staircase, coil) keeps its own entries and drops
 its own exact zeros.  It is stored sparse; filtered on application.
 build_system_matrices hands each row block's plain arrays, as the block
 arrives, to a sink and drops the block.  For library callers and test
-oracles the sink is in memory: it copies the block into each staircase's
-growing data and indices, one region per coil, so the matrix is held once
-while it is assembled, plus a few blocks in flight (and twice for a moment
-if it outgrows its estimated size); closing the gaps between the coils'
-regions in place then gives the indptr, indices and data of each
-staircase's matrix.  The CLI streams instead: each (staircase, coil) block
-goes straight to that coil's file (_RunWriter), so no matrix is ever held.
+oracles the sink is in memory: it copies the block into each coil's
+growing data and indices, so the matrix is held once while it is
+assembled, plus a few blocks in flight (and one coil's entries twice for a
+moment if that coil outgrows its estimated size); each coil's arrays are
+then trimmed in place into its own CSR block.  The CLI streams instead:
+each (staircase, coil) block goes straight to that coil's file
+(_RunWriter), so no matrix is ever held.
 A stored matrix keeps each row's columns as runs of consecutive cells,
 which is how the low-field volume crosses the grid's flat indices:
 _RunWriter encodes them a block of rows at a time, for the build and for
 save_system_matrix alike, and load_system_matrices decodes each coil
-file's runs straight into its slice of one stacked CSR, bit-equal to the
-one saved.
+file's runs into its own CSR block, bit-equal to the one saved.  Coils
+whose files hold byte-identical runs share one decoded indptr and indices.
 
 scipy.sparse is imported only where a CSR is made (the in-memory
-build_system_matrices, SystemMatrix.coil_block, load_system_matrices), so
-importing this module, the stages that never touch a matrix and the
-streaming sysmat stage load numpy alone.
-An operator handed to recon.lsqr_solve needs only shape, @ and .T: the CSR
-matrix itself, or the filtered operator of SystemMatrix.operator().
+build_system_matrices, load_system_matrices) and where the operator
+multiplies, so importing this module, the stages that never touch a matrix
+and the streaming sysmat stage load numpy alone.
+An operator handed to recon.lsqr_solve needs only shape, @ and .T:
+SystemMatrix.operator() gives F S over the coil blocks, F the high-pass or
+the identity.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import math
 import os
 import shutil
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,9 +61,6 @@ from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mas
                       highpass_mask, map_time_blocks)
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid, cell_offsets
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # times per assembly block: a block's temporaries (its survivors' values,
 # and the sub-point products of a chunk of _PAIRS of them) stay a few MB,
@@ -78,9 +75,9 @@ DEFAULT_NNZ_CAP = 50_000_000
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
-# entries moved per step when _CoilRows.stacked moves a coil down, entries
-# encoded per step by save_system_matrix, values copied per step by
-# _RunWriter, runs decoded per step by load_system_matrices
+# entries encoded per step by save_system_matrix, values copied per step by
+# _RunWriter, runs decoded and bytes of two run sections compared per step
+# by load_system_matrices
 _CHUNK = 1 << 16
 # (time, cell) pairs whose sub-points CellQuadrature.sparse_weights
 # evaluates at once, in whole times.  On the desk scene (about 26 thousand
@@ -287,49 +284,74 @@ def staircase_slopes(approxes):
 
 
 @dataclass(frozen=True, eq=False)
-class FilteredOperator:
-    """F S without forming it: op @ x = F(S x) and op.T @ y = S^T(F y).
+class CoilOperator:
+    """F S without stacking S or forming F S: op @ x = F(S x), op.T @ y = S^T(F y).
 
-    F filters each len(mask) block of rows through the real, symmetric DFT
-    mask, so F^T = F.  Only shape, @ on a 1-D vector and .T are provided.
+    S is blocks, one CSR per coil, stacked in order.  F is the identity when
+    mask is None, else it filters each len(mask) block of rows through the
+    real, symmetric DFT mask, so F^T = F.  S x concatenates the blocks'
+    products.  S^T y adds each block's transposed product into one output,
+    block by block, through scipy's csc_matvec: the additions of the
+    stacked CSR's S.T @ y, in its order, so the result is bit-equal to it.
+    Only shape, @ on a 1-D vector and .T are provided.
     """
 
-    csr: sp.csr_matrix
-    mask: np.ndarray
+    blocks: tuple
+    mask: np.ndarray | None = None
     transposed: bool = False
 
     @property
     def shape(self) -> tuple:
-        rows, cols = self.csr.shape
+        rows, cols = sum(b.shape[0] for b in self.blocks), self.blocks[0].shape[1]
         return (cols, rows) if self.transposed else (rows, cols)
 
     @property
-    def T(self) -> FilteredOperator:
+    def T(self) -> CoilOperator:
         return replace(self, transposed=not self.transposed)
 
     def _filter(self, y: np.ndarray) -> np.ndarray:
+        if self.mask is None:
+            return y
         return apply_dft_mask(np.reshape(y, (-1, self.mask.size)),
                               self.mask).ravel()
 
-    def __matmul__(self, x) -> np.ndarray:
-        if self.transposed:
-            return self.csr.T @ self._filter(x)
-        return self._filter(self.csr @ x)
+    def __matmul__(self, v) -> np.ndarray:
+        if not self.transposed:
+            return self._filter(np.concatenate([b @ v for b in self.blocks]))
+        from scipy.sparse import _sparsetools
+
+        cols, rows = self.shape
+        y = np.ascontiguousarray(self._filter(v), dtype=float)
+        # csc_matvec trusts its sizes: a longer vector or a wider block would
+        # be read or written out of bounds
+        if y.shape != (rows,) or any(b.shape[1] != cols for b in self.blocks):
+            raise ValueError(f"dimension mismatch: {y.shape} against {self.shape}")
+        out = np.zeros(cols)
+        row = 0
+        for b in self.blocks:
+            n = b.shape[0]
+            # b.T is the CSC of b's arrays: out += b.T @ y[row:row + n]
+            _sparsetools.csc_matvec(cols, n, b.indptr, b.indices, b.data,
+                                    y[row:row + n], out)
+            row += n
+        return out
 
 
 @dataclass
 class SystemMatrix:
-    """CSR system matrix plus the acquisition metadata it was built under.
+    """The system matrix, one CSR block per receive coil, plus the
+    acquisition metadata it was built under.
 
     sample_rate, t0 and rows_per_coil are those of its AcquisitionConfig.
-    Rows are grouped by coil: rows_per_coil consecutive rows per ReceiveCoil
-    in coils, time-ordered inside each group.  matrix is the unfiltered S,
-    stored sparse; highpass is filtered on application by operator().  The
-    config hash that identifies a stored matrix is not held here: it is
-    written by save_system_matrix and checked by load_system_matrices.
+    blocks[k] holds the rows_per_coil time-ordered rows of coils[k]; S is
+    the blocks stacked in coil order.  Blocks may share indptr and indices
+    (load_system_matrices).  S is unfiltered, stored sparse; highpass is
+    filtered on application by operator().  The config hash that identifies
+    a stored matrix is not held here: it is written by save_system_matrix
+    and checked by load_system_matrices.
     """
 
-    matrix: sp.csr_matrix
+    blocks: tuple
     sample_rate: float
     t0: float
     rows_per_coil: int
@@ -341,37 +363,22 @@ class SystemMatrix:
 
     @property
     def shape(self) -> tuple:
-        return self.matrix.shape
+        return (sum(b.shape[0] for b in self.blocks), self.blocks[0].shape[1])
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz)
+        return sum(int(b.nnz) for b in self.blocks)
 
-    def coil_block(self, i: int) -> SystemMatrix:
-        """The rows of the i-th coil as a one-coil matrix.
+    def operator(self) -> CoilOperator:
+        """The CoilOperator F S, F the identity unless highpass is set.
 
-        Its data and indices are views into this matrix, not copies.
-        """
-        import scipy.sparse as sp
-
-        n = self.rows_per_coil
-        indptr = self.matrix.indptr[i * n:(i + 1) * n + 1]
-        lo, hi = indptr[0], indptr[-1]
-        rows = sp.csr_matrix((self.matrix.data[lo:hi], self.matrix.indices[lo:hi],
-                              indptr - lo), shape=(n, self.shape[1]), copy=False)
-        return replace(self, matrix=rows, coils=self.coils[i:i + 1])
-
-    def operator(self):
-        """matrix, or the FilteredOperator F S when highpass is set.
-
-        Either one is all recon.lsqr_solve needs: shape, @ and .T.  F is the
+        It is all recon.lsqr_solve needs: shape, @ and .T.  F is the
         highpass_mask DFT projector on each rows_per_coil block, so stacked
         coils never mix.
         """
-        if self.highpass is None:
-            return self.matrix
-        return FilteredOperator(self.matrix, highpass_mask(
-            self.rows_per_coil, self.sample_rate, self.highpass))
+        mask = None if self.highpass is None else highpass_mask(
+            self.rows_per_coil, self.sample_rate, self.highpass)
+        return CoilOperator(tuple(self.blocks), mask)
 
     def grid_meta_matches(self, grid: ConcentrationGrid, tol: float = 1e-9) -> bool:
         return (self.grid_dims == grid.dims
@@ -430,8 +437,9 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                         block: int = _DEFAULT_BLOCK, files=None,
                         highpass: float | None = None):
-    """The coil-stacked matrix of one staircase: build_system_matrices([approx]),
-    or with files, one (path, digest) per coil, the StoredMatrix of its files."""
+    """The matrix of one staircase, one block per coil:
+    build_system_matrices([approx]), or with files, one (path, digest) per
+    coil, the StoredMatrix of its files."""
     return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
                                  nnz_cap, n_workers, block,
                                  None if files is None else [files], highpass)[0]
@@ -459,67 +467,54 @@ def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
 
 
 class _CoilRows:
-    """One staircase's CSR arrays for every coil, filled block by block.
+    """One staircase's CSR arrays, one pair per coil, filled block by block.
 
-    Coil k's entries go to data and indices from k * capacity on, in row
-    order, and counts[k] holds its row lengths.  np.empty reserves the
-    capacity without touching it, so only the entries written take memory.
-    A coil that outgrows the capacity doubles every coil's: _regrow
-    copies them into new arrays, so it holds the entries twice for a moment.
-    stacked() closes the gaps between the coils in place and trims the
-    arrays, so stacking holds no coil's entries twice.
+    Coil k's entries go to data[k] and indices[k], in row order, and
+    counts[k] holds its row lengths.  np.empty reserves the capacity
+    without touching it, so only the entries written take memory.  A coil
+    that outgrows its capacity gets twice as much: _regrow copies its
+    entries into new arrays, so it holds them twice for a moment.  blocks()
+    trims each coil's arrays in place, so no entry is held twice.
     """
 
     def __init__(self, n_coils: int, capacity: int, n_rows: int):
-        self.capacity = capacity
-        self.data = np.empty(n_coils * capacity)
-        self.indices = np.empty(n_coils * capacity, np.int32)
+        self.data = [np.empty(capacity) for _ in range(n_coils)]
+        self.indices = [np.empty(capacity, np.int32) for _ in range(n_coils)]
         self.nnz = [0] * n_coils
         self.counts = np.empty((n_coils, n_rows), np.int64)
         self.rows = 0
 
     def append(self, per_coil) -> None:
         """Add one row block: a (data, indices, row lengths) triple per coil."""
-        need = max(n + vals.size for n, (vals, _, _) in zip(self.nnz, per_coil))
-        if need > self.capacity:
-            self._regrow(max(need, 2 * self.capacity))
         for k, (vals, cells, counts) in enumerate(per_coil):
-            lo = k * self.capacity + self.nnz[k]
-            self.data[lo:lo + vals.size] = vals
-            self.indices[lo:lo + vals.size] = cells
+            lo, hi = self.nnz[k], self.nnz[k] + vals.size
+            if hi > self.data[k].size:
+                self._regrow(k, max(hi, 2 * self.data[k].size))
+            self.data[k][lo:hi] = vals
+            self.indices[k][lo:hi] = cells
             self.counts[k, self.rows:self.rows + counts.size] = counts
-            self.nnz[k] += vals.size
+            self.nnz[k] = hi
         self.rows += per_coil[0][2].size
 
-    def _regrow(self, capacity: int) -> None:
-        """Copy each coil's entries to its region at the new capacity."""
-        for name in ("data", "indices"):
-            old = getattr(self, name)
-            new = np.empty(len(self.nnz) * capacity, old.dtype)
-            for k, n in enumerate(self.nnz):
-                src, dst = k * self.capacity, k * capacity
-                new[dst:dst + n] = old[src:src + n]
-            setattr(self, name, new)
-        self.capacity = capacity
+    def _regrow(self, k: int, capacity: int) -> None:
+        """Copy coil k's entries to new arrays of the given capacity."""
+        for arrays in (self.data, self.indices):
+            new = np.empty(capacity, arrays[k].dtype)
+            new[:self.nnz[k]] = arrays[k][:self.nnz[k]]
+            arrays[k] = new
 
-    def stacked(self) -> tuple:
-        """(data, indices, indptr) of the coils' rows, stacked in coil order.
+    def blocks(self, cols: int) -> tuple:
+        """Each coil's rows as a CSR of its arrays, trimmed in place."""
+        import scipy.sparse as sp
 
-        Each later coil moves down onto the end of the one before it, a
-        chunk at a time (numpy buffers a chunk that overlaps its target),
-        and the arrays are then trimmed in place.
-        """
-        end = self.nnz[0]
-        for k in range(1, len(self.nnz)):
-            src = k * self.capacity
-            for lo in range(0, self.nnz[k], _CHUNK):
-                hi = min(lo + _CHUNK, self.nnz[k])
-                self.data[end + lo:end + hi] = self.data[src + lo:src + hi]
-                self.indices[end + lo:end + hi] = self.indices[src + lo:src + hi]
-            end += self.nnz[k]
-        self.data.resize(end, refcheck=False)
-        self.indices.resize(end, refcheck=False)
-        return self.data, self.indices, np.concatenate([[0], np.cumsum(self.counts)])
+        out = []
+        for data, indices, counts, nnz in zip(self.data, self.indices, self.counts,
+                                              self.nnz):
+            data.resize(nnz, refcheck=False)
+            indices.resize(nnz, refcheck=False)
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            out.append(sp.csr_matrix((data, indices, indptr), shape=(self.rows, cols)))
+        return tuple(out)
 
 
 class _CoilFiles:
@@ -543,7 +538,7 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                           nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
                           block: int = _DEFAULT_BLOCK, files=None,
                           highpass: float | None = None) -> list:
-    """Assemble the coil-stacked matrix of each staircase in approxes.
+    """Assemble the matrix of each staircase in approxes, one block per coil.
 
     Each coil's rows are the sample times of acq.  One pass serves every
     staircase and coil: each row block is one CellQuadrature.sparse_weights
@@ -555,10 +550,10 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     entries of one time never depend on the rest of its block, so the
     result does not depend on the worker count or block size.
 
-    Without files, the sink is a _CoilRows, whose coil regions start at the
+    Without files, the sink is a _CoilRows, whose coil arrays start at the
     estimated count below plus an eighth, and one SystemMatrix per
-    staircase is returned, in order, whose coils are the given ReceiveCoils
-    with rows grouped in that order.  With files, files[i] yields one
+    staircase is returned, in order, whose blocks are the given
+    ReceiveCoils' rows in that order.  With files, files[i] yields one
     (path, digest) per coil, and each (staircase i, coil) streams into its
     own file (_RunWriter), as save_system_matrix would store its rows with
     digest in the header; one StoredMatrix per staircase is returned, and
@@ -616,24 +611,24 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                     raise ResourceCapError(
                         f"assembled {max(sink.nnz)} nonzeros for one coil by "
                         f"row {rows} of {times.size}, over the cap of {nnz_cap}")
-    shape = (len(coils) * acq.n_samples, grid.n_cells)
     if files is not None:
+        shape = (len(coils) * acq.n_samples, grid.n_cells)
         return [StoredMatrix(tuple(w.path for w in sink.writers), tuple(sink.nnz), shape)
                 for sink in sinks]
-    import scipy.sparse as sp
-
-    out = []
-    for sink in sinks:
-        data, indices, indptr = sink.stacked()
-        out.append(SystemMatrix(matrix=sp.csr_matrix((data, indices, indptr), shape=shape),
-                                **meta))
-    return out
+    return [SystemMatrix(blocks=sink.blocks(grid.n_cells), **meta) for sink in sinks]
 
 
 def stack_coils(sm: SystemMatrix, traces: list[SignalTrace]) -> np.ndarray:
-    """sm's right-hand side: one trace per coil, on sm's time axis, concatenated."""
+    """sm's right-hand side: one trace per coil, on sm's time axis, concatenated.
+
+    traces[k] must be of sm.coils[k]: its coil_index must be that coil's index.
+    """
     if len(traces) != len(sm.coils):
         raise ConfigError("need one trace per coil of the matrix")
+    for k, (tr, coil) in enumerate(zip(traces, sm.coils)):
+        if tr.coil_index != coil.index:
+            raise ConfigError(f"trace {k} is of coil {tr.coil_index}, but the "
+                              f"matrix's coil {k} has index {coil.index}")
     # exact: both headers store the acquisition's rate and t0 at .17g
     if not all(tr.samples.size == sm.rows_per_coil and tr.t0 == sm.t0
                and tr.sample_rate == sm.sample_rate for tr in traces):
@@ -749,7 +744,7 @@ class _RunWriter:
 
 
 def save_system_matrix(sm: SystemMatrix, path, digest: str):
-    """Four ASCII header lines, then sm.matrix's rows as runs of columns.
+    """Four ASCII header lines, then the rows of sm's blocks as runs of columns.
 
     A run is a maximal stretch of consecutive columns within one row, so a
     run starts at least 2 past the previous run's last column and each
@@ -757,18 +752,20 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     of what sm was built from, and ends in the layout token runs and the
     run count.  The payload is run_ptr (<i8, rows + 1 entries: the first
     run of each row), starts and lengths (<i4, one per run) and data (<f8,
-    nnz entries, as held).  sm.matrix must hold sorted column indices, as
-    every assembled or loaded matrix does.  Its rows go to a _RunWriter a
-    bounded number at a time (_row_chunks), so no temporary is nnz-sized,
-    and an interrupted write never leaves a partial matrix behind.
+    nnz entries, as held), for the blocks' rows in coil order.  Every block
+    must hold sorted column indices, as every assembled or loaded one does.
+    Its rows go to the one _RunWriter a bounded number at a time
+    (_row_chunks), so no temporary is nnz-sized, and an interrupted write
+    never leaves a partial matrix behind.
     """
-    indptr, indices = sm.matrix.indptr, sm.matrix.indices
     meta = {f.name: getattr(sm, f.name) for f in dataclasses.fields(sm)
-            if f.name != "matrix"}
+            if f.name != "blocks"}
     with _RunWriter(path, digest, sm.shape, meta) as writer:
-        for lo, hi in _row_chunks(indptr):
-            a, b = indptr[lo], indptr[hi]
-            writer.append(sm.matrix.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
+        for block in sm.blocks:
+            indptr, indices = block.indptr, block.indices
+            for lo, hi in _row_chunks(indptr):
+                a, b = indptr[lo], indptr[hi]
+                writer.append(block.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
 
 
 def _parse_header(lines):
@@ -846,7 +843,7 @@ def _read(fh, path, count: int, dtype: str) -> np.ndarray:
 
 
 def _decode_runs(fh, path, ptr: np.ndarray, out: np.ndarray, cols: int) -> None:
-    """Decode one file's runs into out, its slice of the stacked indices.
+    """Decode one file's runs into out, its column indices.
 
     ptr is the file's run_ptr, checked to rise from 0 to the run count; it
     becomes the row pointer of out in place.  fh is at the first run start
@@ -903,21 +900,54 @@ def _decode_runs(fh, path, ptr: np.ndarray, out: np.ndarray, cols: int) -> None:
     fh.seek(base + 8 * n_runs)
 
 
+def _same_bytes(a, at_a: int, b, at_b: int, size: int) -> bool:
+    """Whether the size bytes from offset at_a of the open file a equal
+    those from at_b of b, compared _CHUNK bytes at a time."""
+    a.seek(at_a)
+    b.seek(at_b)
+    for lo in range(0, size, _CHUNK):
+        n = min(_CHUNK, size - lo)
+        if a.read(n) != b.read(n):
+            return False
+    return True
+
+
+def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int,
+               per_coil: int) -> list:
+    """Each coil's (indptr, indices) in one file's runs; fh is at its run_ptr
+    and is left at its values.  run_ptr is checked to rise from 0 to
+    n_runs, and the runs as _decode_runs checks them."""
+    ptr = np.empty(rows + 1, "<i8")
+    if fh.readinto(memoryview(ptr).cast("B")) != ptr.nbytes:
+        raise ConfigError(f"{path}: run payload truncated")
+    if ptr[0] != 0 or ptr[-1] != n_runs or np.any(np.diff(ptr) < 0):
+        raise ConfigError(f"{path}: run row pointer must rise from 0 to {n_runs}")
+    indices = np.empty(nnz, "<i4")
+    _decode_runs(fh, path, ptr, indices, cols)
+    firsts = ptr[::per_coil]  # each coil's first entry, and nnz
+    return [(ptr[k * per_coil:(k + 1) * per_coil + 1] - lo, indices[lo:hi])
+            for k, (lo, hi) in enumerate(zip(firsts[:-1], firsts[1:]))]
+
+
 def load_system_matrices(paths: list, expected_hashes: list | None = None,
                          force: bool = False) -> SystemMatrix:
-    """Load stored matrices as one coil-stacked CSR matrix, rows in path order.
+    """Load stored matrices as one SystemMatrix, one block per coil, in path order.
 
     Every header is checked first: a malformed one, a payload that is not
     8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coils that
     differs from the first file's raises ConfigError, a hash other than its
     non-None expected_hashes entry HashMismatchError unless force is set.
-    Then each payload is decoded into its slice of one indptr, indices and
-    data, bit-equal to the CSR that was saved: run_ptr is read into indptr
-    and the runs are decoded into indices a chunk of runs at a time
-    (_decode_runs), so no temporary is nnz-sized.  A run_ptr that does not
-    rise from 0 to the run count, a run shorter than 1, outside the shape
-    or not at least 2 past the run before it in its row, lengths that do
-    not sum to nnz or a non-finite value raises ConfigError.
+    Then each payload is read, bit-equal to the CSR rows that were saved.
+    A file's run section (run_ptr, starts and lengths) is compared, _CHUNK
+    bytes at a time, with that of each file already decoded that has its
+    rows, run count and nonzero count.  When one is byte-identical, the
+    file's blocks share that file's indptr and indices, and only its values
+    are read.  Otherwise run_ptr is read into its indptr and the runs are
+    decoded into its indices a chunk of runs at a time (_decode_runs), so no
+    temporary is nnz-sized.  A run_ptr that does not rise from 0 to the run
+    count, a run shorter than 1, outside the shape or not at least 2 past
+    the run before it in its row, lengths that do not sum to nnz or a
+    non-finite value raises ConfigError.
     """
     import scipy.sparse as sp
 
@@ -946,27 +976,33 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
             if differ:
                 raise ConfigError(f"{path}: {', '.join(differ)} not as in {paths[0]}")
             heads.append((path, fh, rows, n_runs, nnz, meta))
-        n_rows = sum(rows for _, _, rows, *_ in heads)
-        n_nz = sum(nnz for *_, nnz, _ in heads)
-        indptr = np.empty(n_rows + 1, "<i8")
-        indices, data = np.empty(n_nz, "<i4"), np.empty(n_nz, "<f8")
-        row = pos = 0
-        for path, fh, rows, n_runs, nnz, _ in heads:
-            # the read overwrites indptr[row] == pos; the shift below restores it
-            ptr, vals = indptr[row:row + rows + 1], data[pos:pos + nnz]
-            if fh.readinto(memoryview(ptr).cast("B")) != ptr.nbytes:
-                raise ConfigError(f"{path}: run payload truncated")
-            if ptr[0] != 0 or ptr[-1] != n_runs or np.any(np.diff(ptr) < 0):
-                raise ConfigError(f"{path}: run row pointer must rise from 0 "
-                                  f"to {n_runs}")
-            _decode_runs(fh, path, ptr, indices[pos:pos + nnz], cols)
+        blocks, decoded = [], []  # decoded: (file, payload offset, counts, blocks)
+        for path, fh, rows, n_runs, nnz, meta in heads:
+            at, counts = fh.tell(), (rows, n_runs, nnz)
+            section = 8 * (rows + 1 + n_runs)  # run_ptr, starts and lengths
+            like = next((own for other, other_at, other_counts, own in decoded
+                         if other_counts == counts
+                         and _same_bytes(other, other_at, fh, at, section)), None)
+            if like is None:
+                fh.seek(at)
+                runs = _coil_runs(fh, path, rows, n_runs, nnz, cols,
+                                  meta["rows_per_coil"])
+            else:
+                fh.seek(at + section)
+                runs = [(block.indptr, block.indices) for block in like]
+            vals = np.empty(nnz, "<f8")
             if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
                 raise ConfigError(f"{path}: run payload truncated")
             if not all(np.isfinite(vals[lo:lo + _CHUNK]).all()
                        for lo in range(0, nnz, _CHUNK)):
                 raise ConfigError(f"{path}: non-finite matrix values")
-            ptr += pos
-            row, pos = row + rows, pos + nnz
+            own, lo = [], 0
+            for indptr, cells in runs:
+                own.append(sp.csr_matrix((vals[lo:lo + cells.size], cells, indptr),
+                                         shape=(meta["rows_per_coil"], cols)))
+                lo += cells.size
+            if like is None:
+                decoded.append((fh, at, counts, own))
+            blocks += own
     coils = tuple(c for *_, meta in heads for c in meta["coils"])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, cols))
-    return SystemMatrix(matrix=matrix, **{**heads[0][-1], "coils": coils})
+    return SystemMatrix(blocks=tuple(blocks), **{**heads[0][-1], "coils": coils})

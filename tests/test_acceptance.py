@@ -181,7 +181,7 @@ def test_criterion_5_model_chain_equivalence():
     scale = np.linalg.norm(par.samples)
     gen_rel = float(np.linalg.norm(gen.samples - par.samples) / scale)
     pw_rel = float(np.linalg.norm(pw.samples - par.samples) / scale)
-    sc_diff = float(np.max(np.abs(sm.matrix @ grid.flat() - pw.samples)))
+    sc_diff = float(np.max(np.abs(sm.operator() @ grid.flat() - pw.samples)))
     ok = gen_rel < 0.01 and pw_rel < 0.02 and sc_diff <= 1e-12
     _report(5, ok, f"general-vs-parallel {gen_rel:.4f} < 0.01, piecewise-vs-"
                    f"parallel {pw_rel:.4f} < 0.02, max|S c - piecewise| "
@@ -354,9 +354,9 @@ class _DeskScan:
             self.template, subsampling=2, n_workers=4)
         rhs = np.concatenate([tr.samples for tr in self.traces(which)])
         for i, setting in enumerate(todo):
-            stacked = sysmat.apply_highpass_rows(matrices[i], self.CUTOFF)
+            filtered = sysmat.apply_highpass_rows(matrices[i], self.CUTOFF)
             matrices[i] = None
-            result = recon.lsqr_solve(stacked.operator(), rhs,
+            result = recon.lsqr_solve(filtered.operator(), rhs,
                                       recon.LsqrOptions(max_iterations=20))
             self.lsqr_results.append(result)
             image = self.template.with_values(

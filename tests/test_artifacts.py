@@ -46,7 +46,7 @@ _MATRIX_META = dict(sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along(
 
 def _save_matrix(path):
     save_system_matrix(SystemMatrix(
-        matrix=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])), **_MATRIX_META),
+        blocks=(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])),), **_MATRIX_META),
         path, "0123456789abcdef")
 
 
@@ -65,6 +65,28 @@ def _load_after_a_valid_matrix(path):
     first = path.with_name(path.name + ".first")
     _save_matrix(first)
     return load_system_matrices([first, path])
+
+
+def _second_coil(path, case):
+    """_save_matrix's file with a byte of its runs or values changed, cut
+    short, or with a shorter run section, by case.  Its payload is run_ptr
+    [0, 1, 2], starts [0, 1], lengths [1, 1] and values [1, 2]."""
+    _save_matrix(path)
+    *head, payload = path.read_bytes().split(b"\n", 4)
+    payload = bytearray(payload)
+    if case == "valid byte":  # row 1's run starts at column 0
+        payload[24 + 4] = 0
+    elif case == "invalid byte":  # row 1's run starts past the last column
+        payload[24 + 4] = 2
+    elif case == "nan":
+        payload[40:48] = np.float64(np.nan).tobytes()
+    elif case == "truncated":
+        del payload[-8:]
+    elif case == "shorter":  # one run for the two nonzeros
+        head[0] = head[0].replace(b"runs 2", b"runs 1")
+        payload = (np.array([0, 1, 1], "<i8").tobytes()
+                   + np.array([0, 1], "<i4").tobytes() + payload[40:])
+    path.write_bytes(b"\n".join(head) + b"\n" + payload)
 
 
 def _write_ini(path):
@@ -144,6 +166,25 @@ LOADERS = {
     "sysmat": (load_system_matrix, _save_matrix),
     "sysmat_stack": (_load_after_a_valid_matrix, _save_matrix),
 }
+
+
+def test_a_second_coil_whose_runs_differ_in_a_valid_byte_loads_alone(tmp_path):
+    path = tmp_path / "second"
+    _second_coil(path, "valid byte")
+    first, second = _load_after_a_valid_matrix(path).blocks
+    assert np.array_equal(second.toarray(), [[1.0, 0.0], [2.0, 0.0]])
+    assert not np.shares_memory(second.indices, first.indices)
+    assert not np.shares_memory(second.indptr, first.indptr)
+
+
+@pytest.mark.parametrize("case", ["invalid byte", "nan", "truncated", "shorter"])
+def test_a_broken_second_coil_exits_2(tmp_path, case):
+    # after a valid coil file whose runs it starts from
+    path = tmp_path / "second"
+    _second_coil(path, case)
+    with pytest.raises(MpiSimError) as exc:
+        _load_after_a_valid_matrix(path)
+    assert exc.value.exit_code == 2 and str(path) in str(exc.value)
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))

@@ -235,7 +235,7 @@ def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
     shutil.copytree(out, work)
     path = work / "sysmat_x.mat"
     lines = _run_payload(path)[0]
-    csr = load_system_matrix(path).matrix
+    [csr] = load_system_matrix(path).blocks
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     head = b" ".join(lines[0].split()[:4])
     for name, token, payload in (
@@ -293,7 +293,7 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
         header = sum(len(line) + 1 for line in lines)
         rows, n_runs, nnz = run_ptr.size - 1, starts.size, data.size
         assert path.stat().st_size == header + 8 * (rows + 1) + 8 * n_runs + 8 * nnz
-        block = fresh.coil_block(i).matrix
+        block = fresh.blocks[i]
         # a run starts at each row's first entry and wherever a column is not
         # one past the column before it
         heads = [[k for k in range(lo, hi)
@@ -303,7 +303,7 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
         firsts = [k for h in heads for k in h]
         assert np.array_equal(starts, block.indices[firsts])
         assert np.array_equal(lengths, np.diff([*firsts, nnz]))
-        loaded = load_system_matrix(path, expected_hash=ws.stamps["sysmat"][i]).matrix
+        [loaded] = load_system_matrix(path, expected_hash=ws.stamps["sysmat"][i]).blocks
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
             got = getattr(loaded, name)
@@ -930,6 +930,30 @@ def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,
     # simulate checks the phantom it reads the same way
     assert cli.main(["simulate", "-c", str(ini), "-o", str(work)]) == 4
     assert "phantom.grid does not carry the phantom stamp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
+def test_swapped_traces_exit_2_before_a_reconstruction(pipeline_dir, tmp_path,
+                                                       capsys, force):
+    # both filtered traces carry the filter stamp, so only their coil
+    # indices tell that x's file holds y's trace; lsqr and fbp write nothing
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    x, y = work / "trace_x_filtered.bin", work / "trace_y_filtered.bin"
+    x_bytes = x.read_bytes()
+    x.write_bytes(y.read_bytes())
+    y.write_bytes(x_bytes)
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in work.rglob("*")}
+    # only lsqr and run take --force
+    for command in (["lsqr"], ["run", "--stages", "fbp"] if force else ["fbp"]):
+        capsys.readouterr()
+        assert cli.main([*command, "-c", str(ini), "-o", str(work), *force]) == 2
+        err = capsys.readouterr().err
+        assert (f"{x}: holds the trace of coil index 1, not of coil x, index 0" in err
+                and "Traceback" not in err), command
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in work.rglob("*")} == before, command
 
 
 def test_a_forced_reconstruction_carries_the_stamps_it_read(pipeline_dir, tmp_path,

@@ -38,7 +38,7 @@ from mpisim.phantom import build_disc_phantom, empty_grid
 from mpisim.recon import LsqrOptions, lsqr_solve
 from mpisim.sysmat import (
     CellQuadrature,
-    FilteredOperator,
+    CoilOperator,
     SystemMatrix,
     apply_highpass_rows,
     build_system_matrices,
@@ -58,14 +58,27 @@ def _densified_highpass(sm, cutoff):
     This is the dense, explicit F S that SystemMatrix.operator() applies
     matrix-free.
     """
-    n = sm.rows_per_coil
-    mask = highpass_mask(n, sm.sample_rate, cutoff)
-    blocks = []
-    for i in range(len(sm.coils)):
-        dense = sm.matrix[i * n:(i + 1) * n].toarray()
-        blocks.append(np.real(np.fft.ifft(np.fft.fft(dense, axis=0)
-                                          * mask[:, None], axis=0)))
-    return np.vstack(blocks)
+    mask = highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
+    return np.vstack([np.real(np.fft.ifft(np.fft.fft(block.toarray(), axis=0)
+                                          * mask[:, None], axis=0))
+                      for block in sm.blocks])
+
+
+def _stacked(sm):
+    """Oracle: sm's coil blocks stacked into one CSR by scipy."""
+    return sp.vstack(sm.blocks, format="csr")
+
+
+def _coil(sm, k):
+    """The k-th coil of sm as a one-coil matrix."""
+    return replace(sm, blocks=sm.blocks[k:k + 1], coils=sm.coils[k:k + 1])
+
+
+def _assert_same_csr(got, want, context=None):
+    """Bit-equal CSR arrays, dtypes included."""
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (context, part)
 
 
 def _rel_err(got, want):
@@ -95,10 +108,11 @@ def _assert_matches_unpruned(model, approx, coil, acq, grid, subsampling):
     quad = CellQuadrature(model, grid, subsampling)
     oracle = sp.csr_matrix(quad.weights(approx, coil.vector, acq.times()).T)
     assert oracle.nnz > 0
-    assert np.array_equal(sm.matrix.indptr, oracle.indptr)
-    assert np.array_equal(sm.matrix.indices, oracle.indices)
+    [block] = sm.blocks
+    assert np.array_equal(block.indptr, oracle.indptr)
+    assert np.array_equal(block.indices, oracle.indices)
     scale = np.max(np.abs(oracle.data))
-    assert np.max(np.abs(sm.matrix.data - oracle.data)) <= 1e-12 * scale
+    assert np.max(np.abs(block.data - oracle.data)) <= 1e-12 * scale
     return sm
 
 
@@ -141,7 +155,7 @@ def test_matrix_vector_product_equals_piecewise(scene, matrix_x):
     model, grid, config, approx = scene
     [pw] = simulate_piecewise(model, grid, [coil_along("x")], config, approx,
                               subsampling=2)
-    assert np.max(np.abs(matrix_x.matrix @ grid.flat() - pw.samples)) < 1e-12
+    assert np.max(np.abs(matrix_x.operator() @ grid.flat() - pw.samples)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -180,7 +194,7 @@ def test_matrix_vector_product_equals_piecewise_on_random_scenes(
     u = trace.samples
     scale = np.max(np.abs(u))
     assert scale > 0
-    assert np.max(np.abs(sm.matrix @ grid.flat() - u)) <= 1e-12 * scale
+    assert np.max(np.abs(sm.operator() @ grid.flat() - u)) <= 1e-12 * scale
 
 
 def test_pruned_matches_unpruned_static_ffl(scene):
@@ -257,15 +271,12 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
 
 def test_worker_count_does_not_change_matrix(scene, matrix_x):
     model, grid, config, approx = scene
-    base = matrix_x.matrix
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
             split = build_system_matrix(model, approx, [coil_along("x")],
                                         config, grid, subsampling=2,
                                         n_workers=workers, **block)
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(split.matrix, part),
-                                      getattr(base, part)), (workers, block, part)
+            _assert_same_csr(split.blocks[0], matrix_x.blocks[0], (workers, block))
 
 
 def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
@@ -274,26 +285,19 @@ def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     assert matrix_x.nnz > 0 and my.nnz > 0
-    oracle = sp.vstack([matrix_x.matrix, my.matrix], format="csr")
     for workers in (1, 2, 3):
         for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
             both = build_system_matrix(model, approx,
                                        [coil_along("x"), coil_along("y")],
                                        config, grid, subsampling=2,
                                        n_workers=workers, **block)
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(both.matrix, part),
-                                      getattr(oracle, part)), (workers, block, part)
+            for i, single in enumerate((matrix_x, my)):
+                _assert_same_csr(both.blocks[i], single.blocks[0], (workers, block, i))
             assert both.coils == (coil_along("x"), coil_along("y"))
-    # coil_block undoes the stacking
-    for i, single in enumerate((matrix_x, my)):
-        block = both.coil_block(i)
-        assert (block.matrix != single.matrix).nnz == 0
-        assert block.shape == single.shape
-        assert block.coils == single.coils
+            assert both.shape == (2 * config.n_samples, grid.n_cells)
 
 
-def test_coil_without_signal_gets_an_empty_block():
+def test_coil_without_signal_gets_an_empty_block(tmp_path):
     # the ideal desk FFL rotates in the z = 0 plane: <rho_z, dB/dt> is 0
     # there, so z's rows hold no entry while x's keep their own
     model, approx = _desk_ffl(), _desk_approx()
@@ -303,12 +307,16 @@ def test_coil_without_signal_gets_an_empty_block():
                                 subsampling=2)
     both = build_system_matrix(model, approx, [coil_along("x"), coil_along("z")],
                                acq, grid, subsampling=2)
-    n = acq.n_samples
     assert alone.nnz > 0
-    assert both.matrix[n:].nnz == 0
-    x_rows = both.matrix[:n]
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(x_rows, part), getattr(alone.matrix, part))
+    assert both.blocks[1].nnz == 0
+    _assert_same_csr(both.blocks[0], alone.blocks[0])
+    # loaded from their files, the coils' runs differ, so the empty coil
+    # gets its own arrays
+    paths = _save_coil_files(tmp_path, [_coil(both, 0), _coil(both, 1)])
+    x, z = load_system_matrices(paths).blocks
+    _assert_same_csr(x, alone.blocks[0])
+    assert z.nnz == 0 and not np.any(z.indptr)
+    assert not np.shares_memory(z.indptr, x.indptr)
 
 
 def test_empty_coil_list_is_rejected(scene):
@@ -367,10 +375,8 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
                                          **block)
             assert len(many) == len(fresh)
             for i, (got, want) in enumerate(zip(many, fresh)):
-                for part in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got.matrix, part),
-                                          getattr(want.matrix, part)), (
-                        workers, block, i, part)
+                for k, (a, b) in enumerate(zip(got.blocks, want.blocks, strict=True)):
+                    _assert_same_csr(a, b, (workers, block, i, k))
                 assert got.coils == want.coils
 
 
@@ -549,7 +555,7 @@ def test_assembled_bytes_are_pinned():
                                         subsampling=2, n_workers=workers,
                                         block=block):
             for part, dtype in (("indptr", "<i8"), ("indices", "<i4"), ("data", "<f8")):
-                digest.update(np.ascontiguousarray(getattr(sm.matrix, part),
+                digest.update(np.ascontiguousarray(getattr(_stacked(sm), part),
                                                    dtype).tobytes())
         assert digest.hexdigest() == _PINNED_BUILD, (workers, block)
 
@@ -570,7 +576,7 @@ def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
     for i, sm in enumerate(held):
         for k in range(len(coils)):
             saved[i, k] = tmp_path / f"saved_{i}{k}.mat"
-            save_system_matrix(sm.coil_block(k), saved[i, k], digests[i][k])
+            save_system_matrix(_coil(sm, k), saved[i, k], digests[i][k])
     for workers, block in ((1, 64), (2, 7), (1, 7), (2, 64)):
         files = [[(tmp_path / f"stream_{i}{k}.mat", digest) for k, digest in enumerate(row)]
                  for i, row in enumerate(digests)]
@@ -581,12 +587,9 @@ def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
             paths = [path for path, _ in files[i]]
             assert list(record.paths) == paths
             loaded = load_system_matrices(paths, digests[i])
-            for part in ("indptr", "indices", "data"):
-                got, want = getattr(loaded.matrix, part), getattr(sm.matrix, part)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
-                    workers, block, i, part)
             for k, path in enumerate(paths):
-                assert record.coil_nnz[k] == sm.coil_block(k).nnz
+                _assert_same_csr(loaded.blocks[k], sm.blocks[k], (workers, block, i, k))
+                assert record.coil_nnz[k] == sm.blocks[k].nnz
                 assert path.read_bytes() == saved[i, k].read_bytes(), (workers, block, i, k)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [p.name for p in saved.values()] + [p.name for row in files for p, _ in row])
@@ -606,7 +609,7 @@ def test_streamed_build_holds_no_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = load_system_matrix(path).matrix
+    [held] = load_system_matrix(path).blocks
     assert held.nnz == stored.nnz > 500_000
     assert peak < (held.data.nbytes + held.indices.nbytes) / 2
 
@@ -671,7 +674,8 @@ def test_assembly_holds_a_window_of_blocks(scene, monkeypatch, workers):
     stats = _counting_sparse_weights(monkeypatch)
     sm = build_system_matrix(model, approx, coils, config, grid, subsampling=2,
                              n_workers=workers, block=2)
-    assert (sm.matrix != oracle.matrix).nnz == 0
+    for got, want in zip(sm.blocks, oracle.blocks, strict=True):
+        _assert_same_csr(got, want)
     assert stats["calls"] == 1 + config.n_samples // 2  # the probe, then 20 blocks
     # the window of map_time_blocks, plus the block the build still holds
     assert stats["most"] <= 2 * workers + 1
@@ -689,38 +693,38 @@ def test_assembly_from_a_one_entry_capacity_is_bit_equal(scene, monkeypatch):
                                       subsampling=2, n_workers=workers, block=7)
         for got, want in zip(grown, default, strict=True):
             assert got.nnz > 100
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got.matrix, part),
-                                      getattr(want.matrix, part)), (workers, part)
+            for k, (a, b) in enumerate(zip(got.blocks, want.blocks, strict=True)):
+                _assert_same_csr(a, b, (workers, k))
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 19, 21, 24, 1000])
-@pytest.mark.parametrize("chunk", [2, 3, 1 << 18])
-def test_coil_rows_stack_like_a_concatenation(monkeypatch, capacity, chunk):
-    # blocks of 3 coils with 0-4 entries per row: whatever the first
-    # capacity (regrown or not) and chunk (a move that overlaps its target
-    # or not), stacked() is the coil-major concatenation
-    monkeypatch.setattr(mpisim.sysmat, "_CHUNK", chunk)
+@pytest.mark.parametrize("rows", [2, 3, 1 << 18])
+def test_coil_rows_stack_like_a_concatenation(capacity, rows):
+    # 8 rows of 3 coils with 0-4 entries per row, appended in blocks of at
+    # most rows rows: whatever the first capacity (regrown or not) and the
+    # blocks, each coil's CSR holds the concatenation of its rows, in arrays
+    # trimmed to its entries
     rng = np.random.default_rng(5)
-    blocks = []
-    for rows in (2, 1, 3, 2):
-        per_coil = []
-        for _ in range(3):
-            counts = rng.integers(0, 5, rows)
-            per_coil.append((rng.random(counts.sum()),
-                             rng.integers(0, 99, counts.sum()).astype(np.int32),
-                             counts))
-        blocks.append(per_coil)
+    counts = rng.integers(0, 5, (3, 8))
+    data = [rng.random(c.sum()) for c in counts]
+    indices = [rng.integers(0, 99, c.sum()).astype(np.int32) for c in counts]
+    ptr = np.zeros((3, 9), np.int64)
+    np.cumsum(counts, axis=1, out=ptr[:, 1:])
     acc = mpisim.sysmat._CoilRows(3, capacity, 8)
-    for per_coil in blocks:
-        acc.append(per_coil)
-    assert acc.nnz == [sum(b[k][0].size for b in blocks) for k in range(3)]
-    data, indices, indptr = acc.stacked()
-    for got, part in ((data, 0), (indices, 1)):
-        want = np.concatenate([b[k][part] for k in range(3) for b in blocks])
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    counts = np.concatenate([b[k][2] for k in range(3) for b in blocks])
-    assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(counts)]))
+    for lo in range(0, 8, rows):
+        hi = min(lo + rows, 8)
+        acc.append([(data[k][ptr[k, lo]:ptr[k, hi]], indices[k][ptr[k, lo]:ptr[k, hi]],
+                     counts[k, lo:hi]) for k in range(3)])
+    assert acc.nnz == [c.sum() for c in counts]
+    for k, block in enumerate(acc.blocks(99)):
+        assert block.shape == (8, 99)
+        assert np.array_equal(block.indptr, ptr[k])
+        assert block.data.dtype == np.float64 and np.array_equal(block.data, data[k])
+        assert block.indices.dtype == np.int32 and np.array_equal(block.indices,
+                                                                  indices[k])
+        # the CSR holds the sink's own arrays, trimmed in place
+        for got, held in ((block.data, acc.data[k]), (block.indices, acc.indices[k])):
+            assert np.shares_memory(got, held) and held.size == block.nnz
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -801,17 +805,17 @@ def test_save_load_round_trip(scene, matrix_x, tmp_path):
     path = tmp_path / "sm.bin"
     save_system_matrix(matrix_x, path, _X_HASH)
     back = load_system_matrix(path, expected_hash=_X_HASH)
-    assert (back.matrix != matrix_x.matrix).nnz == 0
+    _assert_same_csr(back.blocks[0], matrix_x.blocks[0])
     assert back.rows_per_coil == matrix_x.rows_per_coil
     assert back.coils == matrix_x.coils
     assert back.grid_dims == matrix_x.grid_dims
     assert back.highpass is None
     # a matrix with no nonzeros is a row pointer of zeros and nothing else
-    empty = replace(matrix_x, matrix=sp.csr_matrix(matrix_x.shape))
+    empty = replace(matrix_x, blocks=(sp.csr_matrix(matrix_x.shape),))
     save_system_matrix(empty, path, _X_HASH)
     back = load_system_matrix(path)
     assert back.shape == matrix_x.shape and back.nnz == 0
-    assert np.array_equal(back.matrix.indptr, np.zeros(matrix_x.shape[0] + 1))
+    assert np.array_equal(back.blocks[0].indptr, np.zeros(matrix_x.shape[0] + 1))
 
 
 def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
@@ -820,7 +824,7 @@ def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
     with pytest.raises(HashMismatchError, match=_X_HASH):
         load_system_matrix(path, expected_hash="0" * 16)
     forced = load_system_matrix(path, expected_hash="0" * 16, force=True)
-    assert (forced.matrix != matrix_x.matrix).nnz == 0
+    _assert_same_csr(forced.blocks[0], matrix_x.blocks[0])
     with pytest.raises(MissingInputError):
         load_system_matrix(tmp_path / "absent.bin")
     data = path.read_bytes()
@@ -834,7 +838,7 @@ _TINY_HASH = "0123456789abcdef"
 
 def _tiny_matrix():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
-    return SystemMatrix(matrix=sp.csr_matrix(dense), sample_rate=1e6, t0=0.0,
+    return SystemMatrix(blocks=(sp.csr_matrix(dense),), sample_rate=1e6, t0=0.0,
                         rows_per_coil=3, coils=(coil_along("x"),),
                         grid_dims=(3, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
                         grid_origin=(0.0, 0.0, 0.0))
@@ -1007,19 +1011,18 @@ def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
                 row[lo:lo + rng.choice([1, 2, rng.integers(1, cols + 1)])] = True
     cells = np.nonzero(mask)
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))]).astype(np.int64)
-    sm = replace(_tiny_matrix(), matrix=sp.csr_matrix(
-        (rng.standard_normal(indptr[-1]), cells[1].astype(np.int32), indptr),
-        shape=mask.shape), rows_per_coil=len(kinds), grid_dims=(cols, 1, 1))
+    csr = sp.csr_matrix((rng.standard_normal(indptr[-1]), cells[1].astype(np.int32),
+                         indptr), shape=mask.shape)
+    sm = replace(_tiny_matrix(), blocks=(csr,), rows_per_coil=len(kinds),
+                 grid_dims=(cols, 1, 1))
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(mpisim.sysmat, "_CHUNK", chunk):
         path = Path(tmp) / "sm.mat"
         save_system_matrix(sm, path, _TINY_HASH)
         n_runs = int(path.read_bytes().split(b"\n")[0].split()[-1])
-        back = load_system_matrix(path, expected_hash=_TINY_HASH).matrix
-    assert n_runs == _runs_oracle(sm.matrix)
-    for name in ("indptr", "indices", "data"):
-        want, got = getattr(sm.matrix, name), getattr(back, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        [back] = load_system_matrix(path, expected_hash=_TINY_HASH).blocks
+    assert n_runs == _runs_oracle(csr)
+    _assert_same_csr(back, csr)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1080,7 +1083,7 @@ def test_one_sample_acquisition(scene, tmp_path):
     save_system_matrix(sm, path, _TINY_HASH)
     back = load_system_matrix(path, expected_hash=_TINY_HASH)
     assert back.sample_rate == config.sample_rate and back.highpass is None
-    assert (back.matrix != sm.matrix).nnz == 0
+    _assert_same_csr(back.blocks[0], sm.blocks[0])
     # the only DFT bin of one sample is 0 Hz
     with pytest.raises(ConfigError, match="keeps no DFT bin"):
         apply_highpass_rows(sm, 35e3)
@@ -1106,7 +1109,8 @@ def test_rewrite_helper_keeps_a_valid_file(tmp_path):
     save_system_matrix(tiny, path, _TINY_HASH)
     _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, data=1.0)
     back = load_system_matrix(path, expected_hash=_TINY_HASH)
-    assert back.matrix.nnz == 4 and (back.matrix != tiny.matrix).nnz == 0
+    assert back.nnz == 4
+    _assert_same_csr(back.blocks[0], tiny.blocks[0])
 
 
 def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
@@ -1117,14 +1121,14 @@ def test_save_interrupted_leaves_no_partial_file(matrix_x, tmp_path):
         """CSR arrays whose values fail to arrive, after indptr and indices did."""
 
         shape, nnz = matrix_x.shape, matrix_x.nnz
-        indptr, indices = matrix_x.matrix.indptr, matrix_x.matrix.indices
+        indptr, indices = matrix_x.blocks[0].indptr, matrix_x.blocks[0].indices
 
         @property
         def data(self):
             during.append(sorted(tmp_path.iterdir()))
             raise OSError("no space left on device")
 
-    broken = replace(matrix_x, matrix=FailingMatrix())
+    broken = replace(matrix_x, blocks=(FailingMatrix(),))
     with pytest.raises(OSError):
         save_system_matrix(broken, path, _X_HASH)
     # the bytes went to a temporary file beside the target, now removed
@@ -1145,13 +1149,18 @@ def test_stack_coils(scene):
     coils = [coil_along("x"), coil_along("y")]
     both = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
     tx, ty = simulate_piecewise(model, grid, coils, config, approx, subsampling=2)
+    assert (tx.coil_index, ty.coil_index) == (0, 1)
     rhs = stack_coils(both, [tx, ty])
     n = config.n_samples
     assert np.array_equal(rhs[:n], tx.samples)
     assert np.array_equal(rhs[n:], ty.samples)
-    assert np.max(np.abs(both.matrix @ grid.flat() - rhs)) < 1e-12
+    assert np.max(np.abs(both.operator() @ grid.flat() - rhs)) < 1e-12
     with pytest.raises(ConfigError, match="one trace per coil"):
         stack_coils(both, [tx])
+    # each trace must be of its own coil: swapped, both fit the time axis
+    with pytest.raises(ConfigError, match="trace 0 is of coil 1, but the matrix's "
+                                          "coil 0 has index 0"):
+        stack_coils(both, [ty, tx])
     [short] = simulate_piecewise(
         model, grid, [coil_along("x")],
         AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=2e-5),
@@ -1194,8 +1203,8 @@ def _save_coil_files(tmp_path, matrices):
 
 
 def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path, monkeypatch):
-    # the loaded CSR holds the arrays the payloads were read into: no copy
-    # of the nonzeros, for one file and for a stack of two
+    # each loaded block holds the arrays its file's payload was read into:
+    # no copy of the nonzeros, for one file and for a stack of two
     model, grid, config, approx = scene
     my = build_system_matrix(model, approx, [coil_along("y")], config, grid,
                              subsampling=2)
@@ -1205,33 +1214,156 @@ def test_stack_of_one_matrix_shares_its_data(scene, matrix_x, tmp_path, monkeypa
         monkeypatch.setattr(mpisim.sysmat, "np", watch)
         back = load_system_matrices(stack)
         monkeypatch.undo()
-        _, indices, data = watch.allocated
-        assert np.shares_memory(back.matrix.indices, indices)
-        assert np.shares_memory(back.matrix.data, data)
-        assert back.nnz == data.size > 0
+        # x's run_ptr, indices and values; y's runs are x's in this scene,
+        # so its file adds only its values
+        _, indices, *values = watch.allocated
+        for block, data in zip(back.blocks, values, strict=True):
+            assert np.shares_memory(block.indices, indices)
+            assert np.shares_memory(block.data, data)
+            assert block.nnz == data.size > 0
+
+
+def _runs_matrix(rng, rows=200, cols=4000):
+    """A one-coil matrix of rows rows, each ten runs of 50-149 columns at
+    random places, with random values."""
+    mask = np.zeros((rows, cols), bool)
+    for row in mask:
+        for lo in rng.integers(0, cols, 10):
+            row[lo:lo + rng.integers(50, 150)] = True
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    csr = sp.csr_matrix((rng.standard_normal(indptr[-1]),
+                         np.nonzero(mask)[1].astype(np.int32), indptr), shape=mask.shape)
+    return replace(_tiny_matrix(), blocks=(csr,), rows_per_coil=rows,
+                   grid_dims=(cols, 1, 1))
+
+
+def test_identical_runs_are_decoded_once(tmp_path, monkeypatch):
+    # two coil files with one pattern: the load holds one indices array and
+    # both coils' values, 4 + 2 * 8 bytes per nonzero of a coil, and beyond
+    # that little more than the decoder's and the comparison's chunks.
+    # Holding the indices twice would take 4 bytes per nonzero more.
+    monkeypatch.setattr(mpisim.sysmat, "_CHUNK", 1 << 12)
+    rng = np.random.default_rng(11)
+    sm = _runs_matrix(rng)
+    other = replace(sm, blocks=(sm.blocks[0] * 3,), coils=(coil_along("y"),))
+    paths = _save_coil_files(tmp_path, [sm, other])
+    nnz = sm.nnz
+    tracemalloc.start()
+    try:
+        back = load_system_matrices(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.nnz == 2 * nnz and 4 * nnz > 10 * 16 * mpisim.sysmat._CHUNK
+    assert peak < nnz * (2 * 8 + 4) + 16 * mpisim.sysmat._CHUNK
+
+
+def _one_byte_shift(starts, lengths, run_ptr, cols):
+    """starts with one run moved one column right, keeping the runs valid:
+    the first run, in its row's last place, whose end is at least 2 columns
+    short of cols and whose start's low byte is not 0xff."""
+    lasts = run_ptr[1:][np.diff(run_ptr) > 0] - 1
+    k = next(k for k in lasts
+             if starts[k] + lengths[k] + 2 <= cols and starts[k] % 256 != 255)
+    moved = starts.copy()
+    moved[k] += 1
+    return moved
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+@pytest.mark.parametrize("case", ["valid byte", "invalid byte", "nan", "truncated",
+                                  "shorter", "shorter and valid"])
+def test_a_second_coil_is_compared_within_its_payload(tmp_path, monkeypatch, chunk,
+                                                      case):
+    # the second file starts from the first's runs; whatever it changes, the
+    # load compares whole run sections of the same size only, never reads
+    # past a payload, and shares the first file's arrays only when the runs
+    # are the same
+    monkeypatch.setattr(mpisim.sysmat, "_CHUNK", chunk)
+    sm = _runs_matrix(np.random.default_rng(12), rows=20, cols=600)
+    paths = _save_coil_files(tmp_path, [sm, replace(sm, coils=(coil_along("y"),))])
+    lines = paths[1].read_bytes().split(b"\n", 4)
+    fields = lines[0].split()
+    rows, cols, nnz, n_runs = (int(fields[i]) for i in (0, 1, 2, 5))
+    payload = np.frombuffer(lines[4], np.uint8)
+    run_ptr = payload[:8 * (rows + 1)].view("<i8")
+    starts, lengths = payload[8 * (rows + 1):].view("<i4")[:2 * n_runs].reshape(2, -1)
+    data = payload[-8 * nnz:].view("<f8")
+    last = lengths[-1]  # the last row's last run
+    if case == "valid byte":
+        _rewrite(paths[1], starts=_one_byte_shift(starts, lengths, run_ptr, cols))
+    elif case == "invalid byte":
+        _rewrite(paths[1], lengths=np.concatenate([lengths[:-1], [0]]))
+    elif case == "nan":
+        _rewrite(paths[1], data=np.nan)
+    elif case == "truncated":
+        paths[1].write_bytes(paths[1].read_bytes()[:-8])
+    else:  # the last run dropped, and with "valid" its values too
+        kept = nnz - last if case == "shorter and valid" else nnz
+        _rewrite(paths[1], header={0: f"{rows} {cols} {kept} {'0' * 15}1 runs "
+                                      f"{n_runs - 1}".encode()},
+                 run_ptr=np.concatenate([run_ptr[:-1], [n_runs - 1]]),
+                 starts=starts[:-1], lengths=lengths[:-1], data=data[:kept])
+    assert paths[1].read_bytes() != paths[0].read_bytes()
+    compared = []
+    real = mpisim.sysmat._same_bytes
+
+    def within_payloads(a, at_a, b, at_b, size):
+        for fh, at in ((a, at_a), (b, at_b)):
+            assert at + size <= os.fstat(fh.fileno()).st_size
+        compared.append(size)
+        return real(a, at_a, b, at_b, size)
+
+    monkeypatch.setattr(mpisim.sysmat, "_same_bytes", within_payloads)
+    if case in ("valid byte", "shorter and valid"):
+        first, second = load_system_matrices(paths).blocks
+        _assert_same_csr(second, load_system_matrix(paths[1]).blocks[0])
+        assert not np.shares_memory(second.indices, first.indices)
+        assert not np.shares_memory(second.indptr, first.indptr)
+        assert second.nnz == (nnz - last if case == "shorter and valid" else nnz)
+    else:
+        message = {"invalid byte": "at least 1", "nan": "non-finite",
+                   "truncated": "truncated", "shorter": f"sum to {nnz - last}, not"}
+        with pytest.raises(ConfigError, match=message[case]) as exc:
+            load_system_matrices(paths)
+        assert str(paths[1]) in str(exc.value) and exc.value.exit_code == 2
+    # run sections of another size are never compared
+    assert compared == ([] if case.startswith(("shorter", "truncated"))
+                        else [8 * (rows + 1 + n_runs)])
 
 
 def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_path):
-    # oracle: one load per file, stacked by scipy; an empty coil in between
+    # oracle: one load per file, stacked by scipy.  Between x and y an
+    # empty coil; then x's runs with other values, and a file of two coils
     model, grid, config, approx = scene
     coils = [coil_along("x"), coil_along("y")]
     both = apply_highpass_rows(build_system_matrix(model, approx, coils, config,
                                                    grid, subsampling=2), 35e3)
-    empty = replace(both.coil_block(0), matrix=sp.csr_matrix(matrix_x.shape),
-                    coils=(coil_along("z"),))
-    paths = _save_coil_files(tmp_path, [both.coil_block(0), empty, both.coil_block(1)])
-    stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(3)])
-    oracle = sp.vstack([load_system_matrix(p).matrix for p in paths], format="csr")
-    for part in ("indptr", "indices", "data"):
-        got, want = getattr(stacked.matrix, part), getattr(oracle, part)
-        assert got.dtype == want.dtype and np.array_equal(got, want), part
-    assert stacked.coils == (coils[0], coil_along("z"), coils[1])
-    assert stacked.shape == (3 * config.n_samples, grid.n_cells)
+    x, y = _coil(both, 0), _coil(both, 1)
+    empty = replace(x, blocks=(sp.csr_matrix(matrix_x.shape),), coils=(coil_along("z"),))
+    again = replace(x, blocks=(2 * x.blocks[0],), coils=(coil_along("x", index=3),))
+    paths = _save_coil_files(tmp_path, [x, empty, y, again, both])
+    stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(5)])
+    oracle = sp.vstack([_stacked(load_system_matrix(p)) for p in paths], format="csr")
+    _assert_same_csr(_stacked(stacked), oracle)
+    assert stacked.coils == (coils[0], coil_along("z"), coils[1], again.coils[0], *coils)
+    assert stacked.shape == (6 * config.n_samples, grid.n_cells)
     assert stacked.rows_per_coil == config.n_samples
     assert stacked.highpass == 35e3 and stacked.grid_meta_matches(grid)
+    # files whose runs are x's share x's decoded indptr and indices; the
+    # empty coil and the two-coil file, whose runs differ, get their own
+    bx, bz, by, b_again, bx2, by2 = stacked.blocks
+    for block in (by, b_again):
+        assert np.shares_memory(block.indices, bx.indices)
+        assert np.shares_memory(block.indptr, bx.indptr)
+        assert not np.shares_memory(block.data, bx.data)
+    for block in (bz, bx2, by2):
+        assert not np.shares_memory(block.indptr, bx.indptr)
+        assert not np.shares_memory(block.indices, bx.indices)
+    assert bx.nnz > 0 and np.array_equal(b_again.data, 2 * bx.data)
     # the one-file loader is the stacked loader with one path
     one = load_system_matrix(paths[0], expected_hash=f"{0:016x}")
-    assert (one.matrix != both.matrix[:config.n_samples]).nnz == 0
+    _assert_same_csr(one.blocks[0], both.blocks[0])
     with pytest.raises(ConfigError, match="at least one"):
         load_system_matrices([])
 
@@ -1267,8 +1399,11 @@ def test_highpass_rows_commutes(scene, matrix_x):
     cutoff = 35e3
     filtered = apply_highpass_rows(matrix_x, cutoff)
     assert filtered.highpass == cutoff
-    assert filtered.matrix is matrix_x.matrix  # stored sparse, unfiltered
-    assert matrix_x.operator() is matrix_x.matrix
+    assert filtered.blocks is matrix_x.blocks  # stored sparse, unfiltered
+    # without a high-pass the operator is S itself
+    x = np.random.default_rng(2).normal(size=grid.n_cells)
+    assert matrix_x.operator().mask is None
+    assert np.array_equal(matrix_x.operator() @ x, matrix_x.blocks[0] @ x)
     [pw] = simulate_piecewise(model, grid, [coil_along("x")], config, approx,
                               subsampling=2)
     via_trace = apply_highpass(pw, cutoff).samples
@@ -1324,7 +1459,7 @@ def test_highpass_operator_keeps_coil_blocks_apart(scene, matrix_x):
 
 
 def _linear_operator_oracle(sm):
-    """Oracle: F S as the scipy LinearOperator that FilteredOperator replaces.
+    """Oracle: F S as a scipy LinearOperator over the stacked CSR.
 
     Same mask, same FFT calls in the same order, so results are bit-equal.
     """
@@ -1336,8 +1471,33 @@ def _linear_operator_oracle(sm):
         y = np.reshape(y, (-1, sm.rows_per_coil))
         return np.real(np.fft.ifft(np.fft.fft(y) * mask)).ravel()
 
-    return LinearOperator(sm.shape, matvec=lambda x: f(sm.matrix @ x),
-                          rmatvec=lambda y: sm.matrix.T @ f(y), dtype=float)
+    csr = _stacked(sm)
+    return LinearOperator(sm.shape, matvec=lambda x: f(csr @ x),
+                          rmatvec=lambda y: csr.T @ f(y), dtype=float)
+
+
+def _assert_operator_is_the_stacked_csr(sm, grid):
+    """sm.operator() against the stacked CSR, or the LinearOperator over it
+    when sm has a high-pass: bit-equal S x and S^T y, and 20 LSQR
+    iterations that take the same steps."""
+    op = sm.operator()
+    oracle = _stacked(sm) if sm.highpass is None else _linear_operator_oracle(sm)
+    assert isinstance(op, CoilOperator)
+    assert op.shape == oracle.shape and op.T.shape == oracle.T.shape
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=op.shape[1])
+    y = rng.normal(size=op.shape[0])
+    assert np.array_equal(op @ x, oracle @ x)
+    assert np.array_equal(op.T @ y, oracle.T @ y)
+    with pytest.raises(ValueError):  # never read past y
+        op.T @ y[:-1]
+    # LSQR sees only shape, @ and .T, so both operators take the same steps
+    rhs = oracle @ grid.flat()
+    got = lsqr_solve(op, rhs, LsqrOptions(max_iterations=20))
+    want = lsqr_solve(oracle, rhs, LsqrOptions(max_iterations=20))
+    assert got.iterations == want.iterations > 0
+    assert np.array_equal(got.residuals, want.residuals)
+    assert np.array_equal(got.x, want.x)
 
 
 @pytest.mark.parametrize("n_coils", [1, 2])
@@ -1349,21 +1509,62 @@ def test_filtered_operator_is_bit_equal_to_linear_operator(scene, matrix_x,
         filtered = apply_highpass_rows(build_system_matrix(
             model, approx, [coil_along("x"), coil_along("y")], config, grid,
             subsampling=2), 35e3)
-    op, oracle = filtered.operator(), _linear_operator_oracle(filtered)
-    assert isinstance(op, FilteredOperator)
-    assert op.shape == oracle.shape and op.T.shape == oracle.T.shape
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=op.shape[1])
-    y = rng.normal(size=op.shape[0])
-    assert np.array_equal(op @ x, oracle @ x)
-    assert np.array_equal(op.T @ y, oracle.T @ y)
-    # LSQR sees only shape, @ and .T, so both operators take the same steps
-    rhs = oracle @ grid.flat()
-    got = lsqr_solve(op, rhs, LsqrOptions(max_iterations=20))
-    want = lsqr_solve(oracle, rhs, LsqrOptions(max_iterations=20))
-    assert got.iterations == want.iterations > 0
-    assert np.array_equal(got.residuals, want.residuals)
-    assert np.array_equal(got.x, want.x)
+    _assert_operator_is_the_stacked_csr(filtered, grid)
+
+
+@pytest.fixture(scope="module")
+def matrix_xyz(scene):
+    """The scene's x, y and z coils from one pass: x's and y's runs are
+    the same, z's rows are empty."""
+    model, grid, config, approx = scene
+    return build_system_matrix(model, approx, [coil_along(axis) for axis in "xyz"],
+                               config, grid, subsampling=2)
+
+
+# the filtered one and two coils: test_filtered_operator_is_bit_equal_to_linear_operator
+@pytest.mark.parametrize("highpass, case", [
+    *((None, case) for case in ("1 coil", "2 coils", "3 coils", "shared runs",
+                                "2-coil file beside 1-coil file")),
+    *((35e3, case) for case in ("3 coils", "shared runs",
+                                "2-coil file beside 1-coil file"))])
+def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
+                                                  highpass, case):
+    sm = matrix_xyz if highpass is None else apply_highpass_rows(matrix_xyz, highpass)
+    if case in ("1 coil", "2 coils", "3 coils"):
+        n = int(case[0])
+        sm = replace(sm, blocks=sm.blocks[:n], coils=sm.coils[:n])
+    elif case == "shared runs":
+        paths = _save_coil_files(tmp_path, [_coil(sm, 0), _coil(sm, 1)])
+        sm = load_system_matrices(paths)
+        assert np.shares_memory(sm.blocks[0].indices, sm.blocks[1].indices)
+    else:
+        x_and_z = replace(sm, blocks=sm.blocks[::2], coils=sm.coils[::2])
+        sm = load_system_matrices(_save_coil_files(tmp_path, [x_and_z, _coil(sm, 1)]))
+        assert sm.coils == tuple(coil_along(axis) for axis in "xzy")
+    assert sm.highpass == highpass and sm.nnz > 0
+    _assert_operator_is_the_stacked_csr(sm, scene[1])
+
+
+def test_csc_matvec_adds_into_its_output():
+    # CoilOperator.T adds each coil block's product into one output through
+    # scipy's private csc_matvec(n_row, n_col, Ap, Ai, Ax, Xx, Yx), which
+    # computes Yx += A Xx for the CSC matrix A; checked on scipy 1.17.1
+    import scipy
+
+    version = f"scipy {scipy.__version__}"
+    a = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]))
+    out = np.array([10.0, 20.0, 30.0])
+    try:
+        from scipy.sparse import _sparsetools
+
+        _sparsetools.csc_matvec(3, 2, a.indptr, a.indices, a.data,
+                                np.array([5.0, 7.0]), out)
+    except Exception as exc:  # a renamed module or a new signature
+        pytest.fail(f"{version}: csc_matvec of a 2x3 CSR's transpose failed: {exc!r}")
+    # a.T @ [5, 7] is [5, 21, 38]
+    assert np.array_equal(out, [15.0, 41.0, 68.0]), (
+        f"{version}: csc_matvec no longer adds A x into its output, it gave "
+        f"{out}; CoilOperator.T relies on it")
 
 
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
@@ -1373,7 +1574,7 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     back = load_system_matrix(path, expected_hash=_X_HP_HASH)
     assert back.highpass == filtered.highpass
     assert back.nnz == matrix_x.nnz
-    assert sp.issparse(back.matrix)
+    assert all(sp.issparse(block) for block in back.blocks)
     x = np.random.default_rng(7).normal(size=filtered.shape[1])
     assert np.array_equal(back.operator() @ x, filtered.operator() @ x)
 
