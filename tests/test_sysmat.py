@@ -280,7 +280,7 @@ def test_worker_count_does_not_change_matrix(scene, matrix_x):
 
 
 def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
-    # oracle: one build per coil, stacked
+    # oracle: one build per coil
     model, grid, config, approx = scene
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
