@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -294,18 +295,36 @@ class CoilOperator:
     block by block, through scipy's csc_matvec: the additions of the
     stacked CSR's S.T @ y, in its order, so the result is bit-equal to it.
     Only shape, @ on a 1-D vector and .T are provided.
+
+    The blocks are checked once, when the operator is made: they must be
+    equally wide, and each block's indptr and indices of one dtype.  Real
+    data that is not float64 is cast to it, as S.T @ y would upcast it;
+    other data is a TypeError.
     """
 
     blocks: tuple
     mask: np.ndarray | None = None
     transposed: bool = False
+    shape: tuple = dataclasses.field(init=False)
 
-    @property
-    def shape(self) -> tuple:
-        rows, cols = sum(b.shape[0] for b in self.blocks), self.blocks[0].shape[1]
-        return (cols, rows) if self.transposed else (rows, cols)
+    def __post_init__(self):
+        cols = self.blocks[0].shape[1]
+        blocks = []
+        for k, b in enumerate(self.blocks):
+            if b.shape[1] != cols:
+                raise ValueError(f"block {k} has {b.shape[1]} columns, block 0 {cols}")
+            if b.indptr.dtype != b.indices.dtype:
+                raise TypeError(f"block {k}: indptr is {b.indptr.dtype}, "
+                                f"indices {b.indices.dtype}")
+            if not np.can_cast(b.data.dtype, np.float64):
+                raise TypeError(f"block {k}: {b.data.dtype} data is not real")
+            blocks.append(b if b.data.dtype == np.float64 else b.astype(np.float64))
+        rows = sum(b.shape[0] for b in blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "shape",
+                           (cols, rows) if self.transposed else (rows, cols))
 
-    @property
+    @functools.cached_property
     def T(self) -> CoilOperator:
         return replace(self, transposed=not self.transposed)
 
@@ -322,9 +341,9 @@ class CoilOperator:
 
         cols, rows = self.shape
         y = np.ascontiguousarray(self._filter(v), dtype=float)
-        # csc_matvec trusts its sizes: a longer vector or a wider block would
-        # be read or written out of bounds
-        if y.shape != (rows,) or any(b.shape[1] != cols for b in self.blocks):
+        # csc_matvec trusts its sizes: a longer vector would be read out of
+        # bounds
+        if y.shape != (rows,):
             raise ValueError(f"dimension mismatch: {y.shape} against {self.shape}")
         out = np.zeros(cols)
         row = 0

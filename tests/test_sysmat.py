@@ -78,7 +78,7 @@ def _assert_same_csr(got, want, context=None):
     """Bit-equal CSR arrays, dtypes included."""
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype and np.array_equal(a, b), (context, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (context, part)
 
 
 def _rel_err(got, want):
@@ -1543,6 +1543,27 @@ def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
         assert sm.coils == tuple(coil_along(axis) for axis in "xzy")
     assert sm.highpass == highpass and sm.nnz > 0
     _assert_operator_is_the_stacked_csr(sm, scene[1])
+
+
+def test_operator_checks_its_blocks_once(matrix_x):
+    # blocks of other real dtypes act as the stacked CSR's S.T @ y, which
+    # upcasts them to float64; blocks the products cannot use are refused
+    # when the operator is made, not at the first product
+    block = matrix_x.blocks[0]
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=block.shape[1]), rng.normal(size=block.shape[0])
+    for dtype in (np.float32, np.int64):
+        narrow = block.astype(dtype)
+        op = CoilOperator((narrow, narrow))
+        assert np.array_equal(op @ x, np.concatenate([narrow @ x] * 2))
+        assert np.array_equal(op.T @ np.concatenate([y, y]),
+                              sp.vstack([narrow, narrow], format="csr").T
+                              @ np.concatenate([y, y]))
+    assert op.T is op.T  # made once, as LSQR asks for it every iteration
+    with pytest.raises(ValueError):
+        CoilOperator((block, block[:, :-1]))
+    with pytest.raises(TypeError):
+        CoilOperator((block.astype(complex),))
 
 
 def test_csc_matvec_adds_into_its_output():
