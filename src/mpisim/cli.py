@@ -614,8 +614,10 @@ def stage_filter(ws: Workspace):
 
 def stage_sysmat(ws: Workspace):
     """Build every coil's matrix in one pass, streaming each coil's rows into
-    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held
-    and scipy.sparse is never imported; stage_lsqr reads the files back."""
+    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held.
+    stage_lsqr reads the files back into plain-array CSR blocks and solves
+    through scipy's compiled CSR kernels alone: no stage imports
+    scipy.sparse."""
     plan = ws.plan
     stored = sysmat.build_system_matrix(
         plan["field"], plan["approx"], [coil for _, coil in plan["coils"]],

@@ -32,10 +32,11 @@ save_system_matrix alike, and load_system_matrices decodes each coil
 file's runs into its own CSR block, bit-equal to the one saved.  Coils
 whose files hold byte-identical runs share one decoded indptr and indices.
 
-scipy.sparse is imported only where a CSR is made (the in-memory
-build_system_matrices, load_system_matrices) and where the operator
-multiplies, so importing this module, the stages that never touch a matrix
-and the streaming sysmat stage load numpy alone.
+A block is a CsrBlock, the plain arrays of a CSR, and scipy.sparse is
+never imported: the operator multiplies through two of scipy's compiled
+CSR kernels, which _sparsetools() loads alone, and only at the first
+product.  So importing this module, every build and load, and every stage
+but lsqr load numpy alone.
 An operator handed to recon.lsqr_solve needs only shape, @ and .T:
 SystemMatrix.operator() gives F S over the coil blocks, F the high-pass or
 the identity.
@@ -47,9 +48,12 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -285,21 +289,97 @@ def staircase_slopes(approxes):
 
 
 @dataclass(frozen=True, eq=False)
+class CsrBlock:
+    """One coil's rows as the plain arrays of a CSR matrix.
+
+    Row i's columns are indices[indptr[i]:indptr[i + 1]], sorted, and its
+    values the same slice of data: the arrays scipy.sparse.csr_matrix((data,
+    indices, indptr), shape) holds.  Made once, a block settles what the
+    kernels need: indptr and indices get one index dtype, int32 when it
+    addresses the rows, the columns and nnz, else int64, as csr_matrix
+    chooses; real data that is not float64 is cast to it.  An array already
+    of its dtype is held, not copied, so blocks may share indptr and
+    indices.  Data that is not real, or indices and indptr that are not
+    integers, are a TypeError.  The kernels trust the arrays, so a block
+    that could make them read or write out of bounds is a ValueError: indptr
+    must rise from 0 to nnz in rows + 1 entries, nnz being the size of data
+    and of indices, and each index must lie in [0, cols).
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __post_init__(self):
+        rows, cols = (int(n) for n in self.shape)
+        data, indices, indptr = (np.asarray(a) for a in (self.data, self.indices,
+                                                          self.indptr))
+        if not np.can_cast(data.dtype, np.float64):
+            raise TypeError(f"{data.dtype} data is not real")
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (indices, indptr)):
+            raise TypeError(f"{indices.dtype} indices and {indptr.dtype} indptr "
+                            f"must be integers")
+        if (indptr.shape != (rows + 1,) or indptr[0] != 0
+                or not int(indptr[-1]) == data.size == indices.size
+                or np.any(np.diff(indptr) < 0)
+                or data.size and not 0 <= indices.min() <= indices.max() < cols):
+            raise ValueError(f"not a {rows}x{cols} CSR: indptr must rise from 0 to "
+                             f"the {data.size} values in {rows + 1} entries, and "
+                             f"as many indices lie in [0, {cols})")
+        index = (np.int32 if max(rows, cols, data.size) <= np.iinfo(np.int32).max
+                 else np.int64)
+        fields = dict(shape=(rows, cols), data=data.astype(float, copy=False),
+                      indptr=indptr.astype(index, copy=False),
+                      indices=indices.astype(index, copy=False))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, scipy.sparse._sparsetools.
+
+    The extension is loaded from scipy's directory under its full name,
+    without running scipy's or scipy.sparse's __init__, which import about
+    75 modules, numpy.testing and numpy.f2py among them; a later import of
+    scipy.sparse finds it in sys.modules and uses the same module.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+        if os.path.exists(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"no {name} extension in {root}")
+
+
+@dataclass(frozen=True, eq=False)
 class CoilOperator:
     """F S without stacking S or forming F S: op @ x = F(S x), op.T @ y = S^T(F y).
 
-    S is blocks, one CSR per coil, stacked in order.  F is the identity when
-    mask is None, else it filters each len(mask) block of rows through the
-    real, symmetric DFT mask, so F^T = F.  S x concatenates the blocks'
-    products.  S^T y adds each block's transposed product into one output,
-    block by block, through scipy's csc_matvec: the additions of the
-    stacked CSR's S.T @ y, in its order, so the result is bit-equal to it.
-    Only shape, @ on a 1-D vector and .T are provided.
-
-    The blocks are checked once, when the operator is made: they must be
-    equally wide, and each block's indptr and indices of one dtype.  Real
-    data that is not float64 is cast to it, as S.T @ y would upcast it;
-    other data is a TypeError.
+    S is blocks, one CsrBlock per coil, stacked in order.  F is the
+    identity when mask is None, else it filters each len(mask) block of rows
+    through the real, symmetric DFT mask, so F^T = F.  Both products run
+    scipy's compiled kernels on the blocks' arrays.  S x writes each block's
+    product into its slice of one zeroed output (csr_matvec), as a scipy
+    CSR's b @ x does.  S^T y adds each block's transposed product into one
+    output, block by block (csc_matvec): the additions of the stacked CSR's
+    S.T @ y, in its order.  So both are bit-equal to scipy's products.
+    Only shape, @ on a 1-D vector of the operator's width and .T are
+    provided; a vector of another length is a ValueError.  The blocks must
+    be equally wide, which is checked once, when the operator is made.
     """
 
     blocks: tuple
@@ -309,18 +389,10 @@ class CoilOperator:
 
     def __post_init__(self):
         cols = self.blocks[0].shape[1]
-        blocks = []
         for k, b in enumerate(self.blocks):
             if b.shape[1] != cols:
                 raise ValueError(f"block {k} has {b.shape[1]} columns, block 0 {cols}")
-            if b.indptr.dtype != b.indices.dtype:
-                raise TypeError(f"block {k}: indptr is {b.indptr.dtype}, "
-                                f"indices {b.indices.dtype}")
-            if not np.can_cast(b.data.dtype, np.float64):
-                raise TypeError(f"block {k}: {b.data.dtype} data is not real")
-            blocks.append(b if b.data.dtype == np.float64 else b.astype(np.float64))
-        rows = sum(b.shape[0] for b in blocks)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        rows = sum(b.shape[0] for b in self.blocks)
         object.__setattr__(self, "shape",
                            (cols, rows) if self.transposed else (rows, cols))
 
@@ -335,25 +407,26 @@ class CoilOperator:
                               self.mask).ravel()
 
     def __matmul__(self, v) -> np.ndarray:
-        if not self.transposed:
-            return self._filter(np.concatenate([b @ v for b in self.blocks]))
-        from scipy.sparse import _sparsetools
-
-        cols, rows = self.shape
-        y = np.ascontiguousarray(self._filter(v), dtype=float)
-        # csc_matvec trusts its sizes: a longer vector would be read out of
-        # bounds
-        if y.shape != (rows,):
-            raise ValueError(f"dimension mismatch: {y.shape} against {self.shape}")
-        out = np.zeros(cols)
+        # the kernels trust their sizes: a longer vector would be read out
+        # of bounds
+        if np.shape(v) != self.shape[1:]:
+            raise ValueError(f"dimension mismatch: {np.shape(v)} against {self.shape}")
+        kernels = _sparsetools()
+        cols = self.blocks[0].shape[1]
+        v = np.ascontiguousarray(self._filter(v) if self.transposed else v, dtype=float)
+        out = np.zeros(self.shape[0])
         row = 0
         for b in self.blocks:
             n = b.shape[0]
-            # b.T is the CSC of b's arrays: out += b.T @ y[row:row + n]
-            _sparsetools.csc_matvec(cols, n, b.indptr, b.indices, b.data,
-                                    y[row:row + n], out)
+            if self.transposed:
+                # b.T is the CSC of b's arrays: out += b.T @ v[row:row + n]
+                kernels.csc_matvec(cols, n, b.indptr, b.indices, b.data,
+                                   v[row:row + n], out)
+            else:
+                kernels.csr_matvec(n, cols, b.indptr, b.indices, b.data, v,
+                                   out[row:row + n])
             row += n
-        return out
+        return out if self.transposed else self._filter(out)
 
 
 @dataclass
@@ -362,9 +435,11 @@ class SystemMatrix:
     acquisition metadata it was built under.
 
     sample_rate, t0 and rows_per_coil are those of its AcquisitionConfig.
-    blocks[k] holds the rows_per_coil time-ordered rows of coils[k]; S is
-    the blocks stacked in coil order.  Blocks may share indptr and indices
-    (load_system_matrices).  S is unfiltered, stored sparse; highpass is
+    blocks[k] is a CsrBlock of the rows_per_coil time-ordered rows of
+    coils[k]; S is the blocks stacked in coil order.  Blocks may share
+    indptr and indices (load_system_matrices).  scipy.sparse.csr_matrix((
+    b.data, b.indices, b.indptr), shape=b.shape) is block b as scipy holds
+    it, without a copy.  S is unfiltered, stored sparse; highpass is
     filtered on application by operator().  The config hash that identifies
     a stored matrix is not held here: it is written by save_system_matrix
     and checked by load_system_matrices.
@@ -386,7 +461,7 @@ class SystemMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(int(b.nnz) for b in self.blocks)
+        return sum(b.nnz for b in self.blocks)
 
     def operator(self) -> CoilOperator:
         """The CoilOperator F S, F the identity unless highpass is set.
@@ -523,16 +598,14 @@ class _CoilRows:
             arrays[k] = new
 
     def blocks(self, cols: int) -> tuple:
-        """Each coil's rows as a CSR of its arrays, trimmed in place."""
-        import scipy.sparse as sp
-
+        """Each coil's rows as a CsrBlock of its arrays, trimmed in place."""
         out = []
         for data, indices, counts, nnz in zip(self.data, self.indices, self.counts,
                                               self.nnz):
             data.resize(nnz, refcheck=False)
             indices.resize(nnz, refcheck=False)
             indptr = np.concatenate([[0], np.cumsum(counts)])
-            out.append(sp.csr_matrix((data, indices, indptr), shape=(self.rows, cols)))
+            out.append(CsrBlock(data, indices, indptr, (self.rows, cols)))
         return tuple(out)
 
 
@@ -968,8 +1041,6 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
     the run before it in its row, lengths that do not sum to nnz or a
     non-finite value raises ConfigError.
     """
-    import scipy.sparse as sp
-
     if not paths:
         raise ConfigError("need at least one matrix file")
     with contextlib.ExitStack() as stack:
@@ -1017,8 +1088,8 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
                 raise ConfigError(f"{path}: non-finite matrix values")
             own, lo = [], 0
             for indptr, cells in runs:
-                own.append(sp.csr_matrix((vals[lo:lo + cells.size], cells, indptr),
-                                         shape=(meta["rows_per_coil"], cols)))
+                own.append(CsrBlock(vals[lo:lo + cells.size], cells, indptr,
+                                    (meta["rows_per_coil"], cols)))
                 lo += cells.size
             if like is None:
                 decoded.append((fh, at, counts, own))

@@ -1061,53 +1061,77 @@ def test_compare_command(pipeline_dir, capsys, tmp_path):
                      str(out / "phantom_recon.grid")]) == 3
 
 
-# Run in a fresh interpreter: prints, after each step, the scipy modules
-# loaded so far.  The matrix stages come last, since a module stays loaded.
+# Run in a fresh interpreter: runs the steps argv names, in order, and
+# prints after each the scipy, numpy.f2py and numpy.testing modules loaded
+# so far.  A module stays loaded, so a step that loads one comes last.
 _SCIPY_PROBE = """\
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import numpy as np
 
-ini, out = sys.argv[1:]
+def heavy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith(("numpy.f2py", "numpy.testing")))
+
+ini, out, *steps = sys.argv[1:]
 seen = {}
 import mpisim
-seen["import mpisim"] = scipy_modules()
-from mpisim import cli
-seen["import mpisim.cli"] = scipy_modules()
-for label, argv in [
-        ("run", ["run", "-c", ini, "-o", out,
-                 "--stages", "phantom,simulate,filter,fbp,compare"]),
-        ("compare", ["compare", out + "/recon_fbp.grid",
-                     out + "/phantom_recon.grid"]),
-        ("field-info", ["field-info", "-c", ini]),
-        ("sysmat", ["run", "-c", ini, "-o", out, "--stages", "sysmat"]),
-        ("sysmat,lsqr", ["run", "-c", ini, "-o", out,
-                         "--stages", "sysmat,lsqr"])]:
-    assert cli.main(argv) == 0, argv
-    seen[label] = scipy_modules()
+seen["import mpisim"] = heavy_modules()
+from mpisim import cli, sysmat
+seen["import mpisim.cli"] = heavy_modules()
+argvs = {
+    "run": ["run", "-c", ini, "-o", out,
+            "--stages", "phantom,simulate,filter,fbp,compare"],
+    "compare": ["compare", out + "/recon_fbp.grid", out + "/phantom_recon.grid"],
+    "field-info": ["field-info", "-c", ini],
+    "sysmat": ["run", "-c", ini, "-o", out, "--stages", "sysmat"],
+    "sysmat,lsqr": ["run", "-c", ini, "-o", out, "--stages", "sysmat,lsqr"]}
+for step in steps:
+    if step in argvs:
+        assert cli.main(argvs[step]) == 0, step
+    elif step == "build_system_matrices":
+        plan = cli.plan_stages(cli.RunConfig.load(ini, []), ["sysmat"])
+        [sm] = sysmat.build_system_matrices(
+            plan["field"], [plan["approx"]], [c for _, c in plan["coils"]],
+            plan["acq"], plan["grid"], plan["subsampling"],
+            highpass=plan["highpass"])
+        assert sm.nnz > 0
+    else:  # both products of the matrix just built
+        op = sm.operator()
+        assert np.any(op.T @ (op @ np.ones(op.shape[1])))
+    seen[step] = heavy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_stages_without_a_matrix_never_import_scipy(tmp_path):
-    # the sysmat stage streams its files and builds no scipy matrix
+def _probe_modules(tmp_path, steps):
+    """What _SCIPY_PROBE prints after the tiny config's steps."""
     ini = write_tiny(tmp_path)
     src = str(Path(mpisim.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(ini), str(tmp_path / "out")],
+        [sys.executable, "-c", _SCIPY_PROBE, str(ini), str(tmp_path / "out"), *steps],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert list(seen) == ["import mpisim", "import mpisim.cli", "run",
-                          "compare", "field-info", "sysmat", "sysmat,lsqr"]
+    assert list(seen) == ["import mpisim", "import mpisim.cli", *steps]
+    return seen
+
+
+def test_stages_without_a_matrix_never_import_scipy(tmp_path):
+    # the sysmat stage streams its files and builds no matrix; the lsqr
+    # stage loads scipy's compiled CSR kernels and nothing else of scipy,
+    # so neither scipy.sparse nor what its import pulls in (numpy.f2py,
+    # numpy.testing)
+    seen = _probe_modules(tmp_path, ["run", "compare", "field-info", "sysmat",
+                                     "sysmat,lsqr"])
     for step in list(seen)[:-1]:
         assert seen[step] == [], step
-    # control: the probe does see scipy once a stage builds a matrix, and
-    # the filtered LSQR still needs no scipy.sparse.linalg
-    assert "scipy.sparse" in seen["sysmat,lsqr"]
-    assert not any(m.startswith("scipy.sparse.linalg")
-                   for m in seen["sysmat,lsqr"])
+    assert seen["sysmat,lsqr"] == ["scipy.sparse._sparsetools"]
+    # the same for a library caller: the build in memory loads nothing, its
+    # products the kernels alone
+    seen = _probe_modules(tmp_path, ["build_system_matrices", "operator"])
+    assert seen["build_system_matrices"] == []
+    assert seen["operator"] == ["scipy.sparse._sparsetools"]
 
 
 def test_field_info(capsys, tmp_path):

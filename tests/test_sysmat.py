@@ -1,6 +1,7 @@
 """System-matrix assembly, hashing, persistence, and row filtering."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from mpisim.recon import LsqrOptions, lsqr_solve
 from mpisim.sysmat import (
     CellQuadrature,
     CoilOperator,
+    CsrBlock,
     SystemMatrix,
     apply_highpass_rows,
     build_system_matrices,
@@ -59,14 +61,24 @@ def _densified_highpass(sm, cutoff):
     matrix-free.
     """
     mask = highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
-    return np.vstack([np.real(np.fft.ifft(np.fft.fft(block.toarray(), axis=0)
+    return np.vstack([np.real(np.fft.ifft(np.fft.fft(_scipy_csr(block).toarray(), axis=0)
                                           * mask[:, None], axis=0))
                       for block in sm.blocks])
 
 
+def _scipy_csr(block):
+    """Oracle: a CsrBlock as scipy's own CSR of its arrays."""
+    return sp.csr_matrix((block.data, block.indices, block.indptr), shape=block.shape)
+
+
+def _block(csr):
+    """A scipy CSR as the CsrBlock of its arrays."""
+    return CsrBlock(csr.data, csr.indices, csr.indptr, csr.shape)
+
+
 def _stacked(sm):
     """Oracle: sm's coil blocks stacked into one CSR by scipy."""
-    return sp.vstack(sm.blocks, format="csr")
+    return sp.vstack([_scipy_csr(b) for b in sm.blocks], format="csr")
 
 
 def _coil(sm, k):
@@ -75,7 +87,11 @@ def _coil(sm, k):
 
 
 def _assert_same_csr(got, want, context=None):
-    """Bit-equal CSR arrays, dtypes included."""
+    """Bit-equal CSR arrays, dtypes included.  A CsrBlock want is compared
+    as scipy's own CSR of its arrays, so a block must hold what scipy
+    would."""
+    if not sp.issparse(want):
+        want = _scipy_csr(want)
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got, part), getattr(want, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (context, part)
@@ -811,7 +827,7 @@ def test_save_load_round_trip(scene, matrix_x, tmp_path):
     assert back.grid_dims == matrix_x.grid_dims
     assert back.highpass is None
     # a matrix with no nonzeros is a row pointer of zeros and nothing else
-    empty = replace(matrix_x, blocks=(sp.csr_matrix(matrix_x.shape),))
+    empty = replace(matrix_x, blocks=(_block(sp.csr_matrix(matrix_x.shape)),))
     save_system_matrix(empty, path, _X_HASH)
     back = load_system_matrix(path)
     assert back.shape == matrix_x.shape and back.nnz == 0
@@ -838,7 +854,7 @@ _TINY_HASH = "0123456789abcdef"
 
 def _tiny_matrix():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
-    return SystemMatrix(blocks=(sp.csr_matrix(dense),), sample_rate=1e6, t0=0.0,
+    return SystemMatrix(blocks=(_block(sp.csr_matrix(dense)),), sample_rate=1e6, t0=0.0,
                         rows_per_coil=3, coils=(coil_along("x"),),
                         grid_dims=(3, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
                         grid_origin=(0.0, 0.0, 0.0))
@@ -1013,7 +1029,7 @@ def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))]).astype(np.int64)
     csr = sp.csr_matrix((rng.standard_normal(indptr[-1]), cells[1].astype(np.int32),
                          indptr), shape=mask.shape)
-    sm = replace(_tiny_matrix(), blocks=(csr,), rows_per_coil=len(kinds),
+    sm = replace(_tiny_matrix(), blocks=(_block(csr),), rows_per_coil=len(kinds),
                  grid_dims=(cols, 1, 1))
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(mpisim.sysmat, "_CHUNK", chunk):
@@ -1233,7 +1249,7 @@ def _runs_matrix(rng, rows=200, cols=4000):
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
     csr = sp.csr_matrix((rng.standard_normal(indptr[-1]),
                          np.nonzero(mask)[1].astype(np.int32), indptr), shape=mask.shape)
-    return replace(_tiny_matrix(), blocks=(csr,), rows_per_coil=rows,
+    return replace(_tiny_matrix(), blocks=(_block(csr),), rows_per_coil=rows,
                    grid_dims=(cols, 1, 1))
 
 
@@ -1245,7 +1261,8 @@ def test_identical_runs_are_decoded_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mpisim.sysmat, "_CHUNK", 1 << 12)
     rng = np.random.default_rng(11)
     sm = _runs_matrix(rng)
-    other = replace(sm, blocks=(sm.blocks[0] * 3,), coils=(coil_along("y"),))
+    other = replace(sm, blocks=(replace(sm.blocks[0], data=sm.blocks[0].data * 3),),
+                    coils=(coil_along("y"),))
     paths = _save_coil_files(tmp_path, [sm, other])
     nnz = sm.nnz
     tracemalloc.start()
@@ -1340,8 +1357,10 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
     both = apply_highpass_rows(build_system_matrix(model, approx, coils, config,
                                                    grid, subsampling=2), 35e3)
     x, y = _coil(both, 0), _coil(both, 1)
-    empty = replace(x, blocks=(sp.csr_matrix(matrix_x.shape),), coils=(coil_along("z"),))
-    again = replace(x, blocks=(2 * x.blocks[0],), coils=(coil_along("x", index=3),))
+    empty = replace(x, blocks=(_block(sp.csr_matrix(matrix_x.shape)),),
+                    coils=(coil_along("z"),))
+    again = replace(x, blocks=(replace(x.blocks[0], data=2 * x.blocks[0].data),),
+                    coils=(coil_along("x", index=3),))
     paths = _save_coil_files(tmp_path, [x, empty, y, again, both])
     stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(5)])
     oracle = sp.vstack([_stacked(load_system_matrix(p)) for p in paths], format="csr")
@@ -1403,7 +1422,7 @@ def test_highpass_rows_commutes(scene, matrix_x):
     # without a high-pass the operator is S itself
     x = np.random.default_rng(2).normal(size=grid.n_cells)
     assert matrix_x.operator().mask is None
-    assert np.array_equal(matrix_x.operator() @ x, matrix_x.blocks[0] @ x)
+    assert np.array_equal(matrix_x.operator() @ x, _scipy_csr(matrix_x.blocks[0]) @ x)
     [pw] = simulate_piecewise(model, grid, [coil_along("x")], config, approx,
                               subsampling=2)
     via_trace = apply_highpass(pw, cutoff).samples
@@ -1489,8 +1508,12 @@ def _assert_operator_is_the_stacked_csr(sm, grid):
     y = rng.normal(size=op.shape[0])
     assert np.array_equal(op @ x, oracle @ x)
     assert np.array_equal(op.T @ y, oracle.T @ y)
-    with pytest.raises(ValueError):  # never read past y
-        op.T @ y[:-1]
+    # the kernels trust their sizes: a vector one short or one long of
+    # either product is refused, never read past
+    for product, v in ((op, x), (op.T, y)):
+        for wrong in (v[:-1], np.append(v, 1.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                product @ wrong
     # LSQR sees only shape, @ and .T, so both operators take the same steps
     rhs = oracle @ grid.flat()
     got = lsqr_solve(op, rhs, LsqrOptions(max_iterations=20))
@@ -1546,24 +1569,59 @@ def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
 
 
 def test_operator_checks_its_blocks_once(matrix_x):
-    # blocks of other real dtypes act as the stacked CSR's S.T @ y, which
-    # upcasts them to float64; blocks the products cannot use are refused
-    # when the operator is made, not at the first product
+    # blocks of other real dtypes act as scipy's CSR of them, whose products
+    # upcast them to float64: the block casts its data once, when it is
+    # made; blocks the operator cannot stack are refused when it is made,
+    # not at the first product
     block = matrix_x.blocks[0]
     rng = np.random.default_rng(9)
     x, y = rng.normal(size=block.shape[1]), rng.normal(size=block.shape[0])
     for dtype in (np.float32, np.int64):
-        narrow = block.astype(dtype)
-        op = CoilOperator((narrow, narrow))
+        narrow = _scipy_csr(block).astype(dtype)
+        cast = _block(narrow)
+        assert cast.data.dtype == np.float64
+        op = CoilOperator((cast, cast))
         assert np.array_equal(op @ x, np.concatenate([narrow @ x] * 2))
         assert np.array_equal(op.T @ np.concatenate([y, y]),
                               sp.vstack([narrow, narrow], format="csr").T
                               @ np.concatenate([y, y]))
     assert op.T is op.T  # made once, as LSQR asks for it every iteration
-    with pytest.raises(ValueError):
-        CoilOperator((block, block[:, :-1]))
-    with pytest.raises(TypeError):
-        CoilOperator((block.astype(complex),))
+    with pytest.raises(ValueError, match="columns"):
+        CoilOperator((block, _block(_scipy_csr(block)[:, :-1])))
+    with pytest.raises(TypeError, match="not real"):
+        _block(_scipy_csr(block).astype(complex))
+
+
+@pytest.mark.parametrize("shape, indptr", [
+    ((3, 4), np.int64), ((3, 4), np.int32), ((1, 2**31), np.int32),
+    ((1, 2**31), np.int64)])
+def test_block_index_dtype_is_the_one_scipy_chooses(shape, indptr):
+    # int32 while it addresses the rows, the columns and nnz, else int64,
+    # whatever the dtype of the arrays handed in
+    ptr = np.zeros(shape[0] + 1, indptr)
+    block = CsrBlock(np.zeros(0, np.float32), np.zeros(0, np.int64), ptr, shape)
+    oracle = sp.csr_matrix((np.zeros(0), np.zeros(0, np.int64), ptr), shape=shape)
+    assert block.indptr.dtype == block.indices.dtype == oracle.indptr.dtype
+    assert block.indices.dtype == oracle.indices.dtype
+    assert block.data.dtype == np.float64 and block.shape == shape
+    assert block.nnz == 0
+
+
+def test_block_must_be_a_csr_the_kernels_can_read():
+    # the kernels trust the arrays: a pointer or index that would take them
+    # out of bounds is refused when the block is made
+    ok = dict(data=np.ones(2), indices=np.array([0, 2]), indptr=np.array([0, 1, 2]),
+              shape=(2, 3))
+    assert CsrBlock(**ok).nnz == 2
+    for flaw in (dict(indptr=np.array([0, 2])), dict(indptr=np.array([0, 1, 3])),
+                 dict(indptr=np.array([1, 1, 2])), dict(indptr=np.array([0, 3, 2])),
+                 dict(indices=np.array([0])), dict(data=np.ones(3)),
+                 dict(indices=np.array([0, 3])), dict(indices=np.array([-1, 2]))):
+        with pytest.raises(ValueError, match="not a 2x3 CSR"):
+            CsrBlock(**{**ok, **flaw})
+    for flaw in (dict(indices=np.array([0.0, 2.0])), dict(indptr=np.array([0.0, 1, 2]))):
+        with pytest.raises(TypeError):
+            CsrBlock(**{**ok, **flaw})
 
 
 def test_csc_matvec_adds_into_its_output():
@@ -1588,6 +1646,60 @@ def test_csc_matvec_adds_into_its_output():
         f"{out}; CoilOperator.T relies on it")
 
 
+def test_csr_matvec_adds_into_its_output():
+    # CoilOperator writes each coil block's product into its slice of one
+    # output through scipy's private csr_matvec(n_row, n_col, Ap, Aj, Ax,
+    # Xx, Yx), which computes Yx += A Xx for the CSR matrix A; checked on
+    # scipy 1.17.1
+    import scipy
+
+    version = f"scipy {scipy.__version__}"
+    a = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]))
+    out = np.array([10.0, 20.0, 30.0, 40.0])
+    try:
+        mpisim.sysmat._sparsetools().csr_matvec(
+            2, 3, a.indptr, a.indices, a.data, np.array([5.0, 6.0, 7.0]), out[1:3])
+    except Exception as exc:  # a renamed module or a new signature
+        pytest.fail(f"{version}: csr_matvec of a 2x3 CSR into a slice failed: {exc!r}")
+    # a @ [5, 6, 7] is [19, 46]
+    assert np.array_equal(out, [10.0, 39.0, 76.0, 40.0]), (
+        f"{version}: csr_matvec no longer adds A x into its output slice, it "
+        f"gave {out}; CoilOperator relies on it")
+
+
+# Run in a fresh interpreter: loads the kernels through sysmat and imports
+# scipy.sparse, in the order argv names, and prints whether both are one
+# module and which scipy modules the helper alone loaded
+_KERNELS_PROBE = """\
+import json, sys
+from mpisim import sysmat
+
+seen = {}
+for step in sys.argv[1:]:
+    if step == "helper":
+        helper = sysmat._sparsetools()
+        seen["helper"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+    else:
+        from scipy.sparse import _sparsetools
+print(json.dumps({**seen, "same": helper is _sparsetools,
+                  "cached": sysmat._sparsetools() is helper}))
+"""
+
+
+@pytest.mark.parametrize("order", [("helper", "scipy"), ("scipy", "helper")])
+def test_sparsetools_is_scipys_own_module(order):
+    # one module object whichever is loaded first, so scipy.sparse, imported
+    # after a solve, runs the same kernels the operator ran
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNELS_PROBE, *order], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1])})
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["same"] and seen["cached"]
+    if order[0] == "helper":  # scipy's and scipy.sparse's __init__ never ran
+        assert seen["helper"] == ["scipy.sparse._sparsetools"]
+
+
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     filtered = apply_highpass_rows(matrix_x, 35e3)
     path = tmp_path / "sm_hp.bin"
@@ -1595,7 +1707,7 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     back = load_system_matrix(path, expected_hash=_X_HP_HASH)
     assert back.highpass == filtered.highpass
     assert back.nnz == matrix_x.nnz
-    assert all(sp.issparse(block) for block in back.blocks)
+    assert all(isinstance(block, CsrBlock) for block in back.blocks)
     x = np.random.default_rng(7).normal(size=filtered.shape[1])
     assert np.array_equal(back.operator() @ x, filtered.operator() @ x)
 
