@@ -325,8 +325,8 @@ class CsrBlock:
                 or np.any(np.diff(indptr) < 0)
                 or data.size and not 0 <= indices.min() <= indices.max() < cols):
             raise ValueError(f"not a {rows}x{cols} CSR: indptr must rise from 0 to "
-                             f"the {data.size} values in {rows + 1} entries, and "
-                             f"as many indices lie in [0, {cols})")
+                             f"nnz = {data.size} in {rows + 1} entries, with nnz "
+                             f"indices in [0, {cols})")
         index = (np.int32 if max(rows, cols, data.size) <= np.iinfo(np.int32).max
                  else np.int64)
         fields = dict(shape=(rows, cols), data=data.astype(float, copy=False),
@@ -346,7 +346,7 @@ def _sparsetools():
 
     The extension is loaded from scipy's directory under its full name,
     without running scipy's or scipy.sparse's __init__, which import about
-    75 modules, numpy.testing and numpy.f2py among them; a later import of
+    300 modules, numpy.testing and numpy.f2py among them; a later import of
     scipy.sparse finds it in sys.modules and uses the same module.
     """
     name = "scipy.sparse._sparsetools"

@@ -61,9 +61,9 @@ def _densified_highpass(sm, cutoff):
     matrix-free.
     """
     mask = highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
-    return np.vstack([np.real(np.fft.ifft(np.fft.fft(_scipy_csr(block).toarray(), axis=0)
+    return np.vstack([np.real(np.fft.ifft(np.fft.fft(_scipy_csr(b).toarray(), axis=0)
                                           * mask[:, None], axis=0))
-                      for block in sm.blocks])
+                      for b in sm.blocks])
 
 
 def _scipy_csr(block):
@@ -854,8 +854,8 @@ _TINY_HASH = "0123456789abcdef"
 
 def _tiny_matrix():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
-    return SystemMatrix(blocks=(_block(sp.csr_matrix(dense)),), sample_rate=1e6, t0=0.0,
-                        rows_per_coil=3, coils=(coil_along("x"),),
+    return SystemMatrix(blocks=(_block(sp.csr_matrix(dense)),), sample_rate=1e6,
+                        t0=0.0, rows_per_coil=3, coils=(coil_along("x"),),
                         grid_dims=(3, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
                         grid_origin=(0.0, 0.0, 0.0))
 
@@ -1601,8 +1601,8 @@ def test_block_index_dtype_is_the_one_scipy_chooses(shape, indptr):
     ptr = np.zeros(shape[0] + 1, indptr)
     block = CsrBlock(np.zeros(0, np.float32), np.zeros(0, np.int64), ptr, shape)
     oracle = sp.csr_matrix((np.zeros(0), np.zeros(0, np.int64), ptr), shape=shape)
-    assert block.indptr.dtype == block.indices.dtype == oracle.indptr.dtype
-    assert block.indices.dtype == oracle.indices.dtype
+    assert (block.indptr.dtype, block.indices.dtype) == (oracle.indptr.dtype,
+                                                          oracle.indices.dtype)
     assert block.data.dtype == np.float64 and block.shape == shape
     assert block.nnz == 0
 
