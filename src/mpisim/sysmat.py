@@ -17,14 +17,11 @@ staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
 its own exact zeros.  It is stored sparse; filtered on application.
 build_system_matrices hands each row block's plain arrays, as the block
-arrives, to a sink and drops the block.  For library callers and test
-oracles the sink is in memory: it copies the block into each coil's
-growing data and indices, so the matrix is held once while it is
-assembled, plus a few blocks in flight (and one coil's entries twice for a
-moment if that coil outgrows its estimated size); each coil's arrays are
-then trimmed in place into its own CSR block.  The CLI streams instead:
-each (staircase, coil) block goes straight to that coil's file
-(_RunWriter), so no matrix is ever held.
+arrives, to the _RunWriter of each (staircase, coil) and drops the block,
+so no matrix is held while it is assembled: only the runs, a few blocks in
+flight, and the values spilled to disk.  The CLI streams into its matrix
+files; a library build streams into a temporary directory and loads the
+files back, so every matrix in memory comes out of the one loader.
 A stored matrix keeps each row's columns as runs of consecutive cells,
 which is how the low-field volume crosses the grid's flat indices:
 _RunWriter encodes them a block of rows at a time, for the build and for
@@ -54,6 +51,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,11 +70,13 @@ from .phantom import ConcentrationGrid, cell_offsets
 # so what worker threads free is reused instead of piling up in their
 # malloc arenas and making peak memory vary from run to run.  At most two
 # blocks per worker are in flight (forward.map_time_blocks), so they are
-# what the build holds beyond the matrix, or beyond the runs when it
-# streams.  32 held about 9 MiB less on the desk scene, but desk_run and
-# l1_sweep ran 7-12% longer end to end.
+# what the build holds beyond the runs.  32 held about 9 MiB less on the
+# desk scene, but desk_run and l1_sweep ran 7-12% longer end to end.
 _DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
+# the digest in the header of an in-memory build's files, which are loaded
+# back unchecked
+_UNCHECKED = "0" * 16
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
@@ -554,74 +554,11 @@ class StoredMatrix:
 
 
 def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
-    """The largest (staircase, coil) nonzero count, extrapolated from 8 probe times."""
+    """The largest (staircase, coil) nonzero count, extrapolated from 8 probe
+    times, for the cap check before assembly starts."""
     idx = np.unique(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
     return math.ceil(max(vals.size for per_coil in quad.sparse_weights(
         approxes, rhos, times[idx]) for vals, _, _ in per_coil) / idx.size * times.size)
-
-
-class _CoilRows:
-    """One staircase's CSR arrays, one pair per coil, filled block by block.
-
-    Coil k's entries go to data[k] and indices[k], in row order, and
-    counts[k] holds its row lengths.  np.empty reserves the capacity
-    without touching it, so only the entries written take memory.  A coil
-    that outgrows its capacity gets twice as much: _regrow copies its
-    entries into new arrays, so it holds them twice for a moment.  blocks()
-    trims each coil's arrays in place, so no entry is held twice.
-    """
-
-    def __init__(self, n_coils: int, capacity: int, n_rows: int):
-        self.data = [np.empty(capacity) for _ in range(n_coils)]
-        self.indices = [np.empty(capacity, np.int32) for _ in range(n_coils)]
-        self.nnz = [0] * n_coils
-        self.counts = np.empty((n_coils, n_rows), np.int64)
-        self.rows = 0
-
-    def append(self, per_coil) -> None:
-        """Add one row block: a (data, indices, row lengths) triple per coil."""
-        for k, (vals, cells, counts) in enumerate(per_coil):
-            lo, hi = self.nnz[k], self.nnz[k] + vals.size
-            if hi > self.data[k].size:
-                self._regrow(k, max(hi, 2 * self.data[k].size))
-            self.data[k][lo:hi] = vals
-            self.indices[k][lo:hi] = cells
-            self.counts[k, self.rows:self.rows + counts.size] = counts
-            self.nnz[k] = hi
-        self.rows += per_coil[0][2].size
-
-    def _regrow(self, k: int, capacity: int) -> None:
-        """Copy coil k's entries to new arrays of the given capacity."""
-        for arrays in (self.data, self.indices):
-            new = np.empty(capacity, arrays[k].dtype)
-            new[:self.nnz[k]] = arrays[k][:self.nnz[k]]
-            arrays[k] = new
-
-    def blocks(self, cols: int) -> tuple:
-        """Each coil's rows as a CsrBlock of its arrays, trimmed in place."""
-        out = []
-        for data, indices, counts, nnz in zip(self.data, self.indices, self.counts,
-                                              self.nnz):
-            data.resize(nnz, refcheck=False)
-            indices.resize(nnz, refcheck=False)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            out.append(CsrBlock(data, indices, indptr, (self.rows, cols)))
-        return tuple(out)
-
-
-class _CoilFiles:
-    """One staircase's _RunWriter per coil: _CoilRows' appends, streamed to files."""
-
-    def __init__(self, writers: list):
-        self.writers = writers
-
-    @property
-    def nnz(self) -> list:
-        return [writer.nnz for writer in self.writers]
-
-    def append(self, per_coil) -> None:
-        for writer, (vals, cells, counts) in zip(self.writers, per_coil, strict=True):
-            writer.append(vals, cells, counts)
 
 
 def build_system_matrices(model: FieldModel, approxes, coils,
@@ -638,20 +575,24 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     coil's pattern equals that of its dense quadrature; values agree to the
     rounding of the reordered term sum.  Blocks are independent and may be
     computed by worker threads.  They are taken in block order as they
-    arrive: each is handed to its staircase's sink and dropped, and the
+    arrive: each is handed to its (staircase, coil) files and dropped, and the
     entries of one time never depend on the rest of its block, so the
     result does not depend on the worker count or block size.
 
-    Without files, the sink is a _CoilRows, whose coil arrays start at the
-    estimated count below plus an eighth, and one SystemMatrix per
-    staircase is returned, in order, whose blocks are the given
-    ReceiveCoils' rows in that order.  With files, files[i] yields one
-    (path, digest) per coil, and each (staircase i, coil) streams into its
-    own file (_RunWriter), as save_system_matrix would store its rows with
-    digest in the header; one StoredMatrix per staircase is returned, and
-    no matrix is ever held.  Each files[i] is iterated only once the
-    estimated count has passed the cap, and the files are replaced when the
-    build ends; none is touched when it stops.  highpass marks every matrix
+    Every (staircase i, coil) streams into its own file through a
+    _RunWriter, as save_system_matrix would store its rows, so no matrix is
+    held while it is assembled.  With files, files[i] yields one (path,
+    digest) per coil, digest going into the header, and one StoredMatrix
+    per staircase is returned.  Each files[i] is iterated only once the
+    estimated count has passed the cap; a row without one entry per coil,
+    or two entries with one real path, are a ConfigError before any file
+    is opened.  The files are replaced when the build ends; none is touched
+    when it stops.  Without files, the files go to a temporary directory,
+    removed however the build ends, and each staircase's are loaded back:
+    one SystemMatrix per staircase is returned, in order, whose blocks are
+    the given ReceiveCoils' rows in that order, checked as
+    load_system_matrices checks every stored matrix, and sharing indptr and
+    indices between coils whose runs agree.  highpass marks every matrix
     with that cut-off, as apply_highpass_rows does.
 
     nnz_cap limits each (staircase, coil): the count extrapolated from 8
@@ -679,35 +620,60 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     meta = dict(sample_rate=acq.sample_rate, t0=acq.t0, rows_per_coil=acq.n_samples,
                 coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
                 grid_origin=grid.origin, highpass=highpass)
+    blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
+                             times, n_workers, block)
+    if files is not None:
+        files = _checked_files(files, len(approxes), len(coils))
+        return _write_blocks(blocks, files, meta, grid.n_cells, nnz_cap)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED) for k in range(len(coils))]
+                 for i in range(len(approxes))]
+        return [load_system_matrices(stored.paths)
+                for stored in _write_blocks(blocks, files, meta, grid.n_cells, nnz_cap)]
+
+
+def _checked_files(files, n_staircases: int, n_coils: int) -> list:
+    """files as lists of (path, digest), one list per staircase and one entry
+    per coil; ConfigError when a count is off or two paths are one file."""
+    files = [list(row) for row in files]
+    if len(files) != n_staircases:
+        raise ConfigError(f"{len(files)} rows of files for {n_staircases} staircase(s)")
+    seen = set()
+    for row in files:
+        if len(row) != n_coils:
+            raise ConfigError(f"{len(row)} files in a row for {n_coils} coil(s)")
+        for path, _ in row:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ConfigError(f"{path} is given to two (staircase, coil) files")
+            seen.add(real)
+    return files
+
+
+def _write_blocks(blocks, files, meta: dict, cols: int, nnz_cap: int) -> list:
+    """Stream each row block of blocks, a (data, indices, row lengths) triple
+    per staircase and coil, into the _RunWriter of its files[i][k], stopping
+    when a (staircase, coil) passes nnz_cap; one StoredMatrix per staircase."""
+    n_rows = meta["rows_per_coil"]
     with contextlib.ExitStack() as stack:
-        if files is None:
-            # the 8 probes read low by 1-4% on the desk scenes: an eighth more
-            # spares the late regrow of nearly the whole matrix
-            sinks = [_CoilRows(len(coils), est + est // 8, times.size)
-                     for _ in approxes]
-        else:
-            sinks = [_CoilFiles([
-                stack.enter_context(_RunWriter(path, digest, (acq.n_samples, grid.n_cells),
-                                               {**meta, "coils": (coil,)}))
-                for (path, digest), coil in zip(per_coil, coils, strict=True)])
-                for per_coil in files]
-        blocks = stack.enter_context(contextlib.closing(map_time_blocks(
-            lambda span: quad.sparse_weights(approxes, rhos, span),
-            times, n_workers, block)))
+        writers = [[stack.enter_context(_RunWriter(path, digest, (n_rows, cols),
+                                                   {**meta, "coils": (coil,)}))
+                    for (path, digest), coil in zip(row, meta["coils"])]
+                   for row in files]
+        stack.enter_context(contextlib.closing(blocks))
         rows = 0
         for parts in blocks:
             rows += parts[0][0][2].size
-            for per_coil, sink in zip(parts, sinks, strict=True):
-                sink.append(per_coil)
-                if max(sink.nnz) > nnz_cap:
+            for per_coil, row in zip(parts, writers):
+                for writer, part in zip(row, per_coil):
+                    writer.append(*part)
+                nnz = max(w.nnz for w in row)
+                if nnz > nnz_cap:
                     raise ResourceCapError(
-                        f"assembled {max(sink.nnz)} nonzeros for one coil by "
-                        f"row {rows} of {times.size}, over the cap of {nnz_cap}")
-    if files is not None:
-        shape = (len(coils) * acq.n_samples, grid.n_cells)
-        return [StoredMatrix(tuple(w.path for w in sink.writers), tuple(sink.nnz), shape)
-                for sink in sinks]
-    return [SystemMatrix(blocks=sink.blocks(grid.n_cells), **meta) for sink in sinks]
+                        f"assembled {nnz} nonzeros for one coil by row {rows} of "
+                        f"{n_rows}, over the cap of {nnz_cap}")
+    return [StoredMatrix(tuple(w.path for w in row), tuple(w.nnz for w in row),
+                         (len(row) * n_rows, cols)) for row in writers]
 
 
 def stack_coils(sm: SystemMatrix, traces: list[SignalTrace]) -> np.ndarray:
@@ -771,8 +737,8 @@ class _RunWriter:
     by row block.
 
     append takes a block of whole rows as the (values, int columns, row
-    lengths) triple that _CoilRows.append takes, with each row's columns
-    sorted.  Its runs are found at once (_chunk_heads): run_ptr and each
+    lengths) triple that CellQuadrature.sparse_weights gives each
+    (staircase, coil), with each row's columns sorted.  Its runs are found at once (_chunk_heads): run_ptr and each
     run's start and length stay in memory, 8 bytes per run, and the values
     go to a spill file beside path.  As a context manager: on a clean exit
     the header, run_ptr, starts and lengths are written to a temporary file

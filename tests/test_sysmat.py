@@ -698,51 +698,6 @@ def test_assembly_holds_a_window_of_blocks(scene, monkeypatch, workers):
     assert stats["alive"] == 0
 
 
-def test_assembly_from_a_one_entry_capacity_is_bit_equal(scene, monkeypatch):
-    model, grid, config, _ = scene
-    approxes, coils = _sweep_staircases()[:2], [coil_along("x"), coil_along("y")]
-    default = build_system_matrices(model, approxes, coils, config, grid,
-                                    subsampling=2, block=7)
-    monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 1)
-    for workers in (1, 2):
-        grown = build_system_matrices(model, approxes, coils, config, grid,
-                                      subsampling=2, n_workers=workers, block=7)
-        for got, want in zip(grown, default, strict=True):
-            assert got.nnz > 100
-            for k, (a, b) in enumerate(zip(got.blocks, want.blocks, strict=True)):
-                _assert_same_csr(a, b, (workers, k))
-
-
-@pytest.mark.parametrize("capacity", [0, 1, 19, 21, 24, 1000])
-@pytest.mark.parametrize("rows", [2, 3, 1 << 18])
-def test_coil_rows_stack_like_a_concatenation(capacity, rows):
-    # 8 rows of 3 coils with 0-4 entries per row, appended in blocks of at
-    # most rows rows: whatever the first capacity (regrown or not) and the
-    # blocks, each coil's CSR holds the concatenation of its rows, in arrays
-    # trimmed to its entries
-    rng = np.random.default_rng(5)
-    counts = rng.integers(0, 5, (3, 8))
-    data = [rng.random(c.sum()) for c in counts]
-    indices = [rng.integers(0, 99, c.sum()).astype(np.int32) for c in counts]
-    ptr = np.zeros((3, 9), np.int64)
-    np.cumsum(counts, axis=1, out=ptr[:, 1:])
-    acc = mpisim.sysmat._CoilRows(3, capacity, 8)
-    for lo in range(0, 8, rows):
-        hi = min(lo + rows, 8)
-        acc.append([(data[k][ptr[k, lo]:ptr[k, hi]], indices[k][ptr[k, lo]:ptr[k, hi]],
-                     counts[k, lo:hi]) for k in range(3)])
-    assert acc.nnz == [c.sum() for c in counts]
-    for k, block in enumerate(acc.blocks(99)):
-        assert block.shape == (8, 99)
-        assert np.array_equal(block.indptr, ptr[k])
-        assert block.data.dtype == np.float64 and np.array_equal(block.data, data[k])
-        assert block.indices.dtype == np.int32 and np.array_equal(block.indices,
-                                                                  indices[k])
-        # the CSR holds the sink's own arrays, trimmed in place
-        for got, held in ((block.data, acc.data[k]), (block.indices, acc.indices[k])):
-            assert np.shares_memory(got, held) and held.size == block.nnz
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypatch,
                                                       workers):
@@ -760,6 +715,73 @@ def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypat
     assert stats["calls"] < 0.75 * config.n_samples
     assert {t for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor")} <= before
+
+
+def test_build_in_memory_leaves_no_file(scene, matrix_x, tmp_path, monkeypatch):
+    # the build streams into a temporary directory and loads its files
+    # back; the directory goes when the build ends and when it stops
+    model, grid, config, approx = scene
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    loaded = []
+    real = mpisim.sysmat.load_system_matrices
+
+    def recording(paths, *args, **kwargs):
+        assert all(Path(path).parent.parent == tmp for path in paths)
+        loaded.append(paths)
+        return real(paths, *args, **kwargs)
+
+    monkeypatch.setattr(mpisim.sysmat, "load_system_matrices", recording)
+    coils = [coil_along("x"), coil_along("y")]
+    both = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
+    _assert_same_csr(both.blocks[0], matrix_x.blocks[0])
+    assert len(loaded) == 1 and len(loaded[0]) == 2
+    assert list(tmp.iterdir()) == []
+    monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    with pytest.raises(ResourceCapError, match="one coil"):
+        build_system_matrix(model, approx, coils, config, grid, subsampling=2,
+                            nnz_cap=matrix_x.nnz // 2, block=1)
+    assert len(loaded) == 1
+    assert list(tmp.iterdir()) == []
+
+
+def test_coils_whose_runs_agree_share_indices_in_memory(matrix_xyz):
+    # the x and y coils of the scene have one pattern, z an empty one
+    x, y, z = matrix_xyz.blocks
+    assert x.nnz > 0 and z.nnz == 0
+    assert np.shares_memory(x.indices, y.indices)
+    assert np.shares_memory(x.indptr, y.indptr)
+    assert not np.shares_memory(x.data, y.data)
+    assert not np.shares_memory(x.indptr, z.indptr)
+
+
+@pytest.mark.parametrize("case", ["one path", "an alias", "two staircases",
+                                  "a short row", "a long row", "a missing row"])
+def test_build_files_are_checked_before_any_is_opened(scene, tmp_path, case):
+    # two writers of one path would share its spill file, and the file
+    # would load with one coil's header and the other's values
+    model, grid, config, approx = scene
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "alias").symlink_to(out, target_is_directory=True)
+    coils = [coil_along("x"), coil_along("y")]
+    x, y, z = (out / f"{axis}.mat" for axis in "xyz")
+    twice, off = "given to two", r"for \d coil\(s\)"
+    n_staircases, files, message = {  # a row of (path, digest) per staircase
+        "one path": (1, [[(x, _X_HASH), (x, _X_HASH)]], twice),
+        "an alias": (1, [[(x, _X_HASH), (tmp_path / "alias" / "x.mat", _X_HASH)]],
+                     twice),
+        "two staircases": (2, [[(x, _X_HASH), (y, _X_HASH)],
+                               [(z, _X_HASH), (y, _X_HASH)]], twice),
+        "a short row": (1, [[(x, _X_HASH)]], off),
+        "a long row": (1, [[(x, _X_HASH), (y, _X_HASH), (z, _X_HASH)]], off),
+        "a missing row": (2, [[(x, _X_HASH), (y, _X_HASH)]], "for 2 staircase"),
+    }[case]
+    with pytest.raises(ConfigError, match=message):
+        build_system_matrices(model, [approx] * n_staircases, coils, config, grid,
+                              subsampling=2, files=files)
+    assert list(out.iterdir()) == []
 
 
 def test_config_hash_sensitivity(scene):
