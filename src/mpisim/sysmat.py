@@ -584,9 +584,9 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     held while it is assembled.  With files, files[i] yields one (path,
     digest) per coil, digest going into the header, and one StoredMatrix
     per staircase is returned.  Each files[i] is iterated only once the
-    estimated count has passed the cap; a row without one entry per coil,
-    or two entries with one real path, are a ConfigError before any file
-    is opened.  The files are replaced when the build ends; none is touched
+    estimated count has passed the cap; files without one row per
+    staircase, a row without one entry per coil, or two entries with one
+    real path are a ConfigError before any file is opened.  The files are replaced when the build ends; none is touched
     when it stops.  Without files, the files go to a temporary directory,
     removed however the build ends, and each staircase's are loaded back:
     one SystemMatrix per staircase is returned, in order, whose blocks are
