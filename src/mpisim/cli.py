@@ -322,8 +322,7 @@ STAGES = {
     "phantom": (("phantoms",), ()),
     "simulate": (("coils", "field", "acq", "simulate"), ("phantom",)),
     "filter": (("coils", "highpass"), ("simulate",)),
-    "sysmat": (("coils", "field", "approx", "grid", "acq", "subsampling",
-                "highpass"), ()),
+    "sysmat": (("coils", "field", "approx", "grid", "acq", "subsampling"), ()),
     "lsqr": (("coils", "highpass", "grid", "lsqr"), ("filter", "sysmat")),
     "fbp": (("coils", "highpass", "grid", "fbp"), ("filter",)),
     "compare": ((), ("phantom", "lsqr", "fbp")),
@@ -434,8 +433,8 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
 
 def _matrix_hashes(plan: dict) -> tuple:
     return tuple(sysmat.config_hash(plan["field"], plan["approx"], plan["grid"],
-                                    plan["acq"], coil, plan["subsampling"],
-                                    plan["highpass"]) for _, coil in plan["coils"])
+                                    plan["acq"], coil, plan["subsampling"])
+                 for _, coil in plan["coils"])
 
 
 class Workspace:
@@ -462,7 +461,10 @@ class Workspace:
         so a run that stops before a stage has passed its input checks and
         written leaves the directory as it was."""
         if not self.echoed:
-            self.dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):
+                raise ConfigError(f"{self.dir}: a file is in its place") from None
             with atomic_open(self.path("config.resolved.ini"), "w") as fh:
                 fh.write(self.resolved)
             self.echoed = True
@@ -614,16 +616,16 @@ def stage_filter(ws: Workspace):
 
 def stage_sysmat(ws: Workspace):
     """Build every coil's matrix in one pass, streaming each coil's rows into
-    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held.
-    stage_lsqr reads the files back into plain-array CSR blocks and solves
-    through scipy's compiled CSR kernels alone: no stage imports
-    scipy.sparse."""
+    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held:
+    S alone, unfiltered.  stage_lsqr reads the files back into plain-array
+    CSR blocks, marks them with the plan's cut-off and solves through
+    scipy's compiled CSR kernels alone: no stage imports scipy.sparse."""
     plan = ws.plan
     stored = sysmat.build_system_matrix(
         plan["field"], plan["approx"], [coil for _, coil in plan["coils"]],
         plan["acq"], plan["grid"], plan["subsampling"],
         nnz_cap=plan["sysmat.nnz_cap"], n_workers=plan["sysmat.workers"],
-        files=_matrix_files(ws), highpass=plan["highpass"])
+        files=_matrix_files(ws))
     _report_matrices(ws, stored)
 
 
@@ -650,6 +652,8 @@ def stage_lsqr(ws: Workspace):
     paths = [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils]
     sm = sysmat.load_system_matrices(paths, list(ws.stamps["sysmat"]), force=ws.force)
     ws.check("sysmat", paths)
+    if ws.plan["highpass"] is not None:
+        sm = sysmat.apply_highpass_rows(sm, ws.plan["highpass"])
     rhs = sysmat.stack_coils(sm, traces)
     if not sm.grid_meta_matches(grid):
         raise ConfigError(
@@ -797,8 +801,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
         [coil for _, coil in shared["coils"]], shared["acq"], shared["grid"],
         shared["subsampling"], nnz_cap=shared["sysmat.nnz_cap"],
         n_workers=shared["sysmat.workers"],
-        files=[_matrix_files(sub) for _, sub in subs.values()],
-        highpass=shared["highpass"])
+        files=[_matrix_files(sub) for _, sub in subs.values()])
     summary = []
     for (value, sub), matrix in zip(subs.values(), stored):
         for axis, _ in shared["coils"]:

@@ -167,8 +167,11 @@ def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int):
     consumer that drops each result holds at most that many at once.  An
     exception in fn reaches the consumer at its span.  When the generator
     finishes, raises or is closed, the spans not yet started are cancelled
-    and the running ones waited for, so no pool thread outlives it.
+    and the running ones waited for, so no pool thread outlives it.  A
+    block below 1 is a ConfigError.
     """
+    if block < 1:
+        raise ConfigError(f"a time block needs at least 1 time, got {block}")
     spans = [times[lo:lo + block] for lo in range(0, times.size, block)]
     if n_workers <= 1 or len(spans) <= 1:
         yield from map(fn, spans)

@@ -15,7 +15,7 @@ tile.  See CellQuadrature.  Only rho depends on the receive coil and
 only mbar'_N on the staircase, so one pass serves every coil and
 staircase: B, the pruning (at the largest b) and the sub-point |B| are
 computed once, and each (staircase, coil) keeps its own entries and drops
-its own exact zeros.  It is stored sparse; filtered on application.
+its own exact zeros.  It is stored sparse, S alone; filtered on application.
 build_system_matrices hands each row block's plain arrays, as the block
 arrives, to the _RunWriter of each (staircase, coil) and drops the block,
 so no matrix is held while it is assembled: only the runs, a few blocks in
@@ -439,10 +439,10 @@ class SystemMatrix:
     coils[k]; S is the blocks stacked in coil order.  Blocks may share
     indptr and indices (load_system_matrices).  scipy.sparse.csr_matrix((
     b.data, b.indices, b.indptr), shape=b.shape) is block b as scipy holds
-    it, without a copy.  S is unfiltered, stored sparse; highpass is
-    filtered on application by operator().  The config hash that identifies
-    a stored matrix is not held here: it is written by save_system_matrix
-    and checked by load_system_matrices.
+    it, without a copy.  S is stored sparse and unfiltered; highpass, set by
+    apply_highpass_rows, is filtered on application by operator().  The
+    config hash that identifies a stored matrix is not held here: it is
+    written by save_system_matrix and checked by load_system_matrices.
     """
 
     blocks: tuple
@@ -509,34 +509,29 @@ def stamp(*parts) -> str:
 
 def config_hash(model: FieldModel, approx: MagnetizationApprox,
                 grid: ConcentrationGrid, acq: AcquisitionConfig, coil: ReceiveCoil,
-                subsampling: int = 1, highpass: float | None = None) -> str:
+                subsampling: int = 1) -> str:
     """The stamp of everything a coil's matrix depends on.
 
     The grid enters by its geometry alone, the time axis as its sample
-    count, t0 and spacing 1/sample_rate.  A high-pass cut-off is chained
-    onto the digest of the unfiltered matrix.
+    count, t0 and spacing 1/sample_rate.  No cut-off enters: S is unfiltered.
     """
-    digest = stamp(model.terms, model.validity_radius, approx.scheme, approx.threshold,
-                   approx.ladder, approx.slopes, grid.dims, grid.spacing, grid.origin,
-                   acq.n_samples, acq.t0, 1 / acq.sample_rate, coil.sensitivity,
-                   subsampling)
-    if highpass is None:
-        return digest
-    return hashlib.sha256(f"{digest}|hp:{highpass:.17g}".encode()).hexdigest()[:16]
+    return stamp(model.terms, model.validity_radius, approx.scheme, approx.threshold,
+                 approx.ladder, approx.slopes, grid.dims, grid.spacing, grid.origin,
+                 acq.n_samples, acq.t0, 1 / acq.sample_rate, coil.sensitivity,
+                 subsampling)
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                        block: int = _DEFAULT_BLOCK, files=None,
-                        highpass: float | None = None):
+                        block: int = _DEFAULT_BLOCK, files=None):
     """The matrix of one staircase, one block per coil:
     build_system_matrices([approx]), or with files, one (path, digest) per
     coil, the StoredMatrix of its files."""
     return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
                                  nnz_cap, n_workers, block,
-                                 None if files is None else [files], highpass)[0]
+                                 None if files is None else [files])[0]
 
 
 @dataclass(frozen=True)
@@ -565,8 +560,7 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                           acq: AcquisitionConfig, grid: ConcentrationGrid,
                           subsampling: int = 1,
                           nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                          block: int = _DEFAULT_BLOCK, files=None,
-                          highpass: float | None = None) -> list:
+                          block: int = _DEFAULT_BLOCK, files=None) -> list:
     """Assemble the matrix of each staircase in approxes, one block per coil.
 
     Each coil's rows are the sample times of acq.  One pass serves every
@@ -592,8 +586,7 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     one SystemMatrix per staircase is returned, in order, whose blocks are
     the given ReceiveCoils' rows in that order, checked as
     load_system_matrices checks every stored matrix, and sharing indptr and
-    indices between coils whose runs agree.  highpass marks every matrix
-    with that cut-off, as apply_highpass_rows does.
+    indices between coils whose runs agree.
 
     nnz_cap limits each (staircase, coil): the count extrapolated from 8
     probe times is checked before any assembly starts, the running count
@@ -606,8 +599,6 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     coils = tuple(coils)
     if not coils:
         raise ConfigError("need at least one receive coil")
-    if highpass is not None:
-        _check_cutoff(acq.n_samples, acq.sample_rate, highpass)
     times = acq.times()
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
@@ -619,7 +610,7 @@ def build_system_matrices(model: FieldModel, approxes, coils,
 
     meta = dict(sample_rate=acq.sample_rate, t0=acq.t0, rows_per_coil=acq.n_samples,
                 coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
-                grid_origin=grid.origin, highpass=highpass)
+                grid_origin=grid.origin)
     blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
                              times, n_workers, block)
     if files is not None:
@@ -699,17 +690,13 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
 
     Filtering commutes with the matrix-vector product, so operator() @ c
     equals the filtered S @ c.  Stored sparse; filtered on application.
-    A cut-off that keeps no DFT bin of a coil block raises ConfigError.
+    A cut-off that is not positive or keeps no DFT bin of a coil block
+    raises ConfigError.
     """
-    _check_cutoff(sm.rows_per_coil, sm.sample_rate, cutoff)
-    return replace(sm, highpass=cutoff)
-
-
-def _check_cutoff(n_rows: int, sample_rate: float, cutoff: float) -> None:
-    """ConfigError unless cutoff is positive and keeps a DFT bin of n_rows samples."""
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
-    highpass_mask(n_rows, sample_rate, cutoff)
+    highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
+    return replace(sm, highpass=cutoff)
 
 
 def _row_chunks(indptr, size: int = _CHUNK):
@@ -782,10 +769,9 @@ class _RunWriter:
 
     def _write(self) -> None:
         meta = self.meta
-        hp = "none" if meta["highpass"] is None else f"{meta['highpass']:.17g}"
         lines = [
             f"{self.shape[0]} {self.shape[1]} {self.nnz} {self.digest} runs {self.n_runs}",
-            f"{meta['sample_rate']:.17g} {meta['t0']:.17g} {meta['rows_per_coil']} {hp}",
+            f"{meta['sample_rate']:.17g} {meta['t0']:.17g} {meta['rows_per_coil']}",
             " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
                      for c in meta["coils"]),
             " ".join([*(str(d) for d in meta["grid_dims"]),
@@ -808,13 +794,14 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     run starts at least 2 past the previous run's last column and each
     matrix has one encoding.  Header line 0 holds digest, the config_hash
     of what sm was built from, and ends in the layout token runs and the
-    run count.  The payload is run_ptr (<i8, rows + 1 entries: the first
-    run of each row), starts and lengths (<i4, one per run) and data (<f8,
-    nnz entries, as held), for the blocks' rows in coil order.  Every block
-    must hold sorted column indices, as every assembled or loaded one does.
-    Its rows go to the one _RunWriter a bounded number at a time
-    (_row_chunks), so no temporary is nnz-sized, and an interrupted write
-    never leaves a partial matrix behind.
+    run count; line 1 holds sample_rate t0 rows_per_coil, not sm.highpass:
+    the file holds S alone.  The payload is run_ptr (<i8, rows + 1
+    entries: the first run of each row), starts and lengths (<i4, one per
+    run) and data (<f8, nnz entries, as held), for the blocks' rows in coil
+    order.  Every block must hold sorted column indices, as every
+    assembled or loaded one does.  Its rows go to the one _RunWriter a
+    bounded number at a time (_row_chunks), so no temporary is nnz-sized,
+    and an interrupted write never leaves a partial matrix behind.
     """
     meta = {f.name: getattr(sm, f.name) for f in dataclasses.fields(sm)
             if f.name != "blocks"}
@@ -831,9 +818,10 @@ def _parse_header(lines):
 
     ValueError when a line is malformed or its metadata impossible: line 0
     must end in the runs layout token and a run count that can hold the
-    nonzeros, every rate, time, cut-off, vector, spacing and origin must be
-    finite, the sample rate and a cut-off positive, and the shape must
-    match rows_per_coil times the coils and the grid dims.  ConfigError
+    nonzeros (line 1 of an older file, ending in its cut-off, asks for a
+    rebuild), every rate, time, vector, spacing and origin must be finite,
+    the sample rate positive, and the shape must match rows_per_coil times
+    the coils and the grid dims.  ConfigError
     when ReceiveCoil rejects a coil vector: it must have 3 components, not
     all zero.
     """
@@ -852,13 +840,13 @@ def _parse_header(lines):
         raise ValueError(f"{n_runs} runs cannot hold {nnz} nonzeros")
     if cols > np.iinfo(np.int32).max:
         raise ValueError(f"int32 column indices cannot address {cols} columns")
-    rate, t0, per_coil, hp = lines[1].decode("ascii").split()
+    timing = lines[1].decode("ascii").split()
+    if len(timing) == 4:
+        raise ValueError("written with a high-pass field; re-run `mpisim sysmat`")
+    rate, t0, per_coil = timing
     rate, t0, per_coil = float(rate), float(t0), int(per_coil)
-    highpass = None if hp == "none" else float(hp)
     if not (0 < rate < math.inf and math.isfinite(t0)):
         raise ValueError("sample rate and t0 must be finite, the rate positive")
-    if highpass is not None and not 0 < highpass < math.inf:
-        raise ValueError("a high-pass needs a finite positive cut-off")
     coils = []
     for field in lines[2].decode("ascii").split():
         idx, vec = field.split(":")
@@ -881,7 +869,7 @@ def _parse_header(lines):
             and all(map(math.isfinite, origin))):
         raise ValueError("grid spacing must be finite and positive, origin finite")
     return (rows, cols), (n_runs, nnz), digest, dict(
-        sample_rate=rate, t0=t0, rows_per_coil=per_coil, highpass=highpass,
+        sample_rate=rate, t0=t0, rows_per_coil=per_coil,
         coils=tuple(coils), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
 
 

@@ -40,7 +40,7 @@ def _write_coefficients(path):
 
 _MATRIX_META = dict(sample_rate=1e6, t0=0.0, rows_per_coil=2, coils=(coil_along("x"),),
                     grid_dims=(2, 1, 1), grid_spacing=(1e-3, 1e-3, 1e-3),
-                    grid_origin=(0.0, 0.0, 0.0), highpass=35e3)
+                    grid_origin=(0.0, 0.0, 0.0))
 
 
 def _save_matrix(path):

@@ -188,12 +188,52 @@ def test_exit_codes(pipeline_dir, tmp_path):
     # 4: stored matrices were built under a different field configuration
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "field.g=1.1 T/m"]) == 4
-    # 4: stored matrices were filtered at the auto cut-off (35 kHz), not 40 kHz
+    # 4: the traces were filtered at the auto cut-off (35 kHz), not 40 kHz;
+    # the matrices hold S alone, so they are not what is stale
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "acquisition.highpass=40 kHz"]) == 4
     # force overrides the hash check and reconstructs anyway
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work),
                      "--set", "field.g=1.1 T/m", "--force"]) == 0
+
+
+def test_a_cutoff_change_reuses_the_matrices(pipeline_dir, tmp_path):
+    # the matrix files hold S alone and their stamps know no cut-off: after
+    # a run at the auto cut-off (35 kHz), filter and lsqr at 40 kHz reuse
+    # them and reconstruct what a fresh run at 40 kHz does
+    tmp, ini, out = pipeline_dir
+    work, fresh = tmp_path / "out", tmp_path / "fresh"
+    shutil.copytree(out, work)
+    at_40 = ["-c", str(ini), "--set", "acquisition.highpass=40 kHz"]
+    assert cli.main(["run", "--stages", "filter,lsqr", "-o", str(work), *at_40]) == 0
+    assert cli.main(["run", "-o", str(fresh), *at_40]) == 0
+    got = load_grid(work / "recon_lsqr.grid").values
+    assert np.array_equal(got, load_grid(fresh / "recon_lsqr.grid").values)
+    assert not np.array_equal(got, load_grid(out / "recon_lsqr.grid").values)
+    for name in ("recon_lsqr.grid", "sysmat_x.mat", "sysmat_y.mat"):
+        assert (work / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_a_matrix_with_a_highpass_field_asks_for_a_rebuild(pipeline_dir, tmp_path,
+                                                            capsys):
+    # older files end header line 1 in the cut-off they were filtered at;
+    # the header check comes before the hash check, so force does not pass it
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    for axis in "xy":
+        path = work / f"sysmat_{axis}.mat"
+        lines = path.read_bytes().split(b"\n", 4)
+        lines[1] += f" {1.4 * 25e3:.17g}".encode()
+        path.write_bytes(b"\n".join(lines))
+    before = (work / "recon_lsqr.grid").read_bytes()
+    for force in ([], ["--force"]):
+        capsys.readouterr()
+        assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
+        err = capsys.readouterr().err
+        assert "written with a high-pass field; re-run `mpisim sysmat`" in err
+        assert "Traceback" not in err
+    assert (work / "recon_lsqr.grid").read_bytes() == before
 
 
 def test_lsqr_rejects_corrupt_matrix(pipeline_dir, tmp_path, capsys):
@@ -318,7 +358,7 @@ def test_lsqr_rejects_zero_sample_rate_with_a_highpass(pipeline_dir, tmp_path,
     for axis in "xy":
         path = work / f"sysmat_{axis}.mat"
         lines = path.read_bytes().split(b"\n", 4)
-        assert not lines[1].endswith(b" none")
+        assert len(lines[1].split()) == 3  # rate, t0, rows per coil
         lines[1] = b" ".join([b"0", *lines[1].split()[1:]])
         path.write_bytes(b"\n".join(lines))
     capsys.readouterr()
@@ -418,6 +458,31 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
     assert cli.main([*argv, "-o", str(work)]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "-o", "{file}"], "a file is in its place"),
+    (["run", "-o", "{file}/sub"], "a file is in its place"),
+    (["field-info", "--save", "{dir}"], "is a directory"),
+], ids=["output-is-a-file", "output-under-a-file", "save-to-a-directory"])
+def test_an_output_in_the_place_of_a_file_or_directory_exits_2(tmp_path, capsys,
+                                                               argv, message):
+    ini = write_tiny(tmp_path)
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "inside").write_text("kept")
+    before = _tree(tmp_path)
+    argv = [arg.format(file=tmp_path / "file", dir=tmp_path / "dir") for arg in argv]
+    capsys.readouterr()
+    assert cli.main([*argv, "-c", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert _tree(tmp_path) == before  # nothing written, no *.tmp left
 
 
 @pytest.mark.parametrize("override", ["forward.block=8", "sysmat.block=8",
@@ -1093,8 +1158,7 @@ for step in steps:
         plan = cli.plan_stages(cli.RunConfig.load(ini, []), ["sysmat"])
         [sm] = sysmat.build_system_matrices(
             plan["field"], [plan["approx"]], [c for _, c in plan["coils"]],
-            plan["acq"], plan["grid"], plan["subsampling"],
-            highpass=plan["highpass"])
+            plan["acq"], plan["grid"], plan["subsampling"])
         assert sm.nnz > 0
     else:  # both products of the matrix just built
         op = sm.operator()
@@ -1273,6 +1337,10 @@ def test_benchmark_tracer_sees_the_matrix_build(tmp_path):
     assert traced["counts"]["sysmat.nnz"] == sum(saved)
     names = {span[1] for span in traced["spans"]}
     assert "sysmat.build_system_matrix" in names
+    # the lsqr stage marks the loaded matrix with the plan's cut-off through
+    # sysmat.apply_highpass_rows, which the tracer wraps by name
+    assert "sysmat.apply_highpass_rows" in names
+    assert traced["counts"]["sysmat.nnz_filtered"] == sum(saved)
     # and the FBP layer from the spans of these two, which it wraps by name
     assert {"fbp.signal_to_sinogram", "fbp.fbp_reconstruct"} <= names
     # the benchmark reads every stage's time from the span of its name: it

@@ -503,6 +503,19 @@ def test_simulate_working_set_is_bounded():
     assert grown <= extra_times * 8 * (3 * n_harmonics + 8)
 
 
+@pytest.mark.parametrize("block", [-1, 0])
+def test_a_time_block_below_1_is_a_config_error(block):
+    # a block below 1 would make no span, dropping every sample, or fail in
+    # range(); map_time_blocks is a generator, so the check runs at the
+    # first next()
+    blocks = map_time_blocks(lambda span: span, np.arange(4.0), 1, block)
+    with pytest.raises(ConfigError, match="at least 1 time"):
+        next(blocks)
+    model, grid, config, params = _short_signed_scene()
+    with pytest.raises(ConfigError, match="at least 1 time"):
+        simulate_general(model, grid, [coil_along("x")], config, params, block=block)
+
+
 def _pool_threads():
     return {t for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor")}

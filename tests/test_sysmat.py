@@ -144,8 +144,8 @@ def scene():
     return model, grid, config, approx
 
 
-# config_hash of matrix_x, unfiltered and high-passed at 35 kHz
-_X_HASH, _X_HP_HASH = "0487af29816cfbdf", "dd6fe44b5c65ee05"
+# config_hash of matrix_x
+_X_HASH = "0487af29816cfbdf"
 
 
 @pytest.fixture(scope="module")
@@ -815,21 +815,17 @@ def test_config_hash_sensitivity(scene):
     other_approx = mag.build_approx(params, mag.nodes_equidistant(19, 10e-3),
                                     10e-3, scheme="secant")
     assert config_hash(model, other_approx, grid, config, coil, 2) != base
-    assert config_hash(model, approx, grid, config, coil, 2, highpass=35e3) != base
 
 
 # digests stored in the headers of existing files: if one moves, every
 # matrix saved before the change fails its hash check
-@pytest.mark.parametrize("axis, highpass, digest", [
-    ("x", None, _X_HASH),
-    ("x", 35e3, _X_HP_HASH),
-    ("y", None, "b5de8c9370cb8d96"),
-    ("y", 35e3, "2bfa5283063b95f7"),
+@pytest.mark.parametrize("axis, digest", [
+    ("x", _X_HASH),
+    ("y", "b5de8c9370cb8d96"),
 ])
-def test_config_hash_digests_are_pinned(scene, axis, highpass, digest):
+def test_config_hash_digests_are_pinned(scene, axis, digest):
     model, grid, config, approx = scene
-    assert config_hash(model, approx, grid, config, coil_along(axis), 2,
-                       highpass=highpass) == digest
+    assert config_hash(model, approx, grid, config, coil_along(axis), 2) == digest
 
 
 def test_nnz_cap(scene):
@@ -837,6 +833,20 @@ def test_nnz_cap(scene):
     with pytest.raises(ResourceCapError):
         build_system_matrix(model, approx, [coil_along("x")], config,
                             grid, subsampling=2, nnz_cap=100)
+
+
+@pytest.mark.parametrize("block", [-1, 0])
+def test_a_time_block_below_1_stops_the_build(scene, tmp_path, block):
+    # a block below 1 would build an all-zero matrix or fail in range();
+    # neither the streamed nor the in-memory build writes anything
+    model, grid, config, approx = scene
+    out = tmp_path / "out"
+    out.mkdir()
+    for files in ([(out / "x.mat", _X_HASH)], None):
+        with pytest.raises(ConfigError, match="at least 1 time"):
+            build_system_matrix(model, approx, [coil_along("x")], config, grid,
+                                subsampling=2, block=block, files=files)
+    assert list(out.iterdir()) == []
 
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
@@ -913,28 +923,29 @@ def _rewrite(path, header=None, **parts):
     {0: b"3 3 four 0123456789abcdef runs 4"},
     {0: b"3 3 4"},
     {0: b"-3 3 4 0123456789abcdef runs 4"},
-    {1: b"1e6 0 3"},
-    {1: b"fast 0 3 none"},
+    {1: b"1e6 0"},
+    {1: b"1e6 0 3 35000 0"},
+    {1: b"fast 0 3"},
     {2: b"0:1,0"},
     {2: b"0=1,0,0"},
     {3: b"3 1 1 0.001 0.001 0.001 0 0"},
     {0: b"\xff\xfe 3 4 0123456789abcdef runs 4"},
-    # impossible metadata: sample rate, t0 and high-pass
-    {1: b"nan 0 3 none"},
-    {1: b"inf 0 3 none"},
-    {1: b"-1e6 0 3 none"},
-    {1: b"1e6 nan 3 none"},
-    {1: b"1e6 -inf 3 none"},
-    {1: b"1e6 0 3 nan"},
-    {1: b"1e6 0 3 inf"},
-    {1: b"1e6 0 3 0"},
-    {1: b"1e6 0 3 -35000"},
-    {1: b"0 0 3 35000"},
-    {1: b"0 0 3 none"},
+    # impossible metadata: sample rate, t0 and rows per coil
+    {1: b"nan 0 3"},
+    {1: b"inf 0 3"},
+    {1: b"-1e6 0 3"},
+    {1: b"1e6 nan 3"},
+    {1: b"1e6 -inf 3"},
+    {1: b"1e6 inf 3"},
+    {1: b"0 0 3"},
+    {1: b"1e6 0 3.5"},
+    {1: b"1e6 0 -3"},
+    # line 1 as older files wrote it, ending in a high-pass cut-off or none
+    {1: b"1e6 0 3 none"},
     # rows against rows_per_coil and the coils
     {0: b"4 3 4 0123456789abcdef runs 4"},
-    {0: b"0 3 4 0123456789abcdef runs 4", 1: b"1e6 0 0 none"},
-    {1: b"1e6 0 2 none"},
+    {0: b"0 3 4 0123456789abcdef runs 4", 1: b"1e6 0 0"},
+    {1: b"1e6 0 2"},
     {2: b"0:1,0,0 1:0,1,0"},
     {2: b""},
     {2: b"0:nan,0,0"},
@@ -1083,7 +1094,7 @@ def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
     save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
     rows = 10 ** 12
     _rewrite(path, header={0: f"{rows} 3 4 0123456789abcdef runs 4".encode(),
-                           1: f"1000000 0 {rows} none".encode()})
+                           1: f"1000000 0 {rows}".encode()})
     probe = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
              "from mpisim.errors import MpiSimError\n"
@@ -1385,6 +1396,8 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
                     coils=(coil_along("x", index=3),))
     paths = _save_coil_files(tmp_path, [x, empty, y, again, both])
     stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(5)])
+    assert stacked.highpass is None  # the files hold S alone
+    stacked = apply_highpass_rows(stacked, 35e3)
     oracle = sp.vstack([_stacked(load_system_matrix(p)) for p in paths], format="csr")
     _assert_same_csr(_stacked(stacked), oracle)
     assert stacked.coils == (coils[0], coil_along("z"), coils[1], again.coils[0], *coils)
@@ -1574,7 +1587,7 @@ def matrix_xyz(scene):
                                 "2-coil file beside 1-coil file"))])
 def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
                                                   highpass, case):
-    sm = matrix_xyz if highpass is None else apply_highpass_rows(matrix_xyz, highpass)
+    sm = matrix_xyz
     if case in ("1 coil", "2 coils", "3 coils"):
         n = int(case[0])
         sm = replace(sm, blocks=sm.blocks[:n], coils=sm.coils[:n])
@@ -1586,6 +1599,8 @@ def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
         x_and_z = replace(sm, blocks=sm.blocks[::2], coils=sm.coils[::2])
         sm = load_system_matrices(_save_coil_files(tmp_path, [x_and_z, _coil(sm, 1)]))
         assert sm.coils == tuple(coil_along(axis) for axis in "xzy")
+    if highpass is not None:  # marked once loaded: the files hold S alone
+        sm = apply_highpass_rows(sm, highpass)
     assert sm.highpass == highpass and sm.nnz > 0
     _assert_operator_is_the_stacked_csr(sm, scene[1])
 
@@ -1723,24 +1738,22 @@ def test_sparsetools_is_scipys_own_module(order):
 
 
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
+    # the file holds S alone: a marked matrix is saved as the unmarked one
+    # and loads unmarked; marked again, it is the same operator
     filtered = apply_highpass_rows(matrix_x, 35e3)
-    path = tmp_path / "sm_hp.bin"
-    save_system_matrix(filtered, path, _X_HP_HASH)
-    back = load_system_matrix(path, expected_hash=_X_HP_HASH)
-    assert back.highpass == filtered.highpass
+    path, plain = tmp_path / "sm_hp.bin", tmp_path / "sm.bin"
+    save_system_matrix(filtered, path, _X_HASH)
+    save_system_matrix(matrix_x, plain, _X_HASH)
+    assert path.read_bytes() == plain.read_bytes()
+    back = load_system_matrix(path, expected_hash=_X_HASH)
+    assert back.highpass is None
     assert back.nnz == matrix_x.nnz
     assert all(isinstance(block, CsrBlock) for block in back.blocks)
-    x = np.random.default_rng(7).normal(size=filtered.shape[1])
-    assert np.array_equal(back.operator() @ x, filtered.operator() @ x)
-
-
-def test_stack_rejects_mixed_filtering(scene, matrix_x, tmp_path, monkeypatch):
-    # the stacked load checks the second header before any payload
-    paths = _save_coil_files(tmp_path, [apply_highpass_rows(matrix_x, 35e3),
-                                        replace(matrix_x, coils=(coil_along("y"),))])
-    monkeypatch.setattr(mpisim.sysmat, "np", _WatchedNumpy(refuse=True))
-    with pytest.raises(ConfigError, match="highpass not as in"):
-        load_system_matrices(paths)
+    op, want = apply_highpass_rows(back, 35e3).operator(), filtered.operator()
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=filtered.shape[1]), rng.normal(size=filtered.shape[0])
+    assert np.array_equal(op @ x, want @ x)
+    assert np.array_equal(op.T @ y, want.T @ y)
 
 
 @pytest.mark.parametrize("field, shift", [("grid_spacing", 1e-3),
