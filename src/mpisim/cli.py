@@ -616,8 +616,8 @@ def stage_filter(ws: Workspace):
 
 def stage_sysmat(ws: Workspace):
     """Build every coil's matrix in one pass, streaming each coil's rows into
-    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held:
-    S alone, unfiltered.  stage_lsqr reads the files back into plain-array
+    its sysmat_<axis>.mat as they are assembled, so no matrix is ever held;
+    the files hold S unfiltered.  stage_lsqr reads them back into plain
     CSR blocks, marks them with the plan's cut-off and solves through
     scipy's compiled CSR kernels alone: no stage imports scipy.sparse."""
     plan = ws.plan
