@@ -19,11 +19,14 @@ def atomic_open(path, mode: str = "wb"):
     """Write to a temporary file beside path that replaces path on success.
 
     Any exception, KeyboardInterrupt included, removes the temporary file
-    and leaves an existing path untouched.  A path that is a directory is a
-    ConfigError, before anything is written.
+    and leaves an existing path untouched.  A path that is a directory, or
+    whose directory is missing or is a file, is a ConfigError, before
+    anything is written.
     """
     if os.path.isdir(path):
         raise ConfigError(f"{path} is a directory, not a file")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"cannot write {path}: its directory does not exist or is a file")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as fh:

@@ -46,19 +46,6 @@ from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
 from .phantom import ConcentrationGrid, cell_offsets
 
-# times per simulate block.  A block's temporaries are about eight
-# (points, times) float arrays per worker thread (B, |B|, the factor and
-# the coil projection), and a worker's malloc arena keeps what its largest
-# block needed, so the block sets most of what a pass holds beyond its
-# factor tables, which cost a block nothing (_quadrature).  On the perturbed
-# desk scene (405 filled cells, 2 workers) simulate_fbp's peak RSS read
-# 45.5 MiB at 128 and 42.4 at 64 (55.1 at 256 with per-block factors), at
-# the same process cpu.  Smaller blocks cost cpu, since einsum's inner loops
-# run over a block's times: in-process, the general model took 40% more cpu
-# at 32 than at 64.  The piecewise model, with 4 sub-points per cell, was
-# fastest at 48-64 and took 50% more cpu at 256.
-_DEFAULT_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class ReceiveCoil:
@@ -158,8 +145,26 @@ class SignalTrace:
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
 
-def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int):
-    """Yield fn(times[lo:lo + block]) for each consecutive span, in span order.
+# times per block of every simulate and assembly pass; no result depends on
+# it.  A simulate block's temporaries are about eight (points, times) float
+# arrays per worker thread (B, |B|, the factor and the coil projection), and
+# a worker's malloc arena keeps what its largest block needed, so the block
+# sets most of what a pass holds beyond its factor tables (_quadrature).  On
+# the perturbed desk scene (405 filled cells, 2 workers) simulate_fbp's peak
+# RSS read 45.5 MiB at 128 and 42.4 at 64 (55.1 at 256 with per-block
+# factors), at the same process cpu.  Smaller blocks cost cpu, since einsum's
+# inner loops run over a block's times: in-process, the general model took
+# 40% more cpu at 32 than at 64, and the piecewise model, with 4 sub-points
+# per cell, was fastest at 48-64 and took 50% more cpu at 256.  An assembly
+# block's temporaries stay a few MB (sysmat._PAIRS), and at most two blocks
+# per worker are in flight, so they are what a build holds beyond its runs:
+# 32 held about 9 MiB less on the desk scene, but desk_run and l1_sweep ran
+# 7-12% longer end to end.
+_TIME_BLOCK = 64
+
+
+def map_time_blocks(fn, times: np.ndarray, n_workers: int):
+    """Yield fn(span) for each consecutive span of _TIME_BLOCK times, in order.
 
     Spans run on a thread pool when n_workers > 1 and there is more than
     one of them, serially otherwise.  The pool runs at most 2 n_workers
@@ -167,12 +172,9 @@ def map_time_blocks(fn, times: np.ndarray, n_workers: int, block: int):
     consumer that drops each result holds at most that many at once.  An
     exception in fn reaches the consumer at its span.  When the generator
     finishes, raises or is closed, the spans not yet started are cancelled
-    and the running ones waited for, so no pool thread outlives it.  A
-    block below 1 is a ConfigError.
+    and the running ones waited for, so no pool thread outlives it.
     """
-    if block < 1:
-        raise ConfigError(f"a time block needs at least 1 time, got {block}")
-    spans = [times[lo:lo + block] for lo in range(0, times.size, block)]
+    spans = [times[lo:lo + _TIME_BLOCK] for lo in range(0, times.size, _TIME_BLOCK)]
     if n_workers <= 1 or len(spans) <= 1:
         yield from map(fn, spans)
         return
@@ -206,8 +208,7 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
 
 
 def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
-                integrand, coils, subsampling: int, n_workers: int,
-                block: int, use_dt: bool) -> list:
+                integrand, coils, subsampling: int, n_workers: int, use_dt: bool) -> list:
     """One sum per coil: sum_k w_k <rho, v(r_k, t)> factor(r_k, t).
 
     integrand(ev, times, *fac) returns the vector field v (3, points, times)
@@ -241,7 +242,7 @@ def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
             sums.append(rows.sum(axis=1))
         return sums
 
-    blocks = map_time_blocks(worker, np.arange(times.size), n_workers, block)
+    blocks = map_time_blocks(worker, np.arange(times.size), n_workers)
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
@@ -250,34 +251,33 @@ def _magnitude(b: np.ndarray) -> np.ndarray:
     return np.sqrt(mag, out=mag)
 
 
-def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers,
-                     block) -> list:
+def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers) -> list:
     """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
     def integrand(ev, tblock, fac, fac_dt):
         factor = slope(_magnitude(ev.field(tblock, fac)))
         return ev.field_dt(tblock, fac_dt), factor
 
     sums = _quadrature(model, grid, config.times(), integrand, coils,
-                       subsampling, n_workers, block, use_dt=True)
+                       subsampling, n_workers, use_dt=True)
     return [SignalTrace(-MU0 * s, config.sample_rate, config.t0, coil.index)
             for coil, s in zip(coils, sums)]
 
 
 def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coils,
                       config: AcquisitionConfig, params: LangevinParams,
-                      n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> list:
+                      n_workers: int = 1) -> list:
     """Voltage under the parallel-velocity-field model, one trace per coil.
 
     u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol,
     summed over the filled cells only (see _filled_cells).
     """
     return _parallel_traces(model, grid, coils, config,
-                            lambda mag: mbar_prime(params, mag), 1, n_workers, block)
+                            lambda mag: mbar_prime(params, mag), 1, n_workers)
 
 
 def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
                      config: AcquisitionConfig, params: LangevinParams,
-                     n_workers: int = 1, block: int = _DEFAULT_BLOCK) -> list:
+                     n_workers: int = 1) -> list:
     """Faraday-law voltage without any parallelity assumption, one trace per coil.
 
     The magnetization integral I(t) = int <rho, mbar(|B|) B/|B|> c dr is
@@ -293,7 +293,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers, block,
+    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers,
                        use_dt=False)
     return [SignalTrace(-MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt),
                         config.sample_rate, config.t0, coil.index)
@@ -302,8 +302,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
 
 def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coils,
                        config: AcquisitionConfig, approx: MagnetizationApprox,
-                       subsampling: int = 1, n_workers: int = 1,
-                       block: int = _DEFAULT_BLOCK) -> list:
+                       subsampling: int = 1, n_workers: int = 1) -> list:
     """simulate_parallel with the staircase mbar'_N, averaged over sub-points.
 
     With sysmat's grid and subsampling (phantom.cell_offsets) each trace
@@ -311,7 +310,7 @@ def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coils,
     summation order.
     """
     return _parallel_traces(model, grid, coils, config, approx.eval, subsampling,
-                            n_workers, block)
+                            n_workers)
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:

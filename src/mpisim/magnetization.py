@@ -287,7 +287,6 @@ def nodes_l1_optimal(n: int, b: float, params: LangevinParams,
     return ladder[1:-1]
 
 
-def sup_second_derivative(params: LangevinParams, b: float,
-                          samples: int = 100001) -> float:
-    """Dense-sampling estimate of sup |mbar''| on [0, b]."""
-    return float(np.max(np.abs(mbar_second(params, np.linspace(0.0, b, samples)))))
+def sup_second_derivative(params: LangevinParams, b: float) -> float:
+    """Dense-sampling estimate of sup |mbar''| on [0, b], at 100001 points."""
+    return float(np.max(np.abs(mbar_second(params, np.linspace(0.0, b, 100001)))))

@@ -82,10 +82,10 @@ class ConcentrationGrid:
         return ConcentrationGrid(values=values, spacing=self.spacing,
                                  origin=self.origin)
 
-    def meta_matches(self, other: "ConcentrationGrid", tol: float = 1e-9) -> bool:
+    def meta_matches(self, other: "ConcentrationGrid") -> bool:
         return (self.dims == other.dims
-                and np.allclose(self.spacing, other.spacing, rtol=0, atol=tol)
-                and np.allclose(self.origin, other.origin, rtol=0, atol=tol))
+                and np.allclose(self.spacing, other.spacing, rtol=0, atol=1e-9)
+                and np.allclose(self.origin, other.origin, rtol=0, atol=1e-9))
 
 
 def cell_offsets(grid: ConcentrationGrid, subsampling: int = 1) -> np.ndarray:
@@ -172,12 +172,11 @@ def build_disc_phantom(fov: float, disc_diameters, spacing: float,
     return grid.with_values(values)
 
 
-def line_profile(grid: ConcentrationGrid, axis: str, offset: float,
-                 z_index: int = 0) -> np.ndarray:
+def line_profile(grid: ConcentrationGrid, axis: str, offset: float) -> np.ndarray:
     """Values along a horizontal (vary x) or vertical (vary y) line.
 
     offset selects the fixed coordinate (y for horizontal, x for vertical);
-    the nearest grid line is used.  Offsets outside the grid raise.
+    the nearest grid line of the first z plane is used.  Offsets outside the grid raise.
     """
     if axis not in ("horizontal", "vertical"):
         raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")
@@ -188,8 +187,8 @@ def line_profile(grid: ConcentrationGrid, axis: str, offset: float,
         raise ConfigError(f"offset {offset:g} outside the grid")
     idx = int(np.argmin(np.abs(coords - offset)))
     if axis == "horizontal":
-        return grid.values[:, idx, z_index].copy()
-    return grid.values[idx, :, z_index].copy()
+        return grid.values[:, idx, 0].copy()
+    return grid.values[idx, :, 0].copy()
 
 
 def save_grid(grid: ConcentrationGrid, path, comments=()):

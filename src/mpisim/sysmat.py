@@ -31,9 +31,9 @@ whose files hold byte-identical runs share one decoded indptr and indices.
 
 A block is a CsrBlock, the plain arrays of a CSR, and scipy.sparse is
 never imported: the operator multiplies through two of scipy's compiled
-CSR kernels, which _sparsetools() loads alone, and only at the first
-product.  So importing this module, every build and load, and every stage
-but lsqr load numpy alone.
+CSR kernels, which _sparsetools() loads alone, under a private name, and
+only at the first product.  So importing this module, every build and
+load, and every stage but lsqr load numpy alone.
 An operator handed to recon.lsqr_solve needs only shape, @ and .T:
 SystemMatrix.operator() gives F S over the coil blocks, F the high-pass or
 the identity.
@@ -65,14 +65,6 @@ from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mas
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid, cell_offsets
 
-# times per assembly block: a block's temporaries (its survivors' values,
-# and the sub-point products of a chunk of _PAIRS of them) stay a few MB,
-# so what worker threads free is reused instead of piling up in their
-# malloc arenas and making peak memory vary from run to run.  At most two
-# blocks per worker are in flight (forward.map_time_blocks), so they are
-# what the build holds beyond the runs.  32 held about 9 MiB less on the
-# desk scene, but desk_run and l1_sweep ran 7-12% longer end to end.
-_DEFAULT_BLOCK = 64
 DEFAULT_NNZ_CAP = 50_000_000
 # the digest in the header of an in-memory build's files, which are loaded
 # back unchecked
@@ -344,10 +336,11 @@ class CsrBlock:
 def _sparsetools():
     """scipy's compiled sparse kernels, scipy.sparse._sparsetools.
 
-    The extension is loaded from scipy's directory under its full name,
-    without running scipy's or scipy.sparse's __init__, which import about
-    300 modules, numpy.testing and numpy.f2py among them; a later import of
-    scipy.sparse finds it in sys.modules and uses the same module.
+    scipy's own module if scipy.sparse has loaded it, else the extension
+    loaded from scipy's directory without running scipy's or scipy.sparse's
+    __init__, which import about 300 modules, numpy.testing and numpy.f2py
+    among them.  It enters sys.modules under a private name: under scipy's,
+    a later import of scipy.sparse would leave its _sparsetools unbound.
     """
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
@@ -356,11 +349,11 @@ def _sparsetools():
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(root, "sparse", "_sparsetools" + suffix)
         if os.path.exists(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            private = f"{__name__}._sparsetools"
+            loader = importlib.machinery.ExtensionFileLoader(private, path)
             module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(name, path, loader=loader))
+                importlib.util.spec_from_file_location(private, path, loader=loader))
             loader.exec_module(module)
-            sys.modules[name] = module
             return module
     raise ImportError(f"no {name} extension in {root}")
 
@@ -474,10 +467,10 @@ class SystemMatrix:
             self.rows_per_coil, self.sample_rate, self.highpass)
         return CoilOperator(tuple(self.blocks), mask)
 
-    def grid_meta_matches(self, grid: ConcentrationGrid, tol: float = 1e-9) -> bool:
+    def grid_meta_matches(self, grid: ConcentrationGrid) -> bool:
         return (self.grid_dims == grid.dims
-                and np.allclose(self.grid_spacing, grid.spacing, rtol=0, atol=tol)
-                and np.allclose(self.grid_origin, grid.origin, rtol=0, atol=tol))
+                and np.allclose(self.grid_spacing, grid.spacing, rtol=0, atol=1e-9)
+                and np.allclose(self.grid_origin, grid.origin, rtol=0, atol=1e-9))
 
 
 def stamp(*parts) -> str:
@@ -525,12 +518,12 @@ def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
                         subsampling: int = 1,
                         nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                        block: int = _DEFAULT_BLOCK, files=None):
+                        files=None):
     """The matrix of one staircase, one block per coil:
     build_system_matrices([approx]), or with files, one (path, digest) per
     coil, the StoredMatrix of its files."""
     return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
-                                 nnz_cap, n_workers, block,
+                                 nnz_cap, n_workers,
                                  None if files is None else [files])[0]
 
 
@@ -560,13 +553,13 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                           acq: AcquisitionConfig, grid: ConcentrationGrid,
                           subsampling: int = 1,
                           nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                          block: int = _DEFAULT_BLOCK, files=None) -> list:
+                          files=None) -> list:
     """Assemble the matrix of each staircase in approxes, one block per coil.
 
     Each coil's rows are the sample times of acq.  One pass serves every
-    staircase and coil: each row block is one CellQuadrature.sparse_weights
-    call.  So each matrix is that of its own one-staircase build, and each
-    coil's pattern equals that of its dense quadrature; values agree to the
+    staircase and coil: each row block, a span of forward.map_time_blocks,
+    is one CellQuadrature.sparse_weights call.  So each matrix is that of
+    its own one-staircase build, and each coil's pattern equals that of its dense quadrature; values agree to the
     rounding of the reordered term sum.  Blocks are independent and may be
     computed by worker threads.  They are taken in block order as they
     arrive: each is handed to its (staircase, coil) files and dropped, and the
@@ -612,7 +605,7 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                 coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
                 grid_origin=grid.origin)
     blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
-                             times, n_workers, block)
+                             times, n_workers)
     if files is not None:
         files = _checked_files(files, len(approxes), len(coils))
         return _write_blocks(blocks, files, meta, grid.n_cells, nnz_cap)
@@ -979,10 +972,12 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
                          force: bool = False) -> SystemMatrix:
     """Load stored matrices as one SystemMatrix, one block per coil, in path order.
 
-    Every header is checked first: a malformed one, a payload that is not
-    8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coils that
-    differs from the first file's raises ConfigError, a hash other than its
-    non-None expected_hashes entry HashMismatchError unless force is set.
+    expected_hashes, if given, holds one entry per path; another count is a
+    ConfigError.  Every header is checked first: a malformed one, a payload
+    that is not 8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the
+    coils that differs from the first file's raises ConfigError, a hash
+    other than its non-None expected_hashes entry HashMismatchError unless
+    force is set.
     Then each payload is read, bit-equal to the CSR rows that were saved.
     A file's run section (run_ptr, starts and lengths) is compared, _CHUNK
     bytes at a time, with that of each file already decoded that has its
@@ -997,10 +992,11 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
     """
     if not paths:
         raise ConfigError("need at least one matrix file")
+    if expected_hashes is not None and len(expected_hashes) != len(paths):
+        raise ConfigError(f"{len(expected_hashes)} expected hashes for {len(paths)} files")
     with contextlib.ExitStack() as stack:
         heads = []
-        for path, expected in zip(paths, expected_hashes or [None] * len(paths),
-                                  strict=True):
+        for path, expected in zip(paths, expected_hashes or [None] * len(paths)):
             fh = stack.enter_context(open_input(path))
             try:
                 (rows, cols), (n_runs, nnz), digest, meta = _parse_header(

@@ -469,7 +469,10 @@ def _tree(root):
     (["run", "-o", "{file}"], "a file is in its place"),
     (["run", "-o", "{file}/sub"], "a file is in its place"),
     (["field-info", "--save", "{dir}"], "is a directory"),
-], ids=["output-is-a-file", "output-under-a-file", "save-to-a-directory"])
+    (["field-info", "--save", "{dir}/missing/c.txt"], "does not exist or is a file"),
+    (["field-info", "--save", "{file}/c.txt"], "does not exist or is a file"),
+], ids=["output-is-a-file", "output-under-a-file", "save-to-a-directory",
+        "save-into-a-missing-directory", "save-under-a-file"])
 def test_an_output_in_the_place_of_a_file_or_directory_exits_2(tmp_path, capsys,
                                                                argv, message):
     ini = write_tiny(tmp_path)
@@ -1183,19 +1186,18 @@ def _probe_modules(tmp_path, steps):
 
 def test_stages_without_a_matrix_never_import_scipy(tmp_path):
     # the sysmat stage streams its files and builds no matrix; the lsqr
-    # stage loads scipy's compiled CSR kernels and nothing else of scipy,
-    # so neither scipy.sparse nor what its import pulls in (numpy.f2py,
-    # numpy.testing)
+    # stage loads scipy's compiled CSR kernels under a private name and
+    # nothing of scipy, so neither scipy.sparse nor what its import pulls
+    # in (numpy.f2py, numpy.testing)
     seen = _probe_modules(tmp_path, ["run", "compare", "field-info", "sysmat",
                                      "sysmat,lsqr"])
-    for step in list(seen)[:-1]:
+    for step in seen:
         assert seen[step] == [], step
-    assert seen["sysmat,lsqr"] == ["scipy.sparse._sparsetools"]
-    # the same for a library caller: the build in memory loads nothing, its
-    # products the kernels alone
+    # the same for a library caller: neither the build in memory nor its
+    # products
     seen = _probe_modules(tmp_path, ["build_system_matrices", "operator"])
-    assert seen["build_system_matrices"] == []
-    assert seen["operator"] == ["scipy.sparse._sparsetools"]
+    for step in seen:
+        assert seen[step] == [], step
 
 
 def test_field_info(capsys, tmp_path):

@@ -389,7 +389,7 @@ THREE_COILS = [coil_along("x"), coil_along("y"),
                ReceiveCoil((1.0, 2.0, 3.0), index=7)]
 
 
-def test_workers_and_blocks_do_not_change_results():
+def test_workers_and_blocks_do_not_change_results(monkeypatch):
     # nor does the number of coils: one call on three coils gives each
     # coil's own one-coil trace, bit for bit
     model, grid, config, params = _short_signed_scene()
@@ -398,8 +398,9 @@ def test_workers_and_blocks_do_not_change_results():
                    for coil in THREE_COILS]
         for workers in (1, 2, 3):
             for block in (1, 7, 256):
+                monkeypatch.setattr(forward, "_TIME_BLOCK", block)
                 traces = simulate(model, grid, THREE_COILS, config, params,
-                                  n_workers=workers, block=block)
+                                  n_workers=workers)
                 assert len(traces) == len(THREE_COILS)
                 for coil, got, single in zip(THREE_COILS, traces, singles):
                     assert got.coil_index == coil.index
@@ -425,12 +426,13 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
             _calls.append(np.size(times))
             return _real(self, times, *fac)
         monkeypatch.setattr(FieldEvaluator, name, counting)
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 7)
     # the general model differentiates over one extra sample at each end
     n_times = config.n_samples + (2 if simulate is simulate_general else 0)
     for coils in (THREE_COILS[:1], THREE_COILS):
         for name in calls:
             calls[name].clear()
-        simulate(model, grid, coils, config, params, n_workers=2, block=7)
+        simulate(model, grid, coils, config, params, n_workers=2)
         assert len(calls["field"]) == -(-n_times // 7)
         assert sum(calls["field"]) == n_times
         # the parallel models also take dB/dt once per block; general never
@@ -457,9 +459,9 @@ def test_factor_tables_are_evaluated_once_per_pass(simulate, monkeypatch):
                                      else [(n_times, True)])
     for workers in (1, 2, 3):
         for block in (1, 7, 256):
+            monkeypatch.setattr(forward, "_TIME_BLOCK", block)
             calls.clear()
-            simulate(model, grid, THREE_COILS, config, params,
-                     n_workers=workers, block=block)
+            simulate(model, grid, THREE_COILS, config, params, n_workers=workers)
             assert calls == expected, (workers, block)
 
 
@@ -503,26 +505,14 @@ def test_simulate_working_set_is_bounded():
     assert grown <= extra_times * 8 * (3 * n_harmonics + 8)
 
 
-@pytest.mark.parametrize("block", [-1, 0])
-def test_a_time_block_below_1_is_a_config_error(block):
-    # a block below 1 would make no span, dropping every sample, or fail in
-    # range(); map_time_blocks is a generator, so the check runs at the
-    # first next()
-    blocks = map_time_blocks(lambda span: span, np.arange(4.0), 1, block)
-    with pytest.raises(ConfigError, match="at least 1 time"):
-        next(blocks)
-    model, grid, config, params = _short_signed_scene()
-    with pytest.raises(ConfigError, match="at least 1 time"):
-        simulate_general(model, grid, [coil_along("x")], config, params, block=block)
-
-
 def _pool_threads():
     return {t for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor")}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_time_blocks_yields_in_span_order(workers):
+def test_map_time_blocks_yields_in_span_order(workers, monkeypatch):
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 4)
     times = np.arange(23.0)
 
     def late_first(span):
@@ -530,13 +520,14 @@ def test_map_time_blocks_yields_in_span_order(workers):
         time.sleep(0.002 * (23 - span[0]) / 23)
         return span.copy()
 
-    got = list(map_time_blocks(late_first, times, workers, 4))
+    got = list(map_time_blocks(late_first, times, workers))
     assert [g.tolist() for g in got] == [times[lo:lo + 4].tolist()
                                          for lo in range(0, 23, 4)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_time_blocks_runs_at_most_two_spans_per_worker_ahead(workers):
+def test_map_time_blocks_runs_at_most_two_spans_per_worker_ahead(workers, monkeypatch):
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 1)
     started, lock = [], threading.Lock()
 
     def record(span):
@@ -545,7 +536,7 @@ def test_map_time_blocks_runs_at_most_two_spans_per_worker_ahead(workers):
         return int(span[0])
 
     in_flight = []
-    for i, first in enumerate(map_time_blocks(record, np.arange(40.0), workers, 1)):
+    for i, first in enumerate(map_time_blocks(record, np.arange(40.0), workers)):
         assert first == i
         time.sleep(0.005)  # a slow consumer: the pool would run on
         with lock:
@@ -556,7 +547,8 @@ def test_map_time_blocks_runs_at_most_two_spans_per_worker_ahead(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_time_blocks_raises_a_worker_error(workers):
+def test_map_time_blocks_raises_a_worker_error(workers, monkeypatch):
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 1)
     before = _pool_threads()
 
     def fail_at_5(span):
@@ -564,7 +556,7 @@ def test_map_time_blocks_raises_a_worker_error(workers):
             raise ValueError("span 5 failed")
         return int(span[0])
 
-    blocks = map_time_blocks(fail_at_5, np.arange(12.0), workers, 1)
+    blocks = map_time_blocks(fail_at_5, np.arange(12.0), workers)
     assert [next(blocks) for _ in range(5)] == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError, match="span 5 failed"):
         next(blocks)
@@ -572,7 +564,8 @@ def test_map_time_blocks_raises_a_worker_error(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_closing_map_time_blocks_stops_its_pool(workers):
+def test_closing_map_time_blocks_stops_its_pool(workers, monkeypatch):
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 1)
     before = _pool_threads()
     calls = []
 
@@ -581,7 +574,7 @@ def test_closing_map_time_blocks_stops_its_pool(workers):
         time.sleep(0.002)
         return int(span[0])
 
-    blocks = map_time_blocks(slow, np.arange(100.0), workers, 1)
+    blocks = map_time_blocks(slow, np.arange(100.0), workers)
     assert next(blocks) == 0
     blocks.close()
     assert _pool_threads() <= before

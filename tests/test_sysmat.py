@@ -97,6 +97,10 @@ def _assert_same_csr(got, want, context=None):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (context, part)
 
 
+# time blocks the invariance tests assemble with; the last is the default
+_BLOCKS = (1, 7, mpisim.forward._TIME_BLOCK)
+
+
 def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -285,28 +289,30 @@ def test_pruned_assembly_staircases_few_values(monkeypatch):
     assert sum(counted) <= 0.2 * dense_values
 
 
-def test_worker_count_does_not_change_matrix(scene, matrix_x):
+def test_worker_count_does_not_change_matrix(scene, matrix_x, monkeypatch):
     model, grid, config, approx = scene
     for workers in (1, 2, 3):
-        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+        for block in _BLOCKS:
+            monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", block)
             split = build_system_matrix(model, approx, [coil_along("x")],
                                         config, grid, subsampling=2,
-                                        n_workers=workers, **block)
+                                        n_workers=workers)
             _assert_same_csr(split.blocks[0], matrix_x.blocks[0], (workers, block))
 
 
-def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x):
+def test_one_pass_equals_stacked_single_coil_builds(scene, matrix_x, monkeypatch):
     # oracle: one build per coil
     model, grid, config, approx = scene
     my = build_system_matrix(model, approx, [coil_along("y")], config,
                              grid, subsampling=2)
     assert matrix_x.nnz > 0 and my.nnz > 0
     for workers in (1, 2, 3):
-        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+        for block in _BLOCKS:
+            monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", block)
             both = build_system_matrix(model, approx,
                                        [coil_along("x"), coil_along("y")],
                                        config, grid, subsampling=2,
-                                       n_workers=workers, **block)
+                                       n_workers=workers)
             for i, single in enumerate((matrix_x, my)):
                 _assert_same_csr(both.blocks[i], single.blocks[0], (workers, block, i))
             assert both.coils == (coil_along("x"), coil_along("y"))
@@ -373,7 +379,7 @@ def _sweep_staircases():
 
 
 @pytest.mark.parametrize("magnitude", [0.0, 0.35])  # ideal, perturbed desk field
-def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
+def test_one_pass_per_staircase_equals_fresh_builds(magnitude, monkeypatch):
     # oracle: one build_system_matrix per staircase
     model, approxes = _desk_ffl(magnitude), _sweep_staircases()
     grid = empty_grid(0.1, 0.1 / 32)
@@ -385,10 +391,10 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude):
                 for approx in approxes}) == len(approxes)
     assert min(sm.nnz for sm in fresh) > 0
     for workers in (1, 2, 3):
-        for block in ({"block": 1}, {"block": 7}, {}):  # {}: the default block
+        for block in _BLOCKS:
+            monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", block)
             many = build_system_matrices(model, approxes, coils, acq, grid,
-                                         subsampling=2, n_workers=workers,
-                                         **block)
+                                         subsampling=2, n_workers=workers)
             assert len(many) == len(fresh)
             for i, (got, want) in enumerate(zip(many, fresh)):
                 for k, (a, b) in enumerate(zip(got.blocks, want.blocks, strict=True)):
@@ -560,16 +566,16 @@ def test_staircase_slopes_equal_each_eval():
 _PINNED_BUILD = "7496a357be6f2ef2d8100d0dc5e46398b91d628cb6b63fc41bef36230a0fef57"
 
 
-def test_assembled_bytes_are_pinned():
+def test_assembled_bytes_are_pinned(monkeypatch):
     model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
     grid = empty_grid(0.1, 0.1 / 32)
     acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
     coils = [coil_along("x"), coil_along("y")]
     for workers, block in ((1, 64), (2, 7)):
+        monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", block)
         digest = hashlib.sha256()
         for sm in build_system_matrices(model, approxes, coils, acq, grid,
-                                        subsampling=2, n_workers=workers,
-                                        block=block):
+                                        subsampling=2, n_workers=workers):
             for part, dtype in (("indptr", "<i8"), ("indices", "<i4"), ("data", "<f8")):
                 digest.update(np.ascontiguousarray(getattr(_stacked(sm), part),
                                                    dtype).tobytes())
@@ -577,7 +583,7 @@ def test_assembled_bytes_are_pinned():
 
 
 @pytest.mark.parametrize("subsampling", [1, 2])
-def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
+def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling, monkeypatch):
     # oracle: the in-memory build of the pinned scene, saved coil by coil;
     # every streamed file loads bit-equal to its CSR rows and is byte-equal
     # to its saved file, whatever the worker count and block size
@@ -594,10 +600,11 @@ def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling):
             saved[i, k] = tmp_path / f"saved_{i}{k}.mat"
             save_system_matrix(_coil(sm, k), saved[i, k], digests[i][k])
     for workers, block in ((1, 64), (2, 7), (1, 7), (2, 64)):
+        monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", block)
         files = [[(tmp_path / f"stream_{i}{k}.mat", digest) for k, digest in enumerate(row)]
                  for i, row in enumerate(digests)]
         stored = build_system_matrices(model, approxes, coils, acq, grid, subsampling,
-                                       n_workers=workers, block=block, files=files)
+                                       n_workers=workers, files=files)
         for i, (sm, record) in enumerate(zip(held, stored)):
             assert record.shape == sm.shape and record.nnz == sm.nnz
             paths = [path for path, _ in files[i]]
@@ -688,8 +695,9 @@ def test_assembly_holds_a_window_of_blocks(scene, monkeypatch, workers):
     coils = [coil_along("x"), coil_along("y")]
     oracle = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
     stats = _counting_sparse_weights(monkeypatch)
+    monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 2)
     sm = build_system_matrix(model, approx, coils, config, grid, subsampling=2,
-                             n_workers=workers, block=2)
+                             n_workers=workers)
     for got, want in zip(sm.blocks, oracle.blocks, strict=True):
         _assert_same_csr(got, want)
     assert stats["calls"] == 1 + config.n_samples // 2  # the probe, then 20 blocks
@@ -706,12 +714,13 @@ def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypat
     model, grid, config, approx = scene
     monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
     stats = _counting_sparse_weights(monkeypatch)
+    monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 1)
     before = {t for t in threading.enumerate()
               if t.name.startswith("ThreadPoolExecutor")}
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrix(model, approx, [coil_along("x")], config, grid,
                             subsampling=2, nnz_cap=matrix_x.nnz // 2,
-                            n_workers=workers, block=1)
+                            n_workers=workers)
     assert stats["calls"] < 0.75 * config.n_samples
     assert {t for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor")} <= before
@@ -739,9 +748,10 @@ def test_build_in_memory_leaves_no_file(scene, matrix_x, tmp_path, monkeypatch):
     assert len(loaded) == 1 and len(loaded[0]) == 2
     assert list(tmp.iterdir()) == []
     monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 1)
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrix(model, approx, coils, config, grid, subsampling=2,
-                            nnz_cap=matrix_x.nnz // 2, block=1)
+                            nnz_cap=matrix_x.nnz // 2)
     assert len(loaded) == 1
     assert list(tmp.iterdir()) == []
 
@@ -835,20 +845,6 @@ def test_nnz_cap(scene):
                             grid, subsampling=2, nnz_cap=100)
 
 
-@pytest.mark.parametrize("block", [-1, 0])
-def test_a_time_block_below_1_stops_the_build(scene, tmp_path, block):
-    # a block below 1 would build an all-zero matrix or fail in range();
-    # neither the streamed nor the in-memory build writes anything
-    model, grid, config, approx = scene
-    out = tmp_path / "out"
-    out.mkdir()
-    for files in ([(out / "x.mat", _X_HASH)], None):
-        with pytest.raises(ConfigError, match="at least 1 time"):
-            build_system_matrix(model, approx, [coil_along("x")], config, grid,
-                                subsampling=2, block=block, files=files)
-    assert list(out.iterdir()) == []
-
-
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
     path = tmp_path / "sm.bin"
     save_system_matrix(matrix_x, path, _X_HASH)
@@ -879,6 +875,14 @@ def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
     (tmp_path / "cut.bin").write_bytes(data[:-8])
     with pytest.raises(ConfigError):
         load_system_matrix(tmp_path / "cut.bin")
+
+
+@pytest.mark.parametrize("n_hashes", [1, 3])
+def test_load_rejects_a_hash_count_other_than_the_path_count(matrix_x, tmp_path,
+                                                              n_hashes):
+    paths = _save_coil_files(tmp_path, [matrix_x, matrix_x])
+    with pytest.raises(ConfigError, match=f"{n_hashes} expected hashes for 2 files"):
+        load_system_matrices(paths, [_X_HASH] * n_hashes)
 
 
 _TINY_HASH = "0123456789abcdef"
@@ -1706,9 +1710,11 @@ def test_csr_matvec_adds_into_its_output():
 
 # Run in a fresh interpreter: loads the kernels through sysmat and imports
 # scipy.sparse, in the order argv names, and prints whether both are one
-# module and which scipy modules the helper alone loaded
+# module or one extension file, which scipy modules the helper alone
+# loaded, and what scipy.sparse then binds and computes
 _KERNELS_PROBE = """\
 import json, sys
+import numpy as np
 from mpisim import sysmat
 
 seen = {}
@@ -1717,24 +1723,34 @@ for step in sys.argv[1:]:
         helper = sysmat._sparsetools()
         seen["helper"] = sorted(m for m in sys.modules if m.startswith("scipy"))
     else:
-        from scipy.sparse import _sparsetools
-print(json.dumps({**seen, "same": helper is _sparsetools,
+        import scipy.sparse
+        bound = scipy.sparse._sparsetools
+        product = scipy.sparse.csr_matrix(np.eye(3)) @ np.ones(3)
+print(json.dumps({**seen, "same": helper is bound, "file": helper.__file__ == bound.__file__,
+                  "csr_matvec": callable(bound.csr_matvec), "product": product.tolist(),
                   "cached": sysmat._sparsetools() is helper}))
 """
 
 
 @pytest.mark.parametrize("order", [("helper", "scipy"), ("scipy", "helper")])
 def test_sparsetools_is_scipys_own_module(order):
-    # one module object whichever is loaded first, so scipy.sparse, imported
-    # after a solve, runs the same kernels the operator ran
+    # scipy's own extension whichever is loaded first, so scipy.sparse,
+    # imported after a solve, runs the same kernels the operator ran, and
+    # binds them as its _sparsetools; one module object when scipy.sparse
+    # has loaded it first
     proc = subprocess.run(
         [sys.executable, "-c", _KERNELS_PROBE, *order], capture_output=True,
         text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1])})
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["same"] and seen["cached"]
-    if order[0] == "helper":  # scipy's and scipy.sparse's __init__ never ran
-        assert seen["helper"] == ["scipy.sparse._sparsetools"]
+    assert seen["file"] and seen["cached"]
+    assert seen["csr_matvec"] and seen["product"] == [1.0, 1.0, 1.0]
+    if order[0] == "helper":
+        # scipy's and scipy.sparse's __init__ never ran, and nothing went
+        # under scipy's name, so scipy.sparse loaded its own copy
+        assert seen["helper"] == [] and not seen["same"]
+    else:
+        assert seen["same"]
 
 
 def test_highpass_save_load_round_trip(matrix_x, tmp_path):
