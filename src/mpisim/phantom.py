@@ -176,7 +176,8 @@ def line_profile(grid: ConcentrationGrid, axis: str, offset: float) -> np.ndarra
     """Values along a horizontal (vary x) or vertical (vary y) line.
 
     offset selects the fixed coordinate (y for horizontal, x for vertical);
-    the nearest grid line of the first z plane is used.  Offsets outside the grid raise.
+    the nearest grid line of the first z plane is used.  Offsets outside
+    the grid raise.
     """
     if axis not in ("horizontal", "vertical"):
         raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")

@@ -559,9 +559,9 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     Each coil's rows are the sample times of acq.  One pass serves every
     staircase and coil: each row block, a span of forward.map_time_blocks,
     is one CellQuadrature.sparse_weights call.  So each matrix is that of
-    its own one-staircase build, and each coil's pattern equals that of its dense quadrature; values agree to the
-    rounding of the reordered term sum.  Blocks are independent and may be
-    computed by worker threads.  They are taken in block order as they
+    its own one-staircase build, and each coil's pattern equals that of its
+    dense quadrature; values agree to the rounding of the reordered term
+    sum.  Blocks are independent and may be computed by worker threads.  They are taken in block order as they
     arrive: each is handed to its (staircase, coil) files and dropped, and the
     entries of one time never depend on the rest of its block, so the
     result does not depend on the worker count or block size.
