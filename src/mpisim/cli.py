@@ -317,7 +317,7 @@ SIMULATORS = {"general": "simulate_general", "parallel": "simulate_parallel",
 
 # stage -> (the plan entries it reads, which its stamp covers; the stages
 # whose artifacts it reads), in pipeline order, so a stage's inputs come
-# before it
+# before it; compare also scores the images of lsqr and fbp (stage_compare)
 STAGES = {
     "phantom": (("phantoms",), ()),
     "simulate": (("coils", "field", "acq", "simulate"), ("phantom",)),
@@ -325,7 +325,7 @@ STAGES = {
     "sysmat": (("coils", "field", "approx", "grid", "acq", "subsampling"), ()),
     "lsqr": (("coils", "highpass", "grid", "lsqr"), ("filter", "sysmat")),
     "fbp": (("coils", "highpass", "grid", "fbp"), ("filter",)),
-    "compare": ((), ("phantom", "lsqr", "fbp")),
+    "compare": ((), ("phantom",)),
 }
 # plan entries that change no output of the stage that reads them, so they
 # enter no stamp and are planned only for a stage that runs
@@ -408,8 +408,8 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
     upstream stops the run before its first write; a setting no planned
     entry reads is not parsed.  plan["stamps"] maps each of these stages to
     the stamp of what it writes: a digest of its entries and its inputs'
-    stamps, or for sysmat each coil's config_hash.  An upstream stage that
-    refuses the topology (fbp on an FFP) gets none; compare skips its image.
+    stamps, or for sysmat each coil's config_hash; compare's inputs are the
+    phantom and the given stages' reconstructions.
     """
     stamps = dict(given or {})
     needed = set(stages)
@@ -419,15 +419,12 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
     plan = {"stamps": stamps}
     for stage in [s for s in STAGES if s in needed and s not in stamps]:
         entries, inputs = STAGES[stage]
-        try:
-            for entry in entries + (UNSTAMPED.get(stage, ()) if stage in stages else ()):
-                _entry(cfg, plan, entry)
-        except UnsupportedTopologyError:
-            if stage in stages:
-                raise
-            continue
+        for entry in entries + (UNSTAMPED.get(stage, ()) if stage in stages else ()):
+            _entry(cfg, plan, entry)
+        if stage == "compare":
+            inputs += tuple(s for s in ("lsqr", "fbp") if s in stages)
         stamps[stage] = (_matrix_hashes(plan) if stage == "sysmat" else sysmat.stamp(
-            *(plan[e] for e in entries), *(stamps.get(s) for s in inputs)))
+            *(plan[e] for e in entries), *(stamps[s] for s in inputs)))
     return plan
 
 
@@ -446,7 +443,7 @@ class Workspace:
                  given=None):
         self.dir = Path(outdir if outdir is not None
                         else cfg.text("output", "directory"))
-        self.resolved = cfg.resolved_text()
+        self.cfg = cfg
         self.echoed = False
         self.force = force
         self.plan = plan_stages(cfg, stages, given)
@@ -466,7 +463,7 @@ class Workspace:
             except (FileExistsError, NotADirectoryError):
                 raise ConfigError(f"{self.dir}: a file is in its place") from None
             with atomic_open(self.path("config.resolved.ini"), "w") as fh:
-                fh.write(self.resolved)
+                fh.write(self.cfg.resolved_text())
             self.echoed = True
         return self.path(name)
 
@@ -687,34 +684,37 @@ def stage_fbp(ws: Workspace):
 
 
 def stage_compare(ws: Workspace):
-    """Score the reconstructions that carry the stamp this plan expects of
-    them; skip the rest.
-
-    The reference, phantom_recon.grid, must carry the phantom stage's stamp.
-    """
+    """Score the reconstructions that carry the stamp their stage writes
+    under this config, skip the rest, and stamp compare.csv with the stamps
+    of the reference and the scored images.  The reference,
+    phantom_recon.grid, must carry the phantom stage's stamp."""
     ref_path = ws.require("phantom_recon.grid")
-    names = []
+    scored = {}  # the name of each image to score -> its stamp
     for stage in ("lsqr", "fbp"):
         p = ws.path(f"recon_{stage}.grid")
-        if p.exists() and stage in ws.stamps and _carried_stamp(p) == ws.stamps[stage]:
-            names.append(f"recon_{stage}")
+        try:  # a stage outside this run is planned only if its image exists
+            want = p.exists() and plan_stages(ws.cfg, [stage], ws.stamps)["stamps"][stage]
+        except ConfigError:  # a bad setting, or fbp on an FFP
+            want = None
+        if want and _carried_stamp(p) == want:
+            scored[f"recon_{stage}"] = want
         elif p.exists():
             print(f"compare: skipped recon_{stage}, not written by this config's "
                   f"{stage} stage")
-    if not names:
+    if not scored:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
     if _carried_stamp(ref_path) != ws.stamps["phantom"]:
         raise MissingInputError(f"{ref_path} was not written by this config's "
                                 f"phantom stage; run the phantom stage first")
     reference = phantom.load_grid(ref_path)
     rows = []
-    for name in names:
+    for name in scored:
         image = phantom.load_grid(ws.path(f"{name}.grid"))
         plain = recon.nrmse(image, reference)
         scale = recon.optimal_scale(image, reference)
         scaled = recon.nrmse(image.with_values(scale * image.values), reference)
         rows.append((name, plain, scaled))
-    _write_csv(ws, "compare.csv", ws.stamp("compare"),
+    _write_csv(ws, "compare.csv", sysmat.stamp(ws.stamps["phantom"], *scored.values()),
                "reconstruction,nrmse,nrmse_scaled", rows)
     for name, plain, scaled in rows:
         print(f"compare {name}: nrmse {plain:.6g} (scaled {scaled:.6g})")
@@ -857,8 +857,7 @@ def _compare_files(path_a, path_b, scale: bool):
     image = phantom.load_grid(path_a)
     reference = phantom.load_grid(path_b)
     if scale:
-        image = image.with_values(recon.optimal_scale(image, reference)
-                                  * image.values)
+        image = image.with_values(recon.optimal_scale(image, reference) * image.values)
     print(f"nrmse {recon.nrmse(image, reference):.17g}")
 
 

@@ -51,6 +51,9 @@ class TimeModulation:
     def __post_init__(self):
         if self.kind not in MODULATION_KINDS:
             raise ConfigError(f"unknown modulation kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.f1, self.f2, self.phase, self.scale))):
+            raise ConfigError(f"f1, f2, phase and scale must be finite, got "
+                              f"{self.f1}, {self.f2}, {self.phase} and {self.scale}")
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

@@ -112,26 +112,25 @@ def lsqr_solve(a, b, options: LsqrOptions | None = None) -> LsqrResult:
                       stop_reason=stop_reason)
 
 
-def _flat(v) -> np.ndarray:
-    """The flat float values of a ConcentrationGrid or an array."""
-    if isinstance(v, ConcentrationGrid):
-        return v.flat()
-    return np.asarray(v, dtype=float).ravel()
-
-
-def nrmse(recon, reference) -> float:
-    """||recon - reference||_2 / ||reference||_2 over flat values.
-
-    Accepts arrays or ConcentrationGrid objects; grids must agree on
-    geometry, arrays on shape.
+def _values(recon, reference) -> tuple:
+    """The flat float values of recon and reference, arrays or
+    ConcentrationGrid objects; grids must agree on geometry, arrays on shape.
     """
-    a, b = _flat(recon), _flat(reference)
     if isinstance(recon, ConcentrationGrid):
         if not (isinstance(reference, ConcentrationGrid)
                 and recon.meta_matches(reference)):
             raise ConfigError("grids disagree on geometry")
-    elif a.shape != b.shape:
+    a, b = (v.flat() if isinstance(v, ConcentrationGrid)
+            else np.asarray(v, dtype=float).ravel() for v in (recon, reference))
+    if a.shape != b.shape:
         raise ConfigError("shape mismatch")
+    return a, b
+
+
+def nrmse(recon, reference) -> float:
+    """||recon - reference||_2 / ||reference||_2 over the flat values of two
+    arrays or two grids, checked by _values."""
+    a, b = _values(recon, reference)
     denom = float(np.linalg.norm(b))
     if denom == 0.0:
         raise ConfigError("reference has zero norm")
@@ -140,6 +139,6 @@ def nrmse(recon, reference) -> float:
 
 def optimal_scale(recon, reference) -> float:
     """Least-squares intensity factor alpha minimizing ||alpha*recon - ref||."""
-    a, b = _flat(recon), _flat(reference)
+    a, b = _values(recon, reference)
     denom = float(a @ a)
     return float(a @ b) / denom if denom > 0 else 0.0

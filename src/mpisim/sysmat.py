@@ -1033,8 +1033,8 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
             vals = np.empty(nnz, "<f8")
             if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
                 raise ConfigError(f"{path}: run payload truncated")
-            if not all(np.isfinite(vals[lo:lo + _CHUNK]).all()
-                       for lo in range(0, nnz, _CHUNK)):
+            # min and max propagate a NaN: no temporary, no step
+            if nnz and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
                 raise ConfigError(f"{path}: non-finite matrix values")
             own, lo = [], 0
             for indptr, cells in runs:

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import mpisim
-from mpisim import cli, fbp, sysmat
+from mpisim import cli, fbp, magnetization, sysmat
 from mpisim.errors import (ConfigError, EXIT_CONFIG, EXIT_MISSING_INPUT,
-                           MissingInputError)
+                           MissingInputError, UnsupportedTopologyError)
 from mpisim.fields import load_field_coefficients
 from mpisim.forward import apply_highpass, load_trace_bin
-from mpisim.phantom import load_grid
+from mpisim.phantom import build_disc_phantom, load_grid, save_grid
 from mpisim.sysmat import load_system_matrix
 
 
@@ -426,7 +426,8 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
 
 
 # {work}: a copy of the tiny pipeline's outputs; {bytes}: a file that is not
-# UTF-8; {dir}: a directory; {empty}: a coefficient table without terms
+# UTF-8; {dir}: a directory; {empty}: a coefficient table without terms;
+# {nan}: one whose drive frequency is NaN
 @pytest.mark.parametrize("argv, code, message", [
     (["lsqr", "--set", "solver.atol=abc"], 2, "quantity"),
     (["lsqr", "--set", "solver.btol=1e-8 parsec"], 2, "unit"),
@@ -440,6 +441,8 @@ def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
     (["run", "--set", "field.coefficients={empty}"], 2, "no terms"),
     # 1e-13 s at 2 MHz rounds to zero samples
     (["run", "--set", "acquisition.duration=1e-13 s"], 2, "at least one sample"),
+    (["sysmat", "--set", "field.coefficients={nan}", "--set", "coils.axes=x"], 2,
+     "nan.coeffs:2: f1, f2, phase and scale must be finite"),
 ])
 def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
                                     argv, code, message):
@@ -450,7 +453,11 @@ def test_malformed_input_exit_codes(pipeline_dir, tmp_path, capsys,
     undecodable.write_bytes(b"\x80\x81")
     empty = tmp_path / "empty.coeffs"
     empty.write_text("# component degree order coefficient kind f1 f2 phase scale\n")
-    paths = {"work": work, "bytes": undecodable, "dir": tmp_path, "empty": empty}
+    nan = tmp_path / "nan.coeffs"
+    nan.write_text("# a rotating FFL's drive term with f1 = nan\n"
+                   "1 1 1 -0.1 sinsin nan 1000 0 1\n3 1 0 1 const 0 0 0 1\n")
+    paths = {"work": work, "bytes": undecodable, "dir": tmp_path, "empty": empty,
+             "nan": nan}
     argv = [arg.format(**paths) for arg in argv]
     if "-c" not in argv:
         argv += ["-c", str(ini)]
@@ -899,14 +906,15 @@ def test_compare_skips_reconstructions_of_another_config(pipeline_dir, tmp_path,
     shutil.copytree(out, work)
     capsys.readouterr()
     # recon_lsqr.grid stays from the run under the old discs
+    stages = ["phantom", "simulate", "filter", "fbp", "compare"]
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
-                     "phantom,simulate,filter,fbp,compare",
-                     "--set", "phantom.discs=4 mm"]) == 0
+                     ",".join(stages), "--set", "phantom.discs=4 mm"]) == 0
     assert "compare: skipped recon_lsqr" in capsys.readouterr().out
     stamps = cli.plan_stages(cli.RunConfig.load(ini, ["phantom.discs=4 mm"]),
-                             ["compare"])["stamps"]
+                             stages)["stamps"]
     lines = (work / "compare.csv").read_text().splitlines()
     assert lines[0] == f"# stamp {stamps['compare']}"
+    assert stamps["compare"] == sysmat.stamp(stamps["phantom"], stamps["fbp"])
     assert [line.split(",")[0] for line in lines[2:]] == ["recon_fbp"]
     # a 3 mm disc fills the 4 mm disc's cells: the same phantom, so the same
     # stamps, and recon_fbp is still scored
@@ -1104,17 +1112,105 @@ def test_a_stage_checks_the_settings_upstream_of_it(tmp_path, capsys):
 
 
 def test_ffp_runs_lsqr_and_compare_without_fbp(tmp_path, capsys):
-    # compare expects no FBP image on a field FBP refuses, and needs none
+    # a run without fbp plans no FBP image on a field FBP refuses, and
+    # compare needs none
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    ffp = ["field.topology=lissajous_ffp"]
+    stages = ["phantom", "simulate", "filter", "sysmat", "lsqr", "compare"]
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     ",".join(stages), "--set", ffp[0]]) == 0
+    assert "compare recon_lsqr" in capsys.readouterr().out
+    stamps = cli.plan_stages(cli.RunConfig.load(ini, ffp), stages)["stamps"]
+    assert "fbp" not in stamps
+    assert stamps["compare"] == sysmat.stamp(stamps["phantom"], stamps["lsqr"])
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert lines[0] == f"# stamp {stamps['compare']}"
+    assert [line.split(",")[0] for line in lines[2:]] == ["recon_lsqr"]
+    # an FBP image of the default FFL is skipped under the FFP, whose fbp
+    # stage cannot be planned, and the LSQR image is still scored
+    with pytest.raises(UnsupportedTopologyError):
+        cli.plan_stages(cli.RunConfig.load(ini, ffp), ["fbp"])
+    before = (out / "compare.csv").read_bytes()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     "simulate,filter,fbp"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages", "compare",
+                     "--set", ffp[0]]) == 0
+    printed = capsys.readouterr().out
+    assert "compare: skipped recon_fbp" in printed and "compare recon_lsqr" in printed
+    assert (out / "compare.csv").read_bytes() == before
+
+
+_FBP_ONLY = ["phantom", "simulate", "filter", "fbp", "compare"]
+
+
+@pytest.mark.parametrize("settings", [
+    ["magnetization.b=abc"],
+    ["magnetization.nodes=l1", "magnetization.n_intervals=8"],
+], ids=["bad-threshold", "l1-nodes"])
+def test_an_fbp_only_run_plans_no_matrix(tmp_path, capsys, monkeypatch, settings):
+    # compare plans the reconstructions of its run: without lsqr, no
+    # staircase, matrix or solver setting is parsed or built
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    calls = []
+
+    def counted(*args, real=magnetization.nodes_l1_optimal, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(magnetization, "nodes_l1_optimal", counted)
+    plan = cli.plan_stages(cli.RunConfig.load(ini, settings), _FBP_ONLY)
+    assert not {"sysmat", "lsqr", "approx", "subsampling"} & {*plan, *plan["stamps"]}
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
+                     ",".join(_FBP_ONLY), *(a for s in settings for a in ("--set", s))]) == 0
+    assert "compare recon_fbp" in capsys.readouterr().out
+    assert calls == []
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert lines[0] == f"# stamp {plan['stamps']['compare']}"
+    assert [line.split(",")[0] for line in lines[2:]] == ["recon_fbp"]
+
+
+def test_compare_alone_plans_the_images_it_finds(pipeline_dir, tmp_path, capsys):
+    # after a full run, compare alone plans the stage of each image: it
+    # scores both and writes the full run's compare.csv; where lsqr cannot
+    # be planned, it skips recon_lsqr and scores recon_fbp
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    (work / "compare.csv").unlink()
+    compare = ["run", "-c", str(ini), "-o", str(work), "--stages", "compare"]
+    capsys.readouterr()
+    assert cli.main(compare) == 0
+    printed = capsys.readouterr().out
+    assert "skipped" not in printed
+    assert "compare recon_lsqr" in printed and "compare recon_fbp" in printed
+    assert (work / "compare.csv").read_bytes() == (out / "compare.csv").read_bytes()
+    assert cli.main([*compare, "--set", "magnetization.b=abc"]) == 0
+    printed = capsys.readouterr().out
+    assert "compare: skipped recon_lsqr" in printed and "compare recon_fbp" in printed
+    stamps = cli.plan_stages(cli.RunConfig.load(ini), cli.STAGES)["stamps"]
+    lines = (work / "compare.csv").read_text().splitlines()
+    assert lines[0] == f"# stamp {sysmat.stamp(stamps['phantom'], stamps['fbp'])}"
+    assert [line.split(",")[0] for line in lines[2:]] == ["recon_fbp"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sysmat"], ["lsqr"], ["run"],
+    ["sweep", "--parameter", "node_count", "--values", "8"],
+], ids=["sysmat", "lsqr", "run", "sweep"])
+def test_a_run_that_plans_the_matrix_parses_the_staircase(tmp_path, capsys, argv):
     ini = write_tiny(tmp_path)
     out = tmp_path / "out"
     capsys.readouterr()
-    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--stages",
-                     "phantom,simulate,filter,sysmat,lsqr,compare",
-                     "--set", "field.topology=lissajous_ffp"]) == 0
-    assert "compare recon_lsqr" in capsys.readouterr().out
-    stamps = cli.plan_stages(cli.RunConfig.load(
-        ini, ["field.topology=lissajous_ffp"]), ["compare"])["stamps"]
-    assert "fbp" not in stamps and "lsqr" in stamps
+    assert cli.main([*argv, "-c", str(ini), "-o", str(out),
+                     "--set", "magnetization.b=abc"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse quantity 'abc'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_command(pipeline_dir, capsys, tmp_path):
@@ -1127,6 +1223,15 @@ def test_compare_command(pipeline_dir, capsys, tmp_path):
     assert 0.0 < float(printed.split()[1]) < 2.0
     assert cli.main(["compare", str(tmp_path / "nope.grid"),
                      str(out / "phantom_recon.grid")]) == 3
+    # a grid of another spacing exits 2 with or without the scale
+    finer = tmp_path / "finer.grid"
+    save_grid(build_disc_phantom(0.02, [0.008], 0.00125), finer)
+    for scale in ([], ["--scale"]):
+        capsys.readouterr()
+        assert cli.main(["compare", str(finer), str(out / "phantom_recon.grid"),
+                         *scale]) == 2
+        err = capsys.readouterr().err
+        assert "grids disagree on geometry" in err and "Traceback" not in err
 
 
 # Run in a fresh interpreter: runs the steps argv names, in order, and

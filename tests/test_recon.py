@@ -128,6 +128,19 @@ def test_nrmse_on_grids():
         nrmse(other.with_values(np.ones(other.n_cells)), ref)
 
 
+def test_optimal_scale_checks_what_nrmse_checks():
+    # one check for both metrics: grids of another geometry, arrays of
+    # another size
+    g = empty_grid(0.01, 0.001)
+    ref = g.with_values(np.ones(g.n_cells))
+    other = empty_grid(0.01, 0.002)
+    for metric in (nrmse, optimal_scale):
+        with pytest.raises(ConfigError, match="geometry"):
+            metric(other.with_values(np.ones(other.n_cells)), ref)
+        with pytest.raises(ConfigError, match="shape"):
+            metric(np.ones(3), np.ones(2))
+
+
 def test_result_defaults():
     r = LsqrResult(x=np.zeros(3))
     assert r.iterations == 0

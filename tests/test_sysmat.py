@@ -1085,6 +1085,10 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     _rewrite(path, data=value)
     with pytest.raises(ConfigError, match="non-finite"):
         load_system_matrix(path)
+    # a file without values has none to reject
+    empty = replace(_tiny_matrix(), blocks=(_block(sp.csr_matrix((3, 3))),))
+    save_system_matrix(empty, path, _TINY_HASH)
+    assert load_system_matrix(path).blocks[0].data.size == 0
 
 
 def test_load_rejects_an_unallocatable_shape_as_truncated(tmp_path):
