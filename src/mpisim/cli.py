@@ -409,7 +409,7 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
     entry reads is not parsed.  plan["stamps"] maps each of these stages to
     the stamp of what it writes: a digest of its entries and its inputs'
     stamps, or for sysmat each coil's config_hash; compare's inputs are the
-    phantom and the given stages' reconstructions.
+    phantom and whichever of lsqr and fbp are among the stages.
     """
     stamps = dict(given or {})
     needed = set(stages)
@@ -857,7 +857,8 @@ def _compare_files(path_a, path_b, scale: bool):
     image = phantom.load_grid(path_a)
     reference = phantom.load_grid(path_b)
     if scale:
-        image = image.with_values(recon.optimal_scale(image, reference) * image.values)
+        image = image.with_values(recon.optimal_scale(image, reference)
+                                  * image.values)
     print(f"nrmse {recon.nrmse(image, reference):.17g}")
 
 

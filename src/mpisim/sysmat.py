@@ -1033,7 +1033,7 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
             vals = np.empty(nnz, "<f8")
             if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
                 raise ConfigError(f"{path}: run payload truncated")
-            # min and max propagate a NaN: no temporary, no step
+            # min and max propagate a NaN and make no nnz-sized temporary
             if nnz and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
                 raise ConfigError(f"{path}: non-finite matrix values")
             own, lo = [], 0
