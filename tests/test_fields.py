@@ -331,15 +331,15 @@ def test_invalid_term_raises_config_error(row):
     ("f1", "nan"), ("f2", "inf"), ("phase", "inf"), ("scale", "-inf"),
 ])
 def test_coefficient_file_rejects_a_non_finite_modulation(tmp_path, column, value):
-    # a NaN f1 made every sample's field NaN, so an assembly kept no entry;
-    # the loader names the line, as it does for a bad coefficient
+    # a NaN f1 would make every sample's field NaN, so that an assembly
+    # keeps no entry; the loader names the line, as for a bad coefficient
     row = {"f1": "25000", "f2": "1000", "phase": "0", "scale": "1", column: value}
     path = tmp_path / "field.coeffs"
     path.write_text("# component degree order coefficient kind f1 f2 phase scale\n"
                     "3 1 0 1 const 0 0 0 1\n"
                     f"1 1 1 0.1 sinsin {row['f1']} {row['f2']} {row['phase']} "
                     f"{row['scale']}\n")
-    with pytest.raises(ConfigError, match=f"field.coeffs:3: .*must be finite"):
+    with pytest.raises(ConfigError, match="field.coeffs:3: .*must be finite"):
         load_field_coefficients(path)
     with pytest.raises(ConfigError, match="must be finite"):
         TimeModulation("sinsin", **{k: float(v) for k, v in row.items()})
