@@ -468,22 +468,26 @@ class Workspace:
         return self.path(name)
 
     def check(self, stage: str, paths) -> None:
-        """Check the stamps the inputs at paths carry against stage's.
+        """Check the stamp each input at paths carries against stage's, the
+        one place an input is judged current; each sysmat file has its own.
 
-        A difference raises HashMismatchError unless force is set; then
+        The first file that differs raises HashMismatchError, naming the
+        stamp it carries and the one expected, unless force is set; then
         the stamps are kept in found, so that what this run derives from
         them carries stamp() of them, never the stamp the plan expects.
         """
         want = self.stamps[stage]
         found = tuple(_carried_stamp(p) for p in paths)
-        if not isinstance(want, tuple):  # every coil's file carries one stamp
-            found = found[0] if len(set(found)) == 1 else found
-        if found == want:
+        wants = want if isinstance(want, tuple) else (want,) * len(found)
+        if found == wants:
             return
-        if not self.force:
-            raise HashMismatchError(f"{paths[0]} does not carry the {stage} stamp "
-                                    f"{want}; run the {stage} stage")
-        self.found[stage] = found
+        for path, carried, expected in zip(paths, found, wants):
+            if carried != expected and not self.force:
+                raise HashMismatchError(f"{path} carries stamp {carried}, not the "
+                                        f"{stage} stamp {expected}; run the {stage} stage")
+        # every coil's file of a stage but sysmat carries one stamp
+        self.found[stage] = (found if isinstance(want, tuple) or len(set(found)) > 1
+                             else found[0])
 
     def stamp(self, stage: str):
         """The stamp of what stage writes: the plan's, unless an input that
@@ -520,8 +524,9 @@ def _carried_stamp(path: Path) -> str | None:
 
 
 def _load_traces(ws: Workspace, stage: str | None = None) -> list:
-    """Each coil's trace as stage wrote it, checked against stage's stamp;
-    by default filter's when the plan sets a cut-off, else simulate's.
+    """Each coil's trace as stage wrote it, loaded and then checked against
+    stage's stamp; by default filter's when the plan sets a cut-off, else
+    simulate's.
 
     A trace whose coil index is not its coil's raises ConfigError, even
     under force: both coils' files carry one stamp, so only the index tells
@@ -531,13 +536,13 @@ def _load_traces(ws: Workspace, stage: str | None = None) -> list:
         stage = "filter" if ws.plan["highpass"] is not None else "simulate"
     suffix = "_filtered" if stage == "filter" else ""
     paths = [ws.require(f"trace_{axis}{suffix}.bin") for axis, _ in ws.plan["coils"]]
-    traces = [forward.load_trace_bin(p, ws.stamps[stage], ws.force) for p in paths]
+    traces = [forward.load_trace_bin(p) for p in paths]
+    ws.check(stage, paths)
     for path, trace, (axis, coil) in zip(paths, traces, ws.plan["coils"]):
         if trace.coil_index != coil.index:
             raise ConfigError(f"{path}: holds the trace of coil index "
                               f"{trace.coil_index}, not of coil {axis}, index "
                               f"{coil.index}")
-    ws.check(stage, paths)
     return traces
 
 
@@ -647,7 +652,7 @@ def stage_lsqr(ws: Workspace):
     traces = _load_traces(ws)
     grid, coils = ws.plan["grid"], ws.plan["coils"]
     paths = [ws.require(f"sysmat_{axis}.mat") for axis, _ in coils]
-    sm = sysmat.load_system_matrices(paths, list(ws.stamps["sysmat"]), force=ws.force)
+    sm = sysmat.load_system_matrices(paths)
     ws.check("sysmat", paths)
     if ws.plan["highpass"] is not None:
         sm = sysmat.apply_highpass_rows(sm, ws.plan["highpass"])
@@ -692,15 +697,15 @@ def stage_compare(ws: Workspace):
     scored = {}  # the name of each image to score -> its stamp
     for stage in ("lsqr", "fbp"):
         p = ws.path(f"recon_{stage}.grid")
+        why = f"not written by this config's {stage} stage"
         try:  # a stage outside this run is planned only if its image exists
             want = p.exists() and plan_stages(ws.cfg, [stage], ws.stamps)["stamps"][stage]
-        except ConfigError:  # a bad setting, or fbp on an FFP
-            want = None
+        except ConfigError as exc:  # a bad setting, or fbp on an FFP
+            want, why = None, exc
         if want and _carried_stamp(p) == want:
             scored[f"recon_{stage}"] = want
         elif p.exists():
-            print(f"compare: skipped recon_{stage}, not written by this config's "
-                  f"{stage} stage")
+            print(f"compare: skipped recon_{stage}, {why}")
     if not scored:
         raise MissingInputError("no reconstructions found; run lsqr or fbp first")
     if _carried_stamp(ref_path) != ws.stamps["phantom"]:

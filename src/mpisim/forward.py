@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError, HashMismatchError
+from .errors import ConfigError
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
 from .phantom import ConcentrationGrid, cell_offsets
@@ -369,12 +369,11 @@ def save_trace_bin(trace: SignalTrace, path, stamp: str):
         fh.write(trace.samples.astype("<f8").tobytes())
 
 
-def load_trace_bin(path, expected_stamp: str | None = None,
-                   force: bool = False) -> SignalTrace:
+def load_trace_bin(path) -> SignalTrace:
     """Inverse of save_trace_bin.
 
-    A malformed, truncated or unstamped file raises ConfigError; a stamp
-    other than a non-None expected_stamp HashMismatchError unless force.
+    A malformed, truncated or unstamped file raises ConfigError.  Whether
+    its stamp is current is for the stage that reads it to check.
     """
     with open_input(path) as fh:
         line = fh.readline()
@@ -391,9 +390,6 @@ def load_trace_bin(path, expected_stamp: str | None = None,
             raise ValueError(f"stamp {stamp!r} is not 16 hex digits")
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed trace header: {exc}") from None
-    if expected_stamp not in (None, stamp) and not force:
-        raise HashMismatchError(f"{path}: stored stamp {stamp} does not match "
-                                f"expected {expected_stamp}; pass force to override")
     if len(raw) != 8 * n:
         raise ConfigError(f"{path}: expected {n} samples, got {len(raw) / 8:g}")
     return SignalTrace(samples=np.frombuffer(raw, dtype="<f8").copy(),

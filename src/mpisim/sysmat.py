@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError, HashMismatchError, ResourceCapError
+from .errors import ConfigError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
@@ -818,7 +818,7 @@ def _parse_header(lines):
     when ReceiveCoil rejects a coil vector: it must have 3 components, not
     all zero.
     """
-    rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
+    rows, cols, nnz, _, *layout = lines[0].decode("ascii").split()
     if layout[:1] != ["runs"]:
         old = {(): "old triplet", ("csr",): "csr"}.get(tuple(layout))
         if old:
@@ -861,15 +861,14 @@ def _parse_header(lines):
     if not (all(0 < s < math.inf for s in spacing)
             and all(map(math.isfinite, origin))):
         raise ValueError("grid spacing must be finite and positive, origin finite")
-    return (rows, cols), (n_runs, nnz), digest, dict(
+    return (rows, cols), (n_runs, nnz), dict(
         sample_rate=rate, t0=t0, rows_per_coil=per_coil,
         coils=tuple(coils), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
 
 
-def load_system_matrix(path, expected_hash: str | None = None,
-                       force: bool = False) -> SystemMatrix:
-    """load_system_matrices([path], [expected_hash], force)."""
-    return load_system_matrices([path], [expected_hash], force)
+def load_system_matrix(path) -> SystemMatrix:
+    """load_system_matrices([path])."""
+    return load_system_matrices([path])
 
 
 def _read(fh, path, count: int, dtype: str) -> np.ndarray:
@@ -968,16 +967,14 @@ def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int,
             for k, (lo, hi) in enumerate(zip(firsts[:-1], firsts[1:]))]
 
 
-def load_system_matrices(paths: list, expected_hashes: list | None = None,
-                         force: bool = False) -> SystemMatrix:
+def load_system_matrices(paths: list) -> SystemMatrix:
     """Load stored matrices as one SystemMatrix, one block per coil, in path order.
 
-    expected_hashes, if given, holds one entry per path; another count is a
-    ConfigError.  Every header is checked first: a malformed one, a payload
-    that is not 8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the
-    coils that differs from the first file's raises ConfigError, a hash
-    other than its non-None expected_hashes entry HashMismatchError unless
-    force is set.
+    Every header is checked first: a malformed one, a payload that is not
+    8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coils that
+    differs from the first file's raises ConfigError.  The digest a header
+    stores is not compared with anything: whether it is current is for the
+    stage that reads the file to check.
     Then each payload is read, bit-equal to the CSR rows that were saved.
     A file's run section (run_ptr, starts and lengths) is compared, _CHUNK
     bytes at a time, with that of each file already decoded that has its
@@ -992,21 +989,15 @@ def load_system_matrices(paths: list, expected_hashes: list | None = None,
     """
     if not paths:
         raise ConfigError("need at least one matrix file")
-    if expected_hashes is not None and len(expected_hashes) != len(paths):
-        raise ConfigError(f"{len(expected_hashes)} expected hashes for {len(paths)} files")
     with contextlib.ExitStack() as stack:
         heads = []
-        for path, expected in zip(paths, expected_hashes or [None] * len(paths)):
+        for path in paths:
             fh = stack.enter_context(open_input(path))
             try:
-                (rows, cols), (n_runs, nnz), digest, meta = _parse_header(
+                (rows, cols), (n_runs, nnz), meta = _parse_header(
                     [fh.readline() for _ in range(4)])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}: malformed header: {exc}") from None
-            if expected is not None and digest != expected and not force:
-                raise HashMismatchError(
-                    f"{path}: stored config hash {digest} does not match expected "
-                    f"{expected}; pass force to override")
             # checked against the file before anything header-sized is allocated
             size = 8 * (rows + 1) + 8 * n_runs + 8 * nnz
             if os.fstat(fh.fileno()).st_size - fh.tell() != size:

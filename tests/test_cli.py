@@ -1,7 +1,9 @@
 """Config parsing, the pipeline driver, and command exit codes."""
 
+import ast
 import filecmp
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import mpisim
-from mpisim import cli, fbp, magnetization, sysmat
+from mpisim import cli, fbp, forward, magnetization, sysmat
 from mpisim.errors import (ConfigError, EXIT_CONFIG, EXIT_MISSING_INPUT,
                            MissingInputError, UnsupportedTopologyError)
 from mpisim.fields import load_field_coefficients
@@ -343,7 +345,8 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
         firsts = [k for h in heads for k in h]
         assert np.array_equal(starts, block.indices[firsts])
         assert np.array_equal(lengths, np.diff([*firsts, nnz]))
-        [loaded] = load_system_matrix(path, expected_hash=ws.stamps["sysmat"][i]).blocks
+        [loaded] = load_system_matrix(path).blocks
+        assert cli._carried_stamp(path) == ws.stamps["sysmat"][i]
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
             got = getattr(loaded, name)
@@ -994,6 +997,52 @@ def test_compare_scores_reconstructions_of_other_workers_or_directory(
     assert "compare recon_fbp" in printed
 
 
+def test_compare_says_why_a_reconstruction_is_skipped(pipeline_dir, tmp_path,
+                                                     capsys):
+    # a setting lsqr cannot plan skips its image with the planning error;
+    # an image of another setting is skipped as not this config's
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    compare = ["run", "-c", str(ini), "-o", str(work), "--stages", "compare"]
+    capsys.readouterr()
+    assert cli.main([*compare, "--set", "magnetization.b=abc"]) == 0
+    printed = capsys.readouterr().out
+    assert "compare: skipped recon_lsqr, cannot parse quantity 'abc'\n" in printed
+    assert "compare recon_fbp" in printed
+    assert cli.main([*compare, "--set", "magnetization.b=4 mT"]) == 0
+    assert ("compare: skipped recon_lsqr, not written by this config's lsqr stage\n"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, stage, stages, setting", [
+    ("trace_y_filtered.bin", "filter", "phantom,simulate,filter", "phantom.discs=4 mm"),
+    ("sysmat_y.mat", "sysmat", "sysmat", "magnetization.b=4 mT"),
+], ids=["trace", "matrix"])
+def test_a_stale_y_input_is_the_file_named(pipeline_dir, tmp_path, capsys, name,
+                                            stage, stages, setting):
+    # only y's file comes from another run: lsqr names it, the stamp it
+    # carries and the one expected, and under --force reads it anyway
+    tmp, ini, out = pipeline_dir
+    work, other = tmp_path / "out", tmp_path / "other"
+    shutil.copytree(out, work)
+    assert cli.main(["run", "-c", str(ini), "-o", str(other), "--stages", stages,
+                     "--set", setting]) == 0
+    shutil.copyfile(other / name, work / name)
+    stamps = cli.plan_stages(cli.RunConfig.load(ini), ["lsqr"])["stamps"]
+    expected = stamps[stage][1] if stage == "sysmat" else stamps[stage]
+    carried = cli._carried_stamp(work / name)
+    assert carried != expected
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work)]) == 4
+    err = capsys.readouterr().err
+    assert (f"error: {work / name} carries stamp {carried}, not the {stage} stamp "
+            f"{expected}; run the {stage} stage\n") == err
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force"]) == 0
+    first = (work / "recon_lsqr.grid").read_bytes().split(b"\n")[0]
+    assert first != f"# stamp {stamps['lsqr']}".encode()
+
+
 def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,
                                                      capsys):
     # the new phantom moves the stamp the traces must carry
@@ -1005,13 +1054,37 @@ def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,
     assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages",
                      "phantom,lsqr,compare", "--set", "phantom.discs=4 mm"]) == 4
     err = capsys.readouterr().err
-    assert "trace_x_filtered.bin: stored stamp" in err and "Traceback" not in err
+    old, new = (cli.plan_stages(cli.RunConfig.load(ini, over), ["lsqr"])["stamps"]
+                for over in ([], ["phantom.discs=4 mm"]))
+    assert (f"trace_x_filtered.bin carries stamp {old['filter']}, not the filter "
+            f"stamp {new['filter']}; run the filter stage" in err)
+    assert "Traceback" not in err
     changed = {name for name, data in _files(work).items() if before[name] != data}
     assert changed == {Path("phantom.grid"), Path("phantom_recon.grid"),
                        Path("phantom.pgm")}
     # simulate checks the phantom it reads the same way
     assert cli.main(["simulate", "-c", str(ini), "-o", str(work)]) == 4
-    assert "phantom.grid does not carry the phantom stamp" in capsys.readouterr().err
+    assert (f"phantom.grid carries stamp {new['phantom']}, not the phantom stamp "
+            f"{old['phantom']}" in capsys.readouterr().err)
+
+
+def test_only_the_cli_compares_stamps():
+    # the loaders read and validate files; Workspace.check alone judges
+    # whether an input is current, so no other module names its error
+    for loader in (forward.load_trace_bin, sysmat.load_system_matrices,
+                   sysmat.load_system_matrix):
+        params = inspect.signature(loader).parameters
+        assert not [p for p in params if p.startswith("expected") or p == "force"], loader
+    users = []
+    for path in sorted(Path(mpisim.__file__).parent.glob("*.py")):
+        if path.name in ("errors.py", "__init__.py"):
+            continue
+        names = {getattr(node, key) for node in ast.walk(ast.parse(path.read_text()))
+                 for key in ("id", "attr", "name")
+                 if isinstance(getattr(node, key, None), str)}
+        if "HashMismatchError" in names:
+            users.append(path.name)
+    assert users == ["cli.py"]
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
@@ -1084,7 +1157,8 @@ def test_forced_traces_of_another_phantom_mark_every_stage_after(tmp_path, capsy
     assert header.split()[4].decode() == old["filter"] != plan["stamps"]["filter"]
     capsys.readouterr()
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *discs]) == 4
-    assert "trace_x_filtered.bin: stored stamp" in capsys.readouterr().err
+    assert (f"trace_x_filtered.bin carries stamp {old['filter']}, not the filter "
+            f"stamp {plan['stamps']['filter']}" in capsys.readouterr().err)
 
 
 def test_an_fbp_setting_keeps_the_other_reconstruction(pipeline_dir, tmp_path,

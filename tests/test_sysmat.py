@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import mpisim
 from mpisim import magnetization as mag
+from mpisim.cli import _carried_stamp
 from mpisim.errors import (
     ConfigError,
-    HashMismatchError,
     MissingInputError,
     ResourceCapError,
 )
@@ -609,7 +609,8 @@ def test_streamed_files_equal_the_build_in_memory(tmp_path, subsampling, monkeyp
             assert record.shape == sm.shape and record.nnz == sm.nnz
             paths = [path for path, _ in files[i]]
             assert list(record.paths) == paths
-            loaded = load_system_matrices(paths, digests[i])
+            loaded = load_system_matrices(paths)
+            assert [_carried_stamp(path) for path in paths] == digests[i]
             for k, path in enumerate(paths):
                 _assert_same_csr(loaded.blocks[k], sm.blocks[k], (workers, block, i, k))
                 assert record.coil_nnz[k] == sm.blocks[k].nnz
@@ -846,9 +847,10 @@ def test_nnz_cap(scene):
 
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
-    path = tmp_path / "sm.bin"
+    path = tmp_path / "sm.mat"
     save_system_matrix(matrix_x, path, _X_HASH)
-    back = load_system_matrix(path, expected_hash=_X_HASH)
+    back = load_system_matrix(path)
+    assert _carried_stamp(path) == _X_HASH
     _assert_same_csr(back.blocks[0], matrix_x.blocks[0])
     assert back.rows_per_coil == matrix_x.rows_per_coil
     assert back.coils == matrix_x.coils
@@ -863,26 +865,17 @@ def test_save_load_round_trip(scene, matrix_x, tmp_path):
 
 
 def test_load_hash_mismatch_and_force(scene, matrix_x, tmp_path):
+    # the loader compares no hash, so it has nothing to force: a stage's
+    # Workspace.check judges the hash (test_exit_codes in test_cli); the
+    # loader still rejects a missing or truncated file
     path = tmp_path / "sm.bin"
     save_system_matrix(matrix_x, path, _X_HASH)
-    with pytest.raises(HashMismatchError, match=_X_HASH):
-        load_system_matrix(path, expected_hash="0" * 16)
-    forced = load_system_matrix(path, expected_hash="0" * 16, force=True)
-    _assert_same_csr(forced.blocks[0], matrix_x.blocks[0])
     with pytest.raises(MissingInputError):
         load_system_matrix(tmp_path / "absent.bin")
     data = path.read_bytes()
     (tmp_path / "cut.bin").write_bytes(data[:-8])
     with pytest.raises(ConfigError):
         load_system_matrix(tmp_path / "cut.bin")
-
-
-@pytest.mark.parametrize("n_hashes", [1, 3])
-def test_load_rejects_a_hash_count_other_than_the_path_count(matrix_x, tmp_path,
-                                                              n_hashes):
-    paths = _save_coil_files(tmp_path, [matrix_x, matrix_x])
-    with pytest.raises(ConfigError, match=f"{n_hashes} expected hashes for 2 files"):
-        load_system_matrices(paths, [_X_HASH] * n_hashes)
 
 
 _TINY_HASH = "0123456789abcdef"
@@ -1073,7 +1066,8 @@ def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
         path = Path(tmp) / "sm.mat"
         save_system_matrix(sm, path, _TINY_HASH)
         n_runs = int(path.read_bytes().split(b"\n")[0].split()[-1])
-        [back] = load_system_matrix(path, expected_hash=_TINY_HASH).blocks
+        [back] = load_system_matrix(path).blocks
+        assert _carried_stamp(path) == _TINY_HASH
     assert n_runs == _runs_oracle(csr)
     _assert_same_csr(back, csr)
 
@@ -1138,7 +1132,8 @@ def test_one_sample_acquisition(scene, tmp_path):
     assert sm.rows_per_coil == 1 and sm.sample_rate == config.sample_rate
     path = tmp_path / "sm.mat"
     save_system_matrix(sm, path, _TINY_HASH)
-    back = load_system_matrix(path, expected_hash=_TINY_HASH)
+    back = load_system_matrix(path)
+    assert _carried_stamp(path) == _TINY_HASH
     assert back.sample_rate == config.sample_rate and back.highpass is None
     _assert_same_csr(back.blocks[0], sm.blocks[0])
     # the only DFT bin of one sample is 0 Hz
@@ -1165,7 +1160,8 @@ def test_rewrite_helper_keeps_a_valid_file(tmp_path):
     tiny = _tiny_matrix()
     save_system_matrix(tiny, path, _TINY_HASH)
     _rewrite(path, header={3: b"3 1 1 0.001 0.001 0.001 0 0 0"}, data=1.0)
-    back = load_system_matrix(path, expected_hash=_TINY_HASH)
+    back = load_system_matrix(path)
+    assert _carried_stamp(path) == _TINY_HASH
     assert back.nnz == 4
     _assert_same_csr(back.blocks[0], tiny.blocks[0])
 
@@ -1403,7 +1399,8 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
     again = replace(x, blocks=(replace(x.blocks[0], data=2 * x.blocks[0].data),),
                     coils=(coil_along("x", index=3),))
     paths = _save_coil_files(tmp_path, [x, empty, y, again, both])
-    stacked = load_system_matrices(paths, [f"{i:016x}" for i in range(5)])
+    stacked = load_system_matrices(paths)
+    assert [_carried_stamp(p) for p in paths] == [f"{i:016x}" for i in range(5)]
     assert stacked.highpass is None  # the files hold S alone
     stacked = apply_highpass_rows(stacked, 35e3)
     oracle = sp.vstack([_stacked(load_system_matrix(p)) for p in paths], format="csr")
@@ -1424,13 +1421,14 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
         assert not np.shares_memory(block.indices, bx.indices)
     assert bx.nnz > 0 and np.array_equal(b_again.data, 2 * bx.data)
     # the one-file loader is the stacked loader with one path
-    one = load_system_matrix(paths[0], expected_hash=f"{0:016x}")
+    one = load_system_matrix(paths[0])
+    assert _carried_stamp(paths[0]) == f"{0:016x}"
     _assert_same_csr(one.blocks[0], both.blocks[0])
     with pytest.raises(ConfigError, match="at least one"):
         load_system_matrices([])
 
 
-@pytest.mark.parametrize("flaw", ["truncated", "hash", "rows", "t0"])
+@pytest.mark.parametrize("flaw", ["truncated", "rows", "t0"])
 def test_stacked_load_checks_every_header_before_any_payload(
         scene, matrix_x, tmp_path, monkeypatch, flaw):
     # the second file fails; no payload array has been allocated by then
@@ -1445,14 +1443,11 @@ def test_stacked_load_checks_every_header_before_any_payload(
     paths = _save_coil_files(tmp_path, [matrix_x, second])
     if flaw == "truncated":
         paths[1].write_bytes(paths[1].read_bytes()[:-8])
-    hashes = [f"{0:016x}", "f" * 16 if flaw == "hash" else f"{1:016x}"]
-    error, message = {"truncated": (ConfigError, "truncated"),
-                      "hash": (HashMismatchError, "does not match"),
-                      "rows": (ConfigError, "rows_per_coil not as in"),
-                      "t0": (ConfigError, "t0 not as in")}[flaw]
+    message = {"truncated": "truncated", "rows": "rows_per_coil not as in",
+               "t0": "t0 not as in"}[flaw]
     monkeypatch.setattr(mpisim.sysmat, "np", _WatchedNumpy(refuse=True))
-    with pytest.raises(error, match=message) as exc:
-        load_system_matrices(paths, hashes)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_system_matrices(paths)
     assert str(paths[1]) in str(exc.value)
 
 
@@ -1761,11 +1756,12 @@ def test_highpass_save_load_round_trip(matrix_x, tmp_path):
     # the file holds S alone: a marked matrix is saved as the unmarked one
     # and loads unmarked; marked again, it is the same operator
     filtered = apply_highpass_rows(matrix_x, 35e3)
-    path, plain = tmp_path / "sm_hp.bin", tmp_path / "sm.bin"
+    path, plain = tmp_path / "sm_hp.mat", tmp_path / "sm.mat"
     save_system_matrix(filtered, path, _X_HASH)
     save_system_matrix(matrix_x, plain, _X_HASH)
     assert path.read_bytes() == plain.read_bytes()
-    back = load_system_matrix(path, expected_hash=_X_HASH)
+    back = load_system_matrix(path)
+    assert _carried_stamp(path) == _X_HASH
     assert back.highpass is None
     assert back.nnz == matrix_x.nnz
     assert all(isinstance(block, CsrBlock) for block in back.blocks)
