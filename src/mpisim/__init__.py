@@ -19,7 +19,7 @@ from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, add_noise,
                       save_trace_bin, save_trace_csv,
                       simulate_general, simulate_parallel, simulate_piecewise)
 from .sysmat import (SystemMatrix, apply_highpass_rows, build_system_matrix,
-                     build_system_matrices, config_hash, load_system_matrix,
+                     build_system_matrices, load_system_matrix,
                      load_system_matrices, save_system_matrix, stack_coils)
 from .recon import LsqrOptions, LsqrResult, lsqr_solve, nrmse, optimal_scale
 from .fbp import (Sinogram, fbp_reconstruct, radon_transform,

@@ -407,9 +407,9 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
     up to the stages whose stamps are given, so a bad setting anywhere
     upstream stops the run before its first write; a setting no planned
     entry reads is not parsed.  plan["stamps"] maps each of these stages to
-    the stamp of what it writes: a digest of its entries and its inputs'
-    stamps, or for sysmat each coil's config_hash; compare's inputs are the
-    phantom and whichever of lsqr and fbp are among the stages.
+    the one stamp all its files carry, sysmat.stamp of its entries and its
+    inputs' stamps; compare's inputs are the phantom and whichever of lsqr
+    and fbp are among the stages.
     """
     stamps = dict(given or {})
     needed = set(stages)
@@ -423,15 +423,9 @@ def plan_stages(cfg: RunConfig, stages, given=None) -> dict:
             _entry(cfg, plan, entry)
         if stage == "compare":
             inputs += tuple(s for s in ("lsqr", "fbp") if s in stages)
-        stamps[stage] = (_matrix_hashes(plan) if stage == "sysmat" else sysmat.stamp(
-            *(plan[e] for e in entries), *(stamps[s] for s in inputs)))
+        stamps[stage] = sysmat.stamp(*(plan[e] for e in entries),
+                                     *(stamps[s] for s in inputs))
     return plan
-
-
-def _matrix_hashes(plan: dict) -> tuple:
-    return tuple(sysmat.config_hash(plan["field"], plan["approx"], plan["grid"],
-                                    plan["acq"], coil, plan["subsampling"])
-                 for _, coil in plan["coils"])
 
 
 class Workspace:
@@ -469,7 +463,7 @@ class Workspace:
 
     def check(self, stage: str, paths) -> None:
         """Check the stamp each input at paths carries against stage's, the
-        one place an input is judged current; each sysmat file has its own.
+        one place an input is judged current.
 
         The first file that differs raises HashMismatchError, naming the
         stamp it carries and the one expected, unless force is set; then
@@ -478,16 +472,13 @@ class Workspace:
         """
         want = self.stamps[stage]
         found = tuple(_carried_stamp(p) for p in paths)
-        wants = want if isinstance(want, tuple) else (want,) * len(found)
-        if found == wants:
+        if set(found) == {want}:
             return
-        for path, carried, expected in zip(paths, found, wants):
-            if carried != expected and not self.force:
+        for path, carried in zip(paths, found):
+            if carried != want and not self.force:
                 raise HashMismatchError(f"{path} carries stamp {carried}, not the "
-                                        f"{stage} stamp {expected}; run the {stage} stage")
-        # every coil's file of a stage but sysmat carries one stamp
-        self.found[stage] = (found if isinstance(want, tuple) or len(set(found)) > 1
-                             else found[0])
+                                        f"{stage} stamp {want}; run the {stage} stage")
+        self.found[stage] = found[0] if len(set(found)) == 1 else found
 
     def stamp(self, stage: str):
         """The stamp of what stage writes: the plan's, unless an input that
@@ -513,14 +504,18 @@ class Workspace:
 
 
 def _carried_stamp(path: Path) -> str | None:
-    """The stamp the artifact at path carries: the '# stamp' line of a grid
-    or CSV, or the stamp field of a trace (.bin) or matrix (.mat) header."""
+    """The stamp the artifact at path carries, by its first line's layout:
+    the '# stamp' line of a grid or CSV, the fifth field of a trace header,
+    or the fourth of a matrix header, which ends in 'runs <count>'."""
     with open_input(path) as fh:
         fields = fh.readline().decode("ascii", "replace").split()
-    at = {".bin": 4, ".mat": 3}.get(path.suffix)
-    if at is None:
-        return fields[2] if len(fields) == 3 and fields[:2] == ["#", "stamp"] else None
-    return fields[at] if len(fields) > at else None
+    if len(fields) == 3 and fields[:2] == ["#", "stamp"]:
+        return fields[2]
+    if len(fields) == 5:
+        return fields[4]
+    if len(fields) == 6 and fields[4] == "runs":
+        return fields[3]
+    return None
 
 
 def _load_traces(ws: Workspace, stage: str | None = None) -> list:
@@ -632,20 +627,19 @@ def stage_sysmat(ws: Workspace):
 
 
 def _matrix_files(ws: Workspace):
-    """Each coil's sysmat_<axis>.mat and its sysmat stamp.  A generator: the
+    """Each coil's sysmat_<axis>.mat and the sysmat stamp.  A generator: the
     build takes the paths, and ws.out writes config.resolved.ini, only once
     the estimated count has passed sysmat.nnz_cap."""
-    return ((ws.out(f"sysmat_{axis}.mat"), digest)
-            for (axis, _), digest in zip(ws.plan["coils"], ws.stamps["sysmat"]))
+    return ((ws.out(f"sysmat_{axis}.mat"), ws.stamps["sysmat"])
+            for axis, _ in ws.plan["coils"])
 
 
 def _report_matrices(ws: Workspace, stored: sysmat.StoredMatrix):
     """Print each coil file's shape, nonzero count, size and stamp."""
     rows, cols = stored.shape[0] // len(stored.paths), stored.shape[1]
-    for (axis, _), digest, path, nnz in zip(ws.plan["coils"], ws.stamps["sysmat"],
-                                            stored.paths, stored.coil_nnz):
+    for (axis, _), path, nnz in zip(ws.plan["coils"], stored.paths, stored.coil_nnz):
         print(f"sysmat coil {axis}: {rows}x{cols}, nnz {nnz}, "
-              f"{path.stat().st_size / 1e6:.1f} MB, hash {digest}")
+              f"{path.stat().st_size / 1e6:.1f} MB, hash {ws.stamps['sysmat']}")
 
 
 def stage_lsqr(ws: Workspace):

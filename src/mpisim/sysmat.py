@@ -49,6 +49,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -433,9 +434,9 @@ class SystemMatrix:
     indptr and indices (load_system_matrices).  scipy.sparse.csr_matrix((
     b.data, b.indices, b.indptr), shape=b.shape) is block b as scipy holds
     it, without a copy.  S is stored sparse and unfiltered; highpass, set by
-    apply_highpass_rows, is filtered on application by operator().  The
-    config hash that identifies a stored matrix is not held here: it is
-    written by save_system_matrix and checked by load_system_matrices.
+    apply_highpass_rows, is filtered on application by operator().  A file
+    holds one block, and the digest save_system_matrix is given, which the
+    stage that reads the file compares with its plan: none is held here.
     """
 
     blocks: tuple
@@ -500,18 +501,10 @@ def stamp(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def config_hash(model: FieldModel, approx: MagnetizationApprox,
-                grid: ConcentrationGrid, acq: AcquisitionConfig, coil: ReceiveCoil,
-                subsampling: int = 1) -> str:
-    """The stamp of everything a coil's matrix depends on.
-
-    The grid enters by its geometry alone, the time axis as its sample
-    count, t0 and spacing 1/sample_rate.  No cut-off enters: S is unfiltered.
-    """
-    return stamp(model.terms, model.validity_radius, approx.scheme, approx.threshold,
-                 approx.ladder, approx.slopes, grid.dims, grid.spacing, grid.origin,
-                 acq.n_samples, acq.t0, 1 / acq.sample_rate, coil.sensitivity,
-                 subsampling)
+def _check_digest(digest) -> None:
+    """ConfigError unless digest is 16 lowercase hex digits, as stamp() gives."""
+    if not re.fullmatch("[0-9a-f]{16}", str(digest)):
+        raise ConfigError(f"digest {digest!r} is not 16 hex digits")
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
@@ -572,8 +565,9 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     digest) per coil, digest going into the header, and one StoredMatrix
     per staircase is returned.  Each files[i] is iterated only once the
     estimated count has passed the cap; files without one row per
-    staircase, a row without one entry per coil, or two entries with one
-    real path are a ConfigError before any file is opened.  The files are replaced when the build ends; none is touched
+    staircase, a row without one entry per coil, two entries with one real
+    path, or a digest that is not 16 hex digits are a ConfigError before
+    any file is opened.  The files are replaced when the build ends; none is touched
     when it stops.  Without files, the files go to a temporary directory,
     removed however the build ends, and each staircase's are loaded back:
     one SystemMatrix per staircase is returned, in order, whose blocks are
@@ -618,7 +612,8 @@ def build_system_matrices(model: FieldModel, approxes, coils,
 
 def _checked_files(files, n_staircases: int, n_coils: int) -> list:
     """files as lists of (path, digest), one list per staircase and one entry
-    per coil; ConfigError when a count is off or two paths are one file."""
+    per coil; ConfigError when a count is off, two paths are one file or a
+    digest is not 16 hex digits."""
     files = [list(row) for row in files]
     if len(files) != n_staircases:
         raise ConfigError(f"{len(files)} rows of files for {n_staircases} staircase(s)")
@@ -626,7 +621,8 @@ def _checked_files(files, n_staircases: int, n_coils: int) -> list:
     for row in files:
         if len(row) != n_coils:
             raise ConfigError(f"{len(row)} files in a row for {n_coils} coil(s)")
-        for path, _ in row:
+        for path, digest in row:
+            _check_digest(digest)
             real = os.path.realpath(path)
             if real in seen:
                 raise ConfigError(f"{path} is given to two (staircase, coil) files")
@@ -762,11 +758,11 @@ class _RunWriter:
 
     def _write(self) -> None:
         meta = self.meta
+        [coil] = meta["coils"]
         lines = [
             f"{self.shape[0]} {self.shape[1]} {self.nnz} {self.digest} runs {self.n_runs}",
             f"{meta['sample_rate']:.17g} {meta['t0']:.17g} {meta['rows_per_coil']}",
-            " ".join(f"{c.index}:" + ",".join(f"{v:.17g}" for v in c.sensitivity)
-                     for c in meta["coils"]),
+            f"{coil.index}:" + ",".join(f"{v:.17g}" for v in coil.sensitivity),
             " ".join([*(str(d) for d in meta["grid_dims"]),
                       *(f"{s:.17g}" for s in meta["grid_spacing"]),
                       *(f"{o:.17g}" for o in meta["grid_origin"])]),
@@ -781,29 +777,34 @@ class _RunWriter:
 
 
 def save_system_matrix(sm: SystemMatrix, path, digest: str):
-    """Four ASCII header lines, then the rows of sm's blocks as runs of columns.
+    """Four ASCII header lines, then the rows of sm's one coil as runs of columns.
 
     A run is a maximal stretch of consecutive columns within one row, so a
     run starts at least 2 past the previous run's last column and each
-    matrix has one encoding.  Header line 0 holds digest, the config_hash
-    of what sm was built from, and ends in the layout token runs and the
-    run count; line 1 holds sample_rate t0 rows_per_coil, not sm.highpass:
-    the file holds S alone.  The payload is run_ptr (<i8, rows + 1
-    entries: the first run of each row), starts and lengths (<i4, one per
-    run) and data (<f8, nnz entries, as held), for the blocks' rows in coil
-    order.  Every block must hold sorted column indices, as every
-    assembled or loaded one does.  Its rows go to the one _RunWriter a
-    bounded number at a time (_row_chunks), so no temporary is nnz-sized,
-    and an interrupted write never leaves a partial matrix behind.
+    matrix has one encoding.  Header line 0 holds digest, the stamp of what
+    sm was built from, and ends in the layout token runs and the run count;
+    line 1 holds sample_rate t0 rows_per_coil, not sm.highpass: the file
+    holds S alone; line 2 the coil as index:x,y,z.  The payload is run_ptr
+    (<i8, rows + 1 entries: the first run of each row), starts and lengths
+    (<i4, one per run) and data (<f8, nnz entries, as held).  sm must be
+    one block of sorted column indices, as every assembled or loaded coil
+    is, and digest 16 hex digits, else ConfigError before path is opened.
+    The rows go to the one _RunWriter a bounded number at a time
+    (_row_chunks), so no temporary is nnz-sized, and an interrupted write
+    never leaves a partial matrix behind.
     """
+    if len(sm.blocks) != 1 or len(sm.coils) != 1:
+        raise ConfigError(f"a matrix file holds one coil, not {len(sm.blocks)} "
+                          f"block(s) of {len(sm.coils)} coil(s)")
+    _check_digest(digest)
     meta = {f.name: getattr(sm, f.name) for f in dataclasses.fields(sm)
             if f.name != "blocks"}
+    [block] = sm.blocks
+    indptr, indices = block.indptr, block.indices
     with _RunWriter(path, digest, sm.shape, meta) as writer:
-        for block in sm.blocks:
-            indptr, indices = block.indptr, block.indices
-            for lo, hi in _row_chunks(indptr):
-                a, b = indptr[lo], indptr[hi]
-                writer.append(block.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
+        for lo, hi in _row_chunks(indptr):
+            a, b = indptr[lo], indptr[hi]
+            writer.append(block.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
 
 
 def _parse_header(lines):
@@ -812,13 +813,13 @@ def _parse_header(lines):
     ValueError when a line is malformed or its metadata impossible: line 0
     must end in the runs layout token and a run count that can hold the
     nonzeros (line 1 of an older file, ending in its cut-off, asks for a
-    rebuild), every rate, time, vector, spacing and origin must be finite,
-    the sample rate positive, and the shape must match rows_per_coil times
-    the coils and the grid dims.  ConfigError
-    when ReceiveCoil rejects a coil vector: it must have 3 components, not
-    all zero.
+    rebuild), line 2 must name one coil, every rate, time, vector, spacing
+    and origin must be finite, the sample rate positive, and the shape must
+    match rows_per_coil and the grid dims.  ConfigError when the digest is
+    not 16 hex digits, or ReceiveCoil rejects the coil vector.
     """
-    rows, cols, nnz, _, *layout = lines[0].decode("ascii").split()
+    rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
+    _check_digest(digest)
     if layout[:1] != ["runs"]:
         old = {(): "old triplet", ("csr",): "csr"}.get(tuple(layout))
         if old:
@@ -840,16 +841,16 @@ def _parse_header(lines):
     rate, t0, per_coil = float(rate), float(t0), int(per_coil)
     if not (0 < rate < math.inf and math.isfinite(t0)):
         raise ValueError("sample rate and t0 must be finite, the rate positive")
-    coils = []
-    for field in lines[2].decode("ascii").split():
-        idx, vec = field.split(":")
-        vec = tuple(float(x) for x in vec.split(","))
-        if not all(map(math.isfinite, vec)):
-            raise ValueError(f"coil vector {field!r} must be finite")
-        coils.append(ReceiveCoil(vec, int(idx)))
-    if per_coil < 1 or not coils or rows != per_coil * len(coils):
-        raise ValueError(f"{rows} rows are not {len(coils)} coil(s) of "
-                         f"{per_coil} >= 1 rows")
+    coils = lines[2].decode("ascii").split()
+    if len(coils) != 1:
+        raise ValueError(f"line 2 names {len(coils)} coils, not one")
+    idx, vec = coils[0].split(":")
+    vec = tuple(float(x) for x in vec.split(","))
+    if not all(map(math.isfinite, vec)):
+        raise ValueError(f"coil vector {coils[0]!r} must be finite")
+    coil = ReceiveCoil(vec, int(idx))
+    if per_coil < 1 or rows != per_coil:
+        raise ValueError(f"{rows} rows are not the {per_coil} >= 1 rows of a coil")
     grid_fields = lines[3].decode("ascii").split()
     if len(grid_fields) != 9:
         raise ValueError(f"grid line needs 9 fields, got {len(grid_fields)}")
@@ -863,7 +864,7 @@ def _parse_header(lines):
         raise ValueError("grid spacing must be finite and positive, origin finite")
     return (rows, cols), (n_runs, nnz), dict(
         sample_rate=rate, t0=t0, rows_per_coil=per_coil,
-        coils=tuple(coils), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
+        coils=(coil,), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
 
 
 def load_system_matrix(path) -> SystemMatrix:
@@ -950,11 +951,10 @@ def _same_bytes(a, at_a: int, b, at_b: int, size: int) -> bool:
     return True
 
 
-def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int,
-               per_coil: int) -> list:
-    """Each coil's (indptr, indices) in one file's runs; fh is at its run_ptr
-    and is left at its values.  run_ptr is checked to rise from 0 to
-    n_runs, and the runs as _decode_runs checks them."""
+def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple:
+    """The (indptr, indices) of one file's runs; fh is at its run_ptr and is
+    left at its values.  run_ptr is checked to rise from 0 to n_runs, and
+    the runs as _decode_runs checks them."""
     ptr = np.empty(rows + 1, "<i8")
     if fh.readinto(memoryview(ptr).cast("B")) != ptr.nbytes:
         raise ConfigError(f"{path}: run payload truncated")
@@ -962,24 +962,22 @@ def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int,
         raise ConfigError(f"{path}: run row pointer must rise from 0 to {n_runs}")
     indices = np.empty(nnz, "<i4")
     _decode_runs(fh, path, ptr, indices, cols)
-    firsts = ptr[::per_coil]  # each coil's first entry, and nnz
-    return [(ptr[k * per_coil:(k + 1) * per_coil + 1] - lo, indices[lo:hi])
-            for k, (lo, hi) in enumerate(zip(firsts[:-1], firsts[1:]))]
+    return ptr, indices
 
 
 def load_system_matrices(paths: list) -> SystemMatrix:
-    """Load stored matrices as one SystemMatrix, one block per coil, in path order.
+    """Load one-coil matrix files as one SystemMatrix, one block per file.
 
     Every header is checked first: a malformed one, a payload that is not
-    8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coils that
+    8 (rows + 1) + 8 runs + 8 nnz bytes, or metadata but the coil that
     differs from the first file's raises ConfigError.  The digest a header
-    stores is not compared with anything: whether it is current is for the
-    stage that reads the file to check.
+    stores must be 16 hex digits but is not compared with anything: whether
+    it is current is for the stage that reads the file to check.
     Then each payload is read, bit-equal to the CSR rows that were saved.
     A file's run section (run_ptr, starts and lengths) is compared, _CHUNK
     bytes at a time, with that of each file already decoded that has its
     rows, run count and nonzero count.  When one is byte-identical, the
-    file's blocks share that file's indptr and indices, and only its values
+    file's block shares that file's indptr and indices, and only its values
     are read.  Otherwise run_ptr is read into its indptr and the runs are
     decoded into its indices a chunk of runs at a time (_decode_runs), so no
     temporary is nnz-sized.  A run_ptr that does not rise from 0 to the run
@@ -1007,7 +1005,7 @@ def load_system_matrices(paths: list) -> SystemMatrix:
             if differ:
                 raise ConfigError(f"{path}: {', '.join(differ)} not as in {paths[0]}")
             heads.append((path, fh, rows, n_runs, nnz, meta))
-        blocks, decoded = [], []  # decoded: (file, payload offset, counts, blocks)
+        blocks, decoded = [], []  # decoded: (file, payload offset, counts, block)
         for path, fh, rows, n_runs, nnz, meta in heads:
             at, counts = fh.tell(), (rows, n_runs, nnz)
             section = 8 * (rows + 1 + n_runs)  # run_ptr, starts and lengths
@@ -1016,24 +1014,19 @@ def load_system_matrices(paths: list) -> SystemMatrix:
                          and _same_bytes(other, other_at, fh, at, section)), None)
             if like is None:
                 fh.seek(at)
-                runs = _coil_runs(fh, path, rows, n_runs, nnz, cols,
-                                  meta["rows_per_coil"])
+                indptr, indices = _coil_runs(fh, path, rows, n_runs, nnz, cols)
             else:
                 fh.seek(at + section)
-                runs = [(block.indptr, block.indices) for block in like]
+                indptr, indices = like.indptr, like.indices
             vals = np.empty(nnz, "<f8")
             if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
                 raise ConfigError(f"{path}: run payload truncated")
             # min and max propagate a NaN and make no nnz-sized temporary
             if nnz and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
                 raise ConfigError(f"{path}: non-finite matrix values")
-            own, lo = [], 0
-            for indptr, cells in runs:
-                own.append(CsrBlock(vals[lo:lo + cells.size], cells, indptr,
-                                    (meta["rows_per_coil"], cols)))
-                lo += cells.size
+            block = CsrBlock(vals, indices, indptr, (rows, cols))
             if like is None:
-                decoded.append((fh, at, counts, own))
-            blocks += own
-    coils = tuple(c for *_, meta in heads for c in meta["coils"])
+                decoded.append((fh, at, counts, block))
+            blocks.append(block)
+    coils = tuple(meta["coils"][0] for *_, meta in heads)
     return SystemMatrix(blocks=tuple(blocks), **{**heads[0][-1], "coils": coils})

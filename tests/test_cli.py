@@ -154,8 +154,9 @@ def test_pipeline_outputs(pipeline_dir):
     for suffix, stage in (("", "simulate"), ("_filtered", "filter")):
         header = (out / f"trace_x{suffix}.bin").read_bytes().split(b"\n")[0]
         assert header.split()[4] == stamps[stage].encode()
-    assert stamps["sysmat"] == tuple(
-        (out / f"sysmat_{axis}.mat").read_bytes().split()[3].decode() for axis in "xy")
+    for axis in "xy":
+        header = (out / f"sysmat_{axis}.mat").read_bytes().split(b"\n")[0]
+        assert header.split()[3] == stamps["sysmat"].encode()
     rows = {}
     for line in (out / "compare.csv").read_text().splitlines():
         if line.startswith(("#", "reconstruction")):
@@ -346,7 +347,7 @@ def test_stored_matrices_are_the_csr_of_one_pass(pipeline_dir):
         assert np.array_equal(starts, block.indices[firsts])
         assert np.array_equal(lengths, np.diff([*firsts, nnz]))
         [loaded] = load_system_matrix(path).blocks
-        assert cli._carried_stamp(path) == ws.stamps["sysmat"][i]
+        assert cli._carried_stamp(path) == ws.stamps["sysmat"]
         for name in ("indptr", "indices", "data"):
             ref = getattr(block, name)
             got = getattr(loaded, name)
@@ -1030,7 +1031,7 @@ def test_a_stale_y_input_is_the_file_named(pipeline_dir, tmp_path, capsys, name,
                      "--set", setting]) == 0
     shutil.copyfile(other / name, work / name)
     stamps = cli.plan_stages(cli.RunConfig.load(ini), ["lsqr"])["stamps"]
-    expected = stamps[stage][1] if stage == "sysmat" else stamps[stage]
+    expected = stamps[stage]
     carried = cli._carried_stamp(work / name)
     assert carried != expected
     capsys.readouterr()
@@ -1041,6 +1042,116 @@ def test_a_stale_y_input_is_the_file_named(pipeline_dir, tmp_path, capsys, name,
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), "--force"]) == 0
     first = (work / "recon_lsqr.grid").read_bytes().split(b"\n")[0]
     assert first != f"# stamp {stamps['lsqr']}".encode()
+
+
+def test_reordered_coils_make_the_matrices_stale(pipeline_dir, tmp_path, capsys):
+    # new traces for coils.axes = y, x give y index 0; the matrices were
+    # built with y as index 1, so lsqr names y's file as stale, and under
+    # --force stack_coils refuses the coil index
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    reorder = ["-c", str(ini), "-o", str(work), "--set", "coils.axes=y, x"]
+    assert cli.main(["run", *reorder, "--stages", "phantom,simulate,filter"]) == 0
+    stamps = cli.plan_stages(cli.RunConfig.load(ini, ["coils.axes=y, x"]),
+                             ["lsqr"])["stamps"]
+    capsys.readouterr()
+    assert cli.main(["lsqr", *reorder]) == 4
+    err = capsys.readouterr().err
+    assert (f"error: {work / 'sysmat_y.mat'} carries stamp "
+            f"{cli._carried_stamp(work / 'sysmat_y.mat')}, not the sysmat stamp "
+            f"{stamps['sysmat']}; run the sysmat stage\n") == err
+    assert cli.main(["lsqr", *reorder, "--force"]) == 2
+    err = capsys.readouterr().err
+    assert "trace 0 is of coil 0, but the matrix's coil 0 has index 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
+def test_a_matrix_digest_that_is_not_hex_exits_2(pipeline_dir, tmp_path, capsys,
+                                                 force):
+    # the header check comes before the stamp check, so force does not pass it
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    path = work / "sysmat_x.mat"
+    lines = path.read_bytes().split(b"\n", 1)
+    fields = lines[0].split()
+    fields[3] = b"NOT-A-DIGEST"
+    path.write_bytes(b" ".join(fields) + b"\n" + lines[1])
+    before = _files(work)
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed header: digest 'NOT-A-DIGEST' is not 16 hex digits" in err
+    assert "Traceback" not in err and _files(work) == before
+
+
+def test_a_matrix_file_holds_one_coil(pipeline_dir, tmp_path, capsys):
+    # save_system_matrix refuses a two-coil matrix, or a digest that is not
+    # hex, before opening its path, and lsqr refuses a header that names
+    # two coils
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    both = sysmat.load_system_matrices([work / f"sysmat_{axis}.mat" for axis in "xy"])
+    with pytest.raises(ConfigError, match="one coil, not 2 block"):
+        sysmat.save_system_matrix(both, tmp_path / "both.mat", "0" * 16)
+    with pytest.raises(ConfigError, match="'NOT-A-DIGEST' is not 16 hex digits"):
+        sysmat.save_system_matrix(load_system_matrix(work / "sysmat_x.mat"),
+                                  tmp_path / "x.mat", "NOT-A-DIGEST")
+    assert list(tmp_path.glob("*.mat")) == []
+    path = work / "sysmat_x.mat"
+    lines = path.read_bytes().split(b"\n", 3)
+    lines[2] = b"0:1,0,0 1:0,1,0"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert cli.main(["lsqr", "-c", str(ini), "-o", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed header: line 2 names 2 coils, not one" in err
+
+
+def test_carried_stamp_reads_the_header_layout(pipeline_dir, tmp_path):
+    # the layout of the first line tells where the stamp is, not the name
+    tmp, ini, out = pipeline_dir
+    for src, name in (("sysmat_x.mat", "matrix.bin"), ("trace_x.bin", "trace.mat"),
+                      ("compare.csv", "compare.bin")):
+        shutil.copyfile(out / src, tmp_path / name)
+        assert cli._carried_stamp(tmp_path / name) == cli._carried_stamp(out / src)
+    stamps = cli.plan_stages(cli.RunConfig.load(ini), ["sysmat"])["stamps"]
+    assert cli._carried_stamp(tmp_path / "matrix.bin") == stamps["sysmat"]
+    (tmp_path / "plain.csv").write_text("coord,value\n0,1\n")
+    assert cli._carried_stamp(tmp_path / "plain.csv") is None
+
+
+def _stamps(ini, *overrides):
+    return cli.plan_stages(cli.RunConfig.load(ini, overrides), cli.STAGES)["stamps"]
+
+
+@pytest.mark.parametrize("setting, moves", [
+    *((s, True) for s in (
+        "field.g=1.1 T/m", "field.perturb_magnitude=0.1", "magnetization.b=8 mT",
+        "magnetization.n_intervals=20", "grid.recon.spacing=2 mm",
+        "acquisition.sample_rate=4 MHz", "acquisition.duration=2 ms",
+        "sysmat.subsampling=1", "coils.axes=y, x")),
+    *((s, False) for s in (
+        "sysmat.workers=2", "sysmat.nnz_cap=1000", "acquisition.highpass=40 kHz",
+        "phantom.discs=6 mm", "solver.iterations=5", "forward.model=parallel"))])
+def test_the_sysmat_stamp_covers_what_the_matrix_is_built_from(tmp_path, setting,
+                                                               moves):
+    ini = write_tiny(tmp_path)
+    assert (_stamps(ini, setting)["sysmat"] != _stamps(ini)["sysmat"]) == moves
+
+
+def test_every_stage_is_stamped_by_one_rule(tmp_path):
+    plan = cli.plan_stages(cli.RunConfig.load(write_tiny(tmp_path)), cli.STAGES)
+    stamps = plan["stamps"]
+    assert set(stamps) == set(cli.STAGES)
+    for stage, (entries, inputs) in cli.STAGES.items():
+        assert type(stamps[stage]) is str and re.fullmatch("[0-9a-f]{16}", stamps[stage])
+        if stage != "compare":
+            assert stamps[stage] == sysmat.stamp(*(plan[e] for e in entries),
+                                                 *(stamps[s] for s in inputs)), stage
 
 
 def test_stale_traces_exit_4_before_a_reconstruction(pipeline_dir, tmp_path,

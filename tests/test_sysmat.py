@@ -45,7 +45,6 @@ from mpisim.sysmat import (
     apply_highpass_rows,
     build_system_matrices,
     build_system_matrix,
-    config_hash,
     load_system_matrices,
     load_system_matrix,
     save_system_matrix,
@@ -148,7 +147,7 @@ def scene():
     return model, grid, config, approx
 
 
-# config_hash of matrix_x
+# the digest matrix_x's files are saved under
 _X_HASH = "0487af29816cfbdf"
 
 
@@ -387,8 +386,6 @@ def test_one_pass_per_staircase_equals_fresh_builds(magnitude, monkeypatch):
     coils = [coil_along("x"), coil_along("y")]
     fresh = [build_system_matrix(model, approx, coils, acq, grid, subsampling=2)
              for approx in approxes]
-    assert len({config_hash(model, approx, grid, acq, coils[0], 2)
-                for approx in approxes}) == len(approxes)
     assert min(sm.nnz for sm in fresh) > 0
     for workers in (1, 2, 3):
         for block in _BLOCKS:
@@ -768,7 +765,8 @@ def test_coils_whose_runs_agree_share_indices_in_memory(matrix_xyz):
 
 
 @pytest.mark.parametrize("case", ["one path", "an alias", "two staircases",
-                                  "a short row", "a long row", "a missing row"])
+                                  "a short row", "a long row", "a missing row",
+                                  "bad digest"])
 def test_build_files_are_checked_before_any_is_opened(scene, tmp_path, case):
     # two writers of one path would share its spill file, and the file
     # would load with one coil's header and the other's values
@@ -788,55 +786,12 @@ def test_build_files_are_checked_before_any_is_opened(scene, tmp_path, case):
         "a short row": (1, [[(x, _X_HASH)]], off),
         "a long row": (1, [[(x, _X_HASH), (y, _X_HASH), (z, _X_HASH)]], off),
         "a missing row": (2, [[(x, _X_HASH), (y, _X_HASH)]], "for 2 staircase"),
+        "bad digest": (1, [[(x, _X_HASH), (y, "NOT-A-DIGEST")]], "not 16 hex digits"),
     }[case]
     with pytest.raises(ConfigError, match=message):
         build_system_matrices(model, [approx] * n_staircases, coils, config, grid,
                               subsampling=2, files=files)
     assert list(out.iterdir()) == []
-
-
-def test_config_hash_sensitivity(scene):
-    model, grid, config, approx = scene
-    coil = coil_along("x")
-    base = config_hash(model, approx, grid, config, coil, subsampling=2)
-    assert base == config_hash(
-        model, approx, grid,
-        AcquisitionConfig(f_d=25e3, sample_rate=1e6, duration=4e-5), coil, 2)
-    assert len(base) == 16
-    # grids with identical geometry hash alike regardless of cell values
-    assert config_hash(model, approx,
-                       build_disc_phantom(0.010, [0.006], 0.010 / 16,
-                                          centers=[(0.0, 0.0)]),
-                       config, coil, 2) == base
-    # everything else must move the digest: the time axis by its sample
-    # count, its spacing and its t0
-    other_model = build_topology("static_ffl", g=1.0, d=0.02, f_d=25e3,
-                                 alpha=0.41)
-    changed = [
-        config_hash(other_model, approx, grid, config, coil, 2),
-        config_hash(model, approx, grid, config, coil_along("y"), 2),
-        config_hash(model, approx, grid, replace(config, duration=3.9e-5), coil, 2),
-        config_hash(model, approx, grid,
-                    replace(config, sample_rate=2e6, duration=2e-5), coil, 2),
-        config_hash(model, approx, grid, replace(config, t0=1e-6), coil, 2),
-        config_hash(model, approx, grid, config, coil, 1),
-    ]
-    assert len(set(changed + [base])) == len(changed) + 1
-    params = mag.LangevinParams(m0=1.0, lam=2500.0)
-    other_approx = mag.build_approx(params, mag.nodes_equidistant(19, 10e-3),
-                                    10e-3, scheme="secant")
-    assert config_hash(model, other_approx, grid, config, coil, 2) != base
-
-
-# digests stored in the headers of existing files: if one moves, every
-# matrix saved before the change fails its hash check
-@pytest.mark.parametrize("axis, digest", [
-    ("x", _X_HASH),
-    ("y", "b5de8c9370cb8d96"),
-])
-def test_config_hash_digests_are_pinned(scene, axis, digest):
-    model, grid, config, approx = scene
-    assert config_hash(model, approx, grid, config, coil_along(axis), 2) == digest
 
 
 def test_nnz_cap(scene):
@@ -1388,7 +1343,7 @@ def test_a_second_coil_is_compared_within_its_payload(tmp_path, monkeypatch, chu
 
 def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_path):
     # oracle: one load per file, stacked by scipy.  Between x and y an
-    # empty coil; then x's runs with other values, and a file of two coils
+    # empty coil; then x's runs with other values
     model, grid, config, approx = scene
     coils = [coil_along("x"), coil_along("y")]
     both = apply_highpass_rows(build_system_matrix(model, approx, coils, config,
@@ -1398,27 +1353,26 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
                     coils=(coil_along("z"),))
     again = replace(x, blocks=(replace(x.blocks[0], data=2 * x.blocks[0].data),),
                     coils=(coil_along("x", index=3),))
-    paths = _save_coil_files(tmp_path, [x, empty, y, again, both])
+    paths = _save_coil_files(tmp_path, [x, empty, y, again])
     stacked = load_system_matrices(paths)
-    assert [_carried_stamp(p) for p in paths] == [f"{i:016x}" for i in range(5)]
+    assert [_carried_stamp(p) for p in paths] == [f"{i:016x}" for i in range(4)]
     assert stacked.highpass is None  # the files hold S alone
     stacked = apply_highpass_rows(stacked, 35e3)
     oracle = sp.vstack([_stacked(load_system_matrix(p)) for p in paths], format="csr")
     _assert_same_csr(_stacked(stacked), oracle)
-    assert stacked.coils == (coils[0], coil_along("z"), coils[1], again.coils[0], *coils)
-    assert stacked.shape == (6 * config.n_samples, grid.n_cells)
+    assert stacked.coils == (coils[0], coil_along("z"), coils[1], again.coils[0])
+    assert stacked.shape == (4 * config.n_samples, grid.n_cells)
     assert stacked.rows_per_coil == config.n_samples
     assert stacked.highpass == 35e3 and stacked.grid_meta_matches(grid)
     # files whose runs are x's share x's decoded indptr and indices; the
-    # empty coil and the two-coil file, whose runs differ, get their own
-    bx, bz, by, b_again, bx2, by2 = stacked.blocks
+    # empty coil, whose runs differ, gets its own
+    bx, bz, by, b_again = stacked.blocks
     for block in (by, b_again):
         assert np.shares_memory(block.indices, bx.indices)
         assert np.shares_memory(block.indptr, bx.indptr)
         assert not np.shares_memory(block.data, bx.data)
-    for block in (bz, bx2, by2):
-        assert not np.shares_memory(block.indptr, bx.indptr)
-        assert not np.shares_memory(block.indices, bx.indices)
+    assert not np.shares_memory(bz.indptr, bx.indptr)
+    assert not np.shares_memory(bz.indices, bx.indices)
     assert bx.nnz > 0 and np.array_equal(b_again.data, 2 * bx.data)
     # the one-file loader is the stacked loader with one path
     one = load_system_matrix(paths[0])
@@ -1584,24 +1538,18 @@ def matrix_xyz(scene):
 
 # the filtered one and two coils: test_filtered_operator_is_bit_equal_to_linear_operator
 @pytest.mark.parametrize("highpass, case", [
-    *((None, case) for case in ("1 coil", "2 coils", "3 coils", "shared runs",
-                                "2-coil file beside 1-coil file")),
-    *((35e3, case) for case in ("3 coils", "shared runs",
-                                "2-coil file beside 1-coil file"))])
+    *((None, case) for case in ("1 coil", "2 coils", "3 coils", "shared runs")),
+    *((35e3, case) for case in ("3 coils", "shared runs"))])
 def test_operator_is_bit_equal_to_the_stacked_csr(scene, matrix_xyz, tmp_path,
                                                   highpass, case):
     sm = matrix_xyz
     if case in ("1 coil", "2 coils", "3 coils"):
         n = int(case[0])
         sm = replace(sm, blocks=sm.blocks[:n], coils=sm.coils[:n])
-    elif case == "shared runs":
+    else:
         paths = _save_coil_files(tmp_path, [_coil(sm, 0), _coil(sm, 1)])
         sm = load_system_matrices(paths)
         assert np.shares_memory(sm.blocks[0].indices, sm.blocks[1].indices)
-    else:
-        x_and_z = replace(sm, blocks=sm.blocks[::2], coils=sm.coils[::2])
-        sm = load_system_matrices(_save_coil_files(tmp_path, [x_and_z, _coil(sm, 1)]))
-        assert sm.coils == tuple(coil_along(axis) for axis in "xzy")
     if highpass is not None:  # marked once loaded: the files hold S alone
         sm = apply_highpass_rows(sm, highpass)
     assert sm.highpass == highpass and sm.nnz > 0
