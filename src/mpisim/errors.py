@@ -1,5 +1,7 @@
 """Exceptions shared across the package, with the CLI exit code map."""
 
+import os
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -39,3 +41,11 @@ class ResourceCapError(MpiSimError):
     """Estimated resource usage exceeds the configured cap."""
 
     exit_code = EXIT_RESOURCE_CAP
+
+
+def check_memory(what: str, nbytes) -> None:
+    """ResourceCapError when nbytes, needed by what, exceed physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ResourceCapError(f"{what} needs {nbytes:.4g} bytes, more than the "
+                               f"{total} bytes of physical memory")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError
+from .errors import ConfigError, check_memory
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
 from .phantom import ConcentrationGrid, cell_offsets
@@ -49,15 +49,15 @@ from .phantom import ConcentrationGrid, cell_offsets
 
 @dataclass(frozen=True)
 class ReceiveCoil:
-    """Homogeneous receive coil: constant sensitivity vector (T/A by convention)."""
+    """Homogeneous receive coil: finite, nonzero sensitivity 3-vector (T/A by convention)."""
 
     sensitivity: tuple
     index: int = 0
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.sensitivity)
-        if len(s) != 3 or not np.any(np.asarray(s)):
-            raise ConfigError("coil sensitivity must be a nonzero 3-vector")
+        if len(s) != 3 or not any(s) or not all(map(math.isfinite, s)):
+            raise ConfigError(f"coil sensitivity {s} must be a finite, nonzero 3-vector")
         object.__setattr__(self, "sensitivity", s)
 
     @property
@@ -81,8 +81,8 @@ class AcquisitionConfig:
 
     f_rot = 0 means a non-rotating scan (static line or point drive).  When
     f_rot > 0 the duration must cover an integer number of line rotation
-    periods 1/f_rot so spectra resolve on the rotation grid.  It must hold
-    at least one sample.
+    periods 1/f_rot so spectra resolve on the rotation grid.  It holds at
+    least one sample, and no more than memory holds (ResourceCapError).
     """
 
     f_d: float
@@ -99,6 +99,8 @@ class AcquisitionConfig:
         if self.sample_rate <= 2 * self.f_d:
             raise ConfigError("sample rate must exceed twice the drive frequency")
         n = self.duration * self.sample_rate
+        check_memory(f"acquisition.duration {self.duration:g} s at sample_rate "
+                     f"{self.sample_rate:g} Hz ({n:.4g} samples)", 8 * n)
         if abs(n - round(n)) > 1e-6:
             raise ConfigError("duration must be an integer number of samples")
         if self.n_samples < 1:

@@ -13,9 +13,7 @@ from itertools import product
 import numpy as np
 
 from .artifacts import atomic_open, open_input
-from .errors import ConfigError
-
-_HEADER_FIELDS = 9
+from .errors import ConfigError, check_memory
 
 
 @dataclass
@@ -104,12 +102,15 @@ def cell_offsets(grid: ConcentrationGrid, subsampling: int = 1) -> np.ndarray:
 
 def empty_grid(fov: float, spacing: float, nz: int = 1,
                z_spacing: float = 1e-3) -> ConcentrationGrid:
-    """Square x-y grid of width fov centered on the origin, nz planes in z."""
+    """Square x-y grid of width fov centered on the origin, nz planes in z;
+    ResourceCapError when its cells would not fit in physical memory."""
     if not (fov > 0 and spacing > 0):
         raise ConfigError("fov and spacing must be positive")
-    n = int(round(fov / spacing))
+    n = round(fov / spacing) if fov / spacing < math.inf else math.inf
     if n < 1:
         raise ConfigError("fov smaller than one cell")
+    check_memory(f"fov {fov:g} m at spacing {spacing:g} m ({n:g} x {n:g} x {nz} "
+                 f"cells)", 8 * n * n * nz)
     ox = -(n - 1) / 2.0 * spacing
     oz = -(nz - 1) / 2.0 * z_spacing
     return ConcentrationGrid(values=np.zeros((n, n, nz)),
@@ -192,46 +193,55 @@ def line_profile(grid: ConcentrationGrid, axis: str, offset: float) -> np.ndarra
     return grid.values[idx, :, 0].copy()
 
 
-def save_grid(grid: ConcentrationGrid, path, comments=()):
-    """One ASCII header line 'nx ny nz sx sy sz ox oy oz', then float64 cells.
+def grid_line(dims, spacing, origin) -> str:
+    """'nx ny nz sx sy sz ox oy oz', floats at .17g: the header line of a
+    .grid file, and the fourth header line of a matrix file."""
+    return " ".join([*map(str, dims), *(f"{v:.17g}" for v in (*spacing, *origin))])
 
-    Optional '# ...' comment lines (metadata such as a config hash) precede
-    the header.
-    """
-    nx, ny, nz = grid.dims
-    header = (f"{nx} {ny} {nz} "
-              f"{grid.spacing[0]:.17g} {grid.spacing[1]:.17g} {grid.spacing[2]:.17g} "
-              f"{grid.origin[0]:.17g} {grid.origin[1]:.17g} {grid.origin[2]:.17g}\n")
+
+def parse_grid_line(text: str) -> tuple:
+    """(dims, spacing, origin) of a grid_line, as tuples of ints and floats;
+    ValueError unless it holds 9 fields, dims >= 1, a finite, positive
+    spacing and a finite origin.  Nothing is allocated from the dims."""
+    fields = text.split()
+    if len(fields) != 9:
+        raise ValueError(f"grid line needs 9 fields, got {len(fields)}")
+    dims = tuple(int(v) for v in fields[:3])
+    spacing, origin = (tuple(float(v) for v in fields[i:i + 3]) for i in (3, 6))
+    if min(dims) < 1:
+        raise ValueError(f"grid dims {dims} must be positive")
+    if not (all(0 < s < math.inf for s in spacing) and all(map(math.isfinite, origin))):
+        raise ValueError("grid spacing must be finite and positive, origin finite")
+    return dims, spacing, origin
+
+
+def save_grid(grid: ConcentrationGrid, path, comments=()):
+    """Optional '# ...' comment lines (metadata such as a stamp), one ASCII
+    header line, grid_line of the grid, then the float64 cells."""
     with atomic_open(path) as fh:
         for line in comments:
             fh.write(f"# {line}\n".encode("ascii"))
-        fh.write(header.encode("ascii"))
+        fh.write(f"{grid_line(grid.dims, grid.spacing, grid.origin)}\n".encode("ascii"))
         fh.write(grid.flat().astype("<f8").tobytes())
 
 
 def load_grid(path) -> ConcentrationGrid:
-    """Inverse of save_grid; a malformed or truncated file raises ConfigError."""
+    """Inverse of save_grid, its header read by parse_grid_line; a malformed
+    or truncated file raises ConfigError."""
     with open_input(path) as fh:
         try:
-            header = fh.readline().decode("ascii").split()
-            while header and header[0].startswith("#"):
-                header = fh.readline().decode("ascii").split()
-            if len(header) != _HEADER_FIELDS:
-                raise ValueError(f"expected {_HEADER_FIELDS} fields, got {len(header)}")
-            nx, ny, nz = (int(v) for v in header[:3])
-            sx, sy, sz = (float(v) for v in header[3:6])
-            ox, oy, oz = (float(v) for v in header[6:9])
-            if min(nx, ny, nz) < 1:
-                raise ValueError("grid dimensions must be positive")
+            line = fh.readline().decode("ascii")
+            while line.lstrip().startswith("#"):
+                line = fh.readline().decode("ascii")
+            dims, spacing, origin = parse_grid_line(line)
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed grid header: {exc}") from None
         raw = fh.read()
-    n = nx * ny * nz
+    n = math.prod(dims)
     if len(raw) != 8 * n:
         raise ConfigError(f"{path}: expected {n} cells, got {len(raw) / 8:g}")
-    values = np.frombuffer(raw, dtype="<f8").reshape((nx, ny, nz), order="F")
-    return ConcentrationGrid(values=values, spacing=(sx, sy, sz),
-                             origin=(ox, oy, oz))
+    values = np.frombuffer(raw, dtype="<f8").reshape(dims, order="F")
+    return ConcentrationGrid(values=values, spacing=spacing, origin=origin)
 
 
 def save_pgm(path, plane, vmin: float = 0.0, vmax: float | None = None):

@@ -64,7 +64,7 @@ from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
                       highpass_mask, map_time_blocks)
 from .magnetization import MagnetizationApprox
-from .phantom import ConcentrationGrid, cell_offsets
+from .phantom import ConcentrationGrid, cell_offsets, grid_line, parse_grid_line
 
 DEFAULT_NNZ_CAP = 50_000_000
 # the digest in the header of an in-memory build's files, which are loaded
@@ -73,9 +73,9 @@ _UNCHECKED = "0" * 16
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
-# entries encoded per step by save_system_matrix, values copied per step by
-# _RunWriter, runs decoded and bytes of two run sections compared per step
-# by load_system_matrices
+# entries encoded and runs decoded per step (or one row, _row_chunks), values
+# copied per step by _RunWriter, and bytes of two run sections compared per
+# step by load_system_matrices
 _CHUNK = 1 << 16
 # (time, cell) pairs whose sub-points CellQuadrature.sparse_weights
 # evaluates at once, in whole times.  On the desk scene (about 26 thousand
@@ -688,7 +688,7 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     return replace(sm, highpass=cutoff)
 
 
-def _row_chunks(indptr, size: int = _CHUNK):
+def _row_chunks(indptr, size: int):
     """Consecutive (lo, hi) row ranges of at most size entries, or one row."""
     lo, rows = 0, indptr.size - 1
     while lo < rows:
@@ -763,9 +763,7 @@ class _RunWriter:
             f"{self.shape[0]} {self.shape[1]} {self.nnz} {self.digest} runs {self.n_runs}",
             f"{meta['sample_rate']:.17g} {meta['t0']:.17g} {meta['rows_per_coil']}",
             f"{coil.index}:" + ",".join(f"{v:.17g}" for v in coil.sensitivity),
-            " ".join([*(str(d) for d in meta["grid_dims"]),
-                      *(f"{s:.17g}" for s in meta["grid_spacing"]),
-                      *(f"{o:.17g}" for o in meta["grid_origin"])]),
+            grid_line(meta["grid_dims"], meta["grid_spacing"], meta["grid_origin"]),
         ]
         with atomic_open(self.path) as fh:
             fh.write(("\n".join(lines) + "\n").encode("ascii"))
@@ -784,7 +782,8 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     matrix has one encoding.  Header line 0 holds digest, the stamp of what
     sm was built from, and ends in the layout token runs and the run count;
     line 1 holds sample_rate t0 rows_per_coil, not sm.highpass: the file
-    holds S alone; line 2 the coil as index:x,y,z.  The payload is run_ptr
+    holds S alone; line 2 the coil as index:x,y,z; line 3 the grid as a
+    .grid file's header line (phantom.grid_line).  The payload is run_ptr
     (<i8, rows + 1 entries: the first run of each row), starts and lengths
     (<i4, one per run) and data (<f8, nnz entries, as held).  sm must be
     one block of sorted column indices, as every assembled or loaded coil
@@ -802,7 +801,7 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     [block] = sm.blocks
     indptr, indices = block.indptr, block.indices
     with _RunWriter(path, digest, sm.shape, meta) as writer:
-        for lo, hi in _row_chunks(indptr):
+        for lo, hi in _row_chunks(indptr, _CHUNK):
             a, b = indptr[lo], indptr[hi]
             writer.append(block.data[a:b], indices[a:b], np.diff(indptr[lo:hi + 1]))
 
@@ -813,10 +812,11 @@ def _parse_header(lines):
     ValueError when a line is malformed or its metadata impossible: line 0
     must end in the runs layout token and a run count that can hold the
     nonzeros (line 1 of an older file, ending in its cut-off, asks for a
-    rebuild), line 2 must name one coil, every rate, time, vector, spacing
-    and origin must be finite, the sample rate positive, and the shape must
-    match rows_per_coil and the grid dims.  ConfigError when the digest is
-    not 16 hex digits, or ReceiveCoil rejects the coil vector.
+    rebuild), line 2 must name one coil, the rate and time must be finite,
+    the rate positive, line 3 must be a grid line (phantom.parse_grid_line),
+    and the shape must match rows_per_coil and the grid dims.  ConfigError
+    when the digest is not 16 hex digits, or ReceiveCoil rejects the coil.
+    Nothing is allocated from the counts.
     """
     rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
     _check_digest(digest)
@@ -845,23 +845,12 @@ def _parse_header(lines):
     if len(coils) != 1:
         raise ValueError(f"line 2 names {len(coils)} coils, not one")
     idx, vec = coils[0].split(":")
-    vec = tuple(float(x) for x in vec.split(","))
-    if not all(map(math.isfinite, vec)):
-        raise ValueError(f"coil vector {coils[0]!r} must be finite")
-    coil = ReceiveCoil(vec, int(idx))
+    coil = ReceiveCoil(tuple(float(x) for x in vec.split(",")), int(idx))
     if per_coil < 1 or rows != per_coil:
         raise ValueError(f"{rows} rows are not the {per_coil} >= 1 rows of a coil")
-    grid_fields = lines[3].decode("ascii").split()
-    if len(grid_fields) != 9:
-        raise ValueError(f"grid line needs 9 fields, got {len(grid_fields)}")
-    dims = tuple(int(x) for x in grid_fields[:3])
-    spacing = tuple(float(x) for x in grid_fields[3:6])
-    origin = tuple(float(x) for x in grid_fields[6:9])
-    if min(dims) < 1 or math.prod(dims) != cols:
+    dims, spacing, origin = parse_grid_line(lines[3].decode("ascii"))
+    if math.prod(dims) != cols:
         raise ValueError(f"grid dims {dims} do not make {cols} columns")
-    if not (all(0 < s < math.inf for s in spacing)
-            and all(map(math.isfinite, origin))):
-        raise ValueError("grid spacing must be finite and positive, origin finite")
     return (rows, cols), (n_runs, nnz), dict(
         sample_rate=rate, t0=t0, rows_per_coil=per_coil,
         coils=(coil,), grid_dims=dims, grid_spacing=spacing, grid_origin=origin)
@@ -881,62 +870,64 @@ def _read(fh, path, count: int, dtype: str) -> np.ndarray:
     return np.frombuffer(buf, dtype)
 
 
-def _decode_runs(fh, path, ptr: np.ndarray, out: np.ndarray, cols: int) -> None:
-    """Decode one file's runs into out, its column indices.
+def _decode_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple:
+    """The (indptr, indices) of one file's runs; fh is at its run_ptr and is
+    left at its values.
 
-    ptr is the file's run_ptr, checked to rise from 0 to the run count; it
-    becomes the row pointer of out in place.  fh is at the first run start
-    and is left at the values.
-    _CHUNK runs are read at a time, their starts and lengths checked, and
-    each run's columns written as a cumulative sum of deltas: 1 within a
-    run, and at a run's first slot the step from the last column before.
+    run_ptr is checked to rise from 0 to n_runs.  The runs are then read a
+    chunk of whole rows at a time, at most _CHUNK runs or one row
+    (_row_chunks), so each chunk starts at a row's first run, no state
+    crosses a chunk and no temporary is nnz-sized.  A chunk's starts and
+    lengths are checked, and each run's columns written as a cumulative sum
+    of deltas: 1 within a run, and at a run's first slot the step from the
+    last column before.
     """
-    n_runs, nnz = int(ptr[-1]), out.size
-    shape = f"{ptr.size - 1}x{cols}"
+    run_ptr = _read(fh, path, rows + 1, "<i8")
+    if run_ptr[0] != 0 or run_ptr[-1] != n_runs or np.any(np.diff(run_ptr) < 0):
+        raise ConfigError(f"{path}: run row pointer must rise from 0 to {n_runs}")
+    indptr = np.empty(rows + 1, np.int64)
+    indptr[0] = 0
+    indices = np.empty(nnz, "<i4")
     base = fh.tell()
-    row = done = end = 0  # rows and entries decoded, last run's end
-    for k0 in range(0, n_runs, _CHUNK):
-        k1 = min(k0 + _CHUNK, n_runs)
+    for lo, hi in _row_chunks(run_ptr, _CHUNK):
+        k0, k1, done = int(run_ptr[lo]), int(run_ptr[hi]), int(indptr[lo])
+        if k0 == k1:
+            indptr[lo + 1:hi + 1] = done
+            continue
         fh.seek(base + 4 * k0)
         starts = _read(fh, path, k1 - k0, "<i4")
         fh.seek(base + 4 * (n_runs + k0))
         lengths = _read(fh, path, k1 - k0, "<i4")
         ends = starts.astype(np.int64)
         ends += lengths
-        # each run's step from the last column of the run before it
-        steps = np.concatenate(([end], ends[:-1]))
+        # each run's step from the last column of the run before it; the
+        # first runs of the chunk's rows are exempt from the order check
+        steps = np.concatenate(([0], ends[:-1]))
         np.subtract(starts, steps, out=steps)
         steps += 1
-        # the first runs of the rows that start in this chunk; each is
-        # exempt from the order check for the span of it
-        heads = row + int(np.searchsorted(ptr[row:], k1))
-        firsts = ptr[row:heads] - k0
+        heads = run_ptr[lo:hi][run_ptr[lo:hi] < k1] - k0
         if lengths.min() < 1:
             raise ConfigError(f"{path}: run lengths must be at least 1")
         if starts.min() < 0 or ends.max() > cols:
-            raise ConfigError(f"{path}: a run lies outside the {shape} shape")
-        kept = steps[firsts]
-        steps[firsts] = 2
+            raise ConfigError(f"{path}: a run lies outside the {rows}x{cols} shape")
+        slots = np.zeros(k1 - k0 + 1, np.int64)  # each run's first slot, and the end
+        np.cumsum(lengths, dtype=np.int64, out=slots[1:])
+        if done + slots[-1] > nnz:
+            raise ConfigError(f"{path}: run lengths sum to more than {nnz}")
+        indptr[lo + 1:hi + 1] = done + slots[run_ptr[lo + 1:hi + 1] - k0]
+        cells = indices[done:indptr[hi]]
+        cells[:] = 1
+        cells[slots[:-1]] = steps
+        steps[heads] = 2
         if steps.min() < 2:
             raise ConfigError(f"{path}: a run does not start at least 2 past "
                               f"the last column of the run before it in its row")
-        steps[firsts] = kept
-        slots = np.cumsum(lengths, dtype=np.int64)
-        slots -= lengths  # each run's first slot
-        size = int(slots[-1] + lengths[-1])
-        if done + size > nnz:
-            raise ConfigError(f"{path}: run lengths sum to more than {nnz}")
-        ptr[row:heads] = done + slots[firsts]
-        cells = out[done:done + size]
-        cells[:] = 1
-        cells[slots] = steps
         cells[0] = starts[0]
         np.cumsum(cells, dtype=cells.dtype, out=cells)
-        row, done, end = heads, done + size, ends[-1]
-    if done != nnz:
-        raise ConfigError(f"{path}: run lengths sum to {done}, not {nnz}")
-    ptr[row:] = nnz
+    if indptr[-1] != nnz:
+        raise ConfigError(f"{path}: run lengths sum to {indptr[-1]}, not {nnz}")
     fh.seek(base + 8 * n_runs)
+    return indptr, indices
 
 
 def _same_bytes(a, at_a: int, b, at_b: int, size: int) -> bool:
@@ -949,20 +940,6 @@ def _same_bytes(a, at_a: int, b, at_b: int, size: int) -> bool:
         if a.read(n) != b.read(n):
             return False
     return True
-
-
-def _coil_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple:
-    """The (indptr, indices) of one file's runs; fh is at its run_ptr and is
-    left at its values.  run_ptr is checked to rise from 0 to n_runs, and
-    the runs as _decode_runs checks them."""
-    ptr = np.empty(rows + 1, "<i8")
-    if fh.readinto(memoryview(ptr).cast("B")) != ptr.nbytes:
-        raise ConfigError(f"{path}: run payload truncated")
-    if ptr[0] != 0 or ptr[-1] != n_runs or np.any(np.diff(ptr) < 0):
-        raise ConfigError(f"{path}: run row pointer must rise from 0 to {n_runs}")
-    indices = np.empty(nnz, "<i4")
-    _decode_runs(fh, path, ptr, indices, cols)
-    return ptr, indices
 
 
 def load_system_matrices(paths: list) -> SystemMatrix:
@@ -978,12 +955,11 @@ def load_system_matrices(paths: list) -> SystemMatrix:
     bytes at a time, with that of each file already decoded that has its
     rows, run count and nonzero count.  When one is byte-identical, the
     file's block shares that file's indptr and indices, and only its values
-    are read.  Otherwise run_ptr is read into its indptr and the runs are
-    decoded into its indices a chunk of runs at a time (_decode_runs), so no
-    temporary is nnz-sized.  A run_ptr that does not rise from 0 to the run
-    count, a run shorter than 1, outside the shape or not at least 2 past
-    the run before it in its row, lengths that do not sum to nnz or a
-    non-finite value raises ConfigError.
+    are read.  Otherwise its runs are decoded a chunk of whole rows at a
+    time (_decode_runs), so no temporary is nnz-sized.  A run_ptr that does
+    not rise from 0 to the run count, a run shorter than 1, outside the
+    shape or not at least 2 past the run before it in its row, lengths that
+    do not sum to nnz or a non-finite value raises ConfigError.
     """
     if not paths:
         raise ConfigError("need at least one matrix file")
@@ -1014,7 +990,7 @@ def load_system_matrices(paths: list) -> SystemMatrix:
                          and _same_bytes(other, other_at, fh, at, section)), None)
             if like is None:
                 fh.seek(at)
-                indptr, indices = _coil_runs(fh, path, rows, n_runs, nnz, cols)
+                indptr, indices = _decode_runs(fh, path, rows, n_runs, nnz, cols)
             else:
                 fh.seek(at + section)
                 indptr, indices = like.indptr, like.indices

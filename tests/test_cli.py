@@ -622,6 +622,42 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
         2 if setting.startswith(("grid.", "phantom.")) else 0)
 
 
+# settings that size an array no machine holds; unchecked, each ended in a
+# traceback while planning (the duration after allocating until memory ran
+# out), the last one after the phantom stage had written its files
+BEYOND_MEMORY = [
+    (["run", "--set", "acquisition.sample_rate=1e308"], "sample_rate 1e+308 Hz"),
+    (["run", "--set", "phantom.fov=100000"], "fov 100000 m"),
+    (["run", "--set", "acquisition.duration=100000"], "acquisition.duration 100000 s"),
+    (["run", "--stages", "phantom,simulate", "--set", "acquisition.sample_rate=1e308"],
+     "sample_rate 1e+308 Hz"),
+]
+
+# runs each argv through cli.main and prints the exit codes; an allocation
+# that a setting asks for fails against the address-space limit, not the host
+_MEMORY_PROBE = """\
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from mpisim import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_settings_beyond_memory_exit_5_before_writing(tmp_path):
+    ini = write_tiny(tmp_path)
+    argvs = [[*argv, "-c", str(ini), "-o", str(tmp_path / f"out{i}")]
+             for i, (argv, _) in enumerate(BEYOND_MEMORY)]
+    env = {**os.environ, "PYTHONPATH": str(Path(mpisim.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [5] * len(argvs), proc.stderr
+    for (_, setting), err in zip(BEYOND_MEMORY, proc.stderr.splitlines(), strict=True):
+        assert setting in err and "bytes of physical memory" in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("key", [f"{section}.{key}"
                                  for section, keys in cli.DEFAULTS.items()
                                  for key in keys if section != "output"])

@@ -11,7 +11,7 @@ import pytest
 
 from mpisim import cli, forward
 from mpisim import magnetization as mag
-from mpisim.errors import ConfigError
+from mpisim.errors import EXIT_RESOURCE_CAP, ConfigError, ResourceCapError
 from mpisim.fields import MU0, FieldEvaluator, build_topology, perturb_field
 from mpisim.forward import (
     AcquisitionConfig,
@@ -59,6 +59,13 @@ def test_coil_along():
         ReceiveCoil(sensitivity=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("vec", [(np.nan, 0, 0), (np.inf, 0, 0), (1, -np.inf, 0),
+                                 (0, 0, 0)])
+def test_receive_coil_takes_a_finite_nonzero_sensitivity(vec):
+    with pytest.raises(ConfigError, match="must be a finite, nonzero 3-vector"):
+        ReceiveCoil(vec)
+
+
 def test_acquisition_config():
     cfg = AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=1e-3, f_rot=1e3)
     assert cfg.n_samples == 4000
@@ -72,6 +79,19 @@ def test_acquisition_config():
     with pytest.raises(ConfigError):
         # 0.25 rotation periods
         AcquisitionConfig(f_d=25e3, sample_rate=4e6, duration=2.5e-4, f_rot=1e3)
+
+
+@pytest.mark.parametrize("sample_rate, duration, setting", [
+    (4e6, 1e5, "acquisition.duration 100000 s"),
+    (1e308, 1e-3, "sample_rate 1e+308 Hz"),
+    # the sample count overflows to inf
+    (1e308, 10.0, "(inf samples) needs inf bytes"),
+])
+def test_acquisition_beyond_memory_is_a_resource_cap(sample_rate, duration, setting):
+    # checked before anything is sized by the sample count
+    with pytest.raises(ResourceCapError, match="bytes of physical memory") as exc:
+        AcquisitionConfig(f_d=25e3, sample_rate=sample_rate, duration=duration)
+    assert setting in str(exc.value) and exc.value.exit_code == EXIT_RESOURCE_CAP
 
 
 def test_acquisition_needs_one_sample():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mpisim.errors import ConfigError
+from mpisim.errors import ConfigError, ResourceCapError
 from mpisim.phantom import (
     ConcentrationGrid,
     build_disc_phantom,
@@ -195,3 +195,12 @@ def test_save_pgm(tmp_path):
     assert img[10 - 1 - 5, 3] == 65535
     assert img[10 - 1 - 0, 0] == 0
     assert img.sum() == 65535
+
+
+@pytest.mark.parametrize("fov, spacing, cells", [(1e5, 2.5e-3, "4e+07 x 4e+07 x 1"),
+                                                 (0.02, 1e-310, "inf x inf x 1")])
+def test_a_grid_beyond_memory_is_a_resource_cap(fov, spacing, cells):
+    # checked before the cells are allocated, also when their count overflows
+    with pytest.raises(ResourceCapError, match="bytes of physical memory") as exc:
+        empty_grid(fov, spacing)
+    assert f"fov {fov:g} m at spacing {spacing:g} m ({cells} cells)" in str(exc.value)

@@ -35,7 +35,8 @@ from mpisim.forward import (
     highpass_mask,
     simulate_piecewise,
 )
-from mpisim.phantom import build_disc_phantom, empty_grid
+from mpisim.phantom import (ConcentrationGrid, build_disc_phantom, empty_grid, load_grid,
+                            parse_grid_line, save_grid)
 from mpisim.recon import LsqrOptions, lsqr_solve
 from mpisim.sysmat import (
     CellQuadrature,
@@ -935,6 +936,52 @@ def test_load_rejects_malformed_header(tmp_path, header):
         load_system_matrix(path)
 
 
+def test_a_matrix_grid_line_is_a_grid_file_header(tmp_path):
+    # phantom.grid_line writes both, and parse_grid_line reads both back
+    sm = replace(_tiny_matrix(), grid_spacing=(1e-3 / 3, 0.1, 2.5e-3),
+                 grid_origin=(-1 / 7, 0.0, 1e-9))
+    save_system_matrix(sm, tmp_path / "sm.mat", _TINY_HASH)
+    save_grid(ConcentrationGrid(np.zeros(sm.grid_dims), sm.grid_spacing, sm.grid_origin),
+              tmp_path / "sm.grid", comments=[f"stamp {_TINY_HASH}"])
+    line = (tmp_path / "sm.mat").read_bytes().split(b"\n")[3]
+    assert (tmp_path / "sm.grid").read_bytes().split(b"\n")[1] == line
+    assert parse_grid_line(line.decode()) == (sm.grid_dims, sm.grid_spacing,
+                                              sm.grid_origin)
+    back = load_system_matrix(tmp_path / "sm.mat")
+    assert (back.grid_dims, back.grid_spacing, back.grid_origin) == (
+        sm.grid_dims, sm.grid_spacing, sm.grid_origin)
+
+
+# malformed grid lines of a 3x1x1 grid, and what parse_grid_line says of each
+BAD_GRID_LINES = {
+    "8_fields": (b"3 1 1 0.001 0.001 0.001 0 0", "needs 9 fields, got 8"),
+    "zero_dim": (b"3 0 1 0.001 0.001 0.001 0 0 0", "must be positive"),
+    "non_integer_dim": (b"3 1.5 1 0.001 0.001 0.001 0 0 0", "invalid literal"),
+    "nan_spacing": (b"3 1 1 nan 0.001 0.001 0 0 0", "finite and positive"),
+    "inf_spacing": (b"3 1 1 0.001 inf 0.001 0 0 0", "finite and positive"),
+    "zero_spacing": (b"3 1 1 0.001 0.001 0 0 0 0", "finite and positive"),
+    "inf_origin": (b"3 1 1 0.001 0.001 0.001 0 inf 0", "origin finite"),
+}
+
+
+@pytest.mark.parametrize("line, message", BAD_GRID_LINES.values(), ids=BAD_GRID_LINES)
+@pytest.mark.parametrize("kind", ["grid", "matrix"])
+def test_both_formats_reject_a_malformed_grid_line(tmp_path, kind, line, message):
+    # a .grid header and a matrix header's line 3 go through the one parser
+    path = tmp_path / f"sm.{kind}"
+    if kind == "grid":
+        save_grid(ConcentrationGrid(np.ones((3, 1, 1)), (1e-3,) * 3, (0, 0, 0)), path,
+                  comments=[f"stamp {_TINY_HASH}"])
+        head, _, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([head, line, payload]))
+    else:
+        save_system_matrix(_tiny_matrix(), path, _TINY_HASH)
+        _rewrite(path, header={3: line})
+    with pytest.raises(ConfigError, match=f"malformed .*header: .*{message}") as exc:
+        (load_grid if kind == "grid" else load_system_matrix)(path)
+    assert exc.value.exit_code == 2
+
+
 # the tiny matrix is stored as run_ptr [0, 2, 3, 4], starts [0, 2, 1, 2]
 # and lengths [1, 1, 1, 1]
 @pytest.mark.parametrize("col", [3, -1])
@@ -999,8 +1046,9 @@ def _runs_oracle(csr) -> int:
 @example(kinds=["runs", "full", "empty", "runs"], cols=70_000, chunk=3, seed=2)
 def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
     # sorted CSRs with empty and full rows, no nonzeros, one column, and
-    # more columns than uint16 indices address; small chunks split rows
-    # and runs across the encoder's and decoder's steps
+    # more columns than uint16 indices address; the encoder and the decoder
+    # take whole rows per step, at most chunk entries (runs) or one row, so
+    # small chunks make a step of each row that holds more
     rng = np.random.default_rng(seed)
     mask = np.zeros((len(kinds), cols), bool)
     for row, kind in zip(mask, kinds):
@@ -1016,8 +1064,16 @@ def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
                          indptr), shape=mask.shape)
     sm = replace(_tiny_matrix(), blocks=(_block(csr),), rows_per_coil=len(kinds),
                  grid_dims=(cols, 1, 1))
+    appended = []  # the row lengths of each step of the encoder
+    real_append = mpisim.sysmat._RunWriter.append
+
+    def append(writer, vals, cells, counts):
+        appended.append(np.array(counts))
+        real_append(writer, vals, cells, counts)
+
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(mpisim.sysmat, "_CHUNK", chunk):
+            mock.patch.object(mpisim.sysmat, "_CHUNK", chunk), \
+            mock.patch.object(mpisim.sysmat._RunWriter, "append", append):
         path = Path(tmp) / "sm.mat"
         save_system_matrix(sm, path, _TINY_HASH)
         n_runs = int(path.read_bytes().split(b"\n")[0].split()[-1])
@@ -1025,6 +1081,11 @@ def test_runs_round_trip_is_bit_equal(kinds, cols, chunk, seed):
         assert _carried_stamp(path) == _TINY_HASH
     assert n_runs == _runs_oracle(csr)
     _assert_same_csr(back, csr)
+    assert np.array_equal(np.concatenate(appended), np.diff(indptr))
+    assert all(c.size == 1 or c.sum() <= chunk for c in appended)
+    if chunk == 1:
+        # one append per row that holds entries
+        assert sum(map(np.any, appended)) == np.count_nonzero(np.diff(indptr))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
