@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 
 from .errors import ConfigError, MissingInputError
 
@@ -46,3 +47,9 @@ def open_input(path, mode: str = "rb"):
         raise MissingInputError(f"input file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"{path} is a directory, not a file") from None
+
+
+def check_digest(digest) -> None:
+    """ConfigError unless digest is 16 lowercase hex digits, as sysmat.stamp gives."""
+    if not re.fullmatch("[0-9a-f]{16}", str(digest)):
+        raise ConfigError(f"digest {digest!r} is not 16 hex digits")

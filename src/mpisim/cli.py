@@ -31,9 +31,9 @@ import numpy as np
 
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
-from .artifacts import atomic_open, open_input
+from .artifacts import atomic_open, check_digest, open_input
 from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
-                     MpiSimError, UnsupportedTopologyError)
+                     MpiSimError, UnsupportedTopologyError, check_memory)
 
 UNIT_SCALES = {
     "": 1.0,
@@ -95,7 +95,7 @@ DEFAULTS = {
     },
     "sysmat": {
         "subsampling": "2",
-        "nnz_cap": "50000000",
+        "nnz_cap": str(sysmat.DEFAULT_NNZ_CAP),
         "workers": "4",
     },
     "solver": {
@@ -265,6 +265,9 @@ def make_approx(cfg: RunConfig) -> magnetization.MagnetizationApprox:
         raise ConfigError("n_intervals must be >= 2")
     scheme = cfg.text("magnetization", "scheme")
     strategy = cfg.text("magnetization", "nodes")
+    # 8 bytes per node, and L1 placement solves with a dense (n - 1)^2 Jacobian
+    check_memory(f"magnetization.n_intervals {n}",
+                 8 * n + (8 * (n - 1) ** 2 if strategy == "l1" else 0))
     if strategy == "equidistant":
         nodes = magnetization.nodes_equidistant(n - 1, b)
     elif strategy == "l1":
@@ -303,8 +306,11 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
                                        f"topology, not {model.topology!r}")
     # the scan signal_to_sinogram will regrid: every projection keeps a sample
     acq = make_acquisition(cfg)
-    fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
-                             settings["cos_guard"])
+    n_proj = len(fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
+                                          settings["cos_guard"]))
+    # the ramp filter's complex spectra, zero-padded to at least 2 n_bins
+    check_memory(f"fbp.bins {settings['n_bins']} for {n_proj} projections",
+                 32 * n_proj * settings["n_bins"])
     return {**settings, "model": model}
 
 
@@ -366,6 +372,15 @@ def _plan_reference(cfg: RunConfig, plan: dict) -> phantom.ConcentrationGrid:
     return reference
 
 
+def _plan_subsampling(cfg: RunConfig, plan: dict) -> int:
+    # sysmat.CellQuadrature holds 3 coordinates per sub-point of each recon cell
+    subsampling = _at_least("sysmat.subsampling", cfg.integer("sysmat", "subsampling"), 1)
+    grid = _entry(cfg, plan, "grid")
+    check_memory(f"sysmat.subsampling {subsampling} on the {grid.dims} recon grid",
+                 24 * grid.n_cells * subsampling ** sum(n > 1 for n in grid.dims))
+    return subsampling
+
+
 # plan entry -> its builder, given the config and the plan built so far
 PLANNERS = {
     "phantoms": lambda cfg, plan: (make_phantom(cfg, "signal"),
@@ -377,8 +392,7 @@ PLANNERS = {
     "acq": lambda cfg, plan: make_acquisition(cfg),
     "grid": lambda cfg, plan: phantom.empty_grid(cfg.qty("phantom", "fov"),
                                                  cfg.qty("grid.recon", "spacing")),
-    "subsampling": lambda cfg, plan: _at_least(
-        "sysmat.subsampling", cfg.integer("sysmat", "subsampling"), 1),
+    "subsampling": _plan_subsampling,
     "approx": lambda cfg, plan: make_approx(cfg),
     "simulate": _plan_simulate,
     "lsqr": lambda cfg, plan: recon.LsqrOptions(
@@ -506,16 +520,21 @@ class Workspace:
 def _carried_stamp(path: Path) -> str | None:
     """The stamp the artifact at path carries, by its first line's layout:
     the '# stamp' line of a grid or CSV, the fifth field of a trace header,
-    or the fourth of a matrix header, which ends in 'runs <count>'."""
+    or the fourth of a matrix header, which ends in 'runs <count>'; None
+    for another layout.  A stamp that is not 16 hex digits is a ConfigError."""
     with open_input(path) as fh:
         fields = fh.readline().decode("ascii", "replace").split()
-    if len(fields) == 3 and fields[:2] == ["#", "stamp"]:
-        return fields[2]
-    if len(fields) == 5:
-        return fields[4]
-    if len(fields) == 6 and fields[4] == "runs":
-        return fields[3]
-    return None
+    if (len(fields) == 3 and fields[:2] == ["#", "stamp"]) or len(fields) == 5:
+        stamp = fields[-1]
+    elif len(fields) == 6 and fields[4] == "runs":
+        stamp = fields[3]
+    else:
+        return None
+    try:
+        check_digest(stamp)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return stamp
 
 
 def _load_traces(ws: Workspace, stage: str | None = None) -> list:
@@ -651,7 +670,8 @@ def stage_lsqr(ws: Workspace):
     if ws.plan["highpass"] is not None:
         sm = sysmat.apply_highpass_rows(sm, ws.plan["highpass"])
     rhs = sysmat.stack_coils(sm, traces)
-    if not sm.grid_meta_matches(grid):
+    if not phantom.matches_geometry(grid, sm.grid_dims, sm.grid_spacing,
+                                    sm.grid_origin):
         raise ConfigError(
             f"stored matrices are for a {sm.grid_dims} grid, spacing "
             f"{sm.grid_spacing}, origin {sm.grid_origin}; the recon "

@@ -1,6 +1,8 @@
 """Exceptions shared across the package, with the CLI exit code map."""
 
+import math
 import os
+import sys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,5 +49,6 @@ def check_memory(what: str, nbytes) -> None:
     """ResourceCapError when nbytes, needed by what, exceed physical memory."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
-        raise ResourceCapError(f"{what} needs {nbytes:.4g} bytes, more than the "
+        shown = math.inf if nbytes > sys.float_info.max else nbytes  # an int past floats
+        raise ResourceCapError(f"{what} needs {shown:.4g} bytes, more than the "
                                f"{total} bytes of physical memory")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, open_input
+from .artifacts import atomic_open, check_digest, open_input
 from .errors import ConfigError, check_memory
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
@@ -388,9 +388,8 @@ def load_trace_bin(path) -> SignalTrace:
             raise ValueError(f"expected 5 fields, got {len(header)}")
         n, rate, t0, coil, stamp = (int(header[0]), float(header[1]), float(header[2]),
                                     int(header[3]), header[4])
-        if len(stamp) != 16 or set(stamp) - set("0123456789abcdef"):
-            raise ValueError(f"stamp {stamp!r} is not 16 hex digits")
-    except ValueError as exc:
+        check_digest(stamp)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: malformed trace header: {exc}") from None
     if len(raw) != 8 * n:
         raise ConfigError(f"{path}: expected {n} samples, got {len(raw) / 8:g}")

@@ -81,9 +81,14 @@ class ConcentrationGrid:
                                  origin=self.origin)
 
     def meta_matches(self, other: "ConcentrationGrid") -> bool:
-        return (self.dims == other.dims
-                and np.allclose(self.spacing, other.spacing, rtol=0, atol=1e-9)
-                and np.allclose(self.origin, other.origin, rtol=0, atol=1e-9))
+        return matches_geometry(other, self.dims, self.spacing, self.origin)
+
+
+def matches_geometry(grid: ConcentrationGrid, dims, spacing, origin) -> bool:
+    """Whether grid has dims, and spacing and origin within 1e-9 m of these."""
+    return (grid.dims == tuple(dims)
+            and np.allclose(grid.spacing, spacing, rtol=0, atol=1e-9)
+            and np.allclose(grid.origin, origin, rtol=0, atol=1e-9))
 
 
 def cell_offsets(grid: ConcentrationGrid, subsampling: int = 1) -> np.ndarray:

@@ -49,7 +49,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -57,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, open_input
+from .artifacts import atomic_open, check_digest, open_input
 from .errors import ConfigError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
@@ -73,9 +72,8 @@ _UNCHECKED = "0" * 16
 # consecutive times whose cell centers are first tested together, at the
 # middle one of them (CellQuadrature.center_survivors)
 _TILE = 8
-# entries encoded and runs decoded per step (or one row, _row_chunks), values
-# copied per step by _RunWriter, and bytes of two run sections compared per
-# step by load_system_matrices
+# entries encoded and runs decoded per step (or one row, _row_chunks), and
+# values copied per step by _RunWriter
 _CHUNK = 1 << 16
 # (time, cell) pairs whose sub-points CellQuadrature.sparse_weights
 # evaluates at once, in whole times.  On the desk scene (about 26 thousand
@@ -468,11 +466,6 @@ class SystemMatrix:
             self.rows_per_coil, self.sample_rate, self.highpass)
         return CoilOperator(tuple(self.blocks), mask)
 
-    def grid_meta_matches(self, grid: ConcentrationGrid) -> bool:
-        return (self.grid_dims == grid.dims
-                and np.allclose(self.grid_spacing, grid.spacing, rtol=0, atol=1e-9)
-                and np.allclose(self.grid_origin, grid.origin, rtol=0, atol=1e-9))
-
 
 def stamp(*parts) -> str:
     """16 hex digits of sha256 over parts: an artifact's provenance stamp.
@@ -499,12 +492,6 @@ def stamp(*parts) -> str:
     for part in parts:
         put(part)
     return h.hexdigest()[:16]
-
-
-def _check_digest(digest) -> None:
-    """ConfigError unless digest is 16 lowercase hex digits, as stamp() gives."""
-    if not re.fullmatch("[0-9a-f]{16}", str(digest)):
-        raise ConfigError(f"digest {digest!r} is not 16 hex digits")
 
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
@@ -622,7 +609,7 @@ def _checked_files(files, n_staircases: int, n_coils: int) -> list:
         if len(row) != n_coils:
             raise ConfigError(f"{len(row)} files in a row for {n_coils} coil(s)")
         for path, digest in row:
-            _check_digest(digest)
+            check_digest(digest)
             real = os.path.realpath(path)
             if real in seen:
                 raise ConfigError(f"{path} is given to two (staircase, coil) files")
@@ -795,7 +782,7 @@ def save_system_matrix(sm: SystemMatrix, path, digest: str):
     if len(sm.blocks) != 1 or len(sm.coils) != 1:
         raise ConfigError(f"a matrix file holds one coil, not {len(sm.blocks)} "
                           f"block(s) of {len(sm.coils)} coil(s)")
-    _check_digest(digest)
+    check_digest(digest)
     meta = {f.name: getattr(sm, f.name) for f in dataclasses.fields(sm)
             if f.name != "blocks"}
     [block] = sm.blocks
@@ -819,7 +806,7 @@ def _parse_header(lines):
     Nothing is allocated from the counts.
     """
     rows, cols, nnz, digest, *layout = lines[0].decode("ascii").split()
-    _check_digest(digest)
+    check_digest(digest)
     if layout[:1] != ["runs"]:
         old = {(): "old triplet", ("csr",): "csr"}.get(tuple(layout))
         if old:
@@ -861,43 +848,32 @@ def load_system_matrix(path) -> SystemMatrix:
     return load_system_matrices([path])
 
 
-def _read(fh, path, count: int, dtype: str) -> np.ndarray:
-    """The next count values of dtype in fh, as a read-only array."""
-    size = count * np.dtype(dtype).itemsize
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ConfigError(f"{path}: run payload truncated")
-    return np.frombuffer(buf, dtype)
+def _decode_runs(section, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple:
+    """The (indptr, indices) of one file's run section: the bytes of its
+    run_ptr, starts and lengths as stored.
 
-
-def _decode_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple:
-    """The (indptr, indices) of one file's runs; fh is at its run_ptr and is
-    left at its values.
-
-    run_ptr is checked to rise from 0 to n_runs.  The runs are then read a
-    chunk of whole rows at a time, at most _CHUNK runs or one row
+    run_ptr is checked to rise from 0 to n_runs.  The runs are then decoded
+    a chunk of whole rows at a time, at most _CHUNK runs or one row
     (_row_chunks), so each chunk starts at a row's first run, no state
     crosses a chunk and no temporary is nnz-sized.  A chunk's starts and
     lengths are checked, and each run's columns written as a cumulative sum
     of deltas: 1 within a run, and at a run's first slot the step from the
     last column before.
     """
-    run_ptr = _read(fh, path, rows + 1, "<i8")
+    run_ptr = np.frombuffer(section, "<i8", rows + 1)
     if run_ptr[0] != 0 or run_ptr[-1] != n_runs or np.any(np.diff(run_ptr) < 0):
         raise ConfigError(f"{path}: run row pointer must rise from 0 to {n_runs}")
+    all_starts, all_lengths = np.frombuffer(section, "<i4", offset=8 * (rows + 1)
+                                            ).reshape(2, n_runs)
     indptr = np.empty(rows + 1, np.int64)
     indptr[0] = 0
     indices = np.empty(nnz, "<i4")
-    base = fh.tell()
     for lo, hi in _row_chunks(run_ptr, _CHUNK):
         k0, k1, done = int(run_ptr[lo]), int(run_ptr[hi]), int(indptr[lo])
         if k0 == k1:
             indptr[lo + 1:hi + 1] = done
             continue
-        fh.seek(base + 4 * k0)
-        starts = _read(fh, path, k1 - k0, "<i4")
-        fh.seek(base + 4 * (n_runs + k0))
-        lengths = _read(fh, path, k1 - k0, "<i4")
+        starts, lengths = all_starts[k0:k1], all_lengths[k0:k1]
         ends = starts.astype(np.int64)
         ends += lengths
         # each run's step from the last column of the run before it; the
@@ -926,20 +902,7 @@ def _decode_runs(fh, path, rows: int, n_runs: int, nnz: int, cols: int) -> tuple
         np.cumsum(cells, dtype=cells.dtype, out=cells)
     if indptr[-1] != nnz:
         raise ConfigError(f"{path}: run lengths sum to {indptr[-1]}, not {nnz}")
-    fh.seek(base + 8 * n_runs)
     return indptr, indices
-
-
-def _same_bytes(a, at_a: int, b, at_b: int, size: int) -> bool:
-    """Whether the size bytes from offset at_a of the open file a equal
-    those from at_b of b, compared _CHUNK bytes at a time."""
-    a.seek(at_a)
-    b.seek(at_b)
-    for lo in range(0, size, _CHUNK):
-        n = min(_CHUNK, size - lo)
-        if a.read(n) != b.read(n):
-            return False
-    return True
 
 
 def load_system_matrices(paths: list) -> SystemMatrix:
@@ -950,16 +913,18 @@ def load_system_matrices(paths: list) -> SystemMatrix:
     differs from the first file's raises ConfigError.  The digest a header
     stores must be 16 hex digits but is not compared with anything: whether
     it is current is for the stage that reads the file to check.
-    Then each payload is read, bit-equal to the CSR rows that were saved.
-    A file's run section (run_ptr, starts and lengths) is compared, _CHUNK
-    bytes at a time, with that of each file already decoded that has its
-    rows, run count and nonzero count.  When one is byte-identical, the
-    file's block shares that file's indptr and indices, and only its values
-    are read.  Otherwise its runs are decoded a chunk of whole rows at a
-    time (_decode_runs), so no temporary is nnz-sized.  A run_ptr that does
-    not rise from 0 to the run count, a run shorter than 1, outside the
-    shape or not at least 2 past the run before it in its row, lengths that
-    do not sum to nnz or a non-finite value raises ConfigError.
+    Then every file's run section (run_ptr, starts and lengths) is read
+    whole, and after them every file's values: each file is read once,
+    front to back, bit-equal to the CSR rows that were saved.  The first
+    file with a given section and nonzero count decodes its runs a chunk of
+    whole rows at a time (_decode_runs), so no temporary is nnz-sized; a
+    later file with a byte-identical section shares its indptr and indices.
+    The sections, 8 bytes per run against the values' 8 per nonzero, are
+    dropped before any value is read, so they do not set the load's peak.
+    A run_ptr that does not rise from 0 to the run count, a run shorter
+    than 1, outside the shape or not at least 2 past the run before it in
+    its row, or lengths that do not sum to nnz raise ConfigError before any
+    value is read; then a non-finite value does.
     """
     if not paths:
         raise ConfigError("need at least one matrix file")
@@ -981,28 +946,28 @@ def load_system_matrices(paths: list) -> SystemMatrix:
             if differ:
                 raise ConfigError(f"{path}: {', '.join(differ)} not as in {paths[0]}")
             heads.append((path, fh, rows, n_runs, nnz, meta))
-        blocks, decoded = [], []  # decoded: (file, payload offset, counts, block)
-        for path, fh, rows, n_runs, nnz, meta in heads:
-            at, counts = fh.tell(), (rows, n_runs, nnz)
-            section = 8 * (rows + 1 + n_runs)  # run_ptr, starts and lengths
-            like = next((own for other, other_at, other_counts, own in decoded
-                         if other_counts == counts
-                         and _same_bytes(other, other_at, fh, at, section)), None)
-            if like is None:
-                fh.seek(at)
-                indptr, indices = _decode_runs(fh, path, rows, n_runs, nnz, cols)
-            else:
-                fh.seek(at + section)
-                indptr, indices = like.indptr, like.indices
+        # one [indptr, indices] for the files of each (nnz, section): all
+        # have the first file's rows, so a section's length fixes its runs
+        decoded, patterns = {}, []
+        for path, fh, rows, n_runs, nnz, _ in heads:
+            section = fh.read(8 * (rows + 1 + n_runs))
+            if len(section) != 8 * (rows + 1 + n_runs):
+                raise ConfigError(f"{path}: run payload truncated")
+            if (nnz, section) not in decoded:
+                decoded[nnz, section] = list(
+                    _decode_runs(section, path, rows, n_runs, nnz, cols))
+            patterns.append(decoded[nnz, section])
+        del decoded, section
+        blocks = []
+        for (path, fh, rows, _, nnz, _), pattern in zip(heads, patterns):
             vals = np.empty(nnz, "<f8")
             if fh.readinto(memoryview(vals).cast("B")) != vals.nbytes:
                 raise ConfigError(f"{path}: run payload truncated")
             # min and max propagate a NaN and make no nnz-sized temporary
             if nnz and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
                 raise ConfigError(f"{path}: non-finite matrix values")
-            block = CsrBlock(vals, indices, indptr, (rows, cols))
-            if like is None:
-                decoded.append((fh, at, counts, block))
-            blocks.append(block)
+            blocks.append(CsrBlock(vals, pattern[1], pattern[0], (rows, cols)))
+            # later files of the pattern share the block's cast arrays
+            pattern[:] = blocks[-1].indptr, blocks[-1].indices
     coils = tuple(meta["coils"][0] for *_, meta in heads)
     return SystemMatrix(blocks=tuple(blocks), **{**heads[0][-1], "coils": coils})

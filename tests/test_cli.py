@@ -623,14 +623,22 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
 
 
 # settings that size an array no machine holds; unchecked, each ended in a
-# traceback while planning (the duration after allocating until memory ran
-# out), the last one after the phantom stage had written its files
+# traceback: the first three while planning (the duration after allocating
+# until memory ran out), the fourth after the phantom stage had written its
+# files, the node count while planning, and the bins and the sub-points
+# after earlier stages had written theirs
 BEYOND_MEMORY = [
     (["run", "--set", "acquisition.sample_rate=1e308"], "sample_rate 1e+308 Hz"),
     (["run", "--set", "phantom.fov=100000"], "fov 100000 m"),
     (["run", "--set", "acquisition.duration=100000"], "acquisition.duration 100000 s"),
     (["run", "--stages", "phantom,simulate", "--set", "acquisition.sample_rate=1e308"],
      "sample_rate 1e+308 Hz"),
+    (["run", "--set", "magnetization.n_intervals=10000000000000"],
+     "magnetization.n_intervals 10000000000000"),
+    (["run", "--set", "magnetization.nodes=l1",
+      "--set", "magnetization.n_intervals=10000000"], "magnetization.n_intervals 10000000"),
+    (["run", "--set", "fbp.bins=1000000000000"], "fbp.bins 1000000000000"),
+    (["run", "--set", "sysmat.subsampling=100000"], "sysmat.subsampling 100000"),
 ]
 
 # runs each argv through cli.main and prints the exit codes; an allocation
@@ -1120,6 +1128,29 @@ def test_a_matrix_digest_that_is_not_hex_exits_2(pipeline_dir, tmp_path, capsys,
     assert cli.main(["lsqr", "-c", str(ini), "-o", str(work), *force]) == 2
     err = capsys.readouterr().err
     assert f"{path}: malformed header: digest 'NOT-A-DIGEST' is not 16 hex digits" in err
+    assert "Traceback" not in err and _files(work) == before
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("phantom.grid", "simulate"), ("phantom_recon.grid", "compare"),
+    ("recon_lsqr.grid", "compare"), ("recon_fbp.grid", "compare")])
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
+def test_a_stamp_line_that_is_not_hex_exits_2(pipeline_dir, tmp_path, capsys, name,
+                                              stage, force):
+    # a '# stamp' line is held to the rule of a trace or matrix header: it
+    # is not read as a stale stamp that force lets through, or an image
+    # compare skips, and nothing is written
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    path = work / name
+    path.write_bytes(b"# stamp NOT-A-DIGEST!\n" + path.read_bytes().split(b"\n", 1)[1])
+    before = _files(work)
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(work), "--stages", stage,
+                     *force]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: digest 'NOT-A-DIGEST!' is not 16 hex digits" in err
     assert "Traceback" not in err and _files(work) == before
 
 

@@ -36,7 +36,7 @@ from mpisim.forward import (
     simulate_piecewise,
 )
 from mpisim.phantom import (ConcentrationGrid, build_disc_phantom, empty_grid, load_grid,
-                            parse_grid_line, save_grid)
+                            matches_geometry, parse_grid_line, save_grid)
 from mpisim.recon import LsqrOptions, lsqr_solve
 from mpisim.sysmat import (
     CellQuadrature,
@@ -166,7 +166,7 @@ def test_matrix_shape_and_metadata(scene, matrix_x):
     assert sm.rows_per_coil == config.n_samples
     assert sm.sample_rate == pytest.approx(config.sample_rate)
     assert sm.coils == (coil_along("x"),)
-    assert sm.grid_meta_matches(grid)
+    assert matches_geometry(grid, sm.grid_dims, sm.grid_spacing, sm.grid_origin)
     assert sm.highpass is None
     assert 0 < sm.nnz < sm.shape[0] * sm.shape[1]  # staircase support is local
 
@@ -1340,15 +1340,56 @@ def _one_byte_shift(starts, lengths, run_ptr, cols):
     return moved
 
 
+class _LoggedFile:
+    """A file that open_input opened, logging each read as (path, offset,
+    bytes read) and each seek as (path, "seek", 0); it offers nothing else
+    but tell, fileno and use as a context manager."""
+
+    def __init__(self, path, fh, log):
+        self.path, self.fh, self.log = path, fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def tell(self):
+        return self.fh.tell()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def seek(self, *args):
+        self.log.append((self.path, "seek", 0))
+        return self.fh.seek(*args)
+
+    def _logged(self, read, *args):
+        at = self.fh.tell()
+        out = read(*args)
+        self.log.append((self.path, at, out if isinstance(out, int) else len(out)))
+        return out
+
+    def read(self, *args):
+        return self._logged(self.fh.read, *args)
+
+    def readline(self, *args):
+        return self._logged(self.fh.readline, *args)
+
+    def readinto(self, buf):
+        return self._logged(self.fh.readinto, buf)
+
+
 @pytest.mark.parametrize("chunk", [3, 1 << 16])
 @pytest.mark.parametrize("case", ["valid byte", "invalid byte", "nan", "truncated",
                                   "shorter", "shorter and valid"])
 def test_a_second_coil_is_compared_within_its_payload(tmp_path, monkeypatch, chunk,
                                                       case):
     # the second file starts from the first's runs; whatever it changes, the
-    # load compares whole run sections of the same size only, never reads
-    # past a payload, and shares the first file's arrays only when the runs
-    # are the same
+    # load reads each file once, front to back and with no seek: both
+    # headers, then both run sections, then both files' values, as far as
+    # it gets.  It shares the first file's arrays only when the runs are the
+    # same
     monkeypatch.setattr(mpisim.sysmat, "_CHUNK", chunk)
     sm = _runs_matrix(np.random.default_rng(12), rows=20, cols=600)
     paths = _save_coil_files(tmp_path, [sm, replace(sm, coils=(coil_along("y"),))])
@@ -1375,18 +1416,13 @@ def test_a_second_coil_is_compared_within_its_payload(tmp_path, monkeypatch, chu
                  run_ptr=np.concatenate([run_ptr[:-1], [n_runs - 1]]),
                  starts=starts[:-1], lengths=lengths[:-1], data=data[:kept])
     assert paths[1].read_bytes() != paths[0].read_bytes()
-    compared = []
-    real = mpisim.sysmat._same_bytes
-
-    def within_payloads(a, at_a, b, at_b, size):
-        for fh, at in ((a, at_a), (b, at_b)):
-            assert at + size <= os.fstat(fh.fileno()).st_size
-        compared.append(size)
-        return real(a, at_a, b, at_b, size)
-
-    monkeypatch.setattr(mpisim.sysmat, "_same_bytes", within_payloads)
+    log = []
+    real = mpisim.sysmat.open_input
+    monkeypatch.setattr(mpisim.sysmat, "open_input",
+                        lambda path: _LoggedFile(path, real(path), log))
     if case in ("valid byte", "shorter and valid"):
         first, second = load_system_matrices(paths).blocks
+        reads = list(log)
         _assert_same_csr(second, load_system_matrix(paths[1]).blocks[0])
         assert not np.shares_memory(second.indices, first.indices)
         assert not np.shares_memory(second.indptr, first.indptr)
@@ -1397,9 +1433,19 @@ def test_a_second_coil_is_compared_within_its_payload(tmp_path, monkeypatch, chu
         with pytest.raises(ConfigError, match=message[case]) as exc:
             load_system_matrices(paths)
         assert str(paths[1]) in str(exc.value) and exc.value.exit_code == 2
-    # run sections of another size are never compared
-    assert compared == ([] if case.startswith(("shorter", "truncated"))
-                        else [8 * (rows + 1 + n_runs)])
+        reads = list(log)
+    # every read starts where the file's last one ended (a seek would log
+    # "seek"), and a load that checks the values has read each file to its end
+    ends = dict.fromkeys(paths, 0)
+    for path, at, size in reads:
+        assert at == ends[path], (path, at)
+        ends[path] += size
+    phases = [*[paths[0]] * 4, *[paths[1]] * 4, *paths, *paths]
+    order = [path for path, *_ in reads]
+    assert order == phases[:len(order)]
+    if case in ("valid byte", "shorter and valid", "nan"):
+        assert order == phases
+        assert ends == {path: path.stat().st_size for path in paths}
 
 
 def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_path):
@@ -1424,7 +1470,8 @@ def test_stacked_load_equals_the_vstack_of_single_loads(scene, matrix_x, tmp_pat
     assert stacked.coils == (coils[0], coil_along("z"), coils[1], again.coils[0])
     assert stacked.shape == (4 * config.n_samples, grid.n_cells)
     assert stacked.rows_per_coil == config.n_samples
-    assert stacked.highpass == 35e3 and stacked.grid_meta_matches(grid)
+    assert stacked.highpass == 35e3 and matches_geometry(
+        grid, stacked.grid_dims, stacked.grid_spacing, stacked.grid_origin)
     # files whose runs are x's share x's decoded indptr and indices; the
     # empty coil, whose runs differ, gets its own
     bx, bz, by, b_again = stacked.blocks
