@@ -95,7 +95,6 @@ DEFAULTS = {
     },
     "sysmat": {
         "subsampling": "2",
-        "nnz_cap": str(sysmat.DEFAULT_NNZ_CAP),
         "workers": "4",
     },
     "solver": {
@@ -239,16 +238,16 @@ def make_acquisition(cfg: RunConfig) -> forward.AcquisitionConfig:
         f_rot=f_rot)
 
 
-def highpass_cutoff(cfg: RunConfig) -> float | None:
+def highpass_cutoff(cfg: RunConfig, acq: forward.AcquisitionConfig) -> float | None:
+    """The cut-off, or None; one that keeps no DFT bin of acq is a ConfigError."""
     raw = cfg.text("acquisition", "highpass").strip()
     if raw.lower() in ("none", "off", ""):
         return None
-    if raw.lower() == "auto":
-        return 1.4 * cfg.qty("acquisition", "f_d")
-    value = parse_quantity(raw)
+    value = 1.4 * acq.f_d if raw.lower() == "auto" else parse_quantity(raw)
     if not value > 0:
         raise ConfigError(f"acquisition.highpass must be positive, not {raw!r}; "
                           f"none or off disables the filter")
+    forward.check_cutoff(acq.n_samples, acq.sample_rate, value)
     return value
 
 
@@ -265,9 +264,6 @@ def make_approx(cfg: RunConfig) -> magnetization.MagnetizationApprox:
         raise ConfigError("n_intervals must be >= 2")
     scheme = cfg.text("magnetization", "scheme")
     strategy = cfg.text("magnetization", "nodes")
-    # 8 bytes per node, and L1 placement solves with a dense (n - 1)^2 Jacobian
-    check_memory(f"magnetization.n_intervals {n}",
-                 8 * n + (8 * (n - 1) ** 2 if strategy == "l1" else 0))
     if strategy == "equidistant":
         nodes = magnetization.nodes_equidistant(n - 1, b)
     elif strategy == "l1":
@@ -294,7 +290,7 @@ def make_coils(cfg: RunConfig) -> list:
     return [(axis, forward.coil_along(axis, index=i)) for i, axis in enumerate(axes)]
 
 
-def make_fbp_settings(cfg: RunConfig) -> dict:
+def make_fbp_settings(cfg: RunConfig, acq: forward.AcquisitionConfig) -> dict:
     """Every setting stage_fbp reads; fbp.check_settings checks its own."""
     settings = {"n_bins": cfg.integer("fbp", "bins"),
                 "cos_guard": cfg.qty("fbp", "cos_guard"),
@@ -305,12 +301,8 @@ def make_fbp_settings(cfg: RunConfig) -> dict:
         raise UnsupportedTopologyError(f"the Radon-domain pipeline needs an FFL "
                                        f"topology, not {model.topology!r}")
     # the scan signal_to_sinogram will regrid: every projection keeps a sample
-    acq = make_acquisition(cfg)
-    n_proj = len(fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
-                                          settings["cos_guard"]))
-    # the ramp filter's complex spectra, zero-padded to at least 2 n_bins
-    check_memory(f"fbp.bins {settings['n_bins']} for {n_proj} projections",
-                 32 * n_proj * settings["n_bins"])
+    fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
+                             settings["cos_guard"])
     return {**settings, "model": model}
 
 
@@ -336,7 +328,7 @@ STAGES = {
 # plan entries that change no output of the stage that reads them, so they
 # enter no stamp and are planned only for a stage that runs
 UNSTAMPED = {"simulate": ("forward.workers",),
-             "sysmat": ("sysmat.nnz_cap", "sysmat.workers"),
+             "sysmat": ("sysmat.workers",),
              "compare": ("reference",)}
 
 
@@ -372,44 +364,86 @@ def _plan_reference(cfg: RunConfig, plan: dict) -> phantom.ConcentrationGrid:
     return reference
 
 
-def _plan_subsampling(cfg: RunConfig, plan: dict) -> int:
-    # sysmat.CellQuadrature holds 3 coordinates per sub-point of each recon cell
-    subsampling = _at_least("sysmat.subsampling", cfg.integer("sysmat", "subsampling"), 1)
-    grid = _entry(cfg, plan, "grid")
-    check_memory(f"sysmat.subsampling {subsampling} on the {grid.dims} recon grid",
-                 24 * grid.n_cells * subsampling ** sum(n > 1 for n in grid.dims))
-    return subsampling
-
-
 # plan entry -> its builder, given the config and the plan built so far
 PLANNERS = {
     "phantoms": lambda cfg, plan: (make_phantom(cfg, "signal"),
                                    make_phantom(cfg, "recon")),
     "reference": _plan_reference,
     "coils": lambda cfg, plan: make_coils(cfg),
-    "highpass": lambda cfg, plan: highpass_cutoff(cfg),
+    "highpass": lambda cfg, plan: highpass_cutoff(cfg, _entry(cfg, plan, "acq")),
     "field": lambda cfg, plan: make_field_model(cfg),
     "acq": lambda cfg, plan: make_acquisition(cfg),
     "grid": lambda cfg, plan: phantom.empty_grid(cfg.qty("phantom", "fov"),
                                                  cfg.qty("grid.recon", "spacing")),
-    "subsampling": _plan_subsampling,
+    "subsampling": lambda cfg, plan: _at_least(
+        "sysmat.subsampling", cfg.integer("sysmat", "subsampling"), 1),
     "approx": lambda cfg, plan: make_approx(cfg),
     "simulate": _plan_simulate,
     "lsqr": lambda cfg, plan: recon.LsqrOptions(
         max_iterations=cfg.integer("solver", "iterations"),
         atol=cfg.qty("solver", "atol"), btol=cfg.qty("solver", "btol")),
-    "fbp": lambda cfg, plan: make_fbp_settings(cfg),
+    "fbp": lambda cfg, plan: make_fbp_settings(cfg, _entry(cfg, plan, "acq")),
     "forward.workers": lambda cfg, plan: _at_least(
         "forward.workers", cfg.integer("forward", "workers"), 1),
-    "sysmat.nnz_cap": lambda cfg, plan: _at_least(
-        "sysmat.nnz_cap", cfg.integer("sysmat", "nnz_cap"), 1),
     "sysmat.workers": lambda cfg, plan: _at_least(
         "sysmat.workers", cfg.integer("sysmat", "workers"), 1),
 }
 
 
+def _subpoint_bytes(grid: phantom.ConcentrationGrid, n_cells, subsampling: int):
+    # 3 coordinates per sub-point, subsampling per axis of more than one cell
+    return 24 * n_cells * subsampling ** sum(n > 1 for n in grid.dims)
+
+
+def _approx_size(cfg: RunConfig, plan: dict):
+    # 8 bytes per node; L1 placement solves with a dense (n - 1)^2 Jacobian
+    n = cfg.integer("magnetization", "n_intervals")
+    l1 = n > 1 and cfg.text("magnetization", "nodes") == "l1"
+    return f"magnetization.n_intervals {n}", 8 * n + (8 * (n - 1) ** 2 if l1 else 0)
+
+
+def _subsampling_size(cfg: RunConfig, plan: dict):
+    # sysmat.CellQuadrature's sub-points of every recon cell
+    subsampling, grid = cfg.integer("sysmat", "subsampling"), _entry(cfg, plan, "grid")
+    return (f"sysmat.subsampling {subsampling} on the {grid.dims} recon grid",
+            _subpoint_bytes(grid, grid.n_cells, max(subsampling, 0)))
+
+
+def _simulate_size(cfg: RunConfig, plan: dict):
+    # forward._filled_cells' sub-points: each filled signal cell's center,
+    # or under piecewise sysmat's sub-points of it
+    kind, signal = cfg.text("forward", "model"), _entry(cfg, plan, "phantoms")[0]
+    filled, subsampling = np.count_nonzero(signal.values), 1
+    what = f"forward.model {kind}"
+    if kind == "piecewise":
+        subsampling = _entry(cfg, plan, "subsampling")
+        what += f" at sysmat.subsampling {subsampling}"
+    return (f"{what} on {filled} filled signal cells",
+            _subpoint_bytes(signal, filled, subsampling))
+
+
+def _fbp_size(cfg: RunConfig, plan: dict):
+    # the scan's kept samples (index, phase and cosine over half of each
+    # drive period), and the ramp filter's complex spectra, zero-padded to
+    # at least 2 n_bins, of at most one projection per drive period
+    n_bins, acq = cfg.integer("fbp", "bins"), _entry(cfg, plan, "acq")
+    periods = math.ceil(acq.duration * acq.f_d)
+    return (f"fbp.bins {n_bins} for {periods} projections of {acq.n_samples} samples",
+            12 * acq.n_samples + 32 * periods * n_bins)
+
+
+# plan entry -> (the settings that drive it, the bytes its stage holds at
+# once), given the config and the plan so far; _entry checks the bytes
+# against physical memory before it plans the entry.  A count below what its
+# planner accepts passes, so that the planner's ConfigError names it
+SIZES = {"approx": _approx_size, "subsampling": _subsampling_size,
+         "simulate": _simulate_size, "fbp": _fbp_size}
+
+
 def _entry(cfg: RunConfig, plan: dict, name: str):
     if name not in plan:
+        if name in SIZES:
+            check_memory(*SIZES[name](cfg, plan))
         plan[name] = PLANNERS[name](cfg, plan)
     return plan[name]
 
@@ -640,15 +674,14 @@ def stage_sysmat(ws: Workspace):
     stored = sysmat.build_system_matrix(
         plan["field"], plan["approx"], [coil for _, coil in plan["coils"]],
         plan["acq"], plan["grid"], plan["subsampling"],
-        nnz_cap=plan["sysmat.nnz_cap"], n_workers=plan["sysmat.workers"],
-        files=_matrix_files(ws))
+        n_workers=plan["sysmat.workers"], files=_matrix_files(ws))
     _report_matrices(ws, stored)
 
 
 def _matrix_files(ws: Workspace):
     """Each coil's sysmat_<axis>.mat and the sysmat stamp.  A generator: the
     build takes the paths, and ws.out writes config.resolved.ini, only once
-    the estimated count has passed sysmat.nnz_cap."""
+    the estimated count has passed sysmat.NNZ_CAP."""
     return ((ws.out(f"sysmat_{axis}.mat"), ws.stamps["sysmat"])
             for axis, _ in ws.plan["coils"])
 
@@ -818,8 +851,7 @@ def run_sweep(cfg: RunConfig, parameter: str, values, outdir=None) -> list:
     stored = sysmat.build_system_matrices(
         shared["field"], [plan["approx"] for plan in plans],
         [coil for _, coil in shared["coils"]], shared["acq"], shared["grid"],
-        shared["subsampling"], nnz_cap=shared["sysmat.nnz_cap"],
-        n_workers=shared["sysmat.workers"],
+        shared["subsampling"], n_workers=shared["sysmat.workers"],
         files=[_matrix_files(sub) for _, sub in subs.values()])
     summary = []
     for (value, sub), matrix in zip(subs.values(), stored):

@@ -45,9 +45,14 @@ class ResourceCapError(MpiSimError):
     exit_code = EXIT_RESOURCE_CAP
 
 
+def physical_memory() -> int:
+    """The bytes of physical memory of this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_memory(what: str, nbytes) -> None:
-    """ResourceCapError when nbytes, needed by what, exceed physical memory."""
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """ResourceCapError when nbytes, needed by what, exceed physical_memory()."""
+    total = physical_memory()
     if nbytes > total:
         shown = math.inf if nbytes > sys.float_info.max else nbytes  # an int past floats
         raise ResourceCapError(f"{what} needs {shown:.4g} bytes, more than the "

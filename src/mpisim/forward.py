@@ -316,18 +316,23 @@ def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coils,
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:
-    """DFT-bin keep mask: bins with |frequency| < cutoff are dropped.
+    """DFT-bin keep mask of a cut-off check_cutoff accepts: bins with
+    |frequency| < cutoff are dropped."""
+    check_cutoff(n, sample_rate, cutoff)
+    return (np.abs(np.fft.fftfreq(n, d=1.0 / sample_rate)) >= cutoff).astype(float)
 
-    A cut-off above every bin (at or above Nyquist) would zero the whole
-    signal and raises ConfigError.
-    """
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    mask = (np.abs(freqs) >= cutoff).astype(float)
-    if not mask.any():
+
+def check_cutoff(n: int, sample_rate: float, cutoff: float) -> None:
+    """ConfigError unless cutoff is positive and a high-pass at it keeps a DFT
+    bin of n samples at sample_rate; allocates nothing, so a plan can check
+    any scan."""
+    if cutoff <= 0:
+        raise ConfigError("cutoff must be positive")
+    # fftfreq's largest |frequency|, (n // 2) / (n d), computed as it computes it
+    if not (n // 2) * (1.0 / (n * (1.0 / sample_rate))) >= cutoff:
         raise ConfigError(
             f"a high-pass at {cutoff:.6g} Hz keeps no DFT bin of {n} samples "
             f"at {sample_rate:.6g} Hz (Nyquist {sample_rate / 2:.6g} Hz)")
-    return mask
 
 
 def apply_dft_mask(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -337,8 +342,6 @@ def apply_dft_mask(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def apply_highpass(trace: SignalTrace, cutoff: float) -> SignalTrace:
     """Ideal DFT brick-wall high-pass; removes every bin below cutoff."""
-    if cutoff <= 0:
-        raise ConfigError("cutoff must be positive")
     mask = highpass_mask(trace.samples.size, trace.sample_rate, cutoff)
     return replace(trace, samples=apply_dft_mask(trace.samples, mask))
 

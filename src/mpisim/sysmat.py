@@ -61,11 +61,12 @@ from .errors import ConfigError, ResourceCapError
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
-                      highpass_mask, map_time_blocks)
+                      check_cutoff, highpass_mask, map_time_blocks)
 from .magnetization import MagnetizationApprox
 from .phantom import ConcentrationGrid, cell_offsets, grid_line, parse_grid_line
 
-DEFAULT_NNZ_CAP = 50_000_000
+# the most nonzeros of one (staircase, coil) of a build (build_system_matrices)
+NNZ_CAP = 50_000_000
 # the digest in the header of an in-memory build's files, which are loaded
 # back unchecked
 _UNCHECKED = "0" * 16
@@ -496,15 +497,13 @@ def stamp(*parts) -> str:
 
 def build_system_matrix(model: FieldModel, approx: MagnetizationApprox,
                         coils, acq: AcquisitionConfig, grid: ConcentrationGrid,
-                        subsampling: int = 1,
-                        nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
-                        files=None):
+                        subsampling: int = 1, *, n_workers: int = 1, files=None):
     """The matrix of one staircase, one block per coil:
     build_system_matrices([approx]), or with files, one (path, digest) per
     coil, the StoredMatrix of its files."""
     return build_system_matrices(model, [approx], coils, acq, grid, subsampling,
-                                 nnz_cap, n_workers,
-                                 None if files is None else [files])[0]
+                                 n_workers=n_workers,
+                                 files=None if files is None else [files])[0]
 
 
 @dataclass(frozen=True)
@@ -531,8 +530,7 @@ def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
 
 def build_system_matrices(model: FieldModel, approxes, coils,
                           acq: AcquisitionConfig, grid: ConcentrationGrid,
-                          subsampling: int = 1,
-                          nnz_cap: int = DEFAULT_NNZ_CAP, n_workers: int = 1,
+                          subsampling: int = 1, *, n_workers: int = 1,
                           files=None) -> list:
     """Assemble the matrix of each staircase in approxes, one block per coil.
 
@@ -562,10 +560,10 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     load_system_matrices checks every stored matrix, and sharing indptr and
     indices between coils whose runs agree.
 
-    nnz_cap limits each (staircase, coil): the count extrapolated from 8
-    probe times is checked before any assembly starts, the running count
-    after every block, and the first to pass the cap stops the build and
-    its worker threads.
+    NNZ_CAP, read at each call, limits each (staircase, coil): the count
+    extrapolated from 8 probe times is checked before any assembly starts,
+    the running count after every block, and the first to pass the cap
+    stops the build and its worker threads.
     """
     approxes = list(approxes)
     if not approxes:
@@ -577,10 +575,10 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     rhos = [coil.vector for coil in coils]
     quad = CellQuadrature(model, grid, subsampling)
     est = _estimate_nnz(quad, approxes, rhos, times)
-    if est > nnz_cap:
+    if est > NNZ_CAP:
         raise ResourceCapError(
             f"estimated {est} nonzeros for one coil exceeds the cap of "
-            f"{nnz_cap}; raise the cap, shrink the grid, or lower the threshold b")
+            f"{NNZ_CAP}; raise the cap, shrink the grid, or lower the threshold b")
 
     meta = dict(sample_rate=acq.sample_rate, t0=acq.t0, rows_per_coil=acq.n_samples,
                 coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
@@ -589,12 +587,12 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                              times, n_workers)
     if files is not None:
         files = _checked_files(files, len(approxes), len(coils))
-        return _write_blocks(blocks, files, meta, grid.n_cells, nnz_cap)
+        return _write_blocks(blocks, files, meta, grid.n_cells)
     with tempfile.TemporaryDirectory() as tmp:
         files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED) for k in range(len(coils))]
                  for i in range(len(approxes))]
         return [load_system_matrices(stored.paths)
-                for stored in _write_blocks(blocks, files, meta, grid.n_cells, nnz_cap)]
+                for stored in _write_blocks(blocks, files, meta, grid.n_cells)]
 
 
 def _checked_files(files, n_staircases: int, n_coils: int) -> list:
@@ -617,10 +615,10 @@ def _checked_files(files, n_staircases: int, n_coils: int) -> list:
     return files
 
 
-def _write_blocks(blocks, files, meta: dict, cols: int, nnz_cap: int) -> list:
+def _write_blocks(blocks, files, meta: dict, cols: int) -> list:
     """Stream each row block of blocks, a (data, indices, row lengths) triple
     per staircase and coil, into the _RunWriter of its files[i][k], stopping
-    when a (staircase, coil) passes nnz_cap; one StoredMatrix per staircase."""
+    when a (staircase, coil) passes NNZ_CAP; one StoredMatrix per staircase."""
     n_rows = meta["rows_per_coil"]
     with contextlib.ExitStack() as stack:
         writers = [[stack.enter_context(_RunWriter(path, digest, (n_rows, cols),
@@ -635,10 +633,10 @@ def _write_blocks(blocks, files, meta: dict, cols: int, nnz_cap: int) -> list:
                 for writer, part in zip(row, per_coil):
                     writer.append(*part)
                 nnz = max(w.nnz for w in row)
-                if nnz > nnz_cap:
+                if nnz > NNZ_CAP:
                     raise ResourceCapError(
                         f"assembled {nnz} nonzeros for one coil by row {rows} of "
-                        f"{n_rows}, over the cap of {nnz_cap}")
+                        f"{n_rows}, over the cap of {NNZ_CAP}")
     return [StoredMatrix(tuple(w.path for w in row), tuple(w.nnz for w in row),
                          (len(row) * n_rows, cols)) for row in writers]
 
@@ -669,9 +667,7 @@ def apply_highpass_rows(sm: SystemMatrix, cutoff: float) -> SystemMatrix:
     A cut-off that is not positive or keeps no DFT bin of a coil block
     raises ConfigError.
     """
-    if cutoff <= 0:
-        raise ConfigError("cutoff must be positive")
-    highpass_mask(sm.rows_per_coil, sm.sample_rate, cutoff)
+    check_cutoff(sm.rows_per_coil, sm.sample_rate, cutoff)
     return replace(sm, highpass=cutoff)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mpisim
-from mpisim import cli, fbp, forward, magnetization, sysmat
+from mpisim import cli, errors, fbp, forward, magnetization, sysmat
 from mpisim.errors import (ConfigError, EXIT_CONFIG, EXIT_MISSING_INPUT,
                            MissingInputError, UnsupportedTopologyError)
 from mpisim.fields import load_field_coefficients
@@ -293,7 +293,8 @@ def test_lsqr_rejects_a_matrix_in_the_old_triplet_layout(pipeline_dir, tmp_path,
         assert "re-run `mpisim sysmat`" in err and "Traceback" not in err
 
 
-def test_nnz_cap_stops_a_streamed_build_and_keeps_the_old_files(tmp_path, capsys):
+def test_nnz_cap_stops_a_streamed_build_and_keeps_the_old_files(tmp_path, capsys,
+                                                                  monkeypatch):
     # on the desk scene the 8-probe estimate reads low (CHANGES.md), so a cap
     # at the estimate passes the check before assembly and stops the build
     # mid-stream; older matrix files stay as they were, and no temporary or
@@ -311,14 +312,16 @@ def test_nnz_cap_stops_a_streamed_build_and_keeps_the_old_files(tmp_path, capsys
                                plan["acq"].times())
     capsys.readouterr()
     desk = ["run", "--stages", "sysmat", "--set", "sysmat.workers=2"]
-    assert cli.main([*desk, "-o", str(out), "--set", f"sysmat.nnz_cap={est}"]) == 5
+    monkeypatch.setattr(sysmat, "NNZ_CAP", est)
+    assert cli.main([*desk, "-o", str(out)]) == 5
     err = capsys.readouterr().err
     assert "assembled" in err and "over the cap" in err and "Traceback" not in err
     assert sorted(p.name for p in out.iterdir()) == listing
     assert {name: (out / name).read_bytes() for name in before} == before
     # a cap below the estimate stops the stage before it writes anything
     fresh = tmp_path / "fresh"
-    assert cli.main([*desk, "-o", str(fresh), "--set", f"sysmat.nnz_cap={est - 1}"]) == 5
+    monkeypatch.setattr(sysmat, "NNZ_CAP", est - 1)
+    assert cli.main([*desk, "-o", str(fresh)]) == 5
     assert "estimated" in capsys.readouterr().err
     assert not fresh.exists()
 
@@ -571,11 +574,9 @@ def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
 
 
 # settings that stages after the first one read; unchecked, each wrote files
-# before exiting (nnz_cap with the resource-cap code 5, noise_seed with a
-# traceback) or ran to the end
+# before exiting (noise_seed with a traceback, the high-pass once the traces
+# were written) or ran to the end
 LATE_SETTINGS = {
-    "sysmat.nnz_cap=-5": "sysmat.nnz_cap must be >= 1",
-    "sysmat.nnz_cap=0": "sysmat.nnz_cap must be >= 1",
     "forward.model=bogus": "unknown forward model 'bogus'",
     "acquisition.noise_level=-1": "acquisition.noise_level must be >= 0",
     "solver.atol=-1": "atol >= 0 and btol >= 0",
@@ -586,11 +587,14 @@ LATE_SETTINGS = {
     "magnetization.nodes=bogus": "unknown node strategy 'bogus'",
     # read through make_matrix_recipe, make_coils and highpass_cutoff
     "sysmat.subsampling=0": "sysmat.subsampling must be >= 1",
+    # sized before it is planned, where its square would read as 1.5e13 bytes
+    "sysmat.subsampling=-100000": "sysmat.subsampling must be >= 1",
     "acquisition.duration=0 ms": "sample_rate and duration must be positive",
     "acquisition.sample_rate=0 Hz": "sample_rate and duration must be positive",
     "coils.axes=q": "coil axis must be x, y or z, got 'q'",
     "coils.axes=x,x": "coils.axes names an axis twice",
     "acquisition.highpass=-5 kHz": "acquisition.highpass must be positive",
+    "acquisition.highpass=1e12": "keeps no DFT bin",
     "grid.recon.spacing=0 mm": "fov and spacing must be positive",
     "field.perturb_magnitude=-1": "perturbation magnitude and seed must be >= 0",
     "field.perturb_seed=-1": "perturbation magnitude and seed must be >= 0",
@@ -625,8 +629,9 @@ def test_stage_settings_exit_2_before_writing(tmp_path, capsys, command, setting
 # settings that size an array no machine holds; unchecked, each ended in a
 # traceback: the first three while planning (the duration after allocating
 # until memory ran out), the fourth after the phantom stage had written its
-# files, the node count while planning, and the bins and the sub-points
-# after earlier stages had written theirs
+# files, the node count while planning, the bins and the sub-points after
+# earlier stages had written theirs, and the piecewise model's sub-points of
+# the filled signal cells (1.1 TB) after the phantom stage had written
 BEYOND_MEMORY = [
     (["run", "--set", "acquisition.sample_rate=1e308"], "sample_rate 1e+308 Hz"),
     (["run", "--set", "phantom.fov=100000"], "fov 100000 m"),
@@ -639,6 +644,9 @@ BEYOND_MEMORY = [
       "--set", "magnetization.n_intervals=10000000"], "magnetization.n_intervals 10000000"),
     (["run", "--set", "fbp.bins=1000000000000"], "fbp.bins 1000000000000"),
     (["run", "--set", "sysmat.subsampling=100000"], "sysmat.subsampling 100000"),
+    (["run", "--stages", "phantom,simulate", "--set", "forward.model=piecewise",
+      "--set", "grid.signal.spacing=0.02mm", "--set", "sysmat.subsampling=600"],
+     "forward.model piecewise at sysmat.subsampling 600"),
 ]
 
 # runs each argv through cli.main and prints the exit codes; an allocation
@@ -664,6 +672,22 @@ def test_settings_beyond_memory_exit_5_before_writing(tmp_path):
     for (_, setting), err in zip(BEYOND_MEMORY, proc.stderr.splitlines(), strict=True):
         assert setting in err and "bytes of physical memory" in err, err
     assert not list(tmp_path.glob("out*"))
+
+
+def test_the_fbp_scan_is_sized_before_it_is_scanned(tmp_path, capsys, monkeypatch):
+    # at 1e9 Hz the tiny scan holds 1e6 samples: the acquisition's 8 bytes a
+    # sample fit in the memory patched here, the fbp stage's 12 do not
+    scanned = []
+    monkeypatch.setattr(errors, "physical_memory", lambda: 10_000_000)
+    monkeypatch.setattr(fbp, "scan_projections", lambda *args: scanned.append(args))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(write_tiny(tmp_path)), "-o", str(out),
+                     "--set", "acquisition.sample_rate=1e9"]) == 5
+    err = capsys.readouterr().err
+    assert "fbp.bins 16 for 25 projections of 1000000 samples" in err
+    assert "more than the 10000000 bytes of physical memory" in err
+    assert "Traceback" not in err and not out.exists() and scanned == []
 
 
 @pytest.mark.parametrize("key", [f"{section}.{key}"
@@ -1202,7 +1226,7 @@ def _stamps(ini, *overrides):
         "acquisition.sample_rate=4 MHz", "acquisition.duration=2 ms",
         "sysmat.subsampling=1", "coils.axes=y, x")),
     *((s, False) for s in (
-        "sysmat.workers=2", "sysmat.nnz_cap=1000", "acquisition.highpass=40 kHz",
+        "sysmat.workers=2", "acquisition.highpass=40 kHz",
         "phantom.discs=6 mm", "solver.iterations=5", "forward.model=parallel"))])
 def test_the_sysmat_stamp_covers_what_the_matrix_is_built_from(tmp_path, setting,
                                                                moves):

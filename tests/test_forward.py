@@ -1,6 +1,7 @@
 """Receive chain: coils, acquisition timing, the three simulators, filtering."""
 
 import dataclasses
+import itertools
 import logging
 import threading
 import time
@@ -19,6 +20,7 @@ from mpisim.forward import (
     SignalTrace,
     add_noise,
     apply_highpass,
+    check_cutoff,
     coil_along,
     highpass_mask,
     load_trace_bin,
@@ -150,6 +152,26 @@ def test_highpass_brick_wall():
     assert np.array_equal(mask == 1.0, np.abs(freqs) >= 35e3)
     with pytest.raises(ConfigError):
         apply_highpass(tr, 0.0)
+
+
+def test_check_cutoff_is_the_mask_keeping_no_bin():
+    # a cut-off at and one float either side of fftfreq's largest |frequency|:
+    # check_cutoff raises exactly when the mask it spares would keep no bin
+    for n, rate in itertools.product([1, 2, 3, 4, 7, 160, 2001],
+                                     [4e6, 2e6 / 3, 1e5 * np.pi]):
+        freqs = np.abs(np.fft.fftfreq(n, d=1.0 / rate))
+        for cutoff in (np.nextafter(freqs.max(), 0), freqs.max(),
+                       np.nextafter(freqs.max(), np.inf), np.nan):
+            if cutoff == 0:
+                continue  # n = 1: its one bin is at 0 Hz
+            if (freqs >= cutoff).any():
+                check_cutoff(n, rate, cutoff)
+                assert highpass_mask(n, rate, cutoff).any()
+            else:
+                with pytest.raises(ConfigError, match="keeps no DFT bin"):
+                    check_cutoff(n, rate, cutoff)
+        with pytest.raises(ConfigError, match="cutoff must be positive"):
+            check_cutoff(n, rate, 0.0)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -347,7 +347,7 @@ def test_empty_coil_list_is_rejected(scene):
         build_system_matrix(model, approx, [], config, grid)
 
 
-def test_nnz_cap_is_per_coil(scene, matrix_x):
+def test_nnz_cap_is_per_coil(scene, matrix_x, monkeypatch):
     model, grid, config, approx = scene
     coils = [coil_along("x"), coil_along("y")]
     my = build_system_matrix(model, approx, [coil_along("y")], config,
@@ -355,12 +355,12 @@ def test_nnz_cap_is_per_coil(scene, matrix_x):
     largest, total = max(matrix_x.nnz, my.nnz), matrix_x.nnz + my.nnz
     cap = total - 1  # above each coil's count and estimate, below their sum
     assert largest < cap
-    both = build_system_matrix(model, approx, coils, config, grid,
-                               subsampling=2, nnz_cap=cap)
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", cap)
+    both = build_system_matrix(model, approx, coils, config, grid, subsampling=2)
     assert both.nnz == total > cap
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", min(matrix_x.nnz, my.nnz) - 1)
     with pytest.raises(ResourceCapError, match="one coil"):
-        build_system_matrix(model, approx, coils, config, grid,
-                            subsampling=2, nnz_cap=min(matrix_x.nnz, my.nnz) - 1)
+        build_system_matrix(model, approx, coils, config, grid, subsampling=2)
 
 
 def _sweep_staircases():
@@ -642,7 +642,7 @@ def test_empty_staircase_list_is_rejected(scene):
         build_system_matrices(model, [], [coil_along("x")], config, grid)
 
 
-def test_nnz_cap_is_per_staircase_and_coil():
+def test_nnz_cap_is_per_staircase_and_coil(monkeypatch):
     model, approxes = _desk_ffl(), _sweep_staircases()[:2]  # 4 mT and 10 mT
     grid = empty_grid(0.1, 0.1 / 32)
     acq = AcquisitionConfig(f_d=25e3, sample_rate=500e3, duration=1e-3)
@@ -651,14 +651,13 @@ def test_nnz_cap_is_per_staircase_and_coil():
                                   subsampling=2).nnz
               for approx in approxes for coil in coils]
     # above every (staircase, coil) count, below any sum of two of them
-    cap = max(counts) + min(counts) - 1
-    many = build_system_matrices(model, approxes, coils, acq, grid,
-                                 subsampling=2, nnz_cap=cap)
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", max(counts) + min(counts) - 1)
+    many = build_system_matrices(model, approxes, coils, acq, grid, subsampling=2)
     assert [sm.nnz for sm in many] == [counts[0] + counts[1],
                                        counts[2] + counts[3]]
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", min(counts) - 1)
     with pytest.raises(ResourceCapError, match="one coil"):
-        build_system_matrices(model, approxes, coils, acq, grid,
-                              subsampling=2, nnz_cap=min(counts) - 1)
+        build_system_matrices(model, approxes, coils, acq, grid, subsampling=2)
 
 
 def _counting_sparse_weights(monkeypatch):
@@ -712,14 +711,14 @@ def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypat
     # stops the build long before its last block, and its pool with it
     model, grid, config, approx = scene
     monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", matrix_x.nnz // 2)
     stats = _counting_sparse_weights(monkeypatch)
     monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 1)
     before = {t for t in threading.enumerate()
               if t.name.startswith("ThreadPoolExecutor")}
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrix(model, approx, [coil_along("x")], config, grid,
-                            subsampling=2, nnz_cap=matrix_x.nnz // 2,
-                            n_workers=workers)
+                            subsampling=2, n_workers=workers)
     assert stats["calls"] < 0.75 * config.n_samples
     assert {t for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor")} <= before
@@ -747,10 +746,10 @@ def test_build_in_memory_leaves_no_file(scene, matrix_x, tmp_path, monkeypatch):
     assert len(loaded) == 1 and len(loaded[0]) == 2
     assert list(tmp.iterdir()) == []
     monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", matrix_x.nnz // 2)
     monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 1)
     with pytest.raises(ResourceCapError, match="one coil"):
-        build_system_matrix(model, approx, coils, config, grid, subsampling=2,
-                            nnz_cap=matrix_x.nnz // 2)
+        build_system_matrix(model, approx, coils, config, grid, subsampling=2)
     assert len(loaded) == 1
     assert list(tmp.iterdir()) == []
 
@@ -795,11 +794,18 @@ def test_build_files_are_checked_before_any_is_opened(scene, tmp_path, case):
     assert list(out.iterdir()) == []
 
 
-def test_nnz_cap(scene):
+def test_nnz_cap(scene, monkeypatch):
+    # the cap is read when the build runs, by the estimate and by the running
+    # count alike, not bound as a default when the module loads
     model, grid, config, approx = scene
-    with pytest.raises(ResourceCapError):
+    monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", 100)
+    with pytest.raises(ResourceCapError, match="estimated .* cap of 100;"):
         build_system_matrix(model, approx, [coil_along("x")], config,
-                            grid, subsampling=2, nnz_cap=100)
+                            grid, subsampling=2)
+    monkeypatch.setattr(mpisim.sysmat, "_estimate_nnz", lambda *args: 0)
+    with pytest.raises(ResourceCapError, match="assembled .* over the cap of 100$"):
+        build_system_matrix(model, approx, [coil_along("x")], config,
+                            grid, subsampling=2)
 
 
 def test_save_load_round_trip(scene, matrix_x, tmp_path):
