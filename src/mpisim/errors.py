@@ -1,5 +1,8 @@
-"""Exceptions shared across the package, with the CLI exit code map."""
+"""Exceptions shared across the package, with the CLI exit code map, and
+the memory checks and release."""
 
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -48,6 +51,23 @@ class ResourceCapError(MpiSimError):
 def physical_memory() -> int:
     """The bytes of physical memory of this host."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where libc has none (musl, macOS, Windows)."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+
+
+def release_heap() -> None:
+    """Hand the free memory that malloc's arenas keep, the worker threads'
+    too, back to the system; does nothing where libc has no malloc_trim."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def check_memory(what: str, nbytes) -> None:

@@ -161,7 +161,9 @@ class SignalTrace:
 # block's temporaries stay a few MB (sysmat._PAIRS), and at most two blocks
 # per worker are in flight, so they are what a build holds beyond its runs:
 # 32 held about 9 MiB less on the desk scene, but desk_run and l1_sweep ran
-# 7-12% longer end to end.
+# 7-12% longer end to end.  A build hands the free memory of every arena
+# back when it ends (errors.release_heap); a simulate pass does not, since
+# its own peak falls inside the pass.
 _TIME_BLOCK = 64
 
 

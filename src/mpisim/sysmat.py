@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import atomic_open, check_digest, open_input
-from .errors import ConfigError, ResourceCapError
+from .errors import ConfigError, ResourceCapError, release_heap
 from .fields import (MU0, FieldEvaluator, FieldModel, eval_harmonic_polynomial,
                      harmonic_gradient_bound)
 from .forward import (AcquisitionConfig, ReceiveCoil, SignalTrace, apply_dft_mask,
@@ -82,7 +82,9 @@ _CHUNK = 1 << 16
 # peak was 2.4, 3.6 and 5.9 MiB at 4096, 8192 and 16384 pairs, and the warm
 # two-coil build with 2 workers took 0.43-0.47, 0.41-0.43 and 0.40-0.42 s
 # (medians of two sets of 8, 2-core host): smaller chunks make more numpy
-# calls, which contend for the GIL.
+# calls, which contend for the GIL.  A worker thread's malloc arena keeps
+# these temporaries' memory once they are freed, until the build ends and
+# hands it back (errors.release_heap).
 _PAIRS = 8192
 # relative margin on the pruning limit, so rounding never drops a live entry
 _SAFETY = 1.0 + 1e-9
@@ -558,7 +560,10 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     one SystemMatrix per staircase is returned, in order, whose blocks are
     the given ReceiveCoils' rows in that order, checked as
     load_system_matrices checks every stored matrix, and sharing indptr and
-    indices between coils whose runs agree.
+    indices between coils whose runs agree.  A build that ends returns
+    the memory its blocks freed, which the worker threads' malloc arenas
+    would otherwise keep, to the system (errors.release_heap) before any
+    file is loaded back.
 
     NNZ_CAP, read at each call, limits each (staircase, coil): the count
     extrapolated from 8 probe times is checked before any assembly starts,
@@ -578,21 +583,23 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     if est > NNZ_CAP:
         raise ResourceCapError(
             f"estimated {est} nonzeros for one coil exceeds the cap of "
-            f"{NNZ_CAP}; raise the cap, shrink the grid, or lower the threshold b")
+            f"{NNZ_CAP}; use a coarser recon grid, a lower threshold b or fewer samples")
 
     meta = dict(sample_rate=acq.sample_rate, t0=acq.t0, rows_per_coil=acq.n_samples,
                 coils=coils, grid_dims=grid.dims, grid_spacing=grid.spacing,
                 grid_origin=grid.origin)
     blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
                              times, n_workers)
-    if files is not None:
-        files = _checked_files(files, len(approxes), len(coils))
-        return _write_blocks(blocks, files, meta, grid.n_cells)
-    with tempfile.TemporaryDirectory() as tmp:
-        files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED) for k in range(len(coils))]
-                 for i in range(len(approxes))]
-        return [load_system_matrices(stored.paths)
-                for stored in _write_blocks(blocks, files, meta, grid.n_cells)]
+    in_memory = files is None
+    with tempfile.TemporaryDirectory() if in_memory else contextlib.nullcontext() as tmp:
+        if in_memory:
+            files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED)
+                      for k in range(len(coils))] for i in range(len(approxes))]
+        else:
+            files = _checked_files(files, len(approxes), len(coils))
+        stored = _write_blocks(blocks, files, meta, grid.n_cells)
+        release_heap()
+        return [load_system_matrices(s.paths) for s in stored] if in_memory else stored
 
 
 def _checked_files(files, n_staircases: int, n_coils: int) -> list:

@@ -2,6 +2,7 @@
 
 import ast
 import filecmp
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -11,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,63 @@ def write_tiny(tmp, name="tiny.ini", extra=""):
     path = tmp / name
     path.write_text(TINY_INI + extra)
     return path
+
+
+# the command lines of the benchmark's three workloads (perfbench/run.py)
+BENCH_COMMANDS = {
+    "desk_run": ["run"],
+    "l1_sweep": ["sweep", "--parameter", "threshold_b", "--values", "4 mT,10 mT",
+                 "--set", "field.perturb_magnitude=0.35", "--set", "magnetization.nodes=l1",
+                 "--set", "magnetization.n_intervals=8", "--set", "coils.axes=x"],
+    "simulate_fbp": ["run", "--stages", "phantom,simulate,filter,fbp,compare",
+                     "--set", "field.perturb_magnitude=0.35"],
+}
+# sha256 of stdout and of every file those runs write on the tiny config
+BENCH_DIGESTS = Path(__file__).with_name("bench_digests.json")
+
+
+def _output_digests(out: Path, stdout: str) -> dict:
+    """sha256 of stdout and of each file under out, config.resolved.ini
+    without its workers lines."""
+    digests = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "config.resolved.ini":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"workers ="))
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_benchmark_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    # every artifact and stdout of the benchmark's command lines, at 1 and 2
+    # workers and at another time block, equals the recorded digests; a
+    # mismatch names each file that differs and writes the digests these
+    # runs gave beside the test's outputs
+    pinned = json.loads(BENCH_DIGESTS.read_text())
+    ini = write_tiny(tmp_path)
+    got, differ = {}, []
+    for workers, block in ((1, 64), (2, 64), (2, 48)):
+        monkeypatch.setattr(forward, "_TIME_BLOCK", block)
+        for name, command in BENCH_COMMANDS.items():
+            out = tmp_path / f"{name}_{workers}_{block}"
+            assert cli.main([*command, "-c", str(ini), "-o", str(out),
+                             "--set", f"forward.workers={workers}",
+                             "--set", f"sysmat.workers={workers}",
+                             "--set", "acquisition.noise_seed=1"]) == 0
+            got[name] = _output_digests(out, capsys.readouterr().out)
+            want = pinned["digests"][name]
+            differ += [f"{name} (workers {workers}, block {block}): {file}"
+                       for file in sorted(got[name].keys() | want.keys())
+                       if got[name].get(file) != want.get(file)]
+    if differ:
+        here = dict(numpy=np.__version__, scipy=version("scipy"))
+        found = tmp_path / BENCH_DIGESTS.name
+        found.write_text(json.dumps({**here, "digests": got}, indent=1) + "\n")
+        pytest.fail(f"{len(differ)} outputs differ from {BENCH_DIGESTS.name}, recorded "
+                    f"with numpy {pinned['numpy']} and scipy {pinned['scipy']} (here "
+                    f"{here['numpy']} and {here['scipy']}); these runs' digests are "
+                    f"in {found}:\n" + "\n".join(differ))
 
 
 def test_parse_quantity():
@@ -322,7 +381,10 @@ def test_nnz_cap_stops_a_streamed_build_and_keeps_the_old_files(tmp_path, capsys
     fresh = tmp_path / "fresh"
     monkeypatch.setattr(sysmat, "NNZ_CAP", est - 1)
     assert cli.main([*desk, "-o", str(fresh)]) == 5
-    assert "estimated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # no setting raises the cap; the message names what lowers the count
+    assert "estimated" in err and "coarser recon grid" in err
+    assert "raise the cap" not in err
     assert not fresh.exists()
 
 

@@ -1,5 +1,6 @@
 """System-matrix assembly, hashing, persistence, and row filtering."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpisim
+from mpisim import errors
 from mpisim import magnetization as mag
 from mpisim.cli import _carried_stamp
 from mpisim.errors import (
@@ -565,6 +567,10 @@ _PINNED_BUILD = "7496a357be6f2ef2d8100d0dc5e46398b91d628cb6b63fc41bef36230a0fef5
 
 
 def test_assembled_bytes_are_pinned(monkeypatch):
+    _assert_pinned_build(monkeypatch)
+
+
+def _assert_pinned_build(monkeypatch):
     model, approxes = _desk_ffl(0.35), _sweep_staircases()[:2]
     grid = empty_grid(0.1, 0.1 / 32)
     acq = AcquisitionConfig(f_d=25e3, sample_rate=100e3, duration=1e-3)
@@ -578,6 +584,65 @@ def test_assembled_bytes_are_pinned(monkeypatch):
                 digest.update(np.ascontiguousarray(getattr(_stacked(sm), part),
                                                    dtype).tobytes())
         assert digest.hexdigest() == _PINNED_BUILD, (workers, block)
+
+
+def _pool_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
+@pytest.mark.parametrize("to_files", [False, True])
+def test_build_releases_the_heap_once_its_workers_are_gone(scene, tmp_path, monkeypatch,
+                                                           to_files):
+    # one release, after the pool is joined and every file written, and
+    # before an in-memory build loads its files back
+    model, grid, config, approx = scene
+    coils = [coil_along("x"), coil_along("y")]
+    files = [[(tmp_path / f"{axis}.mat", "0123456789abcdef") for axis in "xy"]]
+    before = _pool_threads()
+    events = []
+
+    def release():
+        written = len(list(tmp_path.rglob("*.mat")))
+        events.append(("release", _pool_threads() - before, written))
+
+    def loading(paths):
+        events.append(("load", len(paths)))
+        return real(paths)
+
+    def working(self, *args):
+        events.append(("block", threading.current_thread().name))
+        return sparse_weights(self, *args)
+
+    real, sparse_weights = load_system_matrices, CellQuadrature.sparse_weights
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(mpisim.sysmat, "release_heap", release)
+    monkeypatch.setattr(mpisim.sysmat, "load_system_matrices", loading)
+    monkeypatch.setattr(CellQuadrature, "sparse_weights", working)
+    monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 4)
+    build_system_matrix(model, approx, coils, config, grid, subsampling=2, n_workers=2,
+                        files=files[0] if to_files else None)
+    blocks = [e[1] for e in events if e[0] == "block"]
+    assert len(blocks) == 1 + config.n_samples // 4  # the probe, then the blocks
+    assert any(name.startswith("ThreadPoolExecutor") for name in blocks)
+    rest = [e for e in events if e[0] != "block"]
+    assert rest == [("release", set(), 2)] + ([] if to_files else [("load", 2)])
+
+
+@pytest.mark.parametrize("libc", [None, object()], ids=["no libc", "no malloc_trim"])
+def test_release_heap_without_malloc_trim_does_nothing(monkeypatch, libc):
+    def cdll(name):
+        if libc is None:
+            raise OSError("no C library")
+        return libc
+
+    errors._malloc_trim.cache_clear()
+    try:
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert errors._malloc_trim() is None
+        errors.release_heap()
+        _assert_pinned_build(monkeypatch)
+    finally:
+        errors._malloc_trim.cache_clear()
 
 
 @pytest.mark.parametrize("subsampling", [1, 2])
@@ -714,14 +779,12 @@ def test_nnz_cap_stops_the_build_at_its_running_count(scene, matrix_x, monkeypat
     monkeypatch.setattr(mpisim.sysmat, "NNZ_CAP", matrix_x.nnz // 2)
     stats = _counting_sparse_weights(monkeypatch)
     monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 1)
-    before = {t for t in threading.enumerate()
-              if t.name.startswith("ThreadPoolExecutor")}
+    before = _pool_threads()
     with pytest.raises(ResourceCapError, match="one coil"):
         build_system_matrix(model, approx, [coil_along("x")], config, grid,
                             subsampling=2, n_workers=workers)
     assert stats["calls"] < 0.75 * config.n_samples
-    assert {t for t in threading.enumerate()
-            if t.name.startswith("ThreadPoolExecutor")} <= before
+    assert _pool_threads() <= before
 
 
 def test_build_in_memory_leaves_no_file(scene, matrix_x, tmp_path, monkeypatch):
