@@ -1,5 +1,4 @@
-"""Exceptions shared across the package, with the CLI exit code map, and
-the memory checks and release."""
+"""Exceptions shared across the package, with the CLI exit code map."""
 
 import ctypes
 import functools
@@ -57,9 +56,11 @@ def physical_memory() -> int:
 def _malloc_trim():
     """glibc's malloc_trim, or None where libc has none (musl, macOS, Windows)."""
     try:
-        return ctypes.CDLL(None).malloc_trim
+        trim = ctypes.CDLL(None).malloc_trim
     except (OSError, TypeError, AttributeError):
         return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def release_heap() -> None:

@@ -560,10 +560,8 @@ def build_system_matrices(model: FieldModel, approxes, coils,
     one SystemMatrix per staircase is returned, in order, whose blocks are
     the given ReceiveCoils' rows in that order, checked as
     load_system_matrices checks every stored matrix, and sharing indptr and
-    indices between coils whose runs agree.  A build that ends returns
-    the memory its blocks freed, which the worker threads' malloc arenas
-    would otherwise keep, to the system (errors.release_heap) before any
-    file is loaded back.
+    indices between coils whose runs agree.  A build that ends hands the
+    heap its workers freed back (errors.release_heap) before any load.
 
     NNZ_CAP, read at each call, limits each (staircase, coil): the count
     extrapolated from 8 probe times is checked before any assembly starts,
@@ -590,16 +588,14 @@ def build_system_matrices(model: FieldModel, approxes, coils,
                 grid_origin=grid.origin)
     blocks = map_time_blocks(lambda span: quad.sparse_weights(approxes, rhos, span),
                              times, n_workers)
-    in_memory = files is None
-    with tempfile.TemporaryDirectory() if in_memory else contextlib.nullcontext() as tmp:
-        if in_memory:
-            files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED)
-                      for k in range(len(coils))] for i in range(len(approxes))]
-        else:
-            files = _checked_files(files, len(approxes), len(coils))
-        stored = _write_blocks(blocks, files, meta, grid.n_cells)
-        release_heap()
-        return [load_system_matrices(s.paths) for s in stored] if in_memory else stored
+    if files is not None:
+        files = _checked_files(files, len(approxes), len(coils))
+        return _write_blocks(blocks, files, meta, grid.n_cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [[(os.path.join(tmp, f"{i}_{k}.mat"), _UNCHECKED) for k in range(len(coils))]
+                 for i in range(len(approxes))]
+        return [load_system_matrices(stored.paths)
+                for stored in _write_blocks(blocks, files, meta, grid.n_cells)]
 
 
 def _checked_files(files, n_staircases: int, n_coils: int) -> list:
@@ -625,7 +621,8 @@ def _checked_files(files, n_staircases: int, n_coils: int) -> list:
 def _write_blocks(blocks, files, meta: dict, cols: int) -> list:
     """Stream each row block of blocks, a (data, indices, row lengths) triple
     per staircase and coil, into the _RunWriter of its files[i][k], stopping
-    when a (staircase, coil) passes NNZ_CAP; one StoredMatrix per staircase."""
+    when a (staircase, coil) passes NNZ_CAP; one StoredMatrix per staircase,
+    returned once the pool is joined and the heap it freed handed back."""
     n_rows = meta["rows_per_coil"]
     with contextlib.ExitStack() as stack:
         writers = [[stack.enter_context(_RunWriter(path, digest, (n_rows, cols),
@@ -644,6 +641,7 @@ def _write_blocks(blocks, files, meta: dict, cols: int) -> list:
                     raise ResourceCapError(
                         f"assembled {nnz} nonzeros for one coil by row {rows} of "
                         f"{n_rows}, over the cap of {NNZ_CAP}")
+    release_heap()
     return [StoredMatrix(tuple(w.path for w in row), tuple(w.nnz for w in row),
                          (len(row) * n_rows, cols)) for row in writers]
 

@@ -597,7 +597,7 @@ def test_build_releases_the_heap_once_its_workers_are_gone(scene, tmp_path, monk
     # before an in-memory build loads its files back
     model, grid, config, approx = scene
     coils = [coil_along("x"), coil_along("y")]
-    files = [[(tmp_path / f"{axis}.mat", "0123456789abcdef") for axis in "xy"]]
+    files = [(tmp_path / f"{axis}.mat", "0123456789abcdef") for axis in "xy"]
     before = _pool_threads()
     events = []
 
@@ -620,7 +620,7 @@ def test_build_releases_the_heap_once_its_workers_are_gone(scene, tmp_path, monk
     monkeypatch.setattr(CellQuadrature, "sparse_weights", working)
     monkeypatch.setattr(mpisim.forward, "_TIME_BLOCK", 4)
     build_system_matrix(model, approx, coils, config, grid, subsampling=2, n_workers=2,
-                        files=files[0] if to_files else None)
+                        files=files if to_files else None)
     blocks = [e[1] for e in events if e[0] == "block"]
     assert len(blocks) == 1 + config.n_samples // 4  # the probe, then the blocks
     assert any(name.startswith("ThreadPoolExecutor") for name in blocks)
