@@ -3,14 +3,18 @@
 Writers go through atomic_open, so an interrupted stage never leaves a
 partial file for the next one; loaders open through open_input, so a
 missing file raises MissingInputError rather than FileNotFoundError and a
-directory ConfigError rather than IsADirectoryError.
+directory ConfigError rather than IsADirectoryError.  Every number a CSV
+artifact holds is written by number_text or float_lines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 import re
+
+import numpy as np
 
 from .errors import ConfigError, MissingInputError
 
@@ -53,3 +57,23 @@ def check_digest(digest) -> None:
     """ConfigError unless digest is 16 lowercase hex digits, as sysmat.stamp gives."""
     if not re.fullmatch("[0-9a-f]{16}", str(digest)):
         raise ConfigError(f"digest {digest!r} is not 16 hex digits")
+
+
+def number_text(v) -> str:
+    """A CSV cell: a float as the shortest text that reads back to it (its
+    repr as a Python float, never numpy's 'np.float64(...)'), an int, Python
+    or numpy, as its digits, a string as itself."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, numbers.Integral):
+        return str(v)
+    return float.__repr__(float(v))
+
+
+def float_lines(rows) -> str:
+    """One comma-separated line per row of a 2-D float array, each cell as
+    number_text writes it; one format operation for all of them, as fast as
+    .17g formatting and faster than a call per cell."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fbp as fbp_mod
 from . import fields, forward, magnetization, phantom, recon, sysmat
-from .artifacts import atomic_open, check_digest, open_input
+from .artifacts import atomic_open, check_digest, number_text, open_input
 from .errors import (ConfigError, EXIT_OK, HashMismatchError, MissingInputError,
                      MpiSimError, UnsupportedTopologyError, check_memory)
 
@@ -595,12 +595,12 @@ def _load_traces(ws: Workspace, stage: str | None = None) -> list:
 
 
 def _write_csv(ws: Workspace, name: str, stamp: str, header: str, rows):
-    """The '# stamp' line, the header, then one line per row; numbers as .17g."""
+    """The '# stamp' line, the header, then one line per row, each cell as
+    artifacts.number_text writes it."""
     with atomic_open(ws.out(name), "w") as fh:
         fh.write(f"# stamp {stamp}\n{header}\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
-                              for v in row) + "\n")
+            fh.write(",".join(map(number_text, row)) + "\n")
 
 
 def _save_recon(ws: Workspace, stage: str, grid: phantom.ConcentrationGrid):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, float_lines, number_text
 from .errors import ConfigError
 from .fields import MU0, TWO_PI, FieldModel, ffl_amplitude, ffl_half_angle
 from .phantom import ConcentrationGrid
@@ -299,8 +299,7 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
 def save_sinogram_csv(sino: Sinogram, path):
     with atomic_open(path, "w") as fh:
         fh.write(f"# sinogram {sino.angles.size} {sino.displacements.size}\n")
-        fh.write("# angles " + " ".join(f"{a:.17g}" for a in sino.angles) + "\n")
+        fh.write("# angles " + " ".join(map(number_text, sino.angles)) + "\n")
         fh.write("# displacements "
-                 + " ".join(f"{s:.17g}" for s in sino.displacements) + "\n")
-        for row in sino.values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                 + " ".join(map(number_text, sino.displacements)) + "\n")
+        fh.write(float_lines(sino.values))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open, check_digest, open_input
+from .artifacts import atomic_open, check_digest, float_lines, open_input
 from .errors import ConfigError, check_memory
 from .fields import MU0, FieldEvaluator, FieldModel
 from .magnetization import LangevinParams, MagnetizationApprox, mbar_over_b, mbar_prime
@@ -363,8 +363,7 @@ def save_trace_csv(trace: SignalTrace, path, comments=()):
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("t,volts\n")
-        fh.write("".join(f"{t:.17g},{v:.17g}\n" for t, v in
-                         zip(trace.times().tolist(), trace.samples.tolist())))
+        fh.write(float_lines(np.column_stack((trace.times(), trace.samples))))
 
 
 def save_trace_bin(trace: SignalTrace, path, stamp: str):

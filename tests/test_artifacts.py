@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mpisim.artifacts import atomic_open
+from mpisim.artifacts import atomic_open, float_lines, number_text
 from mpisim.cli import RunConfig
 from mpisim.errors import ConfigError, MissingInputError, MpiSimError
 from mpisim.fields import (build_topology, load_field_coefficients,
@@ -148,6 +148,26 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
         fh.write("new")
     assert path.read_text() == "new"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("value, text", [
+    (2.5e-7, "2.5e-07"), (np.float64(2.5e-7), "2.5e-07"), (np.float32(0.5), "0.5"),
+    (-0.0, "-0.0"), (5e-324, "5e-324"), (-1e300, "-1e+300"), (1 / 3, "0.3333333333333333"),
+    (3, "3"), (np.int64(3), "3"), (2**70, "1180591620717411303424"),
+    ("recon_lsqr", "recon_lsqr")])
+def test_number_text_is_the_shortest_text_that_reads_back(value, text):
+    # floats, numpy's too, as a Python float's repr; ints stay ints
+    assert number_text(value) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+                     max_size=20))
+def test_float_lines_writes_every_cell_as_number_text(rows):
+    text = float_lines(np.array(rows, dtype=float).reshape(-1, 3))
+    assert text == "".join(",".join(map(number_text, row)) + "\n" for row in rows)
+    assert [[float(cell) for cell in line.split(",")]
+            for line in text.splitlines()] == rows
 
 
 def test_loaders_report_a_missing_file(tmp_path):

@@ -229,6 +229,46 @@ def test_pipeline_outputs(pipeline_dir):
     assert rows["recon_lsqr"][1] < 0.3
 
 
+def _assert_number_rule(path):
+    """Every number in a CSV artifact, in its cells and in its comment lines
+    but the stamp, is an integer literal or the shortest text that reads back
+    to its float (the float's repr); none is numpy's 'np.float64(...)'."""
+    text = path.read_text()
+    assert "np." not in text, path.name
+    for line in text.splitlines():
+        if line.startswith("# stamp "):
+            continue
+        for cell in line.split() if line.startswith("#") else line.split(","):
+            try:
+                number = float(cell)
+            except ValueError:
+                continue  # a header, a name or a sweep value with its unit
+            assert re.fullmatch(r"-?[0-9]+", cell) or cell == repr(number), (
+                path.name, cell)
+
+
+def test_csv_numbers_are_the_shortest_text_that_reads_back(pipeline_dir):
+    tmp, ini, out = pipeline_dir
+    stamps = cli.plan_stages(cli.RunConfig.load(ini), cli.STAGES)["stamps"]
+    stage_of = {"trace_x.csv": "simulate", "trace_y.csv": "simulate",
+                "trace_x_filtered.csv": "filter", "trace_y_filtered.csv": "filter",
+                "lsqr_residuals.csv": "lsqr", "profile_recon_lsqr_h.csv": "lsqr",
+                "profile_recon_lsqr_v.csv": "lsqr", "profile_recon_fbp_h.csv": "fbp",
+                "profile_recon_fbp_v.csv": "fbp", "compare.csv": "compare",
+                "sinogram.csv": None}
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(stage_of)
+    for name, stage in stage_of.items():
+        _assert_number_rule(out / name)
+        first = (out / name).read_text().split("\n")[0]
+        if stage is None:
+            assert not first.startswith("# stamp"), name
+        else:
+            assert first == f"# stamp {stamps[stage]}", name
+    # the iteration column stays an int column
+    rows = (out / "lsqr_residuals.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [str(i) for i in range(len(rows))]
+
+
 def test_pipeline_reproducible(pipeline_dir):
     tmp, ini, out = pipeline_dir
     out2 = tmp / "out2"
@@ -1658,6 +1698,7 @@ def test_sweep_command(tmp_path):
     for line in data:
         value, err = line.split(",")
         assert 0.0 < float(err) < 2.0
+    _assert_number_rule(out / "sweep_threshold_b.csv")
     assert (out / "threshold_b_8_mT" / "recon_lsqr.grid").exists()
     # variant reconstructions differ: the staircase threshold moved
     a = load_grid(out / "threshold_b_8_mT" / "recon_lsqr.grid")

@@ -268,7 +268,8 @@ def test_sinogram_csv_round_trip(tmp_path, point_scan):
     sino = signal_to_sinogram(traces, coils, model, n_bins=32)
     path = tmp_path / "sino.csv"
     save_sinogram_csv(sino, path)
-    # .17g text: the header lines and a plain CSV reader give every number back
+    # shortest round-trip text: the header lines and a plain CSV reader give
+    # every number back
     head, angles, disp = (line.split() for line in path.read_text().splitlines()[:3])
     assert head == ["#", "sinogram", str(sino.angles.size),
                     str(sino.displacements.size)]

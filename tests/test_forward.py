@@ -180,17 +180,21 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace_csv(tr, path, comments=["coil y"])
     assert path.read_text().startswith("# coil y\nt,volts\n")
-    # .17g columns: a plain CSV reader gets every time and sample back exactly
+    # shortest round-trip columns: a plain CSV reader gets every time and
+    # sample back exactly
     t, volts = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
     assert np.array_equal(t, tr.times())
     assert np.array_equal(volts, tr.samples)
-    # the bytes of one line per sample formatted from the numpy scalars
+    # the bytes of one line per sample, each the repr of the numpy scalar as
+    # a Python float
     for trace in (tr, SignalTrace(samples=[-0.0, 5e-324, -1e300, 1 / 3],
                                   sample_rate=3e6, t0=-1e-7)):
         save_trace_csv(trace, path)
-        expected = "".join(f"{ti:.17g},{vi:.17g}\n"
+        expected = "".join(f"{float(ti)!r},{float(vi)!r}\n"
                            for ti, vi in zip(trace.times(), trace.samples))
         assert path.read_text() == "t,volts\n" + expected
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == [
+        "-0.0", "5e-324", "-1e+300", "0.3333333333333333"]
 
 
 def test_trace_bin_round_trip(tmp_path):
