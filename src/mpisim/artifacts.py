@@ -67,13 +67,13 @@ def number_text(v) -> str:
         return v
     if isinstance(v, numbers.Integral):
         return str(v)
-    return float.__repr__(float(v))
+    return repr(float(v))
 
 
 def float_lines(rows) -> str:
     """One comma-separated line per row of a 2-D float array, each cell as
-    number_text writes it; one format operation for all of them, as fast as
-    .17g formatting and faster than a call per cell."""
+    number_text writes it.  One %-format covers every cell: it costs no more
+    than an f-string per row, and less than a number_text call per cell."""
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%r"] * rows.shape[1]) + "\n"
     return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
