@@ -72,6 +72,12 @@ BENCH_COMMANDS = {
     "simulate_fbp": ["run", "--stages", "phantom,simulate,filter,fbp,compare",
                      "--set", "field.perturb_magnitude=0.35"],
 }
+# and the two simulators no workload runs, on the same perturbed field
+BENCH_COMMANDS.update({
+    f"simulate_{model}": ["run", "--stages", "phantom,simulate,filter",
+                          "--set", "field.perturb_magnitude=0.35",
+                          "--set", f"forward.model={model}"]
+    for model in ("parallel", "piecewise")})
 # sha256 of stdout and of every file those runs write on the tiny config
 BENCH_DIGESTS = Path(__file__).with_name("bench_digests.json")
 
