@@ -209,9 +209,10 @@ class FieldEvaluator:
     harmonics lists each (degree, order) once, in component-major first-use
     order, and polys[k] holds harmonic k at every point, evaluated once at
     construction.  factors(times)[j, k] sums c_i h_i(t) over the terms of
-    component j on harmonic k, so B_j = sum_k F[j, k] p_k.  F depends on
-    time alone, so a caller may evaluate it once for all its times and pass
-    each block its slice.  Each call for a block of times is one einsum per
+    component j on harmonic k, so B_j = sum_k F[j, k] p_k.  Terms that
+    share a modulation (one physical coil) share its evaluation: each
+    distinct modulation is evaluated once per call.  Each field or field_dt
+    call for a block of times evaluates the block's F, then one einsum per
     component over the harmonics that component uses, summed in harmonic
     order for every (point, time).  A BLAS product would pick its kernel,
     and with it the summation order, by the number of times, so values
@@ -238,50 +239,63 @@ class FieldEvaluator:
         self.polys = np.reshape(
             [eval_harmonic_polynomial(l, m, pts) for l, m in self.harmonics],
             (len(column), len(pts)))
-        # (component, harmonic, coefficient, modulation) in term order
-        self._terms = [(t.component - 1, column[t.degree, t.order],
-                        t.coefficient, t.modulation) for t in terms]
-        self._used = [sorted({k for j, k, _, _ in self._terms if j == c})
-                      for c in range(3)]
+        # each distinct modulation once, and per (component, harmonic) its
+        # terms' (coefficient, modulation index) in term order
+        mods, entries = {}, {}
+        for t in terms:
+            entries.setdefault((t.component - 1, column[t.degree, t.order]), []).append(
+                (t.coefficient, mods.setdefault(t.modulation, len(mods))))
+        self._modulations = tuple(mods)
+        # rank r: the r-th term of every entry that has one, as index arrays
+        self._ranks = []
+        for r in range(max(map(len, entries.values()), default=0)):
+            ranked = [(j, k, *terms_jk[r]) for (j, k), terms_jk in entries.items()
+                      if len(terms_jk) > r]
+            j, k, c, m = zip(*ranked)
+            self._ranks.append((np.array(j), np.array(k), np.array(c)[:, None],
+                                np.array(m)))
+        self._used = [sorted(k for j, k in entries if j == c) for c in range(3)]
 
     def factors(self, times, use_dt: bool = False) -> np.ndarray:
         """F[j, k, t]: c_i h_i(t) of component j's terms on harmonic k.
 
         Shape (3, n_harmonics, len(times)), added up in term order.  With
-        use_dt the modulations are differentiated: c_i h_i'(t).
+        use_dt the modulations are differentiated: c_i h_i'(t).  Each
+        distinct modulation is evaluated once, and each step adds the r-th
+        term of every (component, harmonic) that has one.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        h = np.array([mod.eval_dt(times) if use_dt else mod.eval(times)
+                      for mod in self._modulations])
         out = np.zeros((3, len(self.harmonics), times.size))
-        for j, k, c, mod in self._terms:
-            out[j, k] += c * (mod.eval_dt(times) if use_dt else mod.eval(times))
+        for j, k, c, m in self._ranks:
+            out[j, k] += c * h[m]
         return out
 
-    def _accumulate(self, times, use_dt: bool, fac):
-        if fac is None:
-            fac = self.factors(times, use_dt)
-        elif fac.shape != (3, len(self.harmonics), np.size(times)):
-            raise ValueError(f"factors of shape {fac.shape} do not match "
-                             f"{len(self.harmonics)} harmonics at {np.size(times)} times")
-        out = np.zeros((3, self.points.shape[0], fac.shape[-1]))
+    def _accumulate(self, times, use_dt: bool, out):
+        fac = self.factors(times, use_dt)
+        if out is None:
+            out = np.empty((3, self.points.shape[0], fac.shape[-1]))
         for j, used in enumerate(self._used):
             if used:
                 np.einsum("kp,kt->pt", self.polys[used], fac[j, used], out=out[j])
+            else:
+                out[j] = 0.0
         return out
 
-    def field(self, times, fac=None):
+    def field(self, times, out=None):
         """B at all points for the given times, shape (3, K, len(times)).
 
-        fac, if given, is factors(times), for instance a slice of a table
-        the caller evaluated once for a longer run of times.
+        out, if given, is a C-contiguous array of that shape to write B into.
         """
-        return self._accumulate(times, False, fac)
+        return self._accumulate(times, False, out)
 
-    def field_dt(self, times, fac=None):
+    def field_dt(self, times, out=None):
         """dB/dt at all points for the given times, shape (3, K, len(times)).
 
-        fac, if given, is factors(times, use_dt=True).
+        out, if given, is a C-contiguous array of that shape to write into.
         """
-        return self._accumulate(times, True, fac)
+        return self._accumulate(times, True, out)
 
 
 def harmonic_gradient_bound(l: int, radius: float) -> float:

@@ -15,11 +15,11 @@ Three simulators of decreasing generality:
   the trace equals the matrix-vector product.
 
 All three are one quadrature (_quadrature) that evaluates the field at the
-cells with c != 0 only; the integrand is the only difference.  The field's
-time factors c_i h_i(t) depend on time alone, so each pass evaluates them
-once for all its times (one table for B, and one for dB/dt where the
-integrand reads it), and each time block multiplies its slice of the table
-into the harmonics at the points.  Each simulator takes a sequence of
+cells with c != 0 only; the integrand is the only difference.  Each time
+block evaluates the field's time factors c_i h_i(t) for its own times and
+multiplies them into the harmonics at the points, and each worker writes
+its blocks' (point, time) arrays into the same buffers, so a pass holds no
+array over all its times but the traces.  Each simulator takes a sequence of
 receive coils and returns one SignalTrace per coil, in order: B, |B| and
 the magnetization factor are evaluated once per time block for every coil,
 and only the projection on each coil's sensitivity is per coil, so each
@@ -34,6 +34,7 @@ matrix built from one AcquisitionConfig share sample rate, t0 and length.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -148,22 +149,20 @@ class SignalTrace:
 
 
 # times per block of every simulate and assembly pass; no result depends on
-# it.  A simulate block's temporaries are about eight (points, times) float
-# arrays per worker thread (B, |B|, the factor and the coil projection), and
-# a worker's malloc arena keeps what its largest block needed, so the block
-# sets most of what a pass holds beyond its factor tables (_quadrature).  On
-# the perturbed desk scene (405 filled cells, 2 workers) simulate_fbp's peak
-# RSS read 45.5 MiB at 128 and 42.4 at 64 (55.1 at 256 with per-block
-# factors), at the same process cpu.  Smaller blocks cost cpu, since einsum's
-# inner loops run over a block's times: in-process, the general model took
-# 40% more cpu at 32 than at 64, and the piecewise model, with 4 sub-points
-# per cell, was fastest at 48-64 and took 50% more cpu at 256.  An assembly
-# block's temporaries stay a few MB (sysmat._PAIRS), and at most two blocks
-# per worker are in flight, so they are what a build holds beyond its runs:
-# 32 held about 9 MiB less on the desk scene, but desk_run and l1_sweep ran
-# 7-12% longer end to end.  A build hands the free memory of every arena
-# back when it ends (errors.release_heap); a simulate pass does not, since
-# its own peak falls inside the pass.
+# it.  A simulate worker keeps its block's (points, times) float arrays from
+# block to block (B or dB/dt, |B| and its factor, the coil projection and
+# its rows: _Buffers), and the Langevin factor's temporaries are freed with
+# each block, so the block sets what a pass holds beyond its traces.
+# Smaller blocks cost cpu, since einsum's inner loops run over a block's
+# times: in-process, the general model took 40% more cpu at 32 than at 64,
+# and the piecewise model, with 4 sub-points per cell, was fastest at 48-64
+# and took 50% more cpu at 256.  An assembly block's temporaries stay a few
+# MB (sysmat._PAIRS), and at most two blocks per worker are in flight, so
+# they are what a build holds beyond its runs: 32 held about 9 MiB less on
+# the desk scene, but desk_run and l1_sweep ran 7-12% longer end to end.  A
+# build hands the free memory of every arena back when it ends
+# (errors.release_heap); a simulate pass does not, since its own peak falls
+# inside the pass.
 _TIME_BLOCK = 64
 
 
@@ -211,17 +210,38 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
     return FieldEvaluator(model, points.reshape(-1, 3)), weights
 
 
+class _Buffers:
+    """A worker's block arrays, reused from block to block.
+
+    take(name, shape) gives the leading part of the flat array kept under
+    name, reshaped, so that it is C-contiguous like a new array and a
+    shorter block takes a leading slice.  Each name has its own array,
+    allocated (or grown) the first time a block needs it: one slab for all
+    of them, freed when the pass ends, would raise glibc's mmap threshold
+    to its size, and the later stages' temporaries would stay in the heap.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
 def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
-                integrand, coils, subsampling: int, n_workers: int, use_dt: bool) -> list:
+                integrand, coils, subsampling: int, n_workers: int) -> list:
     """One sum per coil: sum_k w_k <rho, v(r_k, t)> factor(r_k, t).
 
-    integrand(ev, times, *fac) returns the vector field v (3, points, times)
+    integrand(ev, times, take) returns the vector field v (3, points, times)
     and the scalar factor (points, times) at the points of _filled_cells,
-    which holds the weights w_k.  fac is the block's slice of ev.factors
-    over all times, and with use_dt also of ev.factors(use_dt=True): both
-    tables are evaluated once per pass.  v and the factor are evaluated
-    once per time block for all coils; only the projection on each coil's
-    rho is per coil, into buffers the block reuses.  A BLAS product sums
+    which holds the weights w_k, for one block of times; take is the
+    worker's _Buffers.take, for the arrays it reuses from block to block.
+    v and the factor are evaluated once per time block for all coils; only
+    the projection on each coil's rho is per coil.  A BLAS product sums
     the points in an order that depends on the number of times in a block;
     a pairwise sum over each time's contiguous row does not, so the result
     does not depend on the block size.
@@ -229,14 +249,15 @@ def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
     if not coils:
         raise ConfigError("need at least one receive coil")
     ev, weights = _filled_cells(model, grid, subsampling)
-    tables = [ev.factors(times)] + ([ev.factors(times, use_dt=True)] if use_dt else [])
     column = weights[:, None]
+    local = threading.local()
 
     def worker(span):
-        at = slice(span[0], span[-1] + 1)
-        v, factor = integrand(ev, times[at], *(fac[:, :, at] for fac in tables))
-        values = np.empty_like(factor)
-        rows = np.empty(values.shape[::-1])
+        if not hasattr(local, "take"):
+            local.take = _Buffers().take
+        v, factor = integrand(ev, times[span[0]:span[-1] + 1], local.take)
+        values = local.take("values", factor.shape)
+        rows = local.take("rows", factor.shape[::-1])
         sums = []
         for coil in coils:
             np.einsum("j,jkt->kt", coil.vector, v, out=values)
@@ -250,19 +271,24 @@ def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
-def _magnitude(b: np.ndarray) -> np.ndarray:
-    mag = np.einsum("jkt,jkt->kt", b, b)
-    return np.sqrt(mag, out=mag)
+def _field_and_magnitude(ev, tblock, take):
+    """B at the block's times and |B|, in the worker's "field" and "mag" arrays."""
+    shape = (3, len(ev.points), tblock.size)
+    b = ev.field(tblock, out=take("field", shape))
+    mag = np.einsum("jkt,jkt->kt", b, b, out=take("mag", shape[1:]))
+    return b, np.sqrt(mag, out=mag)
 
 
 def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers) -> list:
     """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
-    def integrand(ev, tblock, fac, fac_dt):
-        factor = slope(_magnitude(ev.field(tblock, fac)))
-        return ev.field_dt(tblock, fac_dt), factor
+    def integrand(ev, tblock, take):
+        b, mag = _field_and_magnitude(ev, tblock, take)
+        factor = slope(mag)
+        # B is spent once slope has read |B|: dB/dt takes its array
+        return ev.field_dt(tblock, out=b), factor
 
     sums = _quadrature(model, grid, config.times(), integrand, coils,
-                       subsampling, n_workers, use_dt=True)
+                       subsampling, n_workers)
     return [SignalTrace(-MU0 * s, config.sample_rate, config.t0, coil.index)
             for coil, s in zip(coils, sums)]
 
@@ -291,14 +317,13 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
     """
     dt = 1.0 / config.sample_rate
 
-    def integrand(ev, tblock, fac):
-        b = ev.field(tblock, fac)
-        return b, mbar_over_b(params, _magnitude(b))
+    def integrand(ev, tblock, take):
+        b, mag = _field_and_magnitude(ev, tblock, take)
+        return b, mbar_over_b(params, mag, out=mag)
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers,
-                       use_dt=False)
+    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers)
     return [SignalTrace(-MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt),
                         config.sample_rate, config.t0, coil.index)
             for coil, ivals in zip(coils, sums)]

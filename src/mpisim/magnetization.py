@@ -52,17 +52,21 @@ def langevin_derivative(x):
     return out[()]
 
 
-def langevin_over_x(x):
-    """L(x)/x, even, finite at 0 (value 1/3).  Used for mbar(B)/B."""
+def langevin_over_x(x, out=None):
+    """L(x)/x, even, finite at 0 (value 1/3).  Used for mbar(B)/B.
+
+    out, if given, is a float array of x's shape that receives the result;
+    it may be x itself.
+    """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUTOFF
+    xv = x[small]
     xs = np.where(small, 1.0, x)
     # (1/tanh(xs) - 1/xs) / xs, in place in the buffer of tanh(xs)
-    out = np.tanh(xs, out=np.empty_like(xs))
+    out = np.tanh(xs, out=np.empty_like(xs) if out is None else out)
     np.divide(1.0, out, out=out)
     out -= 1.0 / xs
     out /= xs
-    xv = x[small]
     x2 = xv * xv
     out[small] = 1.0 / 3.0 - x2 / 45.0 + 2.0 * x2 * x2 / 945.0
     return out[()]
@@ -91,10 +95,14 @@ def mbar_prime(params: LangevinParams, b):
         params.lam * np.asarray(b, dtype=float))
 
 
-def mbar_over_b(params: LangevinParams, b):
-    """mbar(b)/b, finite at b = 0.  Stable direction factor for M = mbar(B) B/|B|."""
-    return params.m0 * params.lam * langevin_over_x(
-        params.lam * np.asarray(b, dtype=float))
+def mbar_over_b(params: LangevinParams, b, out=None):
+    """mbar(b)/b, finite at b = 0.  Stable direction factor for M = mbar(B) B/|B|.
+
+    out, if given, is a float array of b's shape that receives the result;
+    it may be b itself.
+    """
+    x = np.multiply(params.lam, b, out=out)
+    return np.multiply(params.m0 * params.lam, langevin_over_x(x, out=out), out=out)
 
 
 def mbar_second(params: LangevinParams, b):

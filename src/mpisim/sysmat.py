@@ -264,6 +264,15 @@ class CellQuadrature:
                  for k in range(len(rhos))] for i in range(len(approxes))]
 
 
+def _distinct(values) -> np.ndarray:
+    """values sorted, each once.  np.unique does the same but imports
+    numpy.ma (8-9 ms) on its first call."""
+    values = np.sort(values)
+    keep = np.ones(values.size, bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def staircase_slopes(approxes):
     """A lookup that maps mag, >= 0 or NaN, to approx.eval(mag) for each
     approx in approxes, in order, one staircase's array at a time.
@@ -272,7 +281,7 @@ def staircase_slopes(approxes):
     a node inside a union interval, so each staircase's slope there is its
     eval at the left edge; past the last edge, and at NaN, every eval is 0.
     """
-    edges = np.unique(np.concatenate([approx.ladder for approx in approxes]))
+    edges = _distinct(np.concatenate([approx.ladder for approx in approxes]))
     slopes = [approx.eval(edges) for approx in approxes]
 
     def lookup(mag):
@@ -525,7 +534,7 @@ class StoredMatrix:
 def _estimate_nnz(quad: CellQuadrature, approxes, rhos, times) -> int:
     """The largest (staircase, coil) nonzero count, extrapolated from 8 probe
     times, for the cap check before assembly starts."""
-    idx = np.unique(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
+    idx = _distinct(np.linspace(0, times.size - 1, min(8, times.size)).astype(int))
     return math.ceil(max(vals.size for per_coil in quad.sparse_weights(
         approxes, rhos, times[idx]) for vals, _, _ in per_coil) / idx.size * times.size)
 

@@ -1610,8 +1610,9 @@ def test_compare_command(pipeline_dir, capsys, tmp_path):
 
 
 # Run in a fresh interpreter: runs the steps argv names, in order, and
-# prints after each the scipy, numpy.f2py and numpy.testing modules loaded
-# so far.  A module stays loaded, so a step that loads one comes last.
+# prints after each the scipy, numpy.f2py, numpy.testing and numpy.ma
+# modules loaded so far.  A module stays loaded, so a step that loads one
+# comes last.
 _SCIPY_PROBE = """\
 import json, sys
 
@@ -1619,7 +1620,8 @@ import numpy as np
 
 def heavy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m.startswith(("numpy.f2py", "numpy.testing")))
+                  or m.startswith(("numpy.f2py", "numpy.testing", "numpy.ma."))
+                  or m == "numpy.ma")
 
 ini, out, *steps = sys.argv[1:]
 seen = {}
@@ -1668,7 +1670,8 @@ def test_stages_without_a_matrix_never_import_scipy(tmp_path):
     # the sysmat stage streams its files and builds no matrix; the lsqr
     # stage loads scipy's compiled CSR kernels under a private name and
     # nothing of scipy, so neither scipy.sparse nor what its import pulls
-    # in (numpy.f2py, numpy.testing)
+    # in (numpy.f2py, numpy.testing).  Nor numpy.ma, which np.unique
+    # imports on its first call (about 9 ms): a build sorts instead
     seen = _probe_modules(tmp_path, ["run", "compare", "field-info", "sysmat",
                                      "sysmat,lsqr"])
     for step in seen:

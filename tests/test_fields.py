@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpisim import (
     ConfigError,
@@ -272,6 +274,82 @@ def test_evaluator_matches_term_by_term_sum(make_model):
     per_component = [[(t.degree, t.order) for t in model.terms if t.component == j]
                      for j in (1, 2, 3)]
     assert any(len(set(lms)) < len(lms) for lms in per_component)
+
+
+def _factors_term_by_term(ev, model, times, use_dt):
+    """The reference for FieldEvaluator.factors: every term's c_i h_i(t),
+    its modulation evaluated anew, added in term order."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.zeros((3, len(ev.harmonics), times.size))
+    for t in sorted(model.terms, key=lambda t: t.component):
+        h = t.modulation.eval_dt(times) if use_dt else t.modulation.eval(times)
+        out[t.component - 1, ev.harmonics.index((t.degree, t.order))] += (
+            t.coefficient * h)
+    return out
+
+
+_TOPOLOGIES = {
+    "lissajous_ffp": dict(g=1.0, d=(0.012, 0.012, 0.006), f=(25e3, 24.5e3, 26e3)),
+    "line_ffp": dict(g=1.0, d=(0.012, 0.0, 0.006), f_d=25e3),
+    "rotating_ffl": dict(g=1.0, d=0.04, f_d=25e3, f_rot=1e3),
+    "static_ffl": dict(g=1.0, d=0.04, f_d=25e3, alpha=0.7),
+}
+# a few modulations, so that a drawn table repeats some of them
+_MODULATIONS = [TimeModulation("const", scale=0.5), TimeModulation("sin", f1=25e3),
+                TimeModulation("cos", f1=1e3, phase=0.3),
+                TimeModulation("sinsin", f1=25e3, f2=1e3, scale=-1.0),
+                TimeModulation("sincos", f1=24e3, f2=2e3)]
+
+
+@st.composite
+def _coefficient_tables(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        degree = draw(st.integers(0, 3))
+        terms.append(SHTerm(draw(st.integers(1, 3)), degree,
+                            draw(st.integers(-degree, degree)),
+                            draw(st.floats(-2.0, 2.0, allow_subnormal=False)),
+                            draw(st.sampled_from(_MODULATIONS))))
+    return FieldModel(terms=tuple(terms), validity_radius=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(
+           st.builds(perturb_field,
+                     st.sampled_from(sorted(_TOPOLOGIES)).map(
+                         lambda kind: build_topology(kind, **_TOPOLOGIES[kind])),
+                     seed=st.integers(0, 2**32 - 1), magnitude=st.floats(0.0, 1.0)),
+           _coefficient_tables()),
+       n_times=st.integers(1, 130), t0=st.floats(-1e-3, 1e-3),
+       use_dt=st.booleans())
+def test_factors_equal_the_term_by_term_sum(model, n_times, t0, use_dt):
+    # one evaluation per distinct modulation and one step per term rank
+    # add the same products in the same order as the term loop
+    ev = FieldEvaluator(model, np.zeros((1, 3)))
+    times = t0 + np.arange(n_times) / 2e6
+    got = ev.factors(times, use_dt)
+    assert np.array_equal(got, _factors_term_by_term(ev, model, times, use_dt))
+
+
+@pytest.mark.parametrize("use_dt", [False, True])
+def test_factors_evaluate_each_distinct_modulation_once(use_dt, monkeypatch):
+    model = _perturbed_rotating_ffl()
+    distinct = {t.modulation for t in model.terms}
+    assert len(distinct) < len(model.terms)
+    calls = []
+    name = "eval_dt" if use_dt else "eval"
+    real = getattr(TimeModulation, name)
+
+    def counting(self, t):
+        calls.append(self)
+        return real(self, t)
+
+    monkeypatch.setattr(TimeModulation, name, counting)
+    ev = FieldEvaluator(model, np.zeros((1, 3)))
+    for n_times in (1, 64):
+        calls.clear()
+        ev.factors(np.arange(n_times) / 2e6, use_dt)
+        assert len(calls) == len(distinct) and set(calls) == distinct
 
 
 def test_validity_radius_warning(caplog):

@@ -463,10 +463,10 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
     model, grid, config, params = _short_signed_scene()
     calls = {"field": [], "field_dt": []}
     for name in calls:
-        def counting(self, times, *fac, _real=getattr(FieldEvaluator, name),
-                     _calls=calls[name]):
+        def counting(self, times, *args, _real=getattr(FieldEvaluator, name),
+                     _calls=calls[name], **kwargs):
             _calls.append(np.size(times))
-            return _real(self, times, *fac)
+            return _real(self, times, *args, **kwargs)
         monkeypatch.setattr(FieldEvaluator, name, counting)
     monkeypatch.setattr(forward, "_TIME_BLOCK", 7)
     # the general model differentiates over one extra sample at each end
@@ -484,27 +484,36 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
 
 
 @pytest.mark.parametrize("simulate", SIMULATORS)
-def test_factor_tables_are_evaluated_once_per_pass(simulate, monkeypatch):
-    # the time factors of B, and of dB/dt where the integrand reads it, are
-    # one table each over all times, however the times are blocked
+def test_factors_are_evaluated_per_block(simulate, monkeypatch):
+    # each block evaluates the time factors of its own times, so no call
+    # spans more than a block and the calls cover each time once: of B, and
+    # of dB/dt where the integrand reads it
     model, grid, config, params = _short_signed_scene()
-    calls = []
+    calls, lock = [], threading.Lock()
     real = FieldEvaluator.factors
 
     def counting(self, times, use_dt=False):
-        calls.append((np.size(times), use_dt))
+        with lock:
+            calls.append((np.atleast_1d(times).copy(), use_dt))
         return real(self, times, use_dt)
 
     monkeypatch.setattr(FieldEvaluator, "factors", counting)
-    n_times = config.n_samples + (2 if simulate is simulate_general else 0)
-    expected = [(n_times, False)] + ([] if simulate is simulate_general
-                                     else [(n_times, True)])
+    times = config.times()
+    if simulate is simulate_general:
+        dt = 1.0 / config.sample_rate
+        times = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
+    kinds = [False] + ([] if simulate is simulate_general else [True])
     for workers in (1, 2, 3):
         for block in (1, 7, 256):
             monkeypatch.setattr(forward, "_TIME_BLOCK", block)
             calls.clear()
             simulate(model, grid, THREE_COILS, config, params, n_workers=workers)
-            assert calls == expected, (workers, block)
+            assert max(t.size for t, _ in calls) <= block, (workers, block)
+            for use_dt in kinds:
+                covered = np.sort(np.concatenate(
+                    [t for t, dt_ in calls if dt_ == use_dt]))
+                assert np.array_equal(covered, times), (workers, block, use_dt)
+            assert {dt_ for _, dt_ in calls} == set(kinds)
 
 
 def _desk_simulate_scene(duration="1 ms"):
@@ -545,6 +554,20 @@ def test_simulate_working_set_is_bounded():
     grown = (_traced_peak(simulate_general, *longer, n_workers=1)
              - _traced_peak(simulate_general, *scene, n_workers=1))
     assert grown <= extra_times * 8 * (3 * n_harmonics + 8)
+
+
+def test_simulate_working_set_grows_with_the_scan_by_its_vectors_only():
+    # each block evaluates its own factors into its worker's arrays, so a
+    # longer scan adds only vectors over the times (times, block index,
+    # block sums, traces): at most 8 floats per time, where a factor table
+    # over all times would add 3 * 20 * 8 = 480 bytes.  One worker, so the
+    # peak does not depend on how the threads' blocks overlap.
+    scene, longer = _desk_simulate_scene(), _desk_simulate_scene("2 ms")
+    simulate_general(*scene, n_workers=1)  # first-call allocations
+    extra_times = longer[3].n_samples - scene[3].n_samples
+    grown = (_traced_peak(simulate_general, *longer, n_workers=1)
+             - _traced_peak(simulate_general, *scene, n_workers=1))
+    assert grown <= extra_times * 8 * 8
 
 
 def _pool_threads():
