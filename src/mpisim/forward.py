@@ -150,9 +150,11 @@ class SignalTrace:
 
 # times per block of every simulate and assembly pass; no result depends on
 # it.  A simulate worker keeps its block's (points, times) float arrays from
-# block to block (B or dB/dt, |B| and its factor, the coil projection and
-# its rows: _Buffers), and the Langevin factor's temporaries are freed with
-# each block, so the block sets what a pass holds beyond its traces.
+# block to block (_Buffers): B or dB/dt, |B| and its factor with the
+# Langevin factor's work array, the coil projection and its rows.  Only the
+# slopes of the parallel and staircase models and one 1/x of the Langevin
+# factor are allocated anew per block, so the block sets what a pass holds
+# beyond its traces.
 # Smaller blocks cost cpu, since einsum's inner loops run over a block's
 # times: in-process, the general model took 40% more cpu at 32 than at 64,
 # and the piecewise model, with 4 sub-points per cell, was fastest at 48-64
@@ -319,7 +321,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
 
     def integrand(ev, tblock, take):
         b, mag = _field_and_magnitude(ev, tblock, take)
-        return b, mbar_over_b(params, mag, out=mag)
+        return b, mbar_over_b(params, mag, out=mag, work=take("work", mag.shape))
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])

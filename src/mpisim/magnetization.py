@@ -52,16 +52,20 @@ def langevin_derivative(x):
     return out[()]
 
 
-def langevin_over_x(x, out=None):
+def langevin_over_x(x, out=None, work=None):
     """L(x)/x, even, finite at 0 (value 1/3).  Used for mbar(B)/B.
 
     out, if given, is a float array of x's shape that receives the result;
-    it may be x itself.
+    it may be x itself.  work, if given, is another such array, neither x
+    nor out, that the evaluation overwrites.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUTOFF
+    xs = np.abs(x, out=np.empty_like(x) if work is None else work)
+    small = xs < _SERIES_CUTOFF
     xv = x[small]
-    xs = np.where(small, 1.0, x)
+    # xs = np.where(small, 1.0, x), in the buffer of |x|
+    np.copyto(xs, x)
+    np.copyto(xs, 1.0, where=small)
     # (1/tanh(xs) - 1/xs) / xs, in place in the buffer of tanh(xs)
     out = np.tanh(xs, out=np.empty_like(xs) if out is None else out)
     np.divide(1.0, out, out=out)
@@ -95,14 +99,14 @@ def mbar_prime(params: LangevinParams, b):
         params.lam * np.asarray(b, dtype=float))
 
 
-def mbar_over_b(params: LangevinParams, b, out=None):
+def mbar_over_b(params: LangevinParams, b, out=None, work=None):
     """mbar(b)/b, finite at b = 0.  Stable direction factor for M = mbar(B) B/|B|.
 
-    out, if given, is a float array of b's shape that receives the result;
-    it may be b itself.
+    out and work are as in langevin_over_x; out may be b itself.
     """
     x = np.multiply(params.lam, b, out=out)
-    return np.multiply(params.m0 * params.lam, langevin_over_x(x, out=out), out=out)
+    return np.multiply(params.m0 * params.lam,
+                       langevin_over_x(x, out=out, work=work), out=out)
 
 
 def mbar_second(params: LangevinParams, b):

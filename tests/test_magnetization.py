@@ -22,6 +22,7 @@ from mpisim.magnetization import (
     _SERIES_CUTOFF,
     _l1_gradient,
     langevin_over_x,
+    mbar_over_b,
 )
 
 # coth(5) - 1/5, evaluated once with mpmath at 30 digits and frozen here
@@ -102,6 +103,25 @@ def test_series_only_where_used_is_bit_equal(fast, oracle):
         got, want = fast(np.float64(v)), oracle(np.float64(v))
         assert type(got) is type(want) and np.array_equal(got, want)
         assert np.array_equal(fast(float(v)), want)
+
+
+def test_over_x_into_given_arrays_is_bit_equal():
+    # the simulate pass writes mbar(B)/B over |B| into its worker's arrays:
+    # out is the input itself or another array, work is overwritten
+    c = _SERIES_CUTOFF
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, -0.0, c, np.nextafter(c, 0.0), 0.5 * c, 2.0, 800.0],
+                        rng.normal(0.0, 40.0, 200), rng.normal(0.0, 2 * c, 49)]
+                       ).reshape(16, -1)
+    params = LangevinParams(m0=1.2e-17, lam=2.5e3)
+    for fn, args in ((langevin_over_x, ()), (mbar_over_b, (params,))):
+        want = fn(*args, x)
+        for alias in (False, True):
+            arg = x.copy()
+            out = arg if alias else np.full_like(x, np.nan)
+            work = np.full_like(x, np.nan)
+            got = fn(*args, arg, out=out, work=work)
+            assert np.array_equal(got, want) and np.array_equal(out, want)
 
 
 def test_langevin_derivative_at_zero_exact():
