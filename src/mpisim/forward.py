@@ -18,12 +18,13 @@ All three are one quadrature (_quadrature) that evaluates the field at the
 cells with c != 0 only; the integrand is the only difference.  Each time
 block evaluates the field's time factors c_i h_i(t) for its own times and
 multiplies them into the harmonics at the points, and each worker writes
-its blocks' (point, time) arrays into the same buffers, so a pass holds no
-array over all its times but the traces.  Each simulator takes a sequence of
-receive coils and returns one SignalTrace per coil, in order: B, |B| and
-the magnetization factor are evaluated once per time block for every coil,
-and only the projection on each coil's sensitivity is per coil, so each
-trace is bit-equal to a one-coil call.  Neither the block size nor the
+its blocks' (point, time) arrays into the same buffers, so what a pass
+holds over all its times is one vector per coil and the times themselves.
+Each simulator takes a sequence of receive coils and returns one
+SignalTrace per coil, in order: B, |B| and the magnetization factor are
+evaluated once per time block for every coil, and only the projection on
+each coil's sensitivity is per coil, so each trace is bit-equal to a
+one-coil call.  Neither the block size nor the
 number of worker threads changes a trace.
 
 AcquisitionConfig is the sampled time axis.  The simulators sample it and
