@@ -1,5 +1,6 @@
 """Spherical-harmonic field models: basis functions, topologies, loci."""
 
+import hashlib
 import logging
 import math
 
@@ -299,6 +300,38 @@ _MODULATIONS = [TimeModulation("const", scale=0.5), TimeModulation("sin", f1=25e
                 TimeModulation("cos", f1=1e3, phase=0.3),
                 TimeModulation("sinsin", f1=25e3, f2=1e3, scale=-1.0),
                 TimeModulation("sincos", f1=24e3, f2=2e3)]
+# sha256 of write_field_coefficients of each _TOPOLOGIES entry
+_TOPOLOGY_TABLES = {
+    "lissajous_ffp": "bfb712be557232a34f15cd262e7ad875b56ae45fa95fa0e992c16bf2f9be8068",
+    "line_ffp": "cb6661f279721abcd1a3ff2ce714b9b5c8786b212088777547560a136c17985e",
+    "rotating_ffl": "51b6625be79269f6119217da47da57ac6f2f0e9a034384c67002be3f9891d132",
+    "static_ffl": "c904bcbbeff4cae4034d8d50897ed3d5c9e0662d8ce852f853ec4f4ada960627",
+}
+
+
+@pytest.mark.parametrize("kind", _TOPOLOGIES)
+def test_topology_coefficient_tables_are_pinned(tmp_path, kind):
+    # every term of a built-in topology, to the last bit of its text
+    path = tmp_path / f"{kind}.coeffs"
+    write_field_coefficients(build_topology(kind, **_TOPOLOGIES[kind]), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TOPOLOGY_TABLES[kind]
+
+
+def test_line_ffp_is_a_one_frequency_lissajous_ffp():
+    params = _TOPOLOGIES["line_ffp"]
+    f_d = params["f_d"]
+    line = build_topology("line_ffp", **params)
+    lissajous = build_topology("lissajous_ffp", g=params["g"], d=params["d"],
+                               f=(f_d,) * 3)
+    assert line.terms == lissajous.terms
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-0.025, 0.025, (500, 3))
+    times = rng.uniform(-1e-3, 1e-3, 16)
+    a, b = FieldEvaluator(line, pts), FieldEvaluator(lissajous, pts)
+    assert np.array_equal(a.field(times), b.field(times))
+    assert np.array_equal(a.field_dt(times), b.field_dt(times))
+    for t in rng.uniform(-1e-3, 1e-3, 2000):
+        assert np.array_equal(ffp_position(line, t), ffp_position(lissajous, t))
 
 
 @st.composite
