@@ -328,6 +328,11 @@ def _check_positive(**kw):
 def build_topology(kind: str, **params) -> FieldModel:
     """Construct one of the built-in ideal scanner fields.
 
+    Two families on one selection gradient: the FFP's three sine drives
+    (``line_ffp`` is the Lissajous drive at one frequency), and the FFL's
+    six terms, two quadrupoles that turn the line and two homogeneous
+    terms that sweep it (``static_ffl`` holds the turn at ``alpha``).
+
     Parameters
     ----------
     kind : str
@@ -336,9 +341,10 @@ def build_topology(kind: str, **params) -> FieldModel:
     params :
         ``g`` gradient strength in T/m for all kinds.  Point topologies take
         drive amplitudes ``d`` (3-tuple, tesla) and frequencies ``f`` (3-tuple,
-        lissajous) or ``f_d`` (line).  Line topologies take scalar ``d``,
-        ``f_d`` and either ``f_rot`` (rotating) or ``alpha`` (static).
-        ``validity_radius`` is accepted by every kind (default 0.05 m).
+        lissajous) or ``f_d`` (line, kept as ``f = (f_d,) * 3``).  Line
+        topologies take scalar ``d``, ``f_d`` and either ``f_rot`` (rotating)
+        or ``alpha`` (static).  ``validity_radius`` is accepted by every kind
+        (default 0.05 m).
     """
     radius = float(params.pop("validity_radius", 0.05))
     g = float(params.pop("g"))
@@ -350,55 +356,37 @@ def build_topology(kind: str, **params) -> FieldModel:
         SHTerm(3, 1, 0, 2 * g, const),
     )
 
-    if kind == "lissajous_ffp":
+    if kind in ("lissajous_ffp", "line_ffp"):
         d = tuple(float(v) for v in params.pop("d"))
-        f = tuple(float(v) for v in params.pop("f"))
+        f = (tuple(float(v) for v in params.pop("f")) if kind == "lissajous_ffp"
+             else (float(params.pop("f_d")),) * 3)
         if len(d) != 3 or len(f) != 3:
-            raise ConfigError("lissajous_ffp needs 3-tuples d and f")
+            raise ConfigError(f"{kind} needs 3-tuples d and f")
         _check_positive(f_x=f[0], f_y=f[1], f_z=f[2])
         drives = tuple(SHTerm(j + 1, 0, 0, d[j], TimeModulation("sin", f1=f[j]))
                        for j in range(3))
         model_params = {"g": g, "d": d, "f": f}
-    elif kind == "line_ffp":
-        d = tuple(float(v) for v in params.pop("d"))
-        f_d = float(params.pop("f_d"))
-        if len(d) != 3:
-            raise ConfigError("line_ffp needs a 3-tuple d")
-        _check_positive(f_d=f_d)
-        drives = tuple(SHTerm(j + 1, 0, 0, d[j], TimeModulation("sin", f1=f_d))
-                       for j in range(3))
-        model_params = {"g": g, "d": d, "f_d": f_d}
-    elif kind == "rotating_ffl":
-        d = float(params.pop("d"))
-        f_d = float(params.pop("f_d"))
-        f_rot = float(params.pop("f_rot"))
-        _check_positive(d=d, f_d=f_d, f_rot=f_rot)
-        quad0 = TimeModulation("cos", f1=f_rot)
-        quad45 = TimeModulation("sin", f1=f_rot)
-        drives = (
-            SHTerm(1, 1, 1, g, quad0),
-            SHTerm(2, 1, -1, -g, quad0),
-            SHTerm(1, 1, -1, g, quad45),
-            SHTerm(2, 1, 1, g, quad45),
-            SHTerm(1, 0, 0, d, TimeModulation("sinsin", f1=f_d, f2=f_rot)),
-            SHTerm(2, 0, 0, d, TimeModulation("sincos", f1=f_d, f2=f_rot, scale=-1.0)),
-        )
-        model_params = {"g": g, "d": d, "f_d": f_d, "f_rot": f_rot}
-    elif kind == "static_ffl":
-        d = float(params.pop("d"))
-        f_d = float(params.pop("f_d"))
-        alpha = float(params.pop("alpha"))
+    elif kind in ("rotating_ffl", "static_ffl"):
+        d, f_d = float(params.pop("d")), float(params.pop("f_d"))
         _check_positive(d=d, f_d=f_d)
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        drives = (
-            SHTerm(1, 1, 1, g, TimeModulation("const", scale=ca)),
-            SHTerm(2, 1, -1, -g, TimeModulation("const", scale=ca)),
-            SHTerm(1, 1, -1, g, TimeModulation("const", scale=sa)),
-            SHTerm(2, 1, 1, g, TimeModulation("const", scale=sa)),
-            SHTerm(1, 0, 0, d, TimeModulation("sin", f1=f_d, scale=math.sin(alpha / 2))),
-            SHTerm(2, 0, 0, d, TimeModulation("sin", f1=f_d, scale=-math.cos(alpha / 2))),
-        )
-        model_params = {"g": g, "d": d, "f_d": f_d, "alpha": alpha}
+        if kind == "rotating_ffl":
+            f_rot = float(params.pop("f_rot"))
+            _check_positive(f_rot=f_rot)
+            turn = {"f_rot": f_rot}
+            quad0, quad45 = (TimeModulation(k, f1=f_rot) for k in ("cos", "sin"))
+            sweep_x = TimeModulation("sinsin", f1=f_d, f2=f_rot)
+            sweep_y = TimeModulation("sincos", f1=f_d, f2=f_rot, scale=-1.0)
+        else:
+            alpha = float(params.pop("alpha"))
+            turn = {"alpha": alpha}
+            quad0, quad45 = (TimeModulation("const", scale=s)
+                             for s in (math.cos(alpha), math.sin(alpha)))
+            sweep_x, sweep_y = (TimeModulation("sin", f1=f_d, scale=s)
+                                for s in (math.sin(alpha / 2), -math.cos(alpha / 2)))
+        drives = (SHTerm(1, 1, 1, g, quad0), SHTerm(2, 1, -1, -g, quad0),
+                  SHTerm(1, 1, -1, g, quad45), SHTerm(2, 1, 1, g, quad45),
+                  SHTerm(1, 0, 0, d, sweep_x), SHTerm(2, 0, 0, d, sweep_y))
+        model_params = {"g": g, "d": d, "f_d": f_d, **turn}
     else:
         raise ConfigError(f"unknown topology {kind!r}")
     if params:
@@ -409,20 +397,12 @@ def build_topology(kind: str, **params) -> FieldModel:
 
 def ffp_position(model: FieldModel, t):
     """Field-free point of an ideal FFP topology at time t."""
-    p = model.params
-    if model.topology == "lissajous_ffp":
-        g, d, f = p["g"], p["d"], p["f"]
-        return np.array([
-            d[0] / g * math.sin(TWO_PI * f[0] * t),
-            d[1] / g * math.sin(TWO_PI * f[1] * t),
-            -d[2] / (2 * g) * math.sin(TWO_PI * f[2] * t),
-        ])
-    if model.topology == "line_ffp":
-        g, d, f_d = p["g"], p["d"], p["f_d"]
-        v = np.array([d[0] / g, d[1] / g, -d[2] / (2 * g)])
-        return v * math.sin(TWO_PI * f_d * t)
-    raise UnsupportedTopologyError(
-        f"ffp_position needs an ideal FFP topology, model has {model.topology!r}")
+    if model.topology not in ("lissajous_ffp", "line_ffp"):
+        raise UnsupportedTopologyError(
+            f"ffp_position needs an ideal FFP topology, model has {model.topology!r}")
+    g, d, f = (model.params[k] for k in ("g", "d", "f"))
+    scale = (d[0] / g, d[1] / g, -d[2] / (2 * g))
+    return np.array([s * math.sin(TWO_PI * fj * t) for s, fj in zip(scale, f)])
 
 
 def _ffl_params(model: FieldModel) -> dict:
