@@ -303,6 +303,12 @@ def make_fbp_settings(cfg: RunConfig, acq: forward.AcquisitionConfig) -> dict:
     # the scan signal_to_sinogram will regrid: every projection keeps a sample
     fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
                              settings["cos_guard"])
+    # and the displacement axis it bins onto, whose width the sweep sets
+    n_bins = settings["n_bins"]
+    try:
+        fbp_mod.check_axis(n_bins, 2 * fields.ffl_amplitude(model) / n_bins)
+    except ConfigError as exc:
+        raise ConfigError(f"field.d, field.g and fbp.bins: {exc}") from None
     return {**settings, "model": model}
 
 
@@ -630,8 +636,8 @@ def stage_phantom(ws: Workspace):
 def stage_simulate(ws: Workspace):
     plan, settings = ws.plan, ws.plan["simulate"]
     path = ws.require("phantom.grid")
-    ws.check("phantom", [path])
     grid = phantom.load_grid(path)
+    ws.check("phantom", [path])
     kind = settings["model"]
     simulate = getattr(forward, SIMULATORS[kind])
     clean = simulate(plan["field"], grid, [coil for _, coil in plan["coils"]],

@@ -244,6 +244,16 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
 
 
+def check_axis(n_bins: int, ds: float):
+    """Raise ConfigError unless the ramp filter can take n_bins displacement
+    bins ds apart: its frequencies divide by the zero-padded span, which
+    overflows to inf, and every frequency to 0, when ds is huge."""
+    span = _next_pow2(2 * n_bins) * float(ds)
+    if not math.isfinite(span):
+        raise ConfigError(f"need a finite ramp filter span, got {n_bins} bins "
+                          f"{ds:g} m apart, zero-padded to {span:g} m")
+
+
 def subtract_edge_baseline(sino: Sinogram) -> Sinogram:
     """Remove per-projection constant offsets, estimated from the edge bins.
 
@@ -275,13 +285,14 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
     """Ram-Lak filtered back-projection onto the template's grid.
 
     Each projection is DFT-filtered with |frequency| (zero-padded to kill
-    circular wrap), back-projected with linear interpolation along the
+    circular wrap; check_axis judges the padded span), back-projected with linear interpolation along the
     displacement axis, and the angle sum is scaled by pi / n_angles.
     """
     check_settings(window=window)
     if sino.displacements.size < 2:
         raise ConfigError("sinogram needs at least two displacement bins")
     ds = sino.displacements[1] - sino.displacements[0]
+    check_axis(sino.displacements.size, ds)
     xs = template.axis_coords(0)
     ys = template.axis_coords(1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

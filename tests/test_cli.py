@@ -522,6 +522,31 @@ def test_garbled_artifact_header_exits_2(pipeline_dir, tmp_path, capsys,
     assert "malformed" in err and name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage, name", [
+    ("simulate", "phantom.grid"), ("filter", "trace_x.bin"),
+    ("lsqr", "trace_x_filtered.bin"), ("lsqr", "sysmat_x.mat"),
+    ("fbp", "trace_x_filtered.bin"),
+])
+def test_a_stale_and_malformed_input_exits_2(pipeline_dir, tmp_path, capsys,
+                                             stage, name):
+    # a stage reads each input before it checks the stamp the input carries,
+    # so a file that is both stale and malformed is named as malformed
+    tmp, ini, out = pipeline_dir
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    path, stale = work / name, "0123456789abcdef"
+    data = path.read_bytes().replace(cli._carried_stamp(path).encode(),
+                                     stale.encode(), 1)
+    path.write_bytes(data)
+    header = next(line for line in data.split(b"\n") if not line.startswith(b"#"))
+    _replace_header(path, b"zz" + header[header.index(b" "):])
+    assert cli._carried_stamp(path) == stale
+    capsys.readouterr()
+    assert cli.main([stage, "-c", str(ini), "-o", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and str(path) in err and "Traceback" not in err
+
+
 def test_simulate_rejects_non_finite_grid_cell(pipeline_dir, tmp_path, capsys):
     tmp, ini, out = pipeline_dir
     work = tmp_path / "out"
@@ -889,6 +914,21 @@ def test_overflowing_quantity_exits_2(tmp_path, capsys, override):
                      "--set", override]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("window", ["hann", "ramlak"])
+def test_an_fbp_axis_that_overflows_exits_2_before_writing(tmp_path, capsys, window):
+    # a 1e308 T sweep makes the tiny config's 16 bins 6.25e306 m wide: the
+    # ramp filter's zero-padded span overflows, so Hann would divide 0 by 0
+    # and Ram-Lak would write an all-zero image
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "-c", str(ini), "-o", str(out), "--set", "field.d=1e308",
+                     "--set", f"fbp.window={window}"]) == 2
+    err = capsys.readouterr().err
+    assert "field.d" in err and "fbp.bins" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [

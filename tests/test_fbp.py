@@ -152,6 +152,16 @@ def test_fbp_needs_two_bins():
         fbp_reconstruct(sino, empty_grid(0.01, 0.001))
 
 
+@pytest.mark.parametrize("window", ["ramlak", "hann"])
+def test_fbp_rejects_an_axis_whose_padded_span_overflows(window):
+    # 16 bins pad to 32: 32 x 6.25e306 m overflows, so every ramp frequency
+    # would be 0 (an all-zero image) and the Hann window 0 / 0
+    sino = Sinogram(values=np.ones((2, 16)), angles=[0.0, 1.0],
+                    displacements=np.arange(16) * 6.25e306)
+    with pytest.raises(ConfigError, match="need a finite ramp filter span, got 16"):
+        fbp_reconstruct(sino, empty_grid(0.01, 0.001), window=window)
+
+
 @pytest.fixture(scope="module")
 def point_scan():
     """Rotating line scan of a single lit cell at (6, -3) mm."""
