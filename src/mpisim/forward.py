@@ -201,9 +201,9 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
     """Field evaluator on the sub-points of the cells that hold particles.
 
     A cell with c = 0 adds exactly nothing to the quadrature sum, so B is
-    evaluated only where c != 0; negative and NaN cells are kept, so they
-    still reach the sum.  A cell's sub-points (phantom.cell_offsets) are
-    consecutive.  Returns (FieldEvaluator, c_k * cell volume / n_sub).
+    evaluated only where c != 0; negative cells are kept, so they still
+    reach the sum (ConcentrationGrid admits no NaN).  A cell's sub-points
+    (phantom.cell_offsets) are consecutive.  Returns (FieldEvaluator, c_k * cell volume / n_sub).
     """
     flat = grid.flat()
     keep = np.flatnonzero(flat)
