@@ -304,9 +304,8 @@ def make_fbp_settings(cfg: RunConfig, acq: forward.AcquisitionConfig) -> dict:
     fbp_mod.scan_projections(acq.f_d, acq.sample_rate, acq.n_samples,
                              settings["cos_guard"])
     # and the displacement axis it bins onto, whose width the sweep sets
-    n_bins = settings["n_bins"]
     try:
-        fbp_mod.check_axis(n_bins, 2 * fields.ffl_amplitude(model) / n_bins)
+        fbp_mod.sweep_axis(model, settings["n_bins"])
     except ConfigError as exc:
         raise ConfigError(f"field.d, field.g and fbp.bins: {exc}") from None
     return {**settings, "model": model}
@@ -641,7 +640,7 @@ def stage_simulate(ws: Workspace):
     kind = settings["model"]
     simulate = getattr(forward, SIMULATORS[kind])
     clean = simulate(plan["field"], grid, [coil for _, coil in plan["coils"]],
-                     plan["acq"], *settings["args"], n_workers=plan["forward.workers"])
+                     plan["acq"], *settings["args"])
     for (axis, coil), trace in zip(plan["coils"], clean):
         if settings["noise_level"] > 0:
             trace = forward.add_noise(trace, settings["noise_level"] * trace.rms,

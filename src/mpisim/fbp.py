@@ -51,6 +51,8 @@ class Sinogram:
         self.displacements = np.asarray(self.displacements, dtype=float)
         if self.values.shape != (self.angles.size, self.displacements.size):
             raise ConfigError("sinogram shape does not match its axes")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("sinogram values must be finite")
 
 
 def _bilinear_plane(grid: ConcentrationGrid, x, y):
@@ -184,21 +186,20 @@ def signal_to_sinogram(traces, coils, model: FieldModel, n_bins: int = 80,
     Multiple coils combine by least squares over their geometric weights
     <rho, e>.
     """
-    amp = ffl_amplitude(model)
+    check_settings(n_bins=n_bins, cos_guard=cos_guard)
+    amp, prefactor = sweep_axis(model, n_bins)
     if not traces or len(traces) != len(coils):
         raise ConfigError("need one coil per trace")
-    check_settings(n_bins=n_bins, cos_guard=cos_guard)
     first = traces[0]
     for tr in traces:
         if tr.samples.size != first.samples.size or tr.sample_rate != first.sample_rate:
             raise ConfigError("traces disagree on sampling")
-    d, f_d = model.params["d"], model.params["f_d"]
+    f_d = model.params["f_d"]
     projections = scan_projections(f_d, first.sample_rate, first.samples.size,
                                    cos_guard)
     edges = np.linspace(-amp, amp, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rhos = np.array([c.vector for c in coils])
-    prefactor = -TWO_PI * d * MU0 * f_d * SLAB_THICKNESS
 
     rows = np.zeros((len(projections), n_bins))
     angles = np.empty(len(projections))
@@ -244,14 +245,29 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
 
 
-def check_axis(n_bins: int, ds: float):
+def check_axis(n_bins: int, ds: float, prefactor: float = 1.0):
     """Raise ConfigError unless the ramp filter can take n_bins displacement
-    bins ds apart: its frequencies divide by the zero-padded span, which
-    overflows to inf, and every frequency to 0, when ds is huge."""
-    span = _next_pow2(2 * n_bins) * float(ds)
-    if not math.isfinite(span):
-        raise ConfigError(f"need a finite ramp filter span, got {n_bins} bins "
-                          f"{ds:g} m apart, zero-padded to {span:g} m")
+    bins ds apart, of samples divided by a velocity prefactor: a unit sample
+    so divided and filtered at the top frequency must be finite and nonzero.
+    The frequencies divide by the zero-padded span, so a huge ds makes them
+    0 (the span overflows) and a zero or tiny one inf."""
+    nfft = _next_pow2(2 * n_bins)
+    span = nfft * float(ds)
+    # fftfreq's top |frequency|, (nfft // 2) / (nfft ds), as it computes it
+    gain = (nfft // 2) * (1.0 / span) / prefactor if span and prefactor else math.inf
+    if not (math.isfinite(gain) and gain):
+        raise ConfigError(f"need a finite, nonzero ramp filter gain, got {n_bins} "
+                          f"bins {ds:g} m apart, zero-padded to {span:g} m, and a "
+                          f"velocity prefactor {prefactor:g}")
+
+
+def sweep_axis(model: FieldModel, n_bins: int) -> tuple:
+    """(amplitude, velocity prefactor -2 pi d mu0 f_d SLAB_THICKNESS) of the
+    ideal FFL model's line sweep, whose n_bins bins check_axis accepts."""
+    amp, p = ffl_amplitude(model), model.params
+    prefactor = -TWO_PI * p["d"] * MU0 * p["f_d"] * SLAB_THICKNESS
+    check_axis(n_bins, 2 * amp / n_bins, prefactor)
+    return amp, prefactor
 
 
 def subtract_edge_baseline(sino: Sinogram) -> Sinogram:
@@ -288,9 +304,7 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
     circular wrap; check_axis judges the padded span), back-projected with linear interpolation along the
     displacement axis, and the angle sum is scaled by pi / n_angles.
     """
-    check_settings(window=window)
-    if sino.displacements.size < 2:
-        raise ConfigError("sinogram needs at least two displacement bins")
+    check_settings(n_bins=sino.displacements.size, window=window)
     ds = sino.displacements[1] - sino.displacements[0]
     check_axis(sino.displacements.size, ds)
     xs = template.axis_coords(0)

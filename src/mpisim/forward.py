@@ -17,15 +17,16 @@ Three simulators of decreasing generality:
 All three are one quadrature (_quadrature) that evaluates the field at the
 cells with c != 0 only; the integrand is the only difference.  Each time
 block evaluates the field's time factors c_i h_i(t) for its own times and
-multiplies them into the harmonics at the points, and each worker writes
-its blocks' (point, time) arrays into the same buffers, so what a pass
-holds over all its times is one vector per coil and the times themselves.
+multiplies them into the harmonics at the points, and the pass writes every
+block's (point, time) arrays into the same buffers, so what it holds over
+all its times is one vector per coil and the times themselves.  The pass
+runs on the calling thread: its einsums hold the GIL, so a second thread
+would add no speed, only its own buffers and heap.
 Each simulator takes a sequence of receive coils and returns one
 SignalTrace per coil, in order: B, |B| and the magnetization factor are
 evaluated once per time block for every coil, and only the projection on
 each coil's sensitivity is per coil, so each trace is bit-equal to a
-one-coil call.  Neither the block size nor the
-number of worker threads changes a trace.
+one-coil call.  The block size changes no trace.
 
 AcquisitionConfig is the sampled time axis.  The simulators sample it and
 sysmat's builders take it as the matrix's row axis, so a trace and a
@@ -35,7 +36,6 @@ matrix built from one AcquisitionConfig share sample rate, t0 and length.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -150,17 +150,18 @@ class SignalTrace:
 
 
 # times per block of every simulate and assembly pass; no result depends on
-# it.  A simulate worker keeps its block's (points, times) float arrays from
-# block to block (_Buffers): B or dB/dt, |B| and its factor with the
-# Langevin factor's work array, the coil projection and its rows.  Only the
-# slopes of the parallel and staircase models and one 1/x of the Langevin
-# factor are allocated anew per block, so the block sets what a pass holds
-# beyond its traces.
+# it.  A simulate pass walks its blocks in order on the calling thread and
+# keeps a block's (points, times) float arrays from block to block
+# (_Buffers): B or dB/dt, |B| and its factor with the Langevin factor's work
+# array, the coil projection and its rows.  Only the slopes of the parallel
+# and staircase models and one 1/x of the Langevin factor are allocated anew
+# per block, so the block sets what a pass holds beyond its traces.
 # Smaller blocks cost cpu, since einsum's inner loops run over a block's
 # times: in-process, the general model took 40% more cpu at 32 than at 64,
 # and the piecewise model, with 4 sub-points per cell, was fastest at 48-64
-# and took 50% more cpu at 256.  An assembly block's temporaries stay a few
-# MB (sysmat._PAIRS), and at most two blocks per worker are in flight, so
+# and took 50% more cpu at 256.  Only the assembly runs its blocks on a pool
+# (map_time_blocks); an assembly block's temporaries stay a few MB
+# (sysmat._PAIRS), and at most two blocks per worker are in flight, so
 # they are what a build holds beyond its runs: 32 held about 9 MiB less on
 # the desk scene, but desk_run and l1_sweep ran 7-12% longer end to end.  A
 # build hands the free memory of every arena back when it ends
@@ -172,8 +173,10 @@ _TIME_BLOCK = 64
 def map_time_blocks(fn, times: np.ndarray, n_workers: int):
     """Yield fn(span) for each consecutive span of _TIME_BLOCK times, in order.
 
-    Spans run on a thread pool when n_workers > 1 and there is more than
-    one of them, serially otherwise.  The pool runs at most 2 n_workers
+    The one threading helper, and it serves only the assembly (sysmat): a
+    simulate pass runs its spans on the calling thread (_quadrature).  Spans
+    run on a thread pool when n_workers > 1 and there is more than one of
+    them, serially otherwise.  The pool runs at most 2 n_workers
     spans ahead of the consumer, counting the result it holds, so a
     consumer that drops each result holds at most that many at once.  An
     exception in fn reaches the consumer at its span.  When the generator
@@ -214,7 +217,7 @@ def _filled_cells(model: FieldModel, grid: ConcentrationGrid, subsampling: int):
 
 
 class _Buffers:
-    """A worker's block arrays, reused from block to block.
+    """A pass's block arrays, reused from block to block.
 
     take(name, shape) gives the leading part of the flat array kept under
     name, reshaped, so that it is C-contiguous like a new array and a
@@ -236,13 +239,14 @@ class _Buffers:
 
 
 def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
-                integrand, coils, subsampling: int, n_workers: int) -> list:
+                integrand, coils, subsampling: int) -> list:
     """One sum per coil: sum_k w_k <rho, v(r_k, t)> factor(r_k, t).
 
     integrand(ev, times, take) returns the vector field v (3, points, times)
     and the scalar factor (points, times) at the points of _filled_cells,
-    which holds the weights w_k, for one block of times; take is the
-    worker's _Buffers.take, for the arrays it reuses from block to block.
+    which holds the weights w_k, for one block of times; take is the pass's
+    _Buffers.take, for the arrays it reuses from block to block.  The blocks
+    run in order on the calling thread; map_time_blocks serves the assembly.
     v and the factor are evaluated once per time block for all coils; only
     the projection on each coil's rho is per coil.  A BLAS product sums
     the points in an order that depends on the number of times in a block;
@@ -253,36 +257,30 @@ def _quadrature(model: FieldModel, grid: ConcentrationGrid, times: np.ndarray,
         raise ConfigError("need at least one receive coil")
     ev, weights = _filled_cells(model, grid, subsampling)
     column = weights[:, None]
-    local = threading.local()
-
-    def worker(span):
-        if not hasattr(local, "take"):
-            local.take = _Buffers().take
-        v, factor = integrand(ev, times[span[0]:span[-1] + 1], local.take)
-        values = local.take("values", factor.shape)
-        rows = local.take("rows", factor.shape[::-1])
-        sums = []
-        for coil in coils:
+    take = _Buffers().take
+    sums = np.empty((len(coils), times.size))
+    for lo in range(0, times.size, _TIME_BLOCK):
+        v, factor = integrand(ev, times[lo:lo + _TIME_BLOCK], take)
+        values = take("values", factor.shape)
+        rows = take("rows", factor.shape[::-1])
+        for coil, out in zip(coils, sums[:, lo:lo + len(rows)]):
             np.einsum("j,jkt->kt", coil.vector, v, out=values)
             np.multiply(values, factor, out=values)
             np.multiply(column, values, out=values)
             np.copyto(rows, values.T)
-            sums.append(rows.sum(axis=1))
-        return sums
-
-    blocks = map_time_blocks(worker, np.arange(times.size), n_workers)
-    return [np.concatenate(sums) for sums in zip(*blocks)]
+            rows.sum(axis=1, out=out)
+    return list(sums)
 
 
 def _field_and_magnitude(ev, tblock, take):
-    """B at the block's times and |B|, in the worker's "field" and "mag" arrays."""
+    """B at the block's times and |B|, in the pass's "field" and "mag" arrays."""
     shape = (3, len(ev.points), tblock.size)
     b = ev.field(tblock, out=take("field", shape))
     mag = np.einsum("jkt,jkt->kt", b, b, out=take("mag", shape[1:]))
     return b, np.sqrt(mag, out=mag)
 
 
-def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers) -> list:
+def _parallel_traces(model, grid, coils, config, slope, subsampling) -> list:
     """u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> slope(|B(r_k, t)|) vol."""
     def integrand(ev, tblock, take):
         b, mag = _field_and_magnitude(ev, tblock, take)
@@ -290,27 +288,24 @@ def _parallel_traces(model, grid, coils, config, slope, subsampling, n_workers) 
         # B is spent once slope has read |B|: dB/dt takes its array
         return ev.field_dt(tblock, out=b), factor
 
-    sums = _quadrature(model, grid, config.times(), integrand, coils,
-                       subsampling, n_workers)
+    sums = _quadrature(model, grid, config.times(), integrand, coils, subsampling)
     return [SignalTrace(-MU0 * s, config.sample_rate, config.t0, coil.index)
             for coil, s in zip(coils, sums)]
 
 
 def simulate_parallel(model: FieldModel, grid: ConcentrationGrid, coils,
-                      config: AcquisitionConfig, params: LangevinParams,
-                      n_workers: int = 1) -> list:
+                      config: AcquisitionConfig, params: LangevinParams) -> list:
     """Voltage under the parallel-velocity-field model, one trace per coil.
 
     u(t) = -mu0 * sum_k c_k <rho, dB/dt(r_k, t)> mbar'(|B(r_k, t)|) vol,
     summed over the filled cells only (see _filled_cells).
     """
     return _parallel_traces(model, grid, coils, config,
-                            lambda mag: mbar_prime(params, mag), 1, n_workers)
+                            lambda mag: mbar_prime(params, mag), 1)
 
 
 def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
-                     config: AcquisitionConfig, params: LangevinParams,
-                     n_workers: int = 1) -> list:
+                     config: AcquisitionConfig, params: LangevinParams) -> list:
     """Faraday-law voltage without any parallelity assumption, one trace per coil.
 
     The magnetization integral I(t) = int <rho, mbar(|B|) B/|B|> c dr is
@@ -326,7 +321,7 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
 
     times = config.times()
     extended = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
-    sums = _quadrature(model, grid, extended, integrand, coils, 1, n_workers)
+    sums = _quadrature(model, grid, extended, integrand, coils, 1)
     return [SignalTrace(-MU0 * (ivals[2:] - ivals[:-2]) / (2.0 * dt),
                         config.sample_rate, config.t0, coil.index)
             for coil, ivals in zip(coils, sums)]
@@ -334,15 +329,14 @@ def simulate_general(model: FieldModel, grid: ConcentrationGrid, coils,
 
 def simulate_piecewise(model: FieldModel, grid: ConcentrationGrid, coils,
                        config: AcquisitionConfig, approx: MagnetizationApprox,
-                       subsampling: int = 1, n_workers: int = 1) -> list:
+                       subsampling: int = 1) -> list:
     """simulate_parallel with the staircase mbar'_N, averaged over sub-points.
 
     With sysmat's grid and subsampling (phantom.cell_offsets) each trace
     equals its coil's system matrix times the flat concentration, up to
     summation order.
     """
-    return _parallel_traces(model, grid, coils, config, approx.eval, subsampling,
-                            n_workers)
+    return _parallel_traces(model, grid, coils, config, approx.eval, subsampling)
 
 
 def highpass_mask(n: int, sample_rate: float, cutoff: float) -> np.ndarray:

@@ -317,7 +317,7 @@ class _DeskScan:
         if which not in self._traces:
             clean = forward.simulate_general(self.model(which),
                                              self.signal_phantom, self.coils,
-                                             self.acq, self.params, n_workers=4)
+                                             self.acq, self.params)
             self._traces[which] = [
                 forward.apply_highpass(
                     forward.add_noise(tr, 1e-3 * tr.rms, 1 + i), self.CUTOFF)

@@ -12,6 +12,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from importlib.metadata import version
 from pathlib import Path
 
@@ -97,23 +99,24 @@ def _output_digests(out: Path, stdout: str) -> dict:
 
 def test_benchmark_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
     # every artifact and stdout of the benchmark's command lines, at 1 and 2
-    # workers and at another time block, equals the recorded digests; a
-    # mismatch names each file that differs and writes the digests these
-    # runs gave beside the test's outputs
+    # assembly workers and at another time block, equals the recorded
+    # digests, whatever forward.workers reads (it is checked, but the
+    # simulate pass runs on one thread); a mismatch names each file that
+    # differs and writes the digests these runs gave beside the test's outputs
     pinned = json.loads(BENCH_DIGESTS.read_text())
     ini = write_tiny(tmp_path)
     got, differ = {}, []
-    for workers, block in ((1, 64), (2, 64), (2, 48)):
+    for forward_workers, workers, block in ((1, 1, 64), (3, 2, 64), (2, 2, 48)):
         monkeypatch.setattr(forward, "_TIME_BLOCK", block)
         for name, command in BENCH_COMMANDS.items():
-            out = tmp_path / f"{name}_{workers}_{block}"
+            out = tmp_path / f"{name}_{forward_workers}_{workers}_{block}"
             assert cli.main([*command, "-c", str(ini), "-o", str(out),
-                             "--set", f"forward.workers={workers}",
+                             "--set", f"forward.workers={forward_workers}",
                              "--set", f"sysmat.workers={workers}",
                              "--set", "acquisition.noise_seed=1"]) == 0
             got[name] = _output_digests(out, capsys.readouterr().out)
             want = pinned["digests"][name]
-            differ += [f"{name} (workers {workers}, block {block}): {file}"
+            differ += [f"{name} (workers {forward_workers}/{workers}, block {block}): {file}"
                        for file in sorted(got[name].keys() | want.keys())
                        if got[name].get(file) != want.get(file)]
     if differ:
@@ -687,6 +690,24 @@ def test_repeated_coil_axis_exits_2(tmp_path, capsys):
     assert not (out / "trace_x.bin").exists()
 
 
+@pytest.mark.parametrize("model", ["general", "parallel", "piecewise"])
+def test_the_simulate_stage_starts_no_thread(tmp_path, monkeypatch, model):
+    # the pass's einsums hold the GIL, so it runs its blocks on the calling
+    # thread whatever forward.workers reads
+    def refuse(thread):
+        raise AssertionError(f"the simulate stage started thread {thread.name}")
+
+    ini = write_tiny(tmp_path)
+    assert cli.main(["run", "-c", str(ini), "-o", str(tmp_path / "out"),
+                     "--stages", "phantom"]) == 0
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(forward, "_TIME_BLOCK", 7)  # 286 blocks of the scan
+    assert cli.main(["run", "-c", str(ini), "-o", str(tmp_path / "out"),
+                     "--stages", "simulate", "--set", "forward.workers=2",
+                     "--set", f"forward.model={model}"]) == 0
+    assert (tmp_path / "out" / "trace_y.bin").is_file()
+
+
 @pytest.mark.parametrize("setting", ["forward.workers=0", "sysmat.workers=-3"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_worker_count_below_one_exits_2_before_writing(tmp_path, capsys,
@@ -928,6 +949,25 @@ def test_an_fbp_axis_that_overflows_exits_2_before_writing(tmp_path, capsys, win
                      "--set", f"fbp.window={window}"]) == 2
     err = capsys.readouterr().err
     assert "field.d" in err and "fbp.bins" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["5e-324", "1e-300"])
+def test_an_fbp_axis_too_narrow_to_filter_exits_2_before_writing(tmp_path, capsys, d):
+    # at 5e-324 T the sweep amplitude d / 2g rounds to 0, so the bins are 0 m
+    # wide and the velocity prefactor is 0; at 1e-300 T both are finite, but
+    # a volt divided by the prefactor and ramp-filtered overflows.  Unchecked,
+    # both ran to exit 0 with an FBP NRMSE of 1 after RuntimeWarnings
+    ini = write_tiny(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "-c", str(ini), "-o", str(out),
+                         "--set", f"field.d={d}"]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("field.d", "field.g", "fbp.bins"))
+    assert "ramp filter gain" in err and "Traceback" not in err
     assert not out.exists()
 
 

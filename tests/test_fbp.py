@@ -11,6 +11,7 @@ from mpisim.fbp import (
     _ramp_filter,
     _wrap_angle,
     Sinogram,
+    check_axis,
     fbp_reconstruct,
     radon_transform,
     save_sinogram_csv,
@@ -72,6 +73,14 @@ def test_sinogram_shape_validation():
     with pytest.raises(ConfigError):
         Sinogram(values=np.zeros((3, 5)), angles=np.zeros(3),
                  displacements=np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sinogram_values_must_be_finite(bad):
+    values = np.zeros((3, 5))
+    values[1, 2] = bad
+    with pytest.raises(ConfigError, match="sinogram values must be finite"):
+        Sinogram(values=values, angles=np.zeros(3), displacements=np.arange(5.0))
 
 
 def test_radon_disc_chords():
@@ -158,8 +167,35 @@ def test_fbp_rejects_an_axis_whose_padded_span_overflows(window):
     # would be 0 (an all-zero image) and the Hann window 0 / 0
     sino = Sinogram(values=np.ones((2, 16)), angles=[0.0, 1.0],
                     displacements=np.arange(16) * 6.25e306)
-    with pytest.raises(ConfigError, match="need a finite ramp filter span, got 16"):
+    with pytest.raises(ConfigError, match="ramp filter gain, got 16 bins 6.25e[+]306 m "
+                                          "apart, zero-padded to inf m"):
         fbp_reconstruct(sino, empty_grid(0.01, 0.001), window=window)
+
+
+@pytest.mark.parametrize("ds, prefactor", [
+    (0.0, 1.0),  # bins of zero width: fftfreq divides by a zero span
+    (1e-320, 1.0),  # a subnormal span: its top frequency is inf
+    (1e-3, 0.0),
+    (1e-3, math.inf),  # every projection would divide to 0
+    (1e-3, math.nan),
+    # field.d = 1e-300 T at g = 1 T/m on 16 bins: a volt divided by the
+    # prefactor and filtered at the top frequency, 8e300 1/m, overflows
+    (6.25e-302, -1.97e-304),
+])
+def test_check_axis_needs_a_finite_nonzero_filter_gain(ds, prefactor):
+    with pytest.raises(ConfigError, match="need a finite, nonzero ramp filter gain"):
+        check_axis(16, ds, prefactor)
+    check_axis(16, 2.5e-3, -7.9e-6)  # the desk scan's axis
+
+
+def test_signal_to_sinogram_rejects_a_sweep_too_narrow_to_filter(point_scan):
+    # unchecked, d = 5e-324 T divided by zero and d = 1e-300 T overflowed
+    # in the ramp filter; both gave an FBP image of NRMSE 1
+    traces, coils, model, params, point = point_scan
+    for d in (5e-324, 1e-300):
+        narrow = build_topology("rotating_ffl", g=1.0, d=d, f_d=25e3, f_rot=1e3)
+        with pytest.raises(ConfigError, match="ramp filter gain"):
+            signal_to_sinogram(traces, coils, narrow)
 
 
 @pytest.fixture(scope="module")

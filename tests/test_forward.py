@@ -263,10 +263,10 @@ def _staircase(params):
     return mag.build_approx(params, mag.nodes_equidistant(29, b), b, scheme="secant")
 
 
-def simulate_piecewise_sub2(model, grid, coils, config, params, **kwargs):
+def simulate_piecewise_sub2(model, grid, coils, config, params):
     """simulate_piecewise on a 30-interval secant staircase, subsampling 2."""
     return simulate_piecewise(model, grid, coils, config, _staircase(params),
-                              subsampling=2, **kwargs)
+                              subsampling=2)
 
 
 SIMULATORS = [simulate_general, simulate_parallel, simulate_piecewise_sub2]
@@ -431,23 +431,21 @@ THREE_COILS = [coil_along("x"), coil_along("y"),
                ReceiveCoil((1.0, 2.0, 3.0), index=7)]
 
 
-def test_workers_and_blocks_do_not_change_results(monkeypatch):
-    # nor does the number of coils: one call on three coils gives each
-    # coil's own one-coil trace, bit for bit
+def test_blocks_and_coils_do_not_change_results(monkeypatch):
+    # one call on three coils gives each coil's own one-coil trace, bit for
+    # bit, at any block size
     model, grid, config, params = _short_signed_scene()
     for simulate in SIMULATORS:
         singles = [simulate(model, grid, [coil], config, params)[0]
                    for coil in THREE_COILS]
-        for workers in (1, 2, 3):
-            for block in (1, 7, 256):
-                monkeypatch.setattr(forward, "_TIME_BLOCK", block)
-                traces = simulate(model, grid, THREE_COILS, config, params,
-                                  n_workers=workers)
-                assert len(traces) == len(THREE_COILS)
-                for coil, got, single in zip(THREE_COILS, traces, singles):
-                    assert got.coil_index == coil.index
-                    assert np.array_equal(got.samples, single.samples), (
-                        simulate, workers, block, coil)
+        for block in (1, 7, 256):
+            monkeypatch.setattr(forward, "_TIME_BLOCK", block)
+            traces = simulate(model, grid, THREE_COILS, config, params)
+            assert len(traces) == len(THREE_COILS)
+            for coil, got, single in zip(THREE_COILS, traces, singles):
+                assert got.coil_index == coil.index
+                assert np.array_equal(got.samples, single.samples), (
+                    simulate, block, coil)
 
 
 @pytest.mark.parametrize("simulate", SIMULATORS)
@@ -474,7 +472,7 @@ def test_field_is_evaluated_once_per_time_block_for_all_coils(simulate,
     for coils in (THREE_COILS[:1], THREE_COILS):
         for name in calls:
             calls[name].clear()
-        simulate(model, grid, coils, config, params, n_workers=2)
+        simulate(model, grid, coils, config, params)
         assert len(calls["field"]) == -(-n_times // 7)
         assert sum(calls["field"]) == n_times
         # the parallel models also take dB/dt once per block; general never
@@ -489,12 +487,11 @@ def test_factors_are_evaluated_per_block(simulate, monkeypatch):
     # spans more than a block and the calls cover each time once: of B, and
     # of dB/dt where the integrand reads it
     model, grid, config, params = _short_signed_scene()
-    calls, lock = [], threading.Lock()
+    calls = []
     real = FieldEvaluator.factors
 
     def counting(self, times, use_dt=False):
-        with lock:
-            calls.append((np.atleast_1d(times).copy(), use_dt))
+        calls.append((np.atleast_1d(times).copy(), use_dt))
         return real(self, times, use_dt)
 
     monkeypatch.setattr(FieldEvaluator, "factors", counting)
@@ -503,17 +500,16 @@ def test_factors_are_evaluated_per_block(simulate, monkeypatch):
         dt = 1.0 / config.sample_rate
         times = np.concatenate([[times[0] - dt], times, [times[-1] + dt]])
     kinds = [False] + ([] if simulate is simulate_general else [True])
-    for workers in (1, 2, 3):
-        for block in (1, 7, 256):
-            monkeypatch.setattr(forward, "_TIME_BLOCK", block)
-            calls.clear()
-            simulate(model, grid, THREE_COILS, config, params, n_workers=workers)
-            assert max(t.size for t, _ in calls) <= block, (workers, block)
-            for use_dt in kinds:
-                covered = np.sort(np.concatenate(
-                    [t for t, dt_ in calls if dt_ == use_dt]))
-                assert np.array_equal(covered, times), (workers, block, use_dt)
-            assert {dt_ for _, dt_ in calls} == set(kinds)
+    for block in (1, 7, 256):
+        monkeypatch.setattr(forward, "_TIME_BLOCK", block)
+        calls.clear()
+        simulate(model, grid, THREE_COILS, config, params)
+        assert max(t.size for t, _ in calls) <= block, block
+        for use_dt in kinds:
+            covered = np.sort(np.concatenate(
+                [t for t, dt_ in calls if dt_ == use_dt]))
+            assert np.array_equal(covered, times), (block, use_dt)
+        assert {dt_ for _, dt_ in calls} == set(kinds)
 
 
 def _desk_simulate_scene(duration="1 ms"):
@@ -525,12 +521,12 @@ def _desk_simulate_scene(duration="1 ms"):
             plan["acq"], *plan["simulate"]["args"])
 
 
-def _traced_peak(simulate, *args, **kwargs):
+def _traced_peak(simulate, *args):
     """Peak bytes numpy and Python allocate in one call, above its start."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        simulate(*args, **kwargs)
+        simulate(*args)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -540,19 +536,18 @@ def test_simulate_working_set_is_bounded():
     scene = _desk_simulate_scene()
     model, grid, coils, config, params = scene
     assert np.count_nonzero(grid.flat()) == 405 and config.n_samples + 2 == 4002
-    simulate_general(*scene, n_workers=2)  # first-call allocations
+    simulate_general(*scene)  # first-call allocations
     # 13.65 MB with a factor evaluation per block of 256 times; 5.2-5.5 MB
     # with one factor table (1.9 MB) per pass and blocks of 64
-    assert _traced_peak(simulate_general, *scene, n_workers=2) <= 9e6
+    assert _traced_peak(simulate_general, *scene) <= 9e6
     # a longer scan adds the table's columns and a few vectors over the
     # times (times, block index, block sums, traces): the per-time bytes of
-    # the table and of at most 8 floats.  One worker, so the peak does not
-    # depend on how the threads' blocks overlap.
+    # the table and of at most 8 floats
     longer = _desk_simulate_scene("2 ms")
     n_harmonics = len(FieldEvaluator(model, np.zeros((1, 3))).harmonics)
     extra_times = longer[3].n_samples - config.n_samples
-    grown = (_traced_peak(simulate_general, *longer, n_workers=1)
-             - _traced_peak(simulate_general, *scene, n_workers=1))
+    grown = (_traced_peak(simulate_general, *longer)
+             - _traced_peak(simulate_general, *scene))
     assert grown <= extra_times * 8 * (3 * n_harmonics + 8)
 
 
@@ -560,13 +555,12 @@ def test_simulate_working_set_grows_with_the_scan_by_its_vectors_only():
     # each block evaluates its own factors into its worker's arrays, so a
     # longer scan adds only vectors over the times (times, block index,
     # block sums, traces): at most 8 floats per time, where a factor table
-    # over all times would add 3 * 20 * 8 = 480 bytes.  One worker, so the
-    # peak does not depend on how the threads' blocks overlap.
+    # over all times would add 3 * 20 * 8 = 480 bytes
     scene, longer = _desk_simulate_scene(), _desk_simulate_scene("2 ms")
-    simulate_general(*scene, n_workers=1)  # first-call allocations
+    simulate_general(*scene)  # first-call allocations
     extra_times = longer[3].n_samples - scene[3].n_samples
-    grown = (_traced_peak(simulate_general, *longer, n_workers=1)
-             - _traced_peak(simulate_general, *scene, n_workers=1))
+    grown = (_traced_peak(simulate_general, *longer)
+             - _traced_peak(simulate_general, *scene))
     assert grown <= extra_times * 8 * 8
 
 
