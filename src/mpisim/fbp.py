@@ -301,8 +301,9 @@ def fbp_reconstruct(sino: Sinogram, template: ConcentrationGrid,
     """Ram-Lak filtered back-projection onto the template's grid.
 
     Each projection is DFT-filtered with |frequency| (zero-padded to kill
-    circular wrap; check_axis judges the padded span), back-projected with linear interpolation along the
-    displacement axis, and the angle sum is scaled by pi / n_angles.
+    circular wrap; check_axis judges the filter's gain), back-projected
+    with linear interpolation along the displacement axis, and the angle
+    sum is scaled by pi / n_angles.
     """
     check_settings(n_bins=sino.displacements.size, window=window)
     ds = sino.displacements[1] - sino.displacements[0]
